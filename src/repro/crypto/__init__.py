@@ -4,6 +4,10 @@ Everything is implemented from scratch in this package: GF(2^8)
 arithmetic, Rijndael with variable key and block sizes, the T-table AES
 used as the optimized comparator, block modes, MD5/SHA-1/HMAC, a
 16-bit-limb bignum, RSA, and PRNGs.
+
+The running system gets its host crypto through :mod:`repro.crypto.host`
+(stdlib ``hashlib``/``hmac``, and the T-table AES the stdlib lacks); the
+from-scratch hashes, HMAC and Rijndael are the spec it is tested against.
 """
 
 from repro.crypto.aes_ttable import AesTTable

@@ -10,8 +10,7 @@ stack the paper ported.
 
 from __future__ import annotations
 
-from repro.crypto.md5 import md5
-from repro.crypto.sha1 import sha1
+from repro.crypto import host
 
 
 def ssl3_prf(secret: bytes, seed: bytes, nbytes: int) -> bytes:
@@ -23,7 +22,7 @@ def ssl3_prf(secret: bytes, seed: bytes, nbytes: int) -> bytes:
         if i > 26:
             raise ValueError("requested too much key material")
         label = bytes([ord("A") + i - 1]) * i
-        out += md5(secret + sha1(label + secret + seed))
+        out += host.md5(secret + host.sha1(label + secret + seed))
     return bytes(out[:nbytes])
 
 

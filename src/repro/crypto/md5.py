@@ -1,7 +1,7 @@
 """MD5, implemented from scratch (RFC 1321).
 
-Present because SSL 3.0-era key derivation and MACs mixed MD5 with
-SHA-1; issl's PRF (:mod:`repro.crypto.kdf`) uses both.
+SSL 3.0-era key derivation mixed MD5 with SHA-1, as issl's PRF does.
+This is the reference :func:`repro.crypto.host.md5` is tested against.
 """
 
 from __future__ import annotations
@@ -78,8 +78,7 @@ class Md5:
         clone.update(b"\x80")
         while len(clone._buffer) != 56:
             clone.update(b"\x00")
-        clone._buffer += struct.pack("<Q", bit_len)
-        clone._compress(clone._buffer)
+        clone._compress(clone._buffer + struct.pack("<Q", bit_len))
         return struct.pack("<4L", *clone._h)
 
     def hexdigest(self) -> str:

@@ -68,8 +68,8 @@ def cbc_encrypt(cipher, iv: bytes, plaintext: bytes) -> bytes:
     out = bytearray()
     prev = iv
     for i in range(0, len(plaintext), bs):
-        block = bytes(a ^ b for a, b in zip(plaintext[i: i + bs], prev))
-        prev = cipher.encrypt_block(block)
+        block = int.from_bytes(plaintext[i: i + bs], "big") ^ int.from_bytes(prev, "big")
+        prev = cipher.encrypt_block(block.to_bytes(bs, "big"))
         out += prev
     return bytes(out)
 
@@ -83,8 +83,8 @@ def cbc_decrypt(cipher, iv: bytes, ciphertext: bytes) -> bytes:
     prev = iv
     for i in range(0, len(ciphertext), bs):
         block = ciphertext[i: i + bs]
-        plain = cipher.decrypt_block(block)
-        out += bytes(a ^ b for a, b in zip(plain, prev))
+        plain = int.from_bytes(cipher.decrypt_block(block), "big")
+        out += (plain ^ int.from_bytes(prev, "big")).to_bytes(bs, "big")
         prev = block
     return bytes(out)
 

@@ -13,6 +13,8 @@ seed, which the simulation needs for reproducibility).
 
 from __future__ import annotations
 
+from repro.crypto import host
+
 
 class Lcg:
     """ANSI-C style ``rand()``: X' = (1103515245 * X + 12345) mod 2^31.
@@ -58,11 +60,7 @@ class CipherRng:
     """
 
     def __init__(self, seed: bytes):
-        # Import here to avoid a cycle: bignum seeds from Lcg only.
-        from repro.crypto.aes_ttable import AesTTable
-        from repro.crypto.sha1 import sha1
-
-        self._cipher = AesTTable(sha1(b"cipher-rng:" + seed)[:16])
+        self._cipher = host.aes(host.sha1(b"cipher-rng:" + seed)[:16])
         self._counter = 0
         self._pool = b""
 

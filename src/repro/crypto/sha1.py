@@ -1,8 +1,8 @@
 """SHA-1, implemented from scratch (RFC 3174).
 
-issl's record layer needs a MAC; SSL 3.0-era stacks used MD5 and SHA-1.
-This is a streaming implementation with the usual ``update``/``digest``
-interface so the record layer can MAC without buffering whole messages.
+SSL 3.0-era stacks MACed records with MD5 or SHA-1.  This streaming
+``update``/``digest`` implementation reads like the RFC; it is the
+reference that :func:`repro.crypto.host.sha1` is tested against.
 """
 
 from __future__ import annotations
@@ -38,42 +38,21 @@ class Sha1:
         return self
 
     def _compress(self, chunk: bytes) -> None:
-        # Every MACed record pays several compressions, so the round
-        # loop is split per stage with the rotations inlined: same
-        # arithmetic as the single branchy loop, minus ~100 Python
-        # calls and ~160 stage tests per block.  ``a << 5`` is left
-        # unmasked -- the stray high bits sit above bit 31 and the
-        # final ``& _MASK`` on the sum discards them.
         w = list(struct.unpack(">16L", chunk))
-        append = w.append
         for i in range(16, 80):
-            x = w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]
-            append(((x << 1) | (x >> 31)) & _MASK)
+            w.append(_rotl(w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16], 1))
         a, b, c, d, e = self._h
-        for i in range(20):
-            a, b, c, d, e = (
-                (((a << 5) | (a >> 27)) + ((b & c) | (~b & d))
-                 + e + 0x5A827999 + w[i]) & _MASK,
-                a, ((b << 30) | (b >> 2)) & _MASK, c, d,
-            )
-        for i in range(20, 40):
-            a, b, c, d, e = (
-                (((a << 5) | (a >> 27)) + (b ^ c ^ d)
-                 + e + 0x6ED9EBA1 + w[i]) & _MASK,
-                a, ((b << 30) | (b >> 2)) & _MASK, c, d,
-            )
-        for i in range(40, 60):
-            a, b, c, d, e = (
-                (((a << 5) | (a >> 27)) + ((b & c) | (b & d) | (c & d))
-                 + e + 0x8F1BBCDC + w[i]) & _MASK,
-                a, ((b << 30) | (b >> 2)) & _MASK, c, d,
-            )
-        for i in range(60, 80):
-            a, b, c, d, e = (
-                (((a << 5) | (a >> 27)) + (b ^ c ^ d)
-                 + e + 0xCA62C1D6 + w[i]) & _MASK,
-                a, ((b << 30) | (b >> 2)) & _MASK, c, d,
-            )
+        for i in range(80):
+            if i < 20:
+                f, k = (b & c) | (~b & d), 0x5A827999
+            elif i < 40:
+                f, k = b ^ c ^ d, 0x6ED9EBA1
+            elif i < 60:
+                f, k = (b & c) | (b & d) | (c & d), 0x8F1BBCDC
+            else:
+                f, k = b ^ c ^ d, 0xCA62C1D6
+            temp = (_rotl(a, 5) + f + e + k + w[i]) & _MASK
+            a, b, c, d, e = temp, a, _rotl(b, 30), c, d
         self._h = [(x + y) & _MASK for x, y in zip(self._h, (a, b, c, d, e))]
 
     def copy(self) -> "Sha1":
@@ -89,9 +68,7 @@ class Sha1:
         clone.update(b"\x80")
         while len(clone._buffer) != 56:
             clone.update(b"\x00")
-        # The final update consumes the buffer through _compress.
-        clone._buffer += struct.pack(">Q", bit_len)
-        clone._compress(clone._buffer)
+        clone._compress(clone._buffer + struct.pack(">Q", bit_len))
         return struct.pack(">5L", *clone._h)
 
     def hexdigest(self) -> str:

@@ -56,7 +56,6 @@ class BuildProfile:
     max_sessions: int
     has_filesystem: bool
     dynamic_allocation: bool
-    aes_implementation: str  # "ttable" (optimized) or "reference" (C port)
     cost_model: CryptoCostModel = FREE
 
     def check_suite(self, suite: CipherSuite) -> CipherSuite:
@@ -87,7 +86,6 @@ UNIX_FULL = BuildProfile(
     max_sessions=64,
     has_filesystem=True,
     dynamic_allocation=True,
-    aes_implementation="ttable",
 )
 
 #: The port: PSK + AES-128 only, small static buffers, three sessions
@@ -99,5 +97,4 @@ RMC2000_PORT = BuildProfile(
     max_sessions=3,
     has_filesystem=False,
     dynamic_allocation=False,
-    aes_implementation="reference",
 )

@@ -19,11 +19,10 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
+from repro.crypto import host
 from repro.crypto.bignum import BigNum
 from repro.crypto.kdf import derive_key_block, derive_master_secret
-from repro.crypto.md5 import md5
 from repro.crypto.rsa import RsaPublicKey
-from repro.crypto.sha1 import sha1
 from repro.issl.config import CipherSuite
 
 HS_CLIENT_HELLO = 1
@@ -175,9 +174,8 @@ def psk_pre_master(psk: bytes) -> bytes:
 def finished_verify(master: bytes, transcript: bytes, role: str) -> bytes:
     """The 36-byte Finished payload for ``role`` in {'client','server'}."""
     label = {"client": b"CLNT", "server": b"SRVR"}[role]
-    return (
-        md5(master + transcript + label) + sha1(master + transcript + label)
-    )
+    data = master + transcript + label
+    return host.md5(data) + host.sha1(data)
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,8 @@ from __future__ import annotations
 
 import struct
 
-from repro.crypto.aes_ttable import AesTTable
-from repro.crypto.hmac import constant_time_equal, hmac_sha1
+from repro.crypto import host
 from repro.crypto.modes import PaddingError, cbc_decrypt, cbc_encrypt, pkcs7_pad, pkcs7_unpad
-from repro.crypto.rijndael import Rijndael
 
 VERSION = 0x0300
 HEADER_LEN = 5
@@ -47,21 +45,15 @@ class RecordError(ValueError):
 class RecordCipherState:
     """One direction's keys: cipher, MAC secret, rolling IV, sequence."""
 
-    def __init__(self, key: bytes, mac_key: bytes, iv: bytes,
-                 implementation: str = "ttable"):
-        if implementation == "ttable":
-            self.cipher = AesTTable(key)
-        elif implementation == "reference":
-            self.cipher = Rijndael(key)
-        else:
-            raise RecordError(f"unknown AES implementation {implementation!r}")
+    def __init__(self, key: bytes, mac_key: bytes, iv: bytes):
+        self.cipher = host.aes(key)
         self.mac_key = mac_key
         self.iv = iv
         self.seq = 0
 
     def _mac(self, content_type: int, payload: bytes) -> bytes:
         header = struct.pack(">QBH", self.seq, content_type, len(payload))
-        return hmac_sha1(self.mac_key, header + payload)
+        return host.hmac_sha1(self.mac_key, header + payload)
 
     def seal(self, content_type: int, payload: bytes) -> bytes:
         """Protect ``payload``; advances the sequence number."""
@@ -85,7 +77,7 @@ class RecordCipherState:
             raise RecordError("record shorter than its MAC")
         payload, mac = unpadded[:-MAC_LEN], unpadded[-MAC_LEN:]
         expected = self._mac(content_type, payload)
-        if not constant_time_equal(mac, expected):
+        if not host.digest_equal(mac, expected):
             raise RecordError("bad record MAC")
         self.iv = ciphertext[-AES_BLOCK:]
         self.seq += 1

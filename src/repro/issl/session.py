@@ -10,8 +10,7 @@ mechanism behind the paper's order-of-magnitude throughput observation
 
 from __future__ import annotations
 
-from repro.crypto import rsa as rsa_mod
-from repro.crypto.hmac import constant_time_equal
+from repro.crypto import host, rsa as rsa_mod
 from repro.issl.config import BuildProfile, CipherSuite, IsslConfigError
 from repro.issl.handshake import (
     ClientHello,
@@ -412,7 +411,7 @@ class IsslSession:
         self._recv_state = recv_state
         server_finished = yield from self._read_handshake(HS_FINISHED)
         expected = finished_verify(keys.master, transcript_at_client_finished, "server")
-        if not constant_time_equal(server_finished, expected):
+        if not host.digest_equal(server_finished, expected):
             raise IsslError("server Finished verification failed")
 
     def _server_handshake(self):
@@ -481,7 +480,7 @@ class IsslSession:
         self._recv_state = recv_state
         client_finished = yield from self._read_handshake(HS_FINISHED)
         expected = finished_verify(keys.master, transcript_before_finished, "client")
-        if not constant_time_equal(client_finished, expected):
+        if not host.digest_equal(client_finished, expected):
             raise IsslError("client Finished verification failed")
         yield from self._send_record(CT_CHANGE_CIPHER_SPEC, b"\x01")
         self._send_state = send_state
@@ -492,13 +491,8 @@ class IsslSession:
 
     def _make_states(self, keys) -> tuple[RecordCipherState, RecordCipherState]:
         """(send_state, recv_state) for this session's role."""
-        implementation = self.context.profile.aes_implementation
-        client_state = RecordCipherState(
-            keys.client_key, keys.client_mac, keys.client_iv, implementation
-        )
-        server_state = RecordCipherState(
-            keys.server_key, keys.server_mac, keys.server_iv, implementation
-        )
+        client_state = RecordCipherState(keys.client_key, keys.client_mac, keys.client_iv)
+        server_state = RecordCipherState(keys.server_key, keys.server_mac, keys.server_iv)
         if self.role == "client":
             return client_state, server_state
         return server_state, client_state

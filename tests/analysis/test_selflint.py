@@ -7,7 +7,11 @@ reintroduced one of the porting bugs; fix it or annotate the deliberate
 demonstration with ``dclint: allow(RULE)`` -- do not relax this test.
 """
 
+import ast
+import importlib
 import pathlib
+
+import pytest
 
 from repro.analysis import Severity, analyze_dync_source, analyze_paths
 from repro.rabbit.programs.aes_c import AES_C_SOURCE
@@ -48,8 +52,50 @@ SIMULATION_TREES = [
 ]
 
 
+#: The from-scratch crypto is the specification the tests check
+#: ``repro.crypto.host`` against; the running system may not use it.
+REFERENCE_CRYPTO = {
+    "repro.crypto.aes_ttable",
+    "repro.crypto.hmac",
+    "repro.crypto.md5",
+    "repro.crypto.rijndael",
+    "repro.crypto.sha1",
+}
+
+#: Code that must get its host crypto from ``repro.crypto.host`` alone.
+HOST_CRYPTO_CONSUMERS = [
+    REPO / "src" / "repro" / "issl",
+    REPO / "src" / "repro" / "services",
+    REPO / "src" / "repro" / "faults",
+    REPO / "src" / "repro" / "crypto" / "kdf.py",
+    REPO / "src" / "repro" / "crypto" / "prng.py",
+]
+
+HOST_PY = REPO / "src" / "repro" / "crypto" / "host.py"
+
+
 def _errors(diagnostics):
     return [d for d in diagnostics if d.severity == Severity.ERROR]
+
+
+def reference_crypto_imports(source: str) -> list[str]:
+    """Reference crypto modules ``source`` imports, directly or as names
+    the ``repro.crypto`` package re-exports from them."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name in REFERENCE_CRYPTO]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            for alias in node.names:
+                origin = node.module
+                if origin.startswith("repro.crypto"):
+                    target = getattr(importlib.import_module(origin),
+                                     alias.name, None)
+                    origin = getattr(target, "__module__", None) or getattr(
+                        target, "__name__", origin)
+                found += [m for m in (node.module, origin)
+                          if m in REFERENCE_CRYPTO]
+    return sorted(set(found))
 
 
 def test_repo_trees_lint_clean():
@@ -101,6 +147,36 @@ def test_obs_wall_clock_is_confined_to_trace_spans():
     diagnostics = [d for d in analyze_paths([obs])
                    if d.rule in ("PY105", "PY106")]
     assert diagnostics == [], "\n".join(d.format() for d in diagnostics)
+
+
+def test_host_crypto_is_the_only_way_in():
+    """issl, the services, the fault campaign, the key derivation and the
+    seeded RNG ask ``repro.crypto.host`` for crypto, never the reference
+    modules it is tested against."""
+    paths = []
+    for root in HOST_CRYPTO_CONSUMERS:
+        paths += sorted(root.rglob("*.py")) if root.is_dir() else [root]
+    offenders = {
+        str(path.relative_to(REPO)): imports for path in paths
+        if (imports := reference_crypto_imports(path.read_text()))
+    }
+    assert offenders == {}
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("from repro.crypto.sha1 import sha1", ["repro.crypto.sha1"]),
+    ("import repro.crypto.md5", ["repro.crypto.md5"]),
+    ("from repro.crypto import Hmac, rsa", ["repro.crypto.hmac"]),
+    ("from repro.crypto import rijndael", ["repro.crypto.rijndael"]),
+    ("from repro.crypto import host\nimport hashlib", []),
+])
+def test_reference_crypto_import_check(source, expected):
+    assert reference_crypto_imports(source) == expected
+
+
+def test_host_crypto_is_sanitizer_clean():
+    assert analyze_paths([HOST_PY]) == []
+    assert "allow(PY10" not in HOST_PY.read_text()
 
 
 def test_parallel_selflint_matches_serial():

@@ -1,9 +1,15 @@
 """issl record layer and handshake message tests."""
 
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crypto.hmac import Hmac
+from repro.crypto.modes import cbc_encrypt, pkcs7_pad
+from repro.crypto.rijndael import Rijndael
+from repro.crypto.sha1 import Sha1
 from repro.issl.config import CipherSuite
 from repro.issl.handshake import (
     ClientHello,
@@ -94,16 +100,27 @@ class TestRecordLayer:
         # 10 + 20 MAC = 30 -> padded to 32.
         assert len(sealed) == 32
 
-    def test_reference_implementation_interoperates(self):
-        key, mac, iv = bytes(16), bytes(20), bytes(16)
-        optimized = RecordCipherState(key, mac, iv, "ttable")
-        reference = RecordCipherState(key, mac, iv, "reference")
-        sealed = optimized.seal(CT_APPLICATION_DATA, b"interop")
-        assert reference.open(CT_APPLICATION_DATA, sealed) == b"interop"
-
-    def test_unknown_implementation(self):
-        with pytest.raises(RecordError):
-            RecordCipherState(bytes(16), bytes(20), bytes(16), "simd")
+    @given(key=st.sampled_from((16, 24, 32)).flatmap(
+               lambda n: st.binary(min_size=n, max_size=n)),
+           mac_key=st.binary(min_size=20, max_size=20),
+           iv=st.binary(min_size=16, max_size=16),
+           payloads=st.lists(st.binary(max_size=100), min_size=1, max_size=3))
+    @settings(max_examples=25, deadline=None)
+    def test_reference_implementation_interoperates(self, key, mac_key, iv,
+                                                    payloads):
+        """The production state against records built by hand from the
+        reference Rijndael, CBC and HMAC-SHA1, across sequence numbers
+        and the chained IV."""
+        sealer = RecordCipherState(key, mac_key, iv)
+        opener = RecordCipherState(key, mac_key, iv)
+        for seq, payload in enumerate(payloads):
+            header = struct.pack(">QBH", seq, CT_APPLICATION_DATA, len(payload))
+            mac = Hmac(mac_key, header + payload, Sha1).digest()
+            reference = cbc_encrypt(Rijndael(key), iv,
+                                    pkcs7_pad(payload + mac, 16))
+            assert sealer.seal(CT_APPLICATION_DATA, payload) == reference
+            assert opener.open(CT_APPLICATION_DATA, reference) == payload
+            iv = reference[-16:]
 
     def test_alert_encoding(self):
         assert decode_alert(encode_alert(1, 0)) == (1, 0)
