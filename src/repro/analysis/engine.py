@@ -13,16 +13,15 @@ comma-separated) suppresses those rules on that line and the next --
 the escape hatch for deliberate demonstrations of the bug classes.
 
 ``analyze_paths(..., jobs=N)`` fans individual files out across a
-process pool and merges per-file results in input order (the same
-order-preserving pattern :mod:`repro.bench.snapshot` uses), so the
-diagnostic stream is byte-identical at any job count.
+process pool and merges per-file results in input order
+(:func:`repro.fanout.ordered_map`), so the diagnostic stream is
+byte-identical at any job count.
 """
 
 from __future__ import annotations
 
 import ast
 import dataclasses
-import multiprocessing
 import pathlib
 
 from repro.analysis.config import ALLOW_RE, DEFAULT_CONFIG, LintConfig
@@ -35,6 +34,7 @@ from repro.analysis.rules import run_all
 from repro.diagnostics import Diagnostic, DiagnosticSink, Severity
 from repro.dync.compiler.lexer import LexError
 from repro.dync.compiler.parser import ParseError, parse
+from repro.fanout import ordered_map
 
 #: Suffixes treated as standalone Dynamic C sources.
 DYNC_SUFFIXES = (".c", ".dc")
@@ -146,16 +146,12 @@ def analyze_paths(paths, config: LintConfig = DEFAULT_CONFIG,
                   jobs: int = 1) -> list[Diagnostic]:
     """Lint many paths; ``jobs > 1`` fans files across a process pool.
 
-    Pool.map preserves input order, so the merged stream -- and the
+    The fan-out preserves input order, so the merged stream -- and the
     final sorted output -- is identical at any job count.
     """
     files = expand_paths(paths)
     tasks = [(str(file_), config) for file_ in files]
-    if jobs > 1 and len(tasks) > 1:
-        with multiprocessing.Pool(processes=min(jobs, len(tasks))) as pool:
-            per_file = pool.map(_analyze_file, tasks)
-    else:
-        per_file = [_analyze_file(task) for task in tasks]
+    per_file = ordered_map(_analyze_file, tasks, jobs)
     diagnostics = [d for file_diags in per_file for d in file_diags]
     return sorted(diagnostics, key=Diagnostic.sort_key)
 

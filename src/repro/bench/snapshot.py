@@ -27,6 +27,7 @@ import time
 
 from repro.bench.schema import SCHEMA_VERSION
 from repro.experiments import RUNNERS
+from repro.fanout import ordered_map
 
 FULL_WORKLOAD = "full"
 QUICK_WORKLOAD = "quick"
@@ -142,17 +143,14 @@ def _counters_by_prefix(counters: dict, prefix: str) -> dict:
     }
 
 
-def _collect_faults_detail(workload: str, jobs: int = 1,
-                           machine_probe: bool = True) -> tuple[dict, float]:
+def _collect_faults_detail(workload: str,
+                           jobs: int = 1) -> tuple[dict, float]:
     """Run the fault matrix; returns ``(faults_section, wall_seconds)``.
 
     The section keeps what the gate needs per scenario: the verdict and
     the injected/recovered counters, so a hardening regression (a fault
     that stops being recovered) fails the drift gate even when tier-1
-    tests stay green.  With ``machine_probe`` on (the default) it also
-    carries the campaign's fork/boot tally: every scenario forks one
-    warmed machine from the process-local template instead of cold
-    booting (``cold_boots`` stays 0).
+    tests stay green.
     """
     from repro.faults.campaign import DEFAULT_SEED, run_matrix
 
@@ -160,8 +158,7 @@ def _collect_faults_detail(workload: str, jobs: int = 1,
         _QUICK_FAULTS_SCENARIOS if workload == QUICK_WORKLOAD else None
     )
     start = time.time()  # dclint: allow(PY105)
-    report = run_matrix(names, seed=DEFAULT_SEED, jobs=jobs,
-                        machine_probe=machine_probe)
+    report = run_matrix(names, seed=DEFAULT_SEED, jobs=jobs)
     wall = round(time.time() - start, 3)  # dclint: allow(PY105)
     scenarios = {}
     for verdict in report["scenarios"]:
@@ -179,14 +176,11 @@ def _collect_faults_detail(workload: str, jobs: int = 1,
         "failed": report["failed"],
         "scenarios": scenarios,
     }
-    if "machine" in report:
-        section["machine"] = report["machine"]
     return section, wall
 
 
-def _collect_redirector_scaling(workload: str, jobs: int = 1,
-                                machine_probe: bool = True,
-                                ) -> tuple[dict, float]:
+def _collect_redirector_scaling(workload: str,
+                                jobs: int = 1) -> tuple[dict, float]:
     """Run the connection-slot-pool scaling curve; returns
     ``(section, wall_seconds)``.  The section's deterministic content is
     exactly :func:`repro.services.scaling.run_scaling_curve`."""
@@ -196,8 +190,7 @@ def _collect_redirector_scaling(workload: str, jobs: int = 1,
         dict(_QUICK_SCALING_KWARGS) if workload == QUICK_WORKLOAD else {}
     )
     start = time.time()  # dclint: allow(PY105)
-    section = run_scaling_curve(jobs=jobs, machine_probe=machine_probe,
-                                **kwargs)
+    section = run_scaling_curve(jobs=jobs, **kwargs)
     wall = round(time.time() - start, 3)  # dclint: allow(PY105)
     return section, wall
 
@@ -219,7 +212,6 @@ def build_snapshot(tag: str, *, workload: str = FULL_WORKLOAD,
                    include_obs: bool = True,
                    include_faults: bool = True,
                    include_scaling: bool = True,
-                   machine_probe: bool = True,
                    jobs: int = 1,
                    progress=None) -> dict:
     """Run the battery and return a schema-versioned snapshot document.
@@ -228,13 +220,11 @@ def build_snapshot(tag: str, *, workload: str = FULL_WORKLOAD,
     targeted comparisons); ``include_obs=False`` skips the instrumented
     scenarios, ``include_faults=False`` the fault-injection matrix, and
     ``include_scaling=False`` the connection-slot-pool scaling curve.
-    ``machine_probe`` (default on) has the fault scenarios and scaling
-    points fork a warmed emulated machine (:mod:`repro.rabbit.machine`)
-    for their device-liveness record instead of cold-booting one.
-    ``jobs > 1`` fans the experiments (and the fault matrix) out over
-    worker processes; every record is already seeded and deterministic,
-    and results are merged in experiment order, so the snapshot's
-    non-wall-clock content is byte-identical to a sequential run.
+    ``jobs > 1`` fans the experiments, the fault matrix and the scaling
+    curve out over worker processes (:func:`repro.fanout.ordered_map`);
+    every record is already seeded and deterministic, and results are
+    merged in task order, so the snapshot's non-wall-clock content is
+    byte-identical to a sequential run.
     ``progress`` is an optional ``callable(str)`` used by the CLI to
     narrate long runs.
     """
@@ -251,18 +241,9 @@ def build_snapshot(tag: str, *, workload: str = FULL_WORKLOAD,
     experiment_records: dict = {}
     experiment_wall: dict = {}
     tasks = [(eid, _runner_kwargs(eid, workload)) for eid in wanted]
-    if jobs > 1 and len(tasks) > 1:
-        import multiprocessing
-
-        say(f"running {', '.join(wanted)} over {jobs} workers ...")
-        with multiprocessing.Pool(min(jobs, len(tasks))) as pool:
-            results = pool.map(_experiment_worker, tasks)
-    else:
-        results = []
-        for task in tasks:
-            say(f"running {task[0]} ...")
-            results.append(_experiment_worker(task))
-    for experiment_id, record, wall in results:
+    say(f"running {', '.join(wanted)} (jobs={jobs}) ...")
+    for experiment_id, record, wall in ordered_map(_experiment_worker,
+                                                   tasks, jobs):
         experiment_wall[experiment_id] = wall
         experiment_records[experiment_id] = record
     obs_section: dict = {}
@@ -274,15 +255,14 @@ def build_snapshot(tag: str, *, workload: str = FULL_WORKLOAD,
     faults_wall = 0.0
     if include_faults:
         say("running fault-injection matrix ...")
-        faults_section, faults_wall = _collect_faults_detail(
-            workload, jobs=jobs, machine_probe=machine_probe
-        )
+        faults_section, faults_wall = _collect_faults_detail(workload,
+                                                             jobs=jobs)
     scaling_section: dict = {}
     scaling_wall = 0.0
     if include_scaling:
         say("running redirector scaling curve ...")
         scaling_section, scaling_wall = _collect_redirector_scaling(
-            workload, jobs=jobs, machine_probe=machine_probe
+            workload, jobs=jobs
         )
     created = time.time()  # dclint: allow(PY105)
     wall_seconds = {

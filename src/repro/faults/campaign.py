@@ -26,6 +26,7 @@ import json
 import random
 
 from repro.crypto.prng import CipherRng
+from repro.fanout import ordered_map
 from repro.faults import injectors as inj
 from repro.faults.clients import (
     half_handshake_client,
@@ -75,28 +76,7 @@ def _crash_verdict(name: str, exc: BaseException) -> dict:
     }
 
 
-def _machine_record() -> dict:
-    """Fork a warmed serial-monitor machine and probe it for liveness.
-
-    The device-side health check every scenario carries: the machine
-    comes from the per-process warm template
-    (:func:`repro.rabbit.machine.warm_monitor_snapshot`), so a scenario
-    performs exactly one fork and zero cold boots -- the record is
-    byte-identical sequentially and under ``--jobs N``.
-    """
-    from repro.rabbit.machine import fork_warm_monitor, probe_liveness
-
-    probe = probe_liveness(fork_warm_monitor())
-    return {
-        "forks": 1,
-        "cold_boots": 0,
-        "liveness_ok": probe["ok"],
-        "probe_cycles": probe["probe_cycles"],
-    }
-
-
-def run_scenario(name: str, seed: int = DEFAULT_SEED,
-                 machine_probe: bool = True) -> dict:
+def run_scenario(name: str, seed: int = DEFAULT_SEED) -> dict:
     """Run one named scenario; always returns a verdict, never raises
     (an escaped exception becomes a failed ``no_unhandled_exception``
     check -- that IS the acceptance criterion)."""
@@ -110,43 +90,22 @@ def run_scenario(name: str, seed: int = DEFAULT_SEED,
     except Exception as exc:  # noqa: BLE001 -- escaped == verdict, by design
         verdict = _crash_verdict(name, exc)
     verdict["description"] = description
-    if machine_probe:
-        verdict["machine"] = _machine_record()
     return verdict
 
 
-def _scenario_worker(task: tuple[str, int, bool]) -> dict:
+def _scenario_worker(task: tuple[str, int]) -> dict:
     """Module-level so multiprocessing can pickle it."""
-    name, seed, machine_probe = task
-    return run_scenario(name, seed, machine_probe=machine_probe)
-
-
-def _map_tasks(worker, tasks: list, jobs: int) -> list:
-    """``map(worker, tasks)``, fanned out over ``jobs`` processes.
-
-    Each task is already seeded and deterministic, and ``Pool.map``
-    returns results in submission order, so the merged output is
-    byte-identical to the sequential run.  ``jobs <= 1`` (or a single
-    task) stays in-process -- no pool, no pickling.
-    """
-    if jobs <= 1 or len(tasks) <= 1:
-        return [worker(task) for task in tasks]
-    import multiprocessing
-
-    with multiprocessing.Pool(min(jobs, len(tasks))) as pool:
-        return pool.map(worker, tasks)
+    name, seed = task
+    return run_scenario(name, seed)
 
 
 def run_matrix(names: list[str] | None = None,
-               seed: int = DEFAULT_SEED, jobs: int = 1,
-               machine_probe: bool = True) -> dict:
+               seed: int = DEFAULT_SEED, jobs: int = 1) -> dict:
     """Run the full matrix (or ``names``) and wrap it in a report.
 
     ``jobs > 1`` fans the scenarios out over worker processes; the
     report is merged in scenario order and is byte-identical to the
-    sequential run.  ``machine_probe`` (default on) attaches the
-    forked-warm-machine liveness record to every scenario and a
-    fork/boot tally to the report.
+    sequential run.
     """
     chosen = list(names) if names is not None else scenario_names()
     unknown = [n for n in chosen if n not in SCENARIOS]
@@ -155,9 +114,8 @@ def run_matrix(names: list[str] | None = None,
             f"unknown scenario(s) {', '.join(unknown)}; "
             f"known: {', '.join(SCENARIOS)}"
         )
-    verdicts = _map_tasks(
-        _scenario_worker, [(n, seed, machine_probe) for n in chosen], jobs
-    )
+    verdicts = ordered_map(_scenario_worker, [(n, seed) for n in chosen],
+                           jobs)
     # Merge the per-scenario registries (popped side channel) in scenario
     # order: the merged section is byte-identical whether the scenarios
     # ran sequentially or fanned out, because the merge inputs and order
@@ -170,7 +128,7 @@ def run_matrix(names: list[str] | None = None,
         if state is not None:
             merged.merge_state(state)
     passed = sum(1 for v in verdicts if v["ok"])
-    report = {
+    return {
         "schema": REPORT_SCHEMA_VERSION,
         "kind": "matrix",
         "seed": seed,
@@ -181,14 +139,6 @@ def run_matrix(names: list[str] | None = None,
         "failed": len(verdicts) - passed,
         "verdict": "PASS" if passed == len(verdicts) else "FAIL",
     }
-    if machine_probe:
-        records = [v["machine"] for v in verdicts if "machine" in v]
-        report["machine"] = {
-            "forks": sum(r["forks"] for r in records),
-            "cold_boots": sum(r["cold_boots"] for r in records),
-            "liveness_ok": sum(r["liveness_ok"] for r in records),
-        }
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +192,7 @@ def run_soak_jobs(sim_minutes: float = 1.0, seed: int = DEFAULT_SEED,
     bytes -- so ``jobs > 1`` buys process isolation, not speed.  The
     report is byte-identical either way.
     """
-    return _map_tasks(_soak_worker, [(sim_minutes, seed)], jobs)[0]
+    return ordered_map(_soak_worker, [(sim_minutes, seed)], jobs)[0]
 
 
 def run_soak(sim_minutes: float = 1.0, seed: int = DEFAULT_SEED) -> dict:

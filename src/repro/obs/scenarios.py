@@ -176,8 +176,6 @@ def run_aes_scenario(obs: Obs | None = None, *, implementation: str = "asm",
             cache.invalidated_smc)
         metrics.counter("emulator.invalidations.flush").inc(
             cache.invalidated_flush)
-        metrics.counter("emulator.invalidations.restore").inc(
-            cache.invalidated_restore)
     return {
         "obs": obs,
         "profiler": profiler,

@@ -1132,7 +1132,6 @@ class BlockCache:
         self.translated_execs = 0
         self.invalidated_smc = 0
         self.invalidated_flush = 0
-        self.invalidated_restore = 0
         self._wait_states = (self.memory.flash_wait_states,
                              self.memory.sram_wait_states)
         self.memory.block_cache = self
@@ -1146,11 +1145,8 @@ class BlockCache:
             self._wait_states = wait_states
             self.invalidate_all()
 
-    def invalidate_all(self, cause: str = "flush") -> None:
-        if cause == "restore":
-            self.invalidated_restore += 1
-        else:
-            self.invalidated_flush += 1
+    def invalidate_all(self) -> None:
+        self.invalidated_flush += 1
         self.blocks.clear()
         pages = self.memory._code_pages
         for page in self._page_blocks:

@@ -63,55 +63,6 @@ class RabbitMemory:
         #: notifies the cache so stale blocks are dropped.
         self._code_pages = bytearray(PHYS_SIZE >> 8)
         self.block_cache = None
-        #: Copy-on-write marks: when set, the bank's bytearray is shared
-        #: with a fork/snapshot and must be materialized (copied) before
-        #: the first write.  Reads share freely.
-        self._cow_flash = False
-        self._cow_sram = False
-
-    # -- copy-on-write forking ------------------------------------------
-    def _materialize_flash(self) -> None:
-        self.flash = bytearray(self.flash)
-        self._cow_flash = False
-
-    def _materialize_sram(self) -> None:
-        self.sram = bytearray(self.sram)
-        self._cow_sram = False
-
-    def mark_cow(self) -> None:
-        """Freeze the current bank contents: this memory's next write to
-        a bank copies it first, so every holder of the old bytearray
-        (snapshots, forks) sees the pre-freeze bytes forever."""
-        self._cow_flash = True
-        self._cow_sram = True
-
-    def fork(self) -> "RabbitMemory":
-        """O(1) fork: the child shares both banks copy-on-write.
-
-        Bank granularity (not per-page): the first write to a shared
-        bank copies that whole bank once -- a fork that only runs code
-        and touches SRAM never pays for the 512 KB flash copy.  The
-        child starts with no watched code pages and no block cache;
-        its CPU's cache re-decodes lazily (shared pages would otherwise
-        let one machine's SMC invalidation bleed into another's).
-        """
-        self.mark_cow()
-        clone = RabbitMemory.__new__(RabbitMemory)
-        clone.flash = self.flash
-        clone.sram = self.sram
-        clone._cow_flash = True
-        clone._cow_sram = True
-        clone.xpc = self.xpc
-        clone.flash_wait_states = self.flash_wait_states
-        clone.sram_wait_states = self.sram_wait_states
-        clone.flash_writable = self.flash_writable
-        clone.strict = self.strict
-        clone.wait_cycles = self.wait_cycles
-        clone.reads = self.reads
-        clone.writes = self.writes
-        clone._code_pages = bytearray(PHYS_SIZE >> 8)
-        clone.block_cache = None
-        return clone
 
     # -- address translation --------------------------------------------
     def translate(self, logical: int) -> int:
@@ -148,16 +99,12 @@ class RabbitMemory:
                     f"write to flash at {physical:#07x} without unlock"
                 )
             self.wait_cycles += self.flash_wait_states
-            if self._cow_flash:
-                self._materialize_flash()
             self.flash[physical - FLASH_BASE] = value & 0xFF
             if self._code_pages[physical >> 8]:
                 self.block_cache.code_written(physical)
             return
         if SRAM_BASE <= physical < SRAM_BASE + SRAM_SIZE:
             self.wait_cycles += self.sram_wait_states
-            if self._cow_sram:
-                self._materialize_sram()
             self.sram[physical - SRAM_BASE] = value & 0xFF
             if self._code_pages[physical >> 8]:
                 self.block_cache.code_written(physical)
@@ -195,8 +142,6 @@ class RabbitMemory:
         logical &= 0xFFFF
         if ROOT_TOP <= logical < DATA_TOP:
             self.wait_cycles += self.sram_wait_states
-            if self._cow_sram:
-                self._materialize_sram()
             offset = logical - DATA_BASE
             self.sram[offset] = value & 0xFF
             physical = SRAM_BASE + offset
@@ -226,8 +171,6 @@ class RabbitMemory:
             raise MemoryError_(
                 f"image of {len(data)} bytes at {offset:#x} exceeds flash"
             )
-        if self._cow_flash:
-            self._materialize_flash()
         self.flash[offset: offset + len(data)] = data
         if self.block_cache is not None:
             self.block_cache.invalidate_all()
@@ -235,8 +178,6 @@ class RabbitMemory:
     def load_sram(self, data: bytes, physical_offset: int = 0) -> None:
         if physical_offset + len(data) > SRAM_SIZE:
             raise MemoryError_("image exceeds SRAM")
-        if self._cow_sram:
-            self._materialize_sram()
         self.sram[physical_offset: physical_offset + len(data)] = data
         if self.block_cache is not None:
             self.block_cache.invalidate_all()

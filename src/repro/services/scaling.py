@@ -26,6 +26,7 @@ from dataclasses import replace as dc_replace
 from repro.crypto.demokeys import DEMO_PSK
 from repro.crypto.prng import CipherRng
 from repro.dync.runtime.xalloc import XmemAllocator, XmemBufferPool
+from repro.fanout import ordered_map
 from repro.issl import (
     CircularLogger,
     IsslContext,
@@ -121,16 +122,10 @@ def run_scaling_point(*, variant: str, slots: int,
                       request_size: int = DEFAULT_REQUEST_SIZE,
                       seed: int = DEFAULT_SEED,
                       retry_limit: int | None = None,
-                      backoff_s: float = _RETRY_BACKOFF_S,
-                      machine_probe: bool = True) -> dict:
+                      backoff_s: float = _RETRY_BACKOFF_S) -> dict:
     """One point on the curve: ``variant`` is ``"static"`` (Figure 3's
     three costatements) or ``"pool"`` (the dynamic slot pool at
     ``slots``).  Returns a plain insertion-ordered dict of metrics.
-
-    ``machine_probe`` (default on) attaches the point's device-side
-    record: one machine forked from the per-process warm template
-    (:mod:`repro.rabbit.machine`) and liveness-probed -- no cold boot,
-    so the record is identical sequentially and under fan-out.
     """
     if variant not in ("static", "pool"):
         raise ValueError(f"variant must be static/pool, got {variant!r}")
@@ -210,18 +205,7 @@ def run_scaling_point(*, variant: str, slots: int,
     makespan = max((f.end for f in finals if f is not None), default=0.0)
     latency = sketch.percentiles()
     occupied = gauges.get("redirector.slots.occupied", {})
-    machine_record = None
-    if machine_probe:
-        from repro.rabbit.machine import fork_warm_monitor, probe_liveness
-
-        probe = probe_liveness(fork_warm_monitor())
-        machine_record = {
-            "forks": 1,
-            "cold_boots": 0,
-            "liveness_ok": probe["ok"],
-            "probe_cycles": probe["probe_cycles"],
-        }
-    point = {
+    return {
         "variant": variant,
         "slots": slots,
         "clients": clients,
@@ -250,9 +234,6 @@ def run_scaling_point(*, variant: str, slots: int,
         "xmem_capacity_bytes": xmem.capacity,
         "xmem_budget_violations": int(xmem.used > xmem.capacity),
     }
-    if machine_record is not None:
-        point["machine"] = machine_record
-    return point
 
 
 def _scaling_worker(task: tuple) -> dict:
@@ -274,24 +255,16 @@ def run_scaling_curve(*, pool_sizes: tuple = SCALING_POOL_SIZES,
                       requests: int = DEFAULT_REQUESTS,
                       request_size: int = DEFAULT_REQUEST_SIZE,
                       seed: int = DEFAULT_SEED,
-                      jobs: int = 1,
-                      machine_probe: bool = True) -> dict:
+                      jobs: int = 1) -> dict:
     """The full curve: the static-3 baseline plus every pool size under
     one fixed offered workload.  Returns the ``redirector_scaling``
     snapshot section."""
     # dict.fromkeys, not a set: simulation-tree code never iterates sets.
     sizes = sorted(dict.fromkeys(pool_sizes))
     kwargs = dict(clients=clients, requests=requests,
-                  request_size=request_size, seed=seed,
-                  machine_probe=machine_probe)
+                  request_size=request_size, seed=seed)
     tasks = [("static", 3, kwargs)] + [("pool", n, kwargs) for n in sizes]
-    if jobs > 1 and len(tasks) > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(min(jobs, len(tasks))) as pool:
-            points = pool.map(_scaling_worker, tasks)
-    else:
-        points = [_scaling_worker(task) for task in tasks]
+    points = ordered_map(_scaling_worker, tasks, jobs)
     static3 = points[0]
     pools = {str(n): point for n, point in zip(sizes, points[1:])}
     rps = [pools[str(n)]["throughput_rps"] for n in sizes]

@@ -73,6 +73,8 @@ HOST_CRYPTO_CONSUMERS = [
 
 HOST_PY = REPO / "src" / "repro" / "crypto" / "host.py"
 
+FANOUT_PY = REPO / "src" / "repro" / "fanout.py"
+
 
 def _errors(diagnostics):
     return [d for d in diagnostics if d.severity == Severity.ERROR]
@@ -177,6 +179,44 @@ def test_reference_crypto_import_check(source, expected):
 def test_host_crypto_is_sanitizer_clean():
     assert analyze_paths([HOST_PY]) == []
     assert "allow(PY10" not in HOST_PY.read_text()
+
+
+def imports_multiprocessing(source: str) -> bool:
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.split(".")[0] == "multiprocessing" for name in names):
+            return True
+    return False
+
+
+def test_fanout_is_the_only_process_pool():
+    """Every ``--jobs N`` fan-out goes through ``repro.fanout``."""
+    src = REPO / "src" / "repro"
+    importers = sorted(
+        str(path.relative_to(src)) for path in src.rglob("*.py")
+        if imports_multiprocessing(path.read_text())
+    )
+    assert importers == ["fanout.py"]
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("import multiprocessing", True),
+    ("def f():\n    import multiprocessing.pool", True),
+    ("from multiprocessing import Pool", True),
+    ("import concurrent.futures", False),
+])
+def test_multiprocessing_import_check(source, expected):
+    assert imports_multiprocessing(source) is expected
+
+
+def test_fanout_is_sanitizer_clean():
+    assert analyze_paths([FANOUT_PY]) == []
+    assert "allow(PY10" not in FANOUT_PY.read_text()
 
 
 def test_parallel_selflint_matches_serial():

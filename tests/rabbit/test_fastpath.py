@@ -5,7 +5,8 @@ observationally identical to the per-step fetch/decode path: same final
 registers, same memory image, same cycle/instruction/read/write/wait
 counters, on every workload.  These tests run the same firmware under
 both cores and diff the complete machine state, plus the cases that can
-only go wrong in a block cache: self-modifying code, reprogramming
+only go wrong in a block cache: self-modifying code (also inside the
+translated tier), resuming a run its budget stopped, reprogramming
 flash, and the profiler fallback.
 
 The paper's Figure 3 redirector exists in this repo as Dynamic C
@@ -22,6 +23,7 @@ import pytest
 from repro.rabbit.asm import assemble
 from repro.rabbit.board import Board
 from repro.rabbit.cpu import Cpu, CpuError
+from repro.rabbit.fastcore import BlockCache
 from repro.rabbit.programs.aes_asm import AesAsm
 from repro.rabbit.programs.serial_debug import SerialDebugMonitor
 
@@ -125,6 +127,47 @@ def test_self_modifying_code_invalidates_blocks():
     assert cache.executed_blocks > 0
     # The store landed on a watched code page and dropped its blocks.
     assert cache.decoded_blocks > len(cache.blocks)
+
+
+def test_smc_invalidation_fires_in_translated_tier(monkeypatch):
+    # Promote every block on first execution so the self-modifying
+    # store lands while the translated code object is live.
+    monkeypatch.setattr(BlockCache, "translate_threshold", 1)
+    fast_board, slow_board = Board(), Board()
+    slow_board.cpu.use_fast_core = False
+    for board in (fast_board, slow_board):
+        assembly = _load_stub(board)
+        with pytest.raises(CpuError, match="HALT"):
+            board.cpu.call_subroutine(assembly.symbols["entry"],
+                                      max_instructions=200)
+    assert fast_board.memory.sram[0x50] == 0x22  # patched value won
+    assert _machine_state(fast_board) == _machine_state(slow_board)
+    cache = fast_board.cpu._cache
+    assert cache.translated_blocks > 0
+    assert cache.translated_execs > 0
+    assert cache.invalidated_smc > 0
+
+
+def test_translated_tier_resume_parity(monkeypatch):
+    # A run stopped mid-flight by its instruction budget -- after
+    # translated blocks have already run -- must resume to the same
+    # final state as the single-step core stopped and resumed the same
+    # way.
+    monkeypatch.setattr(BlockCache, "translate_threshold", 1)
+    fast_board, slow_board = Board(), Board()
+    slow_board.cpu.use_fast_core = False
+    for board in (fast_board, slow_board):
+        assembly = _load_stub(board)
+        with pytest.raises(CpuError, match="did not return"):
+            board.cpu.call_subroutine(assembly.symbols["entry"],
+                                      max_instructions=10)
+    assert fast_board.cpu._cache.translated_execs > 0
+    assert _machine_state(fast_board) == _machine_state(slow_board)
+    for board in (fast_board, slow_board):
+        board.cpu.run(max_instructions=200)  # returns at HALT
+        assert board.cpu.halted
+    assert fast_board.memory.sram[0x50] == 0x22  # patched value won
+    assert _machine_state(fast_board) == _machine_state(slow_board)
 
 
 def test_reloading_memory_invalidates_everything():
