@@ -33,8 +33,8 @@ def test_a1_ratio_robust_to_flash_timing(wait_states):
 
 @pytest.mark.parametrize("request_size", [32, 256, 768])
 def test_b1_throughput_gap_across_record_sizes(request_size):
-    plain = _run_rmc_service(False, 4, request_size, RMC2000_ASM)
-    secure = _run_rmc_service(True, 4, request_size, RMC2000_ASM)
+    plain, _obs = _run_rmc_service(False, 4, request_size, RMC2000_ASM)
+    secure, _obs = _run_rmc_service(True, 4, request_size, RMC2000_ASM)
     ratio = plain.throughput_bps / secure.throughput_bps
     assert ratio >= 4.0, (request_size, ratio)
 
@@ -42,7 +42,7 @@ def test_b1_throughput_gap_across_record_sizes(request_size):
 def test_b1_bigger_records_amortize_better():
     # Per-record overhead means tiny requests suffer relatively more.
     def goodput(size):
-        report = _run_rmc_service(True, 4, size, RMC2000_ASM)
+        report, _obs = _run_rmc_service(True, 4, size, RMC2000_ASM)
         return report.throughput_bps
 
     assert goodput(768) > goodput(32)

@@ -22,6 +22,7 @@ counters -- so the same seed yields byte-identical JSON (the property
 
 from __future__ import annotations
 
+import gc
 import json
 import random
 
@@ -90,6 +91,11 @@ def run_scenario(name: str, seed: int = DEFAULT_SEED) -> dict:
     except Exception as exc:  # noqa: BLE001 -- escaped == verdict, by design
         verdict = _crash_verdict(name, exc)
     verdict["description"] = description
+    # The scenario's world is one large reference cycle.  Collect it now:
+    # left to the generational collector it can sit in the oldest
+    # generation past later scenarios, so a matrix's peak memory would
+    # depend on collection timing rather than on one world's size.
+    gc.collect()
     return verdict
 
 

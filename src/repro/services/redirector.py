@@ -136,9 +136,9 @@ def _read_secure_line(session, sim=None, deadline=None):
         if not chunk:
             return None if not buffer else buffer
         buffer += chunk
-    line, _rest = buffer.split(b"\n", 1)
-    # Records align with lines in our clients; keep any tail for safety.
-    return line
+    # Any tail after the newline is dropped: safe because each client
+    # sends one line and waits for the response before sending the next.
+    return buffer.split(b"\n", 1)[0]
 
 
 def _read_plain_line(conn):
@@ -148,8 +148,8 @@ def _read_plain_line(conn):
         if not chunk:
             return None
         buffer += chunk
-    line, _rest = buffer.split(b"\n", 1)
-    return line
+    # Tail dropped, as in _read_secure_line: one line in flight at a time.
+    return buffer.split(b"\n", 1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -304,33 +304,143 @@ def _sock_dead(sock) -> bool:
     )
 
 
+class _ConnectionHandles:
+    """A handler's observability handles, looked up when its body starts
+    (the registry lists every counter created, zero-valued ones too)."""
+
+    __slots__ = ("tracer", "recorder", "refused_sessions", "refused_memory",
+                 "hs_errors", "backend_errors", "recovered",
+                 "active", "ts_active")
+
+    def __init__(self, obs):
+        metrics = obs.metrics
+        self.tracer = obs.tracer
+        self.recorder = obs.recorder
+        self.refused_sessions = metrics.counter("redirector.refused.sessions")
+        self.refused_memory = metrics.counter("redirector.refused.memory")
+        self.hs_errors = metrics.counter("redirector.errors.handshake")
+        self.backend_errors = metrics.counter("redirector.errors.backend")
+        self.recovered = metrics.counter("redirector.recovered")
+        self.active = metrics.gauge("redirector.active_connections")
+        self.ts_active = obs.telemetry.series("redirector.active_connections")
+
+
+def _serve_connection(stack, context, handles, sock, backend_ip,
+                      backend_port, stats, secure, label, *,
+                      handshake_timeout_s=None, handshake_retries=0,
+                      conn_deadline_s=None, backend_timeout_s=None,
+                      buffer_pool=None):
+    """Generator: serve one established connection, span begin to end.
+
+    Every RMC build's one serving path: record buffer, ``issl_bind``,
+    handshake, backend connect, :func:`_rmc_serve`.  A failing step
+    counts and logs its error and skips the rest; one teardown then runs
+    from what the connection reached, so the buffer is released exactly
+    once.  It is plain code after the body, not a ``finally``: closing a
+    suspended handler must not run ``session.close()``'s yields.
+    """
+    sim = stack.host.sim
+    tracer = handles.tracer
+    log = context.logger.log
+    tid = f"svc:{label}"
+    span = tracer.begin("service.connection", cat=CAT_SERVICE, tid=tid)
+    buffer = session = backend = error = None
+    requests = 0
+    if buffer_pool is not None:
+        try:
+            buffer = buffer_pool.acquire()
+        except XallocError as exc:
+            # Graceful degradation: no record buffer, no service.
+            error = "memory"
+            handles.refused_memory.inc()
+            log(f"redirector: {label}: out of xmem, refusing: {exc}")
+            handles.recorder.warn(CAT_SERVICE, tid, "refused: out of xmem")
+    if error is None and secure:
+        try:
+            session = issl_bind(context, sock, stack=stack, role="server")
+        except IsslSessionLimitError as exc:
+            # Figure 3's static ceiling: refuse, count, re-listen.
+            error = "sessions"
+            handles.refused_sessions.inc()
+            log(f"redirector: {label}: refused: {exc}")
+            handles.recorder.warn(CAT_SERVICE, tid, "refused: session limit")
+        else:
+            try:
+                yield from session.handshake(timeout=handshake_timeout_s,
+                                             retries=handshake_retries)
+            except IsslError as exc:
+                error = "handshake"
+                handles.hs_errors.inc()
+                log(f"redirector: {label}: handshake failed: {exc}")
+                handles.recorder.error(CAT_SERVICE, tid, "handshake failed: "
+                                       f"{type(exc).__name__}")
+    if error is None:
+        backend = make_socket(stack)
+        stack.tcp_open(backend, 0, backend_ip, backend_port)
+        backend_deadline = (None if backend_timeout_s is None
+                            else sim.now + backend_timeout_s)
+        # Event-wait: the SYN/ACK arrives as a simulator event and the
+        # timeout arm is pinned by the token's deadline.
+        backend_token = (IDLE if backend_deadline is None
+                         else idle_until(backend_deadline))
+        while not (stack.sock_established(backend) or _sock_dead(backend)
+                   or (backend_deadline is not None
+                       and sim.now >= backend_deadline)):
+            yield backend_token
+        if stack.sock_established(backend):
+            # The shared gauge counts the connections mid-service; the
+            # series records when that level changed in simulated time.
+            gauge_active = handles.active
+            gauge_active.set(gauge_active.value + 1)
+            handles.ts_active.record(gauge_active.value)
+            requests = yield from _rmc_serve(
+                stack, sock, backend, session, stats, tid,
+                deadline_s=conn_deadline_s, logger=context.logger,
+            )
+            gauge_active.set(gauge_active.value - 1)
+            handles.ts_active.record(gauge_active.value)
+        else:
+            error = "backend-connect"
+            handles.backend_errors.inc()
+            log(f"redirector: {label}: backend unreachable")
+            handles.recorder.error(CAT_SERVICE, tid, "backend unreachable")
+    # The one teardown.
+    if backend is None:
+        # Refused or handshake failed: nothing worth a close_notify.
+        stack.sock_abort(sock)
+    else:
+        if error is None:
+            stack.sock_close(backend)
+        else:
+            stack.sock_abort(backend)
+        if session is not None:
+            yield from session.close()
+        # Close our TCP side regardless of who spoke last; sock_close is
+        # idempotent (a no-op after session.close() closed it) and the
+        # next tcp_listen waits for the teardown.
+        stack.sock_close(sock)
+    if buffer is not None:
+        buffer_pool.release(buffer)
+    if error is None:
+        tracer.end(span, requests=requests)
+    else:
+        tracer.end(span, error=error)
+        handles.recovered.inc()
+
+
 def _rmc_handler(stack: DyncTcpStack, context: IsslContext,
                  backend_ip, backend_port, listen_port,
                  stats: dict | None, secure: bool, label: str = "handler",
-                 *, handshake_timeout_s: float | None = None,
-                 handshake_retries: int = 0,
-                 conn_deadline_s: float | None = None,
-                 backend_timeout_s: float | None = None,
-                 buffer_pool=None):
+                 **serve_kwargs):
     """One handler costatement: serve one connection at a time, forever.
 
     Every failure path -- dead embryonic connection, refused session
     slot, exhausted buffer pool, handshake timeout, backend outage,
     stalled peer -- recovers back to ``tcp_listen``; the handler never
     wedges and never lets an exception escape into the big loop.
+    ``serve_kwargs`` are :func:`_serve_connection`'s hardening knobs.
     """
-    sim = stack.host.sim
-    obs = sim.obs
-    tracer = obs.tracer
-    recorder = obs.recorder
-    metrics = obs.metrics
-    ctr_refused_sessions = metrics.counter("redirector.refused.sessions")
-    ctr_refused_memory = metrics.counter("redirector.refused.memory")
-    ctr_hs_errors = metrics.counter("redirector.errors.handshake")
-    ctr_backend_errors = metrics.counter("redirector.errors.backend")
-    ctr_recovered = metrics.counter("redirector.recovered")
-    gauge_active = metrics.gauge("redirector.active_connections")
-    ts_active = obs.telemetry.series("redirector.active_connections")
+    handles = _ConnectionHandles(stack.host.sim.obs)
     log = context.logger.log
     tid = f"svc:{label}"
     sock = make_socket(stack)
@@ -353,116 +463,17 @@ def _rmc_handler(stack: DyncTcpStack, context: IsslContext,
         # so the poll yields IDLE.
         while not (stack.sock_established(sock) or _sock_dead(sock)):
             yield IDLE
-        if not stack.sock_established(sock):
+        if stack.sock_established(sock):
+            yield from _serve_connection(
+                stack, context, handles, sock, backend_ip, backend_port,
+                stats, secure, label, **serve_kwargs,
+            )
+        else:
             log(f"redirector: {label}: connection died before established")
-            recorder.warn(CAT_SERVICE, tid, "connection died before established")
+            handles.recorder.warn(CAT_SERVICE, tid,
+                                  "connection died before established")
             stack.sock_abort(sock)
-            ctr_recovered.inc()
-            yield
-            continue
-        span = tracer.begin("service.connection", cat=CAT_SERVICE, tid=tid)
-        buffer = None
-        if buffer_pool is not None:
-            try:
-                buffer = buffer_pool.acquire()
-            except XallocError as exc:
-                # Graceful degradation: no record buffer, no service.
-                ctr_refused_memory.inc()
-                log(f"redirector: {label}: out of xmem, refusing: {exc}")
-                recorder.warn(CAT_SERVICE, tid, "refused: out of xmem")
-                stack.sock_abort(sock)
-                tracer.end(span, error="memory")
-                ctr_recovered.inc()
-                yield
-                continue
-        session = None
-        if secure:
-            try:
-                session = issl_bind(context, sock, stack=stack,
-                                    role="server")
-            except IsslSessionLimitError as exc:
-                # Figure 3's static ceiling: refuse, count, re-listen.
-                ctr_refused_sessions.inc()
-                log(f"redirector: {label}: refused: {exc}")
-                recorder.warn(CAT_SERVICE, tid, "refused: session limit")
-                stack.sock_abort(sock)
-                if buffer is not None:
-                    buffer_pool.release(buffer)
-                tracer.end(span, error="sessions")
-                ctr_recovered.inc()
-                yield
-                continue
-            try:
-                yield from session.handshake(
-                    timeout=handshake_timeout_s,
-                    retries=handshake_retries,
-                )
-            except IsslError as exc:
-                ctr_hs_errors.inc()
-                log(f"redirector: {label}: handshake failed: {exc}")
-                recorder.error(
-                    CAT_SERVICE, tid, f"handshake failed: {type(exc).__name__}"
-                )
-                stack.sock_abort(sock)
-                if buffer is not None:
-                    buffer_pool.release(buffer)
-                tracer.end(span, error="handshake")
-                ctr_recovered.inc()
-                yield
-                continue
-        backend = make_socket(stack)
-        stack.tcp_open(backend, 0, backend_ip, backend_port)
-        backend_deadline = (
-            None if backend_timeout_s is None
-            else sim.now + backend_timeout_s
-        )
-        # Event-wait: the SYN/ACK arrives as a simulator event and the
-        # timeout arm is pinned by the token's deadline.
-        backend_token = (
-            IDLE if backend_deadline is None
-            else idle_until(backend_deadline)
-        )
-        while not (
-            stack.sock_established(backend) or _sock_dead(backend)
-            or (backend_deadline is not None
-                and sim.now >= backend_deadline)
-        ):
-            yield backend_token
-        if not stack.sock_established(backend):
-            ctr_backend_errors.inc()
-            log(f"redirector: {label}: backend unreachable")
-            recorder.error(CAT_SERVICE, tid, "backend unreachable")
-            stack.sock_abort(backend)
-            if secure:
-                yield from session.close()
-            else:
-                stack.sock_close(sock)
-            if buffer is not None:
-                buffer_pool.release(buffer)
-            tracer.end(span, error="backend-connect")
-            ctr_recovered.inc()
-            yield
-            continue
-        # One handler serves one connection; the shared gauge counts how
-        # many of the N handlers are mid-service, and the telemetry
-        # series records when that level changed on the simulated clock.
-        gauge_active.set(gauge_active.value + 1)
-        ts_active.record(gauge_active.value)
-        requests = yield from _rmc_serve(
-            stack, sock, backend, session, stats, tid,
-            deadline_s=conn_deadline_s, logger=context.logger,
-        )
-        gauge_active.set(gauge_active.value - 1)
-        ts_active.record(gauge_active.value)
-        stack.sock_close(backend)
-        if secure:
-            yield from session.close()
-        # Close our TCP side regardless of who spoke last; sock_close is
-        # idempotent and tcp_listen above waits for the teardown.
-        stack.sock_close(sock)
-        if buffer is not None:
-            buffer_pool.release(buffer)
-        tracer.end(span, requests=requests)
+            handles.recovered.inc()
         yield
 
 
@@ -568,8 +579,8 @@ def _dync_read_line(stack, sock, deadline=None):
         if deadline is not None and sim.now >= deadline:
             raise TransportTimeout("line read deadline expired")
         yield token
-    line, _rest = buffer.split(b"\n", 1)
-    return line
+    # Tail dropped, as in _read_secure_line: one line in flight at a time.
+    return buffer.split(b"\n", 1)[0]
 
 
 def build_rmc_redirector(stack: DyncTcpStack, context: IsslContext,
@@ -609,16 +620,18 @@ def build_rmc_redirector(stack: DyncTcpStack, context: IsslContext,
         kwargs["pass_overhead_s"] = pass_overhead_s
     scheduler = CostateScheduler(stack.host.sim, name="rmc-redirector",
                                  obs=obs, **kwargs)
+    serve_kwargs = dict(
+        handshake_timeout_s=handshake_timeout_s,
+        handshake_retries=handshake_retries,
+        conn_deadline_s=conn_deadline_s,
+        backend_timeout_s=backend_timeout_s,
+        buffer_pool=buffer_pool,
+    )
     for index in range(handlers):
         scheduler.add(
             _rmc_handler(stack, context, backend_ip, backend_port,
                          listen_port, stats, secure,
-                         label=f"handler{index + 1}",
-                         handshake_timeout_s=handshake_timeout_s,
-                         handshake_retries=handshake_retries,
-                         conn_deadline_s=conn_deadline_s,
-                         backend_timeout_s=backend_timeout_s,
-                         buffer_pool=buffer_pool),
+                         label=f"handler{index + 1}", **serve_kwargs),
             name=f"handler{index + 1}",
         )
     scheduler.add(_tick_driver(stack), name="tick-driver")
@@ -646,38 +659,19 @@ class _SlotMailbox:
 def _pool_slot(stack: DyncTcpStack, context: IsslContext,
                backend_ip, backend_port,
                stats: dict | None, secure: bool, label: str,
-               mailbox: _SlotMailbox, slot, free_socks, *,
-               handshake_timeout_s: float | None = None,
-               handshake_retries: int = 0,
-               conn_deadline_s: float | None = None,
-               backend_timeout_s: float | None = None,
-               buffer_pool=None):
+               mailbox: _SlotMailbox, slot, free_socks, **serve_kwargs):
     """One indexed-cofunction slot: serve handed-off connections forever.
 
     The admission step (not this body) listens, accepts, and either
     places an established connection into this slot's mailbox or
-    refuses it; from the hand-off on, the slot mirrors
-    :func:`_rmc_handler`'s established path exactly -- same counters,
-    same recorder events, same per-request progress deadline -- and
-    every exit path releases its pool buffer exactly once and returns
-    the socket to the admission free list.
+    refuses it; from the hand-off on, the slot runs the same
+    :func:`_serve_connection` as the static handlers, then returns the
+    socket to the admission free list.
     """
-    sim = stack.host.sim
-    obs = sim.obs
-    tracer = obs.tracer
-    recorder = obs.recorder
-    metrics = obs.metrics
-    ctr_refused_sessions = metrics.counter("redirector.refused.sessions")
-    ctr_refused_memory = metrics.counter("redirector.refused.memory")
-    ctr_hs_errors = metrics.counter("redirector.errors.handshake")
-    ctr_backend_errors = metrics.counter("redirector.errors.backend")
-    ctr_recovered = metrics.counter("redirector.recovered")
-    gauge_active = metrics.gauge("redirector.active_connections")
-    ts_active = obs.telemetry.series("redirector.active_connections")
-    gauge_occupied = metrics.gauge("redirector.slots.occupied")
+    obs = stack.host.sim.obs
+    handles = _ConnectionHandles(obs)
+    gauge_occupied = obs.metrics.gauge("redirector.slots.occupied")
     ts_occupied = obs.telemetry.series("redirector.slots.occupied")
-    log = context.logger.log
-    tid = f"svc:{label}"
 
     def release_slot(sock):
         # The one place a slot goes idle: socket back on the admission
@@ -696,107 +690,10 @@ def _pool_slot(stack: DyncTcpStack, context: IsslContext,
         while mailbox.sock is None:
             yield IDLE
         sock = mailbox.sock
-        span = tracer.begin("service.connection", cat=CAT_SERVICE, tid=tid)
-        buffer = None
-        if buffer_pool is not None:
-            try:
-                buffer = buffer_pool.acquire()
-            except XallocError as exc:
-                # The xmem budget is a refusal, never an allocation past
-                # it: the slot sheds the connection and goes back idle.
-                ctr_refused_memory.inc()
-                log(f"redirector: {label}: out of xmem, refusing: {exc}")
-                recorder.warn(CAT_SERVICE, tid, "refused: out of xmem")
-                stack.sock_abort(sock)
-                tracer.end(span, error="memory")
-                ctr_recovered.inc()
-                release_slot(sock)
-                yield
-                continue
-        session = None
-        if secure:
-            try:
-                session = issl_bind(context, sock, stack=stack,
-                                    role="server")
-            except IsslSessionLimitError as exc:
-                ctr_refused_sessions.inc()
-                log(f"redirector: {label}: refused: {exc}")
-                recorder.warn(CAT_SERVICE, tid, "refused: session limit")
-                stack.sock_abort(sock)
-                if buffer is not None:
-                    buffer_pool.release(buffer)
-                tracer.end(span, error="sessions")
-                ctr_recovered.inc()
-                release_slot(sock)
-                yield
-                continue
-            try:
-                yield from session.handshake(
-                    timeout=handshake_timeout_s,
-                    retries=handshake_retries,
-                )
-            except IsslError as exc:
-                ctr_hs_errors.inc()
-                log(f"redirector: {label}: handshake failed: {exc}")
-                recorder.error(
-                    CAT_SERVICE, tid, f"handshake failed: {type(exc).__name__}"
-                )
-                stack.sock_abort(sock)
-                if buffer is not None:
-                    buffer_pool.release(buffer)
-                tracer.end(span, error="handshake")
-                ctr_recovered.inc()
-                release_slot(sock)
-                yield
-                continue
-        backend = make_socket(stack)
-        stack.tcp_open(backend, 0, backend_ip, backend_port)
-        backend_deadline = (
-            None if backend_timeout_s is None
-            else sim.now + backend_timeout_s
+        yield from _serve_connection(
+            stack, context, handles, sock, backend_ip, backend_port,
+            stats, secure, label, **serve_kwargs,
         )
-        # Event-wait, same contract as the static handler's.
-        backend_token = (
-            IDLE if backend_deadline is None
-            else idle_until(backend_deadline)
-        )
-        while not (
-            stack.sock_established(backend) or _sock_dead(backend)
-            or (backend_deadline is not None
-                and sim.now >= backend_deadline)
-        ):
-            yield backend_token
-        if not stack.sock_established(backend):
-            ctr_backend_errors.inc()
-            log(f"redirector: {label}: backend unreachable")
-            recorder.error(CAT_SERVICE, tid, "backend unreachable")
-            stack.sock_abort(backend)
-            if secure:
-                yield from session.close()
-            else:
-                stack.sock_close(sock)
-            if buffer is not None:
-                buffer_pool.release(buffer)
-            tracer.end(span, error="backend-connect")
-            ctr_recovered.inc()
-            release_slot(sock)
-            yield
-            continue
-        gauge_active.set(gauge_active.value + 1)
-        ts_active.record(gauge_active.value)
-        requests = yield from _rmc_serve(
-            stack, sock, backend, session, stats, tid,
-            deadline_s=conn_deadline_s, logger=context.logger,
-        )
-        gauge_active.set(gauge_active.value - 1)
-        ts_active.record(gauge_active.value)
-        stack.sock_close(backend)
-        if secure:
-            yield from session.close()
-        stack.sock_close(sock)
-        if buffer is not None:
-            buffer_pool.release(buffer)
-        tracer.end(span, requests=requests)
         release_slot(sock)
         yield
 
@@ -837,8 +734,10 @@ def build_pooled_redirector(stack: DyncTcpStack, context: IsslContext,
       ``redirector.slots.occupied`` gauge and telemetry series.
     * ``admission=False``: every slot runs the classic
       :func:`_rmc_handler` body (listen/serve/re-listen) inside the
-      pooled costatement -- step-for-step the static variant's
-      behaviour, which the differential regression tests pin.
+      pooled costatement.
+
+    Both wirings serve each connection with :func:`_serve_connection`,
+    the static handlers' own path; the differential tests pin them.
 
     Per-slot record buffers come from ``buffer_pool``; passing ``xmem``
     instead builds an :class:`~repro.dync.runtime.xalloc.XmemBufferPool`
@@ -861,7 +760,7 @@ def build_pooled_redirector(stack: DyncTcpStack, context: IsslContext,
         kwargs["pass_overhead_s"] = pass_overhead_s
     scheduler = CostateScheduler(stack.host.sim, name="rmc-redirector",
                                  obs=obs, **kwargs)
-    handler_kwargs = dict(
+    serve_kwargs = dict(
         handshake_timeout_s=handshake_timeout_s,
         handshake_retries=handshake_retries,
         conn_deadline_s=conn_deadline_s,
@@ -876,7 +775,7 @@ def build_pooled_redirector(stack: DyncTcpStack, context: IsslContext,
             slot = pool.add_slot(name=f"slot{index + 1}")
             slot.bind(_rmc_handler(
                 stack, context, backend_ip, backend_port, listen_port,
-                stats, secure, label=f"slot{index + 1}", **handler_kwargs,
+                stats, secure, label=f"slot{index + 1}", **serve_kwargs,
             ))
         scheduler.add_pool(pool)
         scheduler.add(_tick_driver(stack), name="tick-driver")
@@ -903,7 +802,7 @@ def build_pooled_redirector(stack: DyncTcpStack, context: IsslContext,
         slot = pool.add_slot(name=f"slot{index + 1}")
         slot.bind(_pool_slot(
             stack, context, backend_ip, backend_port, stats, secure,
-            f"slot{index + 1}", mailbox, slot, free_socks, **handler_kwargs,
+            f"slot{index + 1}", mailbox, slot, free_socks, **serve_kwargs,
         ))
         table.append((mailbox, slot))
 
