@@ -77,12 +77,7 @@ class Board:
         return self.cpu.run(max_instructions=max_instructions)
 
     def run_cycles(self, budget: int) -> int:
-        """Run approximately ``budget`` cycles; returns cycles executed.
-
-        A halted CPU with a deliverable interrupt pending still runs:
-        HALT wakes on interrupts, so only an *unwakeable* halt stops
-        the loop early.
-        """
+        """Run about ``budget`` cycles (see :meth:`Cpu.run_cycles`)."""
         return self.cpu.run_cycles(budget)
 
     def call(self, address: int) -> int:

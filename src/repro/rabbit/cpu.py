@@ -35,6 +35,10 @@ _PARITY = bytes(
 )
 
 
+#: An instruction budget or cycle target no run reaches.
+_UNBOUNDED = 1 << 64
+
+
 class CpuError(RuntimeError):
     """Raised on unimplemented opcodes (a bug in generated code)."""
 
@@ -50,10 +54,10 @@ class Cpu:
     use_fast_core = True
 
     #: Optional ``callable(pc)`` invoked after every predecoded block
-    #: the fast loops execute (the ``pc`` is the block's entry point).
+    #: the fast loop executes (the ``pc`` is the block's entry point).
     #: Unlike a ``step`` override this does NOT disengage the fast core
     #: -- it is the sampling hook the obs ``CycleProfiler`` uses to
-    #: profile without paying the single-step path.  The loops hoist the
+    #: profile without paying the single-step path.  The loop hoists the
     #: attribute once on entry, so set it before calling ``run``/
     #: ``run_cycles``/``call_subroutine``, not during.
     block_listener = None
@@ -469,77 +473,78 @@ class Cpu:
         return (self.use_fast_core and "step" not in self.__dict__
                 and type(self).step is Cpu.step)
 
-    def _fast_cache(self):
-        cache = self._cache
-        if cache is None:
-            from repro.rabbit.fastcore import BlockCache
-            cache = self._cache = BlockCache(self)
-        cache.check_wait_states()
-        return cache
+    def _dispatch(self, remaining: int, stop_pc: int,
+                  cycle_target: int) -> int:
+        """The one execution loop: run until ``remaining`` instructions
+        have run, ``cycles`` reaches ``cycle_target``, PC lands on
+        ``stop_pc`` (-1: never), or the CPU halts -- on any HALT when
+        there is a stop address (a subroutine that halts has not
+        returned), else on one no pending interrupt can wake.
+        Returns the unspent budget; running out wins over a stop the
+        last budgeted instruction reached.
 
-    def run(self, max_instructions: int = 100_000_000,
-            until_halt: bool = True) -> int:
-        """Run until HALT (or the instruction budget); returns cycles run."""
-        start = self.cycles
-        if not self._fast_eligible():
-            for _ in range(max_instructions):
-                if self.halted and not self._int_pending:
-                    break
-                self.step()
-            else:
-                raise CpuError(f"exceeded {max_instructions} instructions")
-            return self.cycles - start
-        cache = self._fast_cache()
-        memory = self.memory
-        blocks = cache.blocks
-        listener = self.block_listener
-        threshold = cache.translate_threshold
-        remaining = max_instructions
-        while remaining > 0:
-            if self.halted:
-                if not self._int_pending:
-                    return self.cycles - start
-                self.step()
-                remaining -= 1
-                continue
-            if self._int_pending and self.iff1:
-                self.step()
-                remaining -= 1
-                continue
+        The fast core runs each predecoded block whole, and takes a
+        single :meth:`step` instead when the block could cross a stop.
+        """
+        fast = self._fast_eligible()
+        if fast:
+            from repro.rabbit.fastcore import BlockCache, cycle_ceiling
+            cache = self._cache
+            if cache is None:
+                cache = self._cache = BlockCache(self)
+            cache.check_wait_states()
+            memory = self.memory
+            blocks = cache.blocks
+            listener = self.block_listener
+            threshold = cache.translate_threshold
+            ceiling = cycle_ceiling(memory)
+        while remaining > 0 and self.cycles < cycle_target:
             pc = self.pc
-            key = pc if pc < 0xE000 else pc | (memory.xpc << 16)
-            block = blocks.get(key)
-            if block is None:
-                block = cache.build_block(pc, key)
-            ops = block[0]
-            if len(ops) > remaining:
-                self.step()
-                remaining -= 1
-                continue
-            cache.executed_blocks += 1
-            cache.bail = False
-            before = self.instructions
-            fn = block[3]
-            if fn is not None:
-                cache.translated_execs += 1
-                fn(self, memory)
-            else:
-                count = block[2] + 1
-                block[2] = count
-                if count >= threshold:
-                    cache.translated_execs += 1
-                    cache.translate(key, block)(self, memory)
-                else:
-                    for op in ops:
-                        op(self, memory)
-                        if cache.bail:
-                            break
-            remaining -= self.instructions - before
-            if listener is not None:
-                listener(pc)
-        # The slow loop's budget check runs before its halt check, so a
-        # HALT on the very last budgeted instruction still raises.
-        raise CpuError(f"exceeded {max_instructions} instructions")
+            if pc == stop_pc:
+                break
+            if self.halted:
+                if stop_pc >= 0 or not (self._int_pending and self.iff1):
+                    break
+            elif fast and not (self._int_pending and self.iff1):
+                key = pc if pc < 0xE000 else pc | (memory.xpc << 16)
+                block = blocks.get(key)
+                if block is None:
+                    block = cache.build_block(pc, key)
+                ops = block[0]
+                size = len(ops)
+                if (size <= remaining and not pc < stop_pc < block[1]
+                        and self.cycles + size * ceiling < cycle_target):
+                    cache.executed_blocks += 1
+                    cache.bail = False
+                    before = self.instructions
+                    fn = block[3]
+                    if fn is None:
+                        block[2] += 1
+                        if block[2] >= threshold:
+                            fn = cache.translate(key, block)
+                    if fn is not None:
+                        cache.translated_execs += 1
+                        fn(self, memory)
+                    else:
+                        for op in ops:
+                            op(self, memory)
+                            if cache.bail:
+                                break
+                    remaining -= self.instructions - before
+                    if listener is not None:
+                        listener(pc)
+                    continue
+            self.step()
+            remaining -= 1
+        return remaining
+
+    def run(self, max_instructions: int = 100_000_000) -> int:
+        """Run until a HALT no pending interrupt can wake (or the
+        instruction budget); returns cycles run."""
+        start = self.cycles
+        if self._dispatch(max_instructions, -1, _UNBOUNDED) <= 0:
+            raise CpuError(f"exceeded {max_instructions} instructions")
+        return self.cycles - start
 
     def call_subroutine(self, address: int, stop_address: int = 0xFFFF,
                         max_instructions: int = 100_000_000) -> int:
@@ -551,110 +556,21 @@ class Cpu:
         self._push(stop_address)
         self.pc = address
         start = self.cycles
-        if not self._fast_eligible():
-            for _ in range(max_instructions):
-                if self.pc == stop_address:
-                    return self.cycles - start
-                if self.halted:
-                    raise CpuError("HALT inside subroutine call")
-                self.step()
+        if self._dispatch(max_instructions, stop_address, _UNBOUNDED) <= 0:
             raise CpuError(f"subroutine at {address:#06x} did not return")
-        cache = self._fast_cache()
-        memory = self.memory
-        blocks = cache.blocks
-        listener = self.block_listener
-        threshold = cache.translate_threshold
-        remaining = max_instructions
-        while remaining > 0:
-            if self.pc == stop_address:
-                return self.cycles - start
-            if self.halted:
-                raise CpuError("HALT inside subroutine call")
-            if self._int_pending and self.iff1:
-                self.step()
-                remaining -= 1
-                continue
-            pc = self.pc
-            key = pc if pc < 0xE000 else pc | (memory.xpc << 16)
-            block = blocks.get(key)
-            if block is None:
-                block = cache.build_block(pc, key)
-            ops = block[0]
-            # Degrade to single steps near the budget and when the stop
-            # address sits *inside* the block (straight-line fall-through
-            # would run past it without the slow path's per-step check).
-            if len(ops) > remaining or pc < stop_address < block[1]:
-                self.step()
-                remaining -= 1
-                continue
-            cache.executed_blocks += 1
-            cache.bail = False
-            before = self.instructions
-            fn = block[3]
-            if fn is not None:
-                cache.translated_execs += 1
-                fn(self, memory)
-            else:
-                count = block[2] + 1
-                block[2] = count
-                if count >= threshold:
-                    cache.translated_execs += 1
-                    cache.translate(key, block)(self, memory)
-                else:
-                    for op in ops:
-                        op(self, memory)
-                        if cache.bail:
-                            break
-            remaining -= self.instructions - before
-            if listener is not None:
-                listener(pc)
-        # Like the slow loop: budget exhaustion wins even if the last
-        # budgeted step landed on the stop address.
-        raise CpuError(f"subroutine at {address:#06x} did not return")
+        if self.pc != stop_address:
+            raise CpuError("HALT inside subroutine call")
+        return self.cycles - start
 
     def run_cycles(self, budget: int) -> int:
         """Run approximately ``budget`` cycles; returns cycles executed.
 
-        A halted CPU with a deliverable interrupt pending still runs:
-        HALT wakes on interrupts, so only an *unwakeable* halt stops
-        the loop early.  Like the historical board loop, the budget is
-        checked at instruction boundaries, so the last instruction may
-        overshoot it.
+        Stops early only at a HALT no pending interrupt can wake.  The
+        budget is checked at instruction boundaries, so the last
+        instruction may overshoot it.
         """
         start = self.cycles
-        target = start + budget
-        if not self._fast_eligible():
-            while self.cycles < target:
-                if self.halted and not (self._int_pending and self.iff1):
-                    break
-                self.step()
-            return self.cycles - start
-        cache = self._fast_cache()
-        memory = self.memory
-        blocks = cache.blocks
-        listener = self.block_listener
-        while self.cycles < target:
-            if self.halted:
-                if not (self._int_pending and self.iff1):
-                    break
-                self.step()
-                continue
-            if self._int_pending and self.iff1:
-                self.step()
-                continue
-            pc = self.pc
-            key = pc if pc < 0xE000 else pc | (memory.xpc << 16)
-            block = blocks.get(key)
-            if block is None:
-                block = cache.build_block(pc, key)
-            cache.executed_blocks += 1
-            cache.bail = False
-            for op in block[0]:
-                op(self, memory)
-                if cache.bail or self.cycles >= target:
-                    break
-            if listener is not None:
-                listener(pc)
+        self._dispatch(_UNBOUNDED, -1, start + budget)
         return self.cycles - start
 
     # -- main table -----------------------------------------------------------
@@ -779,35 +695,15 @@ class Cpu:
                 return 19 if prefix else 10
             return 7
         # z == 7: rotates on A and flag ops
-        if y == 0:
-            carry = (self.a >> 7) & 1
-            self.a = ((self.a << 1) | carry) & 0xFF
-            self._set_flag(FLAG_C, bool(carry))
-            self._set_flag(FLAG_N, False)
-            self._set_flag(FLAG_H, False)
-            return 4
-        if y == 1:
-            carry = self.a & 1
-            self.a = ((self.a >> 1) | (carry << 7)) & 0xFF
-            self._set_flag(FLAG_C, bool(carry))
-            self._set_flag(FLAG_N, False)
-            self._set_flag(FLAG_H, False)
-            return 4
-        if y == 2:
-            carry_in = 1 if self.flag(FLAG_C) else 0
-            carry = (self.a >> 7) & 1
-            self.a = ((self.a << 1) | carry_in) & 0xFF
-            self._set_flag(FLAG_C, bool(carry))
-            self._set_flag(FLAG_N, False)
-            self._set_flag(FLAG_H, False)
-            return 4
-        if y == 3:
-            carry_in = 1 if self.flag(FLAG_C) else 0
-            carry = self.a & 1
-            self.a = ((self.a >> 1) | (carry_in << 7)) & 0xFF
-            self._set_flag(FLAG_C, bool(carry))
-            self._set_flag(FLAG_N, False)
-            self._set_flag(FLAG_H, False)
+        if y < 4:  # RLCA / RRCA / RLA / RRA: C takes the bit shifted out
+            a = self.a
+            carry = a & 1 if y & 1 else a >> 7
+            fill = carry if y < 2 else self.f & FLAG_C
+            if y & 1:
+                self.a = (a >> 1) | (fill << 7)
+            else:
+                self.a = ((a << 1) | fill) & 0xFF
+            self.f = (self.f & ~(FLAG_C | FLAG_N | FLAG_H) & 0xFF) | carry
             return 4
         if y == 4:  # DAA
             self._daa()

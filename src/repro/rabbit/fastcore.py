@@ -5,8 +5,11 @@ re-decodes every instruction through the octal-field dispatch chain.
 This module decodes each straight-line run of instructions *once* into a
 list of bound handler closures -- a basic block -- keyed by
 ``(logical PC, XPC)`` when the block sits in the bank window and by the
-logical PC alone below it (those mappings are fixed).  Executors in
-:mod:`repro.rabbit.cpu` then run whole blocks per dispatch.
+logical PC alone below it (those mappings are fixed).  The dispatch loop
+(:meth:`repro.rabbit.cpu.Cpu._dispatch`) then runs one whole block per
+dispatch, or a single step when the block could cross a stop: the
+instruction budget, a stop address inside it, or the cycle target
+(judged with :func:`cycle_ceiling`).
 
 Exactness contract (the entire point -- E1/E2/E5 cycle counts must be
 byte-identical to the single-step core):
@@ -23,15 +26,16 @@ byte-identical to the single-step core):
   ``cpu._step_instruction()`` -- it re-fetches at run time, so it is
   always correct, merely not faster;
 * writes to pages holding decoded code invalidate the affected blocks
-  and raise :attr:`BlockCache.bail`, which the executors check after
-  every instruction, so self-modifying code re-decodes mid-block exactly
-  where the slow path would observe the new bytes;
+  and raise :attr:`BlockCache.bail`, which the dispatch loop checks
+  after every closure and translated code after every write, so
+  self-modifying code re-decodes mid-block exactly where the slow path
+  would observe the new bytes;
 * ``load_flash``/``load_sram`` (reprogramming) and wait-state changes
   drop the whole cache.
 
 The repeating block ops (LDIR/LDDR/CPIR/CPDR) execute one iteration per
-dispatch, rewinding PC like the slow path does, so cycle-budget
-boundaries (``run_cycles``) land on identical instruction boundaries.
+dispatch, rewinding PC like the slow path does, so instruction budgets
+and cycle targets count their iterations exactly as the slow path does.
 
 On top of the closure-list tier sits the *translated tier*
 (:meth:`BlockCache.translate`): once a block has dispatched
@@ -54,6 +58,24 @@ from repro.rabbit.memory import FLASH_SIZE, SRAM_BASE, SRAM_SIZE
 
 #: Longest straight-line run decoded into one block.
 MAX_BLOCK_INSTRUCTIONS = 128
+
+
+def cycle_ceiling(memory) -> int:
+    """Upper bound on the cycles any instruction but a block's last one
+    can charge at ``memory``'s current wait states.
+
+    23 is the largest base T-state cost the decoders charge (the DD/FD
+    CB bit ops, INC/DEC (IX+d), EX (SP),IX).  An unprefixed, CB or ED
+    instruction makes at most six memory accesses (four fetch bytes plus
+    two data bytes, e.g. ``LD (nn),BC``), each paying at most the larger
+    of the two wait-state settings.  DD/FD-prefixed forms can exceed
+    this (a prefix may repeat), but every one of them ends its block, so
+    it only ever runs last -- and the dispatch loop's guard
+    (``cycles + len(ops) * ceiling`` below the cycle target) only needs
+    the instructions before the last to stay under the target.
+    """
+    return 23 + 6 * max(memory.flash_wait_states, memory.sram_wait_states)
+
 
 #: 8-bit register attribute names by octal index (6 is (HL)).
 _R8 = ("b", "c", "d", "e", "h", "l", None, "a")
@@ -1105,18 +1127,20 @@ class BlockCache:
 
     Blocks are mutable ``[ops, end, exec_count, translated]`` records:
     the closures; the logical address one past the last decoded byte
-    (used by ``call_subroutine`` to detect a stop address interior to
-    the block); how many times the block has dispatched through the
-    closure-list tier; and -- once ``exec_count`` crosses
-    :attr:`translate_threshold` -- one ``compile()``d function that runs
-    the whole block with the per-opcode dispatch loop eliminated and the
-    bookkeeping of template-able instruction runs batched (the
-    *translated tier*).  Executors index ``block[0]``/``block[1]`` the
-    same as the historical tuple layout.
+    (the dispatch loop single-steps instead of running a block with
+    the stop address strictly inside it); how many times the block has
+    dispatched through the closure-list tier; and -- once ``exec_count``
+    crosses :attr:`translate_threshold` -- one ``compile()``d function
+    that runs the whole block with the per-opcode dispatch loop
+    eliminated and the bookkeeping of template-able instruction runs
+    batched (the *translated tier*).
     """
 
     #: Closure-list executions before a block is template-translated.
-    translate_threshold = 16
+    #: 64 beat 16 on both emulator-bound benchmark workloads (fewer
+    #: one-off translations in short-lived E1-E3 firmware); see
+    #: EXPERIMENTS.md, "Harness speed".
+    translate_threshold = 64
 
     def __init__(self, cpu):
         self.cpu = cpu

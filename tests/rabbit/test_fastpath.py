@@ -18,8 +18,12 @@ monitor -- the one real firmware with an ISR, I/O, and a main loop.
 
 from __future__ import annotations
 
+import ast
+import inspect
+
 import pytest
 
+from repro.rabbit import cpu as cpu_module
 from repro.rabbit.asm import assemble
 from repro.rabbit.board import Board
 from repro.rabbit.cpu import Cpu, CpuError
@@ -185,13 +189,75 @@ def test_reloading_memory_invalidates_everything():
     assert board.memory.sram[0x50] == 0x22
 
 
-def test_run_cycles_budget_identical():
+def _monitor_pair():
     fast_board, slow_board = Board(), Board()
     slow_board.cpu.use_fast_core = False
-    for board in (fast_board, slow_board):
-        monitor = SerialDebugMonitor(board)
-        monitor.boot(cycles=1234)
-    assert _machine_state(fast_board) == _machine_state(slow_board)
+    return [SerialDebugMonitor(board) for board in (fast_board, slow_board)]
+
+
+@pytest.mark.parametrize("threshold", [1, 16])
+def test_run_cycles_budget_identical(monkeypatch, threshold):
+    # A block runs whole only when len(ops) * cycle_ceiling cannot reach
+    # the cycle target, so every budget has to stop on the step core's
+    # instruction boundary -- which also checks the ceiling really is an
+    # upper bound.  Threshold 1 runs the sweep in the translated tier.
+    monkeypatch.setattr(BlockCache, "translate_threshold", threshold)
+    translated_execs = 0
+    for budget in range(1, 601):
+        monitors = _monitor_pair()
+        ran = [monitor.board.run_cycles(budget) for monitor in monitors]
+        assert ran[0] == ran[1], budget
+        fast_board, slow_board = (monitor.board for monitor in monitors)
+        assert _machine_state(fast_board) == _machine_state(slow_board), budget
+        translated_execs += fast_board.cpu._cache.translated_execs
+    # Several calls in a row mid-run, with the ISR driven in between.
+    monitors = _monitor_pair()
+    for budget in (1234, 1, 2, 3, 29, 30, 31, 97, 600, 5):
+        ran = [monitor.board.run_cycles(budget) for monitor in monitors]
+        assert ran[0] == ran[1], budget
+        assert (_machine_state(monitors[0].board)
+                == _machine_state(monitors[1].board)), budget
+    replies = [[monitor.send_command(command, run_cycles=budget)
+                for command, budget in ((b"s", 37), (b"r", 450), (b"s", 2000))]
+               for monitor in monitors]
+    assert replies[0] == replies[1]
+    assert (_machine_state(monitors[0].board)
+            == _machine_state(monitors[1].board))
+    translated_execs += monitors[0].board.cpu._cache.translated_execs
+    if threshold == 1:
+        assert translated_execs > 0
+
+
+@pytest.mark.parametrize("fast", [True, False], ids=["fast", "step"])
+def test_halt_no_interrupt_can_wake_stops_the_run(fast):
+    # An interrupt is pending but IFF1 is clear: the halt is final, so
+    # run() returns at once instead of idling out its whole budget.
+    for run in (lambda cpu: cpu.run(max_instructions=200_000),
+                lambda cpu: cpu.run_cycles(200_000)):
+        board = Board(flash_wait_states=0)
+        board.cpu.use_fast_core = fast
+        board.program(assemble("org 0\ndi\nhalt\n").code)
+        board.cpu.request_interrupt(0x38)
+        assert run(board.cpu) == 8
+        assert board.cpu.halted
+
+
+@pytest.mark.parametrize("fast", [True, False], ids=["fast", "step"])
+def test_budget_exhaustion_wins_over_a_stop_on_the_last_instruction(fast):
+    image = assemble("org 0\nnop\nnop\nhalt\n").code
+    board = Board()
+    board.cpu.use_fast_core = fast
+    board.program(image)
+    with pytest.raises(CpuError, match="exceeded 3 instructions"):
+        board.cpu.run(max_instructions=3)  # the HALT is instruction 3
+    board.program(image)
+    assert board.cpu.run(max_instructions=4) > 0
+    # The return lands on the stop address on the last budgeted step.
+    board.program(assemble("org 0\nnop\nret\n").code)
+    with pytest.raises(CpuError, match="did not return"):
+        board.cpu.call_subroutine(0x0000, max_instructions=2)
+    board.cpu.reset()
+    assert board.cpu.call_subroutine(0x0000, max_instructions=3) > 0
 
 
 def test_instruction_budget_exhaustion_identical():
@@ -230,3 +296,38 @@ def test_profiler_install_falls_back_to_step_path():
     assert board.cpu._fast_eligible()
     aes.encrypt_block(BLOCK)
     assert board.cpu._cache.executed_blocks > baseline_blocks
+
+
+class TestOneDispatchLoop:
+    """``run``, ``call_subroutine`` and ``run_cycles`` share one dispatch
+    loop, so the tiers and the stop rules cannot drift apart again."""
+
+    @staticmethod
+    def _tree():
+        return ast.parse(inspect.getsource(cpu_module))
+
+    def _calls(self, attr):
+        return [node.lineno for node in ast.walk(self._tree())
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == attr]
+
+    def test_one_block_builder_and_translator_call(self):
+        assert len(self._calls("build_block")) == 1
+        assert len(self._calls("translate")) == 1
+
+    def test_one_block_executing_loop(self):
+        loops = [node.lineno for node in ast.walk(self._tree())
+                 if isinstance(node, ast.For)
+                 and isinstance(node.target, ast.Name)
+                 and node.target.id == "op"]
+        assert len(loops) == 1, loops
+
+    def test_entry_points_do_not_loop(self):
+        methods = {node.name: node for node in ast.walk(self._tree())
+                   if isinstance(node, ast.FunctionDef)}
+        for name in ("run", "call_subroutine", "run_cycles"):
+            loops = [node.lineno for node in ast.walk(methods[name])
+                     if isinstance(node, (ast.For, ast.While,
+                                          ast.comprehension))]
+            assert not loops, (name, loops)
