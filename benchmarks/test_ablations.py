@@ -48,73 +48,41 @@ def test_b1_bigger_records_amortize_better():
     assert goodput(768) > goodput(32)
 
 
-@pytest.mark.parametrize("pass_overhead_us", [2, 10, 50])
-def test_c1_service_works_across_loop_costs(pass_overhead_us):
+def _run_c1(pass_overhead_us, requests):
+    """One client against Figure 3's service at a given big-loop cost."""
     from repro.crypto.demokeys import DEMO_PSK
     from repro.crypto.prng import CipherRng
-    from repro.issl import FREE, IsslContext, RMC2000_PORT, UNIX_FULL
-    from repro.net.dynctcp import DyncTcpStack
-    from repro.net.host import build_lan
-    from repro.net.sim import Simulator
+    from repro.issl import FREE, IsslContext, UNIX_FULL
     from repro.services import (
-        backend_line_server,
-        build_rmc_redirector,
+        build_redirector_world,
         ClientReport,
         secure_request_client,
         TLS_PORT,
     )
 
-    sim = Simulator()
-    _lan, hosts = build_lan(sim, ["rmc", "backend", "client"])
-    stack = DyncTcpStack(hosts["rmc"])
-    context = IsslContext(RMC2000_PORT.with_cost_model(FREE),
-                          CipherRng(b"abl"), psk=DEMO_PSK)
-    hosts["backend"].spawn(backend_line_server(hosts["backend"]))
-    scheduler = build_rmc_redirector(
-        stack, context, "10.0.0.2",
+    world = build_redirector_world(
+        b"abl", clients=1, cost_model=FREE,
         pass_overhead_s=pass_overhead_us * 1e-6,
     )
-    scheduler.start()
+    client = world.hosts["c0"]
     report = ClientReport("c")
     ctx = IsslContext(UNIX_FULL, CipherRng(b"c"), psk=DEMO_PSK)
-    process = hosts["client"].spawn(secure_request_client(
-        hosts["client"], ctx, "10.0.0.1", TLS_PORT, 2, 32, report))
-    sim.run_until_complete(process, timeout=3600)
+    process = client.spawn(secure_request_client(
+        client, ctx, "10.0.0.1", TLS_PORT, requests, 32, report))
+    world.sim.run_until_complete(process, timeout=3600)
+    return report
+
+
+@pytest.mark.parametrize("pass_overhead_us", [2, 10, 50])
+def test_c1_service_works_across_loop_costs(pass_overhead_us):
+    report = _run_c1(pass_overhead_us, 2)
     assert report.error is None
 
 
 def test_c1_slower_loop_means_slower_service():
     reports = {}
     for pass_overhead_us in (2, 50):
-        from repro.crypto.demokeys import DEMO_PSK
-        from repro.crypto.prng import CipherRng
-        from repro.issl import FREE, IsslContext, RMC2000_PORT, UNIX_FULL
-        from repro.net.dynctcp import DyncTcpStack
-        from repro.net.host import build_lan
-        from repro.net.sim import Simulator
-        from repro.services import (
-            backend_line_server,
-            build_rmc_redirector,
-            ClientReport,
-            secure_request_client,
-            TLS_PORT,
-        )
-
-        sim = Simulator()
-        _lan, hosts = build_lan(sim, ["rmc", "backend", "client"])
-        stack = DyncTcpStack(hosts["rmc"])
-        context = IsslContext(RMC2000_PORT.with_cost_model(FREE),
-                              CipherRng(b"abl"), psk=DEMO_PSK)
-        hosts["backend"].spawn(backend_line_server(hosts["backend"]))
-        build_rmc_redirector(
-            stack, context, "10.0.0.2",
-            pass_overhead_s=pass_overhead_us * 1e-6,
-        ).start()
-        report = ClientReport("c")
-        ctx = IsslContext(UNIX_FULL, CipherRng(b"c"), psk=DEMO_PSK)
-        process = hosts["client"].spawn(secure_request_client(
-            hosts["client"], ctx, "10.0.0.1", TLS_PORT, 3, 32, report))
-        sim.run_until_complete(process, timeout=3600)
+        report = _run_c1(pass_overhead_us, 3)
         assert report.error is None
         reports[pass_overhead_us] = report.end - report.start
     assert reports[50] > reports[2]

@@ -12,36 +12,22 @@ recompiling (here: rebuilding the scheduler with more costatements).
 from repro.crypto.demokeys import DEMO_PSK
 from repro.crypto.prng import CipherRng
 from repro.experiments.harness import format_table
-from repro.issl import FREE, IsslContext, RMC2000_PORT, UNIX_FULL
-from repro.net.dynctcp import DyncTcpStack
-from repro.net.host import build_lan
-from repro.net.sim import Simulator
+from repro.issl import FREE, IsslContext, UNIX_FULL
 from repro.services import (
-    backend_line_server,
-    build_rmc_redirector,
+    build_redirector_world,
     ClientReport,
     secure_request_client,
     TLS_PORT,
 )
 
-import dataclasses
-
 
 def run_with_handlers(handlers: int, clients: int) -> list[ClientReport]:
-    sim = Simulator()
-    names = ["rmc", "backend"] + [f"c{i}" for i in range(clients)]
-    _lan, hosts = build_lan(sim, names, bandwidth_bps=100_000_000)
-    stack = DyncTcpStack(hosts["rmc"])
-    profile = dataclasses.replace(
-        RMC2000_PORT.with_cost_model(FREE), max_sessions=handlers
+    world = build_redirector_world(
+        b"fig3", clients=clients, bandwidth_bps=100_000_000,
+        cost_model=FREE, max_sessions=handlers, handlers=handlers,
     )
-    context = IsslContext(profile, CipherRng(b"fig3"), psk=DEMO_PSK)
-    hosts["backend"].spawn(backend_line_server(hosts["backend"]))
-    scheduler = build_rmc_redirector(
-        stack, context, str(hosts["backend"].ip_address), handlers=handlers
-    )
-    print(f"  main loop: {scheduler.costate_names}")
-    scheduler.start()
+    print(f"  main loop: {world.scheduler.costate_names}")
+    hosts = world.hosts
     reports = []
     processes = []
     for index in range(clients):
@@ -53,7 +39,7 @@ def run_with_handlers(handlers: int, clients: int) -> list[ClientReport]:
             host, ctx, str(hosts["rmc"].ip_address), TLS_PORT, 10, 64, report
         )))
     for process in processes:
-        sim.run_until_complete(process, timeout=600)
+        world.sim.run_until_complete(process, timeout=600)
     return reports
 
 

@@ -22,25 +22,21 @@ from dataclasses import dataclass, field
 from repro.crypto.demokeys import DEMO_PSK, demo_rsa_key
 from repro.crypto.prng import CipherRng
 from repro.issl import (
-    CircularLogger,
     CipherSuite,
     FileLogger,
     IsslContext,
     RMC2000_ASM,
-    RMC2000_PORT,
     UNIX_FULL,
     WORKSTATION,
 )
 from repro.issl.costmodel import CryptoCostModel
-from repro.net.dynctcp import DyncTcpStack
 from repro.net.host import Host, build_lan
 from repro.net.sim import Simulator
 from repro.services import (
-    BACKEND_PORT,
     ClientReport,
     TLS_PORT,
     backend_line_server,
-    build_rmc_redirector,
+    build_redirector_world,
     secure_request_client,
     unix_secure_redirector,
 )
@@ -64,34 +60,23 @@ class Deployment:
     def run_client(self, requests: int = 5, request_size: int = 64,
                    timeout: float = 3600.0) -> ClientReport:
         """Run one secure client against the deployment; blocks until done."""
-        if self._next_client >= len(self.client_hosts):
-            raise RuntimeError("deployment out of client hosts")
-        host = self.client_hosts[self._next_client]
-        self._next_client += 1
-        report = ClientReport(host.name)
-        client_context = IsslContext(
-            UNIX_FULL,
-            CipherRng(b"client:" + host.name.encode()),
-            psk=self.server_context.psk,
-        )
-        process = host.spawn(secure_request_client(
-            host, client_context, str(self.server_host.ip_address),
-            TLS_PORT, requests, request_size, report,
-        ))
-        self.sim.run_until_complete(process, timeout=timeout)
-        return report
+        return self.run_clients(1, requests, request_size, timeout)[0]
 
     def run_clients(self, count: int, requests: int = 5,
                     request_size: int = 64,
                     timeout: float = 3600.0) -> list[ClientReport]:
-        """Run ``count`` clients concurrently; returns all reports."""
+        """Run ``count`` clients concurrently; returns all reports.
+
+        Raises :class:`RuntimeError` before spawning any client when
+        fewer than ``count`` client hosts are left.
+        """
+        start = self._next_client
+        if start + count > len(self.client_hosts):
+            raise RuntimeError("deployment out of client hosts")
+        self._next_client += count
         reports = []
         processes = []
-        for _ in range(count):
-            if self._next_client >= len(self.client_hosts):
-                raise RuntimeError("deployment out of client hosts")
-            host = self.client_hosts[self._next_client]
-            self._next_client += 1
+        for host in self.client_hosts[start:self._next_client]:
             report = ClientReport(host.name)
             reports.append(report)
             client_context = IsslContext(
@@ -154,41 +139,20 @@ def build_rmc2000_deployment(clients: int = 4, handlers: int = 3,
                              cost_model: CryptoCostModel = RMC2000_ASM,
                              ) -> Deployment:
     """The port: Figure 3's costatement service on the RMC2000."""
-    sim = Simulator()
-    segment, _hosts = build_lan(sim, [])
-    server = Host(sim, "rmc2000", _ip(1))
-    server.attach(segment)
-    backend = Host(sim, "backend", _ip(2))
-    backend.attach(segment)
-    client_hosts = []
-    for index in range(clients):
-        client = Host(sim, f"client{index}", _ip(10 + index))
-        client.attach(segment)
-        client_hosts.append(client)
-    stack = DyncTcpStack(server)
-    context = IsslContext(
-        RMC2000_PORT.with_cost_model(cost_model),
-        CipherRng(b"rmc-server"),
-        logger=CircularLogger(capacity=32),
-        psk=DEMO_PSK,
+    world = build_redirector_world(
+        b"rmc-server", clients=clients, cost_model=cost_model,
+        logger_capacity=32, handlers=handlers,
     )
-    stats: dict = {}
-    backend.spawn(backend_line_server(backend, stats=stats))
-    scheduler = build_rmc_redirector(
-        stack, context, str(backend.ip_address),
-        backend_port=BACKEND_PORT, listen_port=TLS_PORT,
-        handlers=handlers, stats=stats,
-    )
-    scheduler.start()
+    hosts = world.hosts
     return Deployment(
         name="rmc2000-port",
-        sim=sim,
-        server_host=server,
-        backend_host=backend,
-        client_hosts=client_hosts,
-        server_context=context,
+        sim=world.sim,
+        server_host=hosts["rmc"],
+        backend_host=hosts["backend"],
+        client_hosts=[hosts[f"c{i}"] for i in range(clients)],
+        server_context=world.context,
         suites=(CipherSuite.PSK_AES128,),
-        stats=stats,
+        stats=world.stats,
     )
 
 

@@ -21,23 +21,12 @@ from __future__ import annotations
 from repro.crypto.demokeys import DEMO_PSK
 from repro.crypto.prng import CipherRng
 from repro.experiments.harness import ExperimentResult
-from repro.issl import (
-    IsslContext,
-    RMC2000_ASM,
-    RMC2000_C_PORT,
-    RMC2000_PORT,
-    UNIX_FULL,
-)
-from repro.net.dynctcp import DyncTcpStack
-from repro.net.host import build_lan
-from repro.net.sim import Simulator
+from repro.issl import IsslContext, RMC2000_ASM, RMC2000_C_PORT, UNIX_FULL
 from repro.services import (
-    BACKEND_PORT,
     ClientReport,
     PLAIN_PORT,
     TLS_PORT,
-    backend_line_server,
-    build_rmc_redirector,
+    build_redirector_world,
     plain_request_client,
     secure_request_client,
 )
@@ -50,37 +39,25 @@ def _run_rmc_service(secure: bool, requests: int, request_size: int,
     Returns ``(report, obs)``; pass ``obs=None`` for an uninstrumented
     run (the null handle costs one attribute lookup per site).
     """
-    from repro.obs import NULL_OBS
-    sim = Simulator(obs=obs)
-    _lan, hosts = build_lan(sim, ["rmc", "backend", "client"])
-    stack = DyncTcpStack(hosts["rmc"])
-    profile = RMC2000_PORT.with_cost_model(cost_model)
-    context = IsslContext(profile, CipherRng(b"rmc-e4"), psk=DEMO_PSK,
-                          obs=obs if obs is not None else NULL_OBS)
-    hosts["backend"].spawn(backend_line_server(hosts["backend"]))
-    port = TLS_PORT if secure else PLAIN_PORT
-    scheduler = build_rmc_redirector(
-        stack, context, str(hosts["backend"].ip_address),
-        backend_port=BACKEND_PORT, listen_port=port, handlers=3,
-        secure=secure,
-    )
-    scheduler.start()
+    world = build_redirector_world(b"rmc-e4", clients=1, obs=obs,
+                                   cost_model=cost_model, secure=secure)
+    client = world.hosts["c0"]
+    server_ip = str(world.hosts["rmc"].ip_address)
     report = ClientReport("client")
     client_context = IsslContext(UNIX_FULL, CipherRng(b"cli-e4"), psk=DEMO_PSK)
     if secure:
-        process = hosts["client"].spawn(secure_request_client(
-            hosts["client"], client_context, str(hosts["rmc"].ip_address),
-            port, requests, request_size, report,
+        process = client.spawn(secure_request_client(
+            client, client_context, server_ip, TLS_PORT, requests,
+            request_size, report,
         ))
     else:
-        process = hosts["client"].spawn(plain_request_client(
-            hosts["client"], str(hosts["rmc"].ip_address),
-            port, requests, request_size, report,
+        process = client.spawn(plain_request_client(
+            client, server_ip, PLAIN_PORT, requests, request_size, report,
         ))
-    sim.run_until_complete(process, timeout=3600)
+    world.sim.run_until_complete(process, timeout=3600)
     if report.error:
         raise AssertionError(f"E4 client failed: {report.error}")
-    return report, sim.obs
+    return report, world.obs
 
 
 def run_e4(requests: int = 8, request_size: int = 256,

@@ -15,21 +15,14 @@ handler costatements at most 3 sessions are ever live concurrently; a
 
 from __future__ import annotations
 
-import dataclasses
-
 from repro.crypto.demokeys import DEMO_PSK
 from repro.crypto.prng import CipherRng
 from repro.experiments.harness import ExperimentResult
-from repro.issl import FREE, IsslContext, RMC2000_PORT, UNIX_FULL
-from repro.net.dynctcp import DyncTcpStack
-from repro.net.host import build_lan
-from repro.net.sim import Simulator
+from repro.issl import FREE, IsslContext, UNIX_FULL
 from repro.services import (
-    BACKEND_PORT,
     ClientReport,
     TLS_PORT,
-    backend_line_server,
-    build_rmc_redirector,
+    build_redirector_world,
     secure_request_client,
 )
 
@@ -41,22 +34,13 @@ def run_scenario(clients: int, handlers: int, requests: int = 20,
     Returns (reports, server_context); crypto cost is zeroed so the
     measured delays are pure slot queueing.
     """
-    sim = Simulator()
-    names = ["rmc", "backend"] + [f"c{i}" for i in range(clients)]
     # Fast LAN: the experiment isolates handler-slot queueing, so the
     # wire must not be the bottleneck (E4 owns the bandwidth story).
-    _lan, hosts = build_lan(sim, names, bandwidth_bps=100_000_000)
-    stack = DyncTcpStack(hosts["rmc"])
-    profile = dataclasses.replace(
-        RMC2000_PORT.with_cost_model(FREE), max_sessions=handlers
+    world = build_redirector_world(
+        b"e5", clients=clients, bandwidth_bps=100_000_000, cost_model=FREE,
+        max_sessions=handlers, handlers=handlers,
     )
-    context = IsslContext(profile, CipherRng(b"e5"), psk=DEMO_PSK)
-    hosts["backend"].spawn(backend_line_server(hosts["backend"]))
-    scheduler = build_rmc_redirector(
-        stack, context, str(hosts["backend"].ip_address),
-        backend_port=BACKEND_PORT, listen_port=TLS_PORT, handlers=handlers,
-    )
-    scheduler.start()
+    hosts = world.hosts
     reports = []
     processes = []
     for index in range(clients):
@@ -71,8 +55,8 @@ def run_scenario(clients: int, handlers: int, requests: int = 20,
             requests, request_size, report,
         )))
     for process in processes:
-        sim.run_until_complete(process, timeout=3600)
-    return reports, context
+        world.sim.run_until_complete(process, timeout=3600)
+    return reports, world.context
 
 
 def run_e5(max_clients: int = 5) -> ExperimentResult:

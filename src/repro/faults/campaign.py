@@ -210,8 +210,8 @@ def run_soak(sim_minutes: float = 1.0, seed: int = DEFAULT_SEED) -> dict:
     """
     if sim_minutes <= 0:
         raise ValueError(f"sim_minutes must be positive, got {sim_minutes}")
-    pool_slots = 3
-    world = build_world(seed, client_hosts=3, buffer_pool_slots=pool_slots)
+    world = build_world(seed, client_hosts=3, buffer_pool=True)
+    pool = world.buffer_pool
     rng = random.Random(seed)
     link_faults = inj.install(
         world.lan,
@@ -271,11 +271,11 @@ def run_soak(sim_minutes: float = 1.0, seed: int = DEFAULT_SEED) -> dict:
                else f"wave {wedged_wave} deadlocked or timed out"),
         _check("sessions_released", world.context.sessions_active == 0,
                f"sessions_active={world.context.sessions_active}"),
-        _check("buffers_released", world.buffer_pool.in_use == 0,
-               f"pool in_use={world.buffer_pool.in_use}"),
+        _check("buffers_released", pool.in_use == 0,
+               f"pool in_use={pool.in_use}"),
         _check(
-            "xalloc_flat", world.xmem.allocations <= pool_slots,
-            f"allocations={world.xmem.allocations} <= {pool_slots} slots "
+            "xalloc_flat", world.xmem.allocations <= pool.max_slots,
+            f"allocations={world.xmem.allocations} <= {pool.max_slots} slots "
             f"(no-free allocator must not grow)",
         ),
         _check(

@@ -17,13 +17,11 @@ report built from it) is reproducible byte for byte.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
-from dataclasses import replace as dc_replace
 
 from repro.crypto.demokeys import DEMO_PSK
 from repro.crypto.prng import CipherRng
-from repro.dync.runtime.xalloc import XmemAllocator, XmemBufferPool
+from repro.dync.runtime.xalloc import XmemAllocator
 from repro.faults import injectors as inj
 from repro.faults.clients import (
     bitflip_client,
@@ -31,26 +29,29 @@ from repro.faults.clients import (
     silent_client,
     stalling_client,
 )
-from repro.issl import CircularLogger, IsslContext, RMC2000_PORT, UNIX_FULL
+from repro.issl import IsslContext, UNIX_FULL
 from repro.issl.record import CT_APPLICATION_DATA
 from repro.net.dynctcp import DyncTcpStack
 from repro.net.host import build_lan
 from repro.net.sim import SimulationError, Simulator
-from repro.obs import DEFAULT_TAIL, FlightRecorder, Obs
+from repro.obs import (
+    DEFAULT_TAIL,
+    FlightRecorder,
+    NullTelemetryStore,
+    NullTracer,
+    Obs,
+)
 from repro.services import (
     ClientReport,
+    RedirectorWorld,
     TLS_PORT,
-    backend_line_server,
-    build_pooled_redirector,
-    build_rmc_redirector,
+    build_redirector_world,
+    delayed,
     dync_echo_costate,
     echo_client,
     secure_request_client,
 )
 from repro.services.redirector import _tick_driver
-
-#: Per-handler record buffer carved from the no-free xmem pool.
-_BUFFER_BYTES = 4096
 
 #: Hardening defaults for fault worlds -- tight enough that scenarios
 #: finish in simulated seconds, loose enough for fault-free traffic.
@@ -60,20 +61,10 @@ _BACKEND_TIMEOUT_S = 2.0
 
 
 @dataclass
-class World:
-    """Everything a scenario needs to poke at one redirector deployment."""
+class World(RedirectorWorld):
+    """One redirector deployment plus the scenario's seed and the
+    reports of the clients spawned on it."""
 
-    sim: Simulator
-    obs: Obs
-    lan: object
-    hosts: dict
-    stack: DyncTcpStack
-    context: IsslContext
-    scheduler: object
-    stats: dict
-    logger: CircularLogger
-    xmem: XmemAllocator
-    buffer_pool: XmemBufferPool | None
     seed: int
     reports: list = field(default_factory=list)
 
@@ -87,15 +78,10 @@ def _seed_bytes(seed: int, label: str) -> bytes:
 
 def build_world(seed: int, *, client_hosts: int = 4, handlers: int = 3,
                 max_sessions: int | None = None,
-                handshake_timeout_s: float | None = _HANDSHAKE_TIMEOUT_S,
-                handshake_retries: int = 1,
-                conn_deadline_s: float | None = _CONN_DEADLINE_S,
-                backend_timeout_s: float | None = _BACKEND_TIMEOUT_S,
-                buffer_pool_slots: int | None = None,
+                backend_timeout_s: float = _BACKEND_TIMEOUT_S,
+                buffer_pool: bool = False,
                 xmem: XmemAllocator | None = None,
-                xmem_capacity: int = 64 * 1024,
                 with_backend: bool = True,
-                bandwidth_bps: float = 10_000_000,
                 pooled: bool = False,
                 pool_admission: bool = False,
                 recorder_capacity: int = 256) -> World:
@@ -108,62 +94,23 @@ def build_world(seed: int, *, client_hosts: int = 4, handlers: int = 3,
     its ``redirector.*`` accounting matches the static build exactly;
     with ``pool_admission=True`` the pool adds admission control and
     refuses (``redirector.refused.slots``) when every slot is busy.
+    Verdicts read metrics and the flight recorder only, so the world
+    runs without a tracer or telemetry.
     """
-    obs = Obs(recorder=FlightRecorder(capacity=recorder_capacity))
-    sim = Simulator(obs=obs)
-    names = ["rmc", "backend"] + [f"c{i}" for i in range(client_hosts)]
-    lan, hosts = build_lan(sim, names, bandwidth_bps=bandwidth_bps)
-    stack = DyncTcpStack(hosts["rmc"])
-    profile = RMC2000_PORT
-    if max_sessions is not None:
-        profile = dc_replace(profile, max_sessions=max_sessions)
-    logger = CircularLogger(capacity=64, obs=obs)
-    context = IsslContext(profile, CipherRng(_seed_bytes(seed, "server")),
-                          logger=logger, psk=DEMO_PSK, obs=obs)
-    if xmem is None:
-        xmem = XmemAllocator(capacity=xmem_capacity, obs=obs)
-    buffer_pool = None
-    if buffer_pool_slots is not None:
-        buffer_pool = XmemBufferPool(xmem, buffer_pool_slots,
-                                     _BUFFER_BYTES, obs=obs)
-    if with_backend:
-        # Backlog sized to the deployment: a dynamic pool can open one
-        # backend connection per slot in the same burst.
-        hosts["backend"].spawn(backend_line_server(
-            hosts["backend"], backlog=max(5, handlers)
-        ))
-    stats: dict = {}
-    builder_kwargs = dict(
-        stats=stats, obs=obs,
-        handshake_timeout_s=handshake_timeout_s,
-        handshake_retries=handshake_retries,
-        conn_deadline_s=conn_deadline_s,
+    obs = Obs(tracer=NullTracer(),
+              recorder=FlightRecorder(capacity=recorder_capacity),
+              telemetry=NullTelemetryStore())
+    world = build_redirector_world(
+        _seed_bytes(seed, "server"), clients=client_hosts, obs=obs,
+        max_sessions=max_sessions, logger_capacity=64,
+        xmem_capacity=64 * 1024, xmem=xmem, buffer_pool=buffer_pool,
+        backend=with_backend, handlers=handlers, pooled=pooled,
+        admission=pool_admission,
+        handshake_timeout_s=_HANDSHAKE_TIMEOUT_S, handshake_retries=1,
+        conn_deadline_s=_CONN_DEADLINE_S,
         backend_timeout_s=backend_timeout_s,
-        buffer_pool=buffer_pool,
     )
-    if pooled:
-        scheduler = build_pooled_redirector(
-            stack, context, str(hosts["backend"].ip_address),
-            slots=handlers, admission=pool_admission, **builder_kwargs,
-        )
-    else:
-        scheduler = build_rmc_redirector(
-            stack, context, str(hosts["backend"].ip_address),
-            handlers=handlers, **builder_kwargs,
-        )
-    scheduler.start()
-    return World(sim=sim, obs=obs, lan=lan, hosts=hosts, stack=stack,
-                 context=context, scheduler=scheduler, stats=stats,
-                 logger=logger, xmem=xmem, buffer_pool=buffer_pool,
-                 seed=seed)
-
-
-def _delayed(start_s: float, gen):
-    """Generator: sleep ``start_s`` of simulated time, then run ``gen``."""
-    if start_s > 0:
-        yield start_s
-    result = yield from gen
-    return result
+    return World(**vars(world), seed=seed)
 
 
 def _client_context(world: World, index: int) -> IsslContext:
@@ -178,7 +125,7 @@ def _spawn_secure_client(world: World, index: int, *, requests: int = 2,
     host = world.hosts[f"c{index}"]
     report = ClientReport(f"client{index}")
     world.reports.append(report)
-    process = host.spawn(_delayed(start_s, secure_request_client(
+    process = host.spawn(delayed(start_s, secure_request_client(
         host, _client_context(world, index),
         str(world.hosts["rmc"].ip_address), TLS_PORT,
         requests, request_size, report,
@@ -646,8 +593,7 @@ def scenario_xalloc_exhaustion(seed: int) -> dict:
     """The record-buffer pool hits injected xmem exhaustion on its third
     carve: one client refused with a counter, buffers recycled after."""
     xmem = inj.ExhaustingXmemAllocator(capacity=64 * 1024, fail_at=3)
-    world = build_world(seed, buffer_pool_slots=3, xmem=xmem,
-                        client_hosts=4)
+    world = build_world(seed, buffer_pool=True, xmem=xmem, client_hosts=4)
     xmem._fault_counter = world.obs.metrics.counter("faults.injected.xalloc")
     processes = [_spawn_secure_client(world, i)[0] for i in range(3)]
     late, late_report = _spawn_secure_client(world, 3, start_s=2.0)

@@ -20,17 +20,7 @@ from repro.crypto.demokeys import DEMO_PSK
 from repro.crypto.prng import CipherRng
 from repro.crypto.rijndael import Rijndael
 from repro.dync.compiler import CompilerOptions
-from repro.dync.runtime.xalloc import XmemAllocator
-from repro.issl import (
-    CircularLogger,
-    IsslContext,
-    RMC2000_ASM,
-    RMC2000_PORT,
-    UNIX_FULL,
-)
-from repro.net.dynctcp import DyncTcpStack
-from repro.net.host import build_lan
-from repro.net.sim import Simulator
+from repro.issl import IsslContext, RMC2000_ASM, UNIX_FULL
 from repro.obs import Obs
 from repro.obs.profile import (
     CycleProfiler,
@@ -40,15 +30,11 @@ from repro.obs.profile import (
 from repro.rabbit.board import Board, CLOCK_HZ
 from repro.services import (
     ClientReport,
+    SLOT_BUFFER_BYTES,
     TLS_PORT,
-    backend_line_server,
-    build_rmc_redirector,
+    build_redirector_world,
     secure_request_client,
 )
-
-#: Per-handler record buffer the port allocates statically at boot; the
-#: paper's Section 5.2 rationale (no free) is why these never shrink.
-_SESSION_BUFFER_BYTES = 4096
 
 
 def run_redirector_scenario(obs: Obs | None = None, *, clients: int = 3,
@@ -60,31 +46,20 @@ def run_redirector_scenario(obs: Obs | None = None, *, clients: int = 3,
     any traffic flows -- fault tests use it to install drop filters or
     frame hooks without rebuilding the topology by hand.
     """
-    if obs is None:
-        obs = Obs()
-    sim = Simulator(obs=obs)
-    names = ["rmc", "backend"] + [f"c{i}" for i in range(clients)]
-    lan, hosts = build_lan(sim, names, bandwidth_bps=100_000_000)
-    if lan_hook is not None:
-        lan_hook(lan)
-    stack = DyncTcpStack(hosts["rmc"])
     # The asm cost model: crypto costs real simulated milliseconds, so
     # costatement slices have visible width on the trace.
-    profile = RMC2000_PORT.with_cost_model(RMC2000_ASM)
-    logger = CircularLogger(capacity=16, obs=obs)
-    context = IsslContext(profile, CipherRng(b"obs-redirector"),
-                          logger=logger, psk=DEMO_PSK, obs=obs)
+    world = build_redirector_world(
+        b"obs-redirector", clients=clients,
+        obs=obs if obs is not None else Obs(), bandwidth_bps=100_000_000,
+        cost_model=RMC2000_ASM, logger_capacity=16, xmem_capacity=64 * 1024,
+        handlers=handlers,
+    )
+    if lan_hook is not None:
+        lan_hook(world.lan)
     # Boot-time static allocation, as on the port: one record buffer per
     # handler costatement out of the no-free xmem pool.
-    xmem = XmemAllocator(capacity=64 * 1024, obs=obs)
-    buffers = [xmem.xalloc(_SESSION_BUFFER_BYTES) for _ in range(handlers)]
-    hosts["backend"].spawn(backend_line_server(hosts["backend"]))
-    stats: dict = {}
-    scheduler = build_rmc_redirector(
-        stack, context, str(hosts["backend"].ip_address),
-        handlers=handlers, stats=stats, obs=obs,
-    )
-    scheduler.start()
+    buffers = [world.xmem.xalloc(SLOT_BUFFER_BYTES) for _ in range(handlers)]
+    hosts = world.hosts
     reports: list[ClientReport] = []
     processes = []
     for index in range(clients):
@@ -99,19 +74,19 @@ def run_redirector_scenario(obs: Obs | None = None, *, clients: int = 3,
             requests, request_size, report,
         )))
     for process in processes:
-        sim.run_until_complete(process, timeout=600)
-    scheduler.stop()
-    obs.tracer.finish_open()
+        world.sim.run_until_complete(process, timeout=600)
+    world.scheduler.stop()
+    world.obs.tracer.finish_open()
     return {
-        "obs": obs,
-        "sim": sim,
-        "lan": lan,
+        "obs": world.obs,
+        "sim": world.sim,
+        "lan": world.lan,
         "reports": reports,
-        "stats": stats,
-        "scheduler": scheduler,
-        "xalloc": xmem,
+        "stats": world.stats,
+        "scheduler": world.scheduler,
+        "xalloc": world.xmem,
         "buffers": buffers,
-        "logger": logger,
+        "logger": world.logger,
     }
 
 

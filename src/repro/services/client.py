@@ -120,6 +120,13 @@ def plain_request_client(host: Host, server_ip: str, port: int,
     return report
 
 
+def delayed(start_s: float, gen):
+    """Generator: sleep ``start_s`` of simulated time, then run ``gen``."""
+    if start_s > 0:
+        yield start_s
+    return (yield from gen)
+
+
 def _make_payload(size: int) -> bytes:
     if size <= 0:
         return b"x"

@@ -36,7 +36,7 @@ from repro.dync.runtime.costate import (
     IndexedCofunctionPool,
     idle_until,
 )
-from repro.dync.runtime.xalloc import XallocError, XmemBufferPool
+from repro.dync.runtime.xalloc import XallocError
 from repro.issl.api import issl_bind
 from repro.issl.session import (
     IsslContext,
@@ -642,8 +642,8 @@ def build_rmc_redirector(stack: DyncTcpStack, context: IsslContext,
 # Past the Figure-3 ceiling: the dynamic connection-slot pool
 # ---------------------------------------------------------------------------
 
-#: Per-slot record buffer carved from the no-free xmem pool (matches
-#: the fault worlds' per-handler buffer size).
+#: Per-handler (or per-slot) record buffer carved from the no-free
+#: xmem pool.
 SLOT_BUFFER_BYTES = 4096
 
 
@@ -712,10 +712,7 @@ def build_pooled_redirector(stack: DyncTcpStack, context: IsslContext,
                             handshake_retries: int = 0,
                             conn_deadline_s: float | None = None,
                             backend_timeout_s: float | None = None,
-                            buffer_pool=None,
-                            xmem=None,
-                            slot_bytes: int = SLOT_BUFFER_BYTES
-                            ) -> CostateScheduler:
+                            buffer_pool=None) -> CostateScheduler:
     """The dynamic connection-slot pool: one pooled costatement, N slots.
 
     Where Figure 3 hardcodes one costatement per connection,
@@ -739,22 +736,17 @@ def build_pooled_redirector(stack: DyncTcpStack, context: IsslContext,
     Both wirings serve each connection with :func:`_serve_connection`,
     the static handlers' own path; the differential tests pin them.
 
-    Per-slot record buffers come from ``buffer_pool``; passing ``xmem``
-    instead builds an :class:`~repro.dync.runtime.xalloc.XmemBufferPool`
-    of ``slots`` x ``slot_bytes`` over it, so a pool sized past the
-    budget refuses at admission (``redirector.refused.memory``) rather
-    than allocating past it.  The per-request progress deadline
-    (``conn_deadline_s``) and the other hardening knobs carry over
-    from the static builder unchanged.
+    Per-slot record buffers come from ``buffer_pool``, so a pool sized
+    past the xmem budget refuses at admission
+    (``redirector.refused.memory``) rather than allocating past it.
+    The per-request progress deadline (``conn_deadline_s``) and the
+    other hardening knobs carry over from the static builder unchanged.
     """
     if slots < 1:
         raise ValueError(f"slots must be >= 1, got {slots}")
     if isinstance(backend_ip, str):
         backend_ip = Ipv4Address.parse(backend_ip)
     stack.sock_init()
-    if buffer_pool is None and xmem is not None:
-        buffer_pool = XmemBufferPool(xmem, slots, slot_bytes,
-                                     obs=stack.host.sim.obs)
     kwargs = {}
     if pass_overhead_s is not None:
         kwargs["pass_overhead_s"] = pass_overhead_s

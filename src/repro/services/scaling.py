@@ -21,32 +21,19 @@ monotone throughput / refusal-rate curves across pool sizes.
 
 from __future__ import annotations
 
-from dataclasses import replace as dc_replace
-
 from repro.crypto.demokeys import DEMO_PSK
 from repro.crypto.prng import CipherRng
-from repro.dync.runtime.xalloc import XmemAllocator, XmemBufferPool
 from repro.fanout import ordered_map
-from repro.issl import (
-    CircularLogger,
-    IsslContext,
-    RMC2000_ASM,
-    RMC2000_PORT,
-    UNIX_FULL,
-)
-from repro.net.dynctcp import DyncTcpStack
-from repro.net.host import build_lan
-from repro.net.sim import Simulator
-from repro.obs import Obs
+from repro.issl import IsslContext, RMC2000_ASM, UNIX_FULL
+from repro.obs import NullTelemetryStore, NullTracer, Obs
 from repro.obs.metrics import QuantileSketch
-from repro.services.client import ClientReport, secure_request_client
-from repro.services.redirector import (
-    SLOT_BUFFER_BYTES,
-    TLS_PORT,
-    backend_line_server,
-    build_pooled_redirector,
-    build_rmc_redirector,
+from repro.services.client import (
+    ClientReport,
+    delayed,
+    secure_request_client,
 )
+from repro.services.redirector import TLS_PORT
+from repro.services.world import build_redirector_world
 
 #: The pool sizes the paper-breaking curve is measured at.
 SCALING_POOL_SIZES = (3, 8, 16, 32)
@@ -109,13 +96,6 @@ def _retrying_client(host, server_ip, port, requests, request_size,
         yield backoff_s * attempt + index * _RETRY_STAGGER_S
 
 
-def _staggered(start_s: float, gen):
-    if start_s > 0:
-        yield start_s
-    result = yield from gen
-    return result
-
-
 def run_scaling_point(*, variant: str, slots: int,
                       clients: int = DEFAULT_CLIENTS,
                       requests: int = DEFAULT_REQUESTS,
@@ -133,48 +113,24 @@ def run_scaling_point(*, variant: str, slots: int,
         # Worst case every surplus connection retries against the
         # smallest pool; leave comfortable headroom.
         retry_limit = 2 * clients // max(1, slots) + 4
-    obs = Obs()
-    sim = Simulator(obs=obs)
-    names = ["rmc", "backend"] + [f"c{i}" for i in range(clients)]
-    lan, hosts = build_lan(sim, names, bandwidth_bps=_BANDWIDTH_BPS,
-                           latency_s=_LATENCY_S)
-    del lan  # the segment lives on via the attached hosts
-    stack = DyncTcpStack(hosts["rmc"])
-    profile = dc_replace(
-        RMC2000_PORT.with_cost_model(RMC2000_ASM), max_sessions=slots
+    # The curve reads metrics only: no tracer, no telemetry.
+    world = build_redirector_world(
+        _seed_bytes(seed, "server"), clients=clients,
+        obs=Obs(tracer=NullTracer(), telemetry=NullTelemetryStore()),
+        bandwidth_bps=_BANDWIDTH_BPS, latency_s=_LATENCY_S,
+        cost_model=RMC2000_ASM, max_sessions=slots, logger_capacity=64,
+        xmem_capacity=XMEM_CAPACITY, buffer_pool=True, handlers=slots,
+        pooled=variant == "pool", handshake_timeout_s=5.0,
+        handshake_retries=1, conn_deadline_s=10.0, backend_timeout_s=5.0,
     )
-    logger = CircularLogger(capacity=64, obs=obs)
-    context = IsslContext(profile, CipherRng(_seed_bytes(seed, "server")),
-                          logger=logger, psk=DEMO_PSK, obs=obs)
-    xmem = XmemAllocator(capacity=XMEM_CAPACITY, obs=obs)
-    hosts["backend"].spawn(backend_line_server(
-        hosts["backend"], backlog=max(5, slots)
-    ))
-    stats: dict = {}
-    common = dict(
-        stats=stats, obs=obs,
-        handshake_timeout_s=5.0, handshake_retries=1,
-        conn_deadline_s=10.0, backend_timeout_s=5.0,
-    )
-    if variant == "static":
-        buffer_pool = XmemBufferPool(xmem, slots, SLOT_BUFFER_BYTES, obs=obs)
-        scheduler = build_rmc_redirector(
-            stack, context, str(hosts["backend"].ip_address),
-            handlers=slots, buffer_pool=buffer_pool, **common,
-        )
-    else:
-        scheduler = build_pooled_redirector(
-            stack, context, str(hosts["backend"].ip_address),
-            slots=slots, xmem=xmem, **common,
-        )
-    scheduler.start()
+    sim, obs, hosts, xmem = world.sim, world.obs, world.hosts, world.xmem
     reports: list[ClientReport] = []
     finals: list[ClientReport | None] = [None] * clients
     processes = []
     server_ip = str(hosts["rmc"].ip_address)
 
     def client_process(index):
-        final = yield from _staggered(
+        final = yield from delayed(
             index * _RETRY_STAGGER_S,
             _retrying_client(hosts[f"c{index}"], server_ip, TLS_PORT,
                              requests, request_size, reports, index, seed,
@@ -189,14 +145,14 @@ def run_scaling_point(*, variant: str, slots: int,
     for process in processes:
         sim.run_until_complete(process, timeout=600)
     sim.run(until=sim.now + 2.0)
-    scheduler.stop()
+    world.scheduler.stop()
     counters = dict(obs.metrics.snapshot()["counters"])
     gauges = obs.metrics.snapshot()["gauges"]
     sketch = QuantileSketch("redirector.request_latency_s")
     for report in reports:
         for latency in report.request_times:
             sketch.observe(latency)
-    completed = stats.get("redirected", 0)
+    completed = world.stats.get("redirected", 0)
     attempts = len(reports)
     refused_slots = counters.get("redirector.refused.slots", 0)
     refused_sessions = counters.get("redirector.refused.sessions", 0)

@@ -18,6 +18,7 @@ import pytest
 from repro.dync.runtime.xalloc import XmemBufferPool
 from repro.faults import scenarios as fscen
 from repro.services import redirector
+from repro.services import world as world_mod
 
 #: The canned corpus: one scenario per handler exit path.
 _DIFFERENTIAL_SCENARIOS = [
@@ -107,10 +108,10 @@ class TestExactlyOnceRelease:
     def test_every_exit_path_releases_exactly_once(self, wiring, name,
                                                    monkeypatch):
         StrictBufferPool.instances = []
-        monkeypatch.setattr(fscen, "XmemBufferPool", StrictBufferPool)
+        monkeypatch.setattr(world_mod, "XmemBufferPool", StrictBufferPool)
         monkeypatch.setattr(
             fscen, "build_world",
-            functools.partial(fscen.build_world, buffer_pool_slots=3,
+            functools.partial(fscen.build_world, buffer_pool=True,
                               **_WIRINGS[wiring]),
         )
         runner = fscen.SCENARIOS[name][0]

@@ -7,42 +7,26 @@ import pytest
 from repro.crypto.demokeys import DEMO_PSK
 from repro.crypto.prng import CipherRng
 from repro.dync.runtime.xalloc import XmemAllocator
-from repro.issl import FREE, IsslContext, RMC2000_PORT, UNIX_FULL
-from repro.net.dynctcp import DyncTcpStack
-from repro.net.host import build_lan
-from repro.net.sim import Simulator
+from repro.issl import FREE, IsslContext, UNIX_FULL
 from repro.obs import Obs
 from repro.services import (
     ClientReport,
     SLOT_BUFFER_BYTES,
     TLS_PORT,
-    backend_line_server,
-    build_pooled_redirector,
+    build_redirector_world,
     secure_request_client,
 )
 
 
 def _world(slots=3, admission=True, clients=3, obs=None, xmem=None,
-           max_sessions=None, **builder_kwargs):
-    obs = obs if obs is not None else Obs()
-    sim = Simulator(obs=obs)
-    names = ["rmc", "backend"] + [f"c{i}" for i in range(clients)]
-    _lan, hosts = build_lan(sim, names)
-    stack = DyncTcpStack(hosts["rmc"])
-    profile = RMC2000_PORT.with_cost_model(FREE)
-    if max_sessions is not None:
-        from dataclasses import replace
-        profile = replace(profile, max_sessions=max_sessions)
-    context = IsslContext(profile, CipherRng(b"rmc"), psk=DEMO_PSK, obs=obs)
-    stats = {}
-    hosts["backend"].spawn(backend_line_server(
-        hosts["backend"], backlog=max(5, slots)
-    ))
-    scheduler = build_pooled_redirector(
-        stack, context, "10.0.0.2", slots=slots, admission=admission,
-        stats=stats, obs=obs, xmem=xmem, **builder_kwargs)
-    scheduler.start()
-    return sim, hosts, stats, scheduler, obs
+           max_sessions=None):
+    world = build_redirector_world(
+        b"rmc", clients=clients, obs=obs if obs is not None else Obs(),
+        cost_model=FREE, max_sessions=max_sessions, xmem=xmem,
+        buffer_pool=xmem is not None, handlers=slots, pooled=True,
+        admission=admission,
+    )
+    return world.sim, world.hosts, world.stats, world.scheduler, world.obs
 
 
 def _client(hosts, sim, index, requests=2, size=16):

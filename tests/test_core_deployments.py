@@ -38,6 +38,14 @@ class TestRmcDeployment:
             for _ in range(10):
                 rmc.run_client(requests=1)
 
+    def test_refused_batch_uses_up_no_client_hosts(self):
+        deployment = build_rmc2000_deployment(clients=3, cost_model=FREE)
+        deployment.run_client(requests=1)
+        with pytest.raises(RuntimeError):
+            deployment.run_clients(3, requests=1)
+        reports = deployment.run_clients(2, requests=1)
+        assert [r.error for r in reports] == [None, None]
+
 
 class TestUnixDeployment:
     def test_basic_client_rsa(self):
