@@ -87,50 +87,37 @@ def measure_implementation(implementation, keys: int,
 
 
 def run_e1(keys: int = 2, blocks_per_key: int = 2,
-           c_options: CompilerOptions | None = None,
-           profile_routines: bool = True) -> ExperimentResult:
+           c_options: CompilerOptions | None = None) -> ExperimentResult:
     """Run the E1 testbench; returns the result record.
 
-    With ``profile_routines`` (the default) each implementation runs
-    under a :class:`repro.obs.profile.CycleProfiler` and the result
-    carries per-routine cycle attribution in ``extra_tables`` -- the
-    answer to *where* the order of magnitude goes, not just that it
-    does.
+    Each implementation runs under a
+    :class:`repro.obs.profile.CycleProfiler` and the result carries
+    per-routine cycle attribution in ``extra_tables`` -- the answer to
+    *where* the order of magnitude goes, not just that it does.
     """
     c_impl = AesC(Board(), c_options or CompilerOptions(),
                   include_decrypt=False)
     asm_impl = AesAsm(Board(), include_decrypt=False)
-    extra_tables: dict = {}
-    if profile_routines:
-        c_profiler = CycleProfiler(
-            c_impl.board.cpu,
-            compiled_function_symbols(c_impl.program.compilation),
-        )
-        asm_profiler = CycleProfiler(
-            asm_impl.board.cpu,
-            assembly_function_symbols(asm_impl.assembly, prefix="aes_"),
-        )
-        with c_profiler:
-            c_measurement = measure_implementation(
-                c_impl, keys, blocks_per_key, "C port (Dynamic C defaults)"
-            )
-        with asm_profiler:
-            asm_measurement = measure_implementation(
-                asm_impl, keys, blocks_per_key, "hand assembly"
-            )
-        extra_tables["C port: cycles by routine"] = c_profiler.report_rows(
-            top=8
-        )
-        extra_tables["hand assembly: cycles by routine"] = (
-            asm_profiler.report_rows()
-        )
-    else:
+    c_profiler = CycleProfiler(
+        c_impl.board.cpu,
+        compiled_function_symbols(c_impl.program.compilation),
+    )
+    asm_profiler = CycleProfiler(
+        asm_impl.board.cpu,
+        assembly_function_symbols(asm_impl.assembly, prefix="aes_"),
+    )
+    with c_profiler:
         c_measurement = measure_implementation(
             c_impl, keys, blocks_per_key, "C port (Dynamic C defaults)"
         )
+    with asm_profiler:
         asm_measurement = measure_implementation(
             asm_impl, keys, blocks_per_key, "hand assembly"
         )
+    extra_tables = {
+        "C port: cycles by routine": c_profiler.report_rows(top=8),
+        "hand assembly: cycles by routine": asm_profiler.report_rows(),
+    }
     ratio = c_measurement.cycles_per_block / asm_measurement.cycles_per_block
     rows = [
         {

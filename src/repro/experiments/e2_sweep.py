@@ -34,14 +34,13 @@ SWEEP: tuple[tuple[str, CompilerOptions], ...] = (
 )
 
 
-def run_e2(keys: int = 1, blocks_per_key: int = 2,
-           profile_routines: bool = True) -> ExperimentResult:
-    """Run the sweep; ``profile_routines`` adds per-routine cycle
-    attribution for the two interesting endpoints (baseline and
-    all-knobs-on) so the 20% can be traced to specific routines."""
+def run_e2(keys: int = 1, blocks_per_key: int = 2) -> ExperimentResult:
+    """Run the sweep, with per-routine cycle attribution for the two
+    interesting endpoints (baseline and all-knobs-on) so the 20% can be
+    traced to specific routines."""
     measurements = []
     extra_tables: dict = {}
-    profiled = {SWEEP[0][0], SWEEP[-1][0]} if profile_routines else set()
+    profiled = {SWEEP[0][0], SWEEP[-1][0]}
     for label, options in SWEEP:
         implementation = AesC(Board(), options, include_decrypt=False)
         if label in profiled:

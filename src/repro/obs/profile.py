@@ -1,26 +1,32 @@
 """Cycle-accurate profiling of programs on the Rabbit core.
 
 The E1 question -- "where does the order of magnitude go?" -- needs more
-than total cycle counts.  :class:`CycleProfiler` wraps a
-:meth:`repro.rabbit.cpu.Cpu.step` (instance-level, reversible) and, per
-executed instruction, attributes its cycles to the routine containing
-the program counter, using the assembler's symbol table.
+than total cycle counts.  :class:`CycleProfiler` is the CPU's
+:attr:`repro.rabbit.cpu.Cpu.block_listener`: after every unit the
+dispatch loop runs (a predecoded block or one step), it attributes the
+unit's cycles and instructions to the routine containing its entry PC,
+using the assembler's symbol table.  The fast core stays engaged.
 
-Attribution is *PC-sampling* (every instruction, not statistical) plus
-*call/return tracking*: the profiler inspects the opcode about to
-execute, and when a CALL/RST actually transfers (SP dropped by two) it
-pushes the callee on a shadow stack; a taken RET pops it.  The shadow
-stack yields collapsed flame stacks (``main;aes_encrypt 1234``) on top
-of the flat self-cycle table.
+Attribution is exact, not statistical.  While the profiler is installed
+no block runs past a routine entry (:attr:`Cpu.block_ends`), so every
+unit lies inside one routine.  *Call/return tracking* rides on the same
+units: CALL, RST, RET and RETI/RETN always end a block, so only a unit's
+last instruction can transfer.  When a call transfers, the profiler
+pushes the caller on a shadow stack; a taken return pops it.  The
+shadow stack yields collapsed flame stacks (``main;aes_encrypt 1234``)
+on top of the flat self-cycle table.
 
 Notes and limits:
 
-* Reading memory between CPU steps is side-effect-free for cycle
-  accounting: :meth:`Cpu.step` measures wait-state deltas only within
-  the step.
-* Interrupt dispatch pushes PC without a CALL opcode; the shadow stack
-  does not model ISR frames (the profiled kernels -- AES, RSA -- run
-  with interrupts off).
+* The last instruction is read back with the counter-free
+  :meth:`RabbitMemory.peek8` after the unit ran, so inspection does not
+  perturb cycle accounting.  Code that rewrites its own final
+  instruction, or remaps the XPC window it runs from, is outside the
+  model.
+* Interrupt acknowledge pushes PC without a CALL opcode.  It opens a
+  frame for the ISR like a CALL does: its cycles go to the interrupted
+  routine, it counts one call to the ISR and no instruction, and the
+  ISR's RETI closes the frame.
 """
 
 from __future__ import annotations
@@ -28,15 +34,19 @@ from __future__ import annotations
 from bisect import bisect_right
 
 from repro.obs.trace import CAT_CPU, Tracer
+from repro.rabbit.board import CLOCK_HZ
+from repro.rabbit.cpu import FLAG_C, FLAG_PV, FLAG_S, FLAG_Z
 
-#: CALL nn, CALL cc,nn and the eight RST vectors (all push a return PC).
-_CALL_OPCODES = frozenset(
-    [0xCD] + [0xC4 + 8 * cc for cc in range(8)]       # CALL / CALL cc
-    + [0xC7 + 8 * t for t in range(8)]                # RST t
-)
-#: RET, RET cc, RETI/RETN are prefixed (ED) -- handled separately.
-_RET_OPCODES = frozenset([0xC9] + [0xC0 + 8 * cc for cc in range(8)])
-_ED_RET_SECOND = frozenset([0x4D, 0x45])              # RETI, RETN
+#: Opcode -> ``(is_call, flag mask, wanted)`` for CALL, CALL cc, RST,
+#: RET and RET cc; mask 0 is unconditional.  None of them changes F,
+#: so a conditional form transferred exactly when its condition holds
+#: on F after it ran.  RETI/RETN (ED-prefixed) are matched separately.
+_TRANSFERS = {0xCD: (True, 0, False), 0xC9: (False, 0, False)}
+for _cc, _mask in enumerate((FLAG_Z, FLAG_Z, FLAG_C, FLAG_C,
+                             FLAG_PV, FLAG_PV, FLAG_S, FLAG_S)):
+    _TRANSFERS[0xC4 + 8 * _cc] = (True, _mask, bool(_cc & 1))
+    _TRANSFERS[0xC0 + 8 * _cc] = (False, _mask, bool(_cc & 1))
+    _TRANSFERS[0xC7 + 8 * _cc] = (True, 0, False)
 
 
 def collapse_sublabels(symbols: dict[str, int]) -> dict[str, int]:
@@ -96,39 +106,18 @@ def compiled_function_symbols(compilation) -> dict[str, int]:
 
 
 class CycleProfiler:
-    """Attach to a CPU, attribute every instruction's cycles to a routine.
+    """Attach to a CPU, attribute every unit's cycles to a routine.
 
-    Two attachment modes:
-
-    * **exact** (default): shadows ``cpu.step`` per instance, which
-      disengages the predecoded-block fast core -- every instruction is
-      attributed, call/return tracking yields flame stacks, but the run
-      pays the single-step emulator.
-    * **sampling** (``sample_blocks=N``): hooks
-      :attr:`repro.rabbit.cpu.Cpu.block_listener` instead, so the fast
-      core stays engaged.  Every Nth executed block, the cycles elapsed
-      since the previous sample are charged to the routine containing
-      that block's entry PC.  Accuracy trade-off: attribution is
-      quantized to runs of N blocks (cycles spent in short-lived callees
-      between samples are charged to whoever owns the sampled block),
-      there is no shadow call stack -- so no ``flame_lines`` and no
-      per-routine instruction/call counts -- and cycles from interrupt
-      dispatch or budget-edge single steps fold into the next sample.
-      ``N=1`` attributes every block and is still far cheaper than
-      exact mode; larger N trades attribution resolution for overhead.
+    Installing sets the CPU's block listener and block ends to this
+    profiler's routine entries; both install and uninstall drop the
+    decoded blocks once, so blocks split for profiling do not outlive
+    it.  One listener per CPU: a second install is rejected.
     """
 
     def __init__(self, cpu, symbols: dict[str, int],
-                 tracer: Tracer | None = None, root: str = "<root>",
-                 sample_blocks: int | None = None):
-        if sample_blocks is not None and sample_blocks < 1:
-            raise ValueError("sample_blocks must be >= 1")
+                 tracer: Tracer | None = None, root: str = "<root>"):
         self.cpu = cpu
         self.root = root
-        self.sample_blocks = sample_blocks
-        self._blocks_seen = 0
-        self.samples = 0
-        self._last_sample_cycles = 0
         self._addresses = sorted(symbols.values())
         by_address: dict[int, str] = {}
         for name, addr in sorted(symbols.items()):
@@ -140,49 +129,27 @@ class CycleProfiler:
         self.call_counts: dict[str, int] = {}
         self.collapsed: dict[str, int] = {}
         self.total_cycles = 0
-        #: Shadow call stack of *caller* routine names; the currently
+        #: ``";".join(callers) + ";"`` for the current shadow stack; the
         #: executing routine is always derived from PC, not the stack.
-        self._stack: list[str] = []
-        self._frame_starts: list[int] = []
-        #: ``";".join(_stack) + ";"`` maintained incrementally (top of
-        #: this list), so the per-instruction collapsed key is one
-        #: concatenation instead of a join over the whole stack.
-        self._prefix_stack: list[str] = [""]
+        self._prefix = ""
+        #: Shadow frames: the caller's prefix and the cycle count at the
+        #: call, restored and closed by the matching return.
+        self._frames: list[tuple[str, int]] = []
         #: PC -> routine memo (symbols are fixed for the profiler's
         #: lifetime, and PCs repeat heavily in loops).
         self._routine_memo: dict[int, str] = {}
-        self._original_step = None
-        self._listening = False
 
     # -- attachment -----------------------------------------------------
     def install(self) -> "CycleProfiler":
-        """Attach: shadow ``cpu.step`` (exact mode) or hook
-        ``cpu.block_listener`` (sampling mode)."""
-        if self.sample_blocks is not None:
-            if self._listening:
-                raise RuntimeError("profiler already installed")
-            if self.cpu.block_listener is not None:
-                raise RuntimeError("cpu already has a block listener")
-            self._last_sample_cycles = self.cpu.cycles
-            self.cpu.block_listener = self._on_block
-            self._listening = True
-            return self
-        if self._original_step is not None:
-            raise RuntimeError("profiler already installed")
-        self._original_step = self.cpu.step
-        self.cpu.step = self._profiled_step
+        """Attach as the CPU's block listener."""
+        if self.cpu.block_listener is not None:
+            raise RuntimeError("cpu already has a block listener")
+        self.cpu.set_block_listener(self._on_unit, self._addresses)
         return self
 
     def uninstall(self) -> None:
-        if self._listening:
-            self.cpu.block_listener = None
-            self._listening = False
-            return
-        if self._original_step is None:
-            return
-        # Remove the instance attribute so the class method shows again.
-        del self.cpu.step
-        self._original_step = None
+        if self.cpu.block_listener == self._on_unit:
+            self.cpu.set_block_listener(None)
 
     def __enter__(self) -> "CycleProfiler":
         return self.install()
@@ -196,71 +163,62 @@ class CycleProfiler:
         index = bisect_right(self._addresses, pc) - 1
         return self._names[index] if index >= 0 else self.root
 
-    def _profiled_step(self) -> int:
+    def _on_unit(self, pc: int, block, start: int, ran: int) -> None:
         cpu = self.cpu
-        memory = cpu.memory
-        pc = cpu.pc
-        sp = cpu.sp
-        # peek8 is counter-free (unlike read8): profiler inspection must
-        # not perturb memory.reads/wait_cycles.  An unpopulated PC
-        # returns None, matches no opcode set, and the real fetch below
-        # raises the same strict-mode error the old path did.
-        opcode = memory.peek8(pc)
-        transfer = None
-        if opcode in _CALL_OPCODES:
-            transfer = "call"
-        elif opcode in _RET_OPCODES or (
-            opcode == 0xED and memory.peek8((pc + 1) & 0xFFFF)
-            in _ED_RET_SECOND
-        ):
-            transfer = "ret"
-        cycles = self._original_step()
+        cycles = cpu.cycles - start
         routine = self._routine_memo.get(pc)
         if routine is None:
             routine = self._routine_memo[pc] = self.routine_at(pc)
         self.self_cycles[routine] = self.self_cycles.get(routine, 0) + cycles
-        self.instruction_counts[routine] = (
-            self.instruction_counts.get(routine, 0) + 1
-        )
-        stack_key = self._prefix_stack[-1] + routine
+        stack_key = self._prefix + routine
         self.collapsed[stack_key] = self.collapsed.get(stack_key, 0) + cycles
         self.total_cycles += cycles
-        if transfer == "call" and cpu.sp == (sp - 2) & 0xFFFF:
-            callee = self.routine_at(cpu.pc)
-            self.call_counts[callee] = self.call_counts.get(callee, 0) + 1
-            self._stack.append(routine)
-            self._prefix_stack.append(self._prefix_stack[-1] + routine + ";")
-            self._frame_starts.append(cpu.cycles)
-        elif transfer == "ret" and cpu.sp == (sp + 2) & 0xFFFF \
-                and self._stack:
-            self._stack.pop()
-            self._prefix_stack.pop()
-            started = self._frame_starts.pop()
-            if self.tracer is not None and self.tracer.enabled:
-                from repro.rabbit.board import CLOCK_HZ
-                self.tracer.add_complete(
-                    f"cpu.{routine}", started / CLOCK_HZ,
-                    cpu.cycles / CLOCK_HZ, cat=CAT_CPU, tid="rabbit-cpu",
-                    cycles=cpu.cycles - started,
-                )
-        return cycles
-
-    def _on_block(self, pc: int) -> None:
-        """Sampling-mode hook: every Nth executed block, charge the
-        cycles elapsed since the previous sample to the routine owning
-        this block's entry PC."""
-        self._blocks_seen += 1
-        if self._blocks_seen % self.sample_blocks:
+        if not ran:             # interrupt acknowledge: a CALL to the ISR
+            self._call(routine)
             return
+        self.instruction_counts[routine] = (
+            self.instruction_counts.get(routine, 0) + ran
+        )
+        if block is None:
+            last = pc
+        elif ran == len(block[0]):
+            last = block[1]
+        else:                   # cut short by an SMC bail
+            return
+        memory = cpu.memory
+        opcode = memory.peek8(last)
+        if opcode == 0xED:
+            if (memory.peek8((last + 1) & 0xFFFF) or 0) & 0xC7 == 0x45:
+                self._return(routine)           # RETI / RETN
+            return
+        transfer = _TRANSFERS.get(opcode)
+        if transfer is None:
+            return
+        is_call, mask, wanted = transfer
+        if mask and ((cpu.f & mask) != 0) != wanted:
+            return
+        if is_call:
+            self._call(routine)
+        else:
+            self._return(routine)
+
+    def _call(self, caller: str) -> None:
         cpu = self.cpu
-        delta = cpu.cycles - self._last_sample_cycles
-        self._last_sample_cycles = cpu.cycles
-        self.samples += 1
-        routine = self._routine_memo.get(pc)
-        if routine is None:
-            routine = self._routine_memo[pc] = self.routine_at(pc)
-        self.self_cycles[routine] = self.self_cycles.get(routine, 0) + delta
-        self.total_cycles += delta
+        callee = self.routine_at(cpu.pc)
+        self.call_counts[callee] = self.call_counts.get(callee, 0) + 1
+        self._frames.append((self._prefix, cpu.cycles))
+        self._prefix += caller + ";"
+
+    def _return(self, routine: str) -> None:
+        if not self._frames:
+            return
+        self._prefix, started = self._frames.pop()
+        if self.tracer is not None and self.tracer.enabled:
+            cycles = self.cpu.cycles
+            self.tracer.add_complete(
+                f"cpu.{routine}", started / CLOCK_HZ, cycles / CLOCK_HZ,
+                cat=CAT_CPU, tid="rabbit-cpu", cycles=cycles - started,
+            )
 
     # -- reports --------------------------------------------------------
     def report_rows(self, top: int = 0) -> list[dict]:

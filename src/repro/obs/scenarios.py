@@ -107,10 +107,9 @@ def run_aes_scenario(obs: Obs | None = None, *, implementation: str = "asm",
     else:
         raise ValueError(f"implementation must be asm/c, got {implementation!r}")
     profiler = CycleProfiler(board.cpu, symbols, tracer=obs.tracer)
-    # Cumulative-cycle telemetry in CPU time: the exact profiler shadows
-    # Cpu.step (no block listener fires), so the per-block boundary here
-    # is the sampling cadence.  repro.obs.diff turns the cumulative
-    # series into per-interval cycle rates.
+    # Cumulative-cycle telemetry in CPU time, sampled once per AES
+    # block; repro.obs.diff turns the cumulative series into
+    # per-interval cycle rates.
     ts_cycles = obs.telemetry.series("cpu.cycles")
     board.cpu.sample_telemetry(ts_cycles, CLOCK_HZ)
     blocks = 0
@@ -128,29 +127,25 @@ def run_aes_scenario(obs: Obs | None = None, *, implementation: str = "asm",
                     raise AssertionError("AES scenario: wrong ciphertext")
                 blocks += 1
                 board.cpu.sample_telemetry(ts_cycles, CLOCK_HZ)
-    obs.metrics.counter("aes.blocks.encrypted").inc(blocks)
-    obs.metrics.gauge("aes.total_cycles").set(profiler.total_cycles)
-    # One uninstrumented encrypt after the profiler uninstalls: the
-    # exact profiler shadows Cpu.step, so only now does the workload go
-    # through the block cache and (once blocks cross the translation
-    # threshold) the translated tier whose counters we publish below.
-    # Runs after the last telemetry sample, so the deterministic
-    # profiled numbers above are untouched.
-    impl.encrypt_block(bytes(16))
-    cache = board.cpu._cache
-    if cache is not None:
         metrics = obs.metrics
-        metrics.counter("emulator.blocks.decoded").inc(cache.decoded_blocks)
-        metrics.counter("emulator.blocks.executed").inc(cache.executed_blocks)
-        metrics.counter("emulator.blocks.translated").inc(
-            cache.translated_blocks)
-        metrics.counter("emulator.blocks.translated_execs").inc(
-            cache.translated_execs)
-        metrics.gauge("emulator.cache.blocks").set(len(cache.blocks))
-        metrics.counter("emulator.invalidations.smc").inc(
-            cache.invalidated_smc)
-        metrics.counter("emulator.invalidations.flush").inc(
-            cache.invalidated_flush)
+        metrics.counter("aes.blocks.encrypted").inc(blocks)
+        metrics.gauge("aes.total_cycles").set(profiler.total_cycles)
+        # Read the block cache before uninstalling drops its blocks.
+        cache = board.cpu._cache
+        if cache is not None:
+            metrics.counter("emulator.blocks.decoded").inc(
+                cache.decoded_blocks)
+            metrics.counter("emulator.blocks.executed").inc(
+                cache.executed_blocks)
+            metrics.counter("emulator.blocks.translated").inc(
+                cache.translated_blocks)
+            metrics.counter("emulator.blocks.translated_execs").inc(
+                cache.translated_execs)
+            metrics.gauge("emulator.cache.blocks").set(len(cache.blocks))
+            metrics.counter("emulator.invalidations.smc").inc(
+                cache.invalidated_smc)
+            metrics.counter("emulator.invalidations.flush").inc(
+                cache.invalidated_flush)
     return {
         "obs": obs,
         "profiler": profiler,

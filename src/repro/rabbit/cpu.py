@@ -48,19 +48,24 @@ class Cpu:
 
     #: Class-level switch for the predecoded basic-block fast path
     #: (:mod:`repro.rabbit.fastcore`).  Set to False (per instance or
-    #: subclass) to force the single-step core everywhere; installing a
-    #: ``step`` override (e.g. the obs ``CycleProfiler``) disables it
-    #: automatically.
+    #: subclass) to force the single-step core everywhere -- the oracle
+    #: the fast-core and profiler differential tests compare against.
     use_fast_core = True
 
-    #: Optional ``callable(pc)`` invoked after every predecoded block
-    #: the fast loop executes (the ``pc`` is the block's entry point).
-    #: Unlike a ``step`` override this does NOT disengage the fast core
-    #: -- it is the sampling hook the obs ``CycleProfiler`` uses to
-    #: profile without paying the single-step path.  The loop hoists the
-    #: attribute once on entry, so set it before calling ``run``/
-    #: ``run_cycles``/``call_subroutine``, not during.
+    #: The one exact instrument hook, installed with
+    #: :meth:`set_block_listener`.  ``listener(pc, block, start, ran)``
+    #: runs after every unit the dispatch loop runs: a predecoded block
+    #: (``block`` is its cache record; ``ran`` falls short of
+    #: ``len(block[0])`` when an SMC bail cut it) or one :meth:`step`
+    #: (``block`` is None; ``ran`` is 0 for an interrupt acknowledge).
+    #: ``pc`` is the unit's entry point and ``start`` the cycle count
+    #: before it.  The loop hoists the attribute once on entry, so
+    #: install it between runs, not during.
     block_listener = None
+
+    #: Addresses no predecoded block runs past (blocks end before them),
+    #: so a listener sees every entry into one of them as a unit's ``pc``.
+    block_ends = frozenset()
 
     def __init__(self, memory, io=None):
         self.memory = memory
@@ -466,12 +471,14 @@ class Cpu:
         return cycles
 
     # -- block-cache fast path --------------------------------------------
-    def _fast_eligible(self) -> bool:
-        """True when whole-block execution is observably identical to
-        single-stepping: nothing overrides ``step`` (the profiler and
-        debuggers hook it per-instance), and the switch is on."""
-        return (self.use_fast_core and "step" not in self.__dict__
-                and type(self).step is Cpu.step)
+    def set_block_listener(self, listener, ends=()) -> None:
+        """Install ``listener`` as :attr:`block_listener` (None removes
+        it) with blocks ending before every address in ``ends``.  Drops
+        the decoded blocks so the new ends take effect."""
+        self.block_listener = listener
+        self.block_ends = frozenset(ends)
+        if self._cache is not None:
+            self._cache.invalidate_all()
 
     def _dispatch(self, remaining: int, stop_pc: int,
                   cycle_target: int) -> int:
@@ -485,8 +492,9 @@ class Cpu:
 
         The fast core runs each predecoded block whole, and takes a
         single :meth:`step` instead when the block could cross a stop.
+        An installed :attr:`block_listener` sees every block and step.
         """
-        fast = self._fast_eligible()
+        fast = self.use_fast_core
         if fast:
             from repro.rabbit.fastcore import BlockCache, cycle_ceiling
             cache = self._cache
@@ -495,10 +503,13 @@ class Cpu:
             cache.check_wait_states()
             memory = self.memory
             blocks = cache.blocks
-            listener = self.block_listener
             threshold = cache.translate_threshold
             ceiling = cycle_ceiling(memory)
-        while remaining > 0 and self.cycles < cycle_target:
+        listener = self.block_listener
+        while remaining > 0:
+            start = self.cycles
+            if start >= cycle_target:
+                break
             pc = self.pc
             if pc == stop_pc:
                 break
@@ -512,8 +523,8 @@ class Cpu:
                     block = cache.build_block(pc, key)
                 ops = block[0]
                 size = len(ops)
-                if (size <= remaining and not pc < stop_pc < block[1]
-                        and self.cycles + size * ceiling < cycle_target):
+                if (size <= remaining and not pc < stop_pc <= block[1]
+                        and start + size * ceiling < cycle_target):
                     cache.executed_blocks += 1
                     cache.bail = False
                     before = self.instructions
@@ -530,11 +541,17 @@ class Cpu:
                             op(self, memory)
                             if cache.bail:
                                 break
-                    remaining -= self.instructions - before
+                    ran = self.instructions - before
+                    remaining -= ran
                     if listener is not None:
-                        listener(pc)
+                        listener(pc, block, start, ran)
                     continue
-            self.step()
+            if listener is None:
+                self.step()
+            else:
+                before = self.instructions
+                self.step()
+                listener(pc, None, start, self.instructions - before)
             remaining -= 1
         return remaining
 

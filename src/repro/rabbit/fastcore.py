@@ -1125,15 +1125,17 @@ _LOGIC_CHARS = {4: "&", 5: "^", 6: "|"}
 class BlockCache:
     """Decoded basic blocks plus the invalidation machinery.
 
-    Blocks are mutable ``[ops, end, exec_count, translated]`` records:
-    the closures; the logical address one past the last decoded byte
-    (the dispatch loop single-steps instead of running a block with
-    the stop address strictly inside it); how many times the block has
+    Blocks are mutable ``[ops, last, exec_count, translated]`` records:
+    the closures; the logical address of the last instruction (the
+    dispatch loop single-steps instead of running a block with the stop
+    address on one of its instructions after the first; a block
+    listener reads the instruction there); how many times the block has
     dispatched through the closure-list tier; and -- once ``exec_count``
     crosses :attr:`translate_threshold` -- one ``compile()``d function
     that runs the whole block with the per-opcode dispatch loop
     eliminated and the bookkeeping of template-able instruction runs
-    batched (the *translated tier*).
+    batched (the *translated tier*).  A block ends before any address
+    in the CPU's :attr:`~repro.rabbit.cpu.Cpu.block_ends`.
     """
 
     #: Closure-list executions before a block is template-translated.
@@ -1195,14 +1197,15 @@ class BlockCache:
         ops: list = []
         pages: set = set()
         limit = 0xE000 if pc < 0xE000 else 0x10000
+        ends = self.cpu.block_ends
         cursor = pc
         try:
             while len(ops) < MAX_BLOCK_INSTRUCTIONS:
                 op, next_pc, ender = _decode_one(memory, cursor, limit,
                                                  pages)
                 ops.append(op)
-                cursor = next_pc
-                if ender:
+                last, cursor = cursor, next_pc
+                if ender or cursor in ends:
                     break
         except _StopBlock:
             pass
@@ -1210,11 +1213,11 @@ class BlockCache:
             # Undecodable in place (crosses a mapping boundary, or an
             # unpopulated fetch): one generic step, re-fetched at run
             # time -- content-independent, so no pages to watch.
-            block = [(_step_op,), pc + 1, 0, None]
+            block = [(_step_op,), pc, 0, None]
             self.blocks[key] = block
             self.decoded_blocks += 1
             return block
-        block = [tuple(ops), cursor, 0, None]
+        block = [tuple(ops), last, 0, None]
         page_map = memory._code_pages
         page_blocks = self._page_blocks
         for page in pages:

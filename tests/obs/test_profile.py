@@ -3,7 +3,9 @@
 The fixture program has three routines -- ``start`` calls ``addone``
 twice, ``addone`` calls ``noop`` once -- so every attribution mechanism
 (nearest-preceding symbol, shadow call stack, call/return span emission)
-has a hand-checkable answer.
+has a hand-checkable answer.  The profiler rides the fast core's block
+listener; ``test_profile_differential`` checks it against the
+single-step core.
 """
 
 import pytest
@@ -111,9 +113,22 @@ class TestInstallation:
         board = Board()
         profiler = CycleProfiler(board.cpu, {"fn": 0})
         profiler.install()
-        assert "step" in vars(board.cpu)
+        # The profiler listens for blocks; it never shadows ``Cpu.step``.
+        assert "step" not in vars(board.cpu)
         profiler.uninstall()
         assert "step" not in vars(board.cpu)
+        assert board.cpu.step.__func__ is type(board.cpu).step
+        profiler.uninstall()  # idempotent
+
+    def test_uninstall_clears_the_listener(self):
+        board = Board()
+        profiler = CycleProfiler(board.cpu, {"fn": 0, "other": 0x10})
+        profiler.install()
+        assert board.cpu.block_listener == profiler._on_unit
+        assert board.cpu.block_ends == {0, 0x10}
+        profiler.uninstall()
+        assert board.cpu.block_listener is None
+        assert board.cpu.block_ends == frozenset()
         profiler.uninstall()  # idempotent
 
     def test_double_install_rejected(self):
@@ -123,69 +138,97 @@ class TestInstallation:
             with pytest.raises(RuntimeError):
                 profiler.install()
 
-
-class TestSampling:
-    """``sample_blocks=N`` profiles via ``Cpu.block_listener`` so the
-    predecoded-block fast core stays engaged."""
-
-    def _run(self, sample_blocks):
-        assembly = assemble(FIXTURE)
-        board = Board()
-        board.program(assembly.code)
-        profiler = CycleProfiler(
-            board.cpu, dict(assembly.symbols), sample_blocks=sample_blocks
-        )
-        with profiler:
-            assert board.cpu._fast_eligible()
-            board.cpu.call_subroutine(assembly.symbols["start"])
-        return profiler, board
-
-    def test_fast_core_stays_engaged(self):
-        profiler, board = self._run(sample_blocks=1)
-        assert "step" not in vars(board.cpu)
-        assert board.cpu._cache is not None
-        assert board.cpu._cache.executed_blocks > 0
-
-    def test_every_sample_charges_a_known_routine(self):
-        profiler, board = self._run(sample_blocks=1)
-        assert profiler.samples > 0
-        assert set(profiler.self_cycles) <= {"start", "addone", "noop"}
-        assert sum(profiler.self_cycles.values()) == profiler.total_cycles
-        # Trailing cycles after the last sampled block stay unattributed.
-        assert 0 < profiler.total_cycles <= board.cpu.cycles
-
-    def test_coarser_sampling_still_accounts_all_sampled_cycles(self):
-        exact, _board = self._run(sample_blocks=1)
-        coarse, _board = self._run(sample_blocks=3)
-        assert coarse.samples < exact.samples
-        assert coarse.total_cycles <= exact.total_cycles
-
-    def test_no_flame_stacks_in_sampling_mode(self):
-        profiler, _board = self._run(sample_blocks=1)
-        assert profiler.flame_lines() == []
-        assert profiler.call_counts == {}
-
-    def test_uninstall_clears_the_listener(self):
-        board = Board()
-        profiler = CycleProfiler(board.cpu, {"fn": 0}, sample_blocks=2)
-        profiler.install()
-        assert board.cpu.block_listener is not None
-        assert "step" not in vars(board.cpu)
-        profiler.uninstall()
-        assert board.cpu.block_listener is None
-        profiler.uninstall()  # idempotent
-
     def test_second_listener_rejected(self):
         board = Board()
-        first = CycleProfiler(board.cpu, {"fn": 0}, sample_blocks=1)
-        second = CycleProfiler(board.cpu, {"fn": 0}, sample_blocks=1)
+        first = CycleProfiler(board.cpu, {"fn": 0})
+        second = CycleProfiler(board.cpu, {"fn": 0})
         with first:
             with pytest.raises(RuntimeError):
                 second.install()
+            second.uninstall()  # not installed: leaves the first alone
+            assert board.cpu.block_listener == first._on_unit
 
-    def test_sample_blocks_must_be_positive(self):
-        with pytest.raises(ValueError):
-            CycleProfiler(None, {"fn": 0}, sample_blocks=0)
+    def test_fast_core_stays_engaged(self, profiled):
+        _profiler, _obs, board = profiled
+        assert "step" not in vars(board.cpu)
+        assert board.cpu._cache.executed_blocks > 0
+
+    def test_install_and_uninstall_each_drop_the_blocks_once(self):
+        assembly = assemble(FIXTURE)
+        board = Board()
+        board.program(assembly.code)
+        board.cpu.call_subroutine(assembly.symbols["start"])
+        cache = board.cpu._cache
+        flushes = cache.invalidated_flush
+        with CycleProfiler(board.cpu, dict(assembly.symbols)):
+            assert not cache.blocks
+            board.cpu.call_subroutine(assembly.symbols["start"])
+            # No block runs past a routine entry while profiling.
+            entries = set(assembly.symbols.values())
+            for pc, block in cache.blocks.items():
+                assert not set(range(pc + 1, block[1] + 1)) & entries
+        assert not cache.blocks
+        assert cache.invalidated_flush == flushes + 2
+
+
+# ``start`` calls ``work``; an interrupt lands in ``work``'s loop and its
+# ISR returns with RETI.  Interrupt acknowledge pushes PC without a CALL
+# opcode, so a profiler that only tracks CALLs pops ``work``'s frame at
+# the RETI and charges the rest of ``work`` to the root of the stack.
+INTERRUPTED = """
+        org  0
+start:  ei
+        call work
+        ret
+work:   ld   b, 20
+spin:   djnz spin
+        ret
+        org  0x80
+isr:    ei
+        reti
+"""
+
+
+class TestInterrupts:
+    @pytest.fixture
+    def interrupted(self):
+        assembly = assemble(INTERRUPTED)
+        board = Board()
+        board.program(assembly.code)
+        cpu = board.cpu
+        obs = Obs()
+        profiler = CycleProfiler(
+            cpu, {name: assembly.symbols[name]
+                  for name in ("start", "work", "isr")},
+            tracer=obs.tracer,
+        )
+        before = cpu.instructions
+        with profiler:
+            cpu._push(0xFFFF)
+            cpu.run_cycles(40)           # parks inside work's loop
+            cpu.request_interrupt(assembly.symbols["isr"])
+            while cpu.pc != 0xFFFF:
+                cpu.run_cycles(1)        # one unit at a time
+        return profiler, obs, cpu, cpu.instructions - before
+
+    def test_isr_frame_nests_under_the_interrupted_routine(self, interrupted):
+        profiler, _obs, cpu, _ran = interrupted
+        assert set(profiler.collapsed) == {
+            "start", "start;work", "start;work;isr",
+        }
+        assert profiler.call_counts == {"work": 1, "isr": 1}
+        assert profiler.total_cycles == cpu.cycles
+
+    def test_acknowledge_counts_no_instruction(self, interrupted):
+        profiler, _obs, _cpu, ran = interrupted
+        assert sum(profiler.instruction_counts.values()) == ran
+        assert profiler.instruction_counts["isr"] == 2   # ei, reti
+
+    def test_reti_closes_the_isr_span(self, interrupted):
+        _profiler, obs, _cpu, _ran = interrupted
+        assert [span.name for span in obs.tracer.spans] == [
+            "cpu.isr", "cpu.work",
+        ]
 
 
 class TestSymbolSelection:

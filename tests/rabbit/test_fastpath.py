@@ -7,7 +7,7 @@ counters, on every workload.  These tests run the same firmware under
 both cores and diff the complete machine state, plus the cases that can
 only go wrong in a block cache: self-modifying code (also inside the
 translated tier), resuming a run its budget stopped, reprogramming
-flash, and the profiler fallback.
+flash, and the profiler riding the block listener.
 
 The paper's Figure 3 redirector exists in this repo as Dynamic C
 *source* (``repro.rabbit.programs.redirector_dc``, parsed by dclint,
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import ast
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -274,28 +275,32 @@ def test_instruction_budget_exhaustion_identical():
     assert errors[0] == errors[1]
 
 
-def test_profiler_install_falls_back_to_step_path():
+def test_profiler_keeps_the_fast_core(monkeypatch):
     from repro.obs import Obs
     from repro.obs.profile import CycleProfiler
 
+    # Each AES block's code dispatches about once per encrypt, so a low
+    # threshold lets three encrypts reach the translated tier.
+    monkeypatch.setattr(BlockCache, "translate_threshold", 2)
     board = Board()
     aes = AesAsm(board)
     aes.set_key(KEY)
-    baseline_blocks = board.cpu._cache.executed_blocks
+    expected = aes.encrypt_block(BLOCK)
+    cache = board.cpu._cache
+    baseline_blocks = cache.executed_blocks
+    baseline_translated = cache.translated_execs
     profiler = CycleProfiler(
         board.cpu, {"aes": 0x0000}, tracer=Obs().tracer
     )
     with profiler:
-        assert not board.cpu._fast_eligible()
-        aes.encrypt_block(BLOCK)
-        # Instrumented run: every instruction went through the profiled
-        # step, none through the block dispatcher.
-        assert board.cpu._cache.executed_blocks == baseline_blocks
-        assert profiler.total_cycles > 0
-    # Uninstall restores the fast path.
-    assert board.cpu._fast_eligible()
-    aes.encrypt_block(BLOCK)
-    assert board.cpu._cache.executed_blocks > baseline_blocks
+        assert board.cpu.use_fast_core
+        for _ in range(3):
+            assert aes.encrypt_block(BLOCK) == expected
+        # Instrumented run: the block dispatcher and, once blocks
+        # repeat, the translated tier did the work.
+        assert cache.executed_blocks > baseline_blocks
+        assert cache.translated_execs > baseline_translated
+        assert profiler.total_cycles == 3 * expected[1]
 
 
 class TestOneDispatchLoop:
@@ -331,3 +336,33 @@ class TestOneDispatchLoop:
                      if isinstance(node, (ast.For, ast.While,
                                           ast.comprehension))]
             assert not loops, (name, loops)
+
+    def test_fast_core_switch_is_use_fast_core_alone(self):
+        # The profiler listens per block; nothing overrides ``step`` to
+        # instrument the core, so the dispatch loop asks nothing else.
+        methods = {node.name: node for node in ast.walk(self._tree())
+                   if isinstance(node, ast.FunctionDef)}
+        assert "_fast_eligible" not in methods
+        [fast] = [node.value for node in ast.walk(methods["_dispatch"])
+                  if isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets]
+                  == ["fast"]]
+        assert ast.unparse(fast) == "self.use_fast_core"
+
+    def test_nothing_assigns_a_step_attribute(self):
+        src = Path(cpu_module.__file__).resolve().parents[1]
+        offenders = []
+        for path in sorted(src.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target]
+                           if isinstance(node, (ast.AugAssign,
+                                                ast.AnnAssign))
+                           else [])
+                offenders += [
+                    f"{path.name}:{node.lineno}" for target in targets
+                    if isinstance(target, ast.Attribute)
+                    and target.attr == "step"
+                ]
+        assert not offenders
