@@ -26,9 +26,9 @@ their "callable costatement" semantics.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import Callable, Generator
 
+from repro.floatsum import FOREVER, first_at, runs
 from repro.net.sim import Simulator
 from repro.obs.trace import CAT_COSTATE
 
@@ -51,10 +51,10 @@ class _IdleToken:
     pass must have performed no externally visible work -- no obs
     writes, no state mutation beyond re-evaluating the wait predicate.
 
-    The big loop uses the promise to replay all-idle passes in bulk
-    without resuming any generator (see ``_big_loop``); the replay
-    reproduces the pass accounting (pass counters, gap histogram,
-    telemetry cadence) op-for-op, so every deterministic metric is
+    The big loop uses the promise to skip the passes after an all-idle
+    one without resuming any generator (see ``_skip_idle``).  The skip
+    computes their accounting (pass counters, gap histogram, telemetry
+    cadence) in exact closed form, so every deterministic metric is
     byte-identical to the resume-every-pass execution.  A costatement
     that cannot make the promise keeps yielding bare/numeric values and
     simply forfeits the fast-forward -- slower, never wrong.
@@ -105,27 +105,6 @@ class Costate:
         # can say *which* costatement starved when a run times out.
         self.last_ran_at: float | None = None
         self.total_busy_s = 0.0
-
-    def step(self) -> float:
-        """Advance to the next yield (one scheduler pass).
-
-        Returns the CPU-busy seconds this step consumed: costatement
-        bodies that perform blocking computation (crypto, mostly) yield
-        a number, meaning "the CPU ground for this long without
-        yielding control" -- on a cooperative scheduler that stalls the
-        whole big loop, which is exactly the Rabbit's behaviour.
-        """
-        if self.done:
-            return 0.0
-        self.passes += 1
-        try:
-            yielded = next(self.gen)
-        except StopIteration:
-            self.done = True
-            return 0.0
-        if isinstance(yielded, (int, float)):
-            return float(yielded)
-        return 0.0
 
     def abort(self) -> None:
         """Dynamic C ``abort``: kill the costatement."""
@@ -362,9 +341,10 @@ class CostateScheduler:
 
     def _big_loop(self):
         # The hottest loop in the network experiments (every idle
-        # costatement is polled every pass), so Costate.step is inlined
-        # and the per-pass invariants (sim.now, the overhead, the gap
-        # histogram's bound method) are hoisted out of the costate loop.
+        # costatement is polled every pass), so the costate step is
+        # written inline and the per-pass invariants (sim.now, the
+        # overhead, the gap histogram's bound method) are hoisted out of
+        # the costate loop.
         tracer = self.obs.tracer
         sim = self.sim
         queue = sim._queue
@@ -379,11 +359,6 @@ class CostateScheduler:
             telemetry.series(f"costate.{self.name}.passes").record_at
             if telemetry.enabled else None
         )
-        histogram = self._gap_histogram
-        # Observability off hands out the shared _NullInstrument, which
-        # has no bucket state to replay into -- the bulk-idle replay
-        # then skips the histogram arithmetic entirely.
-        null_gap = not hasattr(histogram, "counts")
         while self.running:
             self.passes += 1
             inc_passes()
@@ -413,8 +388,8 @@ class CostateScheduler:
                 if costate.last_ran_at is not None:
                     observe_gap(slice_start - costate.last_ran_at)
                 costate.last_ran_at = slice_start
-                # Inline of Costate.step() (the done case is handled
-                # above): advance to the next yield, one pass.
+                # Advance to the next yield, one pass (the done case is
+                # handled above).
                 costate.passes += 1
                 ran += 1
                 try:
@@ -423,9 +398,9 @@ class CostateScheduler:
                     costate.done = True
                     continue
                 if type(yielded) is _IdleToken:
-                    # A declared event-wait: this costatement is a
-                    # replayable no-op until the next simulator event
-                    # (or its deadline, whichever comes first).
+                    # A declared event-wait: resuming this costatement
+                    # is a no-op until the next simulator event (or its
+                    # deadline, whichever comes first).
                     idle += 1
                     d = yielded.deadline
                     if d is not None and (
@@ -459,101 +434,75 @@ class CostateScheduler:
             if queue and wake < queue[0][0] and (
                     bound is None or wake <= bound):
                 sim.now = wake
-                if idle and idle == ran and busy == 0.0:
-                    # Bulk idle replay: every live costatement declared
-                    # this pass a pure event-wait, so every subsequent
-                    # pass is a no-op until the next queued event pops
-                    # or the earliest idle deadline arrives -- neither
-                    # of which can happen without this process yielding.
-                    # Replay those passes without resuming a single
-                    # generator, reproducing the per-pass accounting
-                    # op-for-op (pass counters, telemetry cadence, and
-                    # the gap histogram's sequential float accumulation
-                    # -- Histogram.observe is inlined below, memo path
-                    # included, because total += gap must stay one add
-                    # per observation to keep the snapshot's mean
-                    # byte-identical).
-                    live = [c for c in snapshot if not c.done]
-                    nlive = len(live)
-                    next_event = queue[0][0]
-                    replayed = 0
-                    do_yield = False
-                    T = sim.now
-                    # Every live costate shares one last_ran_at: the
-                    # qualifying pass had busy == 0 through every slice,
-                    # so each slice started at the same ``base``.  The
-                    # per-pass gap is therefore ONE value observed
-                    # ``nlive`` times, and the histogram/pass state can
-                    # live in locals for the whole replay -- the float
-                    # accumulation below repeats ``total += gap`` per
-                    # observation so the sequence of adds (and thus the
-                    # snapshot's mean) stays byte-identical.
-                    last = live[0].last_ran_at if live else 0.0
-                    if not null_gap:
-                        counts = histogram.counts
-                        bisect_bounds = histogram.bounds
-                        nbuckets = len(counts)
-                        h_count = histogram.count
-                        h_total = histogram.total
-                        h_overflow = histogram.overflow
-                        memo_value = histogram._memo_value
-                        memo_index = histogram._memo_index
-                    passes_local = self.passes
-                    idle_bound = (float("inf") if idle_deadline is None
-                                  else idle_deadline)
-                    run_bound = float("inf") if bound is None else bound
-                    while T < idle_bound:
-                        passes_local += 1
-                        replayed += 1
-                        if sample_passes is not None and not (
-                                passes_local & 15):
-                            sample_passes(T, float(passes_local))
-                        base = T + overhead
-                        if not null_gap and nlive:
-                            gap = base - last
-                            h_count += nlive
-                            for _ in range(nlive):
-                                h_total += gap
-                            if gap == memo_value:
-                                counts[memo_index] += nlive
-                            else:
-                                index = bisect_left(bisect_bounds, gap)
-                                if index < nbuckets:
-                                    counts[index] += nlive
-                                    memo_value = gap
-                                    memo_index = index
-                                else:
-                                    h_overflow += nlive
-                        last = base
-                        # The replayed pass ends exactly like a live
-                        # one: advance in place while no queued event
-                        # (frozen -- nothing pops during the replay)
-                        # or run bound precedes the wake-up...
-                        if base < next_event and base <= run_bound:
-                            T = base
-                            continue
-                        # ...otherwise this pass performs the real
-                        # yield, after the loop re-synchronizes the
-                        # clock and writes the locals back.
-                        do_yield = True
-                        break
-                    self.passes = passes_local
-                    sim.now = T
-                    if replayed:
-                        inc_passes(replayed)
-                        for costate in live:
-                            costate.last_ran_at = last
-                            costate.passes += replayed
-                        if not null_gap:
-                            histogram.count = h_count
-                            histogram.total = h_total
-                            histogram.overflow = h_overflow
-                            histogram._memo_value = memo_value
-                            histogram._memo_index = memo_index
-                    if do_yield:
-                        yield overhead
+                if idle and idle == ran and busy == 0.0 and self._skip_idle(
+                        snapshot, idle_deadline, queue[0][0], bound,
+                        sample_passes):
+                    yield overhead
                 continue
             yield overhead + busy
+
+    def _skip_idle(self, snapshot, idle_deadline, next_event, run_bound,
+                   sample_passes) -> bool:
+        """Fast-forward the passes after an all-idle one, in closed form.
+
+        Every live costatement declared the pass that just ended a pure
+        event-wait, so every following pass is a no-op until the next
+        queued event pops or the earliest idle deadline arrives -- and
+        neither can happen while this process does not yield.  Those
+        passes are not run; their accounting is computed instead, bit
+        for bit as the pass-by-pass loop would leave it.  The clock
+        ``T = T + overhead`` advances through :func:`runs` stretches of
+        constant step ``d``, so every gap in a stretch is ``d`` (each
+        live costatement's slice started at ``base == sim.now`` in the
+        pass that qualified).  Returns True when the last skipped pass
+        is the one that really yields: its wake-up reaches the next
+        event or leaves the run bound.  Otherwise the next pass starts
+        at or past the idle deadline and must run live.
+        """
+        sim = self.sim
+        overhead = self.pass_overhead_s
+        live = [c for c in snapshot if not c.done]
+        observe_gap = self._gap_histogram.observe
+        passes = self.passes
+        for start, d, m in runs(sim.now, overhead):
+            # Pass j of this stretch starts at start + (j-1)*d and
+            # would wake at start + j*d.  It does not run if it starts
+            # at or past the idle deadline; it runs and then yields for
+            # real if its wake-up reaches the next event or passes the
+            # run bound.  Every stretch starts at a wake-up that passed
+            # those two checks, so ``wakes >= 1``.
+            stop = (m + 1 if idle_deadline is None
+                    else first_at(start, d, idle_deadline, False, m))
+            wakes = first_at(start, d, next_event, False, m)
+            if run_bound is not None:
+                wakes = min(wakes, first_at(start, d, run_bound, True, m))
+            n = min(m, stop, wakes)
+            if n == FOREVER:
+                raise CostateError(
+                    f"pass overhead {overhead!r}s no longer advances the "
+                    f"clock at t={start!r}"
+                )
+            if n:
+                observe_gap(d, n * len(live))
+                if sample_passes is not None:
+                    # The every-16th-pass sample, taken at pass start.
+                    for p in range((passes | 15) + 1, passes + n + 1, 16):
+                        sample_passes(start + (p - passes - 1) * d, float(p))
+                passes += n
+            if n == wakes or n == stop:
+                break
+        skipped = passes - self.passes
+        self.passes = passes
+        self._ctr_passes.inc(skipped)
+        last = start + n * d
+        for costate in live:
+            costate.last_ran_at = last
+            costate.passes += skipped
+        if n == wakes:
+            sim.now = last - d
+            return True
+        sim.now = last
+        return False
 
     @property
     def costate_names(self) -> list[str]:

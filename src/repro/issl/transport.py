@@ -114,7 +114,7 @@ class DyncTransport:
         # bytes only arrive through simulator events (frames delivered,
         # then drained by a tcp_tick), EOF/CLOSED only flip on the same
         # events, and the timeout path is pinned by the token's
-        # deadline -- so the big loop may bulk-replay these passes
+        # deadline -- so the big loop may skip these passes
         # without resuming this generator.
         token = IDLE if deadline is None else idle_until(deadline)
         while len(self._buffer) < nbytes:

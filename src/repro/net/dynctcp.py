@@ -86,8 +86,8 @@ class DyncTcpStack:
         drain and no accept-queue attachment pending.  Both can only
         change through simulator events (frame delivery) or API calls
         (``tcp_listen``), never by ticking an idle stack -- which is
-        what lets a tick-driver costatement declare its pass IDLE and
-        make the big loop's bulk replay eligible."""
+        what lets a tick-driver costatement declare its pass IDLE, so
+        the big loop can skip the passes that follow in closed form."""
         return not self._rx_queue and not self._attach_dirty
 
     # -- NIC-side ------------------------------------------------------------

@@ -24,6 +24,8 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 
+from repro.floatsum import add_repeated
+
 
 class Counter:
     """Monotonic event count."""
@@ -96,25 +98,30 @@ class Histogram:
         self._memo_value = float("nan")
         self._memo_index = 0
 
-    def observe(self, value: float) -> None:
-        self.count += 1
-        self.total += value
+    def observe(self, value: float, weight: int = 1) -> None:
+        """Record ``value`` ``weight`` times; bit-identical to that many
+        single observations (``total`` included, see ``add_repeated``)."""
+        self.count += weight
+        if weight == 1:
+            self.total += value
+        else:
+            self.total = add_repeated(self.total, value, weight)
         if value == self._memo_value:
-            self.counts[self._memo_index] += 1
+            self.counts[self._memo_index] += weight
             return
         # bisect_left finds the first bound >= value, same bucket the
         # linear scan chose; NaN compares false against every bound, so
         # it must land in overflow explicitly.
         if value != value:
-            self.overflow += 1
+            self.overflow += weight
             return
         index = bisect_left(self.bounds, value)
         if index < len(self.counts):
-            self.counts[index] += 1
+            self.counts[index] += weight
             self._memo_value = value
             self._memo_index = index
         else:
-            self.overflow += 1
+            self.overflow += weight
 
     @property
     def mean(self) -> float:

@@ -284,7 +284,7 @@ def _tick_driver(stack: DyncTcpStack):
 
     When the stack is quiescent a tick would be a pure no-op, so the
     pass is declared IDLE -- new segments arrive as simulator events,
-    which end the big loop's bulk replay before the next resume.  A
+    which end the big loop's idle skip before the next resume.  A
     non-quiescent pass ticks and yields bare so the pass after it runs
     live and the handlers see the freshly drained bytes.
     """
@@ -449,7 +449,7 @@ def _rmc_handler(stack: DyncTcpStack, context: IsslContext,
         # tearing down; keep trying, one big-loop pass at a time.  The
         # failure path is a pure state check and teardown only advances
         # through simulator events, so the retry is a declared
-        # event-wait the big loop may bulk-replay past.
+        # event-wait the big loop may skip past.
         while not stack.tcp_listen(sock, listen_port):
             yield IDLE
         # Wait for establishment -- or for the embryonic connection to
@@ -566,7 +566,7 @@ def _dync_read_line(stack, sock, deadline=None):
     # Declared event-wait: an empty poll only turns non-empty after a
     # frame event plus a tick-driver drain (a non-idle pass), EOF/CLOSED
     # flip on the same events, and the deadline arm is pinned by the
-    # token -- so the big loop may bulk-replay these passes.
+    # token -- so the big loop may skip these passes.
     token = IDLE if deadline is None else idle_until(deadline)
     while b"\n" not in buffer:
         chunk = stack.sock_read(sock, _LINE_MAX)
@@ -686,7 +686,7 @@ def _pool_slot(stack: DyncTcpStack, context: IsslContext,
         # The mailbox is only filled by the admission step, which runs
         # in this same pool driver and declares its own pass non-idle
         # when it hands off -- so an empty-mailbox poll is a pure
-        # event-wait the big loop may bulk-replay past.
+        # event-wait the big loop may skip past.
         while mailbox.sock is None:
             yield IDLE
         sock = mailbox.sock
