@@ -1,9 +1,13 @@
 """Link layer: shared Ethernet segments and host interfaces.
 
 The RMC2000 kit speaks 10Base-T, so the default segment models a 10 Mb/s
-half-duplex hub: every frame is serialized onto the wire (seizing it for
-``wire_size * 8 / bandwidth`` seconds), propagates with a small fixed
-latency, and is then delivered to every other interface on the segment.
+half-duplex hub for timing: every frame is serialized onto the wire
+(seizing it for ``wire_size * 8 / bandwidth`` seconds) and propagates
+with a small fixed latency.  Like any Ethernet controller, each NIC
+filters on the destination MAC in hardware, so the segment hands a
+frame only to the other interfaces that accept it: its own MAC, the
+broadcast MAC, or any frame at all while ``promiscuous``.  A frame no
+NIC accepts still occupies the wire; it just wakes nobody.
 
 Deterministic faults are injected through a *frame-hook chain*: each
 hook maps one in-flight frame to zero or more (frame, extra_delay)
@@ -35,7 +39,12 @@ FrameHook = Callable[
 
 
 class NetworkInterface:
-    """One attachment point: a MAC address plus a receive callback."""
+    """One attachment point: a MAC address plus a receive callback.
+
+    The segment applies the MAC filter when a frame is sent (see
+    :meth:`EthernetSegment.broadcast`), so ``promiscuous`` applies to
+    frames sent after it is set, not to frames already on the wire.
+    """
 
     def __init__(self, mac: MacAddress, name: str = ""):
         self.mac = mac
@@ -59,8 +68,7 @@ class NetworkInterface:
         self.segment.broadcast(frame, sender=self)
 
     def deliver(self, frame: EthernetFrame) -> None:
-        if frame.dst != self.mac and frame.dst != BROADCAST_MAC and not self.promiscuous:
-            return
+        """Count a frame the segment's MAC filter accepted and hand it up."""
         self.frames_received += 1
         self.bytes_received += frame.wire_size()
         if self._receiver is not None:
@@ -168,19 +176,24 @@ class EthernetSegment:
         # so causality crosses the wire without widening the frame
         # format.  Scheduling order (when, seq) is identical either way.
         ctx = self.sim.wire_trace_ctx
+        call_at = self.sim.call_at
         for delivered_frame, extra_delay in deliveries:
+            # The NICs' MAC filter, tested on each frame the hook chain
+            # emits (a corruptor may have rewritten dst).  Attach order
+            # keeps equal-time deliveries in their (when, seq) order.
+            dst = delivered_frame.dst
+            everyone = dst == BROADCAST_MAC
+            when = arrival + extra_delay
             for interface in self.interfaces:
-                if interface is not sender:
-                    if ctx is None:
-                        self.sim.call_at(
-                            arrival + extra_delay, interface.deliver,
-                            delivered_frame,
-                        )
-                    else:
-                        self.sim.call_at(
-                            arrival + extra_delay, self._deliver_with_ctx,
-                            interface, delivered_frame, ctx,
-                        )
+                if interface is sender or not (
+                        everyone or interface.promiscuous
+                        or dst == interface.mac):
+                    continue
+                if ctx is None:
+                    call_at(when, interface.deliver, delivered_frame)
+                else:
+                    call_at(when, self._deliver_with_ctx,
+                            interface, delivered_frame, ctx)
 
     def _deliver_with_ctx(self, interface: NetworkInterface,
                           frame: EthernetFrame, ctx) -> None:
