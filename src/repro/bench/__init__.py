@@ -13,9 +13,9 @@ claim fails CI instead of shipping silently.
 * :mod:`repro.bench.schema` -- the snapshot format: versioning,
   validation, atomic save, load, metric flattening.
 * :mod:`repro.bench.snapshot` -- runs the battery + obs scenarios and
-  builds a snapshot (with wall-clock timings of the harness itself).
-* :mod:`repro.bench.compare` -- per-metric diffs with tolerance bands
-  (tight for deterministic cycle counts, loose for wall time).
+  builds a snapshot (simulated, seed-determined content only).
+* :mod:`repro.bench.compare` -- per-metric diffs under one tight
+  tolerance band for the deterministic metrics.
 * :mod:`repro.bench.gate` -- paper-claim assertions + drift gating
   against the committed baseline; non-zero exit on regression.
 * :mod:`repro.bench.trend` -- the trajectory across all ``BENCH_*``
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from repro.bench.compare import (
     DETERMINISTIC_BAND,
-    WALL_BAND,
     CompareReport,
     MetricDiff,
     ToleranceBand,
@@ -59,7 +58,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "BenchSchemaError",
     "ToleranceBand",
-    "WALL_BAND",
     "build_snapshot",
     "compare_snapshots",
     "default_snapshot_path",

@@ -1,7 +1,7 @@
 """``python -m repro.bench {run,compare,trend,gate,show}``.
 
 * ``run`` -- run the battery + obs scenarios, write ``BENCH_<tag>.json``.
-* ``compare`` -- diff two snapshots under the tolerance bands.
+* ``compare`` -- diff two snapshots under the tolerance band.
 * ``trend`` -- the headline trajectory across every ``BENCH_*.json``.
 * ``gate`` -- paper claims + drift vs the committed baseline; exits
   non-zero on any regression (the CI entry point).
@@ -51,9 +51,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-scaling", action="store_true",
                        help="skip the redirector scaling curve")
         p.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="fan experiments and fault scenarios out over "
-                            "N worker processes; deterministic content is "
-                            "byte-identical to --jobs 1 (default: 1)")
+                       help="fan experiments, fault scenarios and scaling "
+                            "points out over N worker processes; the "
+                            "snapshot is byte-identical to --jobs 1 apart "
+                            "from its creation stamp (default: 1)")
 
     run = sub.add_parser("run", help="run the battery, write a snapshot")
     run.add_argument("--tag", default="current",
@@ -124,8 +125,7 @@ def _cmd_run(args) -> int:
         if record["reproduced"]
     )
     print(f"wrote {path}: {len(document['experiments'])} experiments "
-          f"({reproduced} reproduced), workload={workload}, "
-          f"{document['wall_seconds']['total']:.1f}s wall")
+          f"({reproduced} reproduced), workload={workload}")
     return 0 if reproduced == len(document["experiments"]) else 1
 
 

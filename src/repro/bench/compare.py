@@ -1,15 +1,10 @@
-"""Snapshot comparison: per-metric diffs under tolerance bands.
+"""Snapshot comparison: per-metric diffs under one tolerance band.
 
-Two bands, matching what the numbers are:
-
-* :data:`DETERMINISTIC_BAND` -- experiment metrics and obs detail come
-  off the simulator, which is bit-for-bit deterministic, so any drift
-  means the *code* changed.  Sub-0.1% drift passes (float rounding in
-  derived ratios), up to 2% warns (an intentional change that should
-  come with a baseline refresh), beyond that fails.
-* :data:`WALL_BAND` -- the harness's own wall-clock timings measure the
-  Python simulator on whatever host runs the gate; they warn at 2x and
-  never fail on their own.
+Every metric comes off the simulator, which is bit-for-bit
+deterministic, so any drift means the *code* changed.  Under :data:`DETERMINISTIC_BAND`, sub-0.1% drift
+passes (float rounding in derived ratios), up to 2% warns (an
+intentional change that should come with a baseline refresh), beyond
+that fails.
 
 A metric present on only one side is reported (``added``/``removed``)
 at warn level: schema drift should be visible, but growing the metric
@@ -20,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.bench.schema import BenchSchemaError, flatten_metrics, flatten_wall
+from repro.bench.schema import BenchSchemaError, flatten_metrics
 
 PASS = "pass"
 WARN = "warn"
@@ -31,20 +26,18 @@ REMOVED = "removed"
 
 @dataclass(frozen=True)
 class ToleranceBand:
-    """Relative-drift thresholds for one class of metric."""
+    """Relative-drift thresholds for a metric diff."""
 
     #: Relative drift beyond which the diff is a WARN.
     warn_rel: float
-    #: Relative drift beyond which the diff is a FAIL; ``None`` means
-    #: the class can never fail (wall time).
-    fail_rel: float | None
+    #: Relative drift beyond which the diff is a FAIL.
+    fail_rel: float
     #: Absolute drift at or below this always passes, whatever the
     #: relative looks like (guards division around zero).
     abs_floor: float = 1e-9
 
 
 DETERMINISTIC_BAND = ToleranceBand(warn_rel=0.001, fail_rel=0.02)
-WALL_BAND = ToleranceBand(warn_rel=1.0, fail_rel=None, abs_floor=0.05)
 
 
 @dataclass
@@ -56,7 +49,6 @@ class MetricDiff:
     current: float | None
     status: str
     rel_drift: float = 0.0
-    band: str = "deterministic"
 
     @property
     def delta(self) -> float | None:
@@ -73,7 +65,6 @@ class MetricDiff:
             "drift": f"{self.rel_drift * 100:+.2f}%"
             if self.baseline is not None and self.current is not None
             else "-",
-            "band": self.band,
             "status": self.status.upper(),
         }
 
@@ -85,29 +76,27 @@ def _classify(value_delta: float, baseline: float,
     signed_rel = rel if value_delta >= 0 else -rel
     if magnitude <= band.abs_floor:
         return PASS, signed_rel
-    if band.fail_rel is not None and rel > band.fail_rel:
+    if rel > band.fail_rel:
         return FAIL, signed_rel
     if rel > band.warn_rel:
         return WARN, signed_rel
     return PASS, signed_rel
 
 
-def _diff_maps(baseline: dict, current: dict, band: ToleranceBand,
-               band_name: str) -> list[MetricDiff]:
+def _diff_maps(baseline: dict, current: dict,
+               band: ToleranceBand) -> list[MetricDiff]:
     diffs = []
     for name in sorted(set(baseline) | set(current)):
         if name not in current:
-            diffs.append(MetricDiff(name, baseline[name], None, REMOVED,
-                                    band=band_name))
+            diffs.append(MetricDiff(name, baseline[name], None, REMOVED))
         elif name not in baseline:
-            diffs.append(MetricDiff(name, None, current[name], ADDED,
-                                    band=band_name))
+            diffs.append(MetricDiff(name, None, current[name], ADDED))
         else:
             status, rel = _classify(
                 current[name] - baseline[name], baseline[name], band
             )
             diffs.append(MetricDiff(name, baseline[name], current[name],
-                                    status, rel, band=band_name))
+                                    status, rel))
     return diffs
 
 
@@ -185,14 +174,9 @@ def compare_snapshots(baseline: dict, current: dict) -> CompareReport:
     report = CompareReport(
         baseline_tag=baseline.get("tag", "?"),
         current_tag=current.get("tag", "?"),
+        diffs=_diff_maps(flatten_metrics(baseline), flatten_metrics(current),
+                         DETERMINISTIC_BAND),
     )
-    report.diffs.extend(_diff_maps(
-        flatten_metrics(baseline), flatten_metrics(current),
-        DETERMINISTIC_BAND, "deterministic",
-    ))
-    report.diffs.extend(_diff_maps(
-        flatten_wall(baseline), flatten_wall(current), WALL_BAND, "wall",
-    ))
     if report.failures or report.warnings:
         # Lazy import: obs.diff is pure data -> text and tolerates
         # snapshots without embedded telemetry/recorder sections, so

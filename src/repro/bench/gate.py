@@ -154,19 +154,6 @@ SCALING_CLAIMS: tuple[Claim, ...] = (
           section="redirector_scaling"),
 )
 
-#: The flight recorder's wall-time budget on the redirector scenario,
-#: in percent over the same run with the recorder disabled (the
-#: snapshot measures both; see ``_collect_obs_detail``).  Warn-only:
-#: wall clock is a property of the host, not of the reproduction, so it
-#: never fails the gate -- but a recorder that costs more than this has
-#: stopped being "always on for free".
-OBS_RECORDER_OVERHEAD_PCT = 10.0
-
-#: Below this many wall seconds for the recorder-off run, the overhead
-#: ratio is host-scheduler noise, not signal; skip the warning.
-_RECORDER_OVERHEAD_MIN_SECONDS = 0.05
-
-
 @dataclass
 class GateReport:
     """Everything the gate checked, and the verdict."""
@@ -175,8 +162,6 @@ class GateReport:
     claim_results: list[ClaimResult] = field(default_factory=list)
     not_reproduced: list[str] = field(default_factory=list)
     faults_failed: list[str] = field(default_factory=list)
-    #: Warn-only harness-speed observations; never affect :attr:`ok`.
-    speed_warnings: list[str] = field(default_factory=list)
     compare: CompareReport | None = None
     #: Declarative objectives (:mod:`repro.obs.slo`); an error-severity
     #: rule that is not met fails the gate alongside claims and drift.
@@ -220,8 +205,6 @@ class GateReport:
                 "  fault scenarios no longer recovering: "
                 + ", ".join(self.faults_failed)
             )
-        for warning in self.speed_warnings:
-            lines.append(f"  warning (speed, non-fatal): {warning}")
         if self.slo is not None:
             lines.append(self.slo.format(verbose=verbose))
         if self.compare is not None:
@@ -254,21 +237,6 @@ def evaluate_gate(current: dict,
         )
         if not scenario.get("ok")
     ]
-    obs_wall = current.get("wall_seconds", {}).get("obs", {})
-    with_recorder = obs_wall.get("redirector")
-    without_recorder = obs_wall.get("redirector_norec")
-    if (with_recorder is not None and without_recorder is not None
-            and without_recorder >= _RECORDER_OVERHEAD_MIN_SECONDS):
-        overhead_pct = (
-            (with_recorder - without_recorder) / without_recorder * 100.0
-        )
-        if overhead_pct > OBS_RECORDER_OVERHEAD_PCT:
-            report.speed_warnings.append(
-                f"flight recorder cost {overhead_pct:.1f}% wall on the "
-                f"redirector scenario ({with_recorder:.3f}s vs "
-                f"{without_recorder:.3f}s), over the "
-                f"{OBS_RECORDER_OVERHEAD_PCT:.0f}% budget"
-            )
     if slo_rules is not None:
         from repro.obs.slo import evaluate_slo
 

@@ -3,7 +3,7 @@
 A snapshot is one JSON document::
 
     {
-      "schema_version": 1,
+      "schema_version": 2,
       "tag": "baseline",
       "workload": "full" | "quick",
       "created_unix": 1754460000.0,
@@ -11,15 +11,17 @@ A snapshot is one JSON document::
       "harness": {"python": "3.12.3", "platform": "linux", ...},
       "experiments": {"E1": <ExperimentResult.to_dict()>, ...},
       "obs": {"aes_profile": {...}, "redirector": {...}},
-      "faults": {"seed": ..., "scenarios": {"baseline": {...}, ...}},
-      "wall_seconds": {"experiments": {"E1": ...}, "obs": {...},
-                       "faults": ..., "total": ...}
+      "faults": {"seed": ..., "scenarios": {"baseline": {...}, ...}}
     }
+
+Apart from the ``created_*`` stamp and the ``harness`` description,
+every value is simulated and seed-determined; the document holds no
+host timings.
 
 The ``faults`` section (fault-injection matrix verdicts and
 injected/recovered counters) and the ``redirector_scaling`` section
 (the dynamic connection-slot pool's concurrency scaling curve) are
-optional, so snapshots from before those runners existed still load.
+optional, so a run that skips them still validates.
 
 ``experiments`` entries are exactly
 :meth:`repro.experiments.harness.ExperimentResult.to_dict`, so every
@@ -37,14 +39,14 @@ import pathlib
 
 #: Bump on any structural change; ``load_snapshot`` refuses mismatches
 #: so a gate never silently compares incompatible documents.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Snapshot files live at the repo root as ``BENCH_<tag>.json``.
 SNAPSHOT_PREFIX = "BENCH_"
 
 _REQUIRED_TOP_LEVEL = (
     "schema_version", "tag", "workload", "created_unix", "harness",
-    "experiments", "obs", "wall_seconds",
+    "experiments", "obs",
 )
 
 _REQUIRED_EXPERIMENT_KEYS = (
@@ -141,8 +143,7 @@ def flatten_metrics(document: dict) -> dict:
     """One flat ``dotted-name -> scalar`` map of every deterministic
     metric in a snapshot: experiment headline metrics plus obs detail
     (per-routine cycles, counters, gauge high-waters, histogram counts
-    and percentiles).  Wall-clock numbers are deliberately excluded --
-    they get their own loose band via :func:`flatten_wall`.
+    and percentiles).
     """
     flat: dict = {}
     for experiment_id, record in sorted(document["experiments"].items()):
@@ -212,22 +213,3 @@ def flatten_metrics(document: dict) -> dict:
         flat[f"scaling.summary.{name}"] = value
     return flat
 
-
-def flatten_wall(document: dict) -> dict:
-    """Flat map of the harness's own wall-clock timings (seconds)."""
-    wall = document.get("wall_seconds", {})
-    flat = {
-        f"wall.experiments.{experiment_id}": seconds
-        for experiment_id, seconds in sorted(
-            wall.get("experiments", {}).items()
-        )
-    }
-    for name, seconds in sorted(wall.get("obs", {}).items()):
-        flat[f"wall.obs.{name}"] = seconds
-    if "faults" in wall:
-        flat["wall.faults"] = wall["faults"]
-    if "redirector_scaling" in wall:
-        flat["wall.redirector_scaling"] = wall["redirector_scaling"]
-    if "total" in wall:
-        flat["wall.total"] = wall["total"]
-    return flat

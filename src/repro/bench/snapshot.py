@@ -1,4 +1,4 @@
-"""Build one benchmark snapshot: experiments + obs detail + wall clock.
+"""Build one benchmark snapshot: experiments + obs detail.
 
 ``build_snapshot`` runs the E1..E10 battery through the results-as-data
 harness (:class:`repro.experiments.harness.ExperimentResult`), then the
@@ -8,11 +8,10 @@ carry: per-routine cycle attribution from
 and the E4-scenario :class:`repro.obs.MetricsRegistry` counters, gauge
 high-waters, and histogram percentiles from the redirector under load.
 
-Everything simulated is deterministic, so those numbers diff exactly
-between runs; the snapshot also records how long each piece took on the
-host's wall clock, so a regression in the *simulator's* performance is
-visible too (with a loose tolerance band -- see
-:mod:`repro.bench.compare`).
+Everything in a snapshot is simulated and seed-determined, so it
+diffs exactly between runs; only the ``created_unix``/``created_iso``
+stamp reads the host clock.  Host wall time is measured by
+``benchmarks/perf``, with repeated passes and per-layer attribution.
 
 The ``quick`` workload shrinks every knob for tests; quick and full
 snapshots are never compared against each other (the ``workload`` field
@@ -77,8 +76,8 @@ def _harness_info() -> dict:
     }
 
 
-def _collect_obs_detail(workload: str) -> tuple[dict, dict]:
-    """Run the instrumented scenarios; returns ``(obs_section, wall)``."""
+def _collect_obs_detail(workload: str) -> dict:
+    """Run the instrumented scenarios; returns the ``obs`` section."""
     from repro.obs.scenarios import run_aes_scenario, run_redirector_scenario
 
     aes_kwargs = (
@@ -88,13 +87,10 @@ def _collect_obs_detail(workload: str) -> tuple[dict, dict]:
         _QUICK_OBS_KWARGS["redirector"] if workload == QUICK_WORKLOAD else {}
     )
     obs_section: dict = {"aes_profile": {}}
-    wall: dict = {}
     for implementation in ("c", "asm"):
-        start = time.time()  # dclint: allow(PY105)
         result = run_aes_scenario(
             implementation=implementation, **aes_kwargs
         )
-        wall[f"aes_{implementation}"] = round(time.time() - start, 3)  # dclint: allow(PY105)
         profiler = result["profiler"]
         obs_section["aes_profile"][implementation] = {
             "total_cycles": profiler.total_cycles,
@@ -102,20 +98,7 @@ def _collect_obs_detail(workload: str) -> tuple[dict, dict]:
             "routines": profiler.report_rows(),
             "telemetry": result["obs"].telemetry.snapshot(),
         }
-    start = time.time()  # dclint: allow(PY105)
     result = run_redirector_scenario(**redirector_kwargs)
-    wall["redirector"] = round(time.time() - start, 3)  # dclint: allow(PY105)
-    # Same scenario with the flight recorder disabled: the pair of wall
-    # clocks is what the gate's OBS_RECORDER_OVERHEAD_PCT warn-only
-    # claim reads.  Only the timing differs -- the deterministic metric
-    # content comes from the recorder-on run above.
-    from repro.obs import NullFlightRecorder, Obs
-
-    start = time.time()  # dclint: allow(PY105)
-    run_redirector_scenario(
-        obs=Obs(recorder=NullFlightRecorder()), **redirector_kwargs
-    )
-    wall["redirector_norec"] = round(time.time() - start, 3)  # dclint: allow(PY105)
     from repro.obs import DEFAULT_TAIL
 
     metrics = result["obs"].metrics.snapshot()
@@ -132,7 +115,7 @@ def _collect_obs_detail(workload: str) -> tuple[dict, dict]:
         "telemetry": result["obs"].telemetry.snapshot(),
         "recorder_tail": result["obs"].recorder.dump(last=DEFAULT_TAIL),
     }
-    return obs_section, wall
+    return obs_section
 
 
 def _counters_by_prefix(counters: dict, prefix: str) -> dict:
@@ -143,9 +126,8 @@ def _counters_by_prefix(counters: dict, prefix: str) -> dict:
     }
 
 
-def _collect_faults_detail(workload: str,
-                           jobs: int = 1) -> tuple[dict, float]:
-    """Run the fault matrix; returns ``(faults_section, wall_seconds)``.
+def _collect_faults_detail(workload: str, jobs: int = 1) -> dict:
+    """Run the fault matrix; returns the ``faults`` section.
 
     The section keeps what the gate needs per scenario: the verdict and
     the injected/recovered counters, so a hardening regression (a fault
@@ -157,9 +139,7 @@ def _collect_faults_detail(workload: str,
     names = (
         _QUICK_FAULTS_SCENARIOS if workload == QUICK_WORKLOAD else None
     )
-    start = time.time()  # dclint: allow(PY105)
     report = run_matrix(names, seed=DEFAULT_SEED, jobs=jobs)
-    wall = round(time.time() - start, 3)  # dclint: allow(PY105)
     scenarios = {}
     for verdict in report["scenarios"]:
         counters = verdict.get("counters", {})
@@ -169,42 +149,30 @@ def _collect_faults_detail(workload: str,
             "injected": _counters_by_prefix(counters, "faults.injected."),
             "recovered": _counters_by_prefix(counters, "faults.recovered."),
         }
-    section = {
+    return {
         "seed": report["seed"],
         "total": report["total"],
         "passed": report["passed"],
         "failed": report["failed"],
         "scenarios": scenarios,
     }
-    return section, wall
 
 
-def _collect_redirector_scaling(workload: str,
-                                jobs: int = 1) -> tuple[dict, float]:
-    """Run the connection-slot-pool scaling curve; returns
-    ``(section, wall_seconds)``.  The section's deterministic content is
+def _collect_redirector_scaling(workload: str, jobs: int = 1) -> dict:
+    """Run the connection-slot-pool scaling curve; the section is
     exactly :func:`repro.services.scaling.run_scaling_curve`."""
     from repro.services.scaling import run_scaling_curve
 
     kwargs = (
         dict(_QUICK_SCALING_KWARGS) if workload == QUICK_WORKLOAD else {}
     )
-    start = time.time()  # dclint: allow(PY105)
-    section = run_scaling_curve(jobs=jobs, **kwargs)
-    wall = round(time.time() - start, 3)  # dclint: allow(PY105)
-    return section, wall
+    return run_scaling_curve(jobs=jobs, **kwargs)
 
 
-def _experiment_worker(task: tuple[str, dict]) -> tuple[str, dict, float]:
-    """Run one experiment; module-level so multiprocessing can pickle it.
-
-    The wall clock is measured inside the worker so per-experiment
-    timings stay meaningful under fan-out.
-    """
+def _experiment_worker(task: tuple[str, dict]) -> tuple[str, dict]:
+    """Run one experiment; module-level so multiprocessing can pickle it."""
     experiment_id, kwargs = task
-    start = time.time()  # dclint: allow(PY105)
-    result = RUNNERS[experiment_id](**kwargs)
-    return experiment_id, result.to_dict(), round(time.time() - start, 3)  # dclint: allow(PY105)
+    return experiment_id, RUNNERS[experiment_id](**kwargs).to_dict()
 
 
 def build_snapshot(tag: str, *, workload: str = FULL_WORKLOAD,
@@ -223,7 +191,7 @@ def build_snapshot(tag: str, *, workload: str = FULL_WORKLOAD,
     ``jobs > 1`` fans the experiments, the fault matrix and the scaling
     curve out over worker processes (:func:`repro.fanout.ordered_map`);
     every record is already seeded and deterministic, and results are
-    merged in task order, so the snapshot's non-wall-clock content is
+    merged in task order, so everything but the creation stamp is
     byte-identical to a sequential run.
     ``progress`` is an optional ``callable(str)`` used by the CLI to
     narrate long runs.
@@ -237,43 +205,22 @@ def build_snapshot(tag: str, *, workload: str = FULL_WORKLOAD,
             f"unknown experiment ids: {unknown}; known: {list(RUNNERS)}"
         )
     say = progress if progress is not None else (lambda message: None)
-    total_start = time.time()  # dclint: allow(PY105)
-    experiment_records: dict = {}
-    experiment_wall: dict = {}
     tasks = [(eid, _runner_kwargs(eid, workload)) for eid in wanted]
     say(f"running {', '.join(wanted)} (jobs={jobs}) ...")
-    for experiment_id, record, wall in ordered_map(_experiment_worker,
-                                                   tasks, jobs):
-        experiment_wall[experiment_id] = wall
-        experiment_records[experiment_id] = record
+    experiment_records = dict(ordered_map(_experiment_worker, tasks, jobs))
     obs_section: dict = {}
-    obs_wall: dict = {}
     if include_obs:
         say("running instrumented obs scenarios ...")
-        obs_section, obs_wall = _collect_obs_detail(workload)
+        obs_section = _collect_obs_detail(workload)
     faults_section: dict = {}
-    faults_wall = 0.0
     if include_faults:
         say("running fault-injection matrix ...")
-        faults_section, faults_wall = _collect_faults_detail(workload,
-                                                             jobs=jobs)
+        faults_section = _collect_faults_detail(workload, jobs=jobs)
     scaling_section: dict = {}
-    scaling_wall = 0.0
     if include_scaling:
         say("running redirector scaling curve ...")
-        scaling_section, scaling_wall = _collect_redirector_scaling(
-            workload, jobs=jobs
-        )
+        scaling_section = _collect_redirector_scaling(workload, jobs=jobs)
     created = time.time()  # dclint: allow(PY105)
-    wall_seconds = {
-        "experiments": experiment_wall,
-        "obs": obs_wall,
-        "total": round(time.time() - total_start, 3),  # dclint: allow(PY105)
-    }
-    if include_faults:
-        wall_seconds["faults"] = faults_wall
-    if include_scaling:
-        wall_seconds["redirector_scaling"] = scaling_wall
     document = {
         "schema_version": SCHEMA_VERSION,
         "tag": tag,
@@ -286,7 +233,6 @@ def build_snapshot(tag: str, *, workload: str = FULL_WORKLOAD,
         "experiments": experiment_records,
         "obs": obs_section,
         "faults": faults_section,
-        "wall_seconds": wall_seconds,
     }
     if include_scaling:
         document["redirector_scaling"] = scaling_section

@@ -58,17 +58,6 @@ def trend_rows(directory: str | os.PathLike = ".") -> list[dict]:
             row[header] = _headline(document, experiment_id, metric,
                                     decimals)
         row["repro"] = f"{reproduced}/{len(experiments)}"
-        walls = document["wall_seconds"]
-        for header, section in (("exp s", "experiments"),
-                                ("obs s", "obs")):
-            detail = walls.get(section)
-            row[header] = (round(sum(detail.values()), 1)
-                           if isinstance(detail, dict) else None)
-        for header, section in (("faults s", "faults"),
-                                ("scale s", "redirector_scaling")):
-            value = walls.get(section)
-            row[header] = None if value is None else round(value, 1)
-        row["wall s"] = round(walls.get("total", 0.0), 1)
         rows.append(row)
     return rows
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 
 from repro.experiments import RUNNERS
 
@@ -40,16 +39,11 @@ def main(argv: list[str] | None = None) -> int:
     failures = 0
     records = []
     for experiment_id in wanted:
-        start = time.time()  # dclint: allow(PY105)
         result = RUNNERS[experiment_id]()
-        elapsed = time.time() - start  # dclint: allow(PY105)
         if args.as_json:
-            record = result.to_dict()
-            record["wall_seconds"] = round(elapsed, 3)
-            records.append(record)
+            records.append(result.to_dict())
         else:
             print(result.format())
-            print(f"  ({elapsed:.1f}s wall)")
             print()
         if not result.reproduced:
             failures += 1

@@ -70,11 +70,6 @@ _TEMPLATE = {
             ],
         },
     },
-    "wall_seconds": {
-        "experiments": {"E1": 2.0},
-        "obs": {"redirector": 1.0},
-        "total": 3.0,
-    },
 }
 
 

@@ -16,6 +16,7 @@ import sys
 import pytest
 
 from repro.bench.cli import main
+from repro.bench.schema import SCHEMA_VERSION
 
 REPO = pathlib.Path(__file__).resolve().parent.parent.parent
 
@@ -43,10 +44,9 @@ def quick_snapshot_path(tmp_path_factory) -> pathlib.Path:
 class TestRun:
     def test_writes_schema_versioned_snapshot(self, quick_snapshot_path):
         document = json.loads(quick_snapshot_path.read_text())
-        assert document["schema_version"] == 1
+        assert document["schema_version"] == SCHEMA_VERSION
         assert document["workload"] == "quick"
         assert sorted(document["experiments"]) == sorted(CHEAP.split(","))
-        assert "E7" in document["wall_seconds"]["experiments"]
 
     def test_unknown_experiment_id_errors(self, tmp_path):
         with pytest.raises(ValueError, match="E42"):
@@ -285,7 +285,6 @@ class TestScalingSection:
         assert section["workload"]["pool_sizes"] == [3, 8]
         assert section["summary"]["speedup_8_vs_static3"] > 1.0
         assert section["summary"]["xmem_budget_violations"] == 0
-        assert "redirector_scaling" in document["wall_seconds"]
 
     def test_no_scaling_flag_omits_section(self, tmp_path):
         path = tmp_path / "BENCH_noscale.json"
@@ -294,4 +293,3 @@ class TestScalingSection:
                      "--out", str(path)]) == 0
         document = json.loads(path.read_text())
         assert "redirector_scaling" not in document
-        assert "redirector_scaling" not in document["wall_seconds"]

@@ -2,7 +2,6 @@
 
 from repro.bench.gate import (
     CLAIMS,
-    OBS_RECORDER_OVERHEAD_PCT,
     SCALING_CLAIMS,
     Claim,
     evaluate_gate,
@@ -109,36 +108,6 @@ class TestGateRendering:
     def test_format_verbose_lists_ok_claims(self, snapshot):
         text = evaluate_gate(snapshot).format(verbose=True)
         assert "order of magnitude" in text
-
-
-class TestSpeedWarning:
-    """The warn-only recorder-overhead claim: the same run measured with
-    and without the flight recorder warns past the budget but never
-    fails the gate."""
-
-    def test_fast_full_run_has_no_warning(self, snapshot):
-        report = evaluate_gate(snapshot)
-        assert report.speed_warnings == []
-
-    def test_recorder_over_budget_warns_without_failing(self, snapshot):
-        norec = 0.2
-        snapshot["wall_seconds"]["obs"] = {
-            "redirector": norec * (1 + 2 * OBS_RECORDER_OVERHEAD_PCT / 100),
-            "redirector_norec": norec,
-        }
-        report = evaluate_gate(snapshot)
-        assert len(report.speed_warnings) == 1
-        assert "flight recorder" in report.speed_warnings[0]
-        assert report.ok  # warn-only: wall clock never fails the gate
-        text = report.format()
-        assert "warning (speed, non-fatal)" in text
-        assert "verdict: PASS" in text
-
-    def test_recorder_overhead_below_noise_floor_is_ignored(self, snapshot):
-        snapshot["wall_seconds"]["obs"] = {
-            "redirector": 0.04, "redirector_norec": 0.01,
-        }
-        assert evaluate_gate(snapshot).speed_warnings == []
 
 
 def _scaling_point(variant, slots, throughput, refusal_rate=0.0):

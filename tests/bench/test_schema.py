@@ -9,7 +9,6 @@ from repro.bench.schema import (
     BenchSchemaError,
     default_snapshot_path,
     flatten_metrics,
-    flatten_wall,
     list_snapshots,
     load_snapshot,
     save_snapshot,
@@ -126,19 +125,6 @@ class TestFlattening:
         assert flat["obs.redirector.gauge.xalloc.used.high_water"] == 4096.0
         assert flat["obs.redirector.histogram.costate.gap_s.p95"] == 0.004
 
-    def test_wall_excluded_from_metrics(self, snapshot):
-        assert not any(
-            name.startswith("wall.") for name in flatten_metrics(snapshot)
-        )
-
-    def test_flatten_wall(self, snapshot):
-        wall = flatten_wall(snapshot)
-        assert wall == {
-            "wall.experiments.E1": 2.0,
-            "wall.obs.redirector": 1.0,
-            "wall.total": 3.0,
-        }
-
     def test_snapshot_json_serializable(self, snapshot):
         json.dumps(flatten_metrics(snapshot))
 
@@ -148,7 +134,6 @@ class TestScalingFlattening:
         from tests.bench.test_gate import make_scaling_section
 
         snapshot["redirector_scaling"] = make_scaling_section()
-        snapshot["wall_seconds"]["redirector_scaling"] = 7.5
         return snapshot
 
     def test_scaling_points_flattened(self, snapshot):
@@ -163,13 +148,6 @@ class TestScalingFlattening:
         flat = flatten_metrics(self._with_scaling(snapshot))
         assert flat["scaling.summary.speedup_8_vs_static3"] == 1.25
         assert flat["scaling.summary.monotone_throughput"] == 1
-
-    def test_scaling_wall_in_wall_map_not_metrics(self, snapshot):
-        document = self._with_scaling(snapshot)
-        assert flatten_wall(document)["wall.redirector_scaling"] == 7.5
-        assert not any(
-            name.startswith("wall.") for name in flatten_metrics(document)
-        )
 
     def test_section_optional_for_validation(self, snapshot):
         # Old snapshots without the section still validate and flatten.

@@ -87,3 +87,13 @@ class TestCli:
         captured = capsys.readouterr()
         assert "[E9]" in captured.out
         assert "1/1 experiments reproduced" in captured.out
+
+    def test_json_records_are_the_snapshot_serialization(self, capsys):
+        import json
+
+        from repro.experiments.__main__ import main
+
+        assert main(["--json", "E6", "E9"]) == 0
+        records = json.loads(capsys.readouterr().out)
+        expected = [RUNNERS[e]().to_dict() for e in ("E6", "E9")]
+        assert records == json.loads(json.dumps(expected))

@@ -13,6 +13,7 @@ import sys
 
 import pytest
 
+from repro.bench.schema import SCHEMA_VERSION
 from repro.obs.cli import main
 
 REPO = pathlib.Path(__file__).resolve().parent.parent.parent
@@ -199,9 +200,9 @@ class TestDiffCommand:
 
     def _snapshot(self, mix_columns=100):
         return {
-            "schema_version": 1, "tag": "t", "workload": "quick",
-            "created_unix": 0.0, "harness": {},
-            "experiments": {}, "wall_seconds": {},
+            "schema_version": SCHEMA_VERSION, "tag": "t",
+            "workload": "quick", "created_unix": 0.0, "harness": {},
+            "experiments": {},
             "obs": {"aes_profile": {"c": {
                 "total_cycles": mix_columns + 50, "blocks": 1,
                 "routines": [

@@ -6,6 +6,7 @@ the CLI and bench integration get their own subprocess coverage.
 
 import pytest
 
+from repro.bench.schema import SCHEMA_VERSION
 from repro.obs.diff import (
     diff_documents,
     diff_flames,
@@ -147,8 +148,8 @@ class TestDiffTraceTrees:
 
 class TestDiffDocuments:
     def _snapshot(self):
-        return {"schema_version": 1, "tag": "x", "workload": "quick",
-                "experiments": {}, "obs": {}, "wall_seconds": {},
+        return {"schema_version": SCHEMA_VERSION, "tag": "x",
+                "workload": "quick", "experiments": {}, "obs": {},
                 "created_unix": 0.0, "harness": {}}
 
     def test_two_snapshots_render_a_snapshot_diff(self):
