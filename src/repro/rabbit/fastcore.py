@@ -42,19 +42,32 @@ On top of the closure-list tier sits the *translated tier*
 ``translate_threshold`` times, it is compiled into one specialized
 function with the per-opcode dispatch loop eliminated and the counter
 updates of template-able instruction runs fused into batched epilogues.
-SMC write-watching, flush invalidation and the ``bail`` protocol extend
-unchanged to translated blocks -- the write that invalidates a page
-drops the block (translated function included) and the in-flight
-execution returns at the next post-write check, exactly where the
-closure-list tier would have broken out of its loop.
+The templates cover what the Dynamic C compiler's stack machine emits:
+register/ALU ops, CB rotates/shifts, 16-bit ``LD``/``INC``/``DEC``/
+``ADD HL``/``EX DE,HL``, ``PUSH``/``POP``, ``LD HL,(nn)``/``LD (nn),HL``,
+and the block-ending ``JP``/``JR``/``DJNZ``/``CALL``/``RET``.  Their
+memory accesses index ``flash``/``sram`` directly when both bytes sit in
+one fixed segment (a constant address, or SP checked at run time to lie
+in the data segment); anything else calls the instruction's closure,
+which stays the exact slow path.  SMC write-watching, flush invalidation
+and the ``bail`` protocol extend unchanged to translated blocks -- every
+inline write checks its page for decoded code as ``write8`` does, the
+write that invalidates a page drops the block (translated function
+included), and the in-flight execution returns at the ``bail`` check
+after that instruction, exactly where the closure-list tier would have
+broken out of its loop.
 """
 
 from __future__ import annotations
 
 import operator
 
-from repro.rabbit.cpu import _PARITY, FLAG_C, FLAG_H, FLAG_N, FLAG_PV, FLAG_Z
-from repro.rabbit.memory import FLASH_SIZE, SRAM_BASE, SRAM_SIZE
+from repro.rabbit.cpu import (
+    _PARITY, FLAG_C, FLAG_H, FLAG_N, FLAG_PV, FLAG_S, FLAG_Z,
+)
+from repro.rabbit.memory import (
+    DATA_BASE, DATA_TOP, FLASH_SIZE, ROOT_TOP, SRAM_BASE, SRAM_SIZE,
+)
 
 #: Longest straight-line run decoded into one block.
 MAX_BLOCK_INSTRUCTIONS = 128
@@ -125,6 +138,16 @@ def _op_mem(body, length, base, np, fw):
         cpu.r = (cpu.r + 1) & 0x7F
         cpu.instructions += 1
     op._tmpl = ("mem", body, length, base, np, fw)
+    return op
+
+
+def _retag(op, kind, p1=None, p2=None):
+    """Name the inline template :meth:`BlockCache.translate` emits for
+    the ``_op_simple``/``_op_mem`` closure ``op``.  Only the tag
+    changes: the closure still runs the instruction in the closure-list
+    tier, and is the translated tier's exact slow path."""
+    _, _, length, base, np, fw = op._tmpl
+    op._tmpl = (kind, p1, p2, length, base, np, fw)
     return op
 
 
@@ -334,6 +357,8 @@ def _op_jr(target, fw, np=None, mask=0, want=False, taken=12, skipped=7):
             cpu.cycles += skipped + fw
         cpu.r = (cpu.r + 1) & 0x7F
         cpu.instructions += 1
+    op._tmpl = ("jr", target, None if np is None else (mask, want), 2,
+                (taken, skipped), np, fw)
     return op
 
 
@@ -351,6 +376,7 @@ def _op_djnz(target, np, fw):
             cpu.cycles += 8 + fw
         cpu.r = (cpu.r + 1) & 0x7F
         cpu.instructions += 1
+    op._tmpl = ("djnz", target, None, 2, (13, 8), np, fw)
     return op
 
 
@@ -362,6 +388,7 @@ def _op_jp(addr, length, fw):
         cpu.cycles += 10 + fw
         cpu.r = (cpu.r + 1) & 0x7F
         cpu.instructions += 1
+    op._tmpl = ("jp", addr, None, length, (10, 10), None, fw)
     return op
 
 
@@ -373,6 +400,7 @@ def _op_jp_cc(addr, np, mask, want, fw):
         cpu.cycles += 10 + fw
         cpu.r = (cpu.r + 1) & 0x7F
         cpu.instructions += 1
+    op._tmpl = ("jp", addr, (mask, want), 3, (10, 10), np, fw)
     return op
 
 
@@ -405,6 +433,8 @@ def _op_call(addr, np, fw, mask=0, want=None):
             cpu.cycles += 10 + fw
         cpu.r = (cpu.r + 1) & 0x7F
         cpu.instructions += 1
+    op._tmpl = ("call", addr, None if want is None else (mask, want), 3,
+                (17, 10), np, fw)
     return op
 
 
@@ -443,6 +473,8 @@ def _op_ret(fw, np=None, mask=0, want=False):
             cpu.cycles += 5 + fw
         cpu.r = (cpu.r + 1) & 0x7F
         cpu.instructions += 1
+    op._tmpl = ("ret", None, None if np is None else (mask, want), 1,
+                (10 if np is None else 11, 5), np, fw)
     return op
 
 
@@ -809,7 +841,7 @@ def _cb_closure(b1, np, fw):
     if x == 0:
         def body(cpu):
             setattr(cpu, name, cpu._rot(y, getattr(cpu, name)))
-        return _op_simple(body, 2, 8, np, fw)
+        return _retag(_op_simple(body, 2, 8, np, fw), "cb_rot", y, name)
     if x == 1:
         def body(cpu):
             _bit_flags(cpu, getattr(cpu, name), y)
@@ -1002,12 +1034,12 @@ def _decode_x0(memory, pc, y, z, limit, pages):
         pair = y >> 1
         if y & 1:               # ADD HL, rp
             _, fw = _fetch_bytes(memory, pc, 1, limit, pages)
-            return (_op_simple(_body_add_hl(pair), 1, 11, pc + 1, fw),
-                    pc + 1, False)
+            op = _op_simple(_body_add_hl(pair), 1, 11, pc + 1, fw)
+            return _retag(op, "add_hl", pair), pc + 1, False
         data, fw = _fetch_bytes(memory, pc, 3, limit, pages)
         nn = data[1] | (data[2] << 8)
-        return (_op_simple(_body_ld_rp_nn(pair, nn), 3, 10, pc + 3, fw),
-                pc + 3, False)
+        op = _op_simple(_body_ld_rp_nn(pair, nn), 3, 10, pc + 3, fw)
+        return _retag(op, "ld_rp_nn", pair, nn), pc + 3, False
     if z == 2:
         if y < 4:
             _, fw = _fetch_bytes(memory, pc, 1, limit, pages)
@@ -1019,17 +1051,19 @@ def _decode_x0(memory, pc, y, z, limit, pages):
         addr = data[1] | (data[2] << 8)
         np = pc + 3
         if y == 4:
-            return _op_mem(_body_ld_nn_hl(addr), 3, 16, np, fw), np, False
+            op = _op_mem(_body_ld_nn_hl(addr), 3, 16, np, fw)
+            return _retag(op, "ld_nn_hl", addr), np, False
         if y == 5:
-            return _op_mem(_body_ld_hl_nn(addr), 3, 16, np, fw), np, False
+            op = _op_mem(_body_ld_hl_nn(addr), 3, 16, np, fw)
+            return _retag(op, "ld_hl_nn", addr), np, False
         if y == 6:
             return _op_mem(_body_ld_nn_a(addr), 3, 13, np, fw), np, False
         return _op_mem(_body_ld_a_nn(addr), 3, 13, np, fw), np, False
     if z == 3:
         _, fw = _fetch_bytes(memory, pc, 1, limit, pages)
         delta = -1 if y & 1 else 1
-        return (_op_simple(_body_incdec_rp(y >> 1, delta), 1, 6, pc + 1, fw),
-                pc + 1, False)
+        op = _op_simple(_body_incdec_rp(y >> 1, delta), 1, 6, pc + 1, fw)
+        return _retag(op, "incdec_rp", y >> 1, delta), pc + 1, False
     if z == 4 or z == 5:
         _, fw = _fetch_bytes(memory, pc, 1, limit, pages)
         np = pc + 1
@@ -1066,7 +1100,8 @@ def _decode_x3(memory, pc, b0, y, z, limit, pages):
             if y == 5:          # JP (HL)
                 return _op_jp_hl(fw), np, True
             return (_op_simple(_body_ld_sp_hl, 1, 6, np, fw), np, False)
-        return _op_mem(_body_pop(y >> 1), 1, 10, np, fw), np, False
+        op = _op_mem(_body_pop(y >> 1), 1, 10, np, fw)
+        return _retag(op, "pop", y >> 1), np, False
     if z == 2:                  # JP cc, nn
         data, fw = _fetch_bytes(memory, pc, 3, limit, pages)
         addr = data[1] | (data[2] << 8)
@@ -1085,8 +1120,8 @@ def _decode_x3(memory, pc, b0, y, z, limit, pages):
                     pc + 1, False)
         if y == 5:              # EX DE, HL
             _, fw = _fetch_bytes(memory, pc, 1, limit, pages)
-            return (_op_simple(_body_ex_de_hl, 1, 4, pc + 1, fw),
-                    pc + 1, False)
+            op = _op_simple(_body_ex_de_hl, 1, 4, pc + 1, fw)
+            return _retag(op, "ex_de_hl"), pc + 1, False
         # DI / EI: interrupt state, ender
         return _step_op, pc + 1, True
     if z == 4:                  # CALL cc, nn
@@ -1101,8 +1136,8 @@ def _decode_x3(memory, pc, b0, y, z, limit, pages):
             addr = data[1] | (data[2] << 8)
             return _op_call(addr, pc + 3, fw), pc + 3, True
         _, fw = _fetch_bytes(memory, pc, 1, limit, pages)
-        return (_op_mem(_body_push(y >> 1), 1, 11, pc + 1, fw),
-                pc + 1, False)
+        op = _op_mem(_body_push(y >> 1), 1, 11, pc + 1, fw)
+        return _retag(op, "push", y >> 1), pc + 1, False
     if z == 6:                  # ALU A, n
         data, fw = _fetch_bytes(memory, pc, 2, limit, pages)
         if y in _LOGIC_OPS:
@@ -1115,12 +1150,411 @@ def _decode_x3(memory, pc, b0, y, z, limit, pages):
 
 
 # ---------------------------------------------------------------------------
-# The cache.
+# The translated tier's code generator.
 # ---------------------------------------------------------------------------
 
 #: ALU logic operation index -> Python operator spelling (codegen).
 _LOGIC_CHARS = {4: "&", 5: "^", 6: "|"}
 
+#: S, Z and P/V of an 8-bit result, by value: the whole flag byte of
+#: XOR/OR, of AND less its H, and of a CB rotate/shift less its carry.
+_SZP = bytes((v & FLAG_S) | (0 if v else FLAG_Z)
+             | (FLAG_PV if _PARITY[v] else 0) for v in range(256))
+
+#: CB rotates/shifts by operation index (RLC RRC RL RR SLA SRA SLL SRL)
+#: as source over the operand ``_v``: the result, and the carry out as
+#: bit 0 (where FLAG_C sits).
+_ROT_SOURCE = (
+    ("((_v << 1) | (_v >> 7)) & 0xFF", "_v >> 7"),
+    ("(_v >> 1) | ((_v & 1) << 7)", "_v & 1"),
+    (f"((_v << 1) | (cpu.f & {FLAG_C})) & 0xFF", "_v >> 7"),
+    (f"(_v >> 1) | ((cpu.f & {FLAG_C}) << 7)", "_v & 1"),
+    ("(_v << 1) & 0xFF", "_v >> 7"),
+    ("(_v >> 1) | (_v & 0x80)", "_v & 1"),
+    ("((_v << 1) | 1) & 0xFF", "_v >> 7"),
+    ("_v >> 1", "_v & 1"),
+)
+
+#: Logical data-segment address -> physical SRAM address offset.
+_DATA_PHYSICAL = SRAM_BASE - DATA_BASE
+#: Source test that the two-byte access at ``_s`` stays inside the data
+#: segment, where it indexes SRAM directly.
+_IN_DATA = f"{DATA_BASE:#x} <= _s < {DATA_TOP - 1:#x}"
+#: 16-bit pairs by index as (high, low) attributes, with AF for PUSH/POP.
+_STACK_RP = (("b", "c"), ("d", "e"), ("h", "l"), ("a", "f"))
+
+
+class _Run:
+    """The bookkeeping a translated block owes for its pending run of
+    template instructions, committed as one batched epilogue (integer
+    sums, so the batch is exact)."""
+
+    __slots__ = ("reads", "writes", "waits", "cycles", "count", "pc")
+
+    def __init__(self, reads=0, writes=0, waits=0, cycles=0, count=0,
+                 pc=None):
+        self.reads = reads
+        self.writes = writes
+        self.waits = waits
+        self.cycles = cycles
+        self.count = count
+        self.pc = pc
+
+    def plus(self, length, base, fw, pc, data_reads=0, data_writes=0,
+             data_waits=0):
+        """This run and one more instruction: ``length`` fetch bytes
+        paying ``fw``, ``base`` T-states, the given data traffic, and PC
+        left at ``pc`` (source; None when the caller sets it)."""
+        return _Run(self.reads + length + data_reads,
+                    self.writes + data_writes,
+                    self.waits + fw + data_waits,
+                    self.cycles + base + fw + data_waits,
+                    self.count + 1, pc)
+
+    def source(self, depth=1, cycles=True):
+        """Lines committing the run; ``cycles`` False leaves the cycle
+        update to the caller (a branch whose arms cost differently)."""
+        pad = "    " * depth
+        lines = [f"{pad}memory.reads += {self.reads}"]
+        if self.writes:
+            lines.append(f"{pad}memory.writes += {self.writes}")
+        if self.waits:
+            lines.append(f"{pad}memory.wait_cycles += {self.waits}")
+        if self.pc is not None:
+            lines.append(f"{pad}cpu.pc = {self.pc}")
+        if cycles:
+            lines.append(f"{pad}cpu.cycles += {self.cycles}")
+        lines.append(f"{pad}cpu.r = (cpu.r + {self.count}) & 0x7F")
+        lines.append(f"{pad}cpu.instructions += {self.count}")
+        return lines
+
+
+def _logic_flags(operation):
+    """Source setting F after AND/XOR/OR left its result in ``_a``."""
+    return f"cpu.f = _SZP[_a] | {FLAG_H}" if operation == 4 \
+        else "cpu.f = _SZP[_a]"
+
+
+def _register_source(kind, p1, p2):
+    """Source for a template that touches registers and flags only, or
+    None when ``kind`` is not one."""
+    if kind == "rr":
+        return [f"cpu.{p1} = cpu.{p2}"]
+    if kind == "rn":
+        return [f"cpu.{p1} = {p2}"]
+    if kind == "incdec":
+        helper = "_inc8" if p2 else "_dec8"
+        return [f"cpu.{p1} = cpu.{helper}(cpu.{p1})"]
+    if kind == "arith_r":
+        return [f"cpu._alu({p1}, cpu.{p2})"]
+    if kind == "arith_n":
+        return [f"cpu._alu({p1}, {p2})"]
+    if kind in ("logic_r", "logic_n"):
+        operand = f"cpu.{p2}" if kind == "logic_r" else f"{p2}"
+        return [f"cpu.a = _a = cpu.a {_LOGIC_CHARS[p1]} {operand}",
+                _logic_flags(p1)]
+    if kind == "cb_rot":
+        result, carry = _ROT_SOURCE[p1]
+        return [f"_v = cpu.{p2}",
+                f"cpu.{p2} = _r = {result}",
+                f"cpu.f = _SZP[_r] | ({carry})"]
+    if kind == "ld_rp_nn":
+        if p1 == 3:
+            return [f"cpu.sp = {p2}"]
+        hi, lo = _RP[p1]
+        return [f"cpu.{hi} = {p2 >> 8}", f"cpu.{lo} = {p2 & 0xFF}"]
+    if kind == "incdec_rp":
+        if p1 == 3:
+            return [f"cpu.sp = (cpu.sp + {p2}) & 0xFFFF"]
+        hi, lo = _RP[p1]
+        return [f"_v = (((cpu.{hi} << 8) | cpu.{lo}) + {p2}) & 0xFFFF",
+                f"cpu.{hi} = _v >> 8",
+                f"cpu.{lo} = _v & 0xFF"]
+    if kind == "add_hl":        # cpu._add16, inline
+        rhs = ("cpu.sp" if p1 == 3 else "_x" if p1 == 2
+               else "(cpu.{0} << 8) | cpu.{1}".format(*_RP[p1]))
+        keep = ~(FLAG_N | FLAG_C | FLAG_H) & 0xFF
+        return ["_x = (cpu.h << 8) | cpu.l",
+                f"_y = {rhs}",
+                "_v = _x + _y",
+                f"cpu.f = (cpu.f & {keep:#x}) | (_v >> 16) "
+                f"| ((((_x & 0xFFF) + (_y & 0xFFF)) >> 8) & {FLAG_H})",
+                "cpu.h = (_v >> 8) & 0xFF",
+                "cpu.l = _v & 0xFF"]
+    if kind == "ex_de_hl":
+        return ["cpu.d, cpu.e, cpu.h, cpu.l = cpu.h, cpu.l, cpu.d, cpu.e"]
+    return None
+
+
+class _Translation:
+    """The source of one translated block, built op by op (see
+    :meth:`BlockCache.translate` for the rules it keeps)."""
+
+    def __init__(self, cache, ops):
+        memory = cache.memory
+        self.ops = ops
+        self.last = len(ops) - 1
+        self.flash_ws = memory.flash_wait_states
+        self.sram_ws = memory.sram_wait_states
+        self.ns = {"_c": cache, "_S": memory.sram, "_F": memory.flash,
+                   "_P": memory._code_pages, "_SZP": _SZP}
+        self.lines = []
+        self.run = _Run()
+
+    def emit(self, line, depth=1):
+        self.lines.append("    " * depth + line)
+
+    def flush(self):
+        """Commit the pending run (before a raise or bail point)."""
+        if self.run.count:
+            self.lines += self.run.source()
+            self.run = _Run()
+
+    def bind(self, name, value):
+        self.ns[name] = value
+        return name
+
+    def closure(self, i, depth=1):
+        """One call to op ``i``'s closure: the exact slow path."""
+        self.emit(f"{self.bind(f'_o{i}', self.ops[i])}(cpu, memory)", depth)
+
+    def opaque(self, i):
+        """A closure call at a raise/bail point: the run commits first."""
+        self.flush()
+        self.closure(i)
+        self.bail_check(i)
+
+    def bail_check(self, i):
+        if i != self.last:
+            self.emit("if _c.bail:")
+            self.emit("return", 2)
+
+    def store(self, value, offset, address=None, depth=1):
+        """Write ``value`` to data-segment byte ``address + offset``
+        (``_s + offset`` when ``address`` is None), then check its page
+        for decoded code, as ``write8`` does."""
+        if address is None:
+            self.emit(f"_S[_s - {DATA_BASE - offset:#x}] = {value}", depth)
+            physical = f"_s + {_DATA_PHYSICAL + offset:#x}"
+            self.emit(f"if _P[({physical}) >> 8]:", depth)
+        else:
+            physical = address + offset + _DATA_PHYSICAL
+            self.emit(f"_S[{physical - SRAM_BASE:#x}] = {value}", depth)
+            self.emit(f"if _P[{physical >> 8:#x}]:", depth)
+        self.emit(f"_c.code_written({physical})", depth + 1)
+
+    def static_source(self, address):
+        """(array, index, wait states) for a two-byte access at the
+        constant ``address`` inside one fixed segment, else None."""
+        if DATA_BASE <= address < DATA_TOP - 1:
+            return "_S", address - DATA_BASE, self.sram_ws
+        if address < ROOT_TOP - 1:
+            return "_F", address, self.flash_ws
+        return None
+
+    # -- op classes ----------------------------------------------------
+
+    def add(self, i, op):
+        t = getattr(op, "_tmpl", None)
+        kind = None if t is None else t[0]
+        if kind is None:
+            self.opaque(i)
+        elif kind == "mem":
+            self.mem(i, *t[1:])
+        elif kind == "simple":
+            _, body, length, base, np, fw = t
+            self.emit(f"{self.bind(f'_b{i}', body)}(cpu)")
+            self.run = self.run.plus(length, base, fw, np)
+        elif kind in ("mhl_read", "mhl_write", "mhl_logic"):
+            self.mhl(i, *t)
+        else:
+            _, p1, p2, length, base, np, fw = t
+            source = _register_source(kind, p1, p2)
+            if source is not None:
+                self.lines += ["    " + line for line in source]
+                self.run = self.run.plus(length, base, fw, np)
+            else:
+                getattr(self, kind)(i, p1, p2, length, base, np, fw)
+
+    def mem(self, i, body, length, base, np, fw):
+        """Inline the ``_op_mem`` wrapper, keep the body call: one call
+        per memory op instead of two.  Self-committing (raise/bail
+        point), in the wrapper's statement order."""
+        self.flush()
+        self.emit(f"memory.reads += {length}")
+        if fw:
+            self.emit(f"memory.wait_cycles += {fw}")
+        self.emit("_w = memory.wait_cycles")
+        self.emit(f"{self.bind(f'_b{i}', body)}(cpu, memory)")
+        self.emit(f"cpu.pc = {np}")
+        self.emit(f"cpu.cycles += {base + fw} + memory.wait_cycles - _w")
+        self.emit("cpu.r = (cpu.r + 1) & 0x7F")
+        self.emit("cpu.instructions += 1")
+        self.bail_check(i)
+
+    def mhl(self, i, kind, p1, _unused, length, base, np, fw):
+        """The ``(HL)`` accessors: inline, self-committing (the access
+        can add wait states, raise, or -- for the write -- set bail)."""
+        self.flush()
+        self.emit(f"memory.reads += {length}")
+        if fw:
+            self.emit(f"memory.wait_cycles += {fw}")
+        self.emit("_w = memory.wait_cycles")
+        if kind == "mhl_read":
+            self.emit(f"cpu.{p1} = memory.read8((cpu.h << 8) | cpu.l)")
+        elif kind == "mhl_write":
+            self.emit(f"memory.write8((cpu.h << 8) | cpu.l, cpu.{p1})")
+        else:
+            self.emit(f"cpu.a = _a = cpu.a {_LOGIC_CHARS[p1]} "
+                      f"memory.read8((cpu.h << 8) | cpu.l)")
+            self.emit(_logic_flags(p1))
+        self.emit(f"cpu.pc = {np}")
+        self.emit(f"cpu.cycles += {base + fw} + memory.wait_cycles - _w")
+        self.emit("cpu.r = (cpu.r + 1) & 0x7F")
+        self.emit("cpu.instructions += 1")
+        if kind == "mhl_write":
+            self.bail_check(i)
+
+    def ld_hl_nn(self, i, address, _unused, length, base, np, fw):
+        """LD HL,(nn) from root flash or the data segment: part of the
+        run, since it can neither raise nor write."""
+        static = self.static_source(address)
+        if static is None:
+            self.opaque(i)
+            return
+        array, index, ws = static
+        self.emit(f"cpu.l = {array}[{index:#x}]")
+        self.emit(f"cpu.h = {array}[{index + 1:#x}]")
+        self.run = self.run.plus(length, base, fw, np, data_reads=2,
+                                 data_waits=2 * ws)
+
+    def ld_nn_hl(self, i, address, _unused, length, base, np, fw):
+        """LD (nn),HL into the data segment: closes the run, then the
+        bail check (the store may land on decoded code)."""
+        if not DATA_BASE <= address < DATA_TOP - 1:
+            self.opaque(i)
+            return
+        self.store("cpu.l", 0, address)
+        self.store("cpu.h", 1, address)
+        self.run = self.run.plus(length, base, fw, np, data_writes=2,
+                                 data_waits=2 * self.sram_ws)
+        self.flush()
+        self.bail_check(i)
+
+    def push(self, i, pair, _unused, length, base, np, fw):
+        """PUSH rp: SRAM stores while SP stays in the data segment, else
+        the closure; self-committing, then the bail check."""
+        hi, lo = _STACK_RP[pair]
+        self.flush()
+        self.emit("_s = cpu.sp - 2")
+        self.emit(f"if {_IN_DATA}:")
+        self.emit("cpu.sp = _s", 2)
+        self.store(f"cpu.{lo}", 0, depth=2)
+        self.store(f"cpu.{hi}", 1, depth=2)
+        self.lines += _Run().plus(length, base, fw, np, data_writes=2,
+                                  data_waits=2 * self.sram_ws).source(2)
+        self.emit("else:")
+        self.closure(i, 2)
+        self.bail_check(i)
+
+    def pop(self, i, pair, _unused, length, base, np, fw):
+        """POP rp: SRAM loads while SP stays in the data segment, else
+        the closure; self-committing (the closure can raise)."""
+        hi, lo = _STACK_RP[pair]
+        self.flush()
+        self.emit("_s = cpu.sp")
+        self.emit(f"if {_IN_DATA}:")
+        self.emit(f"cpu.{lo} = _S[_s - {DATA_BASE:#x}]", 2)
+        self.emit(f"cpu.{hi} = _S[_s - {DATA_BASE - 1:#x}]", 2)
+        self.emit("cpu.sp = _s + 2", 2)
+        self.lines += _Run().plus(length, base, fw, np, data_reads=2,
+                                  data_waits=2 * self.sram_ws).source(2)
+        self.emit("else:")
+        self.closure(i, 2)
+
+    # -- block-ending branches: the function's tail ----------------------
+    # An ender is always a block's last op, so the pending run folds into
+    # its epilogue on every arm; an arm that falls back to the closure
+    # commits the run first.
+
+    @staticmethod
+    def condition(cc):
+        mask, want = cc
+        return f"cpu.f & {mask}" if want else f"not cpu.f & {mask}"
+
+    def jp(self, i, target, cc, length, costs, np, fw):
+        pc = (target if cc is None else
+              f"{target} if {self.condition(cc)} else {np}")
+        self.lines += self.run.plus(length, costs[0], fw, pc).source()
+        self.run = _Run()
+
+    def jr(self, i, target, cc, length, costs, np, fw):
+        if cc is None:
+            self.jp(i, target, cc, length, costs, np, fw)
+            return
+        self.branch(self.condition(cc), target, length, costs, np, fw)
+
+    def djnz(self, i, target, _unused, length, costs, np, fw):
+        self.emit("cpu.b = _v = (cpu.b - 1) & 0xFF")
+        self.branch("_v", target, length, costs, np, fw)
+
+    def branch(self, condition, target, length, costs, np, fw):
+        run = self.run.plus(length, 0, fw, None)
+        self.lines += run.source(cycles=False)
+        self.emit(f"if {condition}:")
+        self.emit(f"cpu.pc = {target}", 2)
+        self.emit(f"cpu.cycles += {run.cycles + costs[0]}", 2)
+        self.emit("else:")
+        self.emit(f"cpu.pc = {np}", 2)
+        self.emit(f"cpu.cycles += {run.cycles + costs[1]}", 2)
+        self.run = _Run()
+
+    def call(self, i, target, cc, length, costs, np, fw):
+        self.emit("_s = cpu.sp - 2")
+        taken = "" if cc is None else f"{self.condition(cc)} and "
+        self.emit(f"if {taken}{_IN_DATA}:")
+        self.emit("cpu.sp = _s", 2)
+        self.store(np & 0xFF, 0, depth=2)
+        self.store(np >> 8, 1, depth=2)
+        self.lines += self.run.plus(
+            length, costs[0], fw, target, data_writes=2,
+            data_waits=2 * self.sram_ws).source(2)
+        self.fall_back(i, cc, length, costs, np, fw)
+
+    def ret(self, i, _unused, cc, length, costs, np, fw):
+        self.emit("_s = cpu.sp")
+        taken = "" if cc is None else f"{self.condition(cc)} and "
+        self.emit(f"if {taken}{_IN_DATA}:")
+        self.emit(f"cpu.pc = _S[_s - {DATA_BASE:#x}] "
+                  f"| (_S[_s - {DATA_BASE - 1:#x}] << 8)", 2)
+        self.emit("cpu.sp = _s + 2", 2)
+        self.lines += self.run.plus(
+            length, costs[0], fw, None, data_reads=2,
+            data_waits=2 * self.sram_ws).source(2)
+        self.fall_back(i, cc, length, costs, np, fw)
+
+    def fall_back(self, i, cc, length, costs, np, fw):
+        """The arms after a stack tail's fast path: not taken, and SP
+        off the data segment (the run, then the closure)."""
+        if cc is not None:
+            mask, want = cc
+            self.emit(f"elif {self.condition((mask, not want))}:")
+            self.lines += self.run.plus(length, costs[1], fw,
+                                        np).source(2)
+        self.emit("else:")
+        if self.run.count:
+            self.lines += self.run.source(2)
+        self.closure(i, 2)
+        self.run = _Run()
+
+    def source(self):
+        self.flush()
+        return "def _tr(cpu, memory):\n" + "\n".join(self.lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# The cache.
+# ---------------------------------------------------------------------------
 
 class BlockCache:
     """Decoded basic blocks plus the invalidation machinery.
@@ -1233,160 +1667,54 @@ class BlockCache:
     def translate(self, key: int, block: list):
         """Compile ``block`` into one specialized function.
 
-        Template-able closures (the register/flag instruction classes --
-        LD r,r' / LD r,n / INC/DEC r / AND/XOR/OR / ADD..CP /
-        ``_op_simple`` bodies) are fused into straight-line runs whose
-        counter bookkeeping (``memory.reads``/``wait_cycles``,
-        ``cpu.pc``/``cycles``/``r``/``instructions``) commits as one
-        batched epilogue per run; integer sums make the batch exact.
+        Template instructions are emitted inline, and the counter
+        bookkeeping (``memory.reads``/``writes``/``wait_cycles``,
+        ``cpu.pc``/``cycles``/``r``/``instructions``) of consecutive ones
+        commits as one batched epilogue per run; integer sums make the
+        batch exact.  Templated classes:
+
+        * registers and flags only, batched: LD r,r' / LD r,n / INC/DEC r
+          / AND/XOR/OR (flags from one S/Z/PV table) / ADD..CP / CB
+          rotates and shifts on registers / LD rp,nn / INC/DEC rp /
+          ADD HL,rp / EX DE,HL / ``_op_simple`` bodies (one call each);
+        * ``LD HL,(nn)`` from a constant address inside root flash or the
+          data segment: direct indexing, wait states known at translate
+          time, batched like a register op;
+        * ``LD (nn),HL`` into the data segment, ``PUSH``/``POP``: direct
+          SRAM indexing that bumps the counters exactly as
+          ``read8``/``write8`` would.  ``PUSH``/``POP`` test at run time
+          that the two bytes at SP lie in ``0xC000 <= a < 0xDFFF`` and
+          otherwise call the closure; either way the instruction commits
+          its own bookkeeping, after the run before it has flushed;
+        * the block-ending ``JP``/``JR``/``DJNZ`` (cc) as the function's
+          tail, folded into the last epilogue; ``CALL``/``RET`` (cc) on
+          the same stack test, with the off-segment arm committing the
+          run and calling the closure;
+        * the ``(HL)`` accessors and other ``_op_mem`` ops: inline
+          wrapper around one body call (``read8``/``write8``), in the
+          closure's statement order.
+
         Everything else stays an opaque closure call.  Ordering rules
         that keep the tallies byte-identical to the closure-list tier:
 
-        * a run's epilogue flushes *before* any opaque op, because
-          memory-class closures measure data wait states via a
-          before/after ``memory.wait_cycles`` delta;
-        * fused instructions never touch data memory, so
-          :attr:`bail` cannot newly rise inside a run -- the mid-block
-          ``bail`` check only needs to follow opaque ops (the only ones
-          that can write, hence invalidate);
-        * the ``(HL)`` accessor classes (``mhl_read`` / ``mhl_write`` /
-          ``mhl_logic``) are inlined too, but commit their own
-          bookkeeping in the closures' exact statement order (they sit
-          on a potential raise/bail point, so nothing of theirs may be
-          deferred into a batch, and the run before them must flush).
+        * a run's epilogue flushes before anything that can raise or
+          set :attr:`bail` (an opaque op, a memory op's closure, an
+          inline write), because memory-class closures measure data wait
+          states via a before/after ``memory.wait_cycles`` delta and a
+          raise or bail must leave every counter committed;
+        * batched instructions never write, so :attr:`bail` cannot rise
+          inside a run;
+        * every inline write checks ``_code_pages`` right after its
+          store, in write order, and a ``bail`` check follows every
+          instruction that can write (inline or through its closure),
+          except the block's last.
         """
-        ops = block[0]
-        ns = {"_c": self, "_PARITY": _PARITY}
-        lines = []
-        seg_reads = seg_fw = seg_cycles = seg_count = 0
-        seg_np = 0
-
-        def flush():
-            nonlocal seg_reads, seg_fw, seg_cycles, seg_count
-            if not seg_count:
-                return
-            lines.append(f"    memory.reads += {seg_reads}")
-            if seg_fw:
-                lines.append(f"    memory.wait_cycles += {seg_fw}")
-            lines.append(f"    cpu.pc = {seg_np}")
-            lines.append(f"    cpu.cycles += {seg_cycles}")
-            lines.append(f"    cpu.r = (cpu.r + {seg_count}) & 0x7F")
-            lines.append(f"    cpu.instructions += {seg_count}")
-            seg_reads = seg_fw = seg_cycles = seg_count = 0
-
-        last = len(ops) - 1
-        for i, op in enumerate(ops):
-            t = getattr(op, "_tmpl", None)
-            if t is None:
-                flush()
-                name = f"_o{i}"
-                ns[name] = op
-                lines.append(f"    {name}(cpu, memory)")
-                if i != last:
-                    lines.append("    if _c.bail:")
-                    lines.append("        return")
-                continue
-            kind = t[0]
-            if kind == "mem":
-                # Inline the wrapper, keep the body call: one Python
-                # call per memory op instead of two.  Self-committing
-                # (raise/bail point), in the wrapper's statement order.
-                flush()
-                _, body, length, base, np, fw = t
-                name = f"_b{i}"
-                ns[name] = body
-                lines.append(f"    memory.reads += {length}")
-                if fw:
-                    lines.append(f"    memory.wait_cycles += {fw}")
-                lines.append("    _w = memory.wait_cycles")
-                lines.append(f"    {name}(cpu, memory)")
-                lines.append(f"    cpu.pc = {np}")
-                lines.append(
-                    f"    cpu.cycles += {base + fw} + "
-                    f"memory.wait_cycles - _w")
-                lines.append("    cpu.r = (cpu.r + 1) & 0x7F")
-                lines.append("    cpu.instructions += 1")
-                if i != last:
-                    lines.append("    if _c.bail:")
-                    lines.append("        return")
-                continue
-            if kind in ("mhl_read", "mhl_write", "mhl_logic"):
-                # Inline, but self-committing: the data access can add
-                # wait states (measured via delta), raise, or -- for the
-                # write -- land on a code page and set bail.
-                flush()
-                _, p1, _unused, length, base, np, fw = t
-                lines.append(f"    memory.reads += {length}")
-                if fw:
-                    lines.append(f"    memory.wait_cycles += {fw}")
-                lines.append("    _w = memory.wait_cycles")
-                if kind == "mhl_read":
-                    lines.append(
-                        f"    cpu.{p1} = memory.read8((cpu.h << 8) | cpu.l)")
-                elif kind == "mhl_write":
-                    lines.append(
-                        f"    memory.write8((cpu.h << 8) | cpu.l, cpu.{p1})")
-                else:
-                    half = FLAG_H if p1 == 4 else 0
-                    lines.append(
-                        f"    _a = cpu.a {_LOGIC_CHARS[p1]} "
-                        f"memory.read8((cpu.h << 8) | cpu.l)")
-                    lines.append("    cpu.a = _a")
-                    lines.append(f"    _f = (_a & 0x80) | {half}")
-                    lines.append("    if _a == 0:")
-                    lines.append(f"        _f |= {FLAG_Z}")
-                    lines.append("    if _PARITY[_a]:")
-                    lines.append(f"        _f |= {FLAG_PV}")
-                    lines.append("    cpu.f = _f")
-                lines.append(f"    cpu.pc = {np}")
-                lines.append(
-                    f"    cpu.cycles += {base + fw} + "
-                    f"memory.wait_cycles - _w")
-                lines.append("    cpu.r = (cpu.r + 1) & 0x7F")
-                lines.append("    cpu.instructions += 1")
-                if kind == "mhl_write" and i != last:
-                    lines.append("    if _c.bail:")
-                    lines.append("        return")
-                continue
-            if kind == "simple":
-                _, body, length, base, np, fw = t
-                name = f"_b{i}"
-                ns[name] = body
-                lines.append(f"    {name}(cpu)")
-            else:
-                _, p1, p2, length, base, np, fw = t
-                if kind == "rr":
-                    lines.append(f"    cpu.{p1} = cpu.{p2}")
-                elif kind == "rn":
-                    lines.append(f"    cpu.{p1} = {p2}")
-                elif kind == "incdec":
-                    helper = "_inc8" if p2 else "_dec8"
-                    lines.append(f"    cpu.{p1} = cpu.{helper}(cpu.{p1})")
-                elif kind == "arith_r":
-                    lines.append(f"    cpu._alu({p1}, cpu.{p2})")
-                elif kind == "arith_n":
-                    lines.append(f"    cpu._alu({p1}, {p2})")
-                else:   # logic_r / logic_n: inline flag math
-                    operand = f"cpu.{p2}" if kind == "logic_r" else f"{p2}"
-                    half = FLAG_H if p1 == 4 else 0
-                    lines.append(
-                        f"    _a = cpu.a {_LOGIC_CHARS[p1]} {operand}")
-                    lines.append("    cpu.a = _a")
-                    lines.append(f"    _f = (_a & 0x80) | {half}")
-                    lines.append("    if _a == 0:")
-                    lines.append(f"        _f |= {FLAG_Z}")
-                    lines.append("    if _PARITY[_a]:")
-                    lines.append(f"        _f |= {FLAG_PV}")
-                    lines.append("    cpu.f = _f")
-            seg_reads += length
-            seg_fw += fw
-            seg_cycles += base + fw
-            seg_count += 1
-            seg_np = np
-        flush()
-        source = "def _tr(cpu, memory):\n" + "\n".join(lines) + "\n"
-        code = compile(source, f"<translated:{key:#x}>", "exec")
-        exec(code, ns)
+        translation = _Translation(self, block[0])
+        for i, op in enumerate(block[0]):
+            translation.add(i, op)
+        ns = translation.ns
+        exec(compile(translation.source(), f"<translated:{key:#x}>", "exec"),
+             ns)
         fn = ns["_tr"]
         block[3] = fn
         self.translated_blocks += 1

@@ -26,26 +26,35 @@ agree in full.
 
 from __future__ import annotations
 
+import random
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.rabbit.board import Board
 from repro.rabbit.fastcore import BlockCache
+from repro.rabbit.memory import FLASH_SIZE, SRAM_SIZE
 from tests.rabbit.test_fastpath import _machine_state
 
-#: Where a stream is loaded: root flash, the data segment (SRAM), and
-#: the bank window at XPC 0x80 (the same SRAM bytes as the data-segment
-#: base, seen through the window).
-CODE_BASES = (0x0100, 0xC200, 0xE200)
+#: Where a stream is loaded: the data segment (SRAM), the bank window at
+#: XPC 0x80 (the same SRAM bytes, seen through the window), root flash.
+CODE_BASES = (0xC200, 0xE200, 0x0100)
 
 #: Stack and ``(nn)`` addresses at the segment edges.
 EDGE_ADDRESSES = (0x0000, 0x0002, 0x0100, 0xBFFE, 0xBFFF, 0xC000, 0xC001,
                   0xC002, 0xDFFD, 0xDFFE, 0xDFFF, 0xE000, 0xE001, 0xFFFE,
                   0xFFFF)
 
+#: Stack pointers whose two-byte push or pop straddles a segment edge.
+STACK_EDGES = (0xDFFF, 0xE001, 0xE000, 0xC001, 0xC000, 0xBFFF, 0x0001)
+
 #: XPC values: SRAM base, the last SRAM bank (its window runs off the
 #: end of SRAM), flash, and unpopulated space.
 XPC_VALUES = (0x80, 0x9E, 0x9F, 0x00, 0xA0, 0xFF)
+
+#: What flash and SRAM hold around the stream.
+FLASH_FILL = random.Random(1).randbytes(FLASH_SIZE)
+SRAM_FILL = random.Random(2).randbytes(SRAM_SIZE)
 
 _BYTE = st.integers(0, 0xFF)
 _REG = st.sampled_from((0, 1, 2, 3, 4, 5, 7))   # B C D E H L A
@@ -127,8 +136,10 @@ def _instructions(words):
         st.sampled_from([0xC9, 0xC0, 0xC8, 0xD0, 0xD8, 0xF3, 0xFB]).map(
             lambda b: ("bytes", [b])),                        # RET, DI, EI
     )
+    # LD (nn),HL onto a later instruction of the stream (self-modifying).
+    patch = st.tuples(st.just("patch"), st.integers(1, 3), st.integers(-1, 2))
     return st.one_of(templated, templated, templated, register, prefixed,
-                     control)
+                     control, patch)
 
 
 def _layout(base: int, items: list) -> bytes:
@@ -151,6 +162,10 @@ def _layout(base: int, items: list) -> bytes:
         kind = item[0]
         if kind == "bytes":
             code += item[1]
+            continue
+        if kind == "patch":
+            target = addresses[min(len(items), index + item[1])] + item[2]
+            code += [0x22, target & 0xFF, target >> 8]
             continue
         if kind == "djnz":
             target = addresses[max(0, index - item[1])]
@@ -178,21 +193,25 @@ def programs(draw):
     data = st.integers(0xC000, 0xDFFF)
     words = st.one_of(data, data, near_code, st.sampled_from(EDGE_ADDRESSES),
                       st.integers(0, 0xFFFF))
-    items = draw(st.lists(_instructions(words), min_size=1, max_size=24))
+    items = draw(st.lists(_instructions(words), min_size=4, max_size=32))
     code, addresses = _layout(base, items)
     # A F B C D E H L, the pair high bytes mostly in the data segment.
     high = st.one_of(st.integers(0xC0, 0xDF), _BYTE)
     regs = draw(st.tuples(_BYTE, _BYTE, high, _BYTE, high, _BYTE, high,
                           _BYTE))
-    sp = draw(st.one_of(data, data, st.sampled_from(EDGE_ADDRESSES),
-                        near_code))
+    # base + 1: a push whose high byte lands on the stream's first byte.
+    sp = draw(st.one_of(st.sampled_from(STACK_EDGES), data,
+                        st.just(base + 1), near_code,
+                        st.sampled_from(EDGE_ADDRESSES)))
     ix, iy = draw(st.tuples(words, words))
     mode = draw(st.sampled_from(["run", "call", "cycles"]))
     if mode == "cycles":
-        budgets = draw(st.lists(st.integers(1, 3000), min_size=1,
-                                max_size=3))
+        budgets = draw(st.lists(st.one_of(st.integers(200, 8000),
+                                          st.integers(1, 200)),
+                                min_size=1, max_size=3))
     else:
-        budgets = [draw(st.integers(1, 600))]
+        budgets = [draw(st.one_of(st.integers(100, 2000),
+                                  st.integers(1, 40)))]
     stop = draw(st.sampled_from(addresses))
     interrupt = draw(st.booleans())
     return {"base": base, "code": code, "regs": regs, "sp": sp,
@@ -211,6 +230,9 @@ def _run(program: dict, threshold: int | None):
     else:
         cpu._cache = BlockCache(cpu)
         cpu._cache.translate_threshold = threshold
+    # Patterned memory, so a read from the wrong address shows.
+    memory.load_flash(FLASH_FILL)
+    memory.load_sram(SRAM_FILL)
     base = program["base"]
     if base < 0xC000:
         memory.load_flash(program["code"], base)
@@ -248,7 +270,7 @@ def _without_fetch_position(state: dict) -> dict:
 
 
 @given(program=programs())
-@settings(max_examples=200, deadline=None,
+@settings(max_examples=400, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_fast_core_matches_step_core_on_generated_streams(program):
     step_outcomes, step_state = _run(program, None)
