@@ -24,8 +24,8 @@ must be byte-identical for a given seed.  PY105 flags nondeterministic
 and friends; a seeded ``random.Random(seed)`` instance is the
 sanctioned pattern).  PY106 flags nondeterministic *orders*: iterating
 a set (or laundering one through ``list()``/``join()``) bakes hash
-order into the output.  The few legitimate wall-time call sites (bench
-harness timings, obs wall-clock spans) carry an explicit
+order into the output.  The one legitimate wall-time call site (the
+bench snapshot's creation stamp) carries an explicit
 ``dclint: allow(PY105)`` annotation.
 
 The module also extracts embedded Dynamic C sources (plain string

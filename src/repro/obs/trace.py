@@ -3,10 +3,11 @@
 A :class:`Tracer` records *spans* -- named intervals with attributes --
 and *instants* -- point events.  Time comes from an injectable ``clock``
 callable (normally the discrete-event simulator's ``sim.now``, so span
-durations are simulated seconds, not host seconds); each span also
-records host wall-clock time, and, when a ``cycle_clock`` is bound, the
-Rabbit core's cycle counter, so one span carries all three of the
-paper's time bases.
+durations are simulated seconds, not host seconds); when a
+``cycle_clock`` is bound, each span also records the Rabbit core's
+cycle counter, so one span carries both of the paper's simulated time
+bases.  Spans hold no host time, so a trace is byte-identical from run
+to run; host time per layer is ``benchmarks/perf``'s measurement.
 
 Spans nest: :meth:`Tracer.begin` pushes onto a per-``tid`` stack and the
 span remembers its parent.  ``tid`` ("thread id") names a logical
@@ -30,7 +31,6 @@ lookup and one method call when observability is off.
 from __future__ import annotations
 
 import json
-import time
 from typing import Callable
 
 #: Span category names used across the stack; a layer tags its spans so
@@ -82,13 +82,11 @@ class Span:
     """One named interval on one logical timeline."""
 
     __slots__ = ("name", "cat", "tid", "start", "end", "args", "span_id",
-                 "parent_id", "trace_id", "wall_start", "wall_end",
-                 "cycles_start", "cycles_end")
+                 "parent_id", "trace_id", "cycles_start", "cycles_end")
 
     def __init__(self, name: str, cat: str, tid: str, start: float,
                  span_id: int, parent_id: int | None, args: dict,
-                 wall_start: float, cycles_start: int | None,
-                 trace_id: int | None = None):
+                 cycles_start: int | None, trace_id: int | None = None):
         self.name = name
         self.cat = cat
         self.tid = tid
@@ -98,8 +96,6 @@ class Span:
         self.span_id = span_id
         self.parent_id = parent_id
         self.trace_id = trace_id
-        self.wall_start = wall_start
-        self.wall_end: float | None = None
         self.cycles_start = cycles_start
         self.cycles_end: int | None = None
 
@@ -124,8 +120,6 @@ class Span:
             "trace": self.trace_id,
             "start_s": self.start,
             "end_s": self.end,
-            "wall_s": (None if self.wall_end is None
-                       else self.wall_end - self.wall_start),
         }
         if self.cycles is not None:
             record["cycles"] = self.cycles
@@ -193,7 +187,7 @@ class Tracer:
             local_parent.span_id if local_parent is not None else None
         )
         span = Span(name, cat, tid, self.now(), self._next_id, parent_id,
-                    args, time.perf_counter(), self._cycles())  # dclint: allow(PY105)
+                    args, self._cycles())
         if trace == NEW_TRACE:
             span.trace_id = span.span_id
         elif trace is not None:
@@ -209,7 +203,6 @@ class Tracer:
         if span.end is not None:
             return span
         span.end = self.now()
-        span.wall_end = time.perf_counter()  # dclint: allow(PY105)
         span.cycles_end = self._cycles()
         if args:
             span.args.update(args)
@@ -233,10 +226,9 @@ class Tracer:
         the board even though the simulator charges time in one lump).
         ``parent``/``trace`` attach it to a propagated trace context."""
         span = Span(name, cat, tid, start, self._next_id, parent, args,
-                    time.perf_counter(), None, trace_id=trace)  # dclint: allow(PY105)
+                    None, trace_id=trace)
         self._next_id += 1
         span.end = end
-        span.wall_end = span.wall_start
         self.spans.append(span)
         return span
 

@@ -10,6 +10,7 @@ demonstration with ``dclint: allow(RULE)`` -- do not relax this test.
 import ast
 import importlib
 import pathlib
+import re
 
 import pytest
 
@@ -41,8 +42,8 @@ LINTED_TREES = [
 
 #: Simulation packages whose output must be byte-identical per seed:
 #: the determinism sanitizer (PY105/PY106) must hold here with *zero*
-#: allow-annotations -- wall clocks live only in obs/trace.py's spans
-#: and the bench snapshot's creation stamp.
+#: allow-annotations -- the one wall clock in ``src/repro`` is the bench
+#: snapshot's creation stamp.
 SIMULATION_TREES = [
     REPO / "src" / "repro" / "rabbit",
     REPO / "src" / "repro" / "net",
@@ -117,7 +118,7 @@ def test_simulation_packages_are_deterministic():
     """PY105/PY106 over every simulation package, with no escapes.
 
     An allow(PY105/PY106) annotation is acceptable in harness code
-    (bench timings, obs wall-clock spans) but never in the simulation
+    (the bench snapshot's stamp) but never in the simulation
     itself: here the sanitizer must pass on the raw sources too, so a
     wall-clock read cannot be annotated into the simulator.
     """
@@ -132,42 +133,27 @@ def test_simulation_packages_are_deterministic():
             )
 
 
-def test_obs_wall_clock_is_confined_to_trace_spans():
-    """The obs v2 additions (flight recorder, mergeable metrics, SLO
-    engine, sampling profiler) are deterministic by construction --
-    recorder dumps and metric snapshots must merge byte-identically
-    across ``--jobs`` fan-out.  Only the tracer's wall-span bookkeeping
-    in ``trace.py`` may annotate a wall-clock read; an allow() anywhere
-    else in the package is a new nondeterminism sneaking in."""
-    obs = REPO / "src" / "repro" / "obs"
-    for path in obs.rglob("*.py"):
-        if path.name == "trace.py":
-            continue
-        assert "allow(PY10" not in path.read_text(), (
-            f"{path}: obs wall-clock reads belong in trace.py's "
-            "wall spans only"
-        )
-    diagnostics = [d for d in analyze_paths([obs])
-                   if d.rule in ("PY105", "PY106")]
-    assert diagnostics == [], "\n".join(d.format() for d in diagnostics)
-
-
-def test_bench_and_experiments_read_the_clock_only_for_the_stamp():
-    """A bench snapshot and an experiment record are simulated,
-    seed-determined content; the one wall-clock read in either package
-    is the snapshot's ``created_unix``/``created_iso`` stamp.  Host time
-    is measured by ``benchmarks/perf``, not here."""
+def test_the_bench_stamp_is_the_only_wall_clock_read():
+    """Everything ``src/repro`` writes is simulated, seed-determined
+    content -- traces, recorder dumps, metric snapshots, bench snapshots,
+    experiment records -- so the one wall-clock read the determinism
+    sanitizer may be told to allow is the bench snapshot's
+    ``created_unix``/``created_iso`` stamp.  Host time is measured by
+    ``benchmarks/perf``, not here."""
+    src = REPO / "src" / "repro"
     sites = [
         (str(path.relative_to(REPO)), line.strip())
-        for tree in ("bench", "experiments")
-        for path in sorted((REPO / "src" / "repro" / tree).rglob("*.py"))
+        for path in sorted(src.rglob("*.py"))
         for line in path.read_text().splitlines()
-        if "allow(PY105" in line
+        if re.search(r"#.*allow\(PY10[56]", line)
     ]
     assert sites == [(
         "src/repro/bench/snapshot.py",
         "created = time.time()  # dclint: allow(PY105)",
     )]
+    diagnostics = [d for d in analyze_paths([src / "obs"])
+                   if d.rule in ("PY105", "PY106")]
+    assert diagnostics == [], "\n".join(d.format() for d in diagnostics)
 
 
 def test_host_crypto_is_the_only_way_in():

@@ -110,6 +110,19 @@ class TestInProcess:
         for line in lines:
             json.loads(line)
 
+    @pytest.mark.parametrize("scenario", [
+        ["--scenario", "redirector"],
+        ["--scenario", "aes", "--implementation", "c"],
+    ], ids=["redirector", "aes-c"])
+    def test_trace_jsonl_is_byte_identical_across_runs(self, tmp_path,
+                                                       scenario):
+        # Spans carry simulated time and cycles only, no host clock.
+        outs = [tmp_path / f"trace{run}.jsonl" for run in (1, 2)]
+        for out in outs:
+            assert main(["trace", *scenario, "--format", "jsonl",
+                         "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     def test_flame_emits_collapsed_stacks(self, tmp_path):
         out = tmp_path / "flame.txt"
         assert main(["flame", "--out", str(out)]) == 0
