@@ -121,7 +121,7 @@ def _op_simple(body, length, base, np, fw):
         cpu.cycles += total
         cpu.r = (cpu.r + 1) & 0x7F
         cpu.instructions += 1
-    op._tmpl = ("simple", body, length, base, np, fw)
+    op._tmpl = ("simple", body, None, length, base, np, fw)
     return op
 
 
@@ -137,7 +137,7 @@ def _op_mem(body, length, base, np, fw):
         cpu.cycles += base + fw + (memory.wait_cycles - before)
         cpu.r = (cpu.r + 1) & 0x7F
         cpu.instructions += 1
-    op._tmpl = ("mem", body, length, base, np, fw)
+    op._tmpl = ("mem", body, None, length, base, np, fw)
     return op
 
 
@@ -146,8 +146,7 @@ def _retag(op, kind, p1=None, p2=None):
     the ``_op_simple``/``_op_mem`` closure ``op``.  Only the tag
     changes: the closure still runs the instruction in the closure-list
     tier, and is the translated tier's exact slow path."""
-    _, _, length, base, np, fw = op._tmpl
-    op._tmpl = (kind, p1, p2, length, base, np, fw)
+    op._tmpl = (kind, p1, p2) + op._tmpl[3:]
     return op
 
 
@@ -1180,6 +1179,8 @@ _DATA_PHYSICAL = SRAM_BASE - DATA_BASE
 #: Source test that the two-byte access at ``_s`` stays inside the data
 #: segment, where it indexes SRAM directly.
 _IN_DATA = f"{DATA_BASE:#x} <= _s < {DATA_TOP - 1:#x}"
+#: Source for the address in HL.
+_HL = "(cpu.h << 8) | cpu.l"
 #: 16-bit pairs by index as (high, low) attributes, with AF for PUSH/POP.
 _STACK_RP = (("b", "c"), ("d", "e"), ("h", "l"), ("a", "f"))
 
@@ -1356,64 +1357,60 @@ class _Translation:
 
     def add(self, i, op):
         t = getattr(op, "_tmpl", None)
-        kind = None if t is None else t[0]
-        if kind is None:
+        if t is None:
             self.opaque(i)
-        elif kind == "mem":
-            self.mem(i, *t[1:])
-        elif kind == "simple":
-            _, body, length, base, np, fw = t
-            self.emit(f"{self.bind(f'_b{i}', body)}(cpu)")
+            return
+        kind, p1, p2, length, base, np, fw = t
+        source = _register_source(kind, p1, p2)
+        if source is not None:
+            self.lines += ["    " + line for line in source]
             self.run = self.run.plus(length, base, fw, np)
-        elif kind in ("mhl_read", "mhl_write", "mhl_logic"):
-            self.mhl(i, *t)
         else:
-            _, p1, p2, length, base, np, fw = t
-            source = _register_source(kind, p1, p2)
-            if source is not None:
-                self.lines += ["    " + line for line in source]
-                self.run = self.run.plus(length, base, fw, np)
-            else:
-                getattr(self, kind)(i, p1, p2, length, base, np, fw)
+            getattr(self, kind)(i, p1, p2, length, base, np, fw)
 
-    def mem(self, i, body, length, base, np, fw):
-        """Inline the ``_op_mem`` wrapper, keep the body call: one call
-        per memory op instead of two.  Self-committing (raise/bail
-        point), in the wrapper's statement order."""
+    def simple(self, i, body, _unused, length, base, np, fw):
+        """An ``_op_simple`` body: one call, batched in the run."""
+        self.emit(f"{self.bind(f'_b{i}', body)}(cpu)")
+        self.run = self.run.plus(length, base, fw, np)
+
+    def committed(self, i, access, writes, length, base, np, fw):
+        """A data access through ``read8``/``write8`` (the ``access``
+        source lines), committing its own bookkeeping in the closures'
+        statement order: it can add wait states (measured as a delta),
+        raise, or -- when it ``writes`` -- set bail."""
         self.flush()
         self.emit(f"memory.reads += {length}")
         if fw:
             self.emit(f"memory.wait_cycles += {fw}")
         self.emit("_w = memory.wait_cycles")
-        self.emit(f"{self.bind(f'_b{i}', body)}(cpu, memory)")
+        for line in access:
+            self.emit(line)
         self.emit(f"cpu.pc = {np}")
         self.emit(f"cpu.cycles += {base + fw} + memory.wait_cycles - _w")
         self.emit("cpu.r = (cpu.r + 1) & 0x7F")
         self.emit("cpu.instructions += 1")
-        self.bail_check(i)
-
-    def mhl(self, i, kind, p1, _unused, length, base, np, fw):
-        """The ``(HL)`` accessors: inline, self-committing (the access
-        can add wait states, raise, or -- for the write -- set bail)."""
-        self.flush()
-        self.emit(f"memory.reads += {length}")
-        if fw:
-            self.emit(f"memory.wait_cycles += {fw}")
-        self.emit("_w = memory.wait_cycles")
-        if kind == "mhl_read":
-            self.emit(f"cpu.{p1} = memory.read8((cpu.h << 8) | cpu.l)")
-        elif kind == "mhl_write":
-            self.emit(f"memory.write8((cpu.h << 8) | cpu.l, cpu.{p1})")
-        else:
-            self.emit(f"cpu.a = _a = cpu.a {_LOGIC_CHARS[p1]} "
-                      f"memory.read8((cpu.h << 8) | cpu.l)")
-            self.emit(_logic_flags(p1))
-        self.emit(f"cpu.pc = {np}")
-        self.emit(f"cpu.cycles += {base + fw} + memory.wait_cycles - _w")
-        self.emit("cpu.r = (cpu.r + 1) & 0x7F")
-        self.emit("cpu.instructions += 1")
-        if kind == "mhl_write":
+        if writes:
             self.bail_check(i)
+
+    def mem(self, i, body, _unused, *costs):
+        """Any other ``_op_mem`` op: its wrapper inline around one body
+        call, one call per memory op instead of two."""
+        self.committed(i, [f"{self.bind(f'_b{i}', body)}(cpu, memory)"],
+                       True, *costs)
+
+    # The (HL) accessors, their access inline.
+    def mhl_read(self, i, dst, _unused, *costs):
+        self.committed(i, [f"cpu.{dst} = memory.read8({_HL})"], False,
+                       *costs)
+
+    def mhl_write(self, i, src, _unused, *costs):
+        self.committed(i, [f"memory.write8({_HL}, cpu.{src})"], True,
+                       *costs)
+
+    def mhl_logic(self, i, operation, _unused, *costs):
+        self.committed(i, [f"cpu.a = _a = cpu.a {_LOGIC_CHARS[operation]} "
+                           f"memory.read8({_HL})", _logic_flags(operation)],
+                       False, *costs)
 
     def ld_hl_nn(self, i, address, _unused, length, base, np, fw):
         """LD HL,(nn) from root flash or the data segment: part of the

@@ -14,7 +14,9 @@ budgets) that land inside blocks.
 Every stream runs on the step core and on the fast core with the
 translated tier entered after 1 and after 64 closure-list executions,
 and the complete ``_machine_state`` is compared along with each run's
-result or exception (type and message).
+result or exception (type and message).  Flash and SRAM around the
+stream hold a fixed random pattern, so a read from the wrong address
+shows.
 
 One difference is by design and left out of the step-core comparison:
 when an instruction raises, the fast core leaves PC on the faulting
@@ -32,8 +34,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.rabbit.board import Board
+from repro.rabbit.cpu import CpuError
 from repro.rabbit.fastcore import BlockCache
-from repro.rabbit.memory import FLASH_SIZE, SRAM_SIZE
+from repro.rabbit.memory import FLASH_SIZE, SRAM_SIZE, MemoryError_
 from tests.rabbit.test_fastpath import _machine_state
 
 #: Where a stream is loaded: the data segment (SRAM), the bank window at
@@ -142,7 +145,7 @@ def _instructions(words):
                      control, patch)
 
 
-def _layout(base: int, items: list) -> bytes:
+def _layout(base: int, items: list) -> tuple[bytes, list[int]]:
     """Lay the stream out at ``base``, ending in HALT, and resolve the
     branches (targets are instruction indices relative to the branch)."""
     sizes = []
@@ -256,7 +259,7 @@ def _run(program: dict, threshold: int | None):
                     max_instructions=budget))
             else:
                 outcomes.append(cpu.run_cycles(budget))
-        except Exception as exc:    # compared by type and message
+        except (CpuError, MemoryError_) as exc:    # type and message
             outcomes.append((type(exc).__name__, str(exc)))
             break
     return outcomes, _machine_state(board)
