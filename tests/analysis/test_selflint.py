@@ -133,13 +133,46 @@ def test_simulation_packages_are_deterministic():
             )
 
 
+def test_obs_wall_clock_is_confined_to_trace_spans():
+    """The obs package -- tracer, flight recorder, mergeable metrics,
+    SLO engine, sampling profiler -- is deterministic by construction:
+    traces, recorder dumps and metric snapshots must merge
+    byte-identically across ``--jobs`` fan-out.  The tracer's spans carry
+    simulated time only, so no obs module, ``trace.py`` included, may
+    annotate a wall-clock read; an allow() anywhere in the package is a
+    new nondeterminism sneaking in."""
+    obs = REPO / "src" / "repro" / "obs"
+    for path in obs.rglob("*.py"):
+        assert "allow(PY10" not in path.read_text(), (
+            f"{path}: obs may not read the wall clock"
+        )
+    diagnostics = [d for d in analyze_paths([obs])
+                   if d.rule in ("PY105", "PY106")]
+    assert diagnostics == [], "\n".join(d.format() for d in diagnostics)
+
+
+def test_bench_and_experiments_read_the_clock_only_for_the_stamp():
+    """A bench snapshot and an experiment record are simulated,
+    seed-determined content; the one wall-clock read in either package
+    is the snapshot's ``created_unix``/``created_iso`` stamp.  Host time
+    is measured by ``benchmarks/perf``, not here."""
+    sites = [
+        (str(path.relative_to(REPO)), line.strip())
+        for tree in ("bench", "experiments")
+        for path in sorted((REPO / "src" / "repro" / tree).rglob("*.py"))
+        for line in path.read_text().splitlines()
+        if "allow(PY105" in line
+    ]
+    assert sites == [(
+        "src/repro/bench/snapshot.py",
+        "created = time.time()  # dclint: allow(PY105)",
+    )]
+
+
 def test_the_bench_stamp_is_the_only_wall_clock_read():
     """Everything ``src/repro`` writes is simulated, seed-determined
-    content -- traces, recorder dumps, metric snapshots, bench snapshots,
-    experiment records -- so the one wall-clock read the determinism
-    sanitizer may be told to allow is the bench snapshot's
-    ``created_unix``/``created_iso`` stamp.  Host time is measured by
-    ``benchmarks/perf``, not here."""
+    content, so the one wall-clock read the determinism sanitizer may be
+    told to allow anywhere in the package is the bench snapshot's stamp."""
     src = REPO / "src" / "repro"
     sites = [
         (str(path.relative_to(REPO)), line.strip())
@@ -151,9 +184,6 @@ def test_the_bench_stamp_is_the_only_wall_clock_read():
         "src/repro/bench/snapshot.py",
         "created = time.time()  # dclint: allow(PY105)",
     )]
-    diagnostics = [d for d in analyze_paths([src / "obs"])
-                   if d.rule in ("PY105", "PY106")]
-    assert diagnostics == [], "\n".join(d.format() for d in diagnostics)
 
 
 def test_host_crypto_is_the_only_way_in():
