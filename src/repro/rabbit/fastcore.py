@@ -40,22 +40,24 @@ and cycle targets count their iterations exactly as the slow path does.
 On top of the closure-list tier sits the *translated tier*
 (:meth:`BlockCache.translate`): once a block has dispatched
 ``translate_threshold`` times, it is compiled into one specialized
-function with the per-opcode dispatch loop eliminated and the counter
-updates of template-able instruction runs fused into batched epilogues.
-The templates cover what the Dynamic C compiler's stack machine emits:
-register/ALU ops, CB rotates/shifts, 16-bit ``LD``/``INC``/``DEC``/
-``ADD HL``/``EX DE,HL``, ``PUSH``/``POP``, ``LD HL,(nn)``/``LD (nn),HL``,
+function with the per-opcode dispatch loop eliminated.  Template
+instructions run inline and add their counter updates to one pending
+run, which the function commits once, at its tail.  The templates cover
+what the Dynamic C compiler's stack machine emits: register/ALU ops, CB
+rotates/shifts, 16-bit ``LD``/``INC``/``DEC``/``ADD HL``/``ADC HL``/
+``SBC HL``/``EX DE,HL``, ``PUSH``/``POP``, ``LD rp,(nn)``/``LD (nn),HL``,
 and the block-ending ``JP``/``JR``/``DJNZ``/``CALL``/``RET``.  Their
 memory accesses index ``flash``/``sram`` directly when both bytes sit in
 one fixed segment (a constant address, or SP checked at run time to lie
 in the data segment); anything else calls the instruction's closure,
-which stays the exact slow path.  SMC write-watching, flush invalidation
-and the ``bail`` protocol extend unchanged to translated blocks -- every
-inline write checks its page for decoded code as ``write8`` does, the
-write that invalidates a page drops the block (translated function
-included), and the in-flight execution returns at the ``bail`` check
-after that instruction, exactly where the closure-list tier would have
-broken out of its loop.
+which stays the exact slow path, with the pending run committed around
+the call.  SMC write-watching, flush invalidation and the ``bail``
+protocol extend unchanged to translated blocks -- every inline write
+checks its page for decoded code as ``write8`` does, the write that
+invalidates a page drops the block (translated function included), and
+the in-flight execution commits its run and returns at the ``bail``
+check after that instruction, exactly where the closure-list tier would
+have broken out of its loop.
 """
 
 from __future__ import annotations
@@ -711,9 +713,12 @@ def _body_ld_nn_hl(addr):
 
 
 def _body_ld_hl_nn(addr):
+    # Both reads land before either register half moves, like _read16
+    # on the slow path (exception-exact); so do POP's below.
     def body(cpu, memory):
-        cpu.l = memory.read8(addr)
+        lo = memory.read8(addr)
         cpu.h = memory.read8((addr + 1) & 0xFFFF)
+        cpu.l = lo
     return body
 
 
@@ -769,16 +774,18 @@ def _body_pop(pair):
     if pair == 3:
         def body(cpu, memory):
             sp = cpu.sp
-            cpu.f = memory.read8(sp)
+            f = memory.read8(sp)
             cpu.a = memory.read8((sp + 1) & 0xFFFF)
+            cpu.f = f
             cpu.sp = (sp + 2) & 0xFFFF
         return body
     hi, lo = _RP[pair]
 
     def body(cpu, memory):
         sp = cpu.sp
-        setattr(cpu, lo, memory.read8(sp))
+        lo_v = memory.read8(sp)
         setattr(cpu, hi, memory.read8((sp + 1) & 0xFFFF))
+        setattr(cpu, lo, lo_v)
         cpu.sp = (sp + 2) & 0xFFFF
     return body
 
@@ -939,7 +946,9 @@ def _decode_one(memory, pc, limit, pages):
                                             get_rp(cpu))
                         cpu.h = result >> 8
                         cpu.l = result & 0xFF
-                return _op_simple(body, 2, 15, pc + 2, fw), pc + 2, False
+                op = _op_simple(body, 2, 15, pc + 2, fw)
+                return (_retag(op, "adc_hl" if y & 1 else "sbc_hl", pair),
+                        pc + 2, False)
             if z == 3:          # LD rp,(nn) / LD (nn),rp
                 data, fw = _fetch_bytes(memory, pc, 4, limit, pages)
                 nn = data[2] | (data[3] << 8)
@@ -962,7 +971,8 @@ def _decode_one(memory, pc, limit, pages):
                             hi_v = memory.read8(hi_addr)
                             setattr(cpu, lo, lo_v)
                             setattr(cpu, hi, hi_v)
-                    return _op_mem(body, 4, 20, np, fw), np, False
+                    op = _op_mem(body, 4, 20, np, fw)
+                    return _retag(op, "ld_rp_mem", pair, nn), np, False
                 if pair == 3:   # LD (nn), SP
                     def body(cpu, memory):
                         memory.write8(nn, cpu.sp & 0xFF)
@@ -1054,7 +1064,7 @@ def _decode_x0(memory, pc, y, z, limit, pages):
             return _retag(op, "ld_nn_hl", addr), np, False
         if y == 5:
             op = _op_mem(_body_ld_hl_nn(addr), 3, 16, np, fw)
-            return _retag(op, "ld_hl_nn", addr), np, False
+            return _retag(op, "ld_rp_mem", 2, addr), np, False
         if y == 6:
             return _op_mem(_body_ld_nn_a(addr), 3, 13, np, fw), np, False
         return _op_mem(_body_ld_a_nn(addr), 3, 13, np, fw), np, False
@@ -1212,6 +1222,11 @@ class _Run:
                     self.cycles + base + fw + data_waits,
                     self.count + 1, pc)
 
+    def undo(self):
+        """The run taken back: every count negated, PC left alone."""
+        return _Run(-self.reads, -self.writes, -self.waits, -self.cycles,
+                    -self.count)
+
     def source(self, depth=1, cycles=True):
         """Lines committing the run; ``cycles`` False leaves the cycle
         update to the caller (a branch whose arms cost differently)."""
@@ -1234,6 +1249,15 @@ def _logic_flags(operation):
     """Source setting F after AND/XOR/OR left its result in ``_a``."""
     return f"cpu.f = _SZP[_a] | {FLAG_H}" if operation == 4 \
         else "cpu.f = _SZP[_a]"
+
+
+def _rhs_source(pair):
+    """Source for 16-bit pair ``pair`` as the right operand of an HL
+    op whose left operand is already in ``_x``."""
+    if pair == 3:
+        return "cpu.sp"
+    return "_x" if pair == 2 else "(cpu.{0} << 8) | cpu.{1}".format(
+        *_RP[pair])
 
 
 def _register_source(kind, p1, p2):
@@ -1272,16 +1296,33 @@ def _register_source(kind, p1, p2):
                 f"cpu.{hi} = _v >> 8",
                 f"cpu.{lo} = _v & 0xFF"]
     if kind == "add_hl":        # cpu._add16, inline
-        rhs = ("cpu.sp" if p1 == 3 else "_x" if p1 == 2
-               else "(cpu.{0} << 8) | cpu.{1}".format(*_RP[p1]))
         keep = ~(FLAG_N | FLAG_C | FLAG_H) & 0xFF
         return ["_x = (cpu.h << 8) | cpu.l",
-                f"_y = {rhs}",
+                f"_y = {_rhs_source(p1)}",
                 "_v = _x + _y",
                 f"cpu.f = (cpu.f & {keep:#x}) | (_v >> 16) "
                 f"| ((((_x & 0xFFF) + (_y & 0xFFF)) >> 8) & {FLAG_H})",
                 "cpu.h = (_v >> 8) & 0xFF",
                 "cpu.l = _v & 0xFF"]
+    if kind in ("adc_hl", "sbc_hl"):    # cpu._adc16/_sbc16, inline
+        # Bit 15 lands on S (>> 8), bit 12 on H (>> 8), bit 16 on C
+        # (>> 16; a borrow leaves _v negative) and bit 15 on P/V (>> 13).
+        if kind == "adc_hl":
+            op, n, same_sign = "+", "", " ^ 0x8000"
+        else:
+            op, n, same_sign = "-", f"{FLAG_N} | ", ""
+        return ["_x = (cpu.h << 8) | cpu.l",
+                f"_y = {_rhs_source(p1)}",
+                f"_k = cpu.f & {FLAG_C}",
+                f"_v = _x {op} _y {op} _k",
+                "_r = _v & 0xFFFF",
+                f"cpu.f = {n}((_r >> 8) & {FLAG_S}) "
+                f"| (0 if _r else {FLAG_Z}) | ((_v >> 16) & {FLAG_C}) "
+                f"| ((((_x & 0xFFF) {op} (_y & 0xFFF) {op} _k) >> 8) "
+                f"& {FLAG_H}) "
+                f"| ((((_x ^ _y{same_sign}) & (_x ^ _r)) >> 13) & {FLAG_PV})",
+                "cpu.h = _r >> 8",
+                "cpu.l = _r & 0xFF"]
     if kind == "ex_de_hl":
         return ["cpu.d, cpu.e, cpu.h, cpu.l = cpu.h, cpu.l, cpu.d, cpu.e"]
     return None
@@ -1306,7 +1347,7 @@ class _Translation:
         self.lines.append("    " * depth + line)
 
     def flush(self):
-        """Commit the pending run (before a raise or bail point)."""
+        """Commit the pending run (before an out-of-line call)."""
         if self.run.count:
             self.lines += self.run.source()
             self.run = _Run()
@@ -1320,15 +1361,30 @@ class _Translation:
         self.emit(f"{self.bind(f'_o{i}', self.ops[i])}(cpu, memory)", depth)
 
     def opaque(self, i):
-        """A closure call at a raise/bail point: the run commits first."""
+        """A closure call, which can raise or set bail: the run commits
+        first."""
         self.flush()
         self.closure(i)
         self.bail_check(i)
 
     def bail_check(self, i):
+        """Return at once, the pending run committed, if op ``i`` (which
+        can write) set bail."""
         if i != self.last:
             self.emit("if _c.bail:")
+            if self.run.count:
+                self.lines += self.run.source(2)
             self.emit("return", 2)
+
+    def around(self, i, run):
+        """The cold arm of a hot op ``i`` whose hot arm leaves ``run``
+        pending: commit the run so far, call the closure (it accounts
+        for op ``i`` itself), then take back ``run``, which the block's
+        later commit adds again."""
+        if self.run.count:
+            self.lines += self.run.source(2)
+        self.closure(i, 2)
+        self.lines += run.undo().source(2)
 
     def store(self, value, offset, address=None, depth=1):
         """Write ``value`` to data-segment byte ``address + offset``
@@ -1412,21 +1468,26 @@ class _Translation:
                            f"memory.read8({_HL})", _logic_flags(operation)],
                        False, *costs)
 
-    def ld_hl_nn(self, i, address, _unused, length, base, np, fw):
-        """LD HL,(nn) from root flash or the data segment: part of the
+    def ld_rp_mem(self, i, pair, address, length, base, np, fw):
+        """LD rp,(nn) from root flash or the data segment: part of the
         run, since it can neither raise nor write."""
         static = self.static_source(address)
         if static is None:
             self.opaque(i)
             return
         array, index, ws = static
-        self.emit(f"cpu.l = {array}[{index:#x}]")
-        self.emit(f"cpu.h = {array}[{index + 1:#x}]")
+        if pair == 3:
+            self.emit(f"cpu.sp = {array}[{index:#x}] "
+                      f"| ({array}[{index + 1:#x}] << 8)")
+        else:
+            hi, lo = _RP[pair]
+            self.emit(f"cpu.{lo} = {array}[{index:#x}]")
+            self.emit(f"cpu.{hi} = {array}[{index + 1:#x}]")
         self.run = self.run.plus(length, base, fw, np, data_reads=2,
                                  data_waits=2 * ws)
 
     def ld_nn_hl(self, i, address, _unused, length, base, np, fw):
-        """LD (nn),HL into the data segment: closes the run, then the
+        """LD (nn),HL into the data segment: part of the run, then the
         bail check (the store may land on decoded code)."""
         if not DATA_BASE <= address < DATA_TOP - 1:
             self.opaque(i)
@@ -1435,39 +1496,40 @@ class _Translation:
         self.store("cpu.h", 1, address)
         self.run = self.run.plus(length, base, fw, np, data_writes=2,
                                  data_waits=2 * self.sram_ws)
-        self.flush()
         self.bail_check(i)
 
     def push(self, i, pair, _unused, length, base, np, fw):
-        """PUSH rp: SRAM stores while SP stays in the data segment, else
-        the closure; self-committing, then the bail check."""
+        """PUSH rp: SRAM stores, part of the run, while SP stays in the
+        data segment, else the closure committed around; then the bail
+        check."""
         hi, lo = _STACK_RP[pair]
-        self.flush()
+        run = self.run.plus(length, base, fw, np, data_writes=2,
+                            data_waits=2 * self.sram_ws)
         self.emit("_s = cpu.sp - 2")
         self.emit(f"if {_IN_DATA}:")
         self.emit("cpu.sp = _s", 2)
         self.store(f"cpu.{lo}", 0, depth=2)
         self.store(f"cpu.{hi}", 1, depth=2)
-        self.lines += _Run().plus(length, base, fw, np, data_writes=2,
-                                  data_waits=2 * self.sram_ws).source(2)
         self.emit("else:")
-        self.closure(i, 2)
+        self.around(i, run)
+        self.run = run
         self.bail_check(i)
 
     def pop(self, i, pair, _unused, length, base, np, fw):
-        """POP rp: SRAM loads while SP stays in the data segment, else
-        the closure; self-committing (the closure can raise)."""
+        """POP rp: SRAM loads, part of the run, while SP stays in the
+        data segment, else the closure committed around (it can
+        raise)."""
         hi, lo = _STACK_RP[pair]
-        self.flush()
+        run = self.run.plus(length, base, fw, np, data_reads=2,
+                            data_waits=2 * self.sram_ws)
         self.emit("_s = cpu.sp")
         self.emit(f"if {_IN_DATA}:")
         self.emit(f"cpu.{lo} = _S[_s - {DATA_BASE:#x}]", 2)
         self.emit(f"cpu.{hi} = _S[_s - {DATA_BASE - 1:#x}]", 2)
         self.emit("cpu.sp = _s + 2", 2)
-        self.lines += _Run().plus(length, base, fw, np, data_reads=2,
-                                  data_waits=2 * self.sram_ws).source(2)
         self.emit("else:")
-        self.closure(i, 2)
+        self.around(i, run)
+        self.run = run
 
     # -- block-ending branches: the function's tail ----------------------
     # An ender is always a block's last op, so the pending run folds into
@@ -1664,43 +1726,55 @@ class BlockCache:
     def translate(self, key: int, block: list):
         """Compile ``block`` into one specialized function.
 
-        Template instructions are emitted inline, and the counter
+        Template instructions are emitted inline, and their counter
         bookkeeping (``memory.reads``/``writes``/``wait_cycles``,
-        ``cpu.pc``/``cycles``/``r``/``instructions``) of consecutive ones
-        commits as one batched epilogue per run; integer sums make the
-        batch exact.  Templated classes:
+        ``cpu.pc``/``cycles``/``r``/``instructions``) adds up at translate
+        time into one pending run; integer sums make the batch exact.
+        Templated classes:
 
-        * registers and flags only, batched: LD r,r' / LD r,n / INC/DEC r
-          / AND/XOR/OR (flags from one S/Z/PV table) / ADD..CP / CB
+        * registers and flags only: LD r,r' / LD r,n / INC/DEC r /
+          AND/XOR/OR (flags from one S/Z/PV table) / ADD..CP / CB
           rotates and shifts on registers / LD rp,nn / INC/DEC rp /
-          ADD HL,rp / EX DE,HL / ``_op_simple`` bodies (one call each);
-        * ``LD HL,(nn)`` from a constant address inside root flash or the
-          data segment: direct indexing, wait states known at translate
-          time, batched like a register op;
+          ADD HL,rp / ADC HL,rp and SBC HL,rp (flags computed inline as
+          ``Cpu._adc16``/``_sbc16`` set them) / EX DE,HL / ``_op_simple``
+          bodies (one call each);
+        * ``LD HL,(nn)`` and ED ``LD rp,(nn)`` from a constant address
+          inside root flash or the data segment: direct indexing, wait
+          states known at translate time;
         * ``LD (nn),HL`` into the data segment, ``PUSH``/``POP``: direct
-          SRAM indexing that bumps the counters exactly as
-          ``read8``/``write8`` would.  ``PUSH``/``POP`` test at run time
-          that the two bytes at SP lie in ``0xC000 <= a < 0xDFFF`` and
-          otherwise call the closure; either way the instruction commits
-          its own bookkeeping, after the run before it has flushed;
+          SRAM indexing, counted exactly as ``read8``/``write8`` would.
+          ``PUSH``/``POP`` test at run time that the two bytes at SP lie
+          in ``0xC000 <= a < 0xDFFF``; the other (cold) arm calls the
+          closure;
         * the block-ending ``JP``/``JR``/``DJNZ`` (cc) as the function's
-          tail, folded into the last epilogue; ``CALL``/``RET`` (cc) on
+          tail, folded into the run's commit; ``CALL``/``RET`` (cc) on
           the same stack test, with the off-segment arm committing the
           run and calling the closure;
         * the ``(HL)`` accessors and other ``_op_mem`` ops: inline
           wrapper around one body call (``read8``/``write8``), in the
-          closure's statement order.
+          closure's statement order, committing their own bookkeeping.
 
         Everything else stays an opaque closure call.  Ordering rules
         that keep the tallies byte-identical to the closure-list tier:
 
-        * a run's epilogue flushes before anything that can raise or
-          set :attr:`bail` (an opaque op, a memory op's closure, an
-          inline write), because memory-class closures measure data wait
-          states via a before/after ``memory.wait_cycles`` delta and a
-          raise or bail must leave every counter committed;
-        * batched instructions never write, so :attr:`bail` cannot rise
-          inside a run;
+        * hot arms defer; the run commits at the tail, in every bail
+          arm, and around every call that can raise or set bail (an
+          opaque op, a memory op's access, a cold stack arm's closure):
+          memory-class closures measure data wait states via a
+          before/after ``memory.wait_cycles`` delta, a generic step
+          re-fetches at ``cpu.pc``, and a raise must leave every counter
+          committed;
+        * commit-around: a cold stack arm commits the run so far, calls
+          the closure (which accounts for its instruction itself), then
+          takes back the run including that instruction's hot charge
+          (:meth:`_Run.undo`), which the block's later commit adds
+          again.  Committed plus pending equals the truth at every op
+          boundary, and pending is zero at every such call, raise point
+          and exit;
+        * inline code and ``_op_simple`` bodies read no counter and
+          cannot raise; :meth:`code_written`, which a hot store calls
+          while a run is pending, only drops blocks and raises
+          :attr:`bail`;
         * every inline write checks ``_code_pages`` right after its
           store, in write order, and a ``bail`` check follows every
           instruction that can write (inline or through its closure),

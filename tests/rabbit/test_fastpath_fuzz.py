@@ -2,13 +2,15 @@
 
 Hypothesis generates short machine-code streams, weighted toward what
 the Dynamic C compiler emits (``push hl`` / ``ld hl,(nn)`` / ``pop de``
-/ ``add hl,de`` runs, CB shifts, short backward ``djnz``/``jr`` loops)
+/ ``add hl,de`` / ``sbc hl,de`` runs, ``ld rp,(nn)``, CB shifts, short
+backward ``djnz``/``jr`` loops)
 and toward what a block cache can get wrong: DD/FD/ED/CB prefixes, the
 LDIR/CPIR families, ``LD XPC,A`` remaps, stack and ``(nn)`` accesses at
 segment edges (the root/data boundary at 0xC000, the top of the data
 segment at 0xDFFF, the bank window, flash, where a write raises),
 stores, pushes and calls onto the executing block's own code page, a
-pending interrupt, and stops (``stop_pc``, cycle targets, instruction
+pending interrupt, interrupts raised between the slices of a
+``run_cycles`` run, and stops (``stop_pc``, cycle targets, instruction
 budgets) that land inside blocks.
 
 Every stream runs on the step core and on the fast core with the
@@ -92,6 +94,10 @@ def _instructions(words):
         _PAIR.map(lambda p: ("bytes", [0xC1 | p << 4])),      # POP
         with_word([0x2A]),                                    # LD HL,(nn)
         with_word([0x22]),                                    # LD (nn),HL
+        _PAIR.map(lambda p: ("bytes", [0xED, 0x4A | p << 4])),  # ADC HL
+        _PAIR.map(lambda p: ("bytes", [0xED, 0x42 | p << 4])),  # SBC HL
+        _PAIR.flatmap(                                        # LD rp,(nn)
+            lambda p: with_word([0xED, 0x4B | p << 4])),
     )
     register = st.one_of(
         st.tuples(_REG, _REG).map(
@@ -109,9 +115,6 @@ def _instructions(words):
     )
     prefixed = st.one_of(
         _fixed(0xCB, _BYTE),                                  # any CB op
-        _PAIR.map(lambda p: ("bytes", [0xED, 0x4A | p << 4])),  # ADC HL
-        _PAIR.map(lambda p: ("bytes", [0xED, 0x42 | p << 4])),  # SBC HL
-        _PAIR.flatmap(lambda p: with_word([0xED, 0x4B | p << 4])),
         _PAIR.flatmap(lambda p: with_word([0xED, 0x43 | p << 4])),
         st.sampled_from([0xA0, 0xA8, 0xB0, 0xB8, 0xA1, 0xA9, 0xB1, 0xB9,
                          0x44, 0x47, 0x4F, 0x57, 0x5F, 0x67, 0x77, 0x56,
@@ -211,15 +214,21 @@ def programs(draw):
     if mode == "cycles":
         budgets = draw(st.lists(st.one_of(st.integers(200, 8000),
                                           st.integers(1, 200)),
-                                min_size=1, max_size=3))
+                                min_size=1, max_size=4))
     else:
         budgets = [draw(st.one_of(st.integers(100, 2000),
                                   st.integers(1, 40)))]
+    # Interrupts raised between run_cycles slices, into the stream.
+    requests = [None] + draw(st.lists(
+        st.one_of(st.none(), st.sampled_from(addresses)),
+        min_size=len(budgets) - 1, max_size=len(budgets) - 1))
     stop = draw(st.sampled_from(addresses))
     interrupt = draw(st.booleans())
+    enabled = draw(st.booleans())
     return {"base": base, "code": code, "regs": regs, "sp": sp,
             "ix": ix, "iy": iy, "mode": mode, "budgets": budgets,
-            "stop": stop, "interrupt": interrupt}
+            "requests": requests, "stop": stop, "interrupt": interrupt,
+            "enabled": enabled}
 
 
 def _run(program: dict, threshold: int | None):
@@ -246,10 +255,13 @@ def _run(program: dict, threshold: int | None):
     cpu.sp = program["sp"]
     cpu.ix, cpu.iy = program["ix"], program["iy"]
     cpu.pc = base
+    cpu.iff1 = cpu.iff2 = program["enabled"]
     if program["interrupt"]:
-        cpu.request_interrupt(base)     # waits for an EI in the stream
+        cpu.request_interrupt(base)     # taken at once, or at an EI
     outcomes = []
-    for budget in program["budgets"]:
+    for budget, vector in zip(program["budgets"], program["requests"]):
+        if vector is not None:
+            cpu.request_interrupt(vector)
         try:
             if program["mode"] == "run":
                 outcomes.append(cpu.run(max_instructions=budget))
