@@ -3,15 +3,14 @@
 Hypothesis generates short machine-code streams, weighted toward what
 the Dynamic C compiler emits (``push hl`` / ``ld hl,(nn)`` / ``pop de``
 / ``add hl,de`` / ``sbc hl,de`` runs, ``ld rp,(nn)``, CB shifts, short
-backward ``djnz``/``jr`` loops)
-and toward what a block cache can get wrong: DD/FD/ED/CB prefixes, the
-LDIR/CPIR families, ``LD XPC,A`` remaps, stack and ``(nn)`` accesses at
-segment edges (the root/data boundary at 0xC000, the top of the data
-segment at 0xDFFF, the bank window, flash, where a write raises),
-stores, pushes and calls onto the executing block's own code page, a
-pending interrupt, interrupts raised between the slices of a
-``run_cycles`` run, and stops (``stop_pc``, cycle targets, instruction
-budgets) that land inside blocks.
+backward ``djnz``/``jr`` loops) and toward what a block cache can get
+wrong: DD/FD/ED/CB prefixes, the LDIR/CPIR families, ``LD XPC,A``
+remaps, stack and ``(nn)`` accesses at segment edges (the root/data
+boundary at 0xC000, the top of the data segment at 0xDFFF, the bank
+window, flash, where a write raises), stores, pushes and calls onto the
+executing block's own code page, a pending interrupt, interrupts raised
+between the slices of a ``run_cycles`` run, and stops (``stop_pc``,
+cycle targets, instruction budgets) that land inside blocks.
 
 Every stream runs on the step core and on the fast core with the
 translated tier entered after 1 and after 64 closure-list executions,
