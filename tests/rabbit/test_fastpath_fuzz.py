@@ -7,8 +7,8 @@ backward ``djnz``/``jr`` loops) and toward what a block cache can get
 wrong: DD/FD/ED/CB prefixes, the LDIR/CPIR families, ``LD XPC,A``
 remaps, stack and ``(nn)`` accesses at segment edges (the root/data
 boundary at 0xC000, the top of the data segment at 0xDFFF, the bank
-window, flash, where a write raises), stores, pushes and calls onto the
-executing block's own code page, a pending interrupt, interrupts raised
+window, flash, where a write raises), stores, pushes, calls and ``rst``
+onto the executing block's own code page, ``jp (hl)`` to anywhere, a pending interrupt, interrupts raised
 between the slices of a ``run_cycles`` run, and stops (``stop_pc``,
 cycle targets, instruction budgets) that land inside blocks.
 
@@ -138,8 +138,10 @@ def _instructions(words):
                   st.integers(-4, 3)),
         st.tuples(st.sampled_from(["jp", "jp_cc", "call", "call_cc"]),
                   st.integers(-4, 4), st.integers(0, 7)),
-        st.sampled_from([0xC9, 0xC0, 0xC8, 0xD0, 0xD8, 0xF3, 0xFB]).map(
-            lambda b: ("bytes", [b])),                        # RET, DI, EI
+        st.sampled_from([0xC9, 0xC0, 0xC8, 0xD0, 0xD8, 0xF3, 0xFB,
+                         0xE9]).map(
+            lambda b: ("bytes", [b])),              # RET, DI, EI, JP (HL)
+        st.integers(0, 7).map(lambda y: ("bytes", [0xC7 | y << 3])),  # RST
     )
     # LD (nn),HL onto a later instruction of the stream (self-modifying).
     patch = st.tuples(st.just("patch"), st.integers(1, 3), st.integers(-1, 2))
