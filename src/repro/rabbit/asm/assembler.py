@@ -709,6 +709,9 @@ class Assembler:
     def _op_sra(self, ops, raw):
         self._rot_shift(5, ops, raw)
 
+    def _op_sll(self, ops, raw):
+        self._rot_shift(6, ops, raw)
+
     def _op_srl(self, ops, raw):
         self._rot_shift(7, ops, raw)
 
