@@ -118,9 +118,6 @@ class Compilation:
     image_size: int
     statements_instrumented: int
 
-    def symbol_address(self, name: str) -> int:
-        return self.globals_map[name].address
-
 
 class _FunctionContext:
     def __init__(self, function: Function):
@@ -178,16 +175,6 @@ class CodeGenerator:
         raise CompileError(f"undefined variable {name!r}")
 
     # -- top level ------------------------------------------------------------
-    def compile_program(self, program: Program) -> str:
-        for decl in program.globals:
-            self._declare_global(decl)
-        function_names = {fn.name for fn in program.functions}
-        for function in program.functions:
-            self._declare_function_storage(function)
-        for function in program.functions:
-            self._compile_function(function, function_names)
-        return self._assemble_source()
-
     def _declare_global(self, decl: GlobalDecl) -> None:
         if decl.name in self.globals_map:
             raise CompileError(f"duplicate global {decl.name!r}")
@@ -920,7 +907,8 @@ def compile_source(source: str,
             generator.globals_map[f"{function.name}.{param.name}"]
             for param in function.params
         ]
-    # _declare_function_storage is idempotent-guarded below.
+    # Parameter storage is declared once, here; the globals and the
+    # function bodies follow.
     asm_source = _compile_with_predeclared(generator, program)
     if options.optimize:
         asm_source = peephole_optimize(asm_source)

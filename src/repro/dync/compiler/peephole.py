@@ -23,10 +23,6 @@ def _parse(line: str) -> str:
     return re.sub(r"\s+", " ", stripped.split(";")[0].strip()).lower()
 
 
-def _is_code(line: str) -> bool:
-    return _parse(line) != ""
-
-
 def peephole_optimize(asm_source: str) -> str:
     lines = asm_source.splitlines()
     changed = True
