@@ -14,11 +14,20 @@ instruction budget, a stop address inside it, or the cycle target
 Exactness contract (the entire point -- E1/E2/E5 cycle counts must be
 byte-identical to the single-step core):
 
-* every closure self-accounts: ``cpu.cycles`` (base T-states + the
-  instruction's fetch wait states precomputed at decode + data wait
-  states measured dynamically), ``cpu.pc``, ``cpu.r``,
-  ``cpu.instructions``, ``memory.reads``/``memory.wait_cycles`` for the
-  fetch bytes it no longer reads;
+* every closure self-accounts, in one statement order.  Each
+  straight-line instruction is a body inside one of two wrappers,
+  :func:`_op_simple` (registers and flags only) or :func:`_op_mem`
+  (data memory); the branches are :func:`_op_jump`, :func:`_op_djnz`,
+  :func:`_op_jp_hl`, :func:`_op_call` (which also runs ``RST``) and
+  :func:`_op_ret`.  Before any data access a closure counts the fetch
+  bytes it no longer reads (``memory.reads``/``memory.wait_cycles``,
+  the fetch wait states precomputed at decode), sets ``cpu.pc`` to the
+  next instruction and bumps ``cpu.r``; after it, it adds
+  ``cpu.cycles`` (base T-states + fetch wait states + data wait states
+  measured around the access) and ``cpu.instructions``.  An
+  instruction whose data access raises therefore leaves PC past its
+  bytes, R bumped and ``cycles``/``instructions`` unchanged, exactly as
+  the step core does;
 * anything that can change control flow, interrupt state, bank mapping
   or talk to I/O ends its block (branches, CALL/RET/RST, HALT, EI/DI,
   IN/OUT, ``LD XPC, A``, the repeating block ops);
@@ -40,22 +49,23 @@ and cycle targets count their iterations exactly as the slow path does.
 On top of the closure-list tier sits the *translated tier*
 (:meth:`BlockCache.translate`): once a block has dispatched
 ``translate_threshold`` times, it is compiled into one specialized
-function with the per-opcode dispatch loop eliminated.  Template
-instructions run inline and add their counter updates to one pending
-run, which the function commits once, at its tail.  The templates cover
-what the Dynamic C compiler's stack machine emits: register/ALU ops, CB
+function with the per-opcode dispatch loop eliminated.  A closure's tag
+(:func:`_retag`) names the template it becomes.  Template instructions
+run inline and add their counter updates to one pending run, which the
+function commits once, at its tail.  The templates cover what the
+Dynamic C compiler's stack machine emits: register/ALU ops, CB
 rotates/shifts, 16-bit ``LD``/``INC``/``DEC``/``ADD HL``/``ADC HL``/
 ``SBC HL``/``EX DE,HL``, ``PUSH``/``POP``, ``LD rp,(nn)``/``LD (nn),HL``,
-and the block-ending ``JP``/``JR``/``DJNZ``/``CALL``/``RET``.  Their
-memory accesses index ``flash``/``sram`` directly when both bytes sit in
-one fixed segment (a constant address, or SP checked at run time to lie
-in the data segment); anything else calls the instruction's closure,
-which stays the exact slow path, with the pending run committed around
-the call.  SMC write-watching, flush invalidation and the ``bail``
-protocol extend unchanged to translated blocks -- every inline write
-checks its page for decoded code as ``write8`` does, the write that
-invalidates a page drops the block (translated function included), and
-the in-flight execution commits its run and returns at the ``bail``
+and the block-ending ``JP``/``JR``/``DJNZ``/``CALL``/``RST``/``RET``.
+Their memory accesses index ``flash``/``sram`` directly when both bytes
+sit in one fixed segment (a constant address, or SP checked at run time
+to lie in the data segment); anything else calls the instruction's
+closure, which stays the exact slow path, with the pending run committed
+around the call.  SMC write-watching, flush invalidation and the
+``bail`` protocol extend unchanged to translated blocks -- every inline
+write checks its page for decoded code as ``write8`` does, the write
+that invalidates a page drops the block (translated function included),
+and the in-flight execution commits its run and returns at the ``bail``
 check after that instruction, exactly where the closure-list tier would
 have broken out of its loop.
 """
@@ -65,7 +75,7 @@ from __future__ import annotations
 import operator
 
 from repro.rabbit.cpu import (
-    _PARITY, FLAG_C, FLAG_H, FLAG_N, FLAG_PV, FLAG_S, FLAG_Z,
+    FLAG_C, FLAG_H, FLAG_N, FLAG_PV, FLAG_S, FLAG_Z, Cpu,
 )
 from repro.rabbit.memory import (
     DATA_BASE, DATA_TOP, FLASH_SIZE, ROOT_TOP, SRAM_BASE, SRAM_SIZE,
@@ -98,6 +108,17 @@ _R8 = ("b", "c", "d", "e", "h", "l", None, "a")
 _RP = (("b", "c"), ("d", "e"), ("h", "l"), None)
 #: Condition-code flag masks by index (NZ Z NC C PO PE P M).
 _CC_MASK = (FLAG_Z, FLAG_Z, FLAG_C, FLAG_C, FLAG_PV, FLAG_PV, 0x80, 0x80)
+#: AND / XOR / OR as C-level callables, by ALU operation index.
+_LOGIC_OPS = {4: operator.and_, 5: operator.xor, 6: operator.or_}
+#: S, Z and P/V of an 8-bit result, by value: the whole flag byte of
+#: XOR/OR, of AND less its H, and of a CB rotate/shift less its carry.
+_SZP = bytes((v & FLAG_S) | (0 if v else FLAG_Z)
+             | (0 if bin(v).count("1") & 1 else FLAG_PV) for v in range(256))
+
+
+def _cc(index):
+    """Condition code ``index`` as (flag mask, wanted state)."""
+    return _CC_MASK[index], bool(index & 1)
 
 
 def _step_op(cpu, memory):
@@ -107,7 +128,11 @@ def _step_op(cpu, memory):
 
 # ---------------------------------------------------------------------------
 # Closure factories.  Each returned closure performs ONE instruction and
-# fully self-accounts (see the module docstring's contract).
+# fully self-accounts (see the module docstring's contract).  Every one
+# that the translator can inline carries a tag, ``op._tmpl = (kind, p1,
+# p2, length, base, np, fw)``: ``kind`` names the template, ``p1``/``p2``
+# are its operands, the rest its fetch bytes, T-states (a (taken,
+# skipped) pair for a branch), next PC and fetch wait states.
 # ---------------------------------------------------------------------------
 
 def _op_simple(body, length, base, np, fw):
@@ -118,10 +143,10 @@ def _op_simple(body, length, base, np, fw):
     def op(cpu, memory):
         memory.reads += length
         memory.wait_cycles += fw
-        body(cpu)
         cpu.pc = np
-        cpu.cycles += total
         cpu.r = (cpu.r + 1) & 0x7F
+        body(cpu)
+        cpu.cycles += total
         cpu.instructions += 1
     op._tmpl = ("simple", body, None, length, base, np, fw)
     return op
@@ -133,11 +158,11 @@ def _op_mem(body, length, base, np, fw):
     def op(cpu, memory):
         memory.reads += length
         memory.wait_cycles += fw
+        cpu.pc = np
+        cpu.r = (cpu.r + 1) & 0x7F
         before = memory.wait_cycles
         body(cpu, memory)
-        cpu.pc = np
         cpu.cycles += base + fw + (memory.wait_cycles - before)
-        cpu.r = (cpu.r + 1) & 0x7F
         cpu.instructions += 1
     op._tmpl = ("mem", body, None, length, base, np, fw)
     return op
@@ -145,212 +170,25 @@ def _op_mem(body, length, base, np, fw):
 
 def _retag(op, kind, p1=None, p2=None):
     """Name the inline template :meth:`BlockCache.translate` emits for
-    the ``_op_simple``/``_op_mem`` closure ``op``.  Only the tag
-    changes: the closure still runs the instruction in the closure-list
-    tier, and is the translated tier's exact slow path."""
+    the ``_op_simple``/``_op_mem`` closure ``op``, with its operands.
+    Only the tag changes: the closure still runs the instruction in the
+    closure-list tier, and is the translated tier's exact slow path.
+    An untagged wrapper becomes one body call (``simple``) or its
+    wrapper inline around one body call (``mem``)."""
     op._tmpl = (kind, p1, p2) + op._tmpl[3:]
     return op
 
 
-#: AND / XOR / OR as C-level callables, by ALU operation index.
-_LOGIC_OPS = {4: operator.and_, 5: operator.xor, 6: operator.or_}
-
-
-def _op_ld_rr_fused(dst, src, np, fw):
-    """LD r, r' -- fully fused (the single hottest op class)."""
-    total = 4 + fw
+def _op_jump(target, length, costs, np, fw, cc=None):
+    """JP nn / JR d, and JP cc,nn / JR cc,d when ``cc`` is a (flag mask,
+    wanted state) pair; ``costs`` are the taken and skipped T-states."""
+    taken, skipped = costs
+    mask, want = cc or (0, False)
 
     def op(cpu, memory):
-        memory.reads += 1
+        memory.reads += length
         memory.wait_cycles += fw
-        setattr(cpu, dst, getattr(cpu, src))
-        cpu.pc = np
-        cpu.cycles += total
-        cpu.r = (cpu.r + 1) & 0x7F
-        cpu.instructions += 1
-    op._tmpl = ("rr", dst, src, 1, 4, np, fw)
-    return op
-
-
-def _op_ld_rn_fused(dst, value, np, fw):
-    total = 7 + fw
-
-    def op(cpu, memory):
-        memory.reads += 2
-        memory.wait_cycles += fw
-        setattr(cpu, dst, value)
-        cpu.pc = np
-        cpu.cycles += total
-        cpu.r = (cpu.r + 1) & 0x7F
-        cpu.instructions += 1
-    op._tmpl = ("rn", dst, value, 2, 7, np, fw)
-    return op
-
-
-def _op_ld_r_mhl_fused(dst, np, fw):
-    def op(cpu, memory):
-        memory.reads += 1
-        memory.wait_cycles += fw
-        before = memory.wait_cycles
-        setattr(cpu, dst, memory.read8((cpu.h << 8) | cpu.l))
-        cpu.pc = np
-        cpu.cycles += 7 + fw + (memory.wait_cycles - before)
-        cpu.r = (cpu.r + 1) & 0x7F
-        cpu.instructions += 1
-    op._tmpl = ("mhl_read", dst, None, 1, 7, np, fw)
-    return op
-
-
-def _op_ld_mhl_r_fused(src, np, fw):
-    def op(cpu, memory):
-        memory.reads += 1
-        memory.wait_cycles += fw
-        before = memory.wait_cycles
-        memory.write8((cpu.h << 8) | cpu.l, getattr(cpu, src))
-        cpu.pc = np
-        cpu.cycles += 7 + fw + (memory.wait_cycles - before)
-        cpu.r = (cpu.r + 1) & 0x7F
-        cpu.instructions += 1
-    op._tmpl = ("mhl_write", src, None, 1, 7, np, fw)
-    return op
-
-
-def _op_incdec_r_fused(name, is_inc, np, fw):
-    total = 4 + fw
-    if is_inc:
-        def op(cpu, memory):
-            memory.reads += 1
-            memory.wait_cycles += fw
-            setattr(cpu, name, cpu._inc8(getattr(cpu, name)))
-            cpu.pc = np
-            cpu.cycles += total
-            cpu.r = (cpu.r + 1) & 0x7F
-            cpu.instructions += 1
-        op._tmpl = ("incdec", name, True, 1, 4, np, fw)
-        return op
-
-    def op(cpu, memory):
-        memory.reads += 1
-        memory.wait_cycles += fw
-        setattr(cpu, name, cpu._dec8(getattr(cpu, name)))
-        cpu.pc = np
-        cpu.cycles += total
-        cpu.r = (cpu.r + 1) & 0x7F
-        cpu.instructions += 1
-    op._tmpl = ("incdec", name, False, 1, 4, np, fw)
-    return op
-
-
-def _op_logic_r_fused(operation, src, np, fw):
-    """AND/XOR/OR r with inline flag math (crypto kernels live here)."""
-    fn = _LOGIC_OPS[operation]
-    half = FLAG_H if operation == 4 else 0
-    total = 4 + fw
-
-    def op(cpu, memory):
-        memory.reads += 1
-        memory.wait_cycles += fw
-        a = fn(cpu.a, getattr(cpu, src))
-        cpu.a = a
-        f = (a & 0x80) | half
-        if a == 0:
-            f |= FLAG_Z
-        if _PARITY[a]:
-            f |= FLAG_PV
-        cpu.f = f
-        cpu.pc = np
-        cpu.cycles += total
-        cpu.r = (cpu.r + 1) & 0x7F
-        cpu.instructions += 1
-    op._tmpl = ("logic_r", operation, src, 1, 4, np, fw)
-    return op
-
-
-def _op_logic_n_fused(operation, value, np, fw):
-    fn = _LOGIC_OPS[operation]
-    half = FLAG_H if operation == 4 else 0
-    total = 7 + fw
-
-    def op(cpu, memory):
-        memory.reads += 2
-        memory.wait_cycles += fw
-        a = fn(cpu.a, value)
-        cpu.a = a
-        f = (a & 0x80) | half
-        if a == 0:
-            f |= FLAG_Z
-        if _PARITY[a]:
-            f |= FLAG_PV
-        cpu.f = f
-        cpu.pc = np
-        cpu.cycles += total
-        cpu.r = (cpu.r + 1) & 0x7F
-        cpu.instructions += 1
-    op._tmpl = ("logic_n", operation, value, 2, 7, np, fw)
-    return op
-
-
-def _op_logic_mhl_fused(operation, np, fw):
-    fn = _LOGIC_OPS[operation]
-    half = FLAG_H if operation == 4 else 0
-
-    def op(cpu, memory):
-        memory.reads += 1
-        memory.wait_cycles += fw
-        before = memory.wait_cycles
-        a = fn(cpu.a, memory.read8((cpu.h << 8) | cpu.l))
-        cpu.a = a
-        f = (a & 0x80) | half
-        if a == 0:
-            f |= FLAG_Z
-        if _PARITY[a]:
-            f |= FLAG_PV
-        cpu.f = f
-        cpu.pc = np
-        cpu.cycles += 7 + fw + (memory.wait_cycles - before)
-        cpu.r = (cpu.r + 1) & 0x7F
-        cpu.instructions += 1
-    op._tmpl = ("mhl_logic", operation, None, 1, 7, np, fw)
-    return op
-
-
-def _op_arith_r_fused(operation, src, np, fw):
-    """ADD/ADC/SUB/SBC/CP r via the (already flattened) ALU helpers."""
-    total = 4 + fw
-
-    def op(cpu, memory):
-        memory.reads += 1
-        memory.wait_cycles += fw
-        cpu._alu(operation, getattr(cpu, src))
-        cpu.pc = np
-        cpu.cycles += total
-        cpu.r = (cpu.r + 1) & 0x7F
-        cpu.instructions += 1
-    op._tmpl = ("arith_r", operation, src, 1, 4, np, fw)
-    return op
-
-
-def _op_arith_n_fused(operation, value, np, fw):
-    total = 7 + fw
-
-    def op(cpu, memory):
-        memory.reads += 2
-        memory.wait_cycles += fw
-        cpu._alu(operation, value)
-        cpu.pc = np
-        cpu.cycles += total
-        cpu.r = (cpu.r + 1) & 0x7F
-        cpu.instructions += 1
-    op._tmpl = ("arith_n", operation, value, 2, 7, np, fw)
-    return op
-
-
-def _op_jr(target, fw, np=None, mask=0, want=False, taken=12, skipped=7):
-    """JR d / JR cc, d (``np is None`` means unconditional)."""
-    def op(cpu, memory):
-        memory.reads += 2
-        memory.wait_cycles += fw
-        if np is None or ((cpu.f & mask) != 0) == want:
+        if cc is None or ((cpu.f & mask) != 0) == want:
             cpu.pc = target
             cpu.cycles += taken + fw
         else:
@@ -358,8 +196,7 @@ def _op_jr(target, fw, np=None, mask=0, want=False, taken=12, skipped=7):
             cpu.cycles += skipped + fw
         cpu.r = (cpu.r + 1) & 0x7F
         cpu.instructions += 1
-    op._tmpl = ("jr", target, None if np is None else (mask, want), 2,
-                (taken, skipped), np, fw)
+    op._tmpl = ("jump", target, cc, length, costs, np, fw)
     return op
 
 
@@ -381,30 +218,6 @@ def _op_djnz(target, np, fw):
     return op
 
 
-def _op_jp(addr, length, fw):
-    def op(cpu, memory):
-        memory.reads += length
-        memory.wait_cycles += fw
-        cpu.pc = addr
-        cpu.cycles += 10 + fw
-        cpu.r = (cpu.r + 1) & 0x7F
-        cpu.instructions += 1
-    op._tmpl = ("jp", addr, None, length, (10, 10), None, fw)
-    return op
-
-
-def _op_jp_cc(addr, np, mask, want, fw):
-    def op(cpu, memory):
-        memory.reads += 3
-        memory.wait_cycles += fw
-        cpu.pc = addr if ((cpu.f & mask) != 0) == want else np
-        cpu.cycles += 10 + fw
-        cpu.r = (cpu.r + 1) & 0x7F
-        cpu.instructions += 1
-    op._tmpl = ("jp", addr, (mask, want), 3, (10, 10), np, fw)
-    return op
-
-
 def _op_jp_hl(fw):
     def op(cpu, memory):
         memory.reads += 1
@@ -416,66 +229,54 @@ def _op_jp_hl(fw):
     return op
 
 
-def _op_call(addr, np, fw, mask=0, want=None):
-    """CALL nn / CALL cc, nn (``want is None`` means unconditional)."""
+def _op_call(target, length, costs, np, fw, cc=None):
+    """CALL nn, CALL cc,nn (``cc`` as for :func:`_op_jump`) and RST n
+    (length 1, 11 T-states): push ``np`` and jump to ``target``."""
+    taken, skipped = costs
+    mask, want = cc or (0, False)
+
     def op(cpu, memory):
-        memory.reads += 3
+        memory.reads += length
         memory.wait_cycles += fw
-        if want is None or ((cpu.f & mask) != 0) == want:
+        cpu.pc = np
+        cpu.r = (cpu.r + 1) & 0x7F
+        if cc is None or ((cpu.f & mask) != 0) == want:
             before = memory.wait_cycles
             sp = (cpu.sp - 2) & 0xFFFF
             cpu.sp = sp
             memory.write8(sp, np & 0xFF)
             memory.write8((sp + 1) & 0xFFFF, np >> 8)
-            cpu.pc = addr
-            cpu.cycles += 17 + fw + (memory.wait_cycles - before)
+            cpu.pc = target
+            cpu.cycles += taken + fw + (memory.wait_cycles - before)
         else:
-            cpu.pc = np
-            cpu.cycles += 10 + fw
-        cpu.r = (cpu.r + 1) & 0x7F
+            cpu.cycles += skipped + fw
         cpu.instructions += 1
-    op._tmpl = ("call", addr, None if want is None else (mask, want), 3,
-                (17, 10), np, fw)
+    op._tmpl = ("call", target, cc, length, costs, np, fw)
     return op
 
 
-def _op_rst(vector, np, fw):
+def _op_ret(costs, np, fw, cc=None):
+    """RET, and RET cc (``cc`` as for :func:`_op_jump`)."""
+    taken, skipped = costs
+    mask, want = cc or (0, False)
+
     def op(cpu, memory):
         memory.reads += 1
         memory.wait_cycles += fw
-        before = memory.wait_cycles
-        sp = (cpu.sp - 2) & 0xFFFF
-        cpu.sp = sp
-        memory.write8(sp, np & 0xFF)
-        memory.write8((sp + 1) & 0xFFFF, np >> 8)
-        cpu.pc = vector
-        cpu.cycles += 11 + fw + (memory.wait_cycles - before)
+        cpu.pc = np
         cpu.r = (cpu.r + 1) & 0x7F
-        cpu.instructions += 1
-    return op
-
-
-def _op_ret(fw, np=None, mask=0, want=False):
-    """RET / RET cc (``np is None`` means unconditional)."""
-    def op(cpu, memory):
-        memory.reads += 1
-        memory.wait_cycles += fw
-        if np is None or ((cpu.f & mask) != 0) == want:
+        if cc is None or ((cpu.f & mask) != 0) == want:
             before = memory.wait_cycles
             sp = cpu.sp
             lo = memory.read8(sp)
             hi = memory.read8((sp + 1) & 0xFFFF)
             cpu.sp = (sp + 2) & 0xFFFF
             cpu.pc = lo | (hi << 8)
-            cpu.cycles += ((10 if np is None else 11) + fw
-                           + (memory.wait_cycles - before))
+            cpu.cycles += taken + fw + (memory.wait_cycles - before)
         else:
-            cpu.pc = np
-            cpu.cycles += 5 + fw
-        cpu.r = (cpu.r + 1) & 0x7F
+            cpu.cycles += skipped + fw
         cpu.instructions += 1
-    op._tmpl = ("ret", None, None if np is None else (mask, want), 1,
-                (10 if np is None else 11, 5), np, fw)
+    op._tmpl = ("ret", None, cc, 1, costs, np, fw)
     return op
 
 
@@ -487,49 +288,26 @@ def _op_ed_block(y, z, np, fw, start):
     """
     repeat = y >= 6
     inc = 1 if y in (4, 6) else -1
-    if z == 0:
-        def op(cpu, memory):
-            memory.reads += 2
-            memory.wait_cycles += fw
-            before = memory.wait_cycles
-            hl = (cpu.h << 8) | cpu.l
-            de = (cpu.d << 8) | cpu.e
-            memory.write8(de, memory.read8(hl))
-            hl = (hl + inc) & 0xFFFF
-            de = (de + inc) & 0xFFFF
-            cpu.h = hl >> 8
-            cpu.l = hl & 0xFF
-            cpu.d = de >> 8
-            cpu.e = de & 0xFF
-            bc = (((cpu.b << 8) | cpu.c) - 1) & 0xFFFF
-            cpu.b = bc >> 8
-            cpu.c = bc & 0xFF
-            f = cpu.f & ~(FLAG_N | FLAG_H | FLAG_PV) & 0xFF
-            if bc:
-                f |= FLAG_PV
-            cpu.f = f
-            if repeat and bc:
-                cpu.pc = start
-                cpu.cycles += 21 + fw + (memory.wait_cycles - before)
-            else:
-                cpu.pc = np
-                cpu.cycles += 16 + fw + (memory.wait_cycles - before)
-            cpu.r = (cpu.r + 1) & 0x7F
-            cpu.instructions += 1
-        return op
 
     def op(cpu, memory):
         memory.reads += 2
         memory.wait_cycles += fw
+        cpu.pc = np
+        cpu.r = (cpu.r + 1) & 0x7F
         before = memory.wait_cycles
         hl = (cpu.h << 8) | cpu.l
         value = memory.read8(hl)
-        carry = cpu.f & FLAG_C
-        cpu._sub8(cpu.a, value, 0, store_carry=False)
-        if carry:
-            cpu.f |= FLAG_C
+        if z == 0:
+            de = (cpu.d << 8) | cpu.e
+            memory.write8(de, value)
+            de = (de + inc) & 0xFFFF
+            cpu.d = de >> 8
+            cpu.e = de & 0xFF
+            f = cpu.f & ~(FLAG_N | FLAG_H | FLAG_PV) & 0xFF
         else:
-            cpu.f &= ~FLAG_C & 0xFF
+            carry = cpu.f & FLAG_C
+            cpu._sub8(cpu.a, value, 0, store_carry=False)
+            f = (cpu.f & ~(FLAG_C | FLAG_PV) & 0xFF) | carry
         hl = (hl + inc) & 0xFFFF
         cpu.h = hl >> 8
         cpu.l = hl & 0xFF
@@ -537,16 +315,13 @@ def _op_ed_block(y, z, np, fw, start):
         cpu.b = bc >> 8
         cpu.c = bc & 0xFF
         if bc:
-            cpu.f |= FLAG_PV
-        else:
-            cpu.f &= ~FLAG_PV & 0xFF
-        if repeat and bc and not (cpu.f & FLAG_Z):
+            f |= FLAG_PV
+        cpu.f = f
+        if repeat and bc and not (z and f & FLAG_Z):
             cpu.pc = start
             cpu.cycles += 21 + fw + (memory.wait_cycles - before)
         else:
-            cpu.pc = np
             cpu.cycles += 16 + fw + (memory.wait_cycles - before)
-        cpu.r = (cpu.r + 1) & 0x7F
         cpu.instructions += 1
     return op
 
@@ -554,6 +329,49 @@ def _op_ed_block(y, z, np, fw, start):
 # ---------------------------------------------------------------------------
 # Register-op bodies (pure register/flag mutations for _op_simple).
 # ---------------------------------------------------------------------------
+
+def _body_ld_r(dst, src):
+    def body(cpu):
+        setattr(cpu, dst, getattr(cpu, src))
+    return body
+
+
+def _body_ld_r_n(dst, value):
+    def body(cpu):
+        setattr(cpu, dst, value)
+    return body
+
+
+def _body_incdec_r(name, is_inc):
+    step = Cpu._inc8 if is_inc else Cpu._dec8
+
+    def body(cpu):
+        setattr(cpu, name, step(cpu, getattr(cpu, name)))
+    return body
+
+
+def _body_alu(operation, src=None, value=None):
+    """ALU A, r (register ``src``) or ALU A, n (``value``): AND/XOR/OR
+    take F from :data:`_SZP`, the others go through ``Cpu._alu``."""
+    logic = _LOGIC_OPS.get(operation)
+    half = FLAG_H if operation == 4 else 0
+    if src is None:
+        if logic is None:
+            def body(cpu):
+                cpu._alu(operation, value)
+        else:
+            def body(cpu):
+                cpu.a = a = logic(cpu.a, value)
+                cpu.f = _SZP[a] | half
+    elif logic is None:
+        def body(cpu):
+            cpu._alu(operation, getattr(cpu, src))
+    else:
+        def body(cpu):
+            cpu.a = a = logic(cpu.a, getattr(cpu, src))
+            cpu.f = _SZP[a] | half
+    return body
+
 
 def _body_ld_rp_nn(pair, value):
     if pair == 3:
@@ -688,8 +506,28 @@ _X0_Z7_BODIES = (_body_rlca, _body_rrca, _body_rla, _body_rra,
 # ---------------------------------------------------------------------------
 
 def _body_alu_hl(operation):
+    """ALU A, (HL), as :func:`_body_alu`."""
+    logic = _LOGIC_OPS.get(operation)
+    half = FLAG_H if operation == 4 else 0
+    if logic is None:
+        def body(cpu, memory):
+            cpu._alu(operation, memory.read8((cpu.h << 8) | cpu.l))
+    else:
+        def body(cpu, memory):
+            cpu.a = a = logic(cpu.a, memory.read8((cpu.h << 8) | cpu.l))
+            cpu.f = _SZP[a] | half
+    return body
+
+
+def _body_ld_r_mhl(dst):
     def body(cpu, memory):
-        cpu._alu(operation, memory.read8((cpu.h << 8) | cpu.l))
+        setattr(cpu, dst, memory.read8((cpu.h << 8) | cpu.l))
+    return body
+
+
+def _body_ld_mhl_r(src):
+    def body(cpu, memory):
+        memory.write8((cpu.h << 8) | cpu.l, getattr(cpu, src))
     return body
 
 
@@ -735,14 +573,11 @@ def _body_ld_a_nn(addr):
 
 
 def _body_incdec_mhl(is_inc):
-    if is_inc:
-        def body(cpu, memory):
-            addr = (cpu.h << 8) | cpu.l
-            memory.write8(addr, cpu._inc8(memory.read8(addr)))
-    else:
-        def body(cpu, memory):
-            addr = (cpu.h << 8) | cpu.l
-            memory.write8(addr, cpu._dec8(memory.read8(addr)))
+    step = Cpu._inc8 if is_inc else Cpu._dec8
+
+    def body(cpu, memory):
+        addr = (cpu.h << 8) | cpu.l
+        memory.write8(addr, step(cpu, memory.read8(addr)))
     return body
 
 
@@ -1000,22 +835,26 @@ def _decode_one(memory, pc, limit, pages):
             return _step_op, pc + 1, True
         _, fw = _fetch_bytes(memory, pc, 1, limit, pages)
         np = pc + 1
-        if y == 6:
-            return _op_ld_mhl_r_fused(_R8[z], np, fw), np, False
-        if z == 6:
-            return _op_ld_r_mhl_fused(_R8[y], np, fw), np, False
-        return _op_ld_rr_fused(_R8[y], _R8[z], np, fw), np, False
+        if y == 6:              # LD (HL), r
+            op = _op_mem(_body_ld_mhl_r(_R8[z]), 1, 7, np, fw)
+            return _retag(op, "mhl_write", _R8[z]), np, False
+        if z == 6:              # LD r, (HL)
+            op = _op_mem(_body_ld_r_mhl(_R8[y]), 1, 7, np, fw)
+            return _retag(op, "mhl_read", _R8[y]), np, False
+        op = _op_simple(_body_ld_r(_R8[y], _R8[z]), 1, 4, np, fw)
+        return _retag(op, "rr", _R8[y], _R8[z]), np, False
 
-    if x == 2:
+    if x == 2:                  # ALU A, r / ALU A, (HL)
         _, fw = _fetch_bytes(memory, pc, 1, limit, pages)
         np = pc + 1
         if z == 6:
+            op = _op_mem(_body_alu_hl(y), 1, 7, np, fw)
             if y in _LOGIC_OPS:
-                return _op_logic_mhl_fused(y, np, fw), np, False
-            return _op_mem(_body_alu_hl(y), 1, 7, np, fw), np, False
-        if y in _LOGIC_OPS:
-            return _op_logic_r_fused(y, _R8[z], np, fw), np, False
-        return _op_arith_r_fused(y, _R8[z], np, fw), np, False
+                op = _retag(op, "mhl_logic", y)
+            return op, np, False
+        op = _op_simple(_body_alu(y, src=_R8[z]), 1, 4, np, fw)
+        kind = "logic_r" if y in _LOGIC_OPS else "arith_r"
+        return _retag(op, kind, y, _R8[z]), np, False
 
     if x == 0:
         return _decode_x0(memory, pc, y, z, limit, pages)
@@ -1034,11 +873,8 @@ def _decode_x0(memory, pc, y, z, limit, pages):
         target = (np + offset) & 0xFFFF
         if y == 2:
             return _op_djnz(target, np, fw), np, True
-        if y == 3:
-            return _op_jr(target, fw), np, True
-        cc = y - 4
-        return (_op_jr(target, fw, np=np, mask=_CC_MASK[cc],
-                       want=bool(cc & 1)), np, True)
+        cc = None if y == 3 else _cc(y - 4)     # JR d / JR cc, d
+        return _op_jump(target, 2, (12, 7), np, fw, cc), np, True
     if z == 1:
         pair = y >> 1
         if y & 1:               # ADD HL, rp
@@ -1079,14 +915,16 @@ def _decode_x0(memory, pc, y, z, limit, pages):
         if y == 6:
             return (_op_mem(_body_incdec_mhl(z == 4), 1, 11, np, fw),
                     np, False)
-        return _op_incdec_r_fused(_R8[y], z == 4, np, fw), np, False
+        op = _op_simple(_body_incdec_r(_R8[y], z == 4), 1, 4, np, fw)
+        return _retag(op, "incdec", _R8[y], z == 4), np, False
     if z == 6:
         data, fw = _fetch_bytes(memory, pc, 2, limit, pages)
         value = data[1]
         np = pc + 2
         if y == 6:
             return _op_mem(_body_ld_mhl_n(value), 2, 10, np, fw), np, False
-        return _op_ld_rn_fused(_R8[y], value, np, fw), np, False
+        op = _op_simple(_body_ld_r_n(_R8[y], value), 2, 7, np, fw)
+        return _retag(op, "rn", _R8[y], value), np, False
     # z == 7: rotates on A, DAA, CPL, SCF, CCF
     _, fw = _fetch_bytes(memory, pc, 1, limit, pages)
     return (_op_simple(_X0_Z7_BODIES[y], 1, 4, pc + 1, fw), pc + 1, False)
@@ -1096,14 +934,13 @@ def _decode_x3(memory, pc, b0, y, z, limit, pages):
     if z == 0:                  # RET cc
         _, fw = _fetch_bytes(memory, pc, 1, limit, pages)
         np = pc + 1
-        return (_op_ret(fw, np=np, mask=_CC_MASK[y], want=bool(y & 1)),
-                np, True)
+        return _op_ret((11, 5), np, fw, _cc(y)), np, True
     if z == 1:
         _, fw = _fetch_bytes(memory, pc, 1, limit, pages)
         np = pc + 1
         if y & 1:
             if y == 1:          # RET
-                return _op_ret(fw), np, True
+                return _op_ret((10, 5), np, fw), np, True
             if y == 3:          # EXX
                 return _op_simple(_body_exx, 1, 4, np, fw), np, False
             if y == 5:          # JP (HL)
@@ -1115,11 +952,12 @@ def _decode_x3(memory, pc, b0, y, z, limit, pages):
         data, fw = _fetch_bytes(memory, pc, 3, limit, pages)
         addr = data[1] | (data[2] << 8)
         np = pc + 3
-        return (_op_jp_cc(addr, np, _CC_MASK[y], bool(y & 1), fw), np, True)
+        return _op_jump(addr, 3, (10, 10), np, fw, _cc(y)), np, True
     if z == 3:
         if y == 0:              # JP nn
             data, fw = _fetch_bytes(memory, pc, 3, limit, pages)
-            return _op_jp(data[1] | (data[2] << 8), 3, fw), pc + 3, True
+            addr = data[1] | (data[2] << 8)
+            return _op_jump(addr, 3, (10, 10), pc + 3, fw), pc + 3, True
         if y in (2, 3):         # OUT (n),A / IN A,(n): I/O, ender
             _fetch_bytes(memory, pc, 2, limit, pages)
             return _step_op, pc + 2, True
@@ -1137,25 +975,23 @@ def _decode_x3(memory, pc, b0, y, z, limit, pages):
         data, fw = _fetch_bytes(memory, pc, 3, limit, pages)
         addr = data[1] | (data[2] << 8)
         np = pc + 3
-        return (_op_call(addr, np, fw, mask=_CC_MASK[y], want=bool(y & 1)),
-                np, True)
+        return _op_call(addr, 3, (17, 10), np, fw, _cc(y)), np, True
     if z == 5:
         if y == 1:              # CALL nn
             data, fw = _fetch_bytes(memory, pc, 3, limit, pages)
             addr = data[1] | (data[2] << 8)
-            return _op_call(addr, pc + 3, fw), pc + 3, True
+            return _op_call(addr, 3, (17, 10), pc + 3, fw), pc + 3, True
         _, fw = _fetch_bytes(memory, pc, 1, limit, pages)
         op = _op_mem(_body_push(y >> 1), 1, 11, pc + 1, fw)
         return _retag(op, "push", y >> 1), pc + 1, False
     if z == 6:                  # ALU A, n
         data, fw = _fetch_bytes(memory, pc, 2, limit, pages)
-        if y in _LOGIC_OPS:
-            return (_op_logic_n_fused(y, data[1], pc + 2, fw),
-                    pc + 2, False)
-        return (_op_arith_n_fused(y, data[1], pc + 2, fw), pc + 2, False)
-    # z == 7: RST y*8
+        op = _op_simple(_body_alu(y, value=data[1]), 2, 7, pc + 2, fw)
+        kind = "logic_n" if y in _LOGIC_OPS else "arith_n"
+        return _retag(op, kind, y, data[1]), pc + 2, False
+    # z == 7: RST y*8, a one-byte CALL
     _, fw = _fetch_bytes(memory, pc, 1, limit, pages)
-    return _op_rst(y * 8, pc + 1, fw), pc + 1, True
+    return _op_call(y * 8, 1, (11, 11), pc + 1, fw), pc + 1, True
 
 
 # ---------------------------------------------------------------------------
@@ -1164,11 +1000,6 @@ def _decode_x3(memory, pc, b0, y, z, limit, pages):
 
 #: ALU logic operation index -> Python operator spelling (codegen).
 _LOGIC_CHARS = {4: "&", 5: "^", 6: "|"}
-
-#: S, Z and P/V of an 8-bit result, by value: the whole flag byte of
-#: XOR/OR, of AND less its H, and of a CB rotate/shift less its carry.
-_SZP = bytes((v & FLAG_S) | (0 if v else FLAG_Z)
-             | (FLAG_PV if _PARITY[v] else 0) for v in range(256))
 
 #: CB rotates/shifts by operation index (RLC RRC RL RR SLA SRA SLL SRL)
 #: as source over the operand ``_v``: the result, and the carry out as
@@ -1438,12 +1269,12 @@ class _Translation:
         self.emit(f"memory.reads += {length}")
         if fw:
             self.emit(f"memory.wait_cycles += {fw}")
+        self.emit(f"cpu.pc = {np}")
+        self.emit("cpu.r = (cpu.r + 1) & 0x7F")
         self.emit("_w = memory.wait_cycles")
         for line in access:
             self.emit(line)
-        self.emit(f"cpu.pc = {np}")
         self.emit(f"cpu.cycles += {base + fw} + memory.wait_cycles - _w")
-        self.emit("cpu.r = (cpu.r + 1) & 0x7F")
         self.emit("cpu.instructions += 1")
         if writes:
             self.bail_check(i)
@@ -1541,17 +1372,16 @@ class _Translation:
         mask, want = cc
         return f"cpu.f & {mask}" if want else f"not cpu.f & {mask}"
 
-    def jp(self, i, target, cc, length, costs, np, fw):
+    def jump(self, i, target, cc, length, costs, np, fw):
+        """JP/JR (cc): one commit, with PC chosen inline when both arms
+        cost the same (JP cc), else a branch (JR cc)."""
+        if cc is not None and costs[0] != costs[1]:
+            self.branch(self.condition(cc), target, length, costs, np, fw)
+            return
         pc = (target if cc is None else
               f"{target} if {self.condition(cc)} else {np}")
         self.lines += self.run.plus(length, costs[0], fw, pc).source()
         self.run = _Run()
-
-    def jr(self, i, target, cc, length, costs, np, fw):
-        if cc is None:
-            self.jp(i, target, cc, length, costs, np, fw)
-            return
-        self.branch(self.condition(cc), target, length, costs, np, fw)
 
     def djnz(self, i, target, _unused, length, costs, np, fw):
         self.emit("cpu.b = _v = (cpu.b - 1) & 0xFF")
@@ -1726,8 +1556,10 @@ class BlockCache:
     def translate(self, key: int, block: list):
         """Compile ``block`` into one specialized function.
 
-        Template instructions are emitted inline, and their counter
-        bookkeeping (``memory.reads``/``writes``/``wait_cycles``,
+        Each closure's tag (``op._tmpl``, see :func:`_retag`) picks the
+        :class:`_Translation` method that emits it.  Template
+        instructions are emitted inline, and their counter bookkeeping
+        (``memory.reads``/``writes``/``wait_cycles``,
         ``cpu.pc``/``cycles``/``r``/``instructions``) adds up at translate
         time into one pending run; integer sums make the batch exact.
         Templated classes:
@@ -1746,13 +1578,17 @@ class BlockCache:
           ``PUSH``/``POP`` test at run time that the two bytes at SP lie
           in ``0xC000 <= a < 0xDFFF``; the other (cold) arm calls the
           closure;
-        * the block-ending ``JP``/``JR``/``DJNZ`` (cc) as the function's
-          tail, folded into the run's commit; ``CALL``/``RET`` (cc) on
-          the same stack test, with the off-segment arm committing the
-          run and calling the closure;
+        * the block-ending ``JP``/``JR`` (cc) (one :func:`_op_jump` tag)
+          and ``DJNZ`` as the function's tail, folded into the run's
+          commit; ``CALL``/``RST``/``RET`` (cc) on the same stack test,
+          with the off-segment arm committing the run and calling the
+          closure;
         * the ``(HL)`` accessors and other ``_op_mem`` ops: inline
           wrapper around one body call (``read8``/``write8``), in the
-          closure's statement order, committing their own bookkeeping.
+          closure's statement order -- PC and R move before the access,
+          ``cycles`` and ``instructions`` after it, so a fault leaves
+          them where the step core does -- committing their own
+          bookkeeping.
 
         Everything else stays an opaque closure call.  Ordering rules
         that keep the tallies byte-identical to the closure-list tier:
