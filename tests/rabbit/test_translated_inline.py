@@ -12,7 +12,9 @@ exactly.
 A block's bookkeeping commits once, at its tail or at a ``bail`` exit;
 a stack access off the data segment commits around its closure.  The
 commit-around tests end such a block in a bail or a fault and compare
-it with the step core and with the closure-list tier.  ``adc``/``sbc
+it with the step core and with the closure-list tier, and every
+closure class that can fault is pinned to stop where the step core
+does: PC past the instruction, R bumped.  ``adc``/``sbc
 hl,rp`` and ED ``ld rp,(nn)`` are pinned on edge operands and
 addresses.
 """
@@ -248,12 +250,57 @@ def test_cold_arms_commit_around_the_closure(ending):
     assert cache.executed_blocks == cache_64.executed_blocks
     assert cache.translated_execs == cache.executed_blocks
     assert cache_64.translated_execs == 0
-    state = _machine_state(fast)
-    assert state == _machine_state(fast_64) == _machine_state(step)
+    # PC and R included: a fault leaves them past the instruction, bumped.
+    assert _machine_state(fast) == _machine_state(fast_64) \
+        == _machine_state(step)
     if ending.endswith("fault"):
         assert outcome[0] == "MemoryError_"
     else:
         assert cache.invalidated_smc == 1 and fast.cpu.a == 0x11
+
+
+#: One faulting instruction per closure class that touches data memory,
+#: after its set-up.  XPC 0xA0 leaves the bank window unpopulated, and
+#: root flash is read-only.
+FAULTS = {
+    "store": ("ld a, 0x11", "ld (0x0300), a"),              # _op_mem
+    "mhl-read": ("ld hl, 0xE000", "ld a, (hl)"),
+    "mhl-write": ("ld hl, 0x0300", "ld (hl), a"),
+    "ldir": ("ld de, 0x0300", "ldir"),                      # _op_ed_block
+    "call": ("ld sp, 0x0302", "call 0x1234"),
+    "rst": ("ld sp, 0x0302", "rst 0x28"),                   # _op_call
+    "ret": ("ld sp, 0xE000", "ret"),
+    "ret-cc": ("ld sp, 0xE000\n        scf", "ret c"),
+    "push": ("ld sp, 0x0302", "push bc"),
+    "pop": ("ld sp, 0xE000", "pop bc"),
+}
+
+
+def _fault(name: str, threshold: int | None):
+    setup, instruction = FAULTS[name]
+    board = _board(threshold)
+    cpu = board.cpu
+    code = assemble(f"""
+        ld   bc, 4
+        {setup}
+        {instruction}
+after:  halt
+""", origin=0xC100)
+    board.memory.load_sram(code.code, 0x100)
+    board.memory.xpc = 0xA0
+    cpu.pc = 0xC100
+    _, outcome = _watched(lambda: cpu.run(max_instructions=100))
+    return outcome, _machine_state(board), code.symbol("after")
+
+
+@pytest.mark.parametrize("name", list(FAULTS))
+def test_a_fault_stops_where_the_step_core_does(name):
+    """PC past the faulting instruction and R bumped, its cycles and
+    count not charged: the same on every tier as on the step core."""
+    step = _fault(name, None)
+    assert step[0][0] == "MemoryError_"
+    assert step[1]["regs"][19] == step[2]            # PC at `after`
+    assert _fault(name, 1) == _fault(name, 64) == step
 
 
 #: Edge operands for the 16-bit arithmetic templates.
