@@ -12,8 +12,8 @@ statically:
   :mod:`repro.dync.compiler` parse trees.
 * Flow layer (``flow``): the dcflow engine -- per-function CFGs that
   model costatement scheduling boundaries, a generic worklist solver,
-  and canned analyses (reaching definitions, liveness, the
-  interrupt-enable lattice) -- carrying the flow-sensitive rules
+  and canned analyses (reaching definitions, the interrupt-enable
+  lattice) -- carrying the flow-sensitive rules
   DC008..DC012.
 * Layer 2 (``pychecks``): Python-source checks PY101..PY106 over code
   that uses :mod:`repro.dync.runtime` (including the PY105/PY106

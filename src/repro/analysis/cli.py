@@ -12,7 +12,7 @@ import dataclasses
 import json
 import sys
 
-from repro.analysis.config import DEFAULT_CONFIG, LintConfig
+from repro.analysis.config import DEFAULT_CONFIG
 from repro.analysis.engine import analyze_paths, worst_severity
 from repro.diagnostics import Severity, format_text
 
@@ -90,8 +90,3 @@ def main(argv: list[str] | None = None) -> int:
     threshold = Severity.ERROR if args.fail_on == "error" else Severity.WARNING
     worst = worst_severity(diagnostics)
     return 1 if worst is not None and worst >= threshold else 0
-
-
-def run_config(max_costates: int = DEFAULT_CONFIG.max_costates) -> LintConfig:
-    """Convenience for tests embedding the CLI's config defaults."""
-    return dataclasses.replace(DEFAULT_CONFIG, max_costates=max_costates)

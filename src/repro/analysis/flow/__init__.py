@@ -6,10 +6,10 @@ Three layers, each usable on its own:
   with costatement scheduling boundaries modeled as first-class edges
   (``yield``/``waitfor`` resume edges, ``abort`` edges to the
   costatement exit, the waitfor self-wait path through the scheduler).
-* :mod:`repro.analysis.flow.solver` -- a generic forward/backward
-  worklist solver over any join-semilattice.
+* :mod:`repro.analysis.flow.solver` -- a generic forward worklist
+  solver over any join-semilattice.
 * :mod:`repro.analysis.flow.analyses` -- canned analyses: reaching
-  definitions, liveness, and the interrupt-enable lattice that tracks
+  definitions and the interrupt-enable lattice that tracks
   ``ipset``/``ipres`` mask state across paths (paper, Figure 1).
 
 The flow-sensitive lint rules DC008..DC012 in
@@ -21,7 +21,6 @@ from repro.analysis.flow.analyses import (
     BOTTOM,
     UNKNOWN,
     InterruptMaskAnalysis,
-    LivenessAnalysis,
     ReachingDefinitions,
     UNINIT,
     interrupts_disabled,
@@ -37,7 +36,6 @@ __all__ = [
     "DataflowAnalysis",
     "Edge",
     "InterruptMaskAnalysis",
-    "LivenessAnalysis",
     "ReachingDefinitions",
     "Solution",
     "UNINIT",

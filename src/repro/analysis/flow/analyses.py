@@ -4,8 +4,6 @@
   ``Def(name, node_index)`` pairs, with ``node_index == UNINIT`` for
   the synthetic "never initialized" definition seeded at function
   entry for selected variables (DC008's question).
-* :class:`LivenessAnalysis` -- backward may-analysis over variable
-  names.
 * :class:`InterruptMaskAnalysis` -- forward analysis of the Rabbit's
   interrupt-priority register across ``ipset``/``ipres`` calls.  The
   abstract state is the IP shift register itself: a tuple of up to four
@@ -126,8 +124,6 @@ def write_of(node: CfgNode) -> tuple[str, bool] | None:
 class ReachingDefinitions(DataflowAnalysis):
     """Which definitions of each variable may reach each point."""
 
-    direction = "forward"
-
     def __init__(self, uninitialized=()):
         self.uninitialized = frozenset(uninitialized)
 
@@ -150,53 +146,22 @@ class ReachingDefinitions(DataflowAnalysis):
             state = frozenset(d for d in state if d.name != name)
         return state | {new}
 
-    def defs_of(self, state, name: str) -> set[Def]:
-        return {d for d in state if d.name == name}
-
-
-class LivenessAnalysis(DataflowAnalysis):
-    """Which variables may still be read before being overwritten."""
-
-    direction = "backward"
-
-    def __init__(self, live_out=()):
-        self.live_out = frozenset(live_out)
-
-    def boundary_state(self):
-        return self.live_out
-
-    def initial_state(self):
-        return frozenset()
-
-    def join(self, left, right):
-        return left | right
-
-    def transfer(self, node: CfgNode, state):
-        written = write_of(node)
-        if written is not None and written[1]:
-            state = state - {written[0]}
-        return state | {var.name for var in reads_of(node)}
-
 
 class InterruptMaskAnalysis(DataflowAnalysis):
     """Abstract interpretation of the IP register across paths.
 
     States: ``BOTTOM`` (unreached), ``UNKNOWN`` (paths disagree), or a
     tuple of priority levels, last element current.  ``ipset n`` with a
-    non-constant argument degrades to ``UNKNOWN``; so does any call
-    named in ``unknown_calls`` (functions known to clobber the mask).
+    non-constant argument degrades to ``UNKNOWN``.  Functions are
+    entered at priority 0.
     """
 
-    direction = "forward"
-
-    def __init__(self, ipset_calls=("ipset",), ipres_calls=("ipres",),
-                 entry_priority: int = 0):
+    def __init__(self, ipset_calls=("ipset",), ipres_calls=("ipres",)):
         self.ipset_calls = frozenset(ipset_calls)
         self.ipres_calls = frozenset(ipres_calls)
-        self.entry_priority = entry_priority
 
     def boundary_state(self):
-        return (self.entry_priority,)
+        return (0,)
 
     def initial_state(self):
         return BOTTOM

@@ -27,15 +27,12 @@ from dataclasses import dataclass, field
 
 from repro.dync.compiler.ast_nodes import (
     Abort,
-    Assign,
     Break,
     Continue,
     Costate,
-    ExprStmt,
     For,
     Function,
     If,
-    LocalDecl,
     Num,
     Return,
     Waitfor,
@@ -108,15 +105,12 @@ class Cfg:
     def __init__(self, function: Function):
         self.function = function
         self.nodes: list[CfgNode] = []
-        self._by_stmt: dict[int, CfgNode] = {}
         self.entry = self.add_node(ENTRY)
         self.exit = self.add_node(EXIT)
 
     def add_node(self, kind: str, stmt: object = None) -> CfgNode:
         node = CfgNode(len(self.nodes), kind, stmt)
         self.nodes.append(node)
-        if stmt is not None:
-            self._by_stmt.setdefault(id(stmt), node)
         return node
 
     def add_edge(self, src: CfgNode, dst: CfgNode, kind: str = "fall") -> Edge:
@@ -124,10 +118,6 @@ class Cfg:
         src.succs.append(edge)
         dst.preds.append(edge)
         return edge
-
-    def node_for(self, stmt: object) -> CfgNode | None:
-        """The node anchored to an AST statement (identity lookup)."""
-        return self._by_stmt.get(id(stmt))
 
     def reachable(self) -> set[CfgNode]:
         """Nodes reachable from entry along any edge kind."""
@@ -139,9 +129,6 @@ class Cfg:
                     seen.add(succ)
                     stack.append(succ)
         return seen
-
-    def yield_points(self) -> list[CfgNode]:
-        return [n for n in self.nodes if n.is_yield_point]
 
     def edges(self) -> list[Edge]:
         return [edge for node in self.nodes for edge in node.succs]

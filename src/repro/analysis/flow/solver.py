@@ -1,4 +1,4 @@
-"""A generic forward/backward worklist solver over CFGs.
+"""A generic forward worklist solver over CFGs.
 
 An analysis supplies the lattice (via ``initial_state``/``join``) and
 the semantics (``transfer``); the solver iterates to a fixpoint.  State
@@ -19,13 +19,11 @@ from repro.analysis.flow.cfg import Cfg, CfgNode
 
 
 class DataflowAnalysis:
-    """Base class: subclass and override the four hooks."""
-
-    #: "forward" (states flow entry -> exit) or "backward".
-    direction = "forward"
+    """Base class: subclass and override the four hooks.  States flow
+    from entry to exit."""
 
     def boundary_state(self):
-        """State at the entry node (exit node for backward analyses)."""
+        """State at the entry node."""
         raise NotImplementedError
 
     def initial_state(self):
@@ -43,10 +41,10 @@ class DataflowAnalysis:
 
 @dataclass
 class Solution:
-    """Fixpoint states per node, in flow direction.
+    """Fixpoint states per node.
 
-    ``before[node]`` is the joined state entering the node (in the
-    analysis direction), ``after[node]`` the state ``transfer`` leaves.
+    ``before[node]`` is the joined state entering the node,
+    ``after[node]`` the state ``transfer`` leaves.
     """
 
     analysis: DataflowAnalysis
@@ -54,34 +52,14 @@ class Solution:
     after: dict
     iterations: int
 
-    def state_before(self, node: CfgNode):
-        return self.before[node]
-
-    def state_after(self, node: CfgNode):
-        return self.after[node]
-
 
 def solve(cfg: Cfg, analysis: DataflowAnalysis) -> Solution:
     """Run ``analysis`` over ``cfg`` to fixpoint and return the states."""
-    forward = analysis.direction == "forward"
-    start = cfg.entry if forward else cfg.exit
-    if forward:
-        def flow_preds(node):
-            return node.predecessors()
-
-        def flow_succs(node):
-            return node.successors()
-    else:
-        def flow_preds(node):
-            return node.successors()
-
-        def flow_succs(node):
-            return node.predecessors()
-
+    start = cfg.entry
     before = {node: analysis.initial_state() for node in cfg.nodes}
     before[start] = analysis.boundary_state()
     after: dict = {}
-    worklist = deque(cfg.nodes if forward else reversed(cfg.nodes))
+    worklist = deque(cfg.nodes)
     queued = set(worklist)
     iterations = 0
     while worklist:
@@ -90,14 +68,14 @@ def solve(cfg: Cfg, analysis: DataflowAnalysis) -> Solution:
         iterations += 1
         if node is not start:
             state = analysis.initial_state()
-            for pred in flow_preds(node):
+            for pred in node.predecessors():
                 if pred in after:
                     state = analysis.join(state, after[pred])
             before[node] = state
         out = analysis.transfer(node, before[node])
         if node not in after or after[node] != out:
             after[node] = out
-            for succ in flow_succs(node):
+            for succ in node.successors():
                 if succ not in queued:
                     worklist.append(succ)
                     queued.add(succ)

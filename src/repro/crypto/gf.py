@@ -84,13 +84,3 @@ SBOX, INV_SBOX = _build_sbox()
 
 #: Round constants: rcon[i] = x^(i-1) in GF(2^8); index 0 unused.
 RCON = bytes([0x8D] + [gpow(2, i) for i in range(30)])
-
-#: Constant-multiplier tables for the MixColumns coefficients, derived
-#: from :func:`gmul` at import (not transcribed).  The shift-and-add
-#: routines above remain the reference definition; these exist because
-#: the simulation host runs MixColumns millions of times per experiment
-#: and a 256-byte lookup is the classic way to pay that bill.
-GMUL_TABLES = {
-    c: bytes(gmul(x, c) for x in range(256))
-    for c in (2, 3, 9, 11, 13, 14)
-}

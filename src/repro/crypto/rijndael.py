@@ -13,13 +13,7 @@ column-major, input byte ``i`` landing at row ``i % 4``, column ``i // 4``.
 
 from __future__ import annotations
 
-from repro.crypto.gf import GMUL_TABLES, INV_SBOX, RCON, SBOX
-
-# MixColumns coefficient tables (see gf.GMUL_TABLES): the per-byte
-# shift-and-add multiply dominated whole-experiment profiles.
-_G2, _G3 = GMUL_TABLES[2], GMUL_TABLES[3]
-_G9, _G11 = GMUL_TABLES[9], GMUL_TABLES[11]
-_G13, _G14 = GMUL_TABLES[13], GMUL_TABLES[14]
+from repro.crypto.gf import gmul, INV_SBOX, RCON, SBOX
 
 #: Block/key sizes supported by issl, in bits.
 SUPPORTED_BITS = (128, 192, 256)
@@ -121,10 +115,10 @@ class Rijndael:
         row0, row1, row2, row3 = state
         for col in range(self._nb):
             a0, a1, a2, a3 = row0[col], row1[col], row2[col], row3[col]
-            row0[col] = _G2[a0] ^ _G3[a1] ^ a2 ^ a3
-            row1[col] = a0 ^ _G2[a1] ^ _G3[a2] ^ a3
-            row2[col] = a0 ^ a1 ^ _G2[a2] ^ _G3[a3]
-            row3[col] = _G3[a0] ^ a1 ^ a2 ^ _G2[a3]
+            row0[col] = gmul(a0, 2) ^ gmul(a1, 3) ^ a2 ^ a3
+            row1[col] = a0 ^ gmul(a1, 2) ^ gmul(a2, 3) ^ a3
+            row2[col] = a0 ^ a1 ^ gmul(a2, 2) ^ gmul(a3, 3)
+            row3[col] = gmul(a0, 3) ^ a1 ^ a2 ^ gmul(a3, 2)
 
     # -- inverse rounds -----------------------------------------------
     def _inv_sub_bytes(self, state: list[list[int]]) -> None:
@@ -141,10 +135,14 @@ class Rijndael:
         row0, row1, row2, row3 = state
         for col in range(self._nb):
             a0, a1, a2, a3 = row0[col], row1[col], row2[col], row3[col]
-            row0[col] = _G14[a0] ^ _G11[a1] ^ _G13[a2] ^ _G9[a3]
-            row1[col] = _G9[a0] ^ _G14[a1] ^ _G11[a2] ^ _G13[a3]
-            row2[col] = _G13[a0] ^ _G9[a1] ^ _G14[a2] ^ _G11[a3]
-            row3[col] = _G11[a0] ^ _G13[a1] ^ _G9[a2] ^ _G14[a3]
+            row0[col] = (gmul(a0, 14) ^ gmul(a1, 11)
+                         ^ gmul(a2, 13) ^ gmul(a3, 9))
+            row1[col] = (gmul(a0, 9) ^ gmul(a1, 14)
+                         ^ gmul(a2, 11) ^ gmul(a3, 13))
+            row2[col] = (gmul(a0, 13) ^ gmul(a1, 9)
+                         ^ gmul(a2, 14) ^ gmul(a3, 11))
+            row3[col] = (gmul(a0, 11) ^ gmul(a1, 13)
+                         ^ gmul(a2, 9) ^ gmul(a3, 14))
 
     # -- public API ----------------------------------------------------
     def encrypt_block(self, block: bytes) -> bytes:

@@ -48,8 +48,11 @@ class _IdleToken:
     :func:`idle_until`) instead of a bare ``yield`` promises: *resuming
     me again is a no-op unless a simulator event has run since, or (for
     a deadline token) the pass starts at or after my deadline*.  The
-    pass must have performed no externally visible work -- no obs
-    writes, no state mutation beyond re-evaluating the wait predicate.
+    resume that yields the token may do work before its wait begins
+    (drain a record, then find no next header), but nothing it did may
+    let any costatement progress before that event or deadline: the
+    passes that follow must yield ``IDLE`` again and change no metric,
+    flight-recorder entry, telemetry sample or socket.
 
     The big loop uses the promise to skip the passes after an all-idle
     one without resuming any generator (see ``_skip_idle``).  The skip
@@ -274,7 +277,7 @@ class CostateScheduler:
 
     def __init__(self, sim: Simulator,
                  pass_overhead_s: float = DEFAULT_PASS_OVERHEAD_S,
-                 name: str = "bigloop", obs=None):
+                 name: str = "bigloop"):
         self.sim = sim
         self.pass_overhead_s = pass_overhead_s
         self.name = name
@@ -283,7 +286,7 @@ class CostateScheduler:
         self._process = None
         self.passes = 0
         self.running = False
-        self.obs = obs if obs is not None else sim.obs
+        self.obs = sim.obs
         self._ctr_passes = self.obs.metrics.counter(f"costate.{name}.passes")
         self._gap_histogram = self.obs.metrics.histogram(
             "costate.gap_s", GAP_BUCKETS
@@ -528,29 +531,20 @@ class CostateScheduler:
             for costate in self._costates
         )
 
-    def run_until_all_done(self, timeout: float = 60.0,
-                           max_passes: int | None = None) -> None:
+    def run_until_all_done(self, timeout: float = 60.0) -> None:
         """Convenience for tests: start (if needed) and run the sim until
         every one-shot costatement finishes.
 
-        ``timeout`` bounds *simulated* seconds; ``max_passes``
-        additionally bounds big-loop passes (a simulated-tick budget,
-        checked between simulation chunks), so a run can be capped by
-        work performed rather than by wall-like time.  On expiry the
-        error names the starved costatement, derived from the same
-        slice bookkeeping the tracer's spans come from.
+        ``timeout`` bounds *simulated* seconds.  On expiry the error
+        names the starved costatement, derived from the same slice
+        bookkeeping the tracer's spans come from.
         """
         if not self.running:
             self.start()
         deadline = self.sim.now + timeout
-        pass_budget = None if max_passes is None else self.passes + max_passes
         while not self.all_done:
             if self.sim.now >= deadline:
                 raise CostateError(self._starvation_report("timeout"))
-            if pass_budget is not None and self.passes >= pass_budget:
-                raise CostateError(
-                    self._starvation_report("pass budget exhausted")
-                )
             if not self.sim.pending_events:
                 raise CostateError(self._starvation_report("deadlock"))
             self.sim.run(until=min(deadline, self.sim.now + 0.05))

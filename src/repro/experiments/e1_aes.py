@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.crypto.rijndael import Rijndael
-from repro.dync.compiler import CompilerOptions
 from repro.experiments.harness import ExperimentResult
 from repro.obs.profile import (
     CycleProfiler,
@@ -86,8 +85,7 @@ def measure_implementation(implementation, keys: int,
     )
 
 
-def run_e1(keys: int = 2, blocks_per_key: int = 2,
-           c_options: CompilerOptions | None = None) -> ExperimentResult:
+def run_e1(keys: int = 2, blocks_per_key: int = 2) -> ExperimentResult:
     """Run the E1 testbench; returns the result record.
 
     Each implementation runs under a
@@ -95,8 +93,7 @@ def run_e1(keys: int = 2, blocks_per_key: int = 2,
     per-routine cycle attribution in ``extra_tables`` -- the answer to
     *where* the order of magnitude goes, not just that it does.
     """
-    c_impl = AesC(Board(), c_options or CompilerOptions(),
-                  include_decrypt=False)
+    c_impl = AesC(Board(), include_decrypt=False)
     asm_impl = AesAsm(Board(), include_decrypt=False)
     c_profiler = CycleProfiler(
         c_impl.board.cpu,

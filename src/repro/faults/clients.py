@@ -40,8 +40,8 @@ def silent_client(host: Host, server_ip: str, port: int,
 
 def half_handshake_client(host: Host, context: IsslContext, server_ip: str,
                           port: int, report: ClientReport,
-                          teardown: str = "rst", pause_s: float = 0.2):
-    """Send a valid ClientHello, then vanish mid-handshake.
+                          teardown: str = "rst"):
+    """Send a valid ClientHello, then vanish mid-handshake 0.2 s later.
 
     ``teardown`` is ``"rst"`` (abort: the peer sees a reset) or
     ``"fin"`` (close: the peer sees EOF).  Either way the server is
@@ -56,7 +56,7 @@ def half_handshake_client(host: Host, context: IsslContext, server_ip: str,
             context.rng.next_bytes(RANDOM_LEN), context.profile.suites
         )
         yield from sock.sendall(encode_record(CT_HANDSHAKE, hello.encode()))
-        yield pause_s
+        yield 0.2
         if teardown == "rst":
             sock._conn.abort()
         else:
@@ -70,8 +70,9 @@ def half_handshake_client(host: Host, context: IsslContext, server_ip: str,
 
 def stalling_client(host: Host, context: IsslContext, server_ip: str,
                     port: int, report: ClientReport,
-                    stall_s: float = 30.0, partial: bytes = b"par"):
-    """Handshake, one good request, then a partial line and silence.
+                    stall_s: float = 30.0):
+    """Handshake, one good request, then a partial line (``par``) and
+    silence.
 
     The server has parsed no complete request when the stall begins, so
     only a per-connection deadline can free its handler.
@@ -87,7 +88,7 @@ def stalling_client(host: Host, context: IsslContext, server_ip: str,
         response = yield from _read_secure_line(session)
         if response is not None:
             report.request_times.append(sim.now - report.start)
-        yield from session.write(partial)
+        yield from session.write(b"par")
         yield stall_s
         # By now the server aborted us; close out whatever is left.
         sock.close()
@@ -98,8 +99,7 @@ def stalling_client(host: Host, context: IsslContext, server_ip: str,
 
 
 def bitflip_client(host: Host, context: IsslContext, server_ip: str,
-                   port: int, record_index: int, report: ClientReport,
-                   obs=None):
+                   port: int, record_index: int, report: ClientReport):
     """A well-meaning client whose *inbound* record ``record_index`` is
     corrupted in transit (via :class:`~repro.faults.injectors.
     CorruptingTransport`), so its own MAC check must fail closed."""
@@ -112,7 +112,7 @@ def bitflip_client(host: Host, context: IsslContext, server_ip: str,
         yield from sock.connect((server_ip, port))
         session = issl_bind(context, sock, role="client")
         session.transport = CorruptingTransport(
-            session.transport, record_index, obs=obs
+            session.transport, record_index, obs=sim.obs
         )
         yield from session.handshake()
         yield from session.write(b"hello\n")

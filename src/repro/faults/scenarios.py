@@ -427,7 +427,7 @@ def scenario_record_bitflip(seed: int) -> dict:
     flaky = host.spawn(bitflip_client(
         host, _client_context(world, 0),
         str(world.hosts["rmc"].ip_address), TLS_PORT,
-        record_index=3, report=report, obs=world.obs,
+        record_index=3, report=report,
     ), name="faults:bitflip")
     healthy, _ = _spawn_secure_client(world, 1, start_s=1.0)
     done = _finish(world, [flaky, healthy])

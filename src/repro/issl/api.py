@@ -26,13 +26,8 @@ from repro.net.dynctcp import DyncSocket, DyncTcpStack
 
 
 def issl_bind(context: IsslContext, sock, stack: DyncTcpStack | None = None,
-              role: str = "server", obs=None) -> IsslSession:
-    """Attach issl to an already-connected socket; returns the session.
-
-    ``obs`` optionally routes this session's spans to a different
-    :class:`repro.obs.Obs` handle than the context's (counters remain
-    context-wide).
-    """
+              role: str = "server") -> IsslSession:
+    """Attach issl to an already-connected socket; returns the session."""
     if isinstance(sock, BsdSocket):
         transport = BsdTransport(sock)
     elif isinstance(sock, DyncSocket):
@@ -41,7 +36,7 @@ def issl_bind(context: IsslContext, sock, stack: DyncTcpStack | None = None,
         transport = DyncTransport(stack, sock)
     else:
         raise IsslError(f"cannot bind issl to {type(sock).__name__}")
-    return IsslSession(context, transport, role, obs=obs)
+    return IsslSession(context, transport, role)
 
 
 def issl_accept(session: IsslSession):

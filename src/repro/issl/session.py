@@ -49,6 +49,9 @@ from repro.issl.record import (
 )
 from repro.issl.transport import TransportError, TransportTimeout
 
+#: First pause between handshake attempts; it doubles per retry.
+HANDSHAKE_RETRY_BACKOFF_S = 0.05
+
 
 class IsslError(ConnectionError):
     """Protocol failure visible to the application."""
@@ -72,16 +75,13 @@ class IsslContext:
     def __init__(self, profile: BuildProfile, rng, logger: Logger | None = None,
                  rsa_key: "rsa_mod.RsaPrivateKey | None" = None,
                  psk: bytes | None = None, psk_identity: bytes = b"rmc2000",
-                 obs=None, handshake_timeout_s: float | None = None):
+                 obs=None):
         self.profile = profile
         self.rng = rng
         self.logger = logger if logger is not None else NullLogger()
         self.rsa_key = rsa_key
         self.psk = psk
         self.psk_identity = psk_identity
-        #: Default handshake deadline for sessions on this context; None
-        #: keeps the historical wait-forever behaviour.
-        self.handshake_timeout_s = handshake_timeout_s
         self.sessions_active = 0
         self.sessions_total = 0
         self.sessions_peak = 0
@@ -123,18 +123,15 @@ class IsslContext:
 class IsslSession:
     """One secure connection endpoint over a transport adapter."""
 
-    def __init__(self, context: IsslContext, transport, role: str, obs=None):
+    def __init__(self, context: IsslContext, transport, role: str):
         if role not in ("client", "server"):
             raise ValueError(f"role must be client/server, got {role!r}")
         context.acquire_session_slot()
         self.context = context
         self.transport = transport
         self.role = role
-        # ``obs`` overrides the context's tracer for this one session
-        # (counters stay context-wide); default is the context's handle.
-        session_obs = obs if obs is not None else context.obs
-        self._tracer = session_obs.tracer
-        self._recorder = session_obs.recorder
+        self._tracer = context.obs.tracer
+        self._recorder = context.obs.recorder
         self._span_tid = f"issl:{role}:{context.sessions_total}"
         self.suite: CipherSuite | None = None
         self._send_state: RecordCipherState | None = None
@@ -181,7 +178,12 @@ class IsslSession:
         header = yield from self.transport.recv_exactly(
             HEADER_LEN, self._remaining()
         )
-        content_type, length = decode_header(header)
+        try:
+            content_type, length = decode_header(header)
+        except RecordError as exc:
+            # The stream is out of step: no later byte can be framed.
+            yield from self._fatal(ALERT_UNEXPECTED_MESSAGE)
+            raise IsslError(f"malformed record header: {exc}") from exc
         body = yield from self.transport.recv_exactly(
             length, self._remaining()
         )
@@ -244,19 +246,16 @@ class IsslSession:
 
     # -- handshake ---------------------------------------------------------
     def handshake(self, suites: tuple[CipherSuite, ...] | None = None,
-                  timeout: float | None = None, retries: int = 0,
-                  retry_backoff_s: float = 0.05):
+                  timeout: float | None = None, retries: int = 0):
         """Generator: run the full handshake for this session's role.
 
-        ``timeout`` bounds each attempt in simulated seconds (default:
-        the context's ``handshake_timeout_s``; ``None`` waits forever).
-        On a timeout with the transport still alive and *no handshake
-        bytes exchanged yet* -- a silent peer, not a desynchronized one
-        -- up to ``retries`` further attempts are made, backing off
-        exponentially from ``retry_backoff_s``.
+        ``timeout`` bounds each attempt in simulated seconds (``None``
+        waits forever).  On a timeout with the transport still alive and
+        *no handshake bytes exchanged yet* -- a silent peer, not a
+        desynchronized one -- up to ``retries`` further attempts are
+        made, backing off exponentially from
+        :data:`HANDSHAKE_RETRY_BACKOFF_S`.
         """
-        if timeout is None:
-            timeout = self.context.handshake_timeout_s
         start = self._now()
         span = self._tracer.begin(
             "issl.handshake", cat=CAT_ISSL, tid=self._span_tid, role=self.role
@@ -285,7 +284,7 @@ class IsslSession:
                         f"issl: {self.role} handshake timeout "
                         f"(attempt {attempt + 1}/{attempts}); retrying"
                     )
-                    yield retry_backoff_s * (2 ** attempt)
+                    yield HANDSHAKE_RETRY_BACKOFF_S * (2 ** attempt)
                     continue
                 self._deadline = None
                 self._abandon()
@@ -556,7 +555,11 @@ class IsslSession:
                     self.app_bytes_received += len(body)
                     return body
                 if content_type == CT_ALERT:
-                    level, description = decode_alert(body)
+                    try:
+                        level, description = decode_alert(body)
+                    except RecordError as exc:
+                        yield from self._fatal(ALERT_UNEXPECTED_MESSAGE)
+                        raise IsslError(f"malformed alert: {exc}") from exc
                     if description == ALERT_CLOSE_NOTIFY:
                         self.closed = True
                         self._release_slot_once()
@@ -576,16 +579,6 @@ class IsslSession:
                 raise IsslError(f"unexpected record type {content_type}")
         finally:
             self._deadline = None
-
-    def read_exactly(self, nbytes: int):
-        """Generator: accumulate records until ``nbytes`` of plaintext."""
-        buffer = b""
-        while len(buffer) < nbytes:
-            chunk = yield from self.read()
-            if not chunk:
-                raise IsslError(f"EOF after {len(buffer)} of {nbytes} bytes")
-            buffer += chunk
-        return buffer
 
     def close(self):
         """Generator: send close_notify (once) and close the transport.

@@ -120,10 +120,6 @@ class EthernetSegment:
         if hook in self._frame_hooks:
             self._frame_hooks.remove(hook)
 
-    def clear_frame_hooks(self) -> None:
-        self._frame_hooks.clear()
-        self._drop_filter_hook = None
-
     def set_drop_filter(
         self, fn: Callable[[EthernetFrame, int], bool] | None
     ) -> None:
@@ -204,10 +200,6 @@ class EthernetSegment:
             interface.deliver(frame)
         finally:
             sim.rx_trace_ctx = previous
-
-    @property
-    def utilization_bytes(self) -> int:
-        return self.bytes_carried
 
     def __repr__(self) -> str:
         return (

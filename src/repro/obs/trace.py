@@ -3,11 +3,9 @@
 A :class:`Tracer` records *spans* -- named intervals with attributes --
 and *instants* -- point events.  Time comes from an injectable ``clock``
 callable (normally the discrete-event simulator's ``sim.now``, so span
-durations are simulated seconds, not host seconds); when a
-``cycle_clock`` is bound, each span also records the Rabbit core's
-cycle counter, so one span carries both of the paper's simulated time
-bases.  Spans hold no host time, so a trace is byte-identical from run
-to run; host time per layer is ``benchmarks/perf``'s measurement.
+durations are simulated seconds, not host seconds).  Spans hold no
+host time, so a trace is byte-identical from run to run; host time per
+layer is ``benchmarks/perf``'s measurement.
 
 Spans nest: :meth:`Tracer.begin` pushes onto a per-``tid`` stack and the
 span remembers its parent.  ``tid`` ("thread id") names a logical
@@ -82,11 +80,11 @@ class Span:
     """One named interval on one logical timeline."""
 
     __slots__ = ("name", "cat", "tid", "start", "end", "args", "span_id",
-                 "parent_id", "trace_id", "cycles_start", "cycles_end")
+                 "parent_id", "trace_id")
 
     def __init__(self, name: str, cat: str, tid: str, start: float,
                  span_id: int, parent_id: int | None, args: dict,
-                 cycles_start: int | None, trace_id: int | None = None):
+                 trace_id: int | None = None):
         self.name = name
         self.cat = cat
         self.tid = tid
@@ -96,18 +94,10 @@ class Span:
         self.span_id = span_id
         self.parent_id = parent_id
         self.trace_id = trace_id
-        self.cycles_start = cycles_start
-        self.cycles_end: int | None = None
 
     @property
     def duration(self) -> float:
         return 0.0 if self.end is None else self.end - self.start
-
-    @property
-    def cycles(self) -> int | None:
-        if self.cycles_start is None or self.cycles_end is None:
-            return None
-        return self.cycles_end - self.cycles_start
 
     def to_dict(self) -> dict:
         record = {
@@ -121,8 +111,6 @@ class Span:
             "start_s": self.start,
             "end_s": self.end,
         }
-        if self.cycles is not None:
-            record["cycles"] = self.cycles
         if self.args:
             record["args"] = self.args
         return record
@@ -153,10 +141,8 @@ class _SpanContext:
 class Tracer:
     """Records spans and instants against an injectable clock."""
 
-    def __init__(self, clock: Callable[[], float] | None = None,
-                 cycle_clock: Callable[[], int] | None = None):
+    def __init__(self, clock: Callable[[], float] | None = None):
         self.clock = clock
-        self.cycle_clock = cycle_clock
         self.spans: list[Span] = []
         self.instants: list[dict] = []
         self._stacks: dict[str, list[Span]] = {}
@@ -165,9 +151,6 @@ class Tracer:
     # -- recording ------------------------------------------------------
     def now(self) -> float:
         return self.clock() if self.clock is not None else 0.0
-
-    def _cycles(self) -> int | None:
-        return self.cycle_clock() if self.cycle_clock is not None else None
 
     def begin(self, name: str, cat: str = CAT_APP, tid: str = "main",
               parent: int | None = None, trace: int | str | None = None,
@@ -187,7 +170,7 @@ class Tracer:
             local_parent.span_id if local_parent is not None else None
         )
         span = Span(name, cat, tid, self.now(), self._next_id, parent_id,
-                    args, self._cycles())
+                    args)
         if trace == NEW_TRACE:
             span.trace_id = span.span_id
         elif trace is not None:
@@ -203,7 +186,6 @@ class Tracer:
         if span.end is not None:
             return span
         span.end = self.now()
-        span.cycles_end = self._cycles()
         if args:
             span.args.update(args)
         stack = self._stacks.get(span.tid, [])
@@ -226,7 +208,7 @@ class Tracer:
         the board even though the simulator charges time in one lump).
         ``parent``/``trace`` attach it to a propagated trace context."""
         span = Span(name, cat, tid, start, self._next_id, parent, args,
-                    None, trace_id=trace)
+                    trace_id=trace)
         self._next_id += 1
         span.end = end
         self.spans.append(span)
@@ -306,8 +288,6 @@ class Tracer:
                 "dur": round(span.duration * 1e6, 3),
             }
             args = dict(span.args)
-            if span.cycles is not None:
-                args["cycles"] = span.cycles
             # Span identity rides in args so parent links survive the
             # Chrome export and a viewer (or test) can rebuild the tree.
             args["span_id"] = span.span_id
@@ -346,7 +326,6 @@ class _NullSpan:
     args: dict = {}
     end = None
     duration = 0.0
-    cycles = None
     span_id = None
     parent_id = None
     trace_id = None

@@ -38,10 +38,12 @@ class Instruction:
 
 
 class _Reader:
-    def __init__(self, code: bytes, offset: int):
+    def __init__(self, code: bytes, offset: int, origin: int):
         self.code = code
         self.offset = offset
         self.start = offset
+        #: Address of ``code[0]``; relative jumps resolve against it.
+        self.origin = origin
 
     def u8(self) -> int:
         if self.offset >= len(self.code):
@@ -65,7 +67,7 @@ class _Reader:
 def disassemble_one(code: bytes, offset: int = 0,
                     origin: int = 0) -> Instruction:
     """Decode one instruction starting at ``offset``."""
-    reader = _Reader(code, offset)
+    reader = _Reader(code, offset, origin)
     try:
         text = _decode(reader)
     except IndexError:
@@ -312,4 +314,4 @@ def _decode_x3(reader: _Reader, y: int, z: int) -> str:
 
 def _rel(reader: _Reader) -> int:
     displacement = reader.s8()
-    return (reader.offset + displacement) & 0xFFFF
+    return (reader.origin + reader.offset + displacement) & 0xFFFF

@@ -67,10 +67,6 @@ class Board:
         if handler is not None:
             self.cpu.request_interrupt(handler)
 
-    def raise_external_interrupt(self, line: int) -> None:
-        """Assert INTn from off-board hardware."""
-        self._external_interrupt(line)
-
     # -- execution -------------------------------------------------------------
     def run(self, max_instructions: int = 100_000_000) -> int:
         """Run until HALT; returns cycles executed."""

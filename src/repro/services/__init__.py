@@ -16,7 +16,6 @@ from repro.services.redirector import (
     backend_line_server,
     build_pooled_redirector,
     build_rmc_redirector,
-    unix_plain_redirector,
     unix_secure_redirector,
 )
 from repro.services.scaling import SCALING_POOL_SIZES, run_scaling_curve
@@ -41,6 +40,5 @@ __all__ = [
     "plain_request_client",
     "run_scaling_curve",
     "secure_request_client",
-    "unix_plain_redirector",
     "unix_secure_redirector",
 ]

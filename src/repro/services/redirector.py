@@ -19,8 +19,8 @@ Five variants:
   :class:`~repro.dync.runtime.xalloc.XmemBufferPool`, and admission
   control that refuses (``redirector.refused.*``) instead of
   allocating past the xmem budget.
-* :func:`unix_plain_redirector` / plain handlers -- the no-TLS baseline
-  the E4 throughput experiment compares against.
+* plain handlers (``secure=False``) -- the no-TLS baseline the E4
+  throughput experiment compares against.
 * :func:`backend_line_server` -- the plaintext backend behind all of
   them.
 """
@@ -50,6 +50,7 @@ from repro.net.bsd import LISTENQ, SocketError, socket
 from repro.net.dynctcp import DyncTcpStack, make_socket
 from repro.net.host import Host
 from repro.obs.trace import CAT_SERVICE, context_of
+from repro.services.client import _read_plain_line
 from repro.unixsim.host import UnixHost
 from repro.unixsim.process import exit_process
 
@@ -141,17 +142,6 @@ def _read_secure_line(session, sim=None, deadline=None):
     return buffer.split(b"\n", 1)[0]
 
 
-def _read_plain_line(conn):
-    buffer = b""
-    while b"\n" not in buffer:
-        chunk = yield from conn.recv(_LINE_MAX)
-        if not chunk:
-            return None
-        buffer += chunk
-    # Tail dropped, as in _read_secure_line: one line in flight at a time.
-    return buffer.split(b"\n", 1)[0]
-
-
 # ---------------------------------------------------------------------------
 # The original Unix service (fork-per-connection, Section 5.3 listing)
 # ---------------------------------------------------------------------------
@@ -238,41 +228,6 @@ def _unix_child(host, context, conn, backend_ip, backend_port, stats,
     yield from session.close()
     tracer.end(span, requests=requests)
     exit_process(0)
-
-
-def unix_plain_redirector(host: Host, backend_ip: Ipv4Address | str,
-                          backend_port: int = BACKEND_PORT,
-                          listen_port: int = PLAIN_PORT,
-                          stats: dict | None = None):
-    """Generator: the same service without TLS (E4 baseline)."""
-    lsock = socket(host)
-    lsock.bind(("", listen_port))
-    lsock.listen(LISTENQ)
-
-    def handle(conn):
-        backend = socket(host)
-        try:
-            yield from backend.connect((backend_ip, backend_port))
-        except SocketError:
-            conn.close()
-            return
-        while True:
-            line = yield from _read_plain_line(conn)
-            if line is None:
-                break
-            yield from backend.sendall(line + b"\n")
-            response = yield from _read_plain_line(backend)
-            if response is None:
-                break
-            yield from conn.sendall(response + b"\n")
-            if stats is not None:
-                stats["redirected"] = stats.get("redirected", 0) + 1
-        backend.close()
-        conn.close()
-
-    while True:
-        conn = yield from lsock.accept()
-        host.sim.spawn(handle(conn), name=f"{host.name}:plain-child")
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +546,6 @@ def build_rmc_redirector(stack: DyncTcpStack, context: IsslContext,
                          secure: bool = True,
                          stats: dict | None = None,
                          pass_overhead_s: float | None = None,
-                         obs=None,
                          handshake_timeout_s: float | None = None,
                          handshake_retries: int = 0,
                          conn_deadline_s: float | None = None,
@@ -602,8 +556,8 @@ def build_rmc_redirector(stack: DyncTcpStack, context: IsslContext,
     ``handlers`` defaults to 3: "three processes to handle requests
     (allowing a maximum of three connections), and one to drive the TCP
     stack".  Increasing it is the paper's "add more costatements and
-    recompile".  ``obs`` overrides the simulator's observability handle
-    for the scheduler (slice spans, jitter histogram).
+    recompile".  The scheduler reports to the simulator's observability
+    handle (slice spans, jitter histogram).
 
     The hardening knobs all default to off (historical behaviour):
     ``handshake_timeout_s``/``handshake_retries`` bound the issl
@@ -619,7 +573,7 @@ def build_rmc_redirector(stack: DyncTcpStack, context: IsslContext,
     if pass_overhead_s is not None:
         kwargs["pass_overhead_s"] = pass_overhead_s
     scheduler = CostateScheduler(stack.host.sim, name="rmc-redirector",
-                                 obs=obs, **kwargs)
+                                 **kwargs)
     serve_kwargs = dict(
         handshake_timeout_s=handshake_timeout_s,
         handshake_retries=handshake_retries,
@@ -707,7 +661,6 @@ def build_pooled_redirector(stack: DyncTcpStack, context: IsslContext,
                             secure: bool = True,
                             stats: dict | None = None,
                             pass_overhead_s: float | None = None,
-                            obs=None,
                             handshake_timeout_s: float | None = None,
                             handshake_retries: int = 0,
                             conn_deadline_s: float | None = None,
@@ -751,7 +704,7 @@ def build_pooled_redirector(stack: DyncTcpStack, context: IsslContext,
     if pass_overhead_s is not None:
         kwargs["pass_overhead_s"] = pass_overhead_s
     scheduler = CostateScheduler(stack.host.sim, name="rmc-redirector",
-                                 obs=obs, **kwargs)
+                                 **kwargs)
     serve_kwargs = dict(
         handshake_timeout_s=handshake_timeout_s,
         handshake_retries=handshake_retries,

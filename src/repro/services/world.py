@@ -113,7 +113,7 @@ def build_redirector_world(server_seed: bytes, *, clients: int, obs=None,
         ))
     stats: dict = {}
     wiring = dict(listen_port=TLS_PORT if secure else PLAIN_PORT,
-                  secure=secure, stats=stats, obs=obs, buffer_pool=pool,
+                  secure=secure, stats=stats, buffer_pool=pool,
                   **knobs)
     backend_ip = hosts["backend"].ip_address
     if pooled:

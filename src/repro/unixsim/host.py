@@ -13,11 +13,10 @@ class UnixHost(Host):
     """The machine the original issl service ran on."""
 
     def __init__(self, sim: Simulator, name: str, ip_address: Ipv4Address,
-                 mac: MacAddress | None = None,
-                 disk_capacity: int | None = None):
+                 mac: MacAddress | None = None):
         super().__init__(sim, name, ip_address, mac)
         self.kernel = UnixKernel(sim)
-        self.fs = FileSystem(capacity=disk_capacity)
+        self.fs = FileSystem()
 
     def spawn_process(self, gen, name: str = "proc"):
         """Start a Unix process (with a pid, signals, wait...)."""

@@ -7,7 +7,12 @@ Two layers of evidence:
 - a differential oracle: random worlds run once as written and once
   with every ``IDLE``/``idle_until`` yield turned into a bare ``yield``
   (so every generator is resumed on every pass and nothing is skipped),
-  and every piece of pass accounting must agree bit for bit.
+  and every piece of pass accounting must agree bit for bit;
+- a per-pass verifier on that resume-every-pass twin: a pass in which
+  every resumed costatement yielded ``IDLE`` must leave every metric,
+  flight-recorder entry, telemetry sample and socket untouched, apart
+  from the scheduler's own pass accounting -- the promise that makes
+  skipping such passes sound.
 """
 
 from __future__ import annotations
@@ -168,6 +173,103 @@ def _unidle(gen):
         gen.close()
 
 
+def _obs_state(obs, scheduler_name: str) -> tuple:
+    """Every metric value, the flight recorder's next sequence number and
+    every telemetry series' length and last value, less the scheduler's
+    own pass accounting (its pass counter and series, the gap
+    histogram), which an idle pass advances by design."""
+    metrics = obs.metrics
+    own = f"costate.{scheduler_name}.passes"
+    return (
+        tuple((n, c.value) for n, c in metrics._counters.items() if n != own),
+        tuple((n, g.value, g.high_water)
+              for n, g in metrics._gauges.items()),
+        tuple((n, h.count, h.total) for n, h in metrics._histograms.items()
+              if n != "costate.gap_s"),
+        tuple((n, k.count, k.total) for n, k in metrics._sketches.items()),
+        obs.recorder._next,
+        tuple((n, len(series), series.last)
+              for n, series in obs.telemetry._series.items() if n != own),
+    )
+
+
+class _IdlePassVerifier:
+    """Wraps costatements like :func:`_unidle` and checks the ``IDLE``
+    promise on every pass of the resume-every-pass twin.
+
+    A pass runs from its first resume to its last yield; simulator
+    events only run between passes.  After a pass in which every
+    resumed costatement yielded ``IDLE``, the next pass -- when no
+    simulator event has run in between and it starts before the
+    earliest idle deadline -- is one the big loop skips.  Such a pass
+    must yield ``IDLE`` everywhere again and leave ``state()`` as it
+    found it.
+    """
+
+    def __init__(self):
+        self.scheduler = None
+        self.state = None
+        self.pass_no = None
+        self.all_idle = False
+        self.skippable = False
+        self.checked = 0
+        self.violations = []
+
+    def wrap(self, gen):
+        try:
+            while True:
+                self._resuming()
+                try:
+                    yielded = next(gen)
+                except StopIteration:
+                    self.all_idle = False
+                    return
+                idle = type(yielded) is _IdleToken
+                if idle:
+                    d = yielded.deadline
+                    if d is not None and (self.deadline is None
+                                          or d < self.deadline):
+                        self.deadline = d
+                else:
+                    self.all_idle = False
+                if self.skippable:
+                    self.after = self.state()
+                queue = self.scheduler.sim._queue
+                self.head = queue[0] if queue else None
+                yield None if idle else yielded
+        finally:
+            gen.close()
+
+    def _resuming(self):
+        if self.scheduler.passes == self.pass_no:
+            return
+        self.close_pass()
+        sim = self.scheduler.sim
+        queue = sim._queue
+        # Events pop from the head, so an unchanged head object means
+        # none ran since the last pass ended (bar the loop's own wake-up).
+        head = queue[0] if queue else None
+        self.skippable = (
+            self.pass_no is not None and self.all_idle
+            and head is self.head
+            and (self.deadline is None or sim.now < self.deadline)
+        )
+        self.pass_no = self.scheduler.passes
+        if self.skippable:
+            self.before = self.after = self.state()
+        self.all_idle = True
+        self.deadline = None
+
+    def close_pass(self):
+        if not self.skippable:
+            return
+        self.checked += 1
+        if not self.all_idle or self.after != self.before:
+            changed = [(b, a) for b, a in zip(self.before, self.after)
+                       if b != a]
+            self.violations.append((self.pass_no, self.all_idle, changed))
+
+
 ops = st.one_of(
     st.tuples(st.just("wait"), st.integers(0, NFLAGS - 1)),
     st.tuples(st.just("signal"), st.integers(0, NFLAGS - 1)),
@@ -193,13 +295,17 @@ def worlds(draw):
     }
 
 
-def _run_world(world, unidle: bool) -> dict:
+def _run_world(world, unidle: bool, verifier=None) -> dict:
     obs = Obs()
     sim = Simulator(obs=obs)
     scheduler = CostateScheduler(sim, pass_overhead_s=world["overhead"],
                                  name="w")
     flags = [0] * NFLAGS
     log = []
+    if verifier is not None:
+        verifier.scheduler = scheduler
+        verifier.state = lambda: (tuple(flags), len(log),
+                                  _obs_state(obs, "w"))
 
     def bump(flag):
         flags[flag] += 1
@@ -232,7 +338,10 @@ def _run_world(world, unidle: bool) -> dict:
                 log.append((tag, "busy", arg, sim.now))
                 yield arg
 
-    wrap = _unidle if unidle else (lambda gen: gen)
+    if verifier is not None:
+        wrap = verifier.wrap
+    else:
+        wrap = _unidle if unidle else (lambda gen: gen)
     costates = []
     for index, (script, restarting) in enumerate(world["costates"]):
         tag = f"c{index}"
@@ -277,10 +386,13 @@ class TestIdleDifferential:
     @given(worlds())
     def test_skip_matches_resuming_every_pass(self, world):
         skipped = _run_world(world, unidle=False)
-        resumed = _run_world(world, unidle=True)
+        verifier = _IdlePassVerifier()
+        resumed = _run_world(world, unidle=True, verifier=verifier)
         skipped.pop("slot_passes")
         resumed.pop("slot_passes")
         assert skipped == resumed
+        verifier.close_pass()
+        assert not verifier.violations
 
     def test_world_that_skips(self):
         # Guard against a vacuous oracle: this world spends most of its
@@ -294,12 +406,107 @@ class TestIdleDifferential:
             "chunks": [0.005],
         }
         skipped = _run_world(world, unidle=False)
-        resumed = _run_world(world, unidle=True)
+        verifier = _IdlePassVerifier()
+        resumed = _run_world(world, unidle=True, verifier=verifier)
+        verifier.close_pass()
+        assert not verifier.violations
+        assert verifier.checked > 1000
         assert skipped["passes"] > 1000
         assert len(skipped["telemetry"]) > 50
         # The pool's slots only step when its driver is resumed.
         assert skipped.pop("slot_passes")[0] < resumed.pop("slot_passes")[0]
         assert skipped == resumed
+
+
+def _socket_state(world) -> tuple:
+    """Every TCP connection and listener on every host, and the board
+    stack's receive queue, waiting sockets and tick bookkeeping."""
+    rows = []
+    for name, host in world.hosts.items():
+        for key, conn in host.tcp._connections.items():
+            rows.append((name, key, conn.state, conn.snd_una, conn.snd_nxt,
+                         conn.rcv_nxt, len(conn._send_queue),
+                         len(conn._retransmit), len(conn._recv_buffer),
+                         conn._fin_queued, conn.fin_received, conn.error))
+        for port, listener in host.tcp._listeners.items():
+            rows.append((name, port, len(listener.accept_queue),
+                         len(listener._embryonic), listener.closed))
+    stack = world.stack
+    rows.append((len(stack._rx_queue), stack._attach_dirty, stack.ticks,
+                 stack.syns_deferred,
+                 tuple((port, len(waiting)) for port, waiting
+                       in stack._waiting_sockets.items())))
+    return tuple(rows)
+
+
+def _wrap_every_costatement(monkeypatch, wrap):
+    """Route every generator a scheduler registers through ``wrap``."""
+    original_pool = CostateScheduler.add_pool
+    original_add = CostateScheduler.add
+    original_restarting = CostateScheduler.add_restarting
+
+    def add_pool(self, pool, name="", driver=None):
+        gen = driver if driver is not None else pool.driver()
+        return original_pool(self, pool, name, wrap(gen))
+
+    def add(self, gen, name=""):
+        return original_add(self, wrap(gen), name)
+
+    def add_restarting(self, factory, name=""):
+        return original_restarting(
+            self, lambda: wrap(factory()), name or factory.__name__)
+
+    monkeypatch.setattr(CostateScheduler, "add_pool", add_pool)
+    monkeypatch.setattr(CostateScheduler, "add", add)
+    monkeypatch.setattr(CostateScheduler, "add_restarting", add_restarting)
+
+
+class TestIdlePassesTouchNothing:
+    """The per-pass verifier on the redirector, where the costatements
+    drive sockets, issl sessions and every obs component."""
+
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_redirector(self, monkeypatch, pooled):
+        from repro.crypto.demokeys import DEMO_PSK
+        from repro.crypto.prng import CipherRng
+        from repro.issl import FREE, UNIX_FULL, IsslContext
+        from repro.services import (
+            ClientReport,
+            TLS_PORT,
+            build_redirector_world,
+            delayed,
+            secure_request_client,
+        )
+
+        verifier = _IdlePassVerifier()
+        _wrap_every_costatement(monkeypatch, verifier.wrap)
+        world = build_redirector_world(
+            b"idle-verifier", clients=2, obs=Obs(), cost_model=FREE,
+            logger_capacity=16, pooled=pooled)
+        # Started but not yet run: no costatement has been resumed.
+        verifier.scheduler = world.scheduler
+        verifier.state = lambda: (_obs_state(world.obs, world.scheduler.name),
+                                  _socket_state(world))
+        reports, processes = [], []
+        for index in range(2):
+            host = world.hosts[f"c{index}"]
+            report = ClientReport(f"c{index}")
+            context = IsslContext(UNIX_FULL, CipherRng(b"c%d" % index),
+                                  psk=DEMO_PSK, obs=world.obs)
+            reports.append(report)
+            client = secure_request_client(
+                host, context, str(world.hosts["rmc"].ip_address),
+                TLS_PORT, 2, 24, report)
+            processes.append(host.spawn(delayed(0.004 * index, client)))
+        for process in processes:
+            world.sim.run_until_complete(process, timeout=60)
+        world.sim.run(until=world.sim.now + 0.005)
+        world.scheduler.stop()
+        verifier.close_pass()
+        assert [r.error for r in reports] == [None, None]
+        assert world.stats["redirected"] == 4
+        assert not verifier.violations
+        assert verifier.checked > 100
 
 
 @pytest.mark.slow
@@ -309,24 +516,7 @@ class TestFullRunsUnskipped:
 
     @pytest.fixture
     def unskipped(self, monkeypatch):
-        def add_pool(self, pool, name="", driver=None):
-            gen = driver if driver is not None else pool.driver()
-            return original_pool(self, pool, name, _unidle(gen))
-
-        def add(self, gen, name=""):
-            return original_add(self, _unidle(gen), name)
-
-        def add_restarting(self, factory, name=""):
-            return original_restarting(
-                self, lambda: _unidle(factory()), name or factory.__name__)
-
-        original_pool = CostateScheduler.add_pool
-        original_add = CostateScheduler.add
-        original_restarting = CostateScheduler.add_restarting
-        monkeypatch.setattr(CostateScheduler, "add_pool", add_pool)
-        monkeypatch.setattr(CostateScheduler, "add", add)
-        monkeypatch.setattr(CostateScheduler, "add_restarting",
-                            add_restarting)
+        _wrap_every_costatement(monkeypatch, _unidle)
 
     @staticmethod
     def _dump(value) -> str:

@@ -53,20 +53,34 @@ def test_assemble_disassemble_fixed_point(line):
     assert recoded == code, (line, instructions[0].text)
 
 
-@given(item=_instructions(st.integers(0, 0xFFFF)))
+@given(item=_instructions(st.integers(0, 0xFFFF)),
+       origin=st.integers(1, 0xF000))
 @settings(max_examples=300, deadline=None)
-def test_fuzzer_instructions_survive_a_text_round_trip(item):
+def test_fuzzer_instructions_survive_a_text_round_trip(item, origin):
     # Assemble -> disassemble -> assemble -> disassemble gives the same
     # text for everything the step-core fuzzer draws.  Text, not bytes:
     # undocumented aliases (FD 76, ED 63, the DD/FD CB register-copy
-    # forms) re-assemble to their canonical encodings.  Laid out at 0,
-    # a branch (always the item's first instruction) re-assembles at
-    # its own address.
-    code, _ = _layout(0, [item])
-    for instruction in disassemble(code):
-        again = assemble(instruction.text).code
-        texts = [i.text for i in disassemble(again)]
+    # forms) re-assemble to their canonical encodings.  The stream sits
+    # at a non-zero origin and each instruction re-assembles at its own
+    # address, so relative branches must print absolute targets.
+    code, _ = _layout(origin, [item])
+    for instruction in disassemble(code, origin=origin):
+        again = assemble(instruction.text, origin=instruction.address).code
+        texts = [i.text for i in disassemble(again, instruction.address)]
         assert texts == [instruction.text], instruction
+
+
+def test_relative_jump_targets_count_from_origin():
+    # A djnz to itself at 0x0100 targets 0x0100, not the buffer start.
+    code = assemble("""
+    top:
+        djnz top
+        jr   nz, next
+    next:
+        nop
+    """, origin=0x0100).code
+    texts = [i.text for i in disassemble(code, origin=0x0100)]
+    assert texts == ["djnz 0x0100", "jr   nz, 0x0104", "nop"]
 
 
 def test_relative_jumps_decode_to_targets():

@@ -24,7 +24,6 @@ from repro.services import (
     PLAIN_PORT,
     secure_request_client,
     TLS_PORT,
-    unix_plain_redirector,
     unix_secure_redirector,
 )
 from repro.unixsim import UnixHost
@@ -170,21 +169,6 @@ class TestUnixRedirector:
             sim.run_until_complete(process, timeout=600)
         assert server.kernel.forks == 2
         assert all(r.error is None for r in reports)
-
-    def test_plain_redirector(self):
-        sim, server, backend, clients = _unix_world()
-        stats = {}
-        backend.spawn(backend_line_server(backend))
-        server.spawn(unix_plain_redirector(server, "10.0.0.2", stats=stats))
-        report = ClientReport("c")
-        process = clients[0].spawn(plain_request_client(
-            clients[0], "10.0.0.1", PLAIN_PORT, 4, 16, report))
-        sim.run_until_complete(process, timeout=600)
-        # The final stats increment happens after the server's sendall
-        # sees its ACK, which can land just after the client finishes.
-        sim.run(until=sim.now + 1.0)
-        assert report.error is None
-        assert stats["redirected"] == 4
 
 
 class TestRmcRedirector:
