@@ -83,17 +83,13 @@ def build_world(seed: int, *, client_hosts: int = 4, handlers: int = 3,
                 xmem: XmemAllocator | None = None,
                 with_backend: bool = True,
                 pooled: bool = False,
-                pool_admission: bool = False,
                 recorder_capacity: int = 256) -> World:
     """One hardened redirector deployment on a fresh simulated LAN.
 
     ``pooled=True`` swaps Figure 3's static handler costatements for
     the dynamic connection-slot pool at the same capacity
-    (``handlers`` slots).  With ``pool_admission=False`` the slots run
-    the classic listen/serve body -- the differential tests pin that
-    its ``redirector.*`` accounting matches the static build exactly;
-    with ``pool_admission=True`` the pool adds admission control and
-    refuses (``redirector.refused.slots``) when every slot is busy.
+    (``handlers`` slots), whose admission control refuses
+    (``redirector.refused.slots``) when every slot is busy.
     Verdicts read metrics and the flight recorder only, so the world
     runs without a tracer or telemetry.
     """
@@ -105,7 +101,6 @@ def build_world(seed: int, *, client_hosts: int = 4, handlers: int = 3,
         max_sessions=max_sessions, logger_capacity=64,
         xmem_capacity=64 * 1024, xmem=xmem, buffer_pool=buffer_pool,
         backend=with_backend, handlers=handlers, pooled=pooled,
-        admission=pool_admission,
         handshake_timeout_s=_HANDSHAKE_TIMEOUT_S, handshake_retries=1,
         conn_deadline_s=_CONN_DEADLINE_S,
         backend_timeout_s=backend_timeout_s,
@@ -773,8 +768,8 @@ def _scenario_pool_burst(seed: int, slots: int) -> dict:
     # Deeper flight recorder for the bigger deployments: a 32-slot
     # burst writes ~20 TCP teardown events per connection, and the
     # refusal events must survive long enough to be counted.
-    world = build_world(seed, pooled=True, pool_admission=True,
-                        handlers=slots, max_sessions=slots,
+    world = build_world(seed, pooled=True, handlers=slots,
+                        max_sessions=slots,
                         client_hosts=first_wave + 1,
                         recorder_capacity=max(256, 32 * slots))
     processes = [

@@ -143,18 +143,16 @@ class IsslSession:
         #: Absolute sim-time deadline bounding the current blocking read
         #: (handshake attempts and ``read(timeout=...)`` set it).
         self._deadline: float | None = None
-        # Statistics (EXPERIMENTS.md E4 reads these).
+        # Per-session statistics.
         self.app_bytes_sent = 0
         self.app_bytes_received = 0
         self.records_sent = 0
         self.records_received = 0
-        self.crypto_seconds = 0.0
         self.handshake_seconds = 0.0
 
     # -- record plumbing ---------------------------------------------------
     def _charge(self, seconds: float):
         if seconds > 0:
-            self.crypto_seconds += seconds
             yield seconds
 
     def _send_record(self, content_type: int, payload: bytes):

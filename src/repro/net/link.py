@@ -148,7 +148,8 @@ class EthernetSegment:
     def broadcast(self, frame: EthernetFrame, sender: NetworkInterface) -> None:
         index = self.frames_carried
         self.frames_carried += 1
-        self.bytes_carried += frame.wire_size()
+        wire_size = frame.wire_size()
+        self.bytes_carried += wire_size
         deliveries: list[tuple[EthernetFrame, float]] = [(frame, 0.0)]
         for hook in list(self._frame_hooks):
             staged: list[tuple[EthernetFrame, float]] = []
@@ -162,7 +163,7 @@ class EthernetSegment:
             # a real hub destroy the frame without a successful carry.
             self.frames_dropped += 1
             return
-        serialization = frame.wire_size() * 8 / self.bandwidth_bps
+        serialization = wire_size * 8 / self.bandwidth_bps
         start = max(self.sim.now, self._medium_free_at)
         self._medium_free_at = start + serialization
         arrival = self._medium_free_at + self.latency_s

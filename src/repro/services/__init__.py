@@ -14,7 +14,6 @@ from repro.services.redirector import (
     SLOT_BUFFER_BYTES,
     TLS_PORT,
     backend_line_server,
-    build_pooled_redirector,
     build_rmc_redirector,
     unix_secure_redirector,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "backend_line_server",
     "bsd_echo_server",
     "delayed",
-    "build_pooled_redirector",
     "build_redirector_world",
     "build_rmc_redirector",
     "dync_echo_costate",

@@ -7,20 +7,18 @@ it; it decrypts each request line, forwards it over plain TCP to a
 backend, and returns the backend's response line over the secure
 channel -- the coprocessor-offload pattern Section 2 motivates.
 
-Five variants:
+Two services and one backend:
 
 * :func:`unix_secure_redirector` -- the original: BSD sockets, one
   forked child per connection (the listing in Section 5.3).
 * :func:`build_rmc_redirector` -- the port: Figure 3's main loop, N
-  handler costatements (default 3) plus one ``tcp_tick`` driver.
-* :func:`build_pooled_redirector` -- past the Figure-3 ceiling: ONE
-  indexed pooled costatement whose slot capacity is set at
-  scheduler-build time, per-slot state drawn from an
-  :class:`~repro.dync.runtime.xalloc.XmemBufferPool`, and admission
-  control that refuses (``redirector.refused.*``) instead of
-  allocating past the xmem budget.
-* plain handlers (``secure=False``) -- the no-TLS baseline the E4
-  throughput experiment compares against.
+  request costatements (default 3) plus one ``tcp_tick`` driver.  With
+  ``pooled=True`` the N costatements become the N slots of ONE indexed
+  pooled costatement behind admission control, which refuses
+  (``redirector.refused.*``) instead of queueing past its capacity or
+  allocating past the xmem budget.  With ``secure=False`` either wiring
+  serves plain TCP, the no-TLS baseline the E4 throughput experiment
+  compares against.
 * :func:`backend_line_server` -- the plaintext backend behind all of
   them.
 """
@@ -396,8 +394,6 @@ def _rmc_handler(stack: DyncTcpStack, context: IsslContext,
     ``serve_kwargs`` are :func:`_serve_connection`'s hardening knobs.
     """
     handles = _ConnectionHandles(stack.host.sim.obs)
-    log = context.logger.log
-    tid = f"svc:{label}"
     sock = make_socket(stack)
     while True:
         # tcp_listen refuses while the previous connection is still
@@ -424,12 +420,21 @@ def _rmc_handler(stack: DyncTcpStack, context: IsslContext,
                 stats, secure, label, **serve_kwargs,
             )
         else:
-            log(f"redirector: {label}: connection died before established")
-            handles.recorder.warn(CAT_SERVICE, tid,
-                                  "connection died before established")
-            stack.sock_abort(sock)
-            handles.recovered.inc()
+            _drop_embryonic(stack, sock, context.logger.log,
+                            handles.recorder, handles.recovered, label)
         yield
+
+
+def _drop_embryonic(stack, sock, log, recorder, recovered, label):
+    """Abort a connection that died before the redirector saw it
+    established (its peer hung up while it sat in the accept queue) and
+    count the recovery.  The abort lands the connection in CLOSED, so
+    the socket can listen again."""
+    log(f"redirector: {label}: connection died before established")
+    recorder.warn(CAT_SERVICE, f"svc:{label}",
+                  "connection died before established")
+    stack.sock_abort(sock)
+    recovered.inc()
 
 
 def _rmc_serve(stack, sock, backend, session, stats, tid="svc:handler",
@@ -539,10 +544,11 @@ def _dync_read_line(stack, sock, deadline=None):
 
 
 def build_rmc_redirector(stack: DyncTcpStack, context: IsslContext,
-                         backend_ip: Ipv4Address | str,
+                         backend_ip: Ipv4Address | str, *,
                          backend_port: int = BACKEND_PORT,
                          listen_port: int = TLS_PORT,
                          handlers: int = 3,
+                         pooled: bool = False,
                          secure: bool = True,
                          stats: dict | None = None,
                          pass_overhead_s: float | None = None,
@@ -559,6 +565,17 @@ def build_rmc_redirector(stack: DyncTcpStack, context: IsslContext,
     recompile".  The scheduler reports to the simulator's observability
     handle (slice spans, jitter histogram).
 
+    ``pooled`` chooses what serves connections.  Without it, Figure 3:
+    ``handler1..N`` costatements, each listening, serving and
+    re-listening on its own.  With it, ONE indexed pooled costatement
+    (``slot-pool``, an
+    :class:`~repro.dync.runtime.costate.IndexedCofunctionPool`) of
+    ``handlers`` slots -- the "add more costatements and recompile" knob
+    turned into a build-time parameter, the shape dclint DC003 counts by
+    its configured bound -- behind one admission acceptor (see
+    :func:`_add_slot_pool`).  Either way ``tick-driver`` comes last and
+    every connection is served by :func:`_serve_connection`.
+
     The hardening knobs all default to off (historical behaviour):
     ``handshake_timeout_s``/``handshake_retries`` bound the issl
     handshake, ``conn_deadline_s`` is the per-request progress deadline,
@@ -566,6 +583,8 @@ def build_rmc_redirector(stack: DyncTcpStack, context: IsslContext,
     ``buffer_pool`` (an :class:`~repro.dync.runtime.xalloc.XmemBufferPool`)
     makes record buffers a refusable resource instead of an assumed one.
     """
+    if pooled and handlers < 1:
+        raise ValueError(f"handlers must be >= 1, got {handlers}")
     if isinstance(backend_ip, str):
         backend_ip = Ipv4Address.parse(backend_ip)
     stack.sock_init()
@@ -581,13 +600,17 @@ def build_rmc_redirector(stack: DyncTcpStack, context: IsslContext,
         backend_timeout_s=backend_timeout_s,
         buffer_pool=buffer_pool,
     )
-    for index in range(handlers):
-        scheduler.add(
-            _rmc_handler(stack, context, backend_ip, backend_port,
-                         listen_port, stats, secure,
-                         label=f"handler{index + 1}", **serve_kwargs),
-            name=f"handler{index + 1}",
-        )
+    if pooled:
+        _add_slot_pool(scheduler, stack, context, backend_ip, backend_port,
+                       listen_port, handlers, stats, secure, serve_kwargs)
+    else:
+        for index in range(handlers):
+            scheduler.add(
+                _rmc_handler(stack, context, backend_ip, backend_port,
+                             listen_port, stats, secure,
+                             label=f"handler{index + 1}", **serve_kwargs),
+                name=f"handler{index + 1}",
+            )
     scheduler.add(_tick_driver(stack), name="tick-driver")
     return scheduler
 
@@ -652,82 +675,22 @@ def _pool_slot(stack: DyncTcpStack, context: IsslContext,
         yield
 
 
-def build_pooled_redirector(stack: DyncTcpStack, context: IsslContext,
-                            backend_ip: Ipv4Address | str,
-                            backend_port: int = BACKEND_PORT,
-                            listen_port: int = TLS_PORT,
-                            slots: int = 3,
-                            admission: bool = True,
-                            secure: bool = True,
-                            stats: dict | None = None,
-                            pass_overhead_s: float | None = None,
-                            handshake_timeout_s: float | None = None,
-                            handshake_retries: int = 0,
-                            conn_deadline_s: float | None = None,
-                            backend_timeout_s: float | None = None,
-                            buffer_pool=None) -> CostateScheduler:
-    """The dynamic connection-slot pool: one pooled costatement, N slots.
+def _add_slot_pool(scheduler, stack, context, backend_ip, backend_port,
+                   listen_port, slots, stats, secure, serve_kwargs):
+    """Register the ``slot-pool`` costatement: ``slots`` slots behind
+    admission control.
 
-    Where Figure 3 hardcodes one costatement per connection,
-    this builder registers a single indexed pooled costatement
-    (:class:`~repro.dync.runtime.costate.IndexedCofunctionPool`) whose
-    capacity is ``slots`` -- the "add more costatements and recompile"
-    knob turned into a build-time parameter, exactly the shape dclint
-    DC003 counts by its configured bound.
-
-    Two wirings:
-
-    * ``admission=True`` (default): one acceptor socket listens; each
-      established connection is handed to the lowest-index idle slot or
-      refused (``redirector.refused.slots`` + a flight-recorder event)
-      when all slots are busy.  Occupancy is published as the
-      ``redirector.slots.occupied`` gauge and telemetry series.
-    * ``admission=False``: every slot runs the classic
-      :func:`_rmc_handler` body (listen/serve/re-listen) inside the
-      pooled costatement.
-
-    Both wirings serve each connection with :func:`_serve_connection`,
-    the static handlers' own path; the differential tests pin them.
-
-    Per-slot record buffers come from ``buffer_pool``, so a pool sized
-    past the xmem budget refuses at admission
-    (``redirector.refused.memory``) rather than allocating past it.
-    The per-request progress deadline (``conn_deadline_s``) and the
-    other hardening knobs carry over from the static builder unchanged.
+    One acceptor socket listens; each established connection is handed
+    to the lowest-index idle slot or refused
+    (``redirector.refused.slots`` + a flight-recorder event) when all
+    slots are busy.  Occupancy is published as the
+    ``redirector.slots.occupied`` gauge and telemetry series.  Per-slot
+    record buffers come from ``buffer_pool``, so a pool sized past the
+    xmem budget refuses (``redirector.refused.memory``) rather than
+    allocating past it.
     """
-    if slots < 1:
-        raise ValueError(f"slots must be >= 1, got {slots}")
-    if isinstance(backend_ip, str):
-        backend_ip = Ipv4Address.parse(backend_ip)
-    stack.sock_init()
-    kwargs = {}
-    if pass_overhead_s is not None:
-        kwargs["pass_overhead_s"] = pass_overhead_s
-    scheduler = CostateScheduler(stack.host.sim, name="rmc-redirector",
-                                 **kwargs)
-    serve_kwargs = dict(
-        handshake_timeout_s=handshake_timeout_s,
-        handshake_retries=handshake_retries,
-        conn_deadline_s=conn_deadline_s,
-        backend_timeout_s=backend_timeout_s,
-        buffer_pool=buffer_pool,
-    )
     pool = IndexedCofunctionPool(name="slot-pool")
-    if not admission:
-        # Listen-mode slots: the static handler body, pooled.  Counter
-        # parity with build_rmc_redirector is by construction.
-        for index in range(slots):
-            slot = pool.add_slot(name=f"slot{index + 1}")
-            slot.bind(_rmc_handler(
-                stack, context, backend_ip, backend_port, listen_port,
-                stats, secure, label=f"slot{index + 1}", **serve_kwargs,
-            ))
-        scheduler.add_pool(pool)
-        scheduler.add(_tick_driver(stack), name="tick-driver")
-        return scheduler
-
-    sim = stack.host.sim
-    world_obs = sim.obs
+    world_obs = stack.host.sim.obs
     metrics = world_obs.metrics
     recorder = world_obs.recorder
     ctr_refused_slots = metrics.counter("redirector.refused.slots")
@@ -787,14 +750,10 @@ def build_pooled_redirector(stack: DyncTcpStack, context: IsslContext,
             ctr_recovered.inc()
             return False
         if _sock_dead(sock):
-            # Died while queued for admission (lost handshake, RST);
-            # the abort lands the conn in CLOSED, so the next pass
-            # re-arms the listener.
-            log("redirector: admission: connection died before established")
-            recorder.warn(CAT_SERVICE, admission_tid,
-                          "connection died before established")
-            stack.sock_abort(sock)
-            ctr_recovered.inc()
+            # Died while queued for admission; the next pass re-arms
+            # the listener.
+            _drop_embryonic(stack, sock, log, recorder, ctr_recovered,
+                            "admission")
             return False
         # A teardown-in-flight socket off the free list: rotate it to
         # the back so one lingering close never stalls admission.
@@ -812,5 +771,3 @@ def build_pooled_redirector(stack: DyncTcpStack, context: IsslContext,
                                    extra_idle=admission_idle)
 
     scheduler.add_pool(pool, driver=pool_driver())
-    scheduler.add(_tick_driver(stack), name="tick-driver")
-    return scheduler

@@ -3,12 +3,12 @@
 Figure 3 concedes "a maximum of three connections" because the port
 hardcodes three request costatements.  :func:`run_scaling_curve`
 measures what replacing them with the dynamic connection-slot pool
-(:func:`repro.services.redirector.build_pooled_redirector`) buys: the
-same fixed client workload offered to the static 3-costatement build
-and to pools of {3, 8, 16, 32} slots on one device, recording
-completed-request throughput, p50/p95/p99 request latency (a
-:class:`repro.obs.metrics.QuantileSketch`), the refusal rate, and the
-xmem budget accounting per point.
+(:func:`repro.services.redirector.build_rmc_redirector` with
+``pooled=True``) buys: the same fixed client workload offered to the
+static 3-costatement build and to pools of {3, 8, 16, 32} slots on one
+device, recording completed-request throughput, p50/p95/p99 request
+latency (a :class:`repro.obs.metrics.QuantileSketch`), the refusal
+rate, and the xmem budget accounting per point.
 
 Everything is simulated and seeded, so the whole section is
 byte-identical between runs and between ``--jobs 1`` and ``--jobs 2``

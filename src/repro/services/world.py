@@ -30,7 +30,6 @@ from repro.services.redirector import (
     SLOT_BUFFER_BYTES,
     TLS_PORT,
     backend_line_server,
-    build_pooled_redirector,
     build_rmc_redirector,
 )
 
@@ -64,7 +63,6 @@ def build_redirector_world(server_seed: bytes, *, clients: int, obs=None,
                            backend: bool = True,
                            handlers: int = 3,
                            pooled: bool = False,
-                           admission: bool = True,
                            secure: bool = True,
                            **knobs) -> RedirectorWorld:
     """Build and start the redirector world on hosts ``rmc``, ``backend``
@@ -79,10 +77,10 @@ def build_redirector_world(server_seed: bytes, *, clients: int, obs=None,
     pool; ``buffer_pool=True`` carves one :data:`SLOT_BUFFER_BYTES`
     record buffer per handler from it.  ``backend=False`` leaves the
     backend host silent.  ``handlers`` static costatements (or, with
-    ``pooled``, slots of one pooled costatement with or without
-    ``admission``) serve TLS, or plaintext when ``secure`` is false;
-    ``knobs`` (the hardening timeouts and retries, ``pass_overhead_s``)
-    go to the redirector builder unchanged.
+    ``pooled``, the slots of one pooled costatement behind admission
+    control) serve TLS, or plaintext when ``secure`` is false; ``knobs``
+    (the hardening timeouts and retries, ``pass_overhead_s``) go to
+    :func:`~repro.services.redirector.build_rmc_redirector` unchanged.
     """
     sim = Simulator(obs=obs)
     obs = sim.obs
@@ -115,16 +113,10 @@ def build_redirector_world(server_seed: bytes, *, clients: int, obs=None,
     wiring = dict(listen_port=TLS_PORT if secure else PLAIN_PORT,
                   secure=secure, stats=stats, buffer_pool=pool,
                   **knobs)
-    backend_ip = hosts["backend"].ip_address
-    if pooled:
-        scheduler = build_pooled_redirector(
-            stack, context, backend_ip, slots=handlers, admission=admission,
-            **wiring,
-        )
-    else:
-        scheduler = build_rmc_redirector(
-            stack, context, backend_ip, handlers=handlers, **wiring,
-        )
+    scheduler = build_rmc_redirector(
+        stack, context, hosts["backend"].ip_address, handlers=handlers,
+        pooled=pooled, **wiring,
+    )
     scheduler.start()
     return RedirectorWorld(
         sim=sim, obs=obs, lan=lan, hosts=hosts, stack=stack,

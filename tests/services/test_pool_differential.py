@@ -1,13 +1,9 @@
-"""Differential regression: the dynamic pool at ``slots=3`` against the
-static Figure 3 redirector, plus exactly-once buffer release across
-every handler exit path of every wiring.
+"""Exactly-once buffer release across every handler exit path of both
+wirings -- the static Figure 3 redirector and the dynamic pool at
+``slots=3`` -- and the single teardown that makes it hold.
 
-Both builds serve each connection with the one
-``redirector._serve_connection`` path.  The listen-mode pool also runs
-the static build's listen loop, one per slot, inside one pooled
-costatement -- so on the canned fault-scenario corpus its whole verdict
-(``redirector.*`` counters, client outcomes, even simulated time) must
-be identical to the static build's, byte for byte."""
+Both wirings serve each connection with the one
+``redirector._serve_connection`` path."""
 
 import ast
 import functools
@@ -19,43 +15,6 @@ from repro.dync.runtime.xalloc import XmemBufferPool
 from repro.faults import scenarios as fscen
 from repro.services import redirector
 from repro.services import world as world_mod
-
-#: The canned corpus: one scenario per handler exit path.
-_DIFFERENTIAL_SCENARIOS = [
-    "baseline",            # clean close
-    "stalled-peer",        # progress deadline expired
-    "corrupt-app-record",  # MAC failure teardown
-    "silent-peer",         # handshake timeout + retry
-    "backend-outage",      # backend unreachable
-    "slot-exhaustion",     # session-limit refusal
-    "xalloc-exhaustion",   # memory refusal
-]
-
-
-def _run(name: str, monkeypatch, **world_kwargs) -> dict:
-    runner = fscen.SCENARIOS[name][0]
-    if world_kwargs:
-        monkeypatch.setattr(
-            fscen, "build_world",
-            functools.partial(fscen.build_world, **world_kwargs),
-        )
-    try:
-        verdict = runner(9911)
-    finally:
-        monkeypatch.undo()
-    verdict.pop("_registry", None)
-    verdict.pop("events", None)
-    return verdict
-
-
-class TestListenModeParity:
-    @pytest.mark.parametrize("name", _DIFFERENTIAL_SCENARIOS)
-    def test_pooled_slots3_reproduces_static_verdict(self, name,
-                                                     monkeypatch):
-        static = _run(name, monkeypatch)
-        pooled = _run(name, monkeypatch,
-                      pooled=True, pool_admission=False)
-        assert pooled == static
 
 
 class StrictBufferPool(XmemBufferPool):
@@ -93,12 +52,11 @@ _RELEASE_SCENARIOS = {
     "pool-burst-3": "redirector.refused.slots",
 }
 
-#: The three wirings that serve connections: Figure 3's static
-#: handlers, the listen-mode pool, and the admission-mode pool.
+#: The two wirings that serve connections: Figure 3's static handlers
+#: and the admission-mode pool.
 _WIRINGS = {
     "static": dict(pooled=False),
-    "listen": dict(pooled=True, pool_admission=False),
-    "admission": dict(pooled=True, pool_admission=True),
+    "admission": dict(pooled=True),
 }
 
 

@@ -18,13 +18,11 @@ from repro.services import (
 )
 
 
-def _world(slots=3, admission=True, clients=3, obs=None, xmem=None,
-           max_sessions=None):
+def _world(slots=3, clients=3, obs=None, xmem=None, max_sessions=None):
     world = build_redirector_world(
         b"rmc", clients=clients, obs=obs if obs is not None else Obs(),
         cost_model=FREE, max_sessions=max_sessions, xmem=xmem,
         buffer_pool=xmem is not None, handlers=slots, pooled=True,
-        admission=admission,
     )
     return world.sim, world.hosts, world.stats, world.scheduler, world.obs
 
@@ -56,11 +54,6 @@ class TestStructure:
         with pytest.raises(ValueError):
             _world(slots=0)
 
-    def test_listen_mode_structure(self):
-        _sim, _hosts, _stats, scheduler, _obs = _world(
-            slots=4, admission=False)
-        assert scheduler._costates[0].slot_capacity == 4
-
 
 class TestService:
     def test_serves_one_client_end_to_end(self):
@@ -83,15 +76,6 @@ class TestService:
         gauges = obs.metrics.snapshot()["gauges"]
         peak = gauges["redirector.slots.occupied"]["high_water"]
         assert peak > 3
-
-    def test_listen_mode_serves_clients(self):
-        sim, hosts, stats, _sched, _obs = _world(
-            slots=3, admission=False, clients=2)
-        pairs = [_client(hosts, sim, i) for i in range(2)]
-        for process, _report in pairs:
-            sim.run_until_complete(process, timeout=600)
-        assert all(report.error is None for _p, report in pairs)
-        assert stats["redirected"] == 4
 
     def test_slot_reuse_across_sequential_clients(self):
         sim, hosts, stats, _sched, obs = _world(slots=1, clients=2)

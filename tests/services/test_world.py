@@ -9,6 +9,7 @@ from repro.issl import CircularLogger, FREE, NullLogger, RMC2000_PORT
 from repro.net.bsd import LISTENQ
 from repro.obs import Obs
 from repro.services import SLOT_BUFFER_BYTES, build_redirector_world
+from repro.services import redirector
 
 _SRC = Path(repro.__file__).parent
 
@@ -80,8 +81,13 @@ class TestOneDeploymentBuilder:
     the deployments cannot drift apart again."""
 
     def test_redirector_builders_called_only_by_the_world_builder(self):
-        sites = _calls({"build_rmc_redirector", "build_pooled_redirector"})
+        sites = _calls({"build_rmc_redirector"})
         assert sites == [("services/world.py", "build_redirector_world")]
+
+    def test_one_redirector_builder(self):
+        # The slot pool is build_rmc_redirector(pooled=True), not a
+        # second builder with its own copy of the prologue.
+        assert not hasattr(redirector, "build_pooled_redirector")
 
     def test_dync_stack_built_only_there_and_in_the_echo_worlds(self):
         assert _calls({"DyncTcpStack"}) == [
