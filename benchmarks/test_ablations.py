@@ -16,14 +16,14 @@ from repro.experiments.e1_aes import measure_implementation
 from repro.experiments.e4_throughput import _run_rmc_service
 from repro.issl.costmodel import RMC2000_ASM
 from repro.rabbit.board import Board
-from repro.rabbit.programs.aes_asm import AesAsm
-from repro.rabbit.programs.aes_c import AesC
+from repro.rabbit.programs.aes_asm import AesAsm, build_aes_asm
+from repro.rabbit.programs.aes_c import AesC, build_aes_c
 
 
 @pytest.mark.parametrize("wait_states", [0, 1, 3])
 def test_a1_ratio_robust_to_flash_timing(wait_states):
-    c_impl = AesC(Board(flash_wait_states=wait_states))
-    asm_impl = AesAsm(Board(flash_wait_states=wait_states))
+    c_impl = AesC(Board(flash_wait_states=wait_states), build_aes_c())
+    asm_impl = AesAsm(Board(flash_wait_states=wait_states), build_aes_asm())
     c_m = measure_implementation(c_impl, 1, 1, "c")
     asm_m = measure_implementation(asm_impl, 1, 1, "asm")
     ratio = c_m.cycles_per_block / asm_m.cycles_per_block
@@ -117,6 +117,6 @@ def test_d1_bigger_limit_unrolls_more():
 
 @pytest.mark.benchmark(group="ablation")
 def test_bench_e1_kernel_no_waits(benchmark):
-    implementation = AesAsm(Board(flash_wait_states=0))
+    implementation = AesAsm(Board(flash_wait_states=0), build_aes_asm())
     implementation.set_key(bytes(16))
     benchmark(implementation.encrypt_block, bytes(16))

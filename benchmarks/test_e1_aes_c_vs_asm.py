@@ -10,8 +10,8 @@ import pytest
 from repro.dync.compiler import CompilerOptions
 from repro.experiments.e1_aes import measure_implementation, run_e1
 from repro.rabbit.board import Board
-from repro.rabbit.programs.aes_asm import AesAsm
-from repro.rabbit.programs.aes_c import AesC
+from repro.rabbit.programs.aes_asm import AesAsm, build_aes_asm
+from repro.rabbit.programs.aes_c import AesC, build_aes_c
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +40,7 @@ def test_e1_asm_absolute_speed_sane(e1_result):
 @pytest.mark.benchmark(group="e1-aes")
 def test_bench_c_port_block(benchmark):
     """Wall-clock cost of emulating one C-port AES block."""
-    implementation = AesC(Board(), CompilerOptions())
+    implementation = AesC(Board(), build_aes_c(CompilerOptions()))
     implementation.set_key(bytes(range(16)))
     benchmark(implementation.encrypt_block, bytes(16))
 
@@ -48,7 +48,7 @@ def test_bench_c_port_block(benchmark):
 @pytest.mark.benchmark(group="e1-aes")
 def test_bench_asm_block(benchmark):
     """Wall-clock cost of emulating one hand-assembly AES block."""
-    implementation = AesAsm(Board())
+    implementation = AesAsm(Board(), build_aes_asm())
     implementation.set_key(bytes(range(16)))
     benchmark(implementation.encrypt_block, bytes(16))
 
@@ -58,8 +58,8 @@ def test_bench_full_testbench(benchmark):
     """The whole pump-keys-through-both testbench, one key one block."""
 
     def testbench():
-        c_impl = AesC(Board(), CompilerOptions())
-        asm_impl = AesAsm(Board())
+        c_impl = AesC(Board(), build_aes_c(CompilerOptions()))
+        asm_impl = AesAsm(Board(), build_aes_asm())
         measure_implementation(c_impl, 1, 1, "c")
         measure_implementation(asm_impl, 1, 1, "asm")
 

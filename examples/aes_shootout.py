@@ -12,8 +12,8 @@ from repro.crypto.rijndael import Rijndael
 from repro.dync.compiler import CompilerOptions
 from repro.experiments.harness import format_table
 from repro.rabbit.board import Board, CLOCK_HZ
-from repro.rabbit.programs.aes_asm import AesAsm
-from repro.rabbit.programs.aes_c import AesC
+from repro.rabbit.programs.aes_asm import AesAsm, build_aes_asm
+from repro.rabbit.programs.aes_c import AesC, build_aes_c
 
 KEY = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
 BLOCK = bytes.fromhex("00112233445566778899aabbccddeeff")
@@ -36,7 +36,7 @@ def main() -> None:
     rows = []
     baseline = None
     for label, options in CONFIGS:
-        implementation = AesC(Board(), options)
+        implementation = AesC(Board(), build_aes_c(options))
         implementation.set_key(KEY)
         ciphertext, cycles = implementation.encrypt_block(BLOCK)
         assert ciphertext == expected, label
@@ -50,7 +50,7 @@ def main() -> None:
             "vs default": f"{(baseline - cycles) / baseline * 100:+.1f}%",
             "code bytes": implementation.code_size,
         })
-    asm = AesAsm(Board())
+    asm = AesAsm(Board(), build_aes_asm())
     asm.set_key(KEY)
     ciphertext, cycles = asm.encrypt_block(BLOCK)
     assert ciphertext == expected

@@ -9,7 +9,7 @@ they break recursion), plus ``root``/``xmem`` placement measured on the
 cycle-counting board.
 """
 
-from repro.dync.compiler import CompiledProgram, CompilerOptions
+from repro.dync.compiler import CompiledProgram, CompilerOptions, compile_source
 from repro.dync.runtime import (
     BatteryBackedRam,
     ProtectedVariable,
@@ -81,9 +81,10 @@ def demo_root_vs_xmem() -> None:
         }
     """
     for placement in ("root_ram", "flash", "xmem"):
-        program = CompiledProgram(
-            Board(), source, CompilerOptions(data_placement=placement)
+        build = compile_source(
+            source, CompilerOptions(data_placement=placement)
         )
+        program = CompiledProgram(Board(), build)
         cycles = program.call("main")
         print(f"  table in {placement:<8}: {cycles:6d} cycles "
               f"for 64 reads")

@@ -2,25 +2,27 @@
 
 from __future__ import annotations
 
-from repro.dync.compiler.codegen import Compilation, compile_source, Symbol
-from repro.dync.compiler.options import CompilerOptions
+from repro.dync.compiler.codegen import Compilation, Symbol
 from repro.rabbit.board import Board
 
 
 class CompiledProgram:
     """A compiled image burned onto a board, with symbolic access.
 
-    >>> board = Board()
-    >>> prog = CompiledProgram(board, "int x; void main() { x = 42; }")
+    The program loads a finished :class:`Compilation` and never
+    compiles, so one build can run on any number of fresh boards.
+
+    >>> from repro.dync.compiler import compile_source
+    >>> build = compile_source("int x; void main() { x = 42; }")
+    >>> prog = CompiledProgram(Board(), build)
     >>> _ = prog.call("main")
     >>> prog.peek_int("x")
     42
     """
 
-    def __init__(self, board: Board, source: str,
-                 options: CompilerOptions | None = None):
+    def __init__(self, board: Board, compilation: Compilation):
         self.board = board
-        self.compilation: Compilation = compile_source(source, options)
+        self.compilation = compilation
         board.program(self.compilation.assembly.code)
         # Run __init (table copies, initializers).
         board.call(self.compilation.assembly.symbol("__init"))

@@ -1,0 +1,72 @@
+"""One build per AES variant, shared by E1-E3 (paper, Section 6).
+
+The paper's optimization sweep (E2) and its code-size comparison (E3)
+report one set of builds: the encryption-only C port under each
+compiler configuration, plus the hand assembly.  Compiling is
+deterministic, so :data:`BUILDS` builds each variant once per process
+and every experiment loads that build onto a fresh :class:`Board`.
+
+The table also keeps each variant's measured runs, so a later
+experiment can read a run instead of repeating it.  Cycles per block
+depend on the data (a block's cycles are not the run's mean), so a run
+answers only for a workload that is a prefix of its own; see
+:meth:`repro.experiments.e1_aes.AesMeasurement.prefix`.  The table
+holds builds and measurements, never a board.
+"""
+
+from __future__ import annotations
+
+from repro.dync.compiler import Compilation
+from repro.rabbit.asm import Assembly
+from repro.rabbit.board import Board
+from repro.rabbit.programs.aes_asm import AesAsm, build_aes_asm
+from repro.rabbit.programs.aes_c import AesC, build_aes_c
+
+#: The hand assembly's key; every other key is the C port's options.
+ASSEMBLY = "hand assembly"
+
+
+class AesBuilds:
+    """Builds keyed by variant (the C port's
+    :class:`~repro.dync.compiler.CompilerOptions`, or :data:`ASSEMBLY`),
+    and the runs measured on them."""
+
+    def __init__(self):
+        self._builds: dict = {}
+        self._runs: dict = {}
+
+    def build(self, variant) -> Compilation | Assembly:
+        """The variant's build, made on first use."""
+        build = self._builds.get(variant)
+        if build is None:
+            if variant == ASSEMBLY:
+                build = build_aes_asm(include_decrypt=False)
+            else:
+                build = build_aes_c(variant, include_decrypt=False)
+            self._builds[variant] = build
+        return build
+
+    def load(self, variant) -> AesC | AesAsm:
+        """The variant's build on a fresh board."""
+        if variant == ASSEMBLY:
+            return AesAsm(Board(), self.build(variant))
+        return AesC(Board(), self.build(variant))
+
+    def keep(self, variant, measurement) -> None:
+        """Remember a run of ``variant`` for :meth:`measured`."""
+        workload = (measurement.keys, measurement.blocks_per_key)
+        self._runs.setdefault(variant, {})[workload] = measurement
+
+    def measured(self, variant, keys: int, blocks_per_key: int):
+        """A kept run of ``variant`` cut to the workload, or ``None``
+        when no kept run has that workload as a prefix."""
+        for run in self._runs.get(variant, {}).values():
+            prefix = run.prefix(keys, blocks_per_key)
+            if prefix is not None:
+                return prefix
+        return None
+
+
+#: The process's one table; E1-E3 read it.
+BUILDS = AesBuilds()
+

@@ -12,29 +12,46 @@ against the Python reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.crypto.rijndael import Rijndael
+from repro.dync.compiler import CompilerOptions
+from repro.experiments.aes_builds import ASSEMBLY, BUILDS
 from repro.experiments.harness import ExperimentResult
 from repro.obs.profile import (
     CycleProfiler,
     assembly_function_symbols,
     compiled_function_symbols,
 )
-from repro.rabbit.board import Board, CLOCK_HZ
-from repro.rabbit.programs.aes_asm import AesAsm
-from repro.rabbit.programs.aes_c import AesC
+from repro.rabbit.board import CLOCK_HZ
 
 
-@dataclass
+@dataclass(frozen=True)
 class AesMeasurement:
-    """Cycle counts for one implementation over the whole workload."""
+    """Cycle counts for one implementation, per key and per block in
+    workload order."""
 
     name: str
-    key_schedule_cycles: int
-    encrypt_cycles: int
-    blocks: int
+    key_cycles: tuple[int, ...]
+    block_cycles: tuple[int, ...]
+    blocks_per_key: int
     code_size: int
+
+    @property
+    def keys(self) -> int:
+        return len(self.key_cycles)
+
+    @property
+    def blocks(self) -> int:
+        return len(self.block_cycles)
+
+    @property
+    def key_schedule_cycles(self) -> int:
+        return sum(self.key_cycles)
+
+    @property
+    def encrypt_cycles(self) -> int:
+        return sum(self.block_cycles)
 
     @property
     def cycles_per_block(self) -> float:
@@ -47,6 +64,28 @@ class AesMeasurement:
     @property
     def throughput_bytes_per_second(self) -> float:
         return 16 * self.blocks_per_second
+
+    def prefix(self, keys: int,
+               blocks_per_key: int) -> "AesMeasurement | None":
+        """This run cut to the ``(keys, blocks_per_key)`` workload, or
+        ``None`` when that workload is not a prefix of this one's.
+
+        The workload runs key by key, so ``(1, B')`` is a prefix when
+        ``B'`` is at most this run's blocks per key, and ``(K', B)``
+        when the blocks per key match and ``K'`` is at most its keys.
+        Every block's cycles depend on its data, so no other cut (and
+        no mean) stands in for a run.
+        """
+        if not (keys == 1 and blocks_per_key <= self.blocks_per_key
+                or blocks_per_key == self.blocks_per_key
+                and keys <= self.keys):
+            return None
+        return replace(
+            self,
+            key_cycles=self.key_cycles[:keys],
+            block_cycles=self.block_cycles[:keys * blocks_per_key],
+            blocks_per_key=blocks_per_key,
+        )
 
 
 def _workload(keys: int, blocks_per_key: int):
@@ -62,25 +101,23 @@ def _workload(keys: int, blocks_per_key: int):
 def measure_implementation(implementation, keys: int,
                            blocks_per_key: int, name: str) -> AesMeasurement:
     """Pump the workload through one implementation, verifying output."""
-    key_cycles = 0
-    encrypt_cycles = 0
-    total_blocks = 0
+    key_cycles = []
+    block_cycles = []
     for key, blocks in _workload(keys, blocks_per_key):
         reference = Rijndael(key)
-        key_cycles += implementation.set_key(key)
+        key_cycles.append(implementation.set_key(key))
         for block in blocks:
             ciphertext, cycles = implementation.encrypt_block(block)
             if ciphertext != reference.encrypt_block(block):
                 raise AssertionError(
                     f"{name}: wrong ciphertext for key={key.hex()}"
                 )
-            encrypt_cycles += cycles
-            total_blocks += 1
+            block_cycles.append(cycles)
     return AesMeasurement(
         name=name,
-        key_schedule_cycles=key_cycles,
-        encrypt_cycles=encrypt_cycles,
-        blocks=total_blocks,
+        key_cycles=tuple(key_cycles),
+        block_cycles=tuple(block_cycles),
+        blocks_per_key=blocks_per_key,
         code_size=implementation.code_size,
     )
 
@@ -91,10 +128,12 @@ def run_e1(keys: int = 2, blocks_per_key: int = 2) -> ExperimentResult:
     Each implementation runs under a
     :class:`repro.obs.profile.CycleProfiler` and the result carries
     per-routine cycle attribution in ``extra_tables`` -- the answer to
-    *where* the order of magnitude goes, not just that it does.
+    *where* the order of magnitude goes, not just that it does.  Both
+    builds come from :data:`~repro.experiments.aes_builds.BUILDS`, and
+    both runs are kept there for E3.
     """
-    c_impl = AesC(Board(), include_decrypt=False)
-    asm_impl = AesAsm(Board(), include_decrypt=False)
+    c_impl = BUILDS.load(CompilerOptions())
+    asm_impl = BUILDS.load(ASSEMBLY)
     c_profiler = CycleProfiler(
         c_impl.board.cpu,
         compiled_function_symbols(c_impl.program.compilation),
@@ -111,6 +150,8 @@ def run_e1(keys: int = 2, blocks_per_key: int = 2) -> ExperimentResult:
         asm_measurement = measure_implementation(
             asm_impl, keys, blocks_per_key, "hand assembly"
         )
+    BUILDS.keep(CompilerOptions(), c_measurement)
+    BUILDS.keep(ASSEMBLY, asm_measurement)
     extra_tables = {
         "C port: cycles by routine": c_profiler.report_rows(top=8),
         "hand assembly: cycles by routine": asm_profiler.report_rows(),

@@ -11,11 +11,10 @@ key/block workload as E1.
 from __future__ import annotations
 
 from repro.dync.compiler import CompilerOptions
+from repro.experiments.aes_builds import BUILDS
 from repro.experiments.e1_aes import measure_implementation
 from repro.experiments.harness import ExperimentResult
 from repro.obs.profile import CycleProfiler, compiled_function_symbols
-from repro.rabbit.board import Board
-from repro.rabbit.programs.aes_c import AesC
 
 #: The sweep: label -> options.  The baseline is Dynamic C out of the
 #: box (debug on, tables in wait-stated flash).
@@ -37,12 +36,13 @@ SWEEP: tuple[tuple[str, CompilerOptions], ...] = (
 def run_e2(keys: int = 1, blocks_per_key: int = 2) -> ExperimentResult:
     """Run the sweep, with per-routine cycle attribution for the two
     interesting endpoints (baseline and all-knobs-on) so the 20% can be
-    traced to specific routines."""
+    traced to specific routines.  Every run is kept in
+    :data:`~repro.experiments.aes_builds.BUILDS` for E3."""
     measurements = []
     extra_tables: dict = {}
     profiled = {SWEEP[0][0], SWEEP[-1][0]}
     for label, options in SWEEP:
-        implementation = AesC(Board(), options, include_decrypt=False)
+        implementation = BUILDS.load(options)
         if label in profiled:
             profiler = CycleProfiler(
                 implementation.board.cpu,
@@ -59,6 +59,7 @@ def run_e2(keys: int = 1, blocks_per_key: int = 2) -> ExperimentResult:
             measurement = measure_implementation(
                 implementation, keys, blocks_per_key, label
             )
+        BUILDS.keep(options, measurement)
         measurements.append((label, options, measurement))
     baseline = measurements[0][2].cycles_per_block
     rows = []

@@ -7,18 +7,22 @@ magnitude faster."
 We measure code bytes (instructions + runtime, tables excluded on both
 sides) and cycles/block for the assembly and every E2 compiler variant,
 then compute the size/speed correlation across the C variants.
+
+E3 measures the same builds as E1 and E2, so it reads their kept runs
+when its workload is a prefix of theirs (with the defaults, the first
+block of each variant's run) and measures for itself only otherwise.
+It reads that block's own cycles, not the run's mean: cycles per block
+depend on the data.
 """
 
 from __future__ import annotations
 
 import math
 
-from repro.experiments.e1_aes import measure_implementation
+from repro.experiments.aes_builds import ASSEMBLY, BUILDS
+from repro.experiments.e1_aes import AesMeasurement, measure_implementation
 from repro.experiments.e2_sweep import SWEEP
 from repro.experiments.harness import ExperimentResult
-from repro.rabbit.board import Board
-from repro.rabbit.programs.aes_asm import AesAsm
-from repro.rabbit.programs.aes_c import AesC
 
 
 def _pearson(xs: list[float], ys: list[float]) -> float:
@@ -33,15 +37,23 @@ def _pearson(xs: list[float], ys: list[float]) -> float:
     return cov / (vx * vy)
 
 
+def _measure(variant, keys: int, blocks_per_key: int,
+             name: str) -> AesMeasurement:
+    """A kept run of ``variant`` cut to the workload, or a new run."""
+    measurement = BUILDS.measured(variant, keys, blocks_per_key)
+    if measurement is None:
+        measurement = measure_implementation(
+            BUILDS.load(variant), keys, blocks_per_key, name
+        )
+    return measurement
+
+
 def run_e3(keys: int = 1, blocks_per_key: int = 1) -> ExperimentResult:
     rows = []
     sizes = []
     speeds = []
     for label, options in SWEEP:
-        measurement = measure_implementation(
-            AesC(Board(), options, include_decrypt=False), keys,
-            blocks_per_key, label
-        )
+        measurement = _measure(options, keys, blocks_per_key, label)
         rows.append({
             "implementation": f"C: {label}",
             "code bytes": measurement.code_size,
@@ -49,10 +61,7 @@ def run_e3(keys: int = 1, blocks_per_key: int = 1) -> ExperimentResult:
         })
         sizes.append(float(measurement.code_size))
         speeds.append(measurement.cycles_per_block)
-    asm = measure_implementation(
-        AesAsm(Board(), include_decrypt=False), keys, blocks_per_key,
-        "assembly"
-    )
+    asm = _measure(ASSEMBLY, keys, blocks_per_key, "assembly")
     rows.append({
         "implementation": "hand assembly",
         "code bytes": asm.code_size,

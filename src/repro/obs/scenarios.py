@@ -19,7 +19,6 @@ from __future__ import annotations
 from repro.crypto.demokeys import DEMO_PSK
 from repro.crypto.prng import CipherRng
 from repro.crypto.rijndael import Rijndael
-from repro.dync.compiler import CompilerOptions
 from repro.issl import IsslContext, RMC2000_ASM, UNIX_FULL
 from repro.obs import Obs
 from repro.obs.profile import (
@@ -97,12 +96,12 @@ def run_aes_scenario(obs: Obs | None = None, *, implementation: str = "asm",
         obs = Obs()
     board = Board()
     if implementation == "asm":
-        from repro.rabbit.programs.aes_asm import AesAsm
-        impl = AesAsm(board, include_decrypt=False)
+        from repro.rabbit.programs.aes_asm import AesAsm, build_aes_asm
+        impl = AesAsm(board, build_aes_asm(include_decrypt=False))
         symbols = assembly_function_symbols(impl.assembly, prefix="aes_")
     elif implementation == "c":
-        from repro.rabbit.programs.aes_c import AesC
-        impl = AesC(board, CompilerOptions(), include_decrypt=False)
+        from repro.rabbit.programs.aes_c import AesC, build_aes_c
+        impl = AesC(board, build_aes_c(include_decrypt=False))
         symbols = compiled_function_symbols(impl.program.compilation)
     else:
         raise ValueError(f"implementation must be asm/c, got {implementation!r}")

@@ -23,7 +23,7 @@ pass 2).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class AsmError(ValueError):
@@ -73,12 +73,11 @@ class _Fixup:
 
 @dataclass
 class Assembly:
-    """The result: code bytes, symbol table, per-address line map."""
+    """The result: code bytes and symbol table."""
 
     code: bytes
     origin: int
     symbols: dict[str, int]
-    listing: list[tuple[int, str]] = field(default_factory=list)
 
     @property
     def size(self) -> int:
@@ -99,7 +98,6 @@ class Assembler:
         self._code = bytearray()
         self._pc = origin
         self._fixups: list[_Fixup] = []
-        self._listing: list[tuple[int, str]] = []
 
     # -- expression evaluation ----------------------------------------------
     _TOKEN_RE = re.compile(
@@ -368,7 +366,6 @@ class Assembler:
             code=bytes(self._code),
             origin=self.origin,
             symbols=dict(self.symbols),
-            listing=list(self._listing),
         )
 
     def _assemble_line(self, line: str, line_no: int) -> None:
@@ -395,7 +392,6 @@ class Assembler:
                 self.symbols[mnemonic] = value
                 return
         operands = self._split_operands(operand_text)
-        self._listing.append((self._pc, line.strip()))
         self._encode(mnemonic, operands, line_no, line)
 
     def _apply_fixups(self) -> None:

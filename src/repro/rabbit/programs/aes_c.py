@@ -9,7 +9,12 @@ sweep turns.  Compare :mod:`repro.rabbit.programs.aes_asm`.
 from __future__ import annotations
 
 from repro.crypto.gf import INV_SBOX, SBOX
-from repro.dync.compiler import CompiledProgram, CompilerOptions
+from repro.dync.compiler import (
+    Compilation,
+    CompiledProgram,
+    CompilerOptions,
+    compile_source,
+)
 from repro.rabbit.board import Board
 
 
@@ -189,16 +194,23 @@ void aes_decrypt(void) {{
 AES_C_SOURCE = AES_C_ENCRYPT_SOURCE + AES_C_DECRYPT_EXTRAS
 
 
-class AesC:
-    """The compiled C port, with the same interface as :class:`AesAsm`."""
+def build_aes_c(options: CompilerOptions | None = None,
+                include_decrypt: bool = True) -> Compilation:
+    """Compile the C port under ``options``; load it with :class:`AesC`."""
+    source = AES_C_SOURCE if include_decrypt else AES_C_ENCRYPT_SOURCE
+    return compile_source(source, options)
 
-    def __init__(self, board: Board, options: CompilerOptions | None = None,
-                 include_decrypt: bool = True):
+
+class AesC:
+    """The compiled C port, with the same interface as :class:`AesAsm`.
+
+    Loads a build from :func:`build_aes_c` onto ``board``; a build
+    without decryption has no ``aes_decrypt`` to call.
+    """
+
+    def __init__(self, board: Board, compilation: Compilation):
         self.board = board
-        source = AES_C_SOURCE if include_decrypt else AES_C_ENCRYPT_SOURCE
-        self.include_decrypt = include_decrypt
-        self.program = CompiledProgram(board, source, options)
-        self.options = self.program.compilation.options
+        self.program = CompiledProgram(board, compilation)
         self.code_size = self.program.code_size
 
     def set_key(self, key: bytes) -> int:
@@ -215,8 +227,6 @@ class AesC:
         return self.program.peek_bytes("state", 16), cycles
 
     def decrypt_block(self, block: bytes) -> tuple[bytes, int]:
-        if not self.include_decrypt:
-            raise ValueError("built without decryption support")
         if len(block) != 16:
             raise ValueError("AES block must be 16 bytes")
         self.program.poke_bytes("state", block)

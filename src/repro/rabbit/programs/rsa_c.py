@@ -22,7 +22,11 @@ classic add-and-reduce invariant only needs operands < mod_.
 
 from __future__ import annotations
 
-from repro.dync.compiler import CompiledProgram, CompilerOptions
+from repro.dync.compiler import (
+    CompiledProgram,
+    CompilerOptions,
+    compile_source,
+)
 from repro.rabbit.board import Board
 
 
@@ -126,10 +130,9 @@ class RsaC:
                  options: CompilerOptions | None = None):
         self.board = board
         self.n_bytes = n_bytes
-        self.program = CompiledProgram(
-            board, generate_source(n_bytes),
-            options or CompilerOptions(debug=False),
-        )
+        self.program = CompiledProgram(board, compile_source(
+            generate_source(n_bytes), options or CompilerOptions(debug=False),
+        ))
         self.code_size = self.program.code_size
 
     def modexp(self, base: int, exponent: int, modulus: int) -> tuple[int, int]:

@@ -403,15 +403,18 @@ def _rmc_handler(stack: DyncTcpStack, context: IsslContext,
         # event-wait the big loop may skip past.
         while not stack.tcp_listen(sock, listen_port):
             yield IDLE
-        # Wait for establishment -- or for the embryonic connection to
-        # die under us (lost handshake, immediate RST).  Without the
-        # second arm this handler would wedge forever on a connection
-        # that will never establish.  Inlined waitfor: this poll runs
-        # every big-loop pass for every idle handler, and the generator
-        # plus lambda indirection dominated fault-campaign profiles.
-        # Both arms read connection state that only the tick driver's
-        # drain (itself a non-idle pass) or a timer event can change,
-        # so the poll yields IDLE.
+        # Wait for establishment -- or for the connection to die under
+        # us.  The one way to die here: the handshake completed, then the
+        # connection ended (FIN or RST) while it sat in the accept queue.
+        # A handshake lost or reset in SYN_RCVD never reaches this
+        # socket, because TcpService._forget drops it from the listener
+        # first.  Without the second arm this handler would wedge
+        # forever on a connection that will never establish.  Inlined
+        # waitfor: this poll runs every big-loop pass for every idle
+        # handler, and the generator plus lambda indirection dominated
+        # fault-campaign profiles.  Both arms read connection state that
+        # only the tick driver's drain (itself a non-idle pass) or a
+        # timer event can change, so the poll yields IDLE.
         while not (stack.sock_established(sock) or _sock_dead(sock)):
             yield IDLE
         if stack.sock_established(sock):

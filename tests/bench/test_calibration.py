@@ -11,12 +11,11 @@ instruction-level measurement.
 
 import pytest
 
-from repro.dync.compiler import CompilerOptions
 from repro.experiments.e1_aes import measure_implementation
 from repro.issl.costmodel import RMC2000_ASM, RMC2000_C_PORT
 from repro.rabbit.board import Board
-from repro.rabbit.programs.aes_asm import AesAsm
-from repro.rabbit.programs.aes_c import AesC
+from repro.rabbit.programs.aes_asm import AesAsm, build_aes_asm
+from repro.rabbit.programs.aes_c import AesC, build_aes_c
 
 #: Presets round the measured values (and per-block cost wobbles a few
 #: percent with key/block mix), so the leash is loose-ish -- but far
@@ -32,7 +31,7 @@ def _measured_cycles_per_block(implementation) -> float:
 
 def test_c_port_preset_matches_measurement():
     measured = _measured_cycles_per_block(
-        AesC(Board(), CompilerOptions(), include_decrypt=False)
+        AesC(Board(), build_aes_c(include_decrypt=False))
     )
     assert measured == pytest.approx(
         RMC2000_C_PORT.cycles_per_aes_block, rel=CALIBRATION_RTOL
@@ -46,7 +45,7 @@ def test_c_port_preset_matches_measurement():
 
 def test_asm_preset_matches_measurement():
     measured = _measured_cycles_per_block(
-        AesAsm(Board(), include_decrypt=False)
+        AesAsm(Board(), build_aes_asm(include_decrypt=False))
     )
     assert measured == pytest.approx(
         RMC2000_ASM.cycles_per_aes_block, rel=CALIBRATION_RTOL

@@ -57,9 +57,9 @@ def test_ctr_nist_f51_decrypt():
 def test_board_aes_matches_nist_cbc_first_block():
     """Close the loop: the emulated Rabbit's AES agrees with NIST too."""
     from repro.rabbit.board import Board
-    from repro.rabbit.programs.aes_asm import AesAsm
+    from repro.rabbit.programs.aes_asm import AesAsm, build_aes_asm
 
-    implementation = AesAsm(Board())
+    implementation = AesAsm(Board(), build_aes_asm())
     implementation.set_key(KEY)
     first_input = bytes(a ^ b for a, b in zip(PLAINTEXT[:16], CBC_IV))
     ciphertext, _cycles = implementation.encrypt_block(first_input)

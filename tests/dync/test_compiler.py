@@ -17,7 +17,7 @@ from repro.rabbit.board import Board
 
 
 def run(source: str, options: CompilerOptions | None = None) -> CompiledProgram:
-    return CompiledProgram(Board(), source, options)
+    return CompiledProgram(Board(), compile_source(source, options))
 
 
 class TestLexer:

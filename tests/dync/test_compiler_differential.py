@@ -13,7 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dync.compiler import CompiledProgram, CompilerOptions
+from repro.dync.compiler import (
+    CompiledProgram,
+    CompilerOptions,
+    compile_source,
+)
 from repro.rabbit.board import Board
 
 MASK = 0xFFFF
@@ -159,7 +163,9 @@ def test_expression_codegen_matches_python(expr, env):
         int out;
         void main() {{ out = {expr.to_c()}; }}
     """
-    program = CompiledProgram(Board(), source, CompilerOptions(debug=False))
+    program = CompiledProgram(
+        Board(), compile_source(source, CompilerOptions(debug=False))
+    )
     for name, value in env.items():
         program.poke_int(name, value)
     program.call("main")
@@ -174,9 +180,12 @@ def test_peephole_preserves_semantics(expr, env):
         int out;
         void main() {{ out = {expr.to_c()}; }}
     """
-    plain = CompiledProgram(Board(), source, CompilerOptions(debug=False))
+    plain = CompiledProgram(
+        Board(), compile_source(source, CompilerOptions(debug=False))
+    )
     optimized = CompiledProgram(
-        Board(), source, CompilerOptions(debug=False, optimize=True)
+        Board(),
+        compile_source(source, CompilerOptions(debug=False, optimize=True)),
     )
     for name, value in env.items():
         plain.poke_int(name, value)
@@ -203,9 +212,12 @@ def test_unroll_preserves_loop_semantics(start, stop, env):
                 out = out + i * v0 + v1;
         }}
     """
-    rolled = CompiledProgram(Board(), source, CompilerOptions(debug=False))
+    rolled = CompiledProgram(
+        Board(), compile_source(source, CompilerOptions(debug=False))
+    )
     unrolled = CompiledProgram(
-        Board(), source, CompilerOptions(debug=False, unroll=True)
+        Board(),
+        compile_source(source, CompilerOptions(debug=False, unroll=True)),
     )
     expected = 0
     for i in range(start, stop):

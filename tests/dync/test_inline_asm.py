@@ -8,7 +8,12 @@ what its authors used in the error-handling routines.
 
 import pytest
 
-from repro.dync.compiler import CompiledProgram, CompileError, CompilerOptions
+from repro.dync.compiler import (
+    CompiledProgram,
+    CompileError,
+    CompilerOptions,
+    compile_source,
+)
 from repro.dync.compiler.libraries import extract_asm_blocks, LibraryError
 from repro.rabbit.board import Board
 
@@ -44,7 +49,7 @@ class TestExtraction:
 
 class TestExecution:
     def test_inline_asm_inside_function(self):
-        program = CompiledProgram(Board(), """
+        program = CompiledProgram(Board(), compile_source("""
             int out;
             void main() {
                 out = 1;
@@ -54,7 +59,7 @@ class TestExecution:
             #endasm
                 out = out + 1;
             }
-        """)
+        """))
         program.call("main")
         assert program.peek_int("out") == 2
         memory = program.board.memory
@@ -62,7 +67,7 @@ class TestExecution:
 
     def test_embedded_c_lines(self):
         # The paper's InitValues example shape: `c start_time = 0;`.
-        program = CompiledProgram(Board(), """
+        program = CompiledProgram(Board(), compile_source("""
             int start_time;
             int counter;
             void init_values(void) {
@@ -72,7 +77,7 @@ class TestExecution:
             c counter = 256
             #endasm
             }
-        """)
+        """))
         program.poke_int("start_time", 7)
         program.poke_int("counter", 7)
         program.call("init_values")
@@ -80,14 +85,14 @@ class TestExecution:
         assert program.peek_int("counter") == 256
 
     def test_top_level_asm_routine_callable(self):
-        program = CompiledProgram(Board(), """
+        program = CompiledProgram(Board(), compile_source("""
             int unused;
         #asm
         _answer::
                 ld   hl, 42
                 ret
         #endasm
-        """)
+        """))
         address = program.compilation.assembly.symbol("_answer")
         program.board.call(address)
         assert program.board.cpu.hl == 42
@@ -105,14 +110,13 @@ class TestExecution:
             }
         """
         # `out` is the first RAM global, at 0xC300 by construction.
-        program = CompiledProgram(
-            Board(), source, CompilerOptions(debug=False, optimize=True)
+        build = compile_source(
+            source, CompilerOptions(debug=False, optimize=True)
         )
+        program = CompiledProgram(Board(), build)
         program.call("main")
         assert program.peek_int("out") == 20
 
     def test_bad_placeholder_rejected(self):
-        from repro.dync.compiler import compile_source
-
         with pytest.raises(CompileError):
             compile_source("void f(void) { __asm_block(99); }")

@@ -3,7 +3,11 @@
 
 import pytest
 
-from repro.dync.compiler import CompiledProgram, CompilerOptions
+from repro.dync.compiler import (
+    CompiledProgram,
+    CompilerOptions,
+    compile_source,
+)
 from repro.dync.compiler.libraries import (
     expand_uses,
     LibraryError,
@@ -153,7 +157,9 @@ class TestLibraries:
                 c = rand_();
             }
         """
-        program = CompiledProgram(Board(), source, CompilerOptions(debug=False))
+        program = CompiledProgram(
+            Board(), compile_source(source, CompilerOptions(debug=False))
+        )
         program.call("main")
         a, b, c = (program.peek_int(n) for n in "abc")
         assert 0 <= a <= 32767
@@ -178,7 +184,9 @@ class TestLibraries:
                 cmp_diff = memcmp_(dst, src, 8);
             }
         """
-        program = CompiledProgram(Board(), source, CompilerOptions(debug=False))
+        program = CompiledProgram(
+            Board(), compile_source(source, CompilerOptions(debug=False))
+        )
         program.call("main")
         assert program.peek_bytes("dst", 3) == bytes(i * 7 for i in range(3))
         assert program.peek_int("cmp_equal") == 0
@@ -194,7 +202,9 @@ class TestLibraries:
                 count = ringlog_count();
             }
         """
-        program = CompiledProgram(Board(), source, CompilerOptions(debug=False))
+        program = CompiledProgram(
+            Board(), compile_source(source, CompilerOptions(debug=False))
+        )
         program.call("main")
         assert program.peek_int("count") == 64  # bounded, never grows past
 

@@ -42,8 +42,9 @@ class TestEntryPoint:
         assert "aes_encrypt" in completed.stdout
 
     def test_trace_spans_nest(self, tmp_path):
-        """The AES C port's runtime-helper calls must render as spans
-        strictly contained in their caller's span on the same thread."""
+        """Spans on one thread form a tree: every pair is nested or
+        disjoint, and the AES C port's runtime-helper calls render as
+        spans inside their caller's span."""
         out = tmp_path / "trace.json"
         completed = _run_module(
             "trace", "--scenario", "aes", "--implementation", "c",
@@ -55,15 +56,26 @@ class TestEntryPoint:
             ["traceEvents"] if e["ph"] == "X"
         ]
         assert events
+        # ``ts`` and ``dur`` are microseconds rounded to 1 ns each; a
+        # 30 MHz cycle is 33 ns, so ends closer than 2 ns are one end.
+        slack = 0.002
+        by_tid: dict = {}
+        for event in events:
+            by_tid.setdefault(event["tid"], []).append(event)
         nested = 0
-        for inner in events:
-            for outer in events:
-                if (inner is not outer and inner["tid"] == outer["tid"]
-                        and outer["ts"] <= inner["ts"]
-                        and inner["ts"] + inner["dur"]
-                        <= outer["ts"] + outer["dur"]):
+        for spans in by_tid.values():
+            # Sorted by start, outer span first: the stack holds the
+            # ends of the spans still open at each start.
+            spans.sort(key=lambda e: (e["ts"], -e["dur"]))
+            open_ends: list[float] = []
+            for span in spans:
+                start, end = span["ts"], span["ts"] + span["dur"]
+                while open_ends and open_ends[-1] <= start + slack:
+                    open_ends.pop()
+                if open_ends:
+                    assert end <= open_ends[-1] + slack, span
                     nested += 1
-                    break
+                open_ends.append(end)
         assert nested > 0
 
     def test_flame_stacks_are_non_empty_and_multiframe(self, tmp_path):

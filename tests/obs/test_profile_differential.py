@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.dync.compiler import CompilerOptions
 from repro.obs import Obs
 from repro.obs.profile import (
     CycleProfiler,
@@ -29,8 +28,8 @@ from repro.obs.profile import (
 from repro.rabbit.asm import assemble
 from repro.rabbit.board import Board
 from repro.rabbit.fastcore import BlockCache
-from repro.rabbit.programs.aes_asm import AesAsm
-from repro.rabbit.programs.aes_c import AesC
+from repro.rabbit.programs.aes_asm import AesAsm, build_aes_asm
+from repro.rabbit.programs.aes_c import AesC, build_aes_c
 from tests.obs.test_profile import INTERRUPTED
 
 KEY = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
@@ -40,10 +39,10 @@ BLOCK = bytes.fromhex("00112233445566778899aabbccddeeff")
 def _aes(implementation):
     def setup(board):
         if implementation == "c":
-            impl = AesC(board, CompilerOptions(), include_decrypt=False)
+            impl = AesC(board, build_aes_c(include_decrypt=False))
             symbols = compiled_function_symbols(impl.program.compilation)
         else:
-            impl = AesAsm(board, include_decrypt=False)
+            impl = AesAsm(board, build_aes_asm(include_decrypt=False))
             symbols = assembly_function_symbols(impl.assembly)
 
         def run():

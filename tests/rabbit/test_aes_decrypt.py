@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from repro.crypto.rijndael import Rijndael
 from repro.dync.compiler import CompilerOptions
 from repro.rabbit.board import Board
-from repro.rabbit.programs.aes_asm import AesAsm
-from repro.rabbit.programs.aes_c import AesC
+from repro.rabbit.programs.aes_asm import AesAsm, build_aes_asm
+from repro.rabbit.programs.aes_c import AesC, build_aes_c
 
 FIPS_KEY = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
 FIPS_PT = bytes.fromhex("00112233445566778899aabbccddeeff")
@@ -17,12 +17,12 @@ FIPS_CT = bytes.fromhex("69c4e0d86a7b0430d8cdb78070b4c55a")
 
 @pytest.fixture(scope="module")
 def asm_aes():
-    return AesAsm(Board())
+    return AesAsm(Board(), build_aes_asm())
 
 
 @pytest.fixture(scope="module")
 def c_aes():
-    return AesC(Board(), CompilerOptions())
+    return AesC(Board(), build_aes_c(CompilerOptions()))
 
 
 class TestAsmDecrypt:
@@ -74,11 +74,10 @@ class TestCDecrypt:
         assert plaintext == block
 
     def test_optimized_build_decrypts(self):
-        implementation = AesC(
-            Board(),
+        implementation = AesC(Board(), build_aes_c(
             CompilerOptions(debug=False, optimize=True,
                             data_placement="root_ram"),
-        )
+        ))
         implementation.set_key(FIPS_KEY)
         plaintext, _ = implementation.decrypt_block(FIPS_CT)
         assert plaintext == FIPS_PT

@@ -29,7 +29,7 @@ from repro.rabbit.asm import assemble
 from repro.rabbit.board import Board
 from repro.rabbit.cpu import Cpu, CpuError
 from repro.rabbit.fastcore import BlockCache
-from repro.rabbit.programs.aes_asm import AesAsm
+from repro.rabbit.programs.aes_asm import AesAsm, build_aes_asm
 from repro.rabbit.programs.serial_debug import SerialDebugMonitor
 
 KEY = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
@@ -57,7 +57,7 @@ def _machine_state(board: Board) -> dict:
 
 def _aes_workload(board: Board) -> list:
     """Key schedule + encrypt + decrypt on the emulated board."""
-    aes = AesAsm(board)
+    aes = AesAsm(board, build_aes_asm())
     outputs = []
     aes.set_key(KEY)
     outputs.append(aes.encrypt_block(BLOCK))
@@ -177,7 +177,7 @@ def test_translated_tier_resume_parity(monkeypatch):
 
 def test_reloading_memory_invalidates_everything():
     board = Board()
-    aes = AesAsm(board)
+    aes = AesAsm(board, build_aes_asm())
     aes.set_key(KEY)
     aes.encrypt_block(BLOCK)
     cache = board.cpu._cache
@@ -283,7 +283,7 @@ def test_profiler_keeps_the_fast_core(monkeypatch):
     # threshold lets three encrypts reach the translated tier.
     monkeypatch.setattr(BlockCache, "translate_threshold", 2)
     board = Board()
-    aes = AesAsm(board)
+    aes = AesAsm(board, build_aes_asm())
     aes.set_key(KEY)
     expected = aes.encrypt_block(BLOCK)
     cache = board.cpu._cache
