@@ -80,11 +80,20 @@ def _inv_mix_word(word: int) -> int:
     )
 
 
-#: Expanded-schedule cache.  Both ends of a session build a cipher per
-#: direction from the same keys, and seeded runs replay clients that
-#: derive identical keys (seed 2000: 402 of the scaling curve's 735
-#: constructions hit, 310 of the fault matrix's 423), so the expansion
-#: and the lazily derived decryption schedule are shared.  Entries are
+def aes_key(key: bytes) -> bytes:
+    """``key`` as bytes; raises :class:`RijndaelError` unless it is an
+    AES key (16, 24 or 32 bytes)."""
+    if len(key) not in (16, 24, 32):
+        raise RijndaelError(f"key must be 16/24/32 bytes, got {len(key)}")
+    return bytes(key)
+
+
+#: Expanded-schedule cache.  ``repro.crypto.host`` builds a cipher on
+#: each CBC memo miss, many misses share a session key, and seeded runs
+#: replay clients that derive identical keys (seed 2000: 441 of the
+#: scaling curve's 738 constructions hit, 218 of the fault matrix's
+#: 331), so the expansion and the lazily derived decryption schedule
+#: are shared.  Entries are
 #: ``[rk, nr, drk-or-None]``, never mutated once derived.  Bounded
 #: crudely (~4 KB an entry): a full cache is cleared.
 _SCHEDULE_CACHE: dict[bytes, list] = {}
@@ -102,9 +111,7 @@ class AesTTable:
     block_size = 16
 
     def __init__(self, key: bytes):
-        if len(key) not in (16, 24, 32):
-            raise RijndaelError(f"key must be 16/24/32 bytes, got {len(key)}")
-        key = bytes(key)
+        key = aes_key(key)
         entry = _SCHEDULE_CACHE.get(key)
         if entry is None:
             words = expand_key(key, block_bits=128)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import struct
 
 from repro.crypto import host
-from repro.crypto.modes import PaddingError, cbc_decrypt, cbc_encrypt, pkcs7_pad, pkcs7_unpad
+from repro.crypto.modes import PaddingError, pkcs7_pad, pkcs7_unpad
 
 VERSION = 0x0300
 HEADER_LEN = 5
@@ -43,10 +43,10 @@ class RecordError(ValueError):
 
 
 class RecordCipherState:
-    """One direction's keys: cipher, MAC secret, rolling IV, sequence."""
+    """One direction's keys: AES key, MAC secret, rolling IV, sequence."""
 
     def __init__(self, key: bytes, mac_key: bytes, iv: bytes):
-        self.cipher = host.aes(key)
+        self.key = host.aes_key(key)
         self.mac_key = mac_key
         self.iv = iv
         self.seq = 0
@@ -59,7 +59,7 @@ class RecordCipherState:
         """Protect ``payload``; advances the sequence number."""
         mac = self._mac(content_type, payload)
         plaintext = pkcs7_pad(payload + mac, AES_BLOCK)
-        ciphertext = cbc_encrypt(self.cipher, self.iv, plaintext)
+        ciphertext = host.cbc_encrypt(self.key, self.iv, plaintext)
         self.iv = ciphertext[-AES_BLOCK:]
         self.seq += 1
         return ciphertext
@@ -68,7 +68,7 @@ class RecordCipherState:
         """Verify and strip protection; advances the sequence number."""
         if len(ciphertext) % AES_BLOCK or not ciphertext:
             raise RecordError("ciphertext not a whole number of blocks")
-        plaintext = cbc_decrypt(self.cipher, self.iv, ciphertext)
+        plaintext = host.cbc_decrypt(self.key, self.iv, ciphertext)
         try:
             unpadded = pkcs7_unpad(plaintext, AES_BLOCK)
         except PaddingError as exc:

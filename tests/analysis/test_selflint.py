@@ -15,6 +15,7 @@ import re
 import pytest
 
 from repro.analysis import Severity, analyze_dync_source, analyze_paths
+from repro.crypto import modes
 from repro.rabbit.programs.aes_c import AES_C_SOURCE
 from repro.rabbit.programs.redirector_dc import FIGURE3_MAIN_SOURCE, main_source
 from repro.rabbit.programs.rsa_c import generate_source
@@ -75,6 +76,9 @@ HOST_CRYPTO_CONSUMERS = [
 
 HOST_PY = REPO / "src" / "repro" / "crypto" / "host.py"
 
+#: CBC reaches issl only through ``host.cbc_*`` and their memo.
+MODES_CBC = (modes.cbc_encrypt, modes.cbc_decrypt)
+
 FANOUT_PY = REPO / "src" / "repro" / "fanout.py"
 
 
@@ -100,6 +104,19 @@ def reference_crypto_imports(source: str) -> list[str]:
                 found += [m for m in (node.module, origin)
                           if m in REFERENCE_CRYPTO]
     return sorted(set(found))
+
+
+def modes_cbc_imports(source: str) -> list[str]:
+    """Names ``source`` imports that are ``modes.cbc_encrypt`` or
+    ``modes.cbc_decrypt``, directly or re-exported by ``repro.crypto``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module \
+                and node.module.startswith("repro.crypto"):
+            module = importlib.import_module(node.module)
+            found += [alias.name for alias in node.names
+                      if getattr(module, alias.name, None) in MODES_CBC]
+    return sorted(found)
 
 
 def test_repo_trees_lint_clean():
@@ -198,6 +215,26 @@ def test_host_crypto_is_the_only_way_in():
         if (imports := reference_crypto_imports(path.read_text()))
     }
     assert offenders == {}
+
+
+def test_issl_gets_cbc_from_host():
+    offenders = {
+        str(path.relative_to(REPO)): names
+        for path in sorted((REPO / "src" / "repro" / "issl").rglob("*.py"))
+        if (names := modes_cbc_imports(path.read_text()))
+    }
+    assert offenders == {}
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("from repro.crypto.modes import cbc_encrypt, pkcs7_pad",
+     ["cbc_encrypt"]),
+    ("from repro.crypto import cbc_decrypt as dec", ["cbc_decrypt"]),
+    ("from repro.crypto.host import cbc_decrypt, cbc_encrypt", []),
+    ("from repro.crypto import host, modes", []),
+])
+def test_modes_cbc_import_check(source, expected):
+    assert modes_cbc_imports(source) == expected
 
 
 @pytest.mark.parametrize("source, expected", [

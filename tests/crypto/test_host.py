@@ -7,10 +7,12 @@ function must agree with its reference on generated keys and messages,
 and so must the PRF built on top of them.
 """
 
+from unittest import mock
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import host
+from repro.crypto import host, modes
 from repro.crypto.hmac import Hmac, constant_time_equal
 from repro.crypto.kdf import derive_key_block, derive_master_secret, ssl3_prf
 from repro.crypto.md5 import md5
@@ -96,3 +98,45 @@ def test_key_schedule_matches_reference(pre_master, client_random,
     assert derive_key_block(master, client_random, server_random, nbytes) == (
         reference_prf(master, server_random + client_random, nbytes)
     )
+
+
+#: One CBC call: encrypt?, key, IV, which recent input or output to
+#: reuse as data (0: the last output, 1: the last input, ...), and a bit
+#: to flip in it (None: none).
+cbc_calls = st.tuples(st.booleans(), st.integers(0, 1), st.integers(0, 1),
+                      st.integers(0, 3),
+                      st.none() | st.integers(0, 8 * 48 - 1))
+
+
+@given(keys=st.lists(aes_keys, min_size=1, max_size=2),
+       ivs=st.lists(blocks, min_size=2, max_size=2, unique=True),
+       seeds=st.lists(st.integers(0, 3).flatmap(
+           lambda n: st.binary(min_size=16 * n, max_size=16 * n)),
+           min_size=1, max_size=2),
+       calls=st.lists(cbc_calls, min_size=1, max_size=12),
+       bound=st.sampled_from((64, 160, host._CBC_MEMO_MAX_BYTES)))
+@settings(max_examples=60, deadline=None)
+def test_cbc_matches_reference_modes(keys, ivs, seeds, calls, bound):
+    """``host.cbc_*`` against ``modes.cbc_*`` over the reference
+    ``Rijndael``.  Data is drawn from earlier inputs and outputs, so a
+    sequence repeats calls exactly, decrypts its own output, decrypts an
+    earlier plaintext and reuses data under another IV; flipped bits
+    tamper with any of them.  Each sequence starts from an empty memo,
+    and the smaller bounds clear it mid-sequence."""
+    pool = list(seeds)
+    with mock.patch.multiple(host, _CBC_MEMO={}, _cbc_memo_bytes=0,
+                             _CBC_MEMO_MAX_BYTES=bound):
+        for encrypt, key_at, iv_at, back, flip in calls:
+            key, iv = keys[key_at % len(keys)], ivs[iv_at]
+            data = bytearray(pool[-1 - back % len(pool)])
+            if data and flip is not None:
+                data[flip % (8 * len(data)) // 8] ^= 1 << flip % 8
+            data = bytes(data)
+            if encrypt:
+                got = host.cbc_encrypt(key, iv, data)
+                want = modes.cbc_encrypt(Rijndael(key), iv, data)
+            else:
+                got = host.cbc_decrypt(key, iv, data)
+                want = modes.cbc_decrypt(Rijndael(key), iv, data)
+            assert got == want
+            pool += [data, got]

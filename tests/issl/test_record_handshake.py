@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crypto import host
+from repro.crypto.aes_ttable import AesTTable
 from repro.crypto.hmac import Hmac
 from repro.crypto.modes import cbc_encrypt, pkcs7_pad
 from repro.crypto.rijndael import Rijndael
@@ -35,10 +37,29 @@ from repro.issl.record import (
 )
 
 
+KEY, MAC_KEY, IV = bytes(16), bytes(range(20)), bytes(range(16))
+
+
 def _state_pair():
-    key, mac, iv = bytes(16), bytes(range(20)), bytes(range(16))
-    return (RecordCipherState(key, mac, iv),
-            RecordCipherState(key, mac, iv))
+    return (RecordCipherState(KEY, MAC_KEY, IV),
+            RecordCipherState(KEY, MAC_KEY, IV))
+
+
+@pytest.fixture
+def decrypt_blocks(monkeypatch):
+    """The blocks real AES decrypts while the test runs, starting from
+    an empty CBC memo (an earlier test may have opened the same bytes)."""
+    monkeypatch.setattr(host, "_CBC_MEMO", {})
+    monkeypatch.setattr(host, "_cbc_memo_bytes", 0)
+    blocks = []
+    real = AesTTable.decrypt_block
+
+    def counting(self, block):
+        blocks.append(block)
+        return real(self, block)
+
+    monkeypatch.setattr(AesTTable, "decrypt_block", counting)
+    return blocks
 
 
 class TestRecordLayer:
@@ -65,12 +86,26 @@ class TestRecordLayer:
         sealed = sender.seal(CT_APPLICATION_DATA, payload)
         assert receiver.open(CT_APPLICATION_DATA, sealed) == payload
 
-    def test_sequence_numbers_prevent_replay(self):
+    def test_sequence_numbers_prevent_replay(self, decrypt_blocks):
         sender, receiver = _state_pair()
         first = sender.seal(CT_APPLICATION_DATA, b"one")
         assert receiver.open(CT_APPLICATION_DATA, first) == b"one"
-        with pytest.raises(RecordError):
+        with pytest.raises(RecordError, match="bad record MAC"):
             receiver.open(CT_APPLICATION_DATA, first)  # replayed
+        # Same key and IV one record later: the CBC memo answers the
+        # decryption, and the sequence number still fails the MAC.
+        late = RecordCipherState(KEY, MAC_KEY, IV)
+        late.seq = 1
+        real_blocks = len(decrypt_blocks)
+        with pytest.raises(RecordError, match="bad record MAC"):
+            late.open(CT_APPLICATION_DATA, first)
+        assert len(decrypt_blocks) == real_blocks
+
+    def test_open_of_a_sealed_record_runs_no_aes(self, decrypt_blocks):
+        sender, receiver = _state_pair()
+        sealed = sender.seal(CT_APPLICATION_DATA, b"payload")
+        assert receiver.open(CT_APPLICATION_DATA, sealed) == b"payload"
+        assert decrypt_blocks == []
 
     def test_reordering_detected(self):
         sender, receiver = _state_pair()
@@ -81,12 +116,22 @@ class TestRecordLayer:
         # ...and the state is not advanced by the failure:
         assert receiver.open(CT_APPLICATION_DATA, first) == b"one"
 
-    def test_tamper_detected(self):
-        sender, receiver = _state_pair()
-        sealed = bytearray(sender.seal(CT_APPLICATION_DATA, b"payload"))
-        sealed[0] ^= 0x01
-        with pytest.raises(RecordError):
-            receiver.open(CT_APPLICATION_DATA, bytes(sealed))
+    def test_tamper_detected(self, decrypt_blocks):
+        """A flipped bit misses the CBC memo, runs real AES on every
+        block and fails with the error the record's bytes call for."""
+        for position, error in [
+            (0, "bad record MAC"),
+            (15, "bad record padding: inconsistent padding bytes"),
+            (16, "bad record padding: invalid pad byte 0xf5"),
+            (31, "bad record padding: invalid pad byte 0x79"),
+        ]:
+            sender, receiver = _state_pair()
+            sealed = bytearray(sender.seal(CT_APPLICATION_DATA, b"payload"))
+            sealed[position] ^= 0x01
+            real_blocks = len(decrypt_blocks)
+            with pytest.raises(RecordError, match=f"^{error}$"):
+                receiver.open(CT_APPLICATION_DATA, bytes(sealed))
+            assert len(decrypt_blocks) - real_blocks == len(sealed) // 16
 
     def test_wrong_content_type_fails_mac(self):
         sender, receiver = _state_pair()
