@@ -54,7 +54,7 @@ _DYNC_HINT_RE = re.compile(
 )
 
 #: Private scheduler fields PY104 guards.
-_PRIVATE_SCHEDULER_ATTRS = {"_costates", "_factories"}
+_PRIVATE_SCHEDULER_ATTRS = {"_costates"}
 
 #: PY105: wall-clock readers on the ``time`` module.
 _TIME_CLOCK_ATTRS = {

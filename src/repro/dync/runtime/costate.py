@@ -268,12 +268,7 @@ class IndexedCofunctionPool:
 
 
 class CostateScheduler:
-    """The big loop: round-robin over costatements, forever.
-
-    ``restart_done`` mirrors the default Dynamic C behaviour in which a
-    completed ``costate`` block simply runs again on the next pass; pass
-    a factory instead of a generator to enable it per costatement.
-    """
+    """The big loop: round-robin over costatements, forever."""
 
     def __init__(self, sim: Simulator,
                  pass_overhead_s: float = DEFAULT_PASS_OVERHEAD_S,
@@ -282,7 +277,6 @@ class CostateScheduler:
         self.pass_overhead_s = pass_overhead_s
         self.name = name
         self._costates: list[Costate] = []
-        self._factories: dict[Costate, Callable[[], Generator]] = {}
         self._process = None
         self.passes = 0
         self.running = False
@@ -300,15 +294,6 @@ class CostateScheduler:
         """Register a one-shot costatement (runs to completion once)."""
         costate = Costate(gen, name)
         self._costates.append(costate)
-        self._snapshot = None
-        return costate
-
-    def add_restarting(self, factory: Callable[[], Generator],
-                       name: str = "") -> Costate:
-        """Register a costatement that restarts after completing."""
-        costate = Costate(factory(), name or factory.__name__)
-        self._costates.append(costate)
-        self._factories[costate] = factory
         self._snapshot = None
         return costate
 
@@ -351,7 +336,6 @@ class CostateScheduler:
         tracer = self.obs.tracer
         sim = self.sim
         queue = sim._queue
-        factories = self._factories
         observe_gap = self._gap_histogram.observe
         inc_passes = self._ctr_passes.inc
         overhead = self.pass_overhead_s
@@ -377,12 +361,7 @@ class CostateScheduler:
             base = sim.now + overhead
             for costate in snapshot:
                 if costate.done:
-                    factory = factories.get(costate)
-                    if factory is not None:
-                        costate.gen = factory()
-                        costate.done = False
-                    else:
-                        continue
+                    continue
                 # Reconstruct where this slice sits on the board's
                 # timeline: the simulator charges the whole pass in one
                 # lump at the trailing yield, but on hardware the slices
@@ -526,10 +505,7 @@ class CostateScheduler:
 
     @property
     def all_done(self) -> bool:
-        return all(
-            costate.done and costate not in self._factories
-            for costate in self._costates
-        )
+        return all(costate.done for costate in self._costates)
 
     def run_until_all_done(self, timeout: float = 60.0) -> None:
         """Convenience for tests: start (if needed) and run the sim until

@@ -16,7 +16,9 @@ Two services and one backend:
   ``pooled=True`` the N costatements become the N slots of ONE indexed
   pooled costatement behind admission control, which refuses
   (``redirector.refused.*``) instead of queueing past its capacity or
-  allocating past the xmem budget.  With ``secure=False`` either wiring
+  allocating past the xmem budget.  Both wirings accept through one
+  wait step (:func:`_await_connection`) and serve through one path
+  (:func:`_serve_connection`).  With ``secure=False`` either wiring
   serves plain TCP, the no-TLS baseline the E4 throughput experiment
   compares against.
 * :func:`backend_line_server` -- the plaintext backend behind all of
@@ -347,8 +349,8 @@ def _serve_connection(stack, context, handles, sock, backend_ip,
             gauge_active.set(gauge_active.value + 1)
             handles.ts_active.record(gauge_active.value)
             requests = yield from _rmc_serve(
-                stack, sock, backend, session, stats, tid,
-                deadline_s=conn_deadline_s, logger=context.logger,
+                stack, sock, backend, session, stats, tid, conn_deadline_s,
+                context.logger,
             )
             gauge_active.set(gauge_active.value - 1)
             handles.ts_active.record(gauge_active.value)
@@ -403,29 +405,40 @@ def _rmc_handler(stack: DyncTcpStack, context: IsslContext,
         # event-wait the big loop may skip past.
         while not stack.tcp_listen(sock, listen_port):
             yield IDLE
-        # Wait for establishment -- or for the connection to die under
-        # us.  The one way to die here: the handshake completed, then the
-        # connection ended (FIN or RST) while it sat in the accept queue.
-        # A handshake lost or reset in SYN_RCVD never reaches this
-        # socket, because TcpService._forget drops it from the listener
-        # first.  Without the second arm this handler would wedge
-        # forever on a connection that will never establish.  Inlined
-        # waitfor: this poll runs every big-loop pass for every idle
-        # handler, and the generator plus lambda indirection dominated
-        # fault-campaign profiles.  Both arms read connection state that
-        # only the tick driver's drain (itself a non-idle pass) or a
-        # timer event can change, so the poll yields IDLE.
-        while not (stack.sock_established(sock) or _sock_dead(sock)):
-            yield IDLE
-        if stack.sock_established(sock):
+        if (yield from _await_connection(stack, sock, context.logger.log,
+                                         handles.recorder, handles.recovered,
+                                         label)):
             yield from _serve_connection(
                 stack, context, handles, sock, backend_ip, backend_port,
                 stats, secure, label, **serve_kwargs,
             )
-        else:
-            _drop_embryonic(stack, sock, context.logger.log,
-                            handles.recorder, handles.recovered, label)
         yield
+
+
+def _await_connection(stack, sock, log, recorder, recovered, label):
+    """Generator: Figure 3's "wait for established" on a listening
+    socket, shared by both wirings.  Returns True once the connection is
+    established, or drops it (:func:`_drop_embryonic`) and returns False
+    if it dies first.
+
+    The one way to die here: the handshake completed, then the
+    connection ended (FIN or RST) while it sat in the accept queue.  A
+    handshake lost or reset in SYN_RCVD never reaches this socket,
+    because TcpService._forget drops it from the listener first.
+    Without the second arm the caller would wedge forever on a
+    connection that will never establish.  The poll is written out, not
+    ``waitfor(lambda: ...)``: it runs every big-loop pass for every idle
+    listener, and the predicate indirection dominated fault-campaign
+    profiles.  Both arms read connection state that only the tick
+    driver's drain (itself a non-idle pass) or a timer event can change,
+    so the poll yields IDLE.
+    """
+    while not (stack.sock_established(sock) or _sock_dead(sock)):
+        yield IDLE
+    if stack.sock_established(sock):
+        return True
+    _drop_embryonic(stack, sock, log, recorder, recovered, label)
+    return False
 
 
 def _drop_embryonic(stack, sock, log, recorder, recovered, label):
@@ -440,8 +453,8 @@ def _drop_embryonic(stack, sock, log, recorder, recovered, label):
     recovered.inc()
 
 
-def _rmc_serve(stack, sock, backend, session, stats, tid="svc:handler",
-               deadline_s=None, logger=None):
+def _rmc_serve(stack, sock, backend, session, stats, tid, deadline_s,
+               logger):
     """Relay request/response lines until the client is done.
 
     ``deadline_s`` is a per-connection progress deadline: the budget for
@@ -464,11 +477,8 @@ def _rmc_serve(stack, sock, backend, session, stats, tid="svc:handler",
                 line = yield from _dync_read_line(stack, sock, deadline)
         except (IsslTimeout, TransportTimeout):
             ctr_deadline.inc()
-            if logger is not None:
-                logger.log(
-                    f"redirector: {tid}: connection deadline expired "
-                    f"after {requests} request(s)"
-                )
+            logger.log(f"redirector: {tid}: connection deadline expired "
+                       f"after {requests} request(s)")
             stack.sock_abort(sock)
             return requests
         except IsslError:
@@ -496,10 +506,7 @@ def _rmc_serve(stack, sock, backend, session, stats, tid="svc:handler",
             response = yield from _dync_read_line(stack, backend, deadline)
         except TransportTimeout:
             ctr_deadline.inc()
-            if logger is not None:
-                logger.log(
-                    f"redirector: {tid}: backend response deadline expired"
-                )
+            logger.log(f"redirector: {tid}: backend response deadline expired")
             stack.sock_abort(sock)
             tracer.end(span, error="backend-deadline")
             return requests
@@ -536,8 +543,7 @@ def _dync_read_line(stack, sock, deadline=None):
         if chunk:
             buffer += chunk
             continue
-        if sock.conn is None or sock.conn.at_eof \
-                or sock.conn.state.value == "CLOSED":
+        if sock.conn is None or _sock_dead(sock):
             return None
         if deadline is not None and sim.now >= deadline:
             raise TransportTimeout("line read deadline expired")
@@ -642,11 +648,11 @@ def _pool_slot(stack: DyncTcpStack, context: IsslContext,
                mailbox: _SlotMailbox, slot, free_socks, **serve_kwargs):
     """One indexed-cofunction slot: serve handed-off connections forever.
 
-    The admission step (not this body) listens, accepts, and either
+    The pool's acceptor (not this body) listens, waits, and either
     places an established connection into this slot's mailbox or
     refuses it; from the hand-off on, the slot runs the same
     :func:`_serve_connection` as the static handlers, then returns the
-    socket to the admission free list.
+    socket to the acceptor's free list.
     """
     obs = stack.host.sim.obs
     handles = _ConnectionHandles(obs)
@@ -663,10 +669,10 @@ def _pool_slot(stack: DyncTcpStack, context: IsslContext,
         ts_occupied.record(gauge_occupied.value)
 
     while True:
-        # The mailbox is only filled by the admission step, which runs
-        # in this same pool driver and declares its own pass non-idle
-        # when it hands off -- so an empty-mailbox poll is a pure
-        # event-wait the big loop may skip past.
+        # The mailbox is only filled by the acceptor, which runs in this
+        # same pool driver and declares its own pass non-idle when it
+        # hands off -- so an empty-mailbox poll is a pure event-wait the
+        # big loop may skip past.
         while mailbox.sock is None:
             yield IDLE
         sock = mailbox.sock
@@ -683,14 +689,18 @@ def _add_slot_pool(scheduler, stack, context, backend_ip, backend_port,
     """Register the ``slot-pool`` costatement: ``slots`` slots behind
     admission control.
 
-    One acceptor socket listens; each established connection is handed
-    to the lowest-index idle slot or refused
+    One acceptor costatement, shaped like :func:`_rmc_handler`, listens
+    and waits through :func:`_await_connection`; each established
+    connection is handed to the lowest-index idle slot or refused
     (``redirector.refused.slots`` + a flight-recorder event) when all
-    slots are busy.  Occupancy is published as the
-    ``redirector.slots.occupied`` gauge and telemetry series.  Per-slot
-    record buffers come from ``buffer_pool``, so a pool sized past the
-    xmem budget refuses (``redirector.refused.memory``) rather than
-    allocating past it.
+    slots are busy.  A socket the acceptor takes off the free list may
+    still be closing the connection it served: it is reclaimed
+    (aborted) once the peer has hung up and rotated to the back of the
+    list otherwise, never counted as a connection that died queued.
+    Occupancy is published as the ``redirector.slots.occupied`` gauge
+    and telemetry series.  Per-slot record buffers come from
+    ``buffer_pool``, so a pool sized past the xmem budget refuses
+    (``redirector.refused.memory``) rather than allocating past it.
     """
     pool = IndexedCofunctionPool(name="slot-pool")
     world_obs = stack.host.sim.obs
@@ -702,11 +712,9 @@ def _add_slot_pool(scheduler, stack, context, backend_ip, backend_port,
     gauge_occupied = metrics.gauge("redirector.slots.occupied")
     ts_occupied = world_obs.telemetry.series("redirector.slots.occupied")
     log = context.logger.log
-    admission_tid = "svc:admission"
     # Statically allocated sockets, Rabbit style: one in the acceptor's
     # hand, the rest on the free list; slots return theirs on release.
     free_socks = deque(make_socket(stack) for _ in range(slots))
-    acceptor = [make_socket(stack)]
     table = []
     for index in range(slots):
         mailbox = _SlotMailbox()
@@ -717,60 +725,56 @@ def _add_slot_pool(scheduler, stack, context, backend_ip, backend_port,
         ))
         table.append((mailbox, slot))
 
-    def admission_step():
-        # One non-blocking admission decision per big-loop pass.
-        # Returns True when the decision was a pure "still listening"
-        # check -- the one branch that is a declared event-wait (an
-        # attachment only happens in a tick-driver drain, itself a
-        # non-idle pass); every other branch does work.
-        sock = acceptor[0]
-        if sock.waiting:
-            return True  # listening; nothing attached yet
-        conn = sock.conn
-        if conn is None or conn.state.value in ("CLOSED", "TIME_WAIT"):
-            # (Re-)arm the listener; always succeeds from these states.
-            stack.tcp_listen(sock, listen_port)
-            return False
-        if stack.sock_established(sock):
-            for mailbox, slot in table:
-                if not slot.busy:
-                    # Hand off to the lowest-index idle slot.
-                    slot.busy = True
-                    mailbox.sock = sock
-                    ctr_handoffs.inc()
-                    gauge_occupied.set(gauge_occupied.value + 1)
-                    ts_occupied.record(gauge_occupied.value)
-                    acceptor[0] = free_socks.popleft()
-                    return False
-            # Every slot busy: refuse instead of queueing unboundedly --
-            # the pool's capacity is the budget, and the refusal is the
-            # observable (counter + recorder event), not a wedge.
-            ctr_refused_slots.inc()
-            log(f"redirector: admission: refused: all {len(table)} "
-                f"slots busy")
-            recorder.warn(CAT_SERVICE, admission_tid, "refused: no idle slot")
-            stack.sock_abort(sock)
-            ctr_recovered.inc()
-            return False
-        if _sock_dead(sock):
-            # Died while queued for admission; the next pass re-arms
-            # the listener.
-            _drop_embryonic(stack, sock, log, recorder, ctr_recovered,
-                            "admission")
-            return False
-        # A teardown-in-flight socket off the free list: rotate it to
-        # the back so one lingering close never stalls admission.
-        free_socks.append(sock)
-        acceptor[0] = free_socks.popleft()
-        return False
-
-    def pool_driver():
-        # The driver's pass is idle only when the admission decision was
-        # the pure listening check AND every live slot declared idle --
-        # sweep_yield folds the slots' tokens into one.
+    def admission(sock):
+        # The acceptor, shaped like _rmc_handler: listen, wait, then
+        # hand off or refuse -- one decision per big-loop pass.
         while True:
-            admission_idle = admission_step()
+            # A socket off the free list may still be closing the
+            # connection it served.  Reclaim it if the peer has hung up
+            # (the abort lands it in CLOSED); otherwise rotate it to the
+            # back so one lingering close never stalls admission.
+            while not stack.tcp_listen(sock, listen_port):
+                if _sock_dead(sock):
+                    stack.sock_abort(sock)
+                else:
+                    free_socks.append(sock)
+                    sock = free_socks.popleft()
+                yield
+            if (yield from _await_connection(stack, sock, log, recorder,
+                                             ctr_recovered, "admission")):
+                for mailbox, slot in table:
+                    if not slot.busy:
+                        # Hand off to the lowest-index idle slot.
+                        slot.busy = True
+                        mailbox.sock = sock
+                        ctr_handoffs.inc()
+                        gauge_occupied.set(gauge_occupied.value + 1)
+                        ts_occupied.record(gauge_occupied.value)
+                        sock = free_socks.popleft()
+                        break
+                else:
+                    # Every slot busy: refuse instead of queueing
+                    # unboundedly -- the pool's capacity is the budget,
+                    # and the refusal is the observable (counter +
+                    # recorder event), not a wedge.
+                    ctr_refused_slots.inc()
+                    log(f"redirector: admission: refused: all {len(table)} "
+                        f"slots busy")
+                    recorder.warn(CAT_SERVICE, "svc:admission",
+                                  "refused: no idle slot")
+                    stack.sock_abort(sock)
+                    ctr_recovered.inc()
+            yield
+
+    def pool_driver(acceptor):
+        # The driver's pass is idle only when the acceptor is waiting on
+        # its listening socket AND every live slot declared idle --
+        # sweep_yield folds the slots' tokens into one.  Admission runs
+        # first, so a hand-off is served in the same pass.
+        while True:
+            admission_idle = next(acceptor) is IDLE
             yield pool.sweep_yield(pool.step_all(),
                                    extra_idle=admission_idle)
 
-    scheduler.add_pool(pool, driver=pool_driver())
+    scheduler.add_pool(
+        pool, driver=pool_driver(admission(make_socket(stack))))

@@ -287,8 +287,7 @@ def worlds(draw):
         "events": draw(st.lists(
             st.tuples(st.floats(0.0, HORIZON), st.integers(0, NFLAGS - 1)),
             max_size=6)),
-        "costates": draw(st.lists(
-            st.tuples(scripts, st.booleans()), min_size=1, max_size=4)),
+        "costates": draw(st.lists(scripts, min_size=1, max_size=4)),
         "pool": draw(st.one_of(st.none(),
                                st.lists(scripts, min_size=1, max_size=3))),
         "chunks": sorted(draw(st.lists(st.floats(0.0, HORIZON), max_size=4))),
@@ -343,13 +342,9 @@ def _run_world(world, unidle: bool, verifier=None) -> dict:
     else:
         wrap = _unidle if unidle else (lambda gen: gen)
     costates = []
-    for index, (script, restarting) in enumerate(world["costates"]):
+    for index, script in enumerate(world["costates"]):
         tag = f"c{index}"
-        if restarting:
-            costates.append(scheduler.add_restarting(
-                lambda tag=tag, script=script: wrap(body(tag, script)), tag))
-        else:
-            costates.append(scheduler.add(wrap(body(tag, script)), tag))
+        costates.append(scheduler.add(wrap(body(tag, script)), tag))
     slots = ()
     if world["pool"] is not None:
         pool = IndexedCofunctionPool("pool")
@@ -400,8 +395,8 @@ class TestIdleDifferential:
         world = {
             "overhead": 10e-6,
             "events": [(0.004, 0), (0.011, 1)],
-            "costates": [([("wait", 0), ("busy", 1e-4)], True),
-                         ([("sleep", 0.003), ("wait", 1)], False)],
+            "costates": [[("wait", 0), ("busy", 1e-4)],
+                         [("sleep", 0.003), ("wait", 1)]],
             "pool": [[("wait", 1), ("signal", 2)], [("wait", 2)]],
             "chunks": [0.005],
         }
@@ -443,7 +438,6 @@ def _wrap_every_costatement(monkeypatch, wrap):
     """Route every generator a scheduler registers through ``wrap``."""
     original_pool = CostateScheduler.add_pool
     original_add = CostateScheduler.add
-    original_restarting = CostateScheduler.add_restarting
 
     def add_pool(self, pool, name="", driver=None):
         gen = driver if driver is not None else pool.driver()
@@ -452,13 +446,8 @@ def _wrap_every_costatement(monkeypatch, wrap):
     def add(self, gen, name=""):
         return original_add(self, wrap(gen), name)
 
-    def add_restarting(self, factory, name=""):
-        return original_restarting(
-            self, lambda: wrap(factory()), name or factory.__name__)
-
     monkeypatch.setattr(CostateScheduler, "add_pool", add_pool)
     monkeypatch.setattr(CostateScheduler, "add", add)
-    monkeypatch.setattr(CostateScheduler, "add_restarting", add_restarting)
 
 
 class TestIdlePassesTouchNothing:

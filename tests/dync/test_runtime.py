@@ -109,20 +109,6 @@ class TestCostates:
         assert len(progress) == count
         assert costate.done
 
-    def test_restarting_costate(self):
-        sim = Simulator()
-        scheduler = CostateScheduler(sim)
-        runs = []
-
-        def body():
-            runs.append(sim.now)
-            yield
-
-        scheduler.add_restarting(lambda: body(), name="again")
-        scheduler.start()
-        sim.run(until=0.001)
-        assert len(runs) > 3  # restarted every pass
-
     def test_cofunction_via_yield_from(self):
         sim = Simulator()
         scheduler = CostateScheduler(sim)
