@@ -250,6 +250,9 @@ class Function:
 class Program:
     globals: list[GlobalDecl] = field(default_factory=list)
     functions: list[Function] = field(default_factory=list)
+    #: File-scope ``#asm`` blocks (their ``__asm_block(N)`` numbers), in
+    #: source order; they are emitted after the compiled code.
+    asm_blocks: list[int] = field(default_factory=list)
 
     def function(self, name: str) -> Function:
         for fn in self.functions:

@@ -53,7 +53,7 @@ from repro.dync.compiler.options import CompilerOptions
 from repro.dync.compiler.parser import parse
 from repro.dync.compiler.peephole import peephole_optimize
 from repro.dync.compiler.runtime_asm import RUNTIME_ASM
-from repro.rabbit.asm import assemble, Assembly
+from repro.rabbit.asm import Assembler, Assembly, parse_asm
 
 #: Where static data (globals, locals, params) is allocated in RAM.
 RAM_BASE = 0xC300
@@ -111,7 +111,6 @@ class Compilation:
     """Everything the benchmarks need about one compiled image."""
 
     assembly: Assembly
-    asm_source: str
     options: CompilerOptions
     globals_map: dict[str, Symbol]
     code_size: int
@@ -894,11 +893,10 @@ def compile_source(source: str,
     options = options or CompilerOptions()
     source = expand_uses(source)
     source, asm_blocks = extract_asm_blocks(source)
-    source, top_level_blocks = _hoist_top_level_asm(source)
     program = parse(source)
     generator = CodeGenerator(options)
     generator.asm_blocks = asm_blocks
-    generator.top_level_asm = [asm_blocks[i] for i in top_level_blocks]
+    generator.top_level_asm = [asm_blocks[i] for i in program.asm_blocks]
     # Pre-scan function parameter symbols for call-site stores.
     generator._function_params = {}
     for function in program.functions:
@@ -908,43 +906,24 @@ def compile_source(source: str,
             for param in function.params
         ]
     # Parameter storage is declared once, here; the globals and the
-    # function bodies follow.
-    asm_source = _compile_with_predeclared(generator, program)
+    # function bodies follow.  The generated text is parsed once; the
+    # peephole rewrites the parsed lines.
+    lines = parse_asm(_compile_with_predeclared(generator, program))
     if options.optimize:
-        asm_source = peephole_optimize(asm_source)
-    assembly = assemble(asm_source)
+        lines = peephole_optimize(lines)
+    assembly = Assembler().assemble_lines(lines)
     # Resolve flash-placed symbol addresses now that layout is known.
     for symbol in generator.globals_map.values():
         if symbol.placement == "flash":
             symbol.address = assembly.symbol(symbol.label.lower())
     return Compilation(
         assembly=assembly,
-        asm_source=asm_source,
         options=options,
         globals_map=generator.globals_map,
         code_size=assembly.symbol("__code_end"),
         image_size=len(assembly.code),
         statements_instrumented=generator.statements_instrumented,
     )
-
-
-def _hoist_top_level_asm(source: str) -> tuple[str, list[int]]:
-    """Remove ``__asm_block(N);`` placeholders that sit outside any
-    function body; their blocks are emitted after the compiled code."""
-    import re as _re
-
-    out_lines = []
-    hoisted: list[int] = []
-    depth = 0
-    placeholder = _re.compile(r"^\s*__asm_block\((\d+)\);\s*$")
-    for line in source.splitlines():
-        match = placeholder.match(line)
-        if match and depth == 0:
-            hoisted.append(int(match.group(1)))
-            continue
-        depth += line.count("{") - line.count("}")
-        out_lines.append(line)
-    return "\n".join(out_lines), hoisted
 
 
 def _compile_with_predeclared(generator: CodeGenerator,

@@ -138,6 +138,18 @@ class Parser:
 
     def _parse_top_level(self, program: Program) -> None:
         first = self.peek()
+        if first.kind == "ident" and first.value == "__asm_block":
+            # A file-scope #asm block's placeholder (see
+            # libraries.extract_asm_blocks).
+            self.advance()
+            self.expect_op("(")
+            number = self.advance()
+            if number.kind != "num":
+                raise ParseError("expected asm block number", number)
+            self.expect_op(")")
+            self.expect_op(";")
+            program.asm_blocks.append(number.value)
+            return
         storage = ""
         nodebug = False
         is_const = False

@@ -26,6 +26,7 @@ their "callable costatement" semantics.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Generator
 
 from repro.floatsum import FOREVER, first_at, runs
@@ -409,15 +410,18 @@ class CostateScheduler:
             # and it stays inside the driver's run bound, the simulator
             # round trip would pop exactly the event we are about to
             # push.  Advance the clock in place and run the next pass.
-            # An empty queue still yields so deadlock detection in the
-            # drive loops keeps working.
+            # An empty queue is an event at infinity, but only under a
+            # finite run bound: an unbounded run still yields every pass
+            # so deadlock detection in the drive loops keeps working.
             wake = sim.now + overhead + busy
             bound = sim._run_until
-            if queue and wake < queue[0][0] and (
+            next_event = (queue[0][0] if queue
+                          else math.inf if bound is not None else None)
+            if next_event is not None and wake < next_event and (
                     bound is None or wake <= bound):
                 sim.now = wake
                 if idle and idle == ran and busy == 0.0 and self._skip_idle(
-                        snapshot, idle_deadline, queue[0][0], bound,
+                        snapshot, idle_deadline, next_event, bound,
                         sample_passes):
                     yield overhead
                 continue

@@ -67,7 +67,6 @@ def seq_le(a: int, b: int) -> bool:
 
 class TcpState(enum.Enum):
     CLOSED = "CLOSED"
-    LISTEN = "LISTEN"
     SYN_SENT = "SYN_SENT"
     SYN_RCVD = "SYN_RCVD"
     ESTABLISHED = "ESTABLISHED"
@@ -298,9 +297,11 @@ class TcpConnection:
         self._pump()
 
     def abort(self) -> None:
-        """RST the peer and drop the connection."""
-        if self.state not in (TcpState.CLOSED, TcpState.LISTEN):
-            self._emit(TCP_RST)
+        """RST the peer and drop the connection; a closed one stays as
+        it is, with the error that closed it."""
+        if self.state == TcpState.CLOSED:
+            return
+        self._emit(TCP_RST)
         self._fail("aborted")
 
     # -- sending -----------------------------------------------------------

@@ -18,12 +18,17 @@ Expressions allow ``+ - * / % << >> & | ^ ~ ( )``, decimal/hex
 (``0x..`` or ``$..``)/binary (``%...``)/char literals, ``$`` for the
 current location counter, and forward label references (resolved in
 pass 2).
+
+:func:`parse_asm` is the one parser of assembly text; its
+:class:`AsmLine` list, which the Dynamic C compiler's peephole may
+rewrite first, is what :meth:`Assembler.assemble_lines` encodes.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class AsmError(ValueError):
@@ -87,6 +92,73 @@ class Assembly:
         if name not in self.symbols:
             raise AsmError(f"no such symbol {name!r}")
         return self.symbols[name]
+
+
+class AsmLine(NamedTuple):
+    """One parsed source line: what the encoder and the peephole read.
+
+    ``label`` is None and ``mnemonic`` '' when the line has none (both
+    lower-cased); ``NAME equ expr`` has mnemonic ``equ`` and operands
+    ``[name, expr]``.  ``line_no`` and ``text`` (the line less its
+    comment) are what :class:`AsmError` reports.
+    """
+
+    label: str | None
+    mnemonic: str
+    operands: list[str]
+    line_no: int
+    text: str
+
+
+# `label:` or Dynamic C's global `label::`
+_LABEL_RE = re.compile(r"^([A-Za-z_.][A-Za-z0-9_.]*)\s*::?")
+# The text before a comment; a quote runs to its match or the line's end.
+_CODE_RE = re.compile(r"""(?:[^;'"]+|'[^']*'?|"[^"]*"?)*""")
+# Operand pieces: quoted text, a parenthesis, a comma, or a run of the rest.
+_PIECE_RE = re.compile(r"""'[^']*'?|"[^"]*"?|[(),]|[^'"(),]+""")
+
+
+def parse_asm(source: str) -> list[AsmLine]:
+    """Parse ``source`` into one :class:`AsmLine` per source line."""
+    lines = []
+    for line_no, raw_line in enumerate(source.splitlines(), start=1):
+        text = _CODE_RE.match(raw_line).group().rstrip()
+        body = text.strip()
+        label = None
+        match = _LABEL_RE.match(body)
+        if match:
+            label = match.group(1).lower()
+            body = body[match.end():].strip()
+        parts = body.split(None, 1)
+        mnemonic = parts[0].lower() if parts else ""
+        operand_text = parts[1] if len(parts) > 1 else ""
+        sub = operand_text.split(None, 1)
+        if sub and sub[0].lower() == "equ":
+            operands = [mnemonic, sub[1] if len(sub) > 1 else ""]
+            mnemonic = "equ"
+        elif mnemonic == "equ":
+            raise AsmError("equ needs a name", line_no, text)
+        else:
+            operands = _split_operands(operand_text)
+        lines.append(AsmLine(label, mnemonic, operands, line_no, text))
+    return lines
+
+
+def _split_operands(text: str) -> list[str]:
+    """Split at the commas outside parentheses and quotes."""
+    operands = []
+    depth = 0
+    current = ""
+    for piece in _PIECE_RE.findall(text):
+        if piece == "," and depth == 0:
+            operands.append(current.strip())
+            current = ""
+            continue
+        depth += (piece == "(") - (piece == ")")
+        current += piece
+    if current.strip():
+        operands.append(current.strip())
+    return operands
 
 
 class Assembler:
@@ -301,98 +373,28 @@ class Assembler:
             return ("mem_imm", text[1:-1])
         return ("imm", text)
 
-    # -- line handling ----------------------------------------------------------
-    # `label:` or Dynamic C's global `label::`
-    _LABEL_RE = re.compile(r"^([A-Za-z_.][A-Za-z0-9_.]*)\s*::?")
-
-    @staticmethod
-    def _strip_comment(line: str) -> str:
-        out = []
-        in_string = None
-        for ch in line:
-            if in_string:
-                out.append(ch)
-                if ch == in_string:
-                    in_string = None
-                continue
-            if ch in "'\"":
-                in_string = ch
-                out.append(ch)
-                continue
-            if ch == ";":
-                break
-            out.append(ch)
-        return "".join(out).rstrip()
-
-    @staticmethod
-    def _split_operands(text: str) -> list[str]:
-        operands = []
-        depth = 0
-        current = []
-        in_string = None
-        for ch in text:
-            if in_string:
-                current.append(ch)
-                if ch == in_string:
-                    in_string = None
-                continue
-            if ch in "'\"":
-                in_string = ch
-                current.append(ch)
-            elif ch == "(":
-                depth += 1
-                current.append(ch)
-            elif ch == ")":
-                depth -= 1
-                current.append(ch)
-            elif ch == "," and depth == 0:
-                operands.append("".join(current).strip())
-                current = []
-            else:
-                current.append(ch)
-        tail = "".join(current).strip()
-        if tail:
-            operands.append(tail)
-        return operands
-
-    def assemble_source(self, source: str) -> Assembly:
-        for line_no, raw_line in enumerate(source.splitlines(), start=1):
-            line = self._strip_comment(raw_line)
-            if not line.strip():
-                continue
-            self._assemble_line(line, line_no)
+    # -- encoding ------------------------------------------------------------
+    def assemble_lines(self, lines: list[AsmLine]) -> Assembly:
+        """Encode parsed lines (see :func:`parse_asm`) at ``origin``."""
+        for line in lines:
+            if line.label is not None:
+                if line.label in self.symbols:
+                    raise AsmError(f"duplicate label {line.label!r}",
+                                   line.line_no, line.text)
+                self.symbols[line.label] = self._pc
+            if line.mnemonic == "equ":
+                name, expression = line.operands
+                self.symbols[name] = self.eval_expr(expression, line.line_no,
+                                                    line.text)
+            elif line.mnemonic:
+                self._encode(line.mnemonic, line.operands, line.line_no,
+                             line.text)
         self._apply_fixups()
         return Assembly(
             code=bytes(self._code),
             origin=self.origin,
             symbols=dict(self.symbols),
         )
-
-    def _assemble_line(self, line: str, line_no: int) -> None:
-        text = line
-        match = self._LABEL_RE.match(text.strip())
-        if match:
-            label = match.group(1).lower()
-            if label in self.symbols:
-                raise AsmError(f"duplicate label {label!r}", line_no, line)
-            self.symbols[label] = self._pc
-            text = text.strip()[match.end():]
-        text = text.strip()
-        if not text:
-            return
-        parts = text.split(None, 1)
-        mnemonic = parts[0].lower()
-        operand_text = parts[1] if len(parts) > 1 else ""
-        # EQU: "NAME equ expr" (label-style constant definition).
-        if len(parts) > 1:
-            sub = operand_text.split(None, 1)
-            if sub and sub[0].lower() == "equ":
-                value = self.eval_expr(sub[1] if len(sub) > 1 else "",
-                                       line_no, line)
-                self.symbols[mnemonic] = value
-                return
-        operands = self._split_operands(operand_text)
-        self._encode(mnemonic, operands, line_no, line)
 
     def _apply_fixups(self) -> None:
         for fixup in self._fixups:
@@ -420,10 +422,8 @@ class Assembler:
             raise
         except Exception as exc:
             raise AsmError(f"cannot encode: {exc}", line_no, line) from exc
-        return
 
     def _encode_inner(self, mnemonic: str, operands: list[str]) -> None:
-        line_no, line = 0, ""  # context is attached by _encode
         ops = [self._classify(op) for op in operands]
 
         if mnemonic in SIMPLE_OPS and not operands:
@@ -867,4 +867,4 @@ class Assembler:
 
 def assemble(source: str, origin: int = 0) -> Assembly:
     """Assemble ``source`` at ``origin``; returns an :class:`Assembly`."""
-    return Assembler(origin).assemble_source(source)
+    return Assembler(origin).assemble_lines(parse_asm(source))

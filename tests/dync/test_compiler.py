@@ -1,9 +1,14 @@
 """Dynamic C subset compiler: lexer, parser, codegen on the board."""
 
+import ast
+import inspect
+from dataclasses import fields
+
 import pytest
 
 from repro.dync.compiler import (
     BEST,
+    Compilation,
     CompileError,
     CompiledProgram,
     CompilerOptions,
@@ -12,7 +17,9 @@ from repro.dync.compiler import (
     parse,
     peephole_optimize,
 )
+from repro.dync.compiler import codegen, peephole
 from repro.dync.compiler.lexer import LexError, tokenize
+from repro.rabbit.asm import parse_asm
 from repro.rabbit.board import Board
 
 
@@ -430,25 +437,74 @@ class TestOptimizationKnobs:
         assert compilation.statements_instrumented == 1
 
 
+def _peephole(source: str) -> list[tuple]:
+    """The peephole's rewrite of ``source`` as (label, mnemonic,
+    operands) triples."""
+    return [(line.label, line.mnemonic, line.operands)
+            for line in peephole_optimize(parse_asm(source))]
+
+
 class TestPeephole:
     def test_push_pop_rewrite(self):
         source = "        push hl\n        pop  de\n"
-        optimized = peephole_optimize(source)
-        assert "push" not in optimized
-        assert "ld   d, h" in optimized
+        assert _peephole(source) == [(None, "ld", ["d", "h"]),
+                                     (None, "ld", ["e", "l"])]
 
     def test_label_never_consumed(self):
         source = "        push hl\nlabel:\n        pop  de\n"
-        optimized = peephole_optimize(source)
-        assert "label:" in optimized
-        assert "push hl" in optimized  # pattern must NOT fire across labels
+        # The pattern must NOT fire across labels.
+        assert _peephole(source) == [(None, "push", ["hl"]),
+                                     ("label", "", []),
+                                     (None, "pop", ["de"])]
 
     def test_store_reload_elided(self):
         source = "        ld   (0xC300), hl\n        ld   hl, (0xC300)\n"
-        optimized = peephole_optimize(source)
-        assert optimized.count("0xC300") == 1
+        assert _peephole(source) == [(None, "ld", ["(0xC300)", "hl"])]
 
     def test_jump_to_next_removed(self):
         source = "        jp   next\nnext:\n        ret\n"
-        optimized = peephole_optimize(source)
-        assert "jp" not in optimized
+        assert _peephole(source) == [("next", "", []), (None, "ret", [])]
+
+    def test_spill_around_a_reload_becomes_ld_de(self):
+        source = ("        ld   hl, 5\n        push hl\n"
+                  "        ld   hl, (0xC300)\n        pop  de\n")
+        assert _peephole(source) == [(None, "ld", ["de", "5"]),
+                                     (None, "ld", ["hl", "(0xC300)"])]
+
+    def test_spill_kept_around_an_instruction_using_hl(self):
+        source = ("        ld   hl, 5\n        push hl\n"
+                  "        inc  hl\n        pop  de\n")
+        assert [m for _, m, _ in _peephole(source)] == [
+            "ld", "push", "inc", "pop"]
+
+
+class TestOneAssemblyParser:
+    """The assembler's parser is the only code that reads assembly text:
+    the peephole rewrites parsed lines, and file-scope #asm is placed by
+    the C parser."""
+
+    def test_peephole_has_no_lexer(self):
+        tree = ast.parse(inspect.getsource(peephole))
+        imported = {alias.name for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for alias in node.names}
+        assert "re" not in imported
+        assert not {"_parse", "_next_label", "_LABEL_RE"} & set(vars(peephole))
+
+    def test_no_brace_counting_hoist(self):
+        assert not hasattr(codegen, "_hoist_top_level_asm")
+
+    def test_compilation_keeps_no_asm_text(self):
+        assert "asm_source" not in {f.name for f in fields(Compilation)}
+
+    def test_compile_parses_the_generated_text_once(self, monkeypatch):
+        calls = []
+
+        def counting(source):
+            calls.append(source)
+            return parse_asm(source)
+
+        monkeypatch.setattr(codegen, "parse_asm", counting)
+        compile_source("int x; void main() { x = 1; }",
+                       CompilerOptions(optimize=True))
+        assert len(calls) == 1

@@ -33,7 +33,7 @@ from repro.dync.runtime.costate import (
     idle_until,
 )
 from repro.floatsum import add_repeated, first_at, runs
-from repro.net.sim import Simulator
+from repro.net.sim import SimulationError, Simulator
 from repro.obs import Obs
 
 # -- the float helpers ----------------------------------------------------
@@ -156,6 +156,12 @@ class TestAddsUntil:
     def test_stalled_sum_raises(self):
         with pytest.raises(ArithmeticError):
             adds_until(1.0, 2.0 ** -60, 2.0)
+
+    def test_infinite_bound_is_never_reached(self):
+        # An empty simulator queue is an event at infinity.
+        for d in (0.0, 1e-5):
+            for inclusive in (False, True):
+                assert first_at(1.0, d, math.inf, inclusive, 7) == 8
 
 
 # -- the differential oracle ----------------------------------------------
@@ -291,6 +297,8 @@ def worlds(draw):
         "pool": draw(st.one_of(st.none(),
                                st.lists(scripts, min_size=1, max_size=3))),
         "chunks": sorted(draw(st.lists(st.floats(0.0, HORIZON), max_size=4))),
+        # A last bounded run past every queued event: the queue is empty.
+        "tail": draw(st.floats(0.0, HORIZON)),
     }
 
 
@@ -354,7 +362,7 @@ def _run_world(world, unidle: bool, verifier=None) -> dict:
         costates.append(scheduler.add_pool(pool, driver=wrap(pool.driver())))
 
     scheduler.start()
-    for until in world["chunks"] + [HORIZON]:
+    for until in world["chunks"] + [HORIZON, HORIZON + world["tail"]]:
         sim.run(until=until)
 
     gap = obs.metrics.histogram("costate.gap_s", GAP_BUCKETS)
@@ -399,6 +407,7 @@ class TestIdleDifferential:
                          [("sleep", 0.003), ("wait", 1)]],
             "pool": [[("wait", 1), ("signal", 2)], [("wait", 2)]],
             "chunks": [0.005],
+            "tail": 0.01,
         }
         skipped = _run_world(world, unidle=False)
         verifier = _IdlePassVerifier()
@@ -411,6 +420,41 @@ class TestIdleDifferential:
         # The pool's slots only step when its driver is resumed.
         assert skipped.pop("slot_passes")[0] < resumed.pop("slot_passes")[0]
         assert skipped == resumed
+
+
+class TestEmptyQueue:
+    """With nothing queued, a bounded run fast-forwards in place; an
+    unbounded one still yields every pass."""
+
+    @staticmethod
+    def _start(body):
+        sim = Simulator()
+        scheduler = CostateScheduler(sim, pass_overhead_s=1e-5, name="w")
+        scheduler.add(body, "c")
+        scheduler.start()
+        return sim, scheduler
+
+    def test_bounded_run_skips_idle_passes(self):
+        def waiter():
+            while True:
+                yield IDLE
+
+        sim, scheduler = self._start(waiter())
+        executed = sim.run(until=1.0)
+        assert sim.now == 1.0
+        assert executed == 1  # the spawn; no pass yields to the queue
+        assert scheduler.passes > 99_000
+
+    def test_unbounded_run_yields_every_pass(self):
+        def poller():
+            for _ in range(2_000):
+                yield
+            raise AssertionError("passes ran without yielding")
+
+        sim, scheduler = self._start(poller())
+        with pytest.raises(SimulationError, match="exceeded 500 events"):
+            sim.run(max_events=500)
+        assert scheduler.passes == 500
 
 
 def _socket_state(world) -> tuple:

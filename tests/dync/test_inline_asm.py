@@ -97,6 +97,49 @@ class TestExecution:
         program.board.call(address)
         assert program.board.cpu.hl == 42
 
+    def test_top_level_asm_after_a_comment_with_a_brace(self):
+        # File scope is the C parser's call, not a count of braces in
+        # the raw text.
+        program = CompiledProgram(Board(), compile_source("""
+            /* { */
+        #asm
+        _answer::
+                ld   hl, 42
+                ret
+        #endasm
+            int unused;
+        """))
+        address = program.compilation.assembly.symbol("_answer")
+        program.board.call(address)
+        assert program.board.cpu.hl == 42
+
+    @pytest.mark.parametrize("optimize", [False, True])
+    def test_optimizer_keeps_hl_across_a_spill(self, optimize):
+        # `ld hl, X / push hl / I / pop de` may become `ld de, X / I`
+        # only when I reloads HL; `inc hl` reads the value it spilled.
+        source = """
+            int hl_out;
+            int de_out;
+            void main() {
+            #asm
+                ld   hl, 5
+                push hl
+                inc  hl
+                pop  de
+                ld   (0xC300), hl
+                ex   de, hl
+                ld   (0xC302), hl
+            #endasm
+            }
+        """
+        # `hl_out` and `de_out` are the first RAM globals, at 0xC300 and
+        # 0xC302 by construction.
+        program = CompiledProgram(Board(), compile_source(
+            source, CompilerOptions(debug=False, optimize=optimize)))
+        program.call("main")
+        assert program.peek_int("hl_out") == 6
+        assert program.peek_int("de_out") == 5
+
     def test_asm_mixes_with_optimizer(self):
         source = """
             int out;

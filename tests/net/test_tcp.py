@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.net.host import build_lan
+from repro.obs import Obs
 from repro.net.packet import ETHERTYPE_IP, IPPROTO_TCP, TCP_SYN, TcpSegment
 from repro.net.sim import Simulator
 from repro.net.tcp import (
@@ -221,6 +222,23 @@ class TestTeardown:
         sim.run(until=sim.now + 1.0)
         assert accepted.state == TcpState.CLOSED
         assert accepted.error is not None
+
+    def test_abort_after_peer_reset_changes_nothing(self):
+        obs = Obs()
+        sim = Simulator(obs=obs)
+        _segment, hosts = build_lan(sim, ["server", "client"])
+        _listener, conn, accepted = _establish(sim, hosts["server"],
+                                               hosts["client"])
+        conn.abort()
+        sim.run(until=sim.now + 1.0)
+        assert accepted.state == TcpState.CLOSED
+        before = obs.recorder.dump()
+        accepted.abort()
+        assert accepted.error == "connection reset by peer"
+        assert obs.recorder.dump() == before
+        errors = [e["msg"] for e in before
+                  if e["sev"] == "ERROR" and e["tid"] == accepted._span_tid]
+        assert errors == ["connection reset by peer"]
 
     def test_send_after_close_raises(self, pair):
         sim, segment, server, client = pair

@@ -154,6 +154,10 @@ class TestAssembler:
         with pytest.raises(AsmError):
             assemble("frobnicate a, b\n")
 
+    def test_equ_without_name_rejected(self):
+        with pytest.raises(AsmError, match="line 2: equ needs a name"):
+            assemble("nop\nequ 5\n")
+
     def test_jr_out_of_range(self):
         source = "org 0\njr far\n" + "nop\n" * 200 + "far:\nnop\n"
         with pytest.raises(AsmError, match="out of range"):

@@ -261,12 +261,8 @@ def _run_clients(clients, pooled):
         fates.append((report, outcome))
     for process in processes:
         sim.run_until_complete(process, timeout=60)
-    # Let the server finish its teardowns and deadlines.  The queued
-    # no-op is the end mark: with an event ahead, the big loop skips its
-    # idle passes instead of yielding each one to an empty queue.
-    end = sim.now + 2.0
-    sim.call_at(end, lambda: None)
-    sim.run(until=end)
+    # Let the server finish its teardowns and deadlines.
+    sim.run(until=sim.now + 2.0)
     counters = {
         name: value
         for name, value in world.obs.metrics.snapshot()["counters"].items()
