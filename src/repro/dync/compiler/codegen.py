@@ -730,6 +730,12 @@ class CodeGenerator:
             self._store_scalar(param_symbol)
         self._emit(f"        call {_fn_label(expr.name)}")
 
+    def asm_block(self, index: int) -> str:
+        """The text of ``#asm`` block ``index`` (its ``__asm_block(N)``)."""
+        if not 0 <= index < len(self.asm_blocks):
+            raise CompileError(f"no such asm block {index}")
+        return self.asm_blocks[index]
+
     def _emit_asm_block(self, expr: Call) -> None:
         """Splice a ``#asm`` block inline (paper, 4.1).
 
@@ -741,10 +747,9 @@ class CodeGenerator:
         if len(expr.args) != 1 or not isinstance(expr.args[0], Num):
             raise CompileError("malformed __asm_block placeholder")
         index = expr.args[0].value
-        if not 0 <= index < len(self.asm_blocks):
-            raise CompileError(f"no such asm block {index}")
+        block = self.asm_block(index)
         self._emit(f"; ---- inline #asm block {index} ----")
-        for raw_line in self.asm_blocks[index].splitlines():
+        for raw_line in block.splitlines():
             stripped = raw_line.strip()
             if stripped.startswith("c ") or stripped.startswith("c\t"):
                 inline = stripped[2:].strip().rstrip(";")
@@ -896,7 +901,8 @@ def compile_source(source: str,
     program = parse(source)
     generator = CodeGenerator(options)
     generator.asm_blocks = asm_blocks
-    generator.top_level_asm = [asm_blocks[i] for i in program.asm_blocks]
+    generator.top_level_asm = [generator.asm_block(i)
+                               for i in program.asm_blocks]
     # Pre-scan function parameter symbols for call-site stores.
     generator._function_params = {}
     for function in program.functions:

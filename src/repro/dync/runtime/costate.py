@@ -21,7 +21,11 @@ big loop (a 30 MHz Rabbit spends real cycles just walking the loop).
 Cofunctions -- costatement bodies that take arguments and return a value
 -- map onto generator delegation: define a generator function and call
 it with ``result = yield from my_cofunc(args)``, which is faithful to
-their "callable costatement" semantics.
+their "callable costatement" semantics.  An indexed cofunction
+(``cofunc handler[N]``, N instances stepped from one costatement) is
+:func:`indexed_cofunctions`: one generator that advances a list of
+generators once each per pass, registered with
+:meth:`CostateScheduler.add` like any other costatement.
 """
 
 from __future__ import annotations
@@ -94,12 +98,6 @@ class CostateError(RuntimeError):
 class Costate:
     """One costatement: a generator with Dynamic C-style lifecycle."""
 
-    #: How many connection slots this costatement represents.  A plain
-    #: costatement is one; a pooled costatement (see
-    #: :class:`IndexedCofunctionPool`) reports its configured capacity,
-    #: mirroring how dclint's DC003 counts the indexed-cofunction idiom.
-    slot_capacity = 1
-
     def __init__(self, gen: Generator, name: str = ""):
         self.gen = gen
         self.name = name or getattr(gen, "__name__", "costate")
@@ -138,134 +136,41 @@ def wait_delay(scheduler: "CostateScheduler", seconds: float):
         yield token
 
 
-class CofunctionSlot:
-    """One indexed-cofunction instance inside a pooled costatement.
+def indexed_cofunctions(gens: list[Generator]) -> Generator:
+    """Dynamic C's indexed cofunction (``cofunc void handler[N]``) as
+    one costatement body: ``for (i = 0; i < N; i++) handler[i]();``.
 
-    Dynamic C's indexed cofunctions give one costatement body N
-    program counters (``cofunc void handler[NSLOTS](...)``); each slot
-    here owns one generator and the same lifecycle bookkeeping a
-    :class:`Costate` keeps.  ``busy`` is a service-level occupancy flag
-    (a slot mid-connection); the runtime never sets it, only reports it.
+    Each resume advances every live generator in ``gens`` once, in
+    index order, and drops any that finish.  The pass yields the sum of
+    the numeric yields (starting from 0.0, in index order), so the big
+    loop charges exactly what the generators ground through -- unless
+    every live generator yielded an idle token, in which case it yields
+    one token carrying the earliest deadline (:data:`IDLE` when none
+    has a deadline, or when no generator is left).
     """
-
-    __slots__ = ("index", "name", "gen", "done", "busy", "passes",
-                 "total_busy_s", "last_idle")
-
-    def __init__(self, index: int, gen: Generator | None, name: str = ""):
-        self.index = index
-        self.name = name or f"slot{index + 1}"
-        self.gen = gen
-        self.done = False
-        self.busy = False
-        self.passes = 0
-        self.total_busy_s = 0.0
-        #: The :class:`_IdleToken` this slot yielded on its most recent
-        #: step, or ``None`` when the step was bare/numeric (not a
-        #: declared event-wait).  Pool drivers aggregate it so a fully
-        #: idle sweep can surface as one pool-level idle declaration.
-        self.last_idle: _IdleToken | None = None
-
-    def bind(self, gen: Generator) -> None:
-        """Attach the slot body; lets builders create the slot first so
-        the body can close over its own handle (occupancy marking)."""
-        self.gen = gen
-
-    def step(self) -> float:
-        """Advance this slot to its next yield; returns CPU-busy seconds."""
-        if self.done or self.gen is None:
-            return 0.0
-        self.passes += 1
-        self.last_idle = None
-        try:
-            yielded = next(self.gen)
-        except StopIteration:
-            self.done = True
-            return 0.0
-        if type(yielded) is _IdleToken:
-            self.last_idle = yielded
-            return 0.0
-        if isinstance(yielded, (int, float)):
-            busy = float(yielded)
-            self.total_busy_s += busy
-            return busy
-        return 0.0
-
-    def __repr__(self) -> str:
-        state = "done" if self.done else ("busy" if self.busy else "idle")
-        return f"CofunctionSlot({self.name!r}, {state}, passes={self.passes})"
-
-
-class IndexedCofunctionPool:
-    """A pooled costatement: ``for (slot = 0; slot < NSLOTS; slot++)``.
-
-    The Dynamic C idiom dclint DC003 counts by trip count -- one
-    constant-bound loop with a scheduling point whose body indexes
-    per-slot state -- modelled as N slot generators advanced in fixed
-    index order inside a single costatement slice.  The capacity is set
-    at build time (``add_slot`` calls) and reported through the owning
-    :class:`Costate`'s ``slot_capacity``, so the scheduler's slot
-    census matches what the lint sees in the firmware source.
-    """
-
-    def __init__(self, name: str = "slot-pool"):
-        self.name = name
-        self._slots: list[CofunctionSlot] = []
-
-    def add_slot(self, gen: Generator | None = None,
-                 name: str = "") -> CofunctionSlot:
-        slot = CofunctionSlot(len(self._slots), gen, name)
-        self._slots.append(slot)
-        return slot
-
-    @property
-    def slots(self) -> tuple:
-        return tuple(self._slots)
-
-    @property
-    def slot_capacity(self) -> int:
-        return len(self._slots)
-
-    @property
-    def occupied(self) -> int:
-        """Slots currently mid-connection (service-marked ``busy``)."""
-        return sum(1 for slot in self._slots if slot.busy)
-
-    def step_all(self) -> float:
-        """One trip through the indexed loop: every live slot advances
-        once, in index order; returns the summed CPU-busy seconds so
-        the owning costatement charges the big loop exactly what the
-        slots ground through."""
+    live = list(gens)
+    while True:
         busy = 0.0
-        for slot in self._slots:
-            if not slot.done:
-                busy += slot.step()
-        return busy
-
-    def sweep_yield(self, busy: float, extra_idle: bool = True):
-        """What the pooled costatement should yield after a sweep that
-        ground ``busy`` seconds: the summed busy time, unless every live
-        slot declared idle (and ``extra_idle`` covers any interleaved
-        per-pass work), in which case one pool-level idle token carrying
-        the earliest slot deadline.  A pool whose slots are all done is
-        idle by definition -- stepping it is a no-op forever."""
-        if busy != 0.0 or not extra_idle:
-            return busy
+        idle = True
         deadline = None
-        for slot in self._slots:
-            if slot.done:
+        for gen in tuple(live):
+            try:
+                yielded = next(gen)
+            except StopIteration:
+                live.remove(gen)
                 continue
-            token = slot.last_idle
-            if token is None:
-                return busy
-            d = token.deadline
-            if d is not None and (deadline is None or d < deadline):
-                deadline = d
-        return IDLE if deadline is None else _IdleToken(deadline)
-
-    def driver(self) -> Generator:
-        """The pooled costatement body: loop the slots forever."""
-        while True:
-            yield self.sweep_yield(self.step_all())
+            if type(yielded) is _IdleToken:
+                d = yielded.deadline
+                if d is not None and (deadline is None or d < deadline):
+                    deadline = d
+                continue
+            idle = False
+            if isinstance(yielded, (int, float)):
+                busy += yielded
+        if not idle:
+            yield busy
+        else:
+            yield IDLE if deadline is None else _IdleToken(deadline)
 
 
 class CostateScheduler:
@@ -294,25 +199,6 @@ class CostateScheduler:
     def add(self, gen: Generator, name: str = "") -> Costate:
         """Register a one-shot costatement (runs to completion once)."""
         costate = Costate(gen, name)
-        self._costates.append(costate)
-        self._snapshot = None
-        return costate
-
-    def add_pool(self, pool: IndexedCofunctionPool, name: str = "",
-                 driver: Generator | None = None) -> Costate:
-        """Register a pooled costatement (indexed cofunction slots).
-
-        The pool runs as ONE costatement in the big loop -- its slots
-        share the slice, exactly like the indexed-cofunction loop they
-        model -- but the returned :class:`Costate` reports the pool's
-        configured capacity via ``slot_capacity``.  ``driver`` overrides
-        the default :meth:`IndexedCofunctionPool.driver` body for
-        builders that interleave per-pass work (admission control) with
-        the slot sweep.
-        """
-        costate = Costate(driver if driver is not None else pool.driver(),
-                          name or pool.name)
-        costate.slot_capacity = pool.slot_capacity
         self._costates.append(costate)
         self._snapshot = None
         return costate
@@ -499,13 +385,6 @@ class CostateScheduler:
     def costate_count(self) -> int:
         """Figure 3's static concurrency number: costatements in the loop."""
         return len(self._costates)
-
-    @property
-    def connection_slot_count(self) -> int:
-        """Connection capacity including pooled costatements: each plain
-        costatement counts one, a pooled costatement its configured
-        capacity -- the runtime mirror of dclint DC003's census."""
-        return sum(costate.slot_capacity for costate in self._costates)
 
     @property
     def all_done(self) -> bool:

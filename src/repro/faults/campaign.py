@@ -287,7 +287,7 @@ def run_soak(sim_minutes: float = 1.0, seed: int = DEFAULT_SEED) -> dict:
         _check("served_under_fire", requests_ok > 0,
                f"{requests_ok} requests completed"),
     ]
-    _publish_recovery_counters(world)
+    _publish_recovery_counters(world.obs)
     counters = {
         key: value for key, value in sorted(world.counters().items())
         if key.startswith(_COUNTER_PREFIXES)

@@ -71,6 +71,19 @@ class World(RedirectorWorld):
     def counters(self) -> dict:
         return dict(self.obs.metrics.snapshot()["counters"])
 
+    def verdict(self, name: str, checks: list[dict]) -> dict:
+        """The scenario's verdict: ``checks`` plus this world's counters
+        and one row per client report."""
+        return _verdict(name, checks, self.obs, self.sim.now, [
+            {
+                "name": report.name,
+                "ok": report.error is None,
+                "requests": len(report.request_times),
+                "error": report.error,
+            }
+            for report in self.reports
+        ])
+
 
 def _seed_bytes(seed: int, label: str) -> bytes:
     return f"faults:{seed}:{label}".encode()
@@ -172,8 +185,7 @@ _RECOVERY_SOURCES = {
 }
 
 
-def _publish_recovery_counters(world_or_obs) -> None:
-    obs = getattr(world_or_obs, "obs", world_or_obs)
+def _publish_recovery_counters(obs) -> None:
     counters = dict(obs.metrics.snapshot()["counters"])
     for target, source in _RECOVERY_SOURCES.items():
         value = counters.get(source, 0)
@@ -181,37 +193,31 @@ def _publish_recovery_counters(world_or_obs) -> None:
             obs.metrics.counter(target).inc(value)
 
 
-def _verdict(name: str, world: World, checks: list[dict]) -> dict:
-    _publish_recovery_counters(world)
+def _verdict(name: str, checks: list[dict], obs, now: float,
+             clients: list[dict]) -> dict:
+    _publish_recovery_counters(obs)
     counters = {
-        key: value for key, value in sorted(world.counters().items())
+        key: value
+        for key, value in sorted(obs.metrics.snapshot()["counters"].items())
         if key.startswith(_COUNTER_PREFIXES)
     }
     ok = all(check["ok"] for check in checks)
     verdict = {
         "name": name,
         "ok": ok,
-        "sim_seconds": round(world.sim.now, 6),
+        "sim_seconds": round(now, 6),
         "checks": checks,
         "counters": counters,
-        "clients": [
-            {
-                "name": report.name,
-                "ok": report.error is None,
-                "requests": len(report.request_times),
-                "error": report.error,
-            }
-            for report in world.reports
-        ],
+        "clients": clients,
     }
     if not ok:
         # Failed scenarios carry the flight-recorder tail; passing ones
         # stay byte-identical to the pre-recorder reports.
-        verdict["events"] = world.obs.recorder.dump(last=DEFAULT_TAIL)
+        verdict["events"] = obs.recorder.dump(last=DEFAULT_TAIL)
     # Side channel for run_matrix: the full per-world registry state,
     # merged across scenarios (in scenario order) into the report's
     # ``metrics`` section, then popped -- never rendered per verdict.
-    verdict["_registry"] = world.obs.metrics.to_state()
+    verdict["_registry"] = obs.metrics.to_state()
     return verdict
 
 
@@ -261,7 +267,7 @@ def scenario_baseline(seed: int) -> dict:
         f"redirected={world.stats.get('redirected', 0)} (expected 6)",
     ))
     checks += _check_quiescent(world)
-    return _verdict("baseline", world, checks)
+    return world.verdict("baseline", checks)
 
 
 def scenario_syn_loss(seed: int) -> dict:
@@ -282,7 +288,7 @@ def scenario_syn_loss(seed: int) -> dict:
         f"retransmits={counters.get('tcp.segments.retransmitted', 0)}",
     ))
     checks += _check_quiescent(world)
-    return _verdict("syn-loss", world, checks)
+    return world.verdict("syn-loss", checks)
 
 
 def scenario_hello_loss(seed: int) -> dict:
@@ -304,7 +310,7 @@ def scenario_hello_loss(seed: int) -> dict:
         f"retransmits={counters.get('tcp.segments.retransmitted', 0)}",
     ))
     checks += _check_quiescent(world)
-    return _verdict("hello-loss", world, checks)
+    return world.verdict("hello-loss", checks)
 
 
 def scenario_data_loss(seed: int) -> dict:
@@ -330,7 +336,7 @@ def scenario_data_loss(seed: int) -> dict:
         f">= drops={drop.injected}",
     ))
     checks += _check_quiescent(world)
-    return _verdict("data-loss", world, checks)
+    return world.verdict("data-loss", checks)
 
 
 def scenario_duplicate(seed: int) -> dict:
@@ -352,7 +358,7 @@ def scenario_duplicate(seed: int) -> dict:
         f"redirected={world.stats.get('redirected', 0)}",
     ))
     checks += _check_quiescent(world)
-    return _verdict("duplicate", world, checks)
+    return world.verdict("duplicate", checks)
 
 
 def scenario_reorder(seed: int) -> dict:
@@ -376,7 +382,7 @@ def scenario_reorder(seed: int) -> dict:
         f"retransmits={counters.get('tcp.segments.retransmitted', 0)}",
     ))
     checks += _check_quiescent(world)
-    return _verdict("reorder", world, checks)
+    return world.verdict("reorder", checks)
 
 
 def scenario_corrupt_app_record(seed: int) -> dict:
@@ -408,7 +414,7 @@ def scenario_corrupt_app_record(seed: int) -> dict:
     ))
     checks += _check_clients_ok(world, expected_ok=1)
     checks += _check_quiescent(world)
-    return _verdict("corrupt-app-record", world, checks)
+    return world.verdict("corrupt-app-record", checks)
 
 
 def scenario_record_bitflip(seed: int) -> dict:
@@ -442,7 +448,7 @@ def scenario_record_bitflip(seed: int) -> dict:
                          f"error={report.error!r}"))
     checks += _check_clients_ok(world, expected_ok=1)
     checks += _check_quiescent(world)
-    return _verdict("record-bitflip", world, checks)
+    return world.verdict("record-bitflip", checks)
 
 
 def _midhandshake_scenario(name: str, teardown: str, seed: int) -> dict:
@@ -471,7 +477,7 @@ def _midhandshake_scenario(name: str, teardown: str, seed: int) -> dict:
     ))
     checks += _check_clients_ok(world, expected_ok=1)
     checks += _check_quiescent(world)
-    return _verdict(name, world, checks)
+    return world.verdict(name, checks)
 
 
 def scenario_rst_midhandshake(seed: int) -> dict:
@@ -517,7 +523,7 @@ def scenario_silent_peer(seed: int) -> dict:
     ))
     checks += _check_clients_ok(world, expected_ok=1)
     checks += _check_quiescent(world)
-    return _verdict("silent-peer", world, checks)
+    return world.verdict("silent-peer", checks)
 
 
 def scenario_stalled_peer(seed: int) -> dict:
@@ -547,7 +553,7 @@ def scenario_stalled_peer(seed: int) -> dict:
     ))
     checks += _check_clients_ok(world, expected_ok=1)
     checks += _check_quiescent(world)
-    return _verdict("stalled-peer", world, checks)
+    return world.verdict("stalled-peer", checks)
 
 
 def scenario_slot_exhaustion(seed: int) -> dict:
@@ -581,7 +587,7 @@ def scenario_slot_exhaustion(seed: int) -> dict:
         f"late client error={late_report.error!r}",
     ))
     checks += _check_quiescent(world)
-    return _verdict("slot-exhaustion", world, checks)
+    return world.verdict("slot-exhaustion", checks)
 
 
 def scenario_xalloc_exhaustion(seed: int) -> dict:
@@ -616,7 +622,7 @@ def scenario_xalloc_exhaustion(seed: int) -> dict:
         f"late client error={late_report.error!r}",
     ))
     checks += _check_quiescent(world)
-    return _verdict("xalloc-exhaustion", world, checks)
+    return world.verdict("xalloc-exhaustion", checks)
 
 
 def scenario_starved_loop(seed: int) -> dict:
@@ -638,7 +644,7 @@ def scenario_starved_loop(seed: int) -> dict:
         f"starve passes={counters.get('faults.injected.starve', 0)}",
     ))
     checks += _check_quiescent(world)
-    return _verdict("starved-loop", world, checks)
+    return world.verdict("starved-loop", checks)
 
 
 def scenario_backend_outage(seed: int) -> dict:
@@ -659,7 +665,7 @@ def scenario_backend_outage(seed: int) -> dict:
         f"error={report.error!r}",
     ))
     checks += _check_quiescent(world)
-    return _verdict("backend-outage", world, checks)
+    return world.verdict("backend-outage", checks)
 
 
 def scenario_echo_loss(seed: int) -> dict:
@@ -703,29 +709,13 @@ def scenario_echo_loss(seed: int) -> dict:
             f"retransmits={counters.get('tcp.segments.retransmitted', 0)}",
         ),
     ]
-    _publish_recovery_counters(obs)
-    counters = dict(obs.metrics.snapshot()["counters"])
-    ok = all(check["ok"] for check in checks)
-    verdict = {
-        "name": "echo-loss",
-        "ok": ok,
-        "sim_seconds": round(sim.now, 6),
-        "checks": checks,
-        "counters": {
-            key: value for key, value in sorted(counters.items())
-            if key.startswith(_COUNTER_PREFIXES)
-        },
-        "clients": [{
-            "name": "echo-client",
-            "ok": results.get("echo") == b"ping\n",
-            "requests": 1 if results.get("echo") else 0,
-            "error": None if results.get("echo") else "no echo",
-        }],
-    }
-    if not ok:
-        verdict["events"] = obs.recorder.dump(last=DEFAULT_TAIL)
-    verdict["_registry"] = obs.metrics.to_state()
-    return verdict
+    echo = results.get("echo")
+    return _verdict("echo-loss", checks, obs, sim.now, [{
+        "name": "echo-client",
+        "ok": echo == b"ping\n",
+        "requests": 1 if echo else 0,
+        "error": None if echo else "no echo",
+    }])
 
 
 def scenario_drop_filter_compat(seed: int) -> dict:
@@ -754,7 +744,7 @@ def scenario_drop_filter_compat(seed: int) -> dict:
         f"duplicated={duplicate.injected}",
     ))
     checks += _check_quiescent(world)
-    return _verdict("drop-filter-compat", world, checks)
+    return world.verdict("drop-filter-compat", checks)
 
 
 def _scenario_pool_burst(seed: int, slots: int) -> dict:
@@ -818,7 +808,7 @@ def _scenario_pool_burst(seed: int, slots: int) -> dict:
         f"late client error={late_report.error!r}",
     ))
     checks += _check_quiescent(world)
-    return _verdict(f"pool-burst-{slots}", world, checks)
+    return world.verdict(f"pool-burst-{slots}", checks)
 
 
 def scenario_pool_burst_3(seed: int) -> dict:

@@ -71,8 +71,7 @@ class _Fixup:
     offset: int
     expression: str
     width: int  # 1, 2, or -1 (relative byte)
-    line_no: int
-    line: str
+    line: AsmLine
     relative_base: int = 0
 
 
@@ -170,6 +169,7 @@ class Assembler:
         self._code = bytearray()
         self._pc = origin
         self._fixups: list[_Fixup] = []
+        self._line: AsmLine | None = None
 
     # -- expression evaluation ----------------------------------------------
     _TOKEN_RE = re.compile(
@@ -190,63 +190,62 @@ class Assembler:
             pos = match.end()
         return tokens
 
-    def eval_expr(self, text: str, line_no: int = 0, line: str = "",
-                  allow_undefined: bool = False) -> int | None:
+    def eval_expr(self, text: str, allow_undefined: bool = False) -> int | None:
         """Evaluate an expression; None if undefined symbols are allowed
         and encountered."""
         tokens = self._tokenize(text)
         if not tokens:
-            raise AsmError("empty expression", line_no, line)
+            raise AsmError("empty expression")
         self._undefined_seen = False
-        value, rest = self._parse_or(tokens, line_no, line, allow_undefined)
+        value, rest = self._parse_or(tokens, allow_undefined)
         if rest:
-            raise AsmError(f"trailing tokens {rest!r} in expression", line_no, line)
+            raise AsmError(f"trailing tokens {rest!r} in expression")
         if self._undefined_seen:
             return None
         return value & 0xFFFFFF
 
-    def _parse_or(self, tokens, line_no, line, allow_undefined):
-        value, tokens = self._parse_xor(tokens, line_no, line, allow_undefined)
+    def _parse_or(self, tokens, allow_undefined):
+        value, tokens = self._parse_xor(tokens, allow_undefined)
         while tokens and tokens[0] == "|":
-            rhs, tokens = self._parse_xor(tokens[1:], line_no, line, allow_undefined)
+            rhs, tokens = self._parse_xor(tokens[1:], allow_undefined)
             value |= rhs
         return value, tokens
 
-    def _parse_xor(self, tokens, line_no, line, allow_undefined):
-        value, tokens = self._parse_and(tokens, line_no, line, allow_undefined)
+    def _parse_xor(self, tokens, allow_undefined):
+        value, tokens = self._parse_and(tokens, allow_undefined)
         while tokens and tokens[0] == "^":
-            rhs, tokens = self._parse_and(tokens[1:], line_no, line, allow_undefined)
+            rhs, tokens = self._parse_and(tokens[1:], allow_undefined)
             value ^= rhs
         return value, tokens
 
-    def _parse_and(self, tokens, line_no, line, allow_undefined):
-        value, tokens = self._parse_shift(tokens, line_no, line, allow_undefined)
+    def _parse_and(self, tokens, allow_undefined):
+        value, tokens = self._parse_shift(tokens, allow_undefined)
         while tokens and tokens[0] == "&":
-            rhs, tokens = self._parse_shift(tokens[1:], line_no, line, allow_undefined)
+            rhs, tokens = self._parse_shift(tokens[1:], allow_undefined)
             value &= rhs
         return value, tokens
 
-    def _parse_shift(self, tokens, line_no, line, allow_undefined):
-        value, tokens = self._parse_add(tokens, line_no, line, allow_undefined)
+    def _parse_shift(self, tokens, allow_undefined):
+        value, tokens = self._parse_add(tokens, allow_undefined)
         while tokens and tokens[0] in ("<<", ">>"):
             op = tokens[0]
-            rhs, tokens = self._parse_add(tokens[1:], line_no, line, allow_undefined)
+            rhs, tokens = self._parse_add(tokens[1:], allow_undefined)
             value = (value << rhs) if op == "<<" else (value >> rhs)
         return value, tokens
 
-    def _parse_add(self, tokens, line_no, line, allow_undefined):
-        value, tokens = self._parse_mul(tokens, line_no, line, allow_undefined)
+    def _parse_add(self, tokens, allow_undefined):
+        value, tokens = self._parse_mul(tokens, allow_undefined)
         while tokens and tokens[0] in ("+", "-"):
             op = tokens[0]
-            rhs, tokens = self._parse_mul(tokens[1:], line_no, line, allow_undefined)
+            rhs, tokens = self._parse_mul(tokens[1:], allow_undefined)
             value = value + rhs if op == "+" else value - rhs
         return value, tokens
 
-    def _parse_mul(self, tokens, line_no, line, allow_undefined):
-        value, tokens = self._parse_unary(tokens, line_no, line, allow_undefined)
+    def _parse_mul(self, tokens, allow_undefined):
+        value, tokens = self._parse_unary(tokens, allow_undefined)
         while tokens and tokens[0] in ("*", "/", "%"):
             op = tokens[0]
-            rhs, tokens = self._parse_unary(tokens[1:], line_no, line, allow_undefined)
+            rhs, tokens = self._parse_unary(tokens[1:], allow_undefined)
             if op == "*":
                 value *= rhs
             elif op == "/":
@@ -255,26 +254,26 @@ class Assembler:
                 value %= rhs if rhs else 1
         return value, tokens
 
-    def _parse_unary(self, tokens, line_no, line, allow_undefined):
+    def _parse_unary(self, tokens, allow_undefined):
         if not tokens:
-            raise AsmError("expression ended unexpectedly", line_no, line)
+            raise AsmError("expression ended unexpectedly")
         token = tokens[0]
         if token == "-":
-            value, rest = self._parse_unary(tokens[1:], line_no, line, allow_undefined)
+            value, rest = self._parse_unary(tokens[1:], allow_undefined)
             return -value, rest
         if token == "~":
-            value, rest = self._parse_unary(tokens[1:], line_no, line, allow_undefined)
+            value, rest = self._parse_unary(tokens[1:], allow_undefined)
             return ~value, rest
         if token == "+":
-            return self._parse_unary(tokens[1:], line_no, line, allow_undefined)
+            return self._parse_unary(tokens[1:], allow_undefined)
         if token == "(":
-            value, rest = self._parse_or(tokens[1:], line_no, line, allow_undefined)
+            value, rest = self._parse_or(tokens[1:], allow_undefined)
             if not rest or rest[0] != ")":
-                raise AsmError("missing )", line_no, line)
+                raise AsmError("missing )")
             return value, rest[1:]
-        return self._parse_atom(token, tokens[1:], line_no, line, allow_undefined)
+        return self._parse_atom(token, tokens[1:], allow_undefined)
 
-    def _parse_atom(self, token, rest, line_no, line, allow_undefined):
+    def _parse_atom(self, token, rest, allow_undefined):
         if token.startswith("0x"):
             return int(token, 16), rest
         if token.startswith("$") and len(token) > 1:
@@ -297,7 +296,7 @@ class Assembler:
         if allow_undefined:
             self._undefined_seen = True
             return 0, rest
-        raise AsmError(f"undefined symbol {token!r}", line_no, line)
+        raise AsmError(f"undefined symbol {token!r}")
 
     # -- emission helpers ----------------------------------------------------
     def _emit(self, *byte_values: int) -> None:
@@ -305,40 +304,39 @@ class Assembler:
             self._code.append(value & 0xFF)
         self._pc += len(byte_values)
 
-    def _emit_expr8(self, expression: str, line_no: int, line: str) -> None:
-        value = self.eval_expr(expression, line_no, line, allow_undefined=True)
+    def _emit_expr8(self, expression: str) -> None:
+        value = self.eval_expr(expression, allow_undefined=True)
         if value is None:
             self._fixups.append(
-                _Fixup(len(self._code), expression, 1, line_no, line)
+                _Fixup(len(self._code), expression, 1, self._line)
             )
             self._emit(0)
         else:
             self._emit(value & 0xFF)
 
-    def _emit_expr16(self, expression: str, line_no: int, line: str) -> None:
-        value = self.eval_expr(expression, line_no, line, allow_undefined=True)
+    def _emit_expr16(self, expression: str) -> None:
+        value = self.eval_expr(expression, allow_undefined=True)
         if value is None:
             self._fixups.append(
-                _Fixup(len(self._code), expression, 2, line_no, line)
+                _Fixup(len(self._code), expression, 2, self._line)
             )
             self._emit(0, 0)
         else:
             self._emit(value & 0xFF, (value >> 8) & 0xFF)
 
-    def _emit_relative(self, expression: str, line_no: int, line: str) -> None:
+    def _emit_relative(self, expression: str) -> None:
         base = self._pc + 1  # PC after the displacement byte
-        value = self.eval_expr(expression, line_no, line, allow_undefined=True)
+        value = self.eval_expr(expression, allow_undefined=True)
         if value is None:
             self._fixups.append(
-                _Fixup(len(self._code), expression, -1, line_no, line,
+                _Fixup(len(self._code), expression, -1, self._line,
                        relative_base=base)
             )
             self._emit(0)
         else:
             delta = value - base
             if not -128 <= delta <= 127:
-                raise AsmError(f"relative jump out of range ({delta})",
-                               line_no, line)
+                raise AsmError(f"relative jump out of range ({delta})")
             self._emit(delta & 0xFF)
 
     # -- operand classification --------------------------------------------
@@ -377,53 +375,46 @@ class Assembler:
     def assemble_lines(self, lines: list[AsmLine]) -> Assembly:
         """Encode parsed lines (see :func:`parse_asm`) at ``origin``."""
         for line in lines:
-            if line.label is not None:
-                if line.label in self.symbols:
-                    raise AsmError(f"duplicate label {line.label!r}",
-                                   line.line_no, line.text)
-                self.symbols[line.label] = self._pc
-            if line.mnemonic == "equ":
-                name, expression = line.operands
-                self.symbols[name] = self.eval_expr(expression, line.line_no,
-                                                    line.text)
-            elif line.mnemonic:
-                self._encode(line.mnemonic, line.operands, line.line_no,
-                             line.text)
-        self._apply_fixups()
+            # What a fixup recorded while encoding this line blames.
+            self._line = line
+            try:
+                if line.label is not None:
+                    if line.label in self.symbols:
+                        raise AsmError(f"duplicate label {line.label!r}")
+                    self.symbols[line.label] = self._pc
+                if line.mnemonic == "equ":
+                    name, expression = line.operands
+                    self.symbols[name] = self.eval_expr(expression)
+                elif line.mnemonic:
+                    self._encode(line.mnemonic, line.operands)
+            except Exception as exc:
+                raise _at_line(line, exc) from exc
+        for fixup in self._fixups:
+            try:
+                self._apply_fixup(fixup)
+            except Exception as exc:
+                raise _at_line(fixup.line, exc) from exc
         return Assembly(
             code=bytes(self._code),
             origin=self.origin,
             symbols=dict(self.symbols),
         )
 
-    def _apply_fixups(self) -> None:
-        for fixup in self._fixups:
-            value = self.eval_expr(fixup.expression, fixup.line_no, fixup.line)
-            if fixup.width == 1:
-                self._code[fixup.offset] = value & 0xFF
-            elif fixup.width == 2:
-                self._code[fixup.offset] = value & 0xFF
-                self._code[fixup.offset + 1] = (value >> 8) & 0xFF
-            else:
-                delta = value - fixup.relative_base
-                if not -128 <= delta <= 127:
-                    raise AsmError(
-                        f"relative jump out of range ({delta})",
-                        fixup.line_no, fixup.line,
-                    )
-                self._code[fixup.offset] = delta & 0xFF
+    def _apply_fixup(self, fixup: _Fixup) -> None:
+        value = self.eval_expr(fixup.expression)
+        if fixup.width == 1:
+            self._code[fixup.offset] = value & 0xFF
+        elif fixup.width == 2:
+            self._code[fixup.offset] = value & 0xFF
+            self._code[fixup.offset + 1] = (value >> 8) & 0xFF
+        else:
+            delta = value - fixup.relative_base
+            if not -128 <= delta <= 127:
+                raise AsmError(f"relative jump out of range ({delta})")
+            self._code[fixup.offset] = delta & 0xFF
 
     # -- instruction encoding -----------------------------------------------
-    def _encode(self, mnemonic: str, operands: list[str], line_no: int,
-                line: str) -> None:
-        try:
-            self._encode_inner(mnemonic, operands)
-        except AsmError:
-            raise
-        except Exception as exc:
-            raise AsmError(f"cannot encode: {exc}", line_no, line) from exc
-
-    def _encode_inner(self, mnemonic: str, operands: list[str]) -> None:
+    def _encode(self, mnemonic: str, operands: list[str]) -> None:
         ops = [self._classify(op) for op in operands]
 
         if mnemonic in SIMPLE_OPS and not operands:
@@ -453,11 +444,11 @@ class Assembler:
                 for ch in stripped[1:-1]:
                     self._emit(ord(ch))
             else:
-                self._emit_expr8(item, 0, "")
+                self._emit_expr8(item)
 
     def _op_dw(self, ops, raw):
         for item in raw:
-            self._emit_expr16(item, 0, "")
+            self._emit_expr16(item)
 
     def _op_ds(self, ops, raw):
         count = self.eval_expr(raw[0])
@@ -491,20 +482,20 @@ class Assembler:
             return
         if dst[0] == "r8" and src[0] == "mem_idx":
             self._emit(src[1], 0x40 | (dst[1] << 3) | 6)
-            self._emit_expr8(src[2], 0, "")
+            self._emit_expr8(src[2])
             return
         if dst[0] == "mem_idx" and src[0] == "r8":
             self._emit(dst[1], 0x70 | src[1])
-            self._emit_expr8(dst[2], 0, "")
+            self._emit_expr8(dst[2])
             return
         if dst[0] == "mem_idx" and src[0] == "imm":
             self._emit(dst[1], 0x36)
-            self._emit_expr8(dst[2], 0, "")
-            self._emit_expr8(src[1], 0, "")
+            self._emit_expr8(dst[2])
+            self._emit_expr8(src[1])
             return
         if dst[0] == "r8x" and src[0] == "imm":
             self._emit(dst[1], 0x06 | (dst[2] << 3))
-            self._emit_expr8(src[1], 0, "")
+            self._emit_expr8(src[1])
             return
         if dst[0] == "r8x" and src[0] == "r8" and src[1] in (0, 1, 2, 3, 7):
             self._emit(dst[1], 0x40 | (dst[2] << 3) | src[1])
@@ -515,11 +506,11 @@ class Assembler:
         # LD r, n / LD (HL), n
         if dst[0] == "r8" and src[0] == "imm":
             self._emit(0x06 | (dst[1] << 3))
-            self._emit_expr8(src[1], 0, "")
+            self._emit_expr8(src[1])
             return
         if dst == ("mem_rp", "hl") and src[0] == "imm":
             self._emit(0x36)
-            self._emit_expr8(src[1], 0, "")
+            self._emit_expr8(src[1])
             return
         # A <-> (BC)/(DE)/(nn)
         if dst == ("r8", 7) and src[0] == "mem_rp" and src[1] in ("bc", "de"):
@@ -530,11 +521,11 @@ class Assembler:
             return
         if dst == ("r8", 7) and src[0] == "mem_imm":
             self._emit(0x3A)
-            self._emit_expr16(src[1], 0, "")
+            self._emit_expr16(src[1])
             return
         if dst[0] == "mem_imm" and src == ("r8", 7):
             self._emit(0x32)
-            self._emit_expr16(dst[1], 0, "")
+            self._emit_expr16(dst[1])
             return
         # 16-bit loads
         if dst[0] == "r16" and src[0] == "imm":
@@ -545,7 +536,7 @@ class Assembler:
                 self._emit(0x01 | (REG16_SP[name] << 4))
             else:
                 raise AsmError(f"cannot load immediate into {name}")
-            self._emit_expr16(src[1], 0, "")
+            self._emit_expr16(src[1])
             return
         if dst[0] == "r16" and src[0] == "mem_imm":
             name = dst[1]
@@ -557,7 +548,7 @@ class Assembler:
                 self._emit(0xED, 0x4B | (REG16_SP[name] << 4))
             else:
                 raise AsmError(f"cannot load {name} from memory")
-            self._emit_expr16(src[1], 0, "")
+            self._emit_expr16(src[1])
             return
         if dst[0] == "mem_imm" and src[0] == "r16":
             name = src[1]
@@ -569,7 +560,7 @@ class Assembler:
                 self._emit(0xED, 0x43 | (REG16_SP[name] << 4))
             else:
                 raise AsmError(f"cannot store {name}")
-            self._emit_expr16(dst[1], 0, "")
+            self._emit_expr16(dst[1])
             return
         if dst == ("r16", "sp") and src[0] == "r16" and src[1] in ("hl", "ix", "iy"):
             if src[1] == "hl":
@@ -593,12 +584,12 @@ class Assembler:
             self._emit(0x80 | (operation << 3) | 6)
         elif operand[0] == "mem_idx":
             self._emit(operand[1], 0x80 | (operation << 3) | 6)
-            self._emit_expr8(operand[2], 0, "")
+            self._emit_expr8(operand[2])
         elif operand[0] == "r8x":
             self._emit(operand[1], 0x80 | (operation << 3) | operand[2])
         elif operand[0] == "imm":
             self._emit(0xC6 | (operation << 3))
-            self._emit_expr8(operand[1], 0, "")
+            self._emit_expr8(operand[1])
         else:
             raise AsmError(f"bad ALU operand: {raw}")
 
@@ -658,7 +649,7 @@ class Assembler:
             self._emit(eight_base | (6 << 3))
         elif operand[0] == "mem_idx":
             self._emit(operand[1], eight_base | (6 << 3))
-            self._emit_expr8(operand[2], 0, "")
+            self._emit_expr8(operand[2])
         elif operand[0] == "r16":
             name = operand[1]
             if name in ("ix", "iy"):
@@ -682,7 +673,7 @@ class Assembler:
             self._emit(0xCB, (operation << 3) | 6)
         elif operand[0] == "mem_idx":
             self._emit(operand[1], 0xCB)
-            self._emit_expr8(operand[2], 0, "")
+            self._emit_expr8(operand[2])
             self._emit((operation << 3) | 6)
         else:
             raise AsmError(f"bad rotate operand: {raw}")
@@ -722,7 +713,7 @@ class Assembler:
             self._emit(0xCB, (x << 6) | (bit << 3) | 6)
         elif operand[0] == "mem_idx":
             self._emit(operand[1], 0xCB)
-            self._emit_expr8(operand[2], 0, "")
+            self._emit_expr8(operand[2])
             self._emit((x << 6) | (bit << 3) | 6)
         else:
             raise AsmError(f"bad BIT operand: {raw}")
@@ -753,7 +744,7 @@ class Assembler:
                     self._emit(0xDD if operand[1] == "ix" else 0xFD, 0xE9)
                 return
             self._emit(0xC3)
-            self._emit_expr16(raw[0], 0, "")
+            self._emit_expr16(raw[0])
             return
         condition = ops[0]
         if condition[0] == "r8" and raw[0].lower() == "c":
@@ -761,12 +752,12 @@ class Assembler:
         if condition[0] != "cond":
             raise AsmError(f"bad JP condition: {raw[0]}")
         self._emit(0xC2 | (condition[1] << 3))
-        self._emit_expr16(raw[1], 0, "")
+        self._emit_expr16(raw[1])
 
     def _op_jr(self, ops, raw):
         if len(ops) == 1:
             self._emit(0x18)
-            self._emit_relative(raw[0], 0, "")
+            self._emit_relative(raw[0])
             return
         condition = ops[0]
         if condition[0] == "r8" and raw[0].lower() == "c":
@@ -774,16 +765,16 @@ class Assembler:
         if condition[0] != "cond" or condition[1] > 3:
             raise AsmError(f"bad JR condition: {raw[0]}")
         self._emit(0x20 | (condition[1] << 3))
-        self._emit_relative(raw[1], 0, "")
+        self._emit_relative(raw[1])
 
     def _op_djnz(self, ops, raw):
         self._emit(0x10)
-        self._emit_relative(raw[0], 0, "")
+        self._emit_relative(raw[0])
 
     def _op_call(self, ops, raw):
         if len(ops) == 1:
             self._emit(0xCD)
-            self._emit_expr16(raw[0], 0, "")
+            self._emit_expr16(raw[0])
             return
         condition = ops[0]
         if condition[0] == "r8" and raw[0].lower() == "c":
@@ -791,7 +782,7 @@ class Assembler:
         if condition[0] != "cond":
             raise AsmError(f"bad CALL condition: {raw[0]}")
         self._emit(0xC4 | (condition[1] << 3))
-        self._emit_expr16(raw[1], 0, "")
+        self._emit_expr16(raw[1])
 
     def _op_ret(self, ops, raw):
         condition = ops[0]
@@ -843,7 +834,7 @@ class Assembler:
     def _op_in(self, ops, raw):
         if len(ops) == 2 and ops[0] == ("r8", 7) and ops[1][0] == "mem_imm":
             self._emit(0xDB)
-            self._emit_expr8(ops[1][1], 0, "")
+            self._emit_expr8(ops[1][1])
             return
         if len(ops) == 2 and ops[0][0] == "r8" and ops[1] == ("port_c",):
             self._emit(0xED, 0x40 | (ops[0][1] << 3))
@@ -853,7 +844,7 @@ class Assembler:
     def _op_out(self, ops, raw):
         if len(ops) == 2 and ops[0][0] == "mem_imm" and ops[1] == ("r8", 7):
             self._emit(0xD3)
-            self._emit_expr8(ops[0][1], 0, "")
+            self._emit_expr8(ops[0][1])
             return
         if len(ops) == 2 and ops[0] == ("port_c",) and ops[1][0] == "r8":
             self._emit(0xED, 0x41 | (ops[1][1] << 3))
@@ -863,6 +854,13 @@ class Assembler:
     def _op_im(self, ops, raw):
         mode = self.eval_expr(raw[0])
         self._emit(0xED, (0x46, 0x56, 0x5E)[mode])
+
+
+def _at_line(line: AsmLine, exc: Exception) -> AsmError:
+    """``exc``, raised while encoding or fixing up ``line``, as an
+    :class:`AsmError` naming that line."""
+    message = str(exc) if isinstance(exc, AsmError) else f"cannot encode: {exc}"
+    return AsmError(message, line.line_no, line.text)
 
 
 def assemble(source: str, origin: int = 0) -> Assembly:

@@ -17,7 +17,7 @@ artifact to check:
 * :func:`pooled_main_source` is the post-paper build that breaks the
   Figure 3 ceiling: one ``slot_pool`` costatement driving ``NSLOTS``
   connection slots from a constant-bound indexed loop (the runtime
-  shape is :class:`repro.dync.runtime.costate.IndexedCofunctionPool`).
+  shape is :func:`repro.dync.runtime.costate.indexed_cofunctions`).
   dclint's DC003 counts it at its configured capacity, so the lint cap
   still gates the build's true concurrency; the ``const_bound=False``
   variant loads the bound at runtime, which the analyzer cannot

@@ -33,8 +33,8 @@ from typing import Callable
 from repro.dync.runtime.costate import (
     CostateScheduler,
     IDLE,
-    IndexedCofunctionPool,
     idle_until,
+    indexed_cofunctions,
 )
 from repro.dync.runtime.xalloc import XallocError
 from repro.issl.api import issl_bind
@@ -576,13 +576,13 @@ def build_rmc_redirector(stack: DyncTcpStack, context: IsslContext,
 
     ``pooled`` chooses what serves connections.  Without it, Figure 3:
     ``handler1..N`` costatements, each listening, serving and
-    re-listening on its own.  With it, ONE indexed pooled costatement
+    re-listening on its own.  With it, ONE pooled costatement
     (``slot-pool``, an
-    :class:`~repro.dync.runtime.costate.IndexedCofunctionPool`) of
-    ``handlers`` slots -- the "add more costatements and recompile" knob
-    turned into a build-time parameter, the shape dclint DC003 counts by
-    its configured bound -- behind one admission acceptor (see
-    :func:`_add_slot_pool`).  Either way ``tick-driver`` comes last and
+    :func:`~repro.dync.runtime.costate.indexed_cofunctions` generator)
+    of one admission acceptor and ``handlers`` slots -- the "add more
+    costatements and recompile" knob turned into a build-time
+    parameter, the shape dclint DC003 counts by its configured bound
+    (see :func:`_add_slot_pool`).  Either way ``tick-driver`` comes last and
     every connection is served by :func:`_serve_connection`.
 
     The hardening knobs all default to off (historical behaviour):
@@ -633,24 +633,15 @@ def build_rmc_redirector(stack: DyncTcpStack, context: IsslContext,
 SLOT_BUFFER_BYTES = 4096
 
 
-class _SlotMailbox:
-    """Admission -> slot hand-off cell: the accepted socket, or None."""
-
-    __slots__ = ("sock",)
-
-    def __init__(self):
-        self.sock = None
-
-
 def _pool_slot(stack: DyncTcpStack, context: IsslContext,
                backend_ip, backend_port,
                stats: dict | None, secure: bool, label: str,
-               mailbox: _SlotMailbox, slot, free_socks, **serve_kwargs):
+               inbox: list, index: int, free_socks, **serve_kwargs):
     """One indexed-cofunction slot: serve handed-off connections forever.
 
     The pool's acceptor (not this body) listens, waits, and either
-    places an established connection into this slot's mailbox or
-    refuses it; from the hand-off on, the slot runs the same
+    places an established connection into ``inbox[index]`` or refuses
+    it; from the hand-off on, the slot runs the same
     :func:`_serve_connection` as the static handlers, then returns the
     socket to the acceptor's free list.
     """
@@ -659,50 +650,48 @@ def _pool_slot(stack: DyncTcpStack, context: IsslContext,
     gauge_occupied = obs.metrics.gauge("redirector.slots.occupied")
     ts_occupied = obs.telemetry.series("redirector.slots.occupied")
 
-    def release_slot(sock):
-        # The one place a slot goes idle: socket back on the admission
-        # free list, mailbox cleared, occupancy stepped down.
-        free_socks.append(sock)
-        mailbox.sock = None
-        slot.busy = False
-        gauge_occupied.set(gauge_occupied.value - 1)
-        ts_occupied.record(gauge_occupied.value)
-
     while True:
-        # The mailbox is only filled by the acceptor, which runs in this
-        # same pool driver and declares its own pass non-idle when it
-        # hands off -- so an empty-mailbox poll is a pure event-wait the
-        # big loop may skip past.
-        while mailbox.sock is None:
+        # The inbox is only filled by the acceptor, which runs in this
+        # same pooled costatement and declares its own pass non-idle
+        # when it hands off -- so an empty-inbox poll is a pure
+        # event-wait the big loop may skip past.
+        while inbox[index] is None:
             yield IDLE
-        sock = mailbox.sock
+        sock = inbox[index]
         yield from _serve_connection(
             stack, context, handles, sock, backend_ip, backend_port,
             stats, secure, label, **serve_kwargs,
         )
-        release_slot(sock)
+        # The one place a slot goes idle: socket back on the admission
+        # free list, inbox cleared, occupancy stepped down.
+        free_socks.append(sock)
+        inbox[index] = None
+        gauge_occupied.set(gauge_occupied.value - 1)
+        ts_occupied.record(gauge_occupied.value)
         yield
 
 
 def _add_slot_pool(scheduler, stack, context, backend_ip, backend_port,
                    listen_port, slots, stats, secure, serve_kwargs):
     """Register the ``slot-pool`` costatement: ``slots`` slots behind
-    admission control.
+    admission control, as one :func:`indexed_cofunctions` generator
+    whose generator 0 is the acceptor and 1..``slots`` the slot bodies.
 
-    One acceptor costatement, shaped like :func:`_rmc_handler`, listens
-    and waits through :func:`_await_connection`; each established
-    connection is handed to the lowest-index idle slot or refused
-    (``redirector.refused.slots`` + a flight-recorder event) when all
-    slots are busy.  A socket the acceptor takes off the free list may
-    still be closing the connection it served: it is reclaimed
-    (aborted) once the peer has hung up and rotated to the back of the
-    list otherwise, never counted as a connection that died queued.
-    Occupancy is published as the ``redirector.slots.occupied`` gauge
-    and telemetry series.  Per-slot record buffers come from
-    ``buffer_pool``, so a pool sized past the xmem budget refuses
-    (``redirector.refused.memory``) rather than allocating past it.
+    The acceptor, shaped like :func:`_rmc_handler`, listens and waits
+    through :func:`_await_connection`; each established connection is
+    handed to the lowest-index idle slot (its ``inbox`` entry is None)
+    or refused (``redirector.refused.slots`` + a flight-recorder event)
+    when all slots are busy.  It yields only ``IDLE`` or bare, so the
+    pool's pass is idle exactly when the acceptor and every slot wait.
+    A socket the acceptor takes off the free list may still be closing
+    the connection it served: it is reclaimed (aborted) once the peer
+    has hung up and rotated to the back of the list otherwise, never
+    counted as a connection that died queued.  Occupancy is published
+    as the ``redirector.slots.occupied`` gauge and telemetry series.
+    Per-slot record buffers come from ``buffer_pool``, so a pool sized
+    past the xmem budget refuses (``redirector.refused.memory``) rather
+    than allocating past it.
     """
-    pool = IndexedCofunctionPool(name="slot-pool")
     world_obs = stack.host.sim.obs
     metrics = world_obs.metrics
     recorder = world_obs.recorder
@@ -715,15 +704,8 @@ def _add_slot_pool(scheduler, stack, context, backend_ip, backend_port,
     # Statically allocated sockets, Rabbit style: one in the acceptor's
     # hand, the rest on the free list; slots return theirs on release.
     free_socks = deque(make_socket(stack) for _ in range(slots))
-    table = []
-    for index in range(slots):
-        mailbox = _SlotMailbox()
-        slot = pool.add_slot(name=f"slot{index + 1}")
-        slot.bind(_pool_slot(
-            stack, context, backend_ip, backend_port, stats, secure,
-            f"slot{index + 1}", mailbox, slot, free_socks, **serve_kwargs,
-        ))
-        table.append((mailbox, slot))
+    # Per slot, the connection it is serving, or None when idle.
+    inbox = [None] * slots
 
     def admission(sock):
         # The acceptor, shaped like _rmc_handler: listen, wait, then
@@ -742,23 +724,21 @@ def _add_slot_pool(scheduler, stack, context, backend_ip, backend_port,
                 yield
             if (yield from _await_connection(stack, sock, log, recorder,
                                              ctr_recovered, "admission")):
-                for mailbox, slot in table:
-                    if not slot.busy:
-                        # Hand off to the lowest-index idle slot.
-                        slot.busy = True
-                        mailbox.sock = sock
-                        ctr_handoffs.inc()
-                        gauge_occupied.set(gauge_occupied.value + 1)
-                        ts_occupied.record(gauge_occupied.value)
-                        sock = free_socks.popleft()
-                        break
+                if None in inbox:
+                    # Hand off to the lowest-index idle slot; it is
+                    # served in this same pass.
+                    inbox[inbox.index(None)] = sock
+                    ctr_handoffs.inc()
+                    gauge_occupied.set(gauge_occupied.value + 1)
+                    ts_occupied.record(gauge_occupied.value)
+                    sock = free_socks.popleft()
                 else:
                     # Every slot busy: refuse instead of queueing
                     # unboundedly -- the pool's capacity is the budget,
                     # and the refusal is the observable (counter +
                     # recorder event), not a wedge.
                     ctr_refused_slots.inc()
-                    log(f"redirector: admission: refused: all {len(table)} "
+                    log(f"redirector: admission: refused: all {slots} "
                         f"slots busy")
                     recorder.warn(CAT_SERVICE, "svc:admission",
                                   "refused: no idle slot")
@@ -766,15 +746,12 @@ def _add_slot_pool(scheduler, stack, context, backend_ip, backend_port,
                     ctr_recovered.inc()
             yield
 
-    def pool_driver(acceptor):
-        # The driver's pass is idle only when the acceptor is waiting on
-        # its listening socket AND every live slot declared idle --
-        # sweep_yield folds the slots' tokens into one.  Admission runs
-        # first, so a hand-off is served in the same pass.
-        while True:
-            admission_idle = next(acceptor) is IDLE
-            yield pool.sweep_yield(pool.step_all(),
-                                   extra_idle=admission_idle)
-
-    scheduler.add_pool(
-        pool, driver=pool_driver(admission(make_socket(stack))))
+    bodies = [
+        _pool_slot(stack, context, backend_ip, backend_port, stats, secure,
+                   f"slot{index + 1}", inbox, index, free_socks,
+                   **serve_kwargs)
+        for index in range(slots)
+    ]
+    scheduler.add(indexed_cofunctions([admission(make_socket(stack))]
+                                      + bodies),
+                  name="slot-pool")

@@ -28,9 +28,9 @@ from repro.dync.runtime.costate import (
     GAP_BUCKETS,
     IDLE,
     CostateScheduler,
-    IndexedCofunctionPool,
     _IdleToken,
     idle_until,
+    indexed_cofunctions,
 )
 from repro.floatsum import add_repeated, first_at, runs
 from repro.net.sim import SimulationError, Simulator
@@ -344,6 +344,7 @@ def _run_world(world, unidle: bool, verifier=None) -> dict:
             else:
                 log.append((tag, "busy", arg, sim.now))
                 yield arg
+        log.append((tag, "done", sim.now))
 
     if verifier is not None:
         wrap = verifier.wrap
@@ -353,13 +354,20 @@ def _run_world(world, unidle: bool, verifier=None) -> dict:
     for index, script in enumerate(world["costates"]):
         tag = f"c{index}"
         costates.append(scheduler.add(wrap(body(tag, script)), tag))
-    slots = ()
+    slot_passes = []
     if world["pool"] is not None:
-        pool = IndexedCofunctionPool("pool")
-        for index, script in enumerate(world["pool"]):
-            pool.add_slot(body(f"s{index}", script))
-        slots = pool.slots
-        costates.append(scheduler.add_pool(pool, driver=wrap(pool.driver())))
+        slot_passes = [0] * len(world["pool"])
+
+        def slot(index, script):
+            # Counts the slot's resumes: not pass accounting, since a
+            # skipped pass never resumes the pool.
+            for value in body(f"s{index}", script):
+                slot_passes[index] += 1
+                yield value
+
+        pool = indexed_cofunctions(
+            [slot(index, script) for index, script in enumerate(world["pool"])])
+        costates.append(scheduler.add(wrap(pool), "pool"))
 
     scheduler.start()
     for until in world["chunks"] + [HORIZON, HORIZON + world["tail"]]:
@@ -373,10 +381,7 @@ def _run_world(world, unidle: bool, verifier=None) -> dict:
         "now": sim.now.hex(),
         "costates": [(c.passes, c.done, float(c.last_ran_at or 0.0).hex())
                      for c in costates],
-        # Slot pass counts are not pass accounting: a skipped pass never
-        # resumes the pool driver, so its slots are not stepped.
-        "slots": [(s.done, s.total_busy_s) for s in slots],
-        "slot_passes": [s.passes for s in slots],
+        "slot_passes": slot_passes,
         "gap": (gap.count, list(gap.counts), gap.overflow, gap.total.hex()),
         "telemetry": [(t.hex(), v) for t, v in series.samples()],
         "log": log,
@@ -417,7 +422,7 @@ class TestIdleDifferential:
         assert verifier.checked > 1000
         assert skipped["passes"] > 1000
         assert len(skipped["telemetry"]) > 50
-        # The pool's slots only step when its driver is resumed.
+        # The pool's slots only step when the pool is resumed.
         assert skipped.pop("slot_passes")[0] < resumed.pop("slot_passes")[0]
         assert skipped == resumed
 
@@ -480,17 +485,11 @@ def _socket_state(world) -> tuple:
 
 def _wrap_every_costatement(monkeypatch, wrap):
     """Route every generator a scheduler registers through ``wrap``."""
-    original_pool = CostateScheduler.add_pool
     original_add = CostateScheduler.add
-
-    def add_pool(self, pool, name="", driver=None):
-        gen = driver if driver is not None else pool.driver()
-        return original_pool(self, pool, name, wrap(gen))
 
     def add(self, gen, name=""):
         return original_add(self, wrap(gen), name)
 
-    monkeypatch.setattr(CostateScheduler, "add_pool", add_pool)
     monkeypatch.setattr(CostateScheduler, "add", add)
 
 

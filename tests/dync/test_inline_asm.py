@@ -113,6 +113,14 @@ class TestExecution:
         program.board.call(address)
         assert program.board.cpu.hl == 42
 
+    @pytest.mark.parametrize("source", [
+        "__asm_block(3);\nint x;\n",
+        "int x;\nvoid main() { __asm_block(3); }\n",
+    ], ids=["file_scope", "in_function"])
+    def test_missing_asm_block_is_a_compile_error(self, source):
+        with pytest.raises(CompileError, match="^no such asm block 3$"):
+            compile_source(source)
+
     @pytest.mark.parametrize("optimize", [False, True])
     def test_optimizer_keeps_hl_across_a_spill(self, optimize):
         # `ld hl, X / push hl / I / pop de` may become `ld de, X / I`

@@ -108,8 +108,8 @@ class TestRecorderEmbedding:
             world = scenario_mod.build_world(seed, client_hosts=1)
             world.obs.recorder.error("faults", "forced",
                                      "deliberate failure")
-            return scenario_mod._verdict(
-                "always-fails", world,
+            return world.verdict(
+                "always-fails",
                 [scenario_mod._check("forced", False, "always fails")],
             )
 

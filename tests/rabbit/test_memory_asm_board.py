@@ -160,8 +160,29 @@ class TestAssembler:
 
     def test_jr_out_of_range(self):
         source = "org 0\njr far\n" + "nop\n" * 200 + "far:\nnop\n"
-        with pytest.raises(AsmError, match="out of range"):
+        with pytest.raises(AsmError, match=r"^line 2: relative jump out of "
+                                           r"range \(\d+\)  \[jr far\]$"):
             assemble(source)
+
+    @pytest.mark.parametrize("source, line_no, text", [
+        ("  nop\n  ld a, nosuch\n", 2, "ld a, nosuch"),
+        ("  jr far\n", 1, "jr far"),
+        ("  nop\n\n  ld a, (ix+nosuch)\n", 3, "ld a, (ix+nosuch)"),
+        ("  dw later, nosuch\nlater: nop\n", 1, "dw later, nosuch"),
+        ("  ld a, 1 +\n", 1, "ld a, 1 +"),
+        ("  ld a, @\n", 1, "ld a, @"),
+        ("k equ nosuch\n", 1, "k equ nosuch"),
+        ("  frob a\n", 1, "frob a"),
+        ("  nop\n  ld a\n", 2, "ld a"),
+    ])
+    def test_errors_name_their_line(self, source, line_no, text):
+        """Every error raised while encoding a line, or while fixing up
+        an operand it left unresolved, names that line and its text."""
+        with pytest.raises(AsmError) as raised:
+            assemble(source)
+        assert raised.value.line_no == line_no
+        assert str(raised.value).startswith(f"line {line_no}: ")
+        assert str(raised.value).endswith(f"  [{text}]")
 
     def test_location_counter_dollar(self):
         assembly = assemble("""

@@ -2,10 +2,14 @@
 build): structure, end-to-end service, admission refusal, occupancy
 telemetry, and the xmem budget."""
 
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.crypto.demokeys import DEMO_PSK
 from repro.crypto.prng import CipherRng
+from repro.dync.runtime.costate import CostateScheduler
 from repro.dync.runtime.xalloc import XmemAllocator
 from repro.issl import FREE, IsslContext, UNIX_FULL
 from repro.obs import Obs
@@ -42,13 +46,28 @@ class TestStructure:
         names = [costate.name for costate in scheduler._costates]
         assert names == ["slot-pool", "tick-driver"]
 
-    def test_slot_capacity_configured_at_build_time(self):
-        for slots in (3, 8, 16):
-            _sim, _hosts, _stats, scheduler, _obs = _world(slots=slots)
-            pool_costate = scheduler._costates[0]
-            assert pool_costate.slot_capacity == slots
-            # tick driver is one slot in the census, like dclint's.
-            assert scheduler.connection_slot_count == slots + 1
+    def test_pool_is_one_generator_registered_through_add(self, monkeypatch):
+        """The slot pool is one ``indexed_cofunctions`` generator that
+        ``CostateScheduler.add`` registers like any costatement; the
+        nested scheduler it replaced is gone from the source tree."""
+        deleted = ("CofunctionSlot", "IndexedCofunctionPool", "add_pool",
+                   "slot_capacity", "connection_slot_count", "sweep_yield",
+                   "step_all", "_SlotMailbox")
+        src = Path(repro.__file__).parent
+        for path in src.rglob("*.py"):
+            text = path.read_text()
+            assert not [n for n in deleted if n in text], path
+        added = []
+        original_add = CostateScheduler.add
+
+        def add(self, gen, name=""):
+            added.append((name, gen.__name__))
+            return original_add(self, gen, name)
+
+        monkeypatch.setattr(CostateScheduler, "add", add)
+        _world(slots=8)
+        assert added == [("slot-pool", "indexed_cofunctions"),
+                         ("tick-driver", "_tick_driver")]
 
     def test_rejects_empty_pool(self):
         with pytest.raises(ValueError):
