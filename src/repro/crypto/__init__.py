@@ -12,16 +12,13 @@ from-scratch hashes, HMAC and Rijndael are the spec it is tested against.
 
 from repro.crypto.aes_ttable import AesTTable
 from repro.crypto.bignum import BigNum, BignumError, generate_prime, is_probable_prime
-from repro.crypto.hmac import Hmac, constant_time_equal, hmac_md5, hmac_sha1
+from repro.crypto.hmac import Hmac, hmac_sha1
 from repro.crypto.kdf import derive_key_block, derive_master_secret, ssl3_prf
 from repro.crypto.md5 import Md5, md5
 from repro.crypto.modes import (
     PaddingError,
     cbc_decrypt,
     cbc_encrypt,
-    ctr_xor,
-    ecb_decrypt,
-    ecb_encrypt,
     pkcs7_pad,
     pkcs7_unpad,
 )
@@ -34,8 +31,6 @@ from repro.crypto.rsa import (
     decrypt,
     encrypt,
     generate_keypair,
-    sign_raw,
-    verify_raw,
 )
 from repro.crypto.sha1 import Sha1, sha1
 
@@ -56,25 +51,18 @@ __all__ = [
     "Sha1",
     "cbc_decrypt",
     "cbc_encrypt",
-    "constant_time_equal",
-    "ctr_xor",
     "decrypt",
     "derive_key_block",
     "derive_master_secret",
-    "ecb_decrypt",
-    "ecb_encrypt",
     "encrypt",
     "expand_key",
     "generate_keypair",
     "generate_prime",
-    "hmac_md5",
     "hmac_sha1",
     "is_probable_prime",
     "md5",
     "pkcs7_pad",
     "pkcs7_unpad",
     "sha1",
-    "sign_raw",
     "ssl3_prf",
-    "verify_raw",
 ]

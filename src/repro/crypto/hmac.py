@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from repro.crypto.md5 import Md5
 from repro.crypto.sha1 import Sha1
 
 
@@ -40,17 +39,3 @@ def hmac_sha1(key: bytes, data: bytes) -> bytes:
     """One-shot HMAC-SHA1."""
     return Hmac(key, data, Sha1).digest()
 
-
-def hmac_md5(key: bytes, data: bytes) -> bytes:
-    """One-shot HMAC-MD5."""
-    return Hmac(key, data, Md5).digest()
-
-
-def constant_time_equal(a: bytes, b: bytes) -> bool:
-    """Compare MACs without early exit on the first differing byte."""
-    if len(a) != len(b):
-        return False
-    acc = 0
-    for x, y in zip(a, b):
-        acc |= x ^ y
-    return acc == 0

@@ -1,8 +1,7 @@
 """Block cipher modes of operation and padding used by issl.
 
 issl secures a TCP byte stream, so its record layer needs CBC (with
-PKCS#7 padding) for bulk data; CTR and ECB are provided for key-stream
-and test purposes respectively.  All modes work with any object exposing
+PKCS#7 padding) for bulk data.  CBC works with any object exposing
 ``block_size``, ``encrypt_block`` and ``decrypt_block``.
 """
 
@@ -40,25 +39,6 @@ def _check_blocks(data: bytes, block_size: int, what: str) -> None:
         )
 
 
-def ecb_encrypt(cipher, plaintext: bytes) -> bytes:
-    """Electronic codebook; exposed for test vectors only."""
-    bs = cipher.block_size
-    _check_blocks(plaintext, bs, "plaintext")
-    return b"".join(
-        cipher.encrypt_block(plaintext[i: i + bs])
-        for i in range(0, len(plaintext), bs)
-    )
-
-
-def ecb_decrypt(cipher, ciphertext: bytes) -> bytes:
-    bs = cipher.block_size
-    _check_blocks(ciphertext, bs, "ciphertext")
-    return b"".join(
-        cipher.decrypt_block(ciphertext[i: i + bs])
-        for i in range(0, len(ciphertext), bs)
-    )
-
-
 def cbc_encrypt(cipher, iv: bytes, plaintext: bytes) -> bytes:
     """CBC over already-padded ``plaintext``."""
     bs = cipher.block_size
@@ -88,21 +68,3 @@ def cbc_decrypt(cipher, iv: bytes, ciphertext: bytes) -> bytes:
         prev = block
     return bytes(out)
 
-
-def ctr_keystream(cipher, nonce: bytes, nbytes: int) -> bytes:
-    """Generate ``nbytes`` of CTR keystream from a ``block_size`` nonce."""
-    bs = cipher.block_size
-    if len(nonce) != bs:
-        raise ValueError(f"nonce must be {bs} bytes, got {len(nonce)}")
-    counter = int.from_bytes(nonce, "big")
-    out = bytearray()
-    while len(out) < nbytes:
-        out += cipher.encrypt_block(counter.to_bytes(bs, "big"))
-        counter = (counter + 1) % (1 << (8 * bs))
-    return bytes(out[:nbytes])
-
-
-def ctr_xor(cipher, nonce: bytes, data: bytes) -> bytes:
-    """CTR mode: encryption and decryption are the same operation."""
-    stream = ctr_keystream(cipher, nonce, len(data))
-    return bytes(a ^ b for a, b in zip(data, stream))

@@ -1,7 +1,7 @@
 """RSA on top of :mod:`repro.crypto.bignum`.
 
-This is the public-key half of issl: key generation, PKCS#1-v1.5-style
-encryption padding, and raw signatures.  Only the Unix build profile of
+This is the public-key half of issl: key generation and
+PKCS#1-v1.5-style encryption padding.  Only the Unix build profile of
 issl links it; the RMC2000 port dropped RSA because the bignum package
 was too complex to carry (paper, Sections 2 and 5), which the port
 profile reproduces by refusing to load this module's cipher suite.
@@ -125,26 +125,3 @@ def decrypt(private: RsaPrivateKey, ciphertext: bytes) -> bytes:
     m = c.modexp(private.d, private.n)
     return _unpad_pkcs1_v15(m.to_bytes(k))
 
-
-def sign_raw(private: RsaPrivateKey, digest: bytes) -> bytes:
-    """Raw (unpadded-hash) signature: digest^d mod n.
-
-    issl-era stacks signed bare hashes; kept for protocol fidelity.
-    """
-    k = private.modulus_bytes
-    if len(digest) > k - 1:
-        raise RsaError("digest too long for modulus")
-    m = BigNum.from_bytes(digest)
-    return m.modexp(private.d, private.n).to_bytes(k)
-
-
-def verify_raw(public: RsaPublicKey, digest: bytes, signature: bytes) -> bool:
-    """Verify a :func:`sign_raw` signature."""
-    k = public.modulus_bytes
-    if len(signature) != k:
-        return False
-    s = BigNum.from_bytes(signature)
-    if s.compare(public.n) >= 0:
-        return False
-    recovered = s.modexp(public.e, public.n)
-    return recovered == BigNum.from_bytes(digest)

@@ -7,18 +7,10 @@ from repro.dync.runtime.costate import (
     DEFAULT_PASS_OVERHEAD_S,
     IDLE,
     idle_until,
-    wait_delay,
     waitfor,
 )
-from repro.dync.runtime.errors import (
-    ErrorDispatcher,
-    ErrorRecord,
-    RuntimeErrorCode,
-    ignore_most_errors,
-)
-from repro.dync.runtime.funcchain import FunctionChainError, FunctionChainRegistry
 from repro.dync.runtime.slice_stmt import Slice, SliceError, SliceScheduler
-from repro.dync.runtime.ucos import MicroCos, Semaphore, Task, UcosError
+from repro.dync.runtime.ucos import MicroCos, Task, UcosError
 from repro.dync.runtime.storage import (
     BatteryBackedRam,
     ProtectedVariable,
@@ -39,15 +31,9 @@ __all__ = [
     "CostateError",
     "CostateScheduler",
     "DEFAULT_PASS_OVERHEAD_S",
-    "ErrorDispatcher",
-    "ErrorRecord",
-    "FunctionChainError",
     "IDLE",
     "MicroCos",
-    "FunctionChainRegistry",
     "ProtectedVariable",
-    "RuntimeErrorCode",
-    "Semaphore",
     "SharedVariable",
     "Slice",
     "SliceError",
@@ -61,7 +47,5 @@ __all__ = [
     "XmemBufferPool",
     "XmemPointer",
     "idle_until",
-    "ignore_most_errors",
-    "wait_delay",
     "waitfor",
 ]

@@ -128,14 +128,6 @@ def waitfor(predicate: Callable[[], bool]):
         yield
 
 
-def wait_delay(scheduler: "CostateScheduler", seconds: float):
-    """``waitfor(DelaySec(n))``: park this costatement for sim time."""
-    deadline = scheduler.sim.now + seconds
-    token = _IdleToken(deadline)
-    while scheduler.sim.now < deadline:
-        yield token
-
-
 def indexed_cofunctions(gens: list[Generator]) -> Generator:
     """Dynamic C's indexed cofunction (``cofunc void handler[N]``) as
     one costatement body: ``for (i = 0; i < N; i++) handler[i]();``.

@@ -7,8 +7,7 @@ system.  ... We did not use µC/OS-II."
 The port didn't, but the runtime offered it, so the reproduction does
 too: a strict-priority preemptive kernel in the µC/OS-II style —
 unique priorities (lower number = more urgent), the highest-priority
-ready task always runs, ``OSTimeDly`` tick delays, and counting
-semaphores with priority-ordered wakeup.
+ready task always runs, and ``OSTimeDly`` tick delays.
 
 Tasks are generators; their yields are the preemption points (the
 simulation analogue of µC/OS-II's timer-interrupt preemption):
@@ -16,9 +15,6 @@ simulation analogue of µC/OS-II's timer-interrupt preemption):
     yield                 -> still runnable; scheduler may switch if a
                              higher-priority task became ready
     yield ("dly", ticks)  -> OSTimeDly: sleep that many ticks
-    yield ("pend", sem)   -> OSSemPend: block until the semaphore posts
-    yield ("post", sem)   -> OSSemPost (also available as sem.post()
-                             from outside task context)
 """
 
 from __future__ import annotations
@@ -38,42 +34,6 @@ class UcosError(RuntimeError):
     """Kernel misuse: duplicate priorities, bad yields..."""
 
 
-class Semaphore:
-    """A counting semaphore with priority-ordered pend queue."""
-
-    def __init__(self, kernel: "MicroCos", count: int = 0, name: str = ""):
-        if count < 0:
-            raise UcosError("semaphore count cannot be negative")
-        self._kernel = kernel
-        self.count = count
-        self.name = name
-        self._pending: list[Task] = []
-        self.posts = 0
-
-    def post(self) -> None:
-        """OSSemPost: wake the highest-priority pender, or bank the count."""
-        self.posts += 1
-        if self._pending:
-            self._pending.sort(key=lambda task: task.priority)
-            task = self._pending.pop(0)
-            task.state = "ready"
-        else:
-            self.count += 1
-
-    def _pend(self, task: "Task") -> bool:
-        """True if the pend completed immediately."""
-        if self.count > 0:
-            self.count -= 1
-            return True
-        task.state = "pending"
-        self._pending.append(task)
-        return False
-
-    def __repr__(self) -> str:
-        return (f"Semaphore({self.name!r}, count={self.count}, "
-                f"pending={len(self._pending)})")
-
-
 class Task:
     """One µC/OS-II task: a generator with a unique priority."""
 
@@ -81,7 +41,7 @@ class Task:
         self.gen = gen
         self.priority = priority
         self.name = name or getattr(gen, "__name__", f"task{priority}")
-        self.state = "ready"      # ready | pending | delayed | done
+        self.state = "ready"      # ready | delayed | done
         self.wake_at_tick = 0
         self.steps = 0
         self.preempted = 0
@@ -115,10 +75,6 @@ class MicroCos:
         task = Task(gen, priority, name)
         self._tasks[priority] = task
         return task
-
-    def sem_create(self, count: int = 0, name: str = "") -> Semaphore:
-        """OSSemCreate."""
-        return Semaphore(self, count, name)
 
     def start(self):
         """OSStart: spawn the kernel loop on the simulator."""
@@ -174,7 +130,7 @@ class MicroCos:
                 task.steps += 1
                 if yielded is None:
                     # Preemption check: a higher-priority task may have
-                    # become ready (e.g. via a post this task made).
+                    # become ready (one this task created).
                     better = self._ready_task()
                     if better is not None and better is not task:
                         break
@@ -186,12 +142,6 @@ class MicroCos:
                         raise UcosError("OSTimeDly needs positive ticks")
                     task.state = "delayed"
                     task.wake_at_tick = self.ticks + ticks
-                elif kind == "pend":
-                    semaphore: Semaphore = yielded[1]
-                    if semaphore._pend(task):
-                        continue  # acquired without blocking
-                elif kind == "post":
-                    yielded[1].post()
                 else:
                     raise UcosError(f"bad task yield {yielded!r}")
                 break

@@ -33,7 +33,6 @@ from repro.faults.injectors import (
     install,
     is_tcp,
     is_tcp_syn,
-    match_all,
     match_every,
     match_nth,
     match_probability,
@@ -63,7 +62,6 @@ __all__ = [
     "install",
     "is_tcp",
     "is_tcp_syn",
-    "match_all",
     "match_every",
     "match_nth",
     "match_probability",

@@ -73,12 +73,6 @@ def tcp_payload_prefix(prefix: bytes) -> Callable[[EthernetFrame], bool]:
     return predicate
 
 
-def match_all(predicate=None) -> Matcher:
-    def matcher(frame, index):
-        return predicate is None or predicate(frame)
-    return matcher
-
-
 def match_nth(n: int, predicate=None) -> Matcher:
     """Match the ``n``-th (0-based) frame satisfying ``predicate``."""
     seen = {"count": 0}

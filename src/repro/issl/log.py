@@ -13,7 +13,7 @@ from repro.unixsim.fs import FileSystem
 
 
 class Logger:
-    """Interface: ``log(message)`` plus introspection for tests.
+    """Interface: ``log(message)`` and ``tail(count)``.
 
     Every backend counts its traffic into the ``issl.log.messages``
     metric when built with an :class:`repro.obs.Obs` handle; the
@@ -31,28 +31,15 @@ class Logger:
     def tail(self, count: int) -> list[str]:
         raise NotImplementedError
 
-    @property
-    def messages_logged(self) -> int:
-        raise NotImplementedError
-
 
 class NullLogger(Logger):
     """Strategy 'remove the functionality': drop every message."""
 
-    def __init__(self, obs=None):
-        super().__init__(obs)
-        self._count = 0
-
     def log(self, message: str) -> None:
-        self._count += 1
         self._ctr_messages.inc()
 
     def tail(self, count: int) -> list[str]:
         return []
-
-    @property
-    def messages_logged(self) -> int:
-        return self._count
 
 
 class FileLogger(Logger):
@@ -63,27 +50,17 @@ class FileLogger(Logger):
         super().__init__(obs)
         self._fs = fs
         self.path = path
-        self._count = 0
         if not fs.exists(path):
             fs.write_file(path, b"")
 
     def log(self, message: str) -> None:
         with self._fs.open(self.path, "a") as fh:
             fh.write(message.encode() + b"\n")
-        self._count += 1
         self._ctr_messages.inc()
 
     def tail(self, count: int) -> list[str]:
         lines = self._fs.read_file(self.path).decode().splitlines()
         return lines[-count:]
-
-    @property
-    def messages_logged(self) -> int:
-        return self._count
-
-    @property
-    def size_bytes(self) -> int:
-        return self._fs.size(self.path)
 
 
 class CircularLogger(Logger):
@@ -95,7 +72,6 @@ class CircularLogger(Logger):
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self._ring: list[str] = []
-        self._count = 0
         self.overwrites = 0
         obs = obs if obs is not None else NULL_OBS
         self._gauge_dropped = obs.metrics.gauge("issl.log.dropped")
@@ -106,15 +82,10 @@ class CircularLogger(Logger):
             self.overwrites += 1
             self._gauge_dropped.set(self.overwrites)
         self._ring.append(message)
-        self._count += 1
         self._ctr_messages.inc()
 
     def tail(self, count: int) -> list[str]:
         return self._ring[-count:]
-
-    @property
-    def messages_logged(self) -> int:
-        return self._count
 
     @property
     def stored(self) -> int:

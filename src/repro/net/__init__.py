@@ -1,7 +1,7 @@
 """Simulated network substrate (DESIGN.md S1-S4).
 
 A discrete-event kernel (:mod:`repro.net.sim`), a packet-level network
-(Ethernet/ARP/IP/ICMP/UDP/TCP), and the two socket APIs the paper
+(Ethernet/ARP/IP/ICMP/TCP), and the two socket APIs the paper
 contrasts: BSD sockets (:mod:`repro.net.bsd`) and the Dynamic C API
 (:mod:`repro.net.dynctcp`).
 """

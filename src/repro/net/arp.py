@@ -34,9 +34,6 @@ class ArpService:
     def cache(self) -> dict[Ipv4Address, MacAddress]:
         return dict(self._cache)
 
-    def add_static(self, ip: Ipv4Address, mac: MacAddress) -> None:
-        self._cache[ip] = mac
-
     def lookup(self, ip: Ipv4Address) -> MacAddress | None:
         return self._cache.get(ip)
 

@@ -21,7 +21,6 @@ from repro.net.tcp import TcpConnection, TcpError, TcpListener, TcpState
 
 AF_INET = 2
 SOCK_STREAM = 1
-SOCK_DGRAM = 2
 
 #: The paper's echo server uses LISTENQ for the backlog.
 LISTENQ = 5
@@ -39,7 +38,7 @@ class BsdSocket:
         if family != AF_INET:
             raise SocketError(f"unsupported family {family}")
         if sock_type != SOCK_STREAM:
-            raise SocketError(f"unsupported type {sock_type} (use UdpService)")
+            raise SocketError(f"unsupported type {sock_type} (stream only)")
         self._host = host
         self._bound_port = 0
         self._listener: TcpListener | None = None
@@ -52,12 +51,6 @@ class BsdSocket:
         if self._conn is not None:
             return self._conn.local_port
         return self._bound_port
-
-    @property
-    def peer_address(self) -> tuple[str, int] | None:
-        if self._conn is None:
-            return None
-        return (str(self._conn.remote_ip), self._conn.remote_port)
 
     # -- server side -------------------------------------------------------
     def bind(self, address: tuple[Ipv4Address | str, int]) -> None:

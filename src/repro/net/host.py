@@ -9,6 +9,7 @@ from repro.net.ip import IpStack
 from repro.net.link import EthernetSegment, NetworkInterface
 from repro.net.packet import ETHERTYPE_ARP, ETHERTYPE_IP, EthernetFrame
 from repro.net.sim import Simulator
+from repro.net.tcp import TcpService
 
 _next_mac = [1]
 
@@ -20,15 +21,10 @@ def _auto_mac() -> MacAddress:
 
 
 class Host:
-    """One endpoint on a segment: link + ARP + IP + ICMP + UDP + TCP."""
+    """One endpoint on a segment: link + ARP + IP + ICMP + TCP."""
 
     def __init__(self, sim: Simulator, name: str, ip_address: Ipv4Address,
                  mac: MacAddress | None = None):
-        # Imported here so `Host` can be constructed before udp/tcp in
-        # docs examples; there is no cycle in practice.
-        from repro.net.tcp import TcpService
-        from repro.net.udp import UdpService
-
         self.sim = sim
         self.name = name
         self.ip_address = ip_address
@@ -37,7 +33,6 @@ class Host:
         self.arp = ArpService(self)
         self.ip = IpStack(self)
         self.icmp = IcmpService(self)
-        self.udp = UdpService(self)
         self.tcp = TcpService(self)
 
     def attach(self, segment: EthernetSegment) -> "Host":

@@ -1,4 +1,4 @@
-"""Packet formats: Ethernet, ARP, IPv4, ICMP, UDP, TCP.
+"""Packet formats: Ethernet, ARP, IPv4, ICMP, TCP.
 
 Packets travel through the simulator as dataclasses (cheap), but every
 format also serializes to real wire bytes (``to_bytes``/``from_bytes``)
@@ -10,7 +10,7 @@ round-trips the byte forms.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.net.addresses import Ipv4Address, MacAddress
 
@@ -21,7 +21,6 @@ ETHERTYPE_ARP = 0x0806
 # IP protocol numbers
 IPPROTO_ICMP = 1
 IPPROTO_TCP = 6
-IPPROTO_UDP = 17
 
 # TCP flags
 TCP_FIN = 0x01
@@ -33,7 +32,6 @@ TCP_ACK = 0x10
 ETHERNET_HEADER = 14
 ETHERNET_CRC = 4
 IP_HEADER = 20
-UDP_HEADER = 8
 TCP_HEADER = 20
 ICMP_HEADER = 8
 ARP_BODY = 28
@@ -133,31 +131,6 @@ class IcmpMessage:
 
 
 @dataclass(frozen=True)
-class UdpDatagram:
-    """UDP header + payload."""
-
-    src_port: int
-    dst_port: int
-    payload: bytes = b""
-
-    def wire_size(self) -> int:
-        return UDP_HEADER + len(self.payload)
-
-    def to_bytes(self) -> bytes:
-        length = UDP_HEADER + len(self.payload)
-        return struct.pack(">HHHH", self.src_port, self.dst_port, length, 0) + self.payload
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "UdpDatagram":
-        if len(data) < UDP_HEADER:
-            raise PacketError(f"UDP too short: {len(data)}")
-        src, dst, length, _checksum = struct.unpack(">HHHH", data[:8])
-        if length != len(data):
-            raise PacketError("UDP length mismatch")
-        return cls(src, dst, data[8:])
-
-
-@dataclass(frozen=True)
 class TcpSegment:
     """TCP header + payload (options not modelled)."""
 
@@ -230,9 +203,6 @@ class IpPacket:
     def wire_size(self) -> int:
         return IP_HEADER + self.payload.wire_size()
 
-    def decrement_ttl(self) -> "IpPacket":
-        return replace(self, ttl=self.ttl - 1)
-
     def to_bytes(self) -> bytes:
         body = self.payload.to_bytes()
         total = IP_HEADER + len(body)
@@ -271,7 +241,6 @@ class IpPacket:
         parser = {
             IPPROTO_ICMP: IcmpMessage,
             IPPROTO_TCP: TcpSegment,
-            IPPROTO_UDP: UdpDatagram,
         }.get(protocol)
         if parser is None:
             raise PacketError(f"unknown IP protocol {protocol}")

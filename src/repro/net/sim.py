@@ -50,10 +50,6 @@ class Event:
     def _add_waiter(self, process: "Process") -> None:
         self._waiters.append(process)
 
-    @property
-    def waiter_count(self) -> int:
-        return len(self._waiters)
-
     def __repr__(self) -> str:
         return f"Event({self.name!r}, waiters={len(self._waiters)})"
 

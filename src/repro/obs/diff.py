@@ -59,31 +59,6 @@ def diff_routines(base_rows: list, current_rows: list) -> list[dict]:
     return out
 
 
-def diff_flames(base_lines: list[str], current_lines: list[str]) -> list[str]:
-    """Collapsed-stack flamegraph diff: ``stack signed-delta`` lines.
-
-    Inputs are ``CycleProfiler.flame_lines()`` (``"stack cycles"``);
-    output keeps only stacks whose cycles moved, sorted by magnitude
-    then stack, ready for a differential flamegraph renderer.
-    """
-    def parse(lines: list[str]) -> dict:
-        weights = {}
-        for line in lines:
-            stack, _, cycles = line.rpartition(" ")
-            weights[stack] = weights.get(stack, 0) + int(cycles)
-        return weights
-
-    base = parse(base_lines)
-    current = parse(current_lines)
-    deltas = []
-    for stack in sorted({**base, **current}):
-        delta = current.get(stack, 0) - base.get(stack, 0)
-        if delta:
-            deltas.append((stack, delta))
-    deltas.sort(key=lambda item: (-abs(item[1]), item[0]))
-    return [f"{stack} {delta:+d}" for stack, delta in deltas]
-
-
 # -- flat metrics -------------------------------------------------------------
 
 def diff_metrics(base: dict, current: dict) -> list[dict]:

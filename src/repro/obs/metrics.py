@@ -21,7 +21,6 @@ do-nothing instrument, the metrics half of the <5 %-overhead contract.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 
 from repro.floatsum import add_repeated
@@ -486,9 +485,6 @@ class MetricsRegistry:
         from repro.experiments.harness import format_table
         rows = self.rows(prefix)
         return format_table(rows) if rows else "(no metrics recorded)"
-
-    def to_json(self) -> str:
-        return json.dumps(self.snapshot(), sort_keys=True, indent=2)
 
 
 class _NullInstrument:

@@ -63,9 +63,6 @@ class FlightRecorder:
     def debug(self, cat: str, tid: str, msg: str) -> None:
         self.record(DEBUG, cat, tid, msg)
 
-    def info(self, cat: str, tid: str, msg: str) -> None:
-        self.record(INFO, cat, tid, msg)
-
     def warn(self, cat: str, tid: str, msg: str) -> None:
         self.record(WARN, cat, tid, msg)
 
@@ -128,9 +125,6 @@ class NullFlightRecorder(FlightRecorder):
         pass
 
     def debug(self, cat: str, tid: str, msg: str) -> None:
-        pass
-
-    def info(self, cat: str, tid: str, msg: str) -> None:
         pass
 
     def warn(self, cat: str, tid: str, msg: str) -> None:

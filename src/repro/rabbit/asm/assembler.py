@@ -248,10 +248,12 @@ class Assembler:
             rhs, tokens = self._parse_unary(tokens[1:], allow_undefined)
             if op == "*":
                 value *= rhs
-            elif op == "/":
-                value //= rhs if rhs else 1
-            else:
-                value %= rhs if rhs else 1
+            elif rhs:
+                value = value // rhs if op == "/" else value % rhs
+            elif not self._undefined_seen:
+                # An undefined forward symbol reads as 0 until its fixup
+                # evaluates the expression again.
+                raise AsmError(f"division by zero ({op} 0)")
         return value, tokens
 
     def _parse_unary(self, tokens, allow_undefined):

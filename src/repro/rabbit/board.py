@@ -80,10 +80,6 @@ class Board:
         """Call a routine in the image; returns cycles consumed."""
         return self.cpu.call_subroutine(address)
 
-    @property
-    def elapsed_seconds(self) -> float:
-        return self.cpu.cycles / CLOCK_HZ
-
     def __repr__(self) -> str:
         return (
             f"Board(pc={self.cpu.pc:#06x}, cycles={self.cpu.cycles}, "

@@ -74,12 +74,6 @@ class RabbitMemory:
             return SRAM_BASE + (logical - DATA_BASE)
         return ((self.xpc << 12) + (logical - WINDOW_BASE)) % PHYS_SIZE
 
-    def window_for(self, physical: int) -> tuple[int, int]:
-        """(xpc, logical) pair that exposes ``physical`` through the window."""
-        xpc = (physical >> 12) & 0xFF
-        logical = WINDOW_BASE + (physical & 0xFFF)
-        return xpc, logical
-
     # -- physical access ----------------------------------------------------
     def read_physical(self, physical: int) -> int:
         if FLASH_BASE <= physical < FLASH_BASE + FLASH_SIZE:

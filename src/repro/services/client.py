@@ -31,10 +31,6 @@ class ClientReport:
     error: str | None = None
 
     @property
-    def total_time(self) -> float:
-        return self.end - self.start
-
-    @property
     def throughput_bps(self) -> float:
         duration = self.end - self.start
         if duration <= 0:

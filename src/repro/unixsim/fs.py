@@ -58,15 +58,6 @@ class FileHandle:
         self._offset = end
         return len(data)
 
-    def seek(self, offset: int) -> None:
-        self._check_open()
-        if offset < 0:
-            raise FsError("negative seek")
-        self._offset = offset
-
-    def tell(self) -> int:
-        return self._offset
-
     def close(self) -> None:
         self.closed = True
 
@@ -104,14 +95,6 @@ class FileSystem:
 
     def exists(self, path: str) -> bool:
         return path in self._files
-
-    def unlink(self, path: str) -> None:
-        if path not in self._files:
-            raise FsError(f"no such file: {path}")
-        del self._files[path]
-
-    def listdir(self, prefix: str = "") -> list[str]:
-        return sorted(p for p in self._files if p.startswith(prefix))
 
     def size(self, path: str) -> int:
         if path not in self._files:

@@ -1,4 +1,4 @@
-"""Unix process model: fork, exit, wait, and signals.
+"""Unix process model: fork, exit and signals.
 
 The original issl service leans on ``fork`` for its connection-per-child
 structure and on ``signal`` for its control channel, and the paper calls
@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 from typing import Callable, Generator
 
-from repro.net.sim import Event, Process, Simulator
+from repro.net.sim import Process, Simulator
 
 
 class Signal(enum.IntEnum):
@@ -37,7 +37,6 @@ class Signal(enum.IntEnum):
 class ProcessState(enum.Enum):
     RUNNING = "running"
     ZOMBIE = "zombie"
-    REAPED = "reaped"
 
 
 class UnixProcess:
@@ -53,7 +52,6 @@ class UnixProcess:
         self.state = ProcessState.RUNNING
         self.exit_status: int | None = None
         self.handlers: dict[Signal, Callable[[Signal], None]] = {}
-        self.exit_event: Event = kernel.sim.event(f"exit:{pid}")
 
     def signal(self, signum: Signal, handler: Callable[[Signal], None]) -> None:
         """Install a handler, like ``signal(2)``."""
@@ -115,7 +113,6 @@ class UnixKernel:
             return
         unix_proc.state = ProcessState.ZOMBIE
         unix_proc.exit_status = status
-        unix_proc.exit_event.trigger(status)
         parent = self._table.get(unix_proc.ppid)
         if parent is not None:
             parent.deliver(Signal.SIGCHLD)
@@ -124,7 +121,6 @@ class UnixKernel:
         unix_proc.proc.kill()
         unix_proc.state = ProcessState.ZOMBIE
         unix_proc.exit_status = status
-        unix_proc.exit_event.trigger(status)
 
     # -- syscalls --------------------------------------------------------
     def kill(self, pid: int, signum: Signal) -> bool:
@@ -134,16 +130,6 @@ class UnixKernel:
             return False
         unix_proc.deliver(signum)
         return True
-
-    def waitpid(self, pid: int):
-        """Generator: block until ``pid`` exits; returns its status."""
-        unix_proc = self._table.get(pid)
-        if unix_proc is None:
-            raise KeyError(f"no such pid {pid}")
-        while unix_proc.state == ProcessState.RUNNING:
-            yield unix_proc.exit_event
-        unix_proc.state = ProcessState.REAPED
-        return unix_proc.exit_status
 
     def process(self, pid: int) -> UnixProcess | None:
         return self._table.get(pid)

@@ -1,12 +1,12 @@
-"""NIST SP 800-38A known-answer tests for CBC and CTR over AES-128."""
+"""NIST SP 800-38A known-answer tests for CBC over AES-128."""
 
 import pytest
 
 from repro.crypto.aes_ttable import AesTTable
-from repro.crypto.modes import cbc_decrypt, cbc_encrypt, ctr_xor
+from repro.crypto.modes import cbc_decrypt, cbc_encrypt
 from repro.crypto.rijndael import Rijndael
 
-# SP 800-38A F.2.1 (CBC-AES128) and F.5.1 (CTR-AES128) vectors.
+# SP 800-38A F.2.1 (CBC-AES128) vectors.
 KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
 PLAINTEXT = bytes.fromhex(
     "6bc1bee22e409f96e93d7e117393172a"
@@ -23,15 +23,6 @@ CBC_CIPHERTEXT = bytes.fromhex(
     "3ff1caa1681fac09120eca307586e1a7"
 )
 
-CTR_COUNTER = bytes.fromhex("f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff")
-CTR_CIPHERTEXT = bytes.fromhex(
-    "874d6191b620e3261bef6864990db6ce"
-    "9806f66b7970fdff8617187bb9fffdff"
-    "5ae4df3edbd5d35e5b4f09020db03eab"
-    "1e031dda2fbe03d1792170a0f3009cee"
-)
-
-
 @pytest.mark.parametrize("cipher_cls", [AesTTable, Rijndael])
 def test_cbc_encrypt_nist_f21(cipher_cls):
     cipher = cipher_cls(KEY)
@@ -42,16 +33,6 @@ def test_cbc_encrypt_nist_f21(cipher_cls):
 def test_cbc_decrypt_nist_f22(cipher_cls):
     cipher = cipher_cls(KEY)
     assert cbc_decrypt(cipher, CBC_IV, CBC_CIPHERTEXT) == PLAINTEXT
-
-
-def test_ctr_nist_f51():
-    cipher = AesTTable(KEY)
-    assert ctr_xor(cipher, CTR_COUNTER, PLAINTEXT) == CTR_CIPHERTEXT
-
-
-def test_ctr_nist_f51_decrypt():
-    cipher = AesTTable(KEY)
-    assert ctr_xor(cipher, CTR_COUNTER, CTR_CIPHERTEXT) == PLAINTEXT
 
 
 def test_board_aes_matches_nist_cbc_first_block():

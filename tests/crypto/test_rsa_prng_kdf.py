@@ -11,10 +11,7 @@ from repro.crypto.rsa import (
     decrypt,
     encrypt,
     generate_keypair,
-    sign_raw,
-    verify_raw,
 )
-from repro.crypto.sha1 import sha1
 
 
 @pytest.fixture(scope="module")
@@ -113,13 +110,6 @@ class TestRsa:
     def test_wrong_length_ciphertext(self, keypair):
         with pytest.raises(RsaError):
             decrypt(keypair, b"short")
-
-    def test_sign_verify(self, keypair):
-        digest = sha1(b"document")
-        sig = sign_raw(keypair, digest)
-        assert verify_raw(keypair.public_key(), digest, sig)
-        assert not verify_raw(keypair.public_key(), sha1(b"other"), sig)
-        assert not verify_raw(keypair.public_key(), digest, b"\x00" * len(sig))
 
     def test_keypair_algebra(self, keypair):
         # d*e == 1 mod phi(n) implies m^(ed) == m mod n.

@@ -1,5 +1,5 @@
-"""Dynamic C runtime semantics: costatements, xalloc, storage classes,
-function chains, error dispatch (paper sections 4.1-4.4, Figure 1)."""
+"""Dynamic C runtime semantics: costatements, xalloc, storage classes
+(paper sections 4.1-4.4, Figure 1)."""
 
 import pytest
 
@@ -7,16 +7,10 @@ from repro.dync.runtime import (
     BatteryBackedRam,
     CostateError,
     CostateScheduler,
-    ErrorDispatcher,
-    FunctionChainError,
-    FunctionChainRegistry,
-    ignore_most_errors,
     ProtectedVariable,
-    RuntimeErrorCode,
     SharedVariable,
     StaticLocals,
     UnsharedMultibyte,
-    wait_delay,
     waitfor,
     XallocError,
     XmemAllocator,
@@ -125,19 +119,6 @@ class TestCostates:
         scheduler.add(caller())
         scheduler.run_until_all_done()
         assert results == [42]
-
-    def test_wait_delay(self):
-        sim = Simulator()
-        scheduler = CostateScheduler(sim, pass_overhead_s=0.01)
-        stamps = []
-
-        def co():
-            yield from wait_delay(scheduler, 0.5)
-            stamps.append(sim.now)
-
-        scheduler.add(co())
-        scheduler.run_until_all_done()
-        assert stamps[0] >= 0.5
 
     def test_double_start_rejected(self):
         sim = Simulator()
@@ -269,56 +250,3 @@ class TestStorageClasses:
 
         assert fact(5) != 120  # broken, exactly as on the real compiler
 
-
-class TestFunctionChains:
-    def test_chain_invocation_order(self):
-        registry = FunctionChainRegistry()
-        registry.makechain("recover")
-        calls = []
-        registry.funcchain("recover", lambda: calls.append("free"))
-        registry.funcchain("recover", lambda: calls.append("declare"))
-        registry.funcchain("recover", lambda: calls.append("init"))
-        assert registry.invoke("recover") == 3
-        assert calls == ["free", "declare", "init"]
-
-    def test_unknown_chain(self):
-        registry = FunctionChainRegistry()
-        with pytest.raises(FunctionChainError):
-            registry.invoke("nope")
-        with pytest.raises(FunctionChainError):
-            registry.funcchain("nope", lambda: None)
-
-    def test_duplicate_declaration(self):
-        registry = FunctionChainRegistry()
-        registry.makechain("c")
-        with pytest.raises(FunctionChainError):
-            registry.makechain("c")
-
-    def test_empty_chain_runs_zero(self):
-        registry = FunctionChainRegistry()
-        registry.makechain("empty")
-        assert registry.invoke("empty") == 0
-
-
-class TestErrorDispatch:
-    def test_handler_receives_record(self):
-        dispatcher = ErrorDispatcher()
-        seen = []
-        dispatcher.define_error_handler(lambda rec: (seen.append(rec), True)[1])
-        assert dispatcher.raise_error(RuntimeErrorCode.DIVIDE_BY_ZERO, 0x1234)
-        assert seen[0].code == RuntimeErrorCode.DIVIDE_BY_ZERO
-        assert seen[0].address == 0x1234
-
-    def test_no_handler_counts_unhandled(self):
-        dispatcher = ErrorDispatcher()
-        assert not dispatcher.raise_error(RuntimeErrorCode.RANGE)
-        assert dispatcher.unhandled == 1
-
-    def test_ignore_most_errors_policy(self):
-        dispatcher = ErrorDispatcher()
-        dispatcher.define_error_handler(ignore_most_errors)
-        assert dispatcher.raise_error(RuntimeErrorCode.DIVIDE_BY_ZERO)
-        assert dispatcher.raise_error(RuntimeErrorCode.ARRAY_INDEX)
-        assert not dispatcher.raise_error(RuntimeErrorCode.WATCHDOG)
-        assert not dispatcher.raise_error(RuntimeErrorCode.STACK_OVERFLOW)
-        assert len(dispatcher.history) == 4

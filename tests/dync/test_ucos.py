@@ -1,8 +1,8 @@
-"""The µC/OS-II-flavoured kernel: priorities, delays, semaphores."""
+"""The µC/OS-II-flavoured kernel: priorities and delays."""
 
 import pytest
 
-from repro.dync.runtime.ucos import MicroCos, Semaphore, UcosError
+from repro.dync.runtime.ucos import MicroCos, UcosError
 from repro.net.sim import Simulator
 
 
@@ -97,105 +97,18 @@ class TestDelays:
         with pytest.raises(UcosError):
             kernel.run_until_all_done()
 
-
-class TestSemaphores:
-    def test_pend_blocks_until_post(self):
+    def test_unknown_yield_rejected(self):
         _sim, kernel = make_kernel()
-        order = []
 
-        def consumer(sem):
-            yield ("pend", sem)
-            order.append("consumed")
+        def bad():
+            yield ("pend", None)
 
-        def producer(sem):
-            yield ("dly", 2)
-            order.append("produced")
-            yield ("post", sem)
-
-        kernel_sem = kernel.sem_create(0, "items")
-        kernel.task_create(consumer(kernel_sem), 1)
-        kernel.task_create(producer(kernel_sem), 10)
-        kernel.run_until_all_done()
-        assert order == ["produced", "consumed"]
-
-    def test_counting_semantics(self):
-        _sim, kernel = make_kernel()
-        got = []
-
-        def consumer(sem, tag):
-            yield ("pend", sem)
-            got.append(tag)
-
-        sem = kernel.sem_create(1)  # one item banked
-        kernel.task_create(consumer(sem, "a"), 1)
-        kernel.task_create(consumer(sem, "b"), 2)
-        kernel.start()
-        _sim.run(until=0.05)
-        kernel.stop()
-        assert got == ["a"]  # only the banked count was consumable
-
-    def test_post_wakes_highest_priority_pender(self):
-        _sim, kernel = make_kernel()
-        woken = []
-
-        def pender(sem, tag):
-            yield ("pend", sem)
-            woken.append(tag)
-
-        def poster(sem):
-            yield ("dly", 2)
-            yield ("post", sem)
-            yield ("post", sem)
-
-        sem = kernel.sem_create(0)
-        kernel.task_create(pender(sem, "low"), 20)
-        kernel.task_create(pender(sem, "high"), 5)
-        kernel.task_create(poster(sem), 30)
-        kernel.run_until_all_done()
-        assert woken == ["high", "low"]
-
-    def test_external_post(self):
-        sim, kernel = make_kernel()
-        done = []
-
-        def waiter(sem):
-            yield ("pend", sem)
-            done.append(sim.now)
-
-        sem = kernel.sem_create(0)
-        kernel.task_create(waiter(sem), 1)
-        kernel.start()
-        sim.call_after(0.05, sem.post)
-        sim.run(until=0.2)
-        kernel.stop()
-        assert done and done[0] >= 0.05
-
-    def test_negative_count_rejected(self):
-        _sim, kernel = make_kernel()
-        with pytest.raises(UcosError):
-            kernel.sem_create(-1)
+        kernel.task_create(bad(), 1)
+        with pytest.raises(UcosError, match="bad task yield"):
+            kernel.run_until_all_done()
 
 
 class TestKernel:
-    def test_mutex_pattern_protects_critical_section(self):
-        _sim, kernel = make_kernel(steps_per_tick=1)
-        inside = {"count": 0, "max": 0}
-
-        def worker(mutex, loops):
-            for _ in range(loops):
-                yield ("pend", mutex)
-                inside["count"] += 1
-                inside["max"] = max(inside["max"], inside["count"])
-                yield  # a preemption point inside the critical section
-                inside["count"] -= 1
-                yield ("post", mutex)
-
-        mutex = kernel.sem_create(1, "mutex")
-        kernel.task_create(worker(mutex, 3), 1)
-        kernel.task_create(worker(mutex, 3), 2)
-        kernel.run_until_all_done()
-        assert inside["max"] == 1  # never two tasks inside at once
-
     def test_context_switch_accounting(self):
         _sim, kernel = make_kernel()
 

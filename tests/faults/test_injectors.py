@@ -34,6 +34,11 @@ IP_A = Ipv4Address.parse("10.0.0.1")
 IP_B = Ipv4Address.parse("10.0.0.2")
 
 
+def every(predicate=None):
+    """A matcher for every frame (satisfying ``predicate``)."""
+    return lambda frame, index: predicate is None or predicate(frame)
+
+
 def tcp_frame(payload: bytes = b"", flags: int = TCP_ACK) -> EthernetFrame:
     segment = TcpSegment(
         src_port=1000, dst_port=2000, seq=1, ack=1,
@@ -108,27 +113,27 @@ class TestMatchers:
 class TestFrameInjectors:
     def test_drop_returns_no_deliveries_and_counts(self):
         obs = Obs()
-        drop = inj.DropFrames(inj.match_all(), obs=obs)
+        drop = inj.DropFrames(every(), obs=obs)
         assert drop(tcp_frame(), 0, 0.0) == []
         assert drop.injected == 1
         assert obs.metrics.snapshot()["counters"][
             "faults.injected.drop"] == 1
 
     def test_unmatched_frames_pass_through_untouched(self):
-        drop = inj.DropFrames(inj.match_all(inj.is_tcp_syn))
+        drop = inj.DropFrames(every(inj.is_tcp_syn))
         frame = tcp_frame(b"data")
         assert drop(frame, 0, 0.25) == [(frame, 0.25)]
         assert drop.injected == 0
 
     def test_duplicate_and_delay(self):
         frame = tcp_frame(b"data")
-        duplicate = inj.DuplicateFrames(inj.match_all())
+        duplicate = inj.DuplicateFrames(every())
         assert duplicate(frame, 0, 0.0) == [(frame, 0.0), (frame, 0.0)]
-        delay = inj.DelayFrames(inj.match_all(), extra_s=0.3)
+        delay = inj.DelayFrames(every(), extra_s=0.3)
         assert delay(frame, 0, 0.1) == [(frame, 0.4)]
 
     def test_corrupt_flips_exactly_one_bit(self):
-        corrupt = inj.CorruptFrames(inj.match_all(), byte_offset=1, bit=3)
+        corrupt = inj.CorruptFrames(every(), byte_offset=1, bit=3)
         frame = tcp_frame(b"\x00\x00\x00")
         [(mutated, _)] = corrupt(frame, 0, 0.0)
         assert mutated.payload.payload.payload == b"\x00\x08\x00"
@@ -136,7 +141,7 @@ class TestFrameInjectors:
         assert frame.payload.payload.payload == b"\x00\x00\x00"
 
     def test_corrupt_passes_payloadless_frames_through(self):
-        corrupt = inj.CorruptFrames(inj.match_all())
+        corrupt = inj.CorruptFrames(every())
         frame = tcp_frame(b"")
         assert corrupt(frame, 0, 0.0) == [(frame, 0.0)]
         assert corrupt.injected == 1  # matched, but nothing to flip
@@ -161,7 +166,7 @@ class TestHookChain:
         # state rather than the raw transmit.
         inj.install(
             segment,
-            inj.DuplicateFrames(inj.match_all(inj.has_tcp_payload)),
+            inj.DuplicateFrames(every(inj.has_tcp_payload)),
             inj.DropFrames(inj.match_nth(0, inj.has_tcp_payload)),
         )
         sender.transmit(tcp_frame(b"data"))
@@ -171,7 +176,7 @@ class TestHookChain:
 
     def test_full_drop_counts_and_skips_medium(self):
         sim, segment, sender, received = self._segment()
-        inj.install(segment, inj.DropFrames(inj.match_all()))
+        inj.install(segment, inj.DropFrames(every()))
         before = segment._medium_free_at
         sender.transmit(tcp_frame(b"data"))
         sim.run()
@@ -194,7 +199,7 @@ class TestHookChain:
 
     def test_uninstall_restores_clean_delivery(self):
         sim, segment, sender, received = self._segment()
-        (drop,) = inj.install(segment, inj.DropFrames(inj.match_all()))
+        (drop,) = inj.install(segment, inj.DropFrames(every()))
         sender.transmit(tcp_frame(b"lost"))
         inj.uninstall(segment, drop)
         sender.transmit(tcp_frame(b"kept"))
@@ -205,7 +210,7 @@ class TestHookChain:
         """The legacy API is a hook at the head of the same chain."""
         sim, segment, sender, received = self._segment()
         duplicate = inj.DuplicateFrames(
-            inj.match_all(inj.has_tcp_payload)
+            every(inj.has_tcp_payload)
         )
         inj.install(segment, duplicate)
         segment.set_drop_filter(lambda frame, index: index == 0)
@@ -221,7 +226,7 @@ class TestHookChain:
 
     def test_set_drop_filter_replaces_only_itself(self):
         sim, segment, sender, received = self._segment()
-        duplicate = inj.DuplicateFrames(inj.match_all())
+        duplicate = inj.DuplicateFrames(every())
         inj.install(segment, duplicate)
         segment.set_drop_filter(lambda frame, index: True)
         segment.set_drop_filter(None)

@@ -24,6 +24,7 @@ from repro.issl import (
 from repro.net.bsd import socket
 from repro.net.host import build_lan
 from repro.net.sim import Simulator
+from repro.obs import Obs
 from repro.unixsim.fs import FileSystem
 
 
@@ -173,28 +174,36 @@ class TestDataTransfer:
 
 
 class TestLoggers:
+    @staticmethod
+    def _messages(obs):
+        return obs.metrics.snapshot()["counters"]["issl.log.messages"]
+
     def test_file_logger_grows(self):
         fs = FileSystem()
-        logger = FileLogger(fs, "/var/log/issl.log")
+        obs = Obs()
+        logger = FileLogger(fs, "/var/log/issl.log", obs=obs)
         for i in range(10):
             logger.log(f"event {i}")
-        assert logger.messages_logged == 10
-        assert logger.size_bytes > 0
+        assert self._messages(obs) == 10
+        assert fs.read_file("/var/log/issl.log") == b"".join(
+            f"event {i}\n".encode() for i in range(10))
         assert logger.tail(2) == ["event 8", "event 9"]
 
     def test_circular_logger_bounded(self):
-        logger = CircularLogger(capacity=4)
+        obs = Obs()
+        logger = CircularLogger(capacity=4, obs=obs)
         for i in range(10):
             logger.log(f"event {i}")
-        assert logger.messages_logged == 10
+        assert self._messages(obs) == 10
         assert logger.stored == 4
         assert logger.overwrites == 6
         assert logger.tail(10) == [f"event {i}" for i in range(6, 10)]
 
     def test_null_logger(self):
-        logger = NullLogger()
+        obs = Obs()
+        logger = NullLogger(obs=obs)
         logger.log("anything")
-        assert logger.messages_logged == 1
+        assert self._messages(obs) == 1
         assert logger.tail(5) == []
 
     def test_circular_capacity_validation(self):

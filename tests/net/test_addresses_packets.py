@@ -24,12 +24,10 @@ from repro.net.packet import (
     IpPacket,
     IPPROTO_ICMP,
     IPPROTO_TCP,
-    IPPROTO_UDP,
     PacketError,
     TCP_ACK,
     TCP_SYN,
     TcpSegment,
-    UdpDatagram,
 )
 
 
@@ -113,15 +111,6 @@ class TestWireFormats:
         with pytest.raises(PacketError):
             IcmpMessage.from_bytes(corrupted)
 
-    def test_udp_roundtrip(self):
-        datagram = UdpDatagram(1234, 53, b"query")
-        assert UdpDatagram.from_bytes(datagram.to_bytes()) == datagram
-
-    def test_udp_length_check(self):
-        wire = UdpDatagram(1, 2, b"abc").to_bytes()
-        with pytest.raises(PacketError):
-            UdpDatagram.from_bytes(wire + b"extra")
-
     @given(payload=st.binary(max_size=100),
            seq=st.integers(min_value=0, max_value=0xFFFFFFFF),
            flags=st.integers(min_value=0, max_value=0x3F))
@@ -139,7 +128,6 @@ class TestWireFormats:
         payloads = [
             (IPPROTO_ICMP, IcmpMessage(8, 0, 1, 1, b"x")),
             (IPPROTO_TCP, TcpSegment(1, 2, 3, 4, TCP_ACK, 100, b"data")),
-            (IPPROTO_UDP, UdpDatagram(5, 6, b"dgram")),
         ]
         for protocol, payload in payloads:
             packet = IpPacket(ip("10.0.0.1"), ip("10.0.0.2"), protocol, payload)
@@ -148,17 +136,24 @@ class TestWireFormats:
             assert decoded.dst == packet.dst
             assert decoded.payload == payload
 
+    def test_ip_rejects_unknown_protocol(self):
+        """Protocol 17 (UDP) has no parser: nothing here speaks UDP."""
+        wire = IpPacket(ip("10.0.0.1"), ip("10.0.0.2"), 17,
+                        IcmpMessage(8, 0, 1, 1, b"x")).to_bytes()
+        with pytest.raises(PacketError, match="unknown IP protocol 17"):
+            IpPacket.from_bytes(wire)
+
     def test_ip_header_checksum_enforced(self):
-        packet = IpPacket(ip("1.1.1.1"), ip("2.2.2.2"), IPPROTO_UDP,
-                          UdpDatagram(1, 2, b""))
+        packet = IpPacket(ip("1.1.1.1"), ip("2.2.2.2"), IPPROTO_ICMP,
+                          IcmpMessage(8, 0, 1, 2, b""))
         wire = bytearray(packet.to_bytes())
         wire[8] ^= 0xFF  # corrupt the TTL field
         with pytest.raises(PacketError):
             IpPacket.from_bytes(bytes(wire))
 
     def test_ethernet_roundtrip(self):
-        inner = IpPacket(ip("10.0.0.1"), ip("10.0.0.2"), IPPROTO_UDP,
-                         UdpDatagram(1, 2, b"hello"))
+        inner = IpPacket(ip("10.0.0.1"), ip("10.0.0.2"), IPPROTO_ICMP,
+                         IcmpMessage(8, 0, 1, 2, b"hello"))
         frame = EthernetFrame(mac("02:00:00:00:00:01"),
                               mac("02:00:00:00:00:02"), ETHERTYPE_IP, inner)
         decoded = EthernetFrame.from_bytes(frame.to_bytes())
@@ -171,7 +166,7 @@ class TestWireFormats:
         frame = EthernetFrame(MacAddress(1), BROADCAST_MAC, ETHERTYPE_ARP, inner)
         assert frame.wire_size() >= 64
 
-    def test_ttl_decrement(self):
-        packet = IpPacket(ip("1.1.1.1"), ip("2.2.2.2"), IPPROTO_UDP,
-                          UdpDatagram(1, 2, b""), ttl=5)
-        assert packet.decrement_ttl().ttl == 4
+    def test_ttl_survives_the_wire(self):
+        packet = IpPacket(ip("1.1.1.1"), ip("2.2.2.2"), IPPROTO_ICMP,
+                          IcmpMessage(8, 0, 1, 2, b""), ttl=5)
+        assert IpPacket.from_bytes(packet.to_bytes()).ttl == 5

@@ -5,22 +5,29 @@ import pytest
 from repro.net.addresses import Ipv4Address
 from repro.net.host import build_lan, Host
 from repro.net.link import EthernetSegment
-from repro.net.packet import IPPROTO_UDP, UdpDatagram
+from repro.net.packet import IcmpMessage, IPPROTO_ICMP
 from repro.net.sim import Simulator
 
 
 class TestLoopback:
+    @staticmethod
+    def _capture(host):
+        """Take over the host's ICMP handler; returns the packet list."""
+        received = []
+        host.ip.register_protocol(IPPROTO_ICMP, received.append)
+        return received
+
     def test_send_to_self_delivers_locally(self):
         sim = Simulator()
         _lan, hosts = build_lan(sim, ["solo"])
         host = hosts["solo"]
-        sock = host.udp.bind(4000)
-        sock.sendto(b"to myself", host.ip_address, 4000)
+        received = self._capture(host)
+        host.ip.send(host.ip_address, IPPROTO_ICMP,
+                     IcmpMessage(0, 0, 1, 1, b"to myself"))
         sim.run(until=0.1)
-        assert sock.queue
-        src_ip, src_port, payload = sock.queue.popleft()
-        assert payload == b"to myself"
-        assert src_ip == host.ip_address
+        (packet,) = received
+        assert packet.payload.payload == b"to myself"
+        assert packet.src == host.ip_address
         # Loopback never touched the wire.
         assert host.interface.frames_sent == 0
 
@@ -28,8 +35,9 @@ class TestLoopback:
         sim = Simulator()
         _lan, hosts = build_lan(sim, ["solo"])
         host = hosts["solo"]
-        host.udp.bind(1)
-        host.ip.send(host.ip_address, IPPROTO_UDP, UdpDatagram(9, 1, b"x"))
+        self._capture(host)
+        host.ip.send(host.ip_address, IPPROTO_ICMP,
+                     IcmpMessage(0, 0, 9, 1, b"x"))
         sim.run(until=0.1)
         assert host.ip.packets_sent == 1
         assert host.ip.packets_received == 1
@@ -40,7 +48,7 @@ class TestDispatch:
         sim = Simulator()
         _lan, hosts = build_lan(sim, ["a", "b"])
         hosts["a"].ip.send(hosts["b"].ip_address, 99,
-                           UdpDatagram(1, 2, b"mystery"))
+                           IcmpMessage(8, 0, 1, 2, b"mystery"))
         sim.run(until=1.0)
         assert hosts["b"].ip.packets_dropped >= 1
 
@@ -64,8 +72,8 @@ class TestDispatch:
     def test_arp_failure_drops_queued_packet(self):
         sim = Simulator()
         _lan, hosts = build_lan(sim, ["a"])
-        hosts["a"].ip.send(Ipv4Address.parse("10.0.0.99"), IPPROTO_UDP,
-                           UdpDatagram(1, 2, b"nowhere"))
+        hosts["a"].ip.send(Ipv4Address.parse("10.0.0.99"), IPPROTO_ICMP,
+                           IcmpMessage(8, 0, 1, 2, b"nowhere"))
         sim.run(until=5.0)
         assert hosts["a"].ip.packets_dropped == 1
 

@@ -1,4 +1,4 @@
-"""Link layer, ARP resolution, ICMP echo, and UDP sockets."""
+"""Link layer, ARP resolution and ICMP echo."""
 
 import pytest
 
@@ -141,11 +141,6 @@ class TestArp:
         sim.run_until_complete(process, timeout=30)
         assert failed.get("yes")
 
-    def test_static_entries(self, lan):
-        sim, segment, hosts = lan
-        hosts["a"].arp.add_static(ip("10.0.0.50"), MacAddress(0x50))
-        assert hosts["a"].arp.lookup(ip("10.0.0.50")) == MacAddress(0x50)
-
 
 class TestIcmp:
     def test_ping_round_trip(self, lan):
@@ -179,57 +174,3 @@ class TestIcmp:
         sim.run_until_complete(process, timeout=10)
         assert results["rtt"] is None
 
-
-class TestUdp:
-    def test_datagram_round_trip(self, lan):
-        sim, segment, hosts = lan
-        got = {}
-
-        def server():
-            sock = hosts["b"].udp.bind(5353)
-            message = yield from sock.recvfrom(timeout=5)
-            src_ip, src_port, payload = message
-            sock.sendto(payload.upper(), src_ip, src_port)
-
-        def client():
-            sock = hosts["a"].udp.bind()
-            sock.sendto(b"query", hosts["b"].ip_address, 5353)
-            got["reply"] = yield from sock.recvfrom(timeout=5)
-
-        sim.spawn(server())
-        process = sim.spawn(client())
-        sim.run_until_complete(process, timeout=30)
-        assert got["reply"][2] == b"QUERY"
-
-    def test_port_conflict(self, lan):
-        sim, segment, hosts = lan
-        from repro.net.udp import UdpError
-
-        hosts["a"].udp.bind(999)
-        with pytest.raises(UdpError):
-            hosts["a"].udp.bind(999)
-
-    def test_unbound_port_drops(self, lan):
-        sim, segment, hosts = lan
-        sock = hosts["a"].udp.bind()
-        sock.sendto(b"void", hosts["b"].ip_address, 12321)
-        sim.run(until=1.0)
-        assert hosts["b"].udp.datagrams_dropped == 1
-
-    def test_close_releases_port(self, lan):
-        sim, segment, hosts = lan
-        sock = hosts["a"].udp.bind(1000)
-        sock.close()
-        hosts["a"].udp.bind(1000)  # no conflict after close
-
-    def test_recvfrom_timeout(self, lan):
-        sim, segment, hosts = lan
-        out = {}
-
-        def waiter():
-            sock = hosts["a"].udp.bind(1)
-            out["result"] = yield from sock.recvfrom(timeout=0.2)
-
-        process = sim.spawn(waiter())
-        sim.run_until_complete(process, timeout=10)
-        assert out["result"] is None

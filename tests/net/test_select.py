@@ -25,7 +25,7 @@ def test_select_on_listening_socket(world):
         ready = yield from select([lsock], timeout=5.0)
         out["ready"] = ready
         conn = yield from lsock.accept()
-        out["accepted"] = conn.peer_address is not None
+        out["accepted"] = conn.local_port == 80
 
     def client():
         csock = socket(hosts["c1"])

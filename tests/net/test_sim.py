@@ -135,7 +135,6 @@ def test_event_trigger_returns_waiter_count():
 
     sim.spawn(waiter())
     sim.run(until=0)
-    assert event.waiter_count == 1
     assert event.trigger() == 1
     assert event.trigger() == 0
 

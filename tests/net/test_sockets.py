@@ -158,28 +158,6 @@ class TestBsdSockets:
         sim.run_until_complete(process, timeout=60)
         assert "timed out" in out["error"]
 
-    def test_peer_address(self, world):
-        sim, hosts = world
-        out = {}
-
-        def server():
-            lsock = socket(hosts["server"])
-            lsock.bind(("", 9))
-            lsock.listen()
-            conn = yield from lsock.accept()
-            out["peer"] = conn.peer_address
-
-        def client():
-            sock = socket(hosts["client"])
-            yield from sock.connect(("10.0.0.1", 9))
-            out["local"] = sock.local_port
-            yield 0.5
-
-        hosts["server"].spawn(server())
-        process = hosts["client"].spawn(client())
-        sim.run_until_complete(process, timeout=60)
-        assert out["peer"] == ("10.0.0.2", out["local"])
-
 
 class TestDyncSockets:
     def test_requires_sock_init(self, world):

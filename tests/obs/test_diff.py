@@ -9,7 +9,6 @@ import pytest
 from repro.bench.schema import SCHEMA_VERSION
 from repro.obs.diff import (
     diff_documents,
-    diff_flames,
     diff_metrics,
     diff_routines,
     diff_telemetry,
@@ -44,16 +43,6 @@ class TestDiffRoutines:
 
     def test_identical_profiles_yield_nothing(self):
         assert diff_routines(_rows(f=5), _rows(f=5)) == []
-
-
-class TestDiffFlames:
-    def test_only_moved_stacks_survive_with_signed_weights(self):
-        base = ["main;aes_encrypt 100", "main;aes_set_key 20"]
-        current = ["main;aes_encrypt 160", "main;aes_set_key 20",
-                   "main;mix_columns 5"]
-        assert diff_flames(base, current) == [
-            "main;aes_encrypt +60", "main;mix_columns +5",
-        ]
 
 
 class TestDiffMetrics:

@@ -23,7 +23,7 @@ class TestRing:
     def test_events_in_seq_order_before_wrap(self):
         recorder = FlightRecorder(capacity=8)
         for index in range(5):
-            recorder.info("sim", "t", f"event {index}")
+            recorder.debug("sim", "t", f"event {index}")
         assert len(recorder) == 5
         assert recorder.dropped == 0
         assert [e[0] for e in recorder.events()] == [0, 1, 2, 3, 4]
@@ -31,7 +31,7 @@ class TestRing:
     def test_wrap_keeps_newest_and_counts_dropped(self):
         recorder = FlightRecorder(capacity=4)
         for index in range(10):
-            recorder.info("sim", "t", f"event {index}")
+            recorder.debug("sim", "t", f"event {index}")
         assert len(recorder) == 4
         assert recorder.dropped == 6
         events = recorder.events()
@@ -43,7 +43,7 @@ class TestRing:
     def test_last_window_narrows_from_the_tail(self):
         recorder = FlightRecorder(capacity=8)
         for index in range(6):
-            recorder.info("sim", "t", f"event {index}")
+            recorder.debug("sim", "t", f"event {index}")
         assert [e[0] for e in recorder.events(last=2)] == [4, 5]
 
     def test_capacity_must_be_positive(self):
@@ -53,7 +53,7 @@ class TestRing:
     def test_severity_helpers_record_their_level(self):
         recorder = FlightRecorder(capacity=8)
         recorder.debug("c", "t", "d")
-        recorder.info("c", "t", "i")
+        recorder.record(INFO, "c", "t", "i")
         recorder.warn("c", "t", "w")
         recorder.error("c", "t", "e")
         assert [e[2] for e in recorder.events()] == [DEBUG, INFO, WARN, ERROR]
@@ -77,7 +77,7 @@ class TestExports:
             recorder = FlightRecorder(capacity=4, clock=clock)
             for index in range(7):
                 clock.t = index * 0.5
-                recorder.info("sim", "proc", f"step {index}")
+                recorder.debug("sim", "proc", f"step {index}")
             return recorder.dump()
 
         assert run() == run()
@@ -100,7 +100,6 @@ class TestNullRecorder:
         recorder = NullFlightRecorder()
         recorder.record(ERROR, "c", "t", "m")
         recorder.debug("c", "t", "m")
-        recorder.info("c", "t", "m")
         recorder.warn("c", "t", "m")
         recorder.error("c", "t", "m")
         assert not recorder.enabled

@@ -246,7 +246,6 @@ class TestClientReport:
         report = ClientReport("x")
         report.start, report.end = 1.0, 3.0
         report.bytes_sent, report.bytes_received = 1000, 1000
-        assert report.total_time == 2.0
         assert report.throughput_bps == pytest.approx(8000.0)
 
     def test_zero_duration(self):

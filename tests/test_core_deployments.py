@@ -67,7 +67,8 @@ class TestUnixDeployment:
         deployment.run_client(requests=1)
         logger = deployment.server_context.logger
         assert isinstance(logger, FileLogger)
-        assert logger.messages_logged >= 1
+        log = deployment.server_host.fs.read_file(logger.path)
+        assert len(log.splitlines()) >= 1
 
 
 class TestCrossDeploymentComparison:

@@ -5,6 +5,7 @@ example asserts its own correctness internally, so a zero exit status
 means the scenario actually worked.
 """
 
+import importlib.util
 import pathlib
 import subprocess
 import sys
@@ -33,3 +34,28 @@ def test_example_runs_clean(script):
         f"{script} failed:\n{result.stdout[-2000:]}\n{result.stderr[-2000:]}"
     )
     assert result.stdout.strip(), f"{script} printed nothing"
+
+
+def _load_example(name):
+    spec = importlib.util.spec_from_file_location(
+        name.removesuffix(".py"), EXAMPLES_DIR / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_multitasking_models_order_the_urgent_task():
+    """Section 4.2's comparison: the µC/OS-II priority kernel serves the
+    urgent task first (a cooperative hog that yields ties it), and the
+    stubborn hog makes costatements serve it last."""
+    models = _load_example("multitasking_models.py")
+    served = {
+        "costates": models.run_costates(),
+        "stubborn": models.run_costates_stubborn(),
+        "slices": models.run_slices(),
+        "ucos": models.run_ucos(),
+    }
+    assert served["ucos"] == min(served.values())
+    assert served["ucos"] < served["slices"] < served["stubborn"]
+    others = [t for name, t in served.items() if name != "stubborn"]
+    assert served["stubborn"] > max(others)

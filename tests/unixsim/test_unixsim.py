@@ -39,16 +39,6 @@ class TestFileSystem:
         fs.write_file("/f", b"short")
         assert fs.read_file("/f") == b"short"
 
-    def test_seek_tell(self):
-        fs = FileSystem()
-        fs.write_file("/f", b"0123456789")
-        with fs.open("/f") as fh:
-            fh.seek(5)
-            assert fh.tell() == 5
-            assert fh.read(3) == b"567"
-        with pytest.raises(FsError):
-            fs.open("/f").seek(-1)
-
     def test_partial_reads(self):
         fs = FileSystem()
         fs.write_file("/f", b"abcdef")
@@ -74,21 +64,6 @@ class TestFileSystem:
         fh.close()
         with pytest.raises(FsError):
             fh.write(b"late")
-
-    def test_unlink(self):
-        fs = FileSystem()
-        fs.write_file("/f", b"x")
-        fs.unlink("/f")
-        assert not fs.exists("/f")
-        with pytest.raises(FsError):
-            fs.unlink("/f")
-
-    def test_listdir_prefix(self):
-        fs = FileSystem()
-        fs.write_file("/var/log/a", b"")
-        fs.write_file("/var/log/b", b"")
-        fs.write_file("/etc/passwd", b"")
-        assert fs.listdir("/var/log/") == ["/var/log/a", "/var/log/b"]
 
     def test_capacity_enforced(self):
         # The embedded world's counterexample: a tiny disk fills up.
@@ -153,32 +128,6 @@ class TestProcesses:
         assert order[0][0] == "forked"
         assert kernel.forks == 2
         assert [o for o in order if o[0] == "child"]
-
-    def test_waitpid(self):
-        sim = Simulator()
-        kernel = UnixKernel(sim)
-        got = {}
-
-        def child():
-            yield 1.0
-            return 9
-
-        def parent():
-            proc = kernel.fork(child())
-            status = yield from kernel.waitpid(proc.pid)
-            got["status"] = status
-            got["when"] = sim.now
-
-        kernel.spawn(parent())
-        sim.run()
-        assert got["status"] == 9
-        assert got["when"] == 1.0
-
-    def test_waitpid_unknown(self):
-        sim = Simulator()
-        kernel = UnixKernel(sim)
-        with pytest.raises(KeyError):
-            next(kernel.waitpid(999))
 
     def test_signal_handler_called(self):
         sim = Simulator()
