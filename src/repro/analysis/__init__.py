@@ -27,7 +27,6 @@ CLI: ``python -m repro.analysis <paths...> [--format=text|json]
 from repro.analysis.config import LintConfig
 from repro.analysis.engine import (
     analyze_dync_source,
-    analyze_path,
     analyze_paths,
     analyze_python_source,
 )
@@ -35,7 +34,6 @@ from repro.diagnostics import Diagnostic, DiagnosticSink, Severity
 
 __all__ = [
     "analyze_dync_source",
-    "analyze_path",
     "analyze_paths",
     "analyze_python_source",
     "Diagnostic",

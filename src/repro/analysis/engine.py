@@ -5,8 +5,8 @@ Entry points:
 * :func:`analyze_dync_source` -- Layer 1 over one Dynamic C string.
 * :func:`analyze_python_source` -- Layer 2 over one Python string, plus
   Layer 1 over any embedded Dynamic C literals it contains.
-* :func:`analyze_path` / :func:`analyze_paths` -- dispatch by suffix
-  (``.c``/``.dc`` vs ``.py``) over files and directory trees.
+* :func:`analyze_paths` -- dispatch by suffix (``.c``/``.dc`` vs
+  ``.py``) over files and directory trees.
 
 A line containing ``dclint: allow(DC001)`` (in a comment; several rules
 comma-separated) suppresses those rules on that line and the next --
@@ -131,15 +131,6 @@ def _analyze_file(task: tuple[str, LintConfig]) -> list[Diagnostic]:
     if path.suffix in DYNC_SUFFIXES:
         return analyze_dync_source(source, file=str(path), config=config)
     return analyze_python_source(source, file=str(path), config=config)
-
-
-def analyze_path(path: str | pathlib.Path,
-                 config: LintConfig = DEFAULT_CONFIG) -> list[Diagnostic]:
-    """Lint one file or every ``.py``/``.c``/``.dc`` file under a tree."""
-    diagnostics = []
-    for file_ in expand_paths([path]):
-        diagnostics.extend(_analyze_file((str(file_), config)))
-    return diagnostics
 
 
 def analyze_paths(paths, config: LintConfig = DEFAULT_CONFIG,

@@ -3,9 +3,7 @@
 The compiler's AST nodes are plain dataclasses with ``list`` bodies and
 ``object`` expression slots, so traversal is structural: any dataclass
 field whose value is an AST node (or a list of them) is a child.  The
-walker yields ``(node, ancestors)`` pairs; rules either iterate that or
-subclass :class:`Visitor` for ``visit_<ClassName>`` dispatch with an
-ancestor stack.
+walker yields ``(node, ancestors)`` pairs, which the rules iterate.
 """
 
 from __future__ import annotations
@@ -67,37 +65,3 @@ def iter_nodes(root: object, node_type=None) -> Iterator[object]:
         if node_type is None or isinstance(node, node_type):
             yield node
 
-
-class Visitor:
-    """``visit_<ClassName>`` dispatch with an ancestor stack.
-
-    Unhandled node types descend generically; a ``visit_`` method must
-    call :meth:`generic_visit` itself if it wants to recurse.
-    """
-
-    def __init__(self):
-        self.ancestors: list = []
-
-    def visit(self, node: object) -> None:
-        if isinstance(node, list):
-            for item in node:
-                self.visit(item)
-            return
-        if not is_node(node):
-            return
-        method = getattr(self, f"visit_{type(node).__name__}", None)
-        if method is not None:
-            method(node)
-        else:
-            self.generic_visit(node)
-
-    def generic_visit(self, node: object) -> None:
-        self.ancestors.append(node)
-        try:
-            for child in children(node):
-                self.visit(child)
-        finally:
-            self.ancestors.pop()
-
-    def inside(self, node_type) -> bool:
-        return any(isinstance(a, node_type) for a in self.ancestors)

@@ -23,9 +23,10 @@ Cofunctions -- costatement bodies that take arguments and return a value
 it with ``result = yield from my_cofunc(args)``, which is faithful to
 their "callable costatement" semantics.  An indexed cofunction
 (``cofunc handler[N]``, N instances stepped from one costatement) is
-:func:`indexed_cofunctions`: one generator that advances a list of
-generators once each per pass, registered with
-:meth:`CostateScheduler.add` like any other costatement.
+:func:`indexed_cofunctions`: one generator that advances each generator
+in a list once per pass, skipping the ``None`` entries of idle
+instances, registered with :meth:`CostateScheduler.add` like any other
+costatement.
 """
 
 from __future__ import annotations
@@ -128,28 +129,32 @@ def waitfor(predicate: Callable[[], bool]):
         yield
 
 
-def indexed_cofunctions(gens: list[Generator]) -> Generator:
+def indexed_cofunctions(gens: list[Generator | None]) -> Generator:
     """Dynamic C's indexed cofunction (``cofunc void handler[N]``) as
     one costatement body: ``for (i = 0; i < N; i++) handler[i]();``.
 
-    Each resume advances every live generator in ``gens`` once, in
-    index order, and drops any that finish.  The pass yields the sum of
-    the numeric yields (starting from 0.0, in index order), so the big
-    loop charges exactly what the generators ground through -- unless
-    every live generator yielded an idle token, in which case it yields
-    one token carrying the earliest deadline (:data:`IDLE` when none
-    has a deadline, or when no generator is left).
+    ``gens`` is read live, not copied: each resume advances every
+    generator in it once, in index order, skips ``None`` entries (idle
+    instances) and sets a finished generator's entry to ``None``.  A
+    generator may fill a ``None`` entry during a pass; one at a later
+    index then runs in that same pass.  The pass yields the sum of the
+    numeric yields (starting from 0.0, in index order), so the big loop
+    charges exactly what the generators ground through -- unless every
+    generator yielded an idle token, in which case it yields one token
+    carrying the earliest deadline (:data:`IDLE` when none has a
+    deadline, or when every entry is ``None``).
     """
-    live = list(gens)
     while True:
         busy = 0.0
         idle = True
         deadline = None
-        for gen in tuple(live):
+        for index, gen in enumerate(gens):
+            if gen is None:
+                continue
             try:
                 yielded = next(gen)
             except StopIteration:
-                live.remove(gen)
+                gens[index] = None
                 continue
             if type(yielded) is _IdleToken:
                 d = yielded.deadline

@@ -86,7 +86,3 @@ class CircularLogger(Logger):
 
     def tail(self, count: int) -> list[str]:
         return self._ring[-count:]
-
-    @property
-    def stored(self) -> int:
-        return len(self._ring)

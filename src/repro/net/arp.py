@@ -34,9 +34,6 @@ class ArpService:
     def cache(self) -> dict[Ipv4Address, MacAddress]:
         return dict(self._cache)
 
-    def lookup(self, ip: Ipv4Address) -> MacAddress | None:
-        return self._cache.get(ip)
-
     def _send(self, opcode: int, target_ip: Ipv4Address,
               target_mac: MacAddress, dst_mac: MacAddress) -> None:
         packet = ArpPacket(

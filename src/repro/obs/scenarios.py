@@ -107,8 +107,7 @@ def run_aes_scenario(obs: Obs | None = None, *, implementation: str = "asm",
         raise ValueError(f"implementation must be asm/c, got {implementation!r}")
     profiler = CycleProfiler(board.cpu, symbols, tracer=obs.tracer)
     # Cumulative-cycle telemetry in CPU time, sampled once per AES
-    # block; repro.obs.diff turns the cumulative series into
-    # per-interval cycle rates.
+    # block.
     ts_cycles = obs.telemetry.series("cpu.cycles")
     board.cpu.sample_telemetry(ts_cycles, CLOCK_HZ)
     blocks = 0

@@ -3,8 +3,8 @@
 The metrics registry answers "how much, in total"; a regression hunt
 needs "when did it start".  :class:`TelemetryStore` hands out named
 :class:`TimeSeries` instruments that record ``(t, value)`` samples --
-TCP queue depths, scheduler pass counts, xmem high-water, per-interval
-cycle rates -- against the simulator clock, never the wall clock, so a
+TCP queue depths, scheduler pass counts, xmem high-water, cumulative
+CPU cycles -- against the simulator clock, never the wall clock, so a
 given workload produces byte-identical series at any ``--jobs N``.
 
 The store follows the same contracts as the registry:
@@ -89,22 +89,6 @@ class TimeSeries:
     @property
     def minimum(self) -> float:
         return min(self.values) if self.values else 0.0
-
-    def rates(self) -> list[tuple[float, float]]:
-        """Per-interval rates ``(t_i, dv/dt)`` for cumulative series.
-
-        Zero-length intervals (two samples at one instant) are skipped
-        rather than dividing by zero.
-        """
-        out = []
-        times, values = self.times, self.values
-        for index in range(1, len(times)):
-            dt = times[index] - times[index - 1]
-            if dt > 0.0:
-                out.append(
-                    (times[index], (values[index] - values[index - 1]) / dt)
-                )
-        return out
 
     def first_divergence(self, other: "TimeSeries") -> float | None:
         """Earliest simulated time where the two series disagree.

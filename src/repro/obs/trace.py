@@ -238,10 +238,6 @@ class Tracer:
             self.end(span)
 
     # -- queries --------------------------------------------------------
-    def categories(self) -> set[str]:
-        return ({s.cat for s in self.spans}
-                | {i["cat"] for i in self.instants})
-
     def summary_rows(self) -> list[dict]:
         """Per span-name aggregate: count and simulated time."""
         totals: dict[tuple[str, str], list] = {}

@@ -16,7 +16,9 @@ Two services and one backend:
   ``pooled=True`` the N costatements become the N slots of ONE indexed
   pooled costatement behind admission control, which refuses
   (``redirector.refused.*``) instead of queueing past its capacity or
-  allocating past the xmem budget.  Both wirings accept through one
+  allocating past the xmem budget.  A slot is a generator only while
+  it serves a connection; an idle slot is a ``None`` entry in the
+  pool's one list and is never resumed.  Both wirings accept through one
   wait step (:func:`_await_connection`) and serve through one path
   (:func:`_serve_connection`).  With ``secure=False`` either wiring
   serves plain TCP, the no-TLS baseline the E4 throughput experiment
@@ -260,8 +262,9 @@ def _sock_dead(sock) -> bool:
 
 
 class _ConnectionHandles:
-    """A handler's observability handles, looked up when its body starts
-    (the registry lists every counter created, zero-valued ones too)."""
+    """The serving path's observability handles, looked up once per
+    static handler (when its body starts) or once per slot pool (the
+    registry lists every counter created, zero-valued ones too)."""
 
     __slots__ = ("tracer", "recorder", "refused_sessions", "refused_memory",
                  "hs_errors", "backend_errors", "recovered",
@@ -592,7 +595,7 @@ def build_rmc_redirector(stack: DyncTcpStack, context: IsslContext,
     ``buffer_pool`` (an :class:`~repro.dync.runtime.xalloc.XmemBufferPool`)
     makes record buffers a refusable resource instead of an assumed one.
     """
-    if pooled and handlers < 1:
+    if handlers < 1:
         raise ValueError(f"handlers must be >= 1, got {handlers}")
     if isinstance(backend_ip, str):
         backend_ip = Ipv4Address.parse(backend_ip)
@@ -633,79 +636,59 @@ def build_rmc_redirector(stack: DyncTcpStack, context: IsslContext,
 SLOT_BUFFER_BYTES = 4096
 
 
-def _pool_slot(stack: DyncTcpStack, context: IsslContext,
-               backend_ip, backend_port,
-               stats: dict | None, secure: bool, label: str,
-               inbox: list, index: int, free_socks, **serve_kwargs):
-    """One indexed-cofunction slot: serve handed-off connections forever.
-
-    The pool's acceptor (not this body) listens, waits, and either
-    places an established connection into ``inbox[index]`` or refuses
-    it; from the hand-off on, the slot runs the same
-    :func:`_serve_connection` as the static handlers, then returns the
-    socket to the acceptor's free list.
-    """
-    obs = stack.host.sim.obs
-    handles = _ConnectionHandles(obs)
-    gauge_occupied = obs.metrics.gauge("redirector.slots.occupied")
-    ts_occupied = obs.telemetry.series("redirector.slots.occupied")
-
-    while True:
-        # The inbox is only filled by the acceptor, which runs in this
-        # same pooled costatement and declares its own pass non-idle
-        # when it hands off -- so an empty-inbox poll is a pure
-        # event-wait the big loop may skip past.
-        while inbox[index] is None:
-            yield IDLE
-        sock = inbox[index]
-        yield from _serve_connection(
-            stack, context, handles, sock, backend_ip, backend_port,
-            stats, secure, label, **serve_kwargs,
-        )
-        # The one place a slot goes idle: socket back on the admission
-        # free list, inbox cleared, occupancy stepped down.
-        free_socks.append(sock)
-        inbox[index] = None
-        gauge_occupied.set(gauge_occupied.value - 1)
-        ts_occupied.record(gauge_occupied.value)
-        yield
-
-
 def _add_slot_pool(scheduler, stack, context, backend_ip, backend_port,
                    listen_port, slots, stats, secure, serve_kwargs):
     """Register the ``slot-pool`` costatement: ``slots`` slots behind
     admission control, as one :func:`indexed_cofunctions` generator
-    whose generator 0 is the acceptor and 1..``slots`` the slot bodies.
+    over one list, ``gens``: entry 0 is the acceptor, and entry ``i``
+    is ``None`` while slot ``i`` is idle or the generator serving its
+    connection.  An idle slot is never resumed.
 
     The acceptor, shaped like :func:`_rmc_handler`, listens and waits
     through :func:`_await_connection`; each established connection is
-    handed to the lowest-index idle slot (its ``inbox`` entry is None)
-    or refused (``redirector.refused.slots`` + a flight-recorder event)
-    when all slots are busy.  It yields only ``IDLE`` or bare, so the
-    pool's pass is idle exactly when the acceptor and every slot wait.
-    A socket the acceptor takes off the free list may still be closing
-    the connection it served: it is reclaimed (aborted) once the peer
-    has hung up and rotated to the back of the list otherwise, never
-    counted as a connection that died queued.  Occupancy is published
-    as the ``redirector.slots.occupied`` gauge and telemetry series.
-    Per-slot record buffers come from ``buffer_pool``, so a pool sized
-    past the xmem budget refuses (``redirector.refused.memory``) rather
-    than allocating past it.
+    handed to the lowest-index ``None`` entry, as
+    :func:`_serve_connection` plus the release tail, and is served in
+    that same pass; or it is refused (``redirector.refused.slots`` + a
+    flight-recorder event) when all slots are busy.  It yields only
+    ``IDLE`` or bare, so the pool's pass is idle exactly when the
+    acceptor and every serving slot wait.  A socket the acceptor takes
+    off the free list may still be closing the connection it served: it
+    is reclaimed (aborted) once the peer has hung up and rotated to the
+    back of the list otherwise, never counted as a connection that died
+    queued.  Occupancy is published as the ``redirector.slots.occupied``
+    gauge and telemetry series.  Per-slot record buffers come from
+    ``buffer_pool``, so a pool sized past the xmem budget refuses
+    (``redirector.refused.memory``) rather than allocating past it.
     """
     world_obs = stack.host.sim.obs
     metrics = world_obs.metrics
-    recorder = world_obs.recorder
+    # Every handle is a world-global metric, so the slots share one set.
+    handles = _ConnectionHandles(world_obs)
     ctr_refused_slots = metrics.counter("redirector.refused.slots")
     ctr_handoffs = metrics.counter("redirector.slots.handoffs")
-    ctr_recovered = metrics.counter("redirector.recovered")
     gauge_occupied = metrics.gauge("redirector.slots.occupied")
     ts_occupied = world_obs.telemetry.series("redirector.slots.occupied")
     log = context.logger.log
     # Statically allocated sockets, Rabbit style: one in the acceptor's
     # hand, the rest on the free list; slots return theirs on release.
     free_socks = deque(make_socket(stack) for _ in range(slots))
-    # Per slot, the connection it is serving, or None when idle.
-    inbox = [None] * slots
+    gens = [None] * (slots + 1)
+
+    def serve(index, sock):
+        yield from _serve_connection(
+            stack, context, handles, sock, backend_ip, backend_port,
+            stats, secure, f"slot{index}", **serve_kwargs,
+        )
+        # The one place a slot goes idle: socket back on the admission
+        # free list, occupancy stepped down, and the entry freed in this
+        # resume -- not at the next one, which the acceptor, running
+        # first in that pass, would find still occupied.  The resume
+        # still yields bare: it did work.
+        free_socks.append(sock)
+        gens[index] = None
+        gauge_occupied.set(gauge_occupied.value - 1)
+        ts_occupied.record(gauge_occupied.value)
+        yield
 
     def admission(sock):
         # The acceptor, shaped like _rmc_handler: listen, wait, then
@@ -722,12 +705,14 @@ def _add_slot_pool(scheduler, stack, context, backend_ip, backend_port,
                     free_socks.append(sock)
                     sock = free_socks.popleft()
                 yield
-            if (yield from _await_connection(stack, sock, log, recorder,
-                                             ctr_recovered, "admission")):
-                if None in inbox:
+            if (yield from _await_connection(stack, sock, log,
+                                             handles.recorder,
+                                             handles.recovered, "admission")):
+                if None in gens:
                     # Hand off to the lowest-index idle slot; it is
                     # served in this same pass.
-                    inbox[inbox.index(None)] = sock
+                    index = gens.index(None)
+                    gens[index] = serve(index, sock)
                     ctr_handoffs.inc()
                     gauge_occupied.set(gauge_occupied.value + 1)
                     ts_occupied.record(gauge_occupied.value)
@@ -740,18 +725,11 @@ def _add_slot_pool(scheduler, stack, context, backend_ip, backend_port,
                     ctr_refused_slots.inc()
                     log(f"redirector: admission: refused: all {slots} "
                         f"slots busy")
-                    recorder.warn(CAT_SERVICE, "svc:admission",
-                                  "refused: no idle slot")
+                    handles.recorder.warn(CAT_SERVICE, "svc:admission",
+                                          "refused: no idle slot")
                     stack.sock_abort(sock)
-                    ctr_recovered.inc()
+                    handles.recovered.inc()
             yield
 
-    bodies = [
-        _pool_slot(stack, context, backend_ip, backend_port, stats, secure,
-                   f"slot{index + 1}", inbox, index, free_socks,
-                   **serve_kwargs)
-        for index in range(slots)
-    ]
-    scheduler.add(indexed_cofunctions([admission(make_socket(stack))]
-                                      + bodies),
-                  name="slot-pool")
+    gens[0] = admission(make_socket(stack))
+    scheduler.add(indexed_cofunctions(gens), name="slot-pool")

@@ -109,6 +109,45 @@ class TestIndexedCofunctionPool:
         assert next(indexed_cofunctions([])) is IDLE
 
 
+class TestLiveSlotList:
+    """The pool reads its caller's list live: ``None`` is an idle slot,
+    a filled entry runs in the filling pass, a finished one reads
+    ``None``."""
+
+    def test_none_entries_are_skipped(self):
+        log = []
+        pool = indexed_cofunctions(
+            [None, _ticker(log, "a", busy_s=0.5), None])
+        assert next(pool) == 0.5
+        assert log == ["a"]
+
+    def test_entry_filled_by_an_earlier_generator_runs_in_that_pass(self):
+        log = []
+        gens = [None, None]
+
+        def acceptor():
+            log.append("acceptor")
+            gens[1] = _ticker(log, "slot", busy_s=0.25, passes=1)
+            yield
+
+        gens[0] = acceptor()
+        pool = indexed_cofunctions(gens)
+        assert next(pool) == 0.25
+        assert log == ["acceptor", "slot"]
+
+    def test_finished_entry_reads_none_in_the_callers_list(self):
+        gens = [_script(), _script(IDLE, IDLE)]
+        pool = indexed_cofunctions(gens)
+        next(pool)
+        assert gens[0] is None
+        assert gens[1] is not None
+
+    def test_pass_over_only_none_entries_is_idle(self):
+        pool = indexed_cofunctions([None, None, None])
+        assert next(pool) is IDLE
+        assert next(pool) is IDLE
+
+
 class TestSchedulerPoolIntegration:
     def test_pool_runs_inside_big_loop(self):
         sim = Simulator()

@@ -195,7 +195,6 @@ class TestLoggers:
         for i in range(10):
             logger.log(f"event {i}")
         assert self._messages(obs) == 10
-        assert logger.stored == 4
         assert logger.overwrites == 6
         assert logger.tail(10) == [f"event {i}" for i in range(6, 10)]
 

@@ -119,10 +119,10 @@ class TestArp:
         process = sim.spawn(resolver())
         sim.run_until_complete(process, timeout=5)
         assert results["mac"] == hosts["b"].interface.mac
-        assert hosts["a"].arp.lookup(hosts["b"].ip_address) == \
+        assert hosts["a"].arp.cache[hosts["b"].ip_address] == \
             hosts["b"].interface.mac
         # And b opportunistically learned a from the request.
-        assert hosts["b"].arp.lookup(hosts["a"].ip_address) == \
+        assert hosts["b"].arp.cache[hosts["a"].ip_address] == \
             hosts["a"].interface.mac
 
     def test_resolution_failure(self, lan):

@@ -37,13 +37,6 @@ class TestTimeSeries:
         series.record_at(2.0, 5.0)  # same value, new time: kept
         assert series.samples() == [(1.0, 5.0), (2.0, 5.0)]
 
-    def test_rates_are_per_interval_derivatives(self):
-        series = TelemetryStore().series("cpu.cycles")
-        series.record_at(0.0, 0.0)
-        series.record_at(1.0, 100.0)
-        series.record_at(3.0, 500.0)
-        assert series.rates() == [(1.0, 100.0), (3.0, 200.0)]
-
     def test_sparkline_is_fixed_width_ascii(self):
         series = TelemetryStore().series("s")
         for i in range(10):

@@ -164,12 +164,6 @@ class TestCausalContext:
 # -- queries ------------------------------------------------------------------
 
 class TestQueries:
-    def test_categories_include_instants(self):
-        tracer = Tracer()
-        tracer.end(tracer.begin("s", cat=CAT_ISSL))
-        tracer.instant("i", cat=CAT_TCP)
-        assert tracer.categories() == {CAT_ISSL, CAT_TCP}
-
     def test_summary_rows_aggregate_by_name(self):
         clock = ManualClock()
         tracer = Tracer(clock=clock)

@@ -52,7 +52,7 @@ class TestStructure:
         nested scheduler it replaced is gone from the source tree."""
         deleted = ("CofunctionSlot", "IndexedCofunctionPool", "add_pool",
                    "slot_capacity", "connection_slot_count", "sweep_yield",
-                   "step_all", "_SlotMailbox")
+                   "step_all", "_SlotMailbox", "_pool_slot", "inbox")
         src = Path(repro.__file__).parent
         for path in src.rglob("*.py"):
             text = path.read_text()
@@ -72,6 +72,11 @@ class TestStructure:
     def test_rejects_empty_pool(self):
         with pytest.raises(ValueError):
             _world(slots=0)
+
+    def test_rejects_static_build_without_handlers(self):
+        with pytest.raises(ValueError, match="handlers must be >= 1"):
+            build_redirector_world(b"rmc", clients=1, obs=Obs(),
+                                   cost_model=FREE, handlers=0)
 
 
 class TestService:
