@@ -86,16 +86,26 @@ def run_scenario(name: str, seed: int = DEFAULT_SEED) -> dict:
             f"unknown scenario {name!r}; known: {', '.join(SCENARIOS)}"
         )
     runner, description = SCENARIOS[name]
+    # The world holds reference cycles (events and processes point back
+    # at the simulator, services at their host), so only the collector
+    # frees it.  Collect it before returning: left to the generational
+    # collector it can outlive later scenarios, and a matrix's peak
+    # memory would depend on collection timing, not on one world's size.
+    # Freezing what existed before the runner keeps that collection to
+    # the scenario's own objects.  A caller's freeze already does so, and
+    # unfreeze would thaw the caller's objects too: leave it alone.
+    freeze = gc.get_freeze_count() == 0
+    if freeze:
+        gc.freeze()
     try:
         verdict = runner(seed)
     except Exception as exc:  # noqa: BLE001 -- escaped == verdict, by design
         verdict = _crash_verdict(name, exc)
+    finally:
+        gc.collect()
+        if freeze:
+            gc.unfreeze()
     verdict["description"] = description
-    # The scenario's world is one large reference cycle.  Collect it now:
-    # left to the generational collector it can sit in the oldest
-    # generation past later scenarios, so a matrix's peak memory would
-    # depend on collection timing rather than on one world's size.
-    gc.collect()
     return verdict
 
 

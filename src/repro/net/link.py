@@ -178,13 +178,14 @@ class EthernetSegment:
             # The NICs' MAC filter, tested on each frame the hook chain
             # emits (a corruptor may have rewritten dst).  Attach order
             # keeps equal-time deliveries in their (when, seq) order.
-            dst = delivered_frame.dst
-            everyone = dst == BROADCAST_MAC
+            # Plain ints compare without the dataclass's generated __eq__.
+            dst = delivered_frame.dst.value
+            everyone = dst == BROADCAST_MAC.value
             when = arrival + extra_delay
             for interface in self.interfaces:
                 if interface is sender or not (
                         everyone or interface.promiscuous
-                        or dst == interface.mac):
+                        or dst == interface.mac.value):
                     continue
                 if ctx is None:
                     call_at(when, interface.deliver, delivered_frame)

@@ -6,8 +6,12 @@ passes, recovery counters are present and non-zero where the fault
 demands recovery, and the same seed produces the same report.
 """
 
+import gc
+
 import pytest
 
+from repro.net.host import Host
+from repro.net.sim import Simulator
 from repro.obs import DEFAULT_TAIL
 from repro.faults.campaign import (
     DEFAULT_SEED,
@@ -132,6 +136,54 @@ class TestRecorderEmbedding:
         verdict = run_scenario("baseline")
         assert verdict["ok"], verdict["checks"]
         assert "events" not in verdict
+
+
+@pytest.fixture
+def no_automatic_gc():
+    """Only run_scenario's own collection may free a world."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _worlds() -> list:
+    return [o for o in gc.get_objects() if isinstance(o, (Simulator, Host))]
+
+
+class TestScopedCollection:
+    """run_scenario frees its world before it returns, and its freeze
+    (which keeps that collection to the scenario's own objects) leaves
+    the caller's GC state as it found it."""
+
+    def test_world_is_freed_before_return(self, no_automatic_gc):
+        gc.collect()
+        before = _worlds()  # held, so no new object can reuse their ids
+        verdict = run_scenario("baseline")
+        assert verdict["ok"], verdict["checks"]
+        known = {id(o) for o in before}
+        leaked = [o for o in _worlds() if id(o) not in known]
+        assert leaked == []
+
+    def test_freeze_count_is_zero_before_and_after(self):
+        assert gc.get_freeze_count() == 0
+        run_scenario("baseline")
+        assert gc.get_freeze_count() == 0
+
+    def test_callers_freeze_is_kept(self):
+        expected = run_scenario("baseline")
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            assert frozen > 0
+            verdict = run_scenario("baseline")
+            assert gc.get_freeze_count() >= frozen
+        finally:
+            gc.unfreeze()
+        assert verdict == expected
 
 
 class TestMatrix:
