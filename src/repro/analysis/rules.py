@@ -40,6 +40,8 @@ from __future__ import annotations
 from repro.diagnostics import DiagnosticSink
 from repro.analysis.config import LintConfig
 from repro.analysis.flow.rules import (
+    _has_call,
+    _vars_read,
     run_flow_rules,
     torn_write_candidates,
     uses_mask_ops,
@@ -81,14 +83,6 @@ def run_all(program: Program, sink: DiagnosticSink,
 
 def _loc(node) -> dict:
     return {"line": getattr(node, "line", 0), "col": getattr(node, "col", 0)}
-
-
-def _vars_read(expr) -> set[str]:
-    return {n.name for n in iter_nodes(expr, Var)}
-
-
-def _has_call(expr) -> bool:
-    return any(True for _ in iter_nodes(expr, Call))
 
 
 def _assigned_names(statements) -> set[str]:

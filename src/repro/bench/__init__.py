@@ -16,8 +16,9 @@ claim fails CI instead of shipping silently.
   builds a snapshot (simulated, seed-determined content only).
 * :mod:`repro.bench.compare` -- per-metric diffs under one tight
   tolerance band for the deterministic metrics.
-* :mod:`repro.bench.gate` -- paper-claim assertions + drift gating
-  against the committed baseline; non-zero exit on regression.
+* :mod:`repro.bench.gate` -- one table of rules (paper findings, the
+  scaling curve, the redirector run) + drift gating against the
+  committed baseline; non-zero exit on regression.
 * :mod:`repro.bench.trend` -- the trajectory across all ``BENCH_*``
   snapshots as a text/markdown report.
 * :mod:`repro.bench.cli` -- ``python -m repro.bench
@@ -33,7 +34,7 @@ from repro.bench.compare import (
     ToleranceBand,
     compare_snapshots,
 )
-from repro.bench.gate import CLAIMS, Claim, GateReport, evaluate_gate
+from repro.bench.gate import RULES, GateReport, Rule, evaluate_gate
 from repro.bench.schema import (
     SCHEMA_VERSION,
     BenchSchemaError,
@@ -48,13 +49,13 @@ from repro.bench.snapshot import QUICK_WORKLOAD, build_snapshot
 from repro.bench.trend import trend_rows
 
 __all__ = [
-    "CLAIMS",
-    "Claim",
     "CompareReport",
     "DETERMINISTIC_BAND",
     "GateReport",
     "MetricDiff",
     "QUICK_WORKLOAD",
+    "RULES",
+    "Rule",
     "SCHEMA_VERSION",
     "BenchSchemaError",
     "ToleranceBand",

@@ -3,7 +3,7 @@
 * ``run`` -- run the battery + obs scenarios, write ``BENCH_<tag>.json``.
 * ``compare`` -- diff two snapshots under the tolerance band.
 * ``trend`` -- the headline trajectory across every ``BENCH_*.json``.
-* ``gate`` -- paper claims + drift vs the committed baseline; exits
+* ``gate`` -- paper rules + drift vs the committed baseline; exits
   non-zero on any regression (the CI entry point).
 * ``show`` -- regenerate an experiment's text tables from a snapshot.
 """
@@ -76,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="emit a markdown table")
 
     gate = sub.add_parser(
-        "gate", help="claims + drift vs the committed baseline"
+        "gate", help="paper rules + drift vs the committed baseline"
     )
     gate.add_argument("--baseline", default=None, metavar="FILE",
                       help=f"baseline snapshot (default: "
@@ -84,12 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gate.add_argument("--snapshot", default=None, metavar="FILE",
                       help="gate this snapshot instead of running fresh")
     gate.add_argument("--verbose", action="store_true",
-                      help="show passing claims and metrics too")
-    gate.add_argument("--slo", default=None, metavar="FILE",
-                      help="SLO rules TOML to fold into the verdict "
-                           "(default: slo.toml when present)")
-    gate.add_argument("--no-slo", action="store_true",
-                      help="skip SLO evaluation even if slo.toml exists")
+                      help="show passing rules and metrics too")
     add_run_options(gate)
 
     show = sub.add_parser(
@@ -144,21 +139,6 @@ def _cmd_trend(args) -> int:
 
 
 def _cmd_gate(args) -> int:
-    import os
-
-    from repro.obs.slo import DEFAULT_RULES_FILE, SloConfigError, load_rules
-
-    slo_rules = None
-    if not args.no_slo:
-        rules_path = args.slo
-        if rules_path is None and os.path.exists(DEFAULT_RULES_FILE):
-            rules_path = DEFAULT_RULES_FILE
-        if rules_path is not None:
-            try:
-                slo_rules = load_rules(rules_path)
-            except SloConfigError as exc:
-                print(f"bench: {exc}", file=sys.stderr)
-                return 2
     baseline_path = args.baseline or default_snapshot_path(
         DEFAULT_BASELINE_TAG
     )
@@ -170,7 +150,7 @@ def _cmd_gate(args) -> int:
             args, "gate-run",
             QUICK_WORKLOAD if args.quick else baseline["workload"],
         )
-    report = evaluate_gate(current, baseline, slo_rules=slo_rules)
+    report = evaluate_gate(current, baseline)
     print(report.format(verbose=args.verbose))
     return 0 if report.ok else 1
 

@@ -47,11 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="fan scenarios out over N worker processes; "
                             "the merged report is byte-identical to "
                             "--jobs 1 (default: 1)")
-        p.add_argument("--slo", metavar="FILE", default=None,
-                       help="evaluate SLO rules (repro.obs.slo TOML) "
-                            "against the report; verdict goes to stderr "
-                            "(stdout stays the canonical JSON) and an "
-                            "error-severity miss fails the exit code")
 
     sub.add_parser("list", help="named scenarios and descriptions")
 
@@ -97,20 +92,7 @@ def _emit(report: dict, args) -> int:
         print(_summarize(report))
     else:
         sys.stdout.write(text)
-    status = 0 if report["verdict"] == "PASS" else 1
-    if getattr(args, "slo", None):
-        from repro.obs.slo import SloConfigError, evaluate_slo, load_rules
-
-        try:
-            rules = load_rules(args.slo)
-        except SloConfigError as exc:
-            print(f"faults: {exc}", file=sys.stderr)
-            return 2
-        slo_report = evaluate_slo(rules, report)
-        print(slo_report.format(), file=sys.stderr)
-        if not slo_report.ok:
-            status = status or 1
-    return status
+    return 0 if report["verdict"] == "PASS" else 1
 
 
 def _cmd_list(args) -> int:

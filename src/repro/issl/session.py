@@ -97,8 +97,7 @@ class IsslContext:
         self._ctr_hs_retries = metrics.counter("issl.handshakes.retries")
         self._ctr_mac_failures = metrics.counter("issl.records.mac_failures")
         self._gauge_sessions = metrics.gauge("issl.sessions.active")
-        #: Mergeable percentile summary of completed handshake times:
-        #: the fleet-level "p95 handshake latency" SLO reads this.
+        #: Mergeable percentile summary of completed handshake times.
         self._sketch_handshake = metrics.sketch("issl.handshake_s")
         if any(s.uses_rsa for s in profile.suites) and profile.name == "RMC2000_PORT":
             raise IsslConfigError("RMC2000 port cannot carry RSA suites")

@@ -163,18 +163,6 @@ class BsdSocket:
                 raise SocketError("recv timed out")
             yield conn.update_event
 
-    def recv_exactly(self, nbytes: int, timeout: float | None = None):
-        """Generator: read exactly ``nbytes`` or raise on EOF/timeout."""
-        buffer = b""
-        while len(buffer) < nbytes:
-            chunk = yield from self.recv(nbytes - len(buffer), timeout)
-            if not chunk:
-                raise SocketError(
-                    f"EOF after {len(buffer)} of {nbytes} bytes"
-                )
-            buffer += chunk
-        return buffer
-
     # -- teardown ------------------------------------------------------------
     def close(self) -> None:
         if self.closed:

@@ -9,12 +9,9 @@ Three subcommands, one per artifact kind:
 * ``flame`` -- collapsed stacks for ``flamegraph.pl`` / speedscope
   (``aes`` scenario only; it is the one with a CPU to profile).
 
-Plus two subcommands that judge existing artifacts instead of running
+Plus one subcommand that judges existing artifacts instead of running
 a scenario:
 
-* ``slo`` -- evaluates a declarative rules file (:mod:`repro.obs.slo`)
-  against a snapshot/report JSON; exits non-zero when an
-  error-severity objective is not met.
 * ``diff`` -- regression forensics (:mod:`repro.obs.diff`): align two
   bench snapshots (routine cycle deltas, metric drift, telemetry
   first-divergence) or two Chrome trace exports (span trees by
@@ -60,16 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     flame = sub.add_parser("flame", help="collapsed flame stacks (aes)")
     add_common(flame, "aes")
-
-    slo = sub.add_parser(
-        "slo", help="evaluate SLO rules against a snapshot JSON"
-    )
-    slo.add_argument("document", metavar="SNAPSHOT",
-                     help="bench snapshot or fault report JSON to judge")
-    slo.add_argument("--rules", metavar="FILE", default=None,
-                     help="TOML rules file (default: slo.toml)")
-    slo.add_argument("--verbose", action="store_true",
-                     help="show passing rules too")
 
     diff = sub.add_parser(
         "diff", help="diff two runs: snapshots or Chrome traces"
@@ -130,30 +117,6 @@ def _report_text(args, result: dict) -> str:
     return "\n".join(sections)
 
 
-def _cmd_slo(args) -> int:
-    from repro.obs.slo import (
-        DEFAULT_RULES_FILE,
-        SloConfigError,
-        evaluate_slo,
-        load_rules,
-    )
-
-    try:
-        rules = load_rules(args.rules or DEFAULT_RULES_FILE)
-    except SloConfigError as exc:
-        print(f"slo: {exc}", file=sys.stderr)
-        return 2
-    try:
-        with open(args.document, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"slo: cannot load {args.document}: {exc}", file=sys.stderr)
-        return 2
-    report = evaluate_slo(rules, document)
-    print(report.format(verbose=args.verbose))
-    return 0 if report.ok else 1
-
-
 def _cmd_diff(args) -> int:
     from repro.obs.diff import DEFAULT_TOP, diff_documents
 
@@ -177,8 +140,6 @@ def _cmd_diff(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "slo":
-        return _cmd_slo(args)
     if args.command == "diff":
         return _cmd_diff(args)
     result = _run_scenario(args)

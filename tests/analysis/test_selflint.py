@@ -152,7 +152,7 @@ def test_simulation_packages_are_deterministic():
 
 def test_obs_wall_clock_is_confined_to_trace_spans():
     """The obs package -- tracer, flight recorder, mergeable metrics,
-    SLO engine, sampling profiler -- is deterministic by construction:
+    sampling profiler -- is deterministic by construction:
     traces, recorder dumps and metric snapshots must merge
     byte-identically across ``--jobs`` fan-out.  The tracer's spans carry
     simulated time only, so no obs module, ``trace.py`` included, may

@@ -47,8 +47,12 @@ _TEMPLATE = {
             },
         },
         "redirector": {
-            "counters": {"issl.records.sent": 12},
-            "gauges": {"xalloc.used": {"value": 4096.0,
+            "counters": {"issl.handshakes.failed": 0,
+                         "issl.records.mac_failures": 0,
+                         "issl.records.sent": 12},
+            "gauges": {"issl.sessions.active": {"value": 0.0,
+                                                "high_water": 3.0},
+                       "xalloc.used": {"value": 4096.0,
                                        "high_water": 4096.0}},
             "histograms": {
                 "costate.gap_s": {

@@ -22,11 +22,12 @@ pytestmark = pytest.mark.faults
 SUBSET = "baseline,syn-loss,rst-midhandshake,xalloc-exhaustion"
 
 
-def _run_module(*argv: str) -> subprocess.CompletedProcess:
+def _run_module(*argv: str,
+                module: str = "repro.faults") -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src")
     return subprocess.run(
-        [sys.executable, "-m", "repro.faults", *argv],
+        [sys.executable, "-m", module, *argv],
         capture_output=True, text=True, env=env, cwd=REPO, timeout=300,
     )
 
@@ -101,48 +102,38 @@ class TestMatrixCli:
         assert "unknown scenario" in completed.stderr
 
 
-class TestSloFlag:
-    """``--slo``: evaluate repro.obs.slo rules against the report.
+class TestGateOnTheFaultRecord:
+    """The matrix verdict reaches the regression gate through a bench
+    snapshot's ``faults`` record: each scenario's ``ok`` flag.  A
+    perturbed copy of the committed baseline is gated against itself,
+    so drift stays quiet and only the scenario check can speak."""
 
-    The verdict goes to stderr so stdout stays the canonical JSON
-    encoding regardless of whether rules are in play.
-    """
-
-    def test_met_rules_keep_exit_zero_and_stdout_canonical(self, tmp_path):
-        rules = tmp_path / "rules.toml"
-        rules.write_text(
-            '[[rule]]\nname = "nothing-failed"\npath = "failed"\n'
-            'op = "=="\nthreshold = 0.0\nseverity = "error"\n',
-            encoding="utf-8",
+    def _gate(self, tmp_path, perturb=None) -> subprocess.CompletedProcess:
+        document = json.loads(
+            (REPO / "BENCH_baseline.json").read_text(encoding="utf-8")
         )
-        completed = _run_module("run", "baseline", "--slo", str(rules))
-        assert completed.returncode == 0, completed.stderr
-        assert "slo verdict: PASS" in completed.stderr
-        report = json.loads(completed.stdout)
-        assert completed.stdout == (
-            json.dumps(report, indent=1, sort_keys=True) + "\n"
-        )
+        if perturb is not None:
+            perturb(document["faults"])
+        path = tmp_path / "BENCH_faults.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        return _run_module("gate", "--baseline", str(path),
+                           "--snapshot", str(path), module="repro.bench")
 
-    def test_violated_error_rule_exits_one(self, tmp_path):
-        rules = tmp_path / "rules.toml"
-        rules.write_text(
-            '[[rule]]\nname = "impossible-pass-count"\npath = "passed"\n'
-            'op = ">="\nthreshold = 99.0\nseverity = "error"\n',
-            encoding="utf-8",
-        )
-        completed = _run_module("run", "baseline", "--slo", str(rules))
-        assert completed.returncode == 1
-        assert "FAIL impossible-pass-count [error]" in completed.stderr
-        assert "slo verdict: FAIL" in completed.stderr
-        # The report itself is still green and still on stdout.
-        assert json.loads(completed.stdout)["verdict"] == "PASS"
+    def test_recovering_matrix_keeps_the_gate_green(self, tmp_path):
+        completed = self._gate(tmp_path)
+        assert completed.returncode == 0, completed.stdout
+        assert "no longer recovering" not in completed.stdout
 
-    def test_invalid_rules_file_exits_two(self, tmp_path):
-        bad = tmp_path / "bad.toml"
-        bad.write_text("not [ toml", encoding="utf-8")
-        completed = _run_module("run", "baseline", "--slo", str(bad))
-        assert completed.returncode == 2
-        assert "invalid TOML" in completed.stderr
+    def test_failed_scenario_fails_the_gate_naming_it(self, tmp_path):
+        def syn_loss_fails(faults):
+            faults["scenarios"]["syn-loss"]["ok"] = False
+            faults["passed"] -= 1
+            faults["failed"] += 1
+        completed = self._gate(tmp_path, syn_loss_fails)
+        assert completed.returncode == 1, completed.stdout
+        assert ("fault scenarios no longer recovering: syn-loss"
+                in completed.stdout)
+        assert "verdict: FAIL" in completed.stdout.splitlines()[-1]
 
 
 @pytest.mark.slow

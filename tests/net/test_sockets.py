@@ -109,31 +109,6 @@ class TestBsdSockets:
         sim.run_until_complete(process, timeout=60)
         assert out["data"] == b""
 
-    def test_recv_exactly_raises_on_short_stream(self, world):
-        sim, hosts = world
-        out = {}
-
-        def server():
-            lsock = socket(hosts["server"])
-            lsock.bind(("", 9))
-            lsock.listen()
-            conn = yield from lsock.accept()
-            yield from conn.sendall(b"abc")
-            conn.close()
-
-        def client():
-            sock = socket(hosts["client"])
-            yield from sock.connect(("10.0.0.1", 9))
-            try:
-                yield from sock.recv_exactly(10, timeout=5)
-            except SocketError as exc:
-                out["error"] = str(exc)
-
-        hosts["server"].spawn(server())
-        process = hosts["client"].spawn(client())
-        sim.run_until_complete(process, timeout=60)
-        assert "EOF" in out["error"]
-
     def test_recv_timeout(self, world):
         sim, hosts = world
         out = {}

@@ -150,73 +150,6 @@ class TestInProcess:
         assert "no CPU profile" in capsys.readouterr().err
 
 
-RULES_TOML = """
-[[rule]]
-name = "no-failures"
-path = "faults/failed"
-op = "=="
-threshold = 0.0
-severity = "error"
-
-[[rule]]
-name = "throughput-floor"
-path = "metrics/rate"
-op = ">="
-threshold = 5.0
-severity = "warn"
-"""
-
-
-class TestSloCommand:
-    def _paths(self, tmp_path, document):
-        rules = tmp_path / "rules.toml"
-        rules.write_text(RULES_TOML, encoding="utf-8")
-        doc = tmp_path / "doc.json"
-        doc.write_text(json.dumps(document), encoding="utf-8")
-        return str(doc), str(rules)
-
-    def test_all_rules_met_exits_zero(self, tmp_path, capsys):
-        doc, rules = self._paths(
-            tmp_path, {"faults": {"failed": 0}, "metrics": {"rate": 9.0}}
-        )
-        assert main(["slo", doc, "--rules", rules]) == 0
-        assert "slo verdict: PASS" in capsys.readouterr().out
-
-    def test_error_violation_exits_one_with_rule_line(self, tmp_path, capsys):
-        doc, rules = self._paths(
-            tmp_path, {"faults": {"failed": 2}, "metrics": {"rate": 9.0}}
-        )
-        assert main(["slo", doc, "--rules", rules]) == 1
-        out = capsys.readouterr().out
-        assert "FAIL no-failures [error]" in out
-        assert "slo verdict: FAIL" in out
-
-    def test_warn_violation_and_missing_do_not_fail(self, tmp_path, capsys):
-        doc, rules = self._paths(tmp_path, {"faults": {"failed": 0}})
-        assert main(["slo", doc, "--rules", rules]) == 0
-        out = capsys.readouterr().out
-        assert "MISS throughput-floor [warn]" in out
-        assert "slo verdict: PASS" in out
-
-    def test_bad_rules_file_exits_two(self, tmp_path, capsys):
-        doc, _rules = self._paths(tmp_path, {})
-        bad = tmp_path / "bad.toml"
-        bad.write_text("[[rule]]\nname = 'x'\n", encoding="utf-8")
-        assert main(["slo", doc, "--rules", str(bad)]) == 2
-        assert "slo:" in capsys.readouterr().err
-
-    def test_bad_document_exits_two(self, tmp_path, capsys):
-        _doc, rules = self._paths(tmp_path, {})
-        assert main(["slo", str(tmp_path / "nope.json"),
-                     "--rules", rules]) == 2
-        assert "cannot load" in capsys.readouterr().err
-
-    def test_repo_slo_file_passes_on_committed_baseline(self):
-        completed = _run_module("slo", "BENCH_baseline.json", "--verbose")
-        assert completed.returncode == 0, completed.stderr
-        assert "slo verdict: PASS" in completed.stdout
-
-
 class TestDiffCommand:
     def _write(self, tmp_path, name, document):
         path = tmp_path / name
