@@ -1,8 +1,7 @@
-"""``python -m repro.bench {run,compare,trend,gate,show}``.
+"""``python -m repro.bench {run,compare,gate,show}``.
 
 * ``run`` -- run the battery + obs scenarios, write ``BENCH_<tag>.json``.
-* ``compare`` -- diff two snapshots under the tolerance band.
-* ``trend`` -- the headline trajectory across every ``BENCH_*.json``.
+* ``compare`` -- diff every metric of two snapshots exactly.
 * ``gate`` -- paper rules + drift vs the committed baseline; exits
   non-zero on any regression (the CI entry point).
 * ``show`` -- regenerate an experiment's text tables from a snapshot.
@@ -33,8 +32,8 @@ DEFAULT_BASELINE_TAG = "baseline"
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
-        description="Benchmark snapshots, perf trajectory, and the "
-                    "regression gate for the RMC2000 reproduction.",
+        description="Benchmark snapshots and the regression gate for "
+                    "the RMC2000 reproduction.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -68,12 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
     compare.add_argument("current", help="current BENCH_*.json")
     compare.add_argument("--verbose", action="store_true",
                          help="show passing metrics too")
-
-    trend = sub.add_parser("trend", help="headline trajectory")
-    trend.add_argument("--dir", default=".", dest="directory",
-                       help="directory holding BENCH_*.json (default: .)")
-    trend.add_argument("--markdown", action="store_true",
-                       help="emit a markdown table")
 
     gate = sub.add_parser(
         "gate", help="paper rules + drift vs the committed baseline"
@@ -132,12 +125,6 @@ def _cmd_compare(args) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_trend(args) -> int:
-    from repro.bench.trend import render_trend
-    print(render_trend(args.directory, markdown=args.markdown))
-    return 0
-
-
 def _cmd_gate(args) -> int:
     baseline_path = args.baseline or default_snapshot_path(
         DEFAULT_BASELINE_TAG
@@ -180,7 +167,6 @@ def _cmd_show(args) -> int:
 _COMMANDS = {
     "run": _cmd_run,
     "compare": _cmd_compare,
-    "trend": _cmd_trend,
     "gate": _cmd_gate,
     "show": _cmd_show,
 }

@@ -1,14 +1,14 @@
-"""Snapshot comparison: per-metric diffs under one tolerance band.
+"""Snapshot comparison: every flat metric against the baseline, exactly.
 
 Every metric comes off the simulator, which is bit-for-bit
-deterministic, so any drift means the *code* changed.  Under :data:`DETERMINISTIC_BAND`, sub-0.1% drift
-passes (float rounding in derived ratios), up to 2% warns (an
-intentional change that should come with a baseline refresh), beyond
-that fails.
+deterministic, so a metric passes only if it equals the baseline; any
+change fails.  A change made on purpose refreshes the committed
+baseline in the same change.
 
 A metric present on only one side is reported (``added``/``removed``)
 at warn level: schema drift should be visible, but growing the metric
-set must not break the gate retroactively.
+set must not break the gate retroactively, and ``--only``/``--no-*``
+runs drop whole sections.
 """
 
 from __future__ import annotations
@@ -18,26 +18,9 @@ from dataclasses import dataclass, field
 from repro.bench.schema import BenchSchemaError, flatten_metrics
 
 PASS = "pass"
-WARN = "warn"
 FAIL = "fail"
 ADDED = "added"
 REMOVED = "removed"
-
-
-@dataclass(frozen=True)
-class ToleranceBand:
-    """Relative-drift thresholds for a metric diff."""
-
-    #: Relative drift beyond which the diff is a WARN.
-    warn_rel: float
-    #: Relative drift beyond which the diff is a FAIL.
-    fail_rel: float
-    #: Absolute drift at or below this always passes, whatever the
-    #: relative looks like (guards division around zero).
-    abs_floor: float = 1e-9
-
-
-DETERMINISTIC_BAND = ToleranceBand(warn_rel=0.001, fail_rel=0.02)
 
 
 @dataclass
@@ -48,7 +31,6 @@ class MetricDiff:
     baseline: float | None
     current: float | None
     status: str
-    rel_drift: float = 0.0
 
     @property
     def delta(self) -> float | None:
@@ -57,46 +39,31 @@ class MetricDiff:
         return self.current - self.baseline
 
     def row(self) -> dict:
+        """Table row with every number at full precision (``repr``):
+        a one-ulp change must not render as two equal cells."""
+        def exact(value) -> str:
+            return "-" if value is None else repr(value)
+
         return {
             "metric": self.name,
-            "baseline": self.baseline,
-            "current": self.current,
-            "delta": self.delta,
-            "drift": f"{self.rel_drift * 100:+.2f}%"
-            if self.baseline is not None and self.current is not None
-            else "-",
+            "baseline": exact(self.baseline),
+            "current": exact(self.current),
+            "delta": exact(self.delta),
             "status": self.status.upper(),
         }
 
 
-def _classify(value_delta: float, baseline: float,
-              band: ToleranceBand) -> tuple[str, float]:
-    magnitude = abs(value_delta)
-    rel = magnitude / max(abs(baseline), band.abs_floor)
-    signed_rel = rel if value_delta >= 0 else -rel
-    if magnitude <= band.abs_floor:
-        return PASS, signed_rel
-    if rel > band.fail_rel:
-        return FAIL, signed_rel
-    if rel > band.warn_rel:
-        return WARN, signed_rel
-    return PASS, signed_rel
-
-
-def _diff_maps(baseline: dict, current: dict,
-               band: ToleranceBand) -> list[MetricDiff]:
+def _diff_maps(baseline: dict, current: dict) -> list[MetricDiff]:
     diffs = []
     for name in sorted(set(baseline) | set(current)):
         if name not in current:
-            diffs.append(MetricDiff(name, baseline[name], None, REMOVED))
+            status = REMOVED
         elif name not in baseline:
-            diffs.append(MetricDiff(name, None, current[name], ADDED))
+            status = ADDED
         else:
-            status, rel = _classify(
-                current[name] - baseline[name], baseline[name], band
-            )
-            diffs.append(MetricDiff(name, baseline[name], current[name],
-                                    status, rel))
+            status = PASS if current[name] == baseline[name] else FAIL
+        diffs.append(MetricDiff(name, baseline.get(name), current.get(name),
+                                status))
     return diffs
 
 
@@ -108,10 +75,10 @@ class CompareReport:
     current_tag: str
     diffs: list[MetricDiff] = field(default_factory=list)
     #: Regression-forensics text (:func:`repro.obs.diff.forensics_text`)
-    #: attached by :func:`compare_snapshots` whenever any diff warns or
-    #: fails: top routine cycle deltas, the first simulated-time
-    #: telemetry divergence, the flight-recorder tail.  None when every
-    #: metric passed.
+    #: attached by :func:`compare_snapshots` whenever any metric changed
+    #: or exists on one side only: top routine cycle deltas, the first
+    #: simulated-time telemetry divergence, the flight-recorder tail.
+    #: None when every metric passed.
     forensics: str | None = None
 
     def _with_status(self, *statuses: str) -> list[MetricDiff]:
@@ -123,14 +90,14 @@ class CompareReport:
 
     @property
     def warnings(self) -> list[MetricDiff]:
-        return self._with_status(WARN, ADDED, REMOVED)
+        return self._with_status(ADDED, REMOVED)
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
     def counts(self) -> dict:
-        counts = {PASS: 0, WARN: 0, FAIL: 0, ADDED: 0, REMOVED: 0}
+        counts = {PASS: 0, FAIL: 0, ADDED: 0, REMOVED: 0}
         for diff in self.diffs:
             counts[diff.status] += 1
         return counts
@@ -139,20 +106,19 @@ class CompareReport:
         from repro.experiments.harness import format_table
 
         shown = self.diffs if verbose else self._with_status(
-            FAIL, WARN, ADDED, REMOVED
+            FAIL, ADDED, REMOVED
         )
         counts = self.counts()
         lines = [
             f"compare: baseline={self.baseline_tag} "
             f"current={self.current_tag}",
-            f"  {counts[PASS]} pass, {counts[WARN]} warn, "
-            f"{counts[FAIL]} fail, {counts[ADDED]} added, "
-            f"{counts[REMOVED]} removed",
+            f"  {counts[PASS]} pass, {counts[FAIL]} fail, "
+            f"{counts[ADDED]} added, {counts[REMOVED]} removed",
         ]
         if shown:
             lines.append(format_table([d.row() for d in shown]))
         elif not verbose:
-            lines.append("  all metrics within tolerance")
+            lines.append("  every metric equals the baseline")
         if self.forensics:
             lines.append(self.forensics)
         return "\n".join(lines)
@@ -163,7 +129,7 @@ def compare_snapshots(baseline: dict, current: dict) -> CompareReport:
 
     Raises :class:`BenchSchemaError` when the snapshots ran different
     workloads -- quick and full runs measure different work and must
-    never be drift-gated against each other.
+    never be gated against each other.
     """
     if baseline.get("workload") != current.get("workload"):
         raise BenchSchemaError(
@@ -174,13 +140,12 @@ def compare_snapshots(baseline: dict, current: dict) -> CompareReport:
     report = CompareReport(
         baseline_tag=baseline.get("tag", "?"),
         current_tag=current.get("tag", "?"),
-        diffs=_diff_maps(flatten_metrics(baseline), flatten_metrics(current),
-                         DETERMINISTIC_BAND),
+        diffs=_diff_maps(flatten_metrics(baseline), flatten_metrics(current)),
     )
     if report.failures or report.warnings:
         # Lazy import: obs.diff is pure data -> text and tolerates
         # snapshots without embedded telemetry/recorder sections, so
-        # forensics attach to any warn/fail without re-running anything.
+        # forensics attach to any change without re-running anything.
         from repro.obs.diff import forensics_text
 
         report.forensics = forensics_text(baseline, current)

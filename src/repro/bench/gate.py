@@ -8,12 +8,11 @@ Two layers of defense, failed independently:
    the instrumented redirector run (no handshake fails on a clean link,
    concurrency never passes three).  These hold whatever the baseline
    says; a snapshot that violates one no longer reproduces the paper.
-2. **Drift** -- every deterministic metric compared against the
-   committed baseline snapshot under
-   :data:`repro.bench.compare.DETERMINISTIC_BAND`.  Catches silent
-   regressions that stay on the right side of the rules (an AES
-   "optimization" that doubles cycles/block but keeps the ratio over
-   10x still fails here).
+2. **Drift** -- every deterministic metric compared exactly against
+   the committed baseline snapshot (:mod:`repro.bench.compare`).
+   Catches silent regressions that stay on the right side of the rules
+   (an AES "optimization" that adds cycles per block but keeps the
+   ratio over 10x still fails here).
 
 ``evaluate_gate`` returns a :class:`GateReport`; the CLI exits non-zero
 unless ``report.ok``.
@@ -213,6 +212,7 @@ class GateReport:
     #: The snapshot's flight-recorder tail, attached when an error rule
     #: fails: the last events before the run ended, so the report
     #: carries *when* things went wrong next to *what* rule failed.
+    #: Left empty when the compare's forensics already print it.
     recorder_tail: list = field(default_factory=list)
 
     @property
@@ -269,7 +269,9 @@ def evaluate_gate(current: dict,
     ``baseline`` snapshot is given, also drift-gate against it."""
     report = GateReport(tag=current.get("tag", "?"))
     report.results = [rule.evaluate(current) for rule in RULES]
-    if report.failing:
+    if baseline is not None:
+        report.compare = compare_snapshots(baseline, current)
+    if report.failing and not (report.compare and report.compare.forensics):
         tail = _lookup(current, "obs/redirector/recorder_tail")
         report.recorder_tail = tail if isinstance(tail, list) else []
     report.not_reproduced = [
@@ -284,6 +286,4 @@ def evaluate_gate(current: dict,
         )
         if not scenario.get("ok")
     ]
-    if baseline is not None:
-        report.compare = compare_snapshots(baseline, current)
     return report

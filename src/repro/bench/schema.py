@@ -120,25 +120,6 @@ def load_snapshot(path: str | os.PathLike) -> dict:
     return validate_snapshot(document)
 
 
-def list_snapshots(directory: str | os.PathLike = ".") -> list[pathlib.Path]:
-    """All ``BENCH_*.json`` under ``directory``, oldest run first."""
-    paths = [
-        path for path in pathlib.Path(directory).glob(
-            f"{SNAPSHOT_PREFIX}*.json"
-        )
-        if not path.name.endswith(".json.tmp")
-    ]
-
-    def created(path: pathlib.Path) -> float:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                return float(json.load(fh).get("created_unix", 0.0))
-        except (OSError, ValueError):
-            return 0.0
-
-    return sorted(paths, key=lambda p: (created(p), p.name))
-
-
 def flatten_metrics(document: dict) -> dict:
     """One flat ``dotted-name -> scalar`` map of every deterministic
     metric in a snapshot: experiment headline metrics plus obs detail

@@ -17,7 +17,7 @@ ordering, every run.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, Iterable
+from typing import Any, Callable, Generator
 
 
 class SimulationError(RuntimeError):
@@ -149,7 +149,6 @@ class Simulator:
         self.now = 0.0
         self._queue: list[tuple[float, int, Callable, tuple]] = []
         self._seq = 0
-        self._processes: list[Process] = []
         #: Upper bound of the drive loop currently executing (run's
         #: ``until``, run_until_complete's deadline), or None.  Lets a
         #: process that fast-forwards the clock in place (see
@@ -190,7 +189,6 @@ class Simulator:
     def spawn(self, gen: Generator, name: str = "") -> Process:
         """Start a generator as a process; it runs from the current time."""
         process = Process(self, gen, name)
-        self._processes.append(process)
         self.call_soon(process.step, None)
         return process
 
@@ -266,10 +264,6 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         return len(self._queue)
-
-    @property
-    def processes(self) -> Iterable[Process]:
-        return tuple(self._processes)
 
 
 def sleep(duration: float):

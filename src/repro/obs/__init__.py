@@ -14,8 +14,9 @@ that first-class:
   time (queue depths, xmem high-water, cycle rates), mergeable and
   byte-identical across ``--jobs`` fan-out.
 * :mod:`repro.obs.diff` -- run-to-run forensics: signed per-routine
-  cycle deltas, trace-tree duration deltas, metric drift, and the first
-  simulated-time divergence between two runs' telemetry.
+  cycle deltas and the first simulated-time divergence between two
+  runs' telemetry (attached by ``repro.bench compare``), and
+  trace-tree duration deltas (``python -m repro.obs diff``).
 
 One :class:`Obs` handle bundles a tracer and a metrics registry and is
 threaded (optionally) through the simulator, the TCP stack, the

@@ -12,11 +12,11 @@ Three subcommands, one per artifact kind:
 Plus one subcommand that judges existing artifacts instead of running
 a scenario:
 
-* ``diff`` -- regression forensics (:mod:`repro.obs.diff`): align two
-  bench snapshots (routine cycle deltas, metric drift, telemetry
-  first-divergence) or two Chrome trace exports (span trees by
-  name/hierarchy path).  Exit 0 means byte-identical runs, 1 means
-  differences, 2 means a document would not load.
+* ``diff`` -- align two Chrome trace exports (:mod:`repro.obs.diff`):
+  span trees by name/hierarchy path with duration deltas.  Exit 0
+  means identical span trees, 1 means differences, 2 means a document
+  would not load or is not a trace.  Two bench snapshots compare with
+  ``python -m repro.bench compare``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,15 @@ import argparse
 import json
 import sys
 
+from repro.obs.diff import DEFAULT_TOP, diff_documents
 from repro.obs.scenarios import SCENARIOS
+
+
+def _row_cap(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, not {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -58,15 +66,15 @@ def _build_parser() -> argparse.ArgumentParser:
     flame = sub.add_parser("flame", help="collapsed flame stacks (aes)")
     add_common(flame, "aes")
 
-    diff = sub.add_parser(
-        "diff", help="diff two runs: snapshots or Chrome traces"
-    )
+    diff = sub.add_parser("diff", help="diff two Chrome trace exports")
     diff.add_argument("baseline", metavar="A",
-                      help="baseline document (bench snapshot or trace JSON)")
+                      help="baseline Chrome trace JSON")
     diff.add_argument("current", metavar="B",
-                      help="current document of the same kind")
-    diff.add_argument("--top", type=int, default=None, metavar="N",
-                      help="rows per delta table (default: 10; 0 = all)")
+                      help="current Chrome trace JSON")
+    diff.add_argument("--top", type=_row_cap, default=DEFAULT_TOP,
+                      metavar="N",
+                      help=f"rows in the delta table (default: "
+                           f"{DEFAULT_TOP}; 0 = all)")
     diff.add_argument("--out", metavar="FILE", default=None,
                       help="write to FILE instead of stdout")
     return parser
@@ -118,8 +126,6 @@ def _report_text(args, result: dict) -> str:
 
 
 def _cmd_diff(args) -> int:
-    from repro.obs.diff import DEFAULT_TOP, diff_documents
-
     documents = []
     for path in (args.baseline, args.current):
         try:
@@ -128,9 +134,8 @@ def _cmd_diff(args) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             print(f"diff: cannot load {path}: {exc}", file=sys.stderr)
             return 2
-    top = DEFAULT_TOP if args.top is None else args.top
     try:
-        text, changed = diff_documents(documents[0], documents[1], top=top)
+        text, changed = diff_documents(*documents, top=args.top)
     except ValueError as exc:
         print(f"diff: {exc}", file=sys.stderr)
         return 2

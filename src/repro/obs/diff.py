@@ -1,23 +1,22 @@
 """Run-to-run forensics: align two runs and name what moved, and when.
 
-The bench gate can say *that* ``obs.aes.c.total_cycles`` drifted 2%;
+``repro.bench compare`` says *that* ``obs.aes.c.total_cycles`` changed;
 this module says *where*: which routine's self-cycles moved (the
-paper's Tables 1-2 argument, run over run), which trace spans got
-slower, which metrics changed, and the first simulated-time point where
-two runs' telemetry series stopped agreeing.
+paper's Tables 1-2 argument, run over run), the first simulated-time
+point where two runs' telemetry series stopped agreeing, and which
+trace spans got slower.
 
 Everything here is pure data -> text: inputs are snapshot/trace JSON
 documents (or live profiler/tracer exports), output is deterministic,
-sorted, wall-clock-free text, so ``python -m repro.obs diff A B`` is
-byte-identical across runs and ``--jobs`` counts and can be pinned by
-golden tests.
+sorted, wall-clock-free text that golden tests can pin.
 
-Two document kinds auto-detect:
-
-* bench snapshots (``schema_version`` + ``experiments``) -- routine
-  cycle deltas, flat metric drift, telemetry first-divergence;
-* Chrome ``trace_event`` exports (``traceEvents``) -- span trees
-  matched by name/hierarchy path with signed duration deltas.
+* :func:`forensics_text` -- the section ``repro.bench compare``/``gate``
+  attach to a changed snapshot: routine cycle deltas, telemetry first
+  divergence, the flight-recorder tail.
+* :func:`diff_documents` -- ``python -m repro.obs diff A B``: two
+  Chrome ``trace_event`` exports render through
+  :func:`render_trace_diff` (span trees matched by name/hierarchy path
+  with signed duration deltas); anything else is refused.
 """
 
 from __future__ import annotations
@@ -56,24 +55,6 @@ def diff_routines(base_rows: list, current_rows: list) -> list[dict]:
             "pct": (100.0 * (after - before) / before) if before else None,
         })
     out.sort(key=lambda row: (-abs(row["delta"]), row["routine"]))
-    return out
-
-
-# -- flat metrics -------------------------------------------------------------
-
-def diff_metrics(base: dict, current: dict) -> list[dict]:
-    """Changed/added/removed scalars between two flat metric maps."""
-    out = []
-    for name in sorted({**base, **current}):
-        if name not in base:
-            out.append({"metric": name, "status": "added",
-                        "baseline": None, "current": current[name]})
-        elif name not in current:
-            out.append({"metric": name, "status": "removed",
-                        "baseline": base[name], "current": None})
-        elif base[name] != current[name]:
-            out.append({"metric": name, "status": "changed",
-                        "baseline": base[name], "current": current[name]})
     return out
 
 
@@ -241,69 +222,16 @@ def format_recorder_tail(records: list[dict],
     ]
 
 
-def render_snapshot_diff(base_doc: dict, current_doc: dict,
-                         top: int = DEFAULT_TOP) -> tuple[str, bool]:
-    """Full snapshot-vs-snapshot report; returns ``(text, changed)``."""
-    from repro.bench.schema import flatten_metrics
-
-    lines = [
-        f"diff: {base_doc.get('tag', '?')} -> {current_doc.get('tag', '?')} "
-        f"(workload {current_doc.get('workload', '?')})"
-    ]
-    changed = False
-    base_obs = base_doc.get("obs", {}).get("aes_profile", {})
-    current_obs = current_doc.get("obs", {}).get("aes_profile", {})
-    for implementation in sorted({**base_obs, **current_obs}):
-        rows = diff_routines(
-            base_obs.get(implementation, {}).get("routines", []),
-            current_obs.get(implementation, {}).get("routines", []),
-        )
-        if not rows:
-            continue
-        changed = True
-        lines.append(f"  routine cycle deltas [{implementation}]:")
-        lines.extend(_routine_lines(rows, top))
-    metric_rows = diff_metrics(flatten_metrics(base_doc),
-                               flatten_metrics(current_doc))
-    if metric_rows:
-        changed = True
-        lines.append(f"  metrics ({len(metric_rows)} changed):")
-        for row in metric_rows[:top] if top else metric_rows:
-            if row["status"] == "changed":
-                lines.append(
-                    f"    {row['metric']:<48} "
-                    f"{row['baseline']:g} -> {row['current']:g}"
-                )
-            else:
-                lines.append(
-                    f"    {row['metric']:<48} [{row['status']}]"
-                )
-        dropped = len(metric_rows) - min(
-            len(metric_rows), top or len(metric_rows)
-        )
-        if dropped > 0:
-            lines.append(f"    ... and {dropped} more metric(s)")
-    divergence = snapshot_first_divergence(base_doc, current_doc)
-    if divergence is not None:
-        changed = True
-        lines.append(
-            "  first telemetry divergence: "
-            f"{divergence['scenario']}/{divergence['series']} "
-            f"at t={divergence['diverges_at']:.9f}s"
-        )
-    else:
-        lines.append("  telemetry: identical")
-    if not changed:
-        lines.append("  no differences")
-    return "\n".join(lines), changed
-
-
 def render_trace_diff(base_doc: dict, current_doc: dict,
                       top: int = DEFAULT_TOP) -> tuple[str, bool]:
-    """Chrome-trace-vs-trace report; returns ``(text, changed)``."""
+    """Chrome-trace-vs-trace report; returns ``(text, changed)``.
+
+    ``top`` caps the rows shown (0 shows all); it must not be negative.
+    """
     rows = diff_trace_trees(base_doc, current_doc)
+    shown = rows[:top] if top else rows
     lines = [f"trace diff: {len(rows)} span path(s) changed"]
-    for row in rows[:top] if top else rows:
+    for row in shown:
         count = (
             f" (x{row['baseline_count']} -> x{row['current_count']})"
             if row["baseline_count"] != row["current_count"] else ""
@@ -314,9 +242,8 @@ def render_trace_diff(base_doc: dict, current_doc: dict,
             f"{row['current_dur_us']:>12.3f}us  "
             f"{row['delta_dur_us']:+.3f}us{count}"
         )
-    dropped = len(rows) - min(len(rows), top or len(rows))
-    if dropped > 0:
-        lines.append(f"  ... and {dropped} more span path(s)")
+    if len(shown) < len(rows):
+        lines.append(f"  ... and {len(rows) - len(shown)} more span path(s)")
     if not rows:
         lines.append("  no differences")
     return "\n".join(lines), bool(rows)
@@ -324,29 +251,21 @@ def render_trace_diff(base_doc: dict, current_doc: dict,
 
 def diff_documents(base_doc: dict, current_doc: dict,
                    top: int = DEFAULT_TOP) -> tuple[str, bool]:
-    """Auto-detect the document kind and render the right diff."""
-    def kind(document: dict) -> str:
-        if "traceEvents" in document:
-            return "trace"
-        if "schema_version" in document and "experiments" in document:
-            return "snapshot"
-        return "unknown"
-
-    kinds = (kind(base_doc), kind(current_doc))
-    if kinds == ("snapshot", "snapshot"):
-        return render_snapshot_diff(base_doc, current_doc, top)
-    if kinds == ("trace", "trace"):
+    """Render the diff of two Chrome trace exports; reject anything
+    else (two bench snapshots compare with ``repro.bench compare``)."""
+    if "traceEvents" in base_doc and "traceEvents" in current_doc:
         return render_trace_diff(base_doc, current_doc, top)
     raise ValueError(
-        f"cannot diff document kinds {kinds[0]}/{kinds[1]}; expected two "
-        "bench snapshots or two Chrome trace exports"
+        "cannot diff documents other than two Chrome trace exports; "
+        "compare two bench snapshots with `python -m repro.bench compare "
+        "A B`"
     )
 
 
 def forensics_text(base_doc: dict, current_doc: dict,
                    top: int = FORENSICS_TOP) -> str:
     """The forensics section ``repro.bench compare``/``gate`` attach
-    under any warn/fail verdict: top-N per-routine cycle deltas, the
+    when any metric changed: top-N per-routine cycle deltas, the
     first simulated-time telemetry divergence, and the current run's
     flight-recorder tail.  Deterministic: derived purely from the two
     snapshot documents.

@@ -9,7 +9,6 @@ from repro.bench.schema import (
     BenchSchemaError,
     default_snapshot_path,
     flatten_metrics,
-    list_snapshots,
     load_snapshot,
     save_snapshot,
     validate_snapshot,
@@ -93,22 +92,6 @@ class TestPathsAndListing:
             "BENCH_baseline.json"
         )
         assert default_snapshot_path("a/b").name == "BENCH_a_b.json"
-
-    def test_list_snapshots_sorted_by_created(self, tmp_path):
-        for tag, created in (("new", 2000.0), ("old", 1000.0)):
-            save_snapshot(
-                make_snapshot(tag=tag, created_unix=created),
-                tmp_path / f"BENCH_{tag}.json",
-            )
-        (tmp_path / "unrelated.json").write_text("{}")
-        names = [p.name for p in list_snapshots(tmp_path)]
-        assert names == ["BENCH_old.json", "BENCH_new.json"]
-
-    def test_list_snapshots_tolerates_garbage(self, tmp_path):
-        (tmp_path / "BENCH_bad.json").write_text("not json")
-        assert [p.name for p in list_snapshots(tmp_path)] == [
-            "BENCH_bad.json"
-        ]
 
 
 class TestFlattening:

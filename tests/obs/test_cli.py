@@ -156,62 +156,62 @@ class TestDiffCommand:
         path.write_text(json.dumps(document), encoding="utf-8")
         return str(path)
 
-    def _snapshot(self, mix_columns=100):
+    def _snapshot(self):
         return {
             "schema_version": SCHEMA_VERSION, "tag": "t",
             "workload": "quick", "created_unix": 0.0, "harness": {},
-            "experiments": {},
-            "obs": {"aes_profile": {"c": {
-                "total_cycles": mix_columns + 50, "blocks": 1,
-                "routines": [
-                    {"routine": "mix_columns", "self cycles": mix_columns},
-                    {"routine": "sub_bytes", "self cycles": 50},
-                ],
-                "telemetry": {"cpu.cycles": {
-                    "n": 2, "last": float(mix_columns + 50),
-                    "max": float(mix_columns + 50),
-                    "times": [0.0, 0.25],
-                    "values": [0.0, float(mix_columns + 50)],
-                }},
-            }}},
+            "experiments": {}, "obs": {},
         }
 
-    def test_identical_snapshots_exit_zero(self, tmp_path, capsys):
-        a = self._write(tmp_path, "a.json", self._snapshot())
-        b = self._write(tmp_path, "b.json", self._snapshot())
-        assert main(["diff", a, b]) == 0
-        out = capsys.readouterr().out
-        assert "no differences" in out
-        assert "telemetry: identical" in out
+    def _trace(self, **durations):
+        """One root span per keyword, ``name=duration_us``."""
+        return {"traceEvents": [
+            {"ph": "X", "name": name, "ts": 0.0, "dur": dur,
+             "pid": 1, "tid": "c",
+             "args": {"span_id": span_id, "parent": None, "trace": 1}}
+            for span_id, (name, dur) in enumerate(sorted(durations.items()))
+        ]}
 
-    def test_differing_snapshots_exit_one_naming_the_routine(
+    def test_two_snapshots_exit_two_naming_bench_compare(
         self, tmp_path, capsys
     ):
-        a = self._write(tmp_path, "a.json", self._snapshot(100))
-        b = self._write(tmp_path, "b.json", self._snapshot(150))
-        assert main(["diff", a, b]) == 1
-        out = capsys.readouterr().out
-        assert "mix_columns" in out
-        assert "+50 cycles (+50.0%)" in out
-        assert "first telemetry divergence: aes:c/cpu.cycles" in out
+        a = self._write(tmp_path, "a.json", self._snapshot())
+        b = self._write(tmp_path, "b.json", self._snapshot())
+        assert main(["diff", a, b]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "python -m repro.bench compare" in captured.err
 
     def test_trace_documents_diff_by_span_path(self, tmp_path, capsys):
-        def trace(dur):
-            return {"traceEvents": [
-                {"ph": "X", "name": "client.request", "ts": 0.0,
-                 "dur": dur, "pid": 1, "tid": "c",
-                 "args": {"span_id": 1, "parent": None, "trace": 1}},
-            ]}
-
-        a = self._write(tmp_path, "a.json", trace(100.0))
-        b = self._write(tmp_path, "b.json", trace(130.0))
+        a = self._write(tmp_path, "a.json", self._trace(request=100.0))
+        b = self._write(tmp_path, "b.json", self._trace(request=130.0))
         assert main(["diff", a, b]) == 1
         out = capsys.readouterr().out
-        assert "client.request" in out
+        assert "request" in out
         assert "+30.000us" in out
 
+    def test_top_caps_the_span_rows(self, tmp_path, capsys):
+        a = self._write(tmp_path, "a.json", self._trace(x=1.0, y=1.0))
+        b = self._write(tmp_path, "b.json", self._trace(x=2.0, y=3.0))
+        assert main(["diff", a, b, "--top", "1"]) == 1
+        out = capsys.readouterr().out
+        assert "trace diff: 2 span path(s) changed" in out
+        assert "... and 1 more span path(s)" in out
+        assert main(["diff", a, b, "--top", "0"]) == 1
+        assert "more span path" not in capsys.readouterr().out
+
+    def test_negative_top_exits_two(self, tmp_path, capsys):
+        a = self._write(tmp_path, "a.json", self._trace(x=1.0, y=1.0))
+        b = self._write(tmp_path, "b.json", self._trace(x=2.0, y=3.0))
+        with pytest.raises(SystemExit) as exc:
+            main(["diff", a, b, "--top", "-1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--top" in captured.err
+
     def test_unreadable_document_exits_two(self, tmp_path, capsys):
-        a = self._write(tmp_path, "a.json", self._snapshot())
+        a = self._write(tmp_path, "a.json", self._trace(x=1.0))
         assert main(["diff", a, str(tmp_path / "missing.json")]) == 2
         assert "cannot load" in capsys.readouterr().err
 
@@ -222,68 +222,32 @@ class TestDiffCommand:
         assert "cannot diff" in capsys.readouterr().err
 
     def test_out_writes_the_report_to_a_file(self, tmp_path, capsys):
-        a = self._write(tmp_path, "a.json", self._snapshot(100))
-        b = self._write(tmp_path, "b.json", self._snapshot(150))
+        a = self._write(tmp_path, "a.json", self._trace(request=100.0))
+        b = self._write(tmp_path, "b.json", self._trace(request=150.0))
         out = tmp_path / "report.txt"
         assert main(["diff", a, b, "--out", str(out)]) == 1
-        assert "mix_columns" in out.read_text(encoding="utf-8")
+        assert "request" in out.read_text(encoding="utf-8")
         assert capsys.readouterr().out == ""
 
 
-@pytest.fixture(scope="module")
-def quick_snapshots(tmp_path_factory):
-    """Quick snapshots of the same tiny workload built at --jobs 1 and
-    --jobs 2, saved to disk for subprocess-level diffing."""
-    from repro.bench.schema import save_snapshot
-    from repro.bench.snapshot import build_snapshot
-
-    directory = tmp_path_factory.mktemp("snapshots")
-    paths = {}
-    for jobs in (1, 2):
-        document = build_snapshot(
-            f"jobs{jobs}", workload="quick", experiments=["E6", "E7"],
-            include_faults=False, jobs=jobs,
-        )
-        paths[jobs] = save_snapshot(
-            document, directory / f"BENCH_jobs{jobs}.json"
-        )
-    return paths
-
-
 class TestDiffGoldenDeterminism:
-    """Satellite contract: ``repro.obs diff`` output is byte-identical
-    across repeated runs and across snapshots built at different
-    ``--jobs`` counts."""
+    """``repro.obs diff`` output is byte-identical across repeated
+    runs.  (Two snapshots compare with ``repro.bench compare``; its own
+    determinism tests live in ``tests/bench/test_cli.py``.)"""
 
-    def test_jobs_counts_do_not_change_the_measurement(
-        self, quick_snapshots
-    ):
-        completed = _run_module(
-            "diff", str(quick_snapshots[1]), str(quick_snapshots[2])
-        )
-        assert completed.returncode == 0, completed.stdout
-        assert "no differences" in completed.stdout
-        assert "telemetry: identical" in completed.stdout
-
-    def test_diff_output_is_byte_identical_across_runs(
-        self, quick_snapshots, tmp_path
-    ):
-        # Perturb one routine so the diff has real content to render.
-        document = json.loads(
-            quick_snapshots[2].read_text(encoding="utf-8")
-        )
-        profile = document["obs"]["aes_profile"]["c"]
-        for row in profile["routines"]:
-            if row["routine"] == "mix_columns":
-                row["self cycles"] = int(row["self cycles"] * 1.5)
-        perturbed = tmp_path / "BENCH_perturbed.json"
+    def test_diff_output_is_byte_identical_across_runs(self, tmp_path):
+        golden = REPO / "tests" / "obs" / "golden_chrome_trace.json"
+        document = json.loads(golden.read_text(encoding="utf-8"))
+        # Slow every span down so the diff has real content to render.
+        for event in document["traceEvents"]:
+            if event.get("ph") == "X":
+                event["dur"] *= 1.5
+        perturbed = tmp_path / "perturbed_trace.json"
         perturbed.write_text(json.dumps(document), encoding="utf-8")
-        runs = [
-            _run_module("diff", str(quick_snapshots[1]), str(perturbed))
-            for _ in range(2)
-        ]
+        runs = [_run_module("diff", str(golden), str(perturbed))
+                for _ in range(2)]
         for completed in runs:
-            assert completed.returncode == 1, completed.stdout
-            assert "mix_columns" in completed.stdout
+            assert completed.returncode == 1, completed.stderr
+            assert "issl.handshake" in completed.stdout
         assert runs[0].stdout == runs[1].stdout
         assert runs[0].stderr == runs[1].stderr

@@ -9,7 +9,6 @@ import pytest
 from repro.bench.schema import SCHEMA_VERSION
 from repro.obs.diff import (
     diff_documents,
-    diff_metrics,
     diff_routines,
     diff_telemetry,
     diff_trace_trees,
@@ -43,15 +42,6 @@ class TestDiffRoutines:
 
     def test_identical_profiles_yield_nothing(self):
         assert diff_routines(_rows(f=5), _rows(f=5)) == []
-
-
-class TestDiffMetrics:
-    def test_changed_added_removed(self):
-        out = diff_metrics({"a": 1.0, "b": 2.0, "gone": 3.0},
-                           {"a": 1.0, "b": 2.5, "new": 4.0})
-        assert [(r["metric"], r["status"]) for r in out] == [
-            ("b", "changed"), ("gone", "removed"), ("new", "added"),
-        ]
 
 
 class TestDiffTelemetry:
@@ -141,10 +131,9 @@ class TestDiffDocuments:
                 "workload": "quick", "experiments": {}, "obs": {},
                 "created_unix": 0.0, "harness": {}}
 
-    def test_two_snapshots_render_a_snapshot_diff(self):
-        text, changed = diff_documents(self._snapshot(), self._snapshot())
-        assert not changed
-        assert "no differences" in text
+    def test_two_snapshots_are_rejected_naming_bench_compare(self):
+        with pytest.raises(ValueError, match="repro.bench compare"):
+            diff_documents(self._snapshot(), self._snapshot())
 
     def test_two_traces_render_a_trace_diff(self):
         text, changed = diff_documents({"traceEvents": []},
