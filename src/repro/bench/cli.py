@@ -10,6 +10,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from repro.bench.compare import compare_snapshots
@@ -175,7 +176,14 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        status = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return status
     except BenchSchemaError as exc:
         print(f"bench: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader stopped reading (``| head``).  Point stdout at
+        # devnull so the interpreter's own flush at exit stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1

@@ -212,7 +212,8 @@ class GateReport:
     #: The snapshot's flight-recorder tail, attached when an error rule
     #: fails: the last events before the run ended, so the report
     #: carries *when* things went wrong next to *what* rule failed.
-    #: Left empty when the compare's forensics already print it.
+    #: Left empty when the compare's forensics already print it
+    #: (:func:`repro.obs.diff.forensics_tail`).
     recorder_tail: list = field(default_factory=list)
 
     @property
@@ -267,11 +268,16 @@ def evaluate_gate(current: dict,
                   baseline: dict | None = None) -> GateReport:
     """Check every rule and the reproduced flags on ``current``; when a
     ``baseline`` snapshot is given, also drift-gate against it."""
+    from repro.obs.diff import forensics_tail
+
     report = GateReport(tag=current.get("tag", "?"))
     report.results = [rule.evaluate(current) for rule in RULES]
     if baseline is not None:
         report.compare = compare_snapshots(baseline, current)
-    if report.failing and not (report.compare and report.compare.forensics):
+    # The compare's forensics print the tail of a changed redirector run.
+    printed = bool(report.compare and report.compare.forensics
+                   and forensics_tail(baseline, current))
+    if report.failing and not printed:
         tail = _lookup(current, "obs/redirector/recorder_tail")
         report.recorder_tail = tail if isinstance(tail, list) else []
     report.not_reproduced = [

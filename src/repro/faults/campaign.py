@@ -26,7 +26,6 @@ import gc
 import json
 import random
 
-from repro.crypto.prng import CipherRng
 from repro.fanout import ordered_map
 from repro.faults import injectors as inj
 from repro.faults.clients import (
@@ -35,15 +34,13 @@ from repro.faults.clients import (
     stalling_client,
 )
 from repro.faults.scenarios import (
-    _COUNTER_PREFIXES,
     _check,
-    _publish_recovery_counters,
-    _seed_bytes,
+    _check_quiescent,
+    _client_context,
+    _report_counters,
     SCENARIOS,
     build_world,
 )
-from repro.issl import IsslContext, UNIX_FULL
-from repro.crypto.demokeys import DEMO_PSK
 from repro.net.sim import SimulationError
 from repro.services import ClientReport, TLS_PORT, secure_request_client
 
@@ -165,14 +162,6 @@ def run_matrix(names: list[str] | None = None,
 _SOAK_MISCHIEF = ("silent", "rst", "stall", "fin")
 
 
-def _soak_client_context(world, wave: int, index: int) -> IsslContext:
-    label = f"soak:{wave}:{index}"
-    return IsslContext(
-        UNIX_FULL, CipherRng(_seed_bytes(world.seed, label)),
-        psk=DEMO_PSK, obs=world.obs,
-    )
-
-
 def _spawn_mischief(world, wave: int):
     """Spawn this wave's misbehaving peer on host ``c2``."""
     kind = _SOAK_MISCHIEF[wave % len(_SOAK_MISCHIEF)]
@@ -183,12 +172,12 @@ def _spawn_mischief(world, wave: int):
         gen = silent_client(host, rmc_ip, TLS_PORT, hold_s=3.0,
                             report=report)
     elif kind == "stall":
-        gen = stalling_client(host, _soak_client_context(world, wave, 2),
+        gen = stalling_client(host, _client_context(world, f"soak:{wave}:2"),
                               rmc_ip, TLS_PORT, report, stall_s=3.0)
     else:  # "rst" / "fin"
         gen = half_handshake_client(
-            host, _soak_client_context(world, wave, 2), rmc_ip, TLS_PORT,
-            report, teardown=kind,
+            host, _client_context(world, f"soak:{wave}:2"), rmc_ip,
+            TLS_PORT, report, teardown=kind,
         )
     return host.spawn(gen, name=f"soak:{kind}:{wave}"), report, kind
 
@@ -250,7 +239,7 @@ def run_soak(sim_minutes: float = 1.0, seed: int = DEFAULT_SEED) -> dict:
             report = ClientReport(f"wave{waves}-client{index}")
             good_reports.append(report)
             processes.append(host.spawn(secure_request_client(
-                host, _soak_client_context(world, waves, index),
+                host, _client_context(world, f"soak:{waves}:{index}"),
                 rmc_ip, TLS_PORT, 2, 32, report,
             ), name=f"soak:client{index}:{waves}"))
         process, report, kind = _spawn_mischief(world, waves)
@@ -279,10 +268,7 @@ def run_soak(sim_minutes: float = 1.0, seed: int = DEFAULT_SEED) -> dict:
         _check("no_wedged_wave", wedged_wave is None,
                "all waves completed" if wedged_wave is None
                else f"wave {wedged_wave} deadlocked or timed out"),
-        _check("sessions_released", world.context.sessions_active == 0,
-               f"sessions_active={world.context.sessions_active}"),
-        _check("buffers_released", pool.in_use == 0,
-               f"pool in_use={pool.in_use}"),
+        *_check_quiescent(world),
         _check(
             "xalloc_flat", world.xmem.allocations <= pool.max_slots,
             f"allocations={world.xmem.allocations} <= {pool.max_slots} slots "
@@ -297,11 +283,6 @@ def run_soak(sim_minutes: float = 1.0, seed: int = DEFAULT_SEED) -> dict:
         _check("served_under_fire", requests_ok > 0,
                f"{requests_ok} requests completed"),
     ]
-    _publish_recovery_counters(world.obs)
-    counters = {
-        key: value for key, value in sorted(world.counters().items())
-        if key.startswith(_COUNTER_PREFIXES)
-    }
     passed = sum(1 for check in checks if check["ok"])
     return {
         "schema": REPORT_SCHEMA_VERSION,
@@ -315,7 +296,7 @@ def run_soak(sim_minutes: float = 1.0, seed: int = DEFAULT_SEED) -> dict:
         "clients_ok": clients_ok,
         "requests_ok": requests_ok,
         "checks": checks,
-        "counters": counters,
+        "counters": _report_counters(world.obs),
         "total": len(checks),
         "passed": passed,
         "failed": len(checks) - passed,

@@ -13,11 +13,20 @@ retransmitted, the handshake timed out cleanly, the handler refused and
 re-listened, the MAC failure tore the session down instead of limping.
 All randomness flows from the scenario seed, so a verdict (and the JSON
 report built from it) is reproducible byte for byte.
+
+Each scenario is a plain function of the seed: :func:`build_world`,
+the fault, clients started by :func:`_spawn`, :func:`_finish`, then the
+checks that are its own (counters through :func:`_count`), handed to
+:meth:`World.verdict`, which appends the closing checks every scenario
+owes: ``sessions_released``, and ``buffers_released`` when the world
+has a buffer pool.  :func:`_serve`, :func:`_rude_peer` and
+:func:`_late_comer` start and finish the clients of the three families.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import eq, ge
 
 from repro.crypto.demokeys import DEMO_PSK
 from repro.crypto.prng import CipherRng
@@ -59,22 +68,30 @@ _HANDSHAKE_TIMEOUT_S = 1.0
 _CONN_DEADLINE_S = 2.0
 _BACKEND_TIMEOUT_S = 2.0
 
+#: A well-behaved client's request size; the simulated seconds a client
+#: may run before its scenario counts as wedged; the settle after them.
+_REQUEST_SIZE = 32
+_CLIENT_TIMEOUT_S = 600.0
+_SETTLE_S = 2.0
+
 
 @dataclass
 class World(RedirectorWorld):
     """One redirector deployment plus the scenario's seed and the
-    reports of the clients spawned on it."""
+    clients spawned on it (processes and reports, in spawn order)."""
 
     seed: int
     reports: list = field(default_factory=list)
+    processes: list = field(default_factory=list)
 
     def counters(self) -> dict:
         return dict(self.obs.metrics.snapshot()["counters"])
 
     def verdict(self, name: str, checks: list[dict]) -> dict:
-        """The scenario's verdict: ``checks`` plus this world's counters
-        and one row per client report."""
-        return _verdict(name, checks, self.obs, self.sim.now, [
+        """The scenario's verdict: ``checks`` and the closing quiescence
+        checks, plus this world's counters and one row per client."""
+        return _verdict(name, checks + _check_quiescent(self), self.obs,
+                        self.sim.now, [
             {
                 "name": report.name,
                 "ok": report.error is None,
@@ -121,35 +138,49 @@ def build_world(seed: int, *, client_hosts: int = 4, handlers: int = 3,
     return World(**vars(world), seed=seed)
 
 
-def _client_context(world: World, index: int) -> IsslContext:
+def _client_context(world: World, label: str) -> IsslContext:
     return IsslContext(
-        UNIX_FULL, CipherRng(_seed_bytes(world.seed, f"client{index}")),
+        UNIX_FULL, CipherRng(_seed_bytes(world.seed, label)),
         psk=DEMO_PSK, obs=world.obs,
     )
 
 
-def _spawn_secure_client(world: World, index: int, *, requests: int = 2,
-                         request_size: int = 32, start_s: float = 0.0):
+def _secure_client(host, context: IsslContext, server_ip: str, port: int,
+                   report: ClientReport, requests: int = 2):
+    """:func:`secure_request_client` in the misbehaving clients' shape."""
+    return secure_request_client(host, context, server_ip, port, requests,
+                                 _REQUEST_SIZE, report)
+
+
+def _spawn(world: World, index: int, client=_secure_client, *,
+           start_s: float = 0.0, name: str | None = None,
+           **client_args) -> ClientReport:
+    """Start ``client`` on host ``c<index>`` against the redirector,
+    ``start_s`` simulated seconds from now, as process
+    ``faults:<name>`` (default ``client<index>``).  Its report joins the
+    verdict and its process joins the ones :func:`_finish` waits for."""
     host = world.hosts[f"c{index}"]
     report = ClientReport(f"client{index}")
     world.reports.append(report)
-    process = host.spawn(delayed(start_s, secure_request_client(
-        host, _client_context(world, index),
-        str(world.hosts["rmc"].ip_address), TLS_PORT,
-        requests, request_size, report,
-    )), name=f"faults:client{index}")
-    return process, report
+    server = (str(world.hosts["rmc"].ip_address), TLS_PORT)
+    if client is not silent_client:  # the silent peer speaks no issl
+        server = (_client_context(world, report.name), *server)
+    world.processes.append(host.spawn(
+        delayed(start_s, client(host, *server, report=report,
+                                **client_args)),
+        name=f"faults:{name or report.name}",
+    ))
+    return report
 
 
-def _finish(world: World, processes, *, timeout: float = 600.0,
-            settle_s: float = 2.0) -> bool:
-    """Drive the sim until every client process is done; returns False
+def _finish(world: World) -> bool:
+    """Drive the sim until every spawned client is done; returns False
     on a wedge (deadlock/timeout) instead of raising, so the verdict can
     carry it as a failed check."""
     try:
-        for process in processes:
-            world.sim.run_until_complete(process, timeout=timeout)
-        world.sim.run(until=world.sim.now + settle_s)
+        for process in world.processes:
+            world.sim.run_until_complete(process, timeout=_CLIENT_TIMEOUT_S)
+        world.sim.run(until=world.sim.now + _SETTLE_S)
     except SimulationError:
         return False
     finally:
@@ -185,22 +216,24 @@ _RECOVERY_SOURCES = {
 }
 
 
-def _publish_recovery_counters(obs) -> None:
-    counters = dict(obs.metrics.snapshot()["counters"])
+def _report_counters(obs) -> dict:
+    """Publish the ``faults.recovered.*`` counters, then return the
+    counters a report carries: those under ``_COUNTER_PREFIXES``."""
+    counters = obs.metrics.snapshot()["counters"]
     for target, source in _RECOVERY_SOURCES.items():
         value = counters.get(source, 0)
         if value:
             obs.metrics.counter(target).inc(value)
-
-
-def _verdict(name: str, checks: list[dict], obs, now: float,
-             clients: list[dict]) -> dict:
-    _publish_recovery_counters(obs)
-    counters = {
+    return {
         key: value
         for key, value in sorted(obs.metrics.snapshot()["counters"].items())
         if key.startswith(_COUNTER_PREFIXES)
     }
+
+
+def _verdict(name: str, checks: list[dict], obs, now: float,
+             clients: list[dict]) -> dict:
+    counters = _report_counters(obs)
     ok = all(check["ok"] for check in checks)
     verdict = {
         "name": name,
@@ -225,13 +258,18 @@ def _check(name: str, ok: bool, detail: str = "") -> dict:
     return {"name": name, "ok": bool(ok), "detail": detail}
 
 
-def _check_clients_ok(world: World, expected_ok: int | None = None) -> list:
+def _count(counters: dict, name: str, key: str, test, bound, label: str,
+           note: str = "") -> dict:
+    """Check ``test(counters.get(key, 0), bound)``; detail ``label=value``."""
+    value = counters.get(key, 0)
+    return _check(name, test(value, bound), f"{label}={value}{note}")
+
+
+def _check_clients_ok(world: World, expected_ok: int | None = None) -> dict:
     ok_count = sum(1 for r in world.reports if r.error is None)
     expected = len(world.reports) if expected_ok is None else expected_ok
-    return [_check(
-        "clients_ok", ok_count >= expected,
-        f"{ok_count}/{len(world.reports)} ok (needed {expected})",
-    )]
+    return _check("clients_ok", ok_count >= expected,
+                  f"{ok_count}/{len(world.reports)} ok (needed {expected})")
 
 
 def _check_quiescent(world: World) -> list:
@@ -248,6 +286,47 @@ def _check_quiescent(world: World) -> list:
     return checks
 
 
+def _serve(world: World, clients: int = 2,
+           requests: int = 2) -> tuple[list, dict]:
+    """``clients`` well-behaved clients, all to be served: the
+    ``completed`` and ``clients_ok`` checks and the counters after."""
+    for index in range(clients):
+        _spawn(world, index, requests=requests)
+    return ([_check("completed", _finish(world)), _check_clients_ok(world)],
+            world.counters())
+
+
+def _rude_peer(world: World, client, healthy_start_s: float,
+               **client_args) -> tuple[list, dict]:
+    """``client`` on ``c0`` (report ``world.reports[0]``), a healthy one on
+    ``c1`` ``healthy_start_s`` later: ``completed`` and the counters."""
+    _spawn(world, 0, client, **client_args)
+    _spawn(world, 1, start_s=healthy_start_s)
+    return [_check("completed", _finish(world))], world.counters()
+
+
+def _late_comer(world: World, first_wave: int, start_s: float,
+                requests: int = 2) -> tuple[list, dict]:
+    """``first_wave`` clients, then one more ``start_s`` later (report
+    ``world.reports[-1]``): ``completed`` and the counters after."""
+    for index in range(first_wave):
+        _spawn(world, index, requests=requests)
+    _spawn(world, first_wave, requests=requests, start_s=start_s)
+    return [_check("completed", _finish(world))], world.counters()
+
+
+def _late_served(world: World, name: str) -> dict:
+    late = world.reports[-1]
+    return _check(name, late.error is None,
+                  f"late client error={late.error!r}")
+
+
+def _others_served(world: World) -> dict:
+    ok = sum(1 for r in world.reports[:3] if r.error is None)
+    return _check("others_served", ok >= 2,
+                  f"{ok}/3 first-wave clients ok")
+
+
 # ---------------------------------------------------------------------------
 # Scenarios
 # ---------------------------------------------------------------------------
@@ -255,166 +334,112 @@ def _check_quiescent(world: World) -> list:
 def scenario_baseline(seed: int) -> dict:
     """No faults: the yardstick every fault verdict is read against."""
     world = build_world(seed)
-    processes = [
-        _spawn_secure_client(world, i)[0] for i in range(3)
-    ]
-    done = _finish(world, processes)
-    checks = [_check("completed", done, "all clients ran to completion")]
-    checks += _check_clients_ok(world)
-    checks.append(_check(
-        "all_requests_redirected",
-        world.stats.get("redirected", 0) == 6,
-        f"redirected={world.stats.get('redirected', 0)} (expected 6)",
-    ))
-    checks += _check_quiescent(world)
-    return world.verdict("baseline", checks)
+    for index in range(3):
+        _spawn(world, index)
+    done = _finish(world)
+    return world.verdict("baseline", [
+        _check("completed", done, "all clients ran to completion"),
+        _check_clients_ok(world),
+        _count(world.stats, "all_requests_redirected", "redirected", eq, 6,
+               "redirected", " (expected 6)"),
+    ])
 
 
 def scenario_syn_loss(seed: int) -> dict:
     """Drop the very first SYN; TCP's RTO must carry the connect."""
     world = build_world(seed)
-    drop = inj.DropFrames(inj.match_nth(0, inj.is_tcp_syn), obs=world.obs)
-    inj.install(world.lan, drop)
-    processes = [_spawn_secure_client(world, i)[0] for i in range(2)]
-    done = _finish(world, processes)
-    counters = world.counters()
-    checks = [_check("completed", done)]
-    checks += _check_clients_ok(world)
-    checks.append(_check("syn_dropped", drop.injected == 1,
-                         f"injected={drop.injected}"))
-    checks.append(_check(
-        "tcp_retransmitted",
-        counters.get("tcp.segments.retransmitted", 0) >= 1,
-        f"retransmits={counters.get('tcp.segments.retransmitted', 0)}",
-    ))
-    checks += _check_quiescent(world)
-    return world.verdict("syn-loss", checks)
+    inj.install(world.lan, inj.DropFrames(
+        inj.match_nth(0, inj.is_tcp_syn), obs=world.obs))
+    checks, counters = _serve(world)
+    return world.verdict("syn-loss", checks + [
+        _count(counters, "syn_dropped", "faults.injected.drop", eq, 1,
+               "injected"),
+        _count(counters, "tcp_retransmitted", "tcp.segments.retransmitted",
+               ge, 1, "retransmits"),
+    ])
 
 
 def scenario_hello_loss(seed: int) -> dict:
     """Drop the first data segment -- the ClientHello itself."""
     world = build_world(seed)
-    drop = inj.DropFrames(inj.match_nth(0, inj.has_tcp_payload),
-                          obs=world.obs)
-    inj.install(world.lan, drop)
-    processes = [_spawn_secure_client(world, i)[0] for i in range(2)]
-    done = _finish(world, processes)
-    counters = world.counters()
-    checks = [_check("completed", done)]
-    checks += _check_clients_ok(world)
-    checks.append(_check("hello_dropped", drop.injected == 1,
-                         f"injected={drop.injected}"))
-    checks.append(_check(
-        "tcp_retransmitted",
-        counters.get("tcp.segments.retransmitted", 0) >= 1,
-        f"retransmits={counters.get('tcp.segments.retransmitted', 0)}",
-    ))
-    checks += _check_quiescent(world)
-    return world.verdict("hello-loss", checks)
+    inj.install(world.lan, inj.DropFrames(
+        inj.match_nth(0, inj.has_tcp_payload), obs=world.obs))
+    checks, counters = _serve(world)
+    return world.verdict("hello-loss", checks + [
+        _count(counters, "hello_dropped", "faults.injected.drop", eq, 1,
+               "injected"),
+        _count(counters, "tcp_retransmitted", "tcp.segments.retransmitted",
+               ge, 1, "retransmits"),
+    ])
 
 
 def scenario_data_loss(seed: int) -> dict:
     """Periodic loss of data segments mid-session."""
     world = build_world(seed)
-    drop = inj.DropFrames(
+    inj.install(world.lan, inj.DropFrames(
         inj.match_every(4, inj.has_tcp_payload, start=2, limit=3),
         obs=world.obs,
-    )
-    inj.install(world.lan, drop)
-    processes = [_spawn_secure_client(world, i, requests=3)[0]
-                 for i in range(2)]
-    done = _finish(world, processes)
-    counters = world.counters()
-    checks = [_check("completed", done)]
-    checks += _check_clients_ok(world)
-    checks.append(_check("frames_dropped", drop.injected >= 2,
-                         f"injected={drop.injected}"))
-    checks.append(_check(
-        "tcp_retransmitted",
-        counters.get("tcp.segments.retransmitted", 0) >= drop.injected,
-        f"retransmits={counters.get('tcp.segments.retransmitted', 0)} "
-        f">= drops={drop.injected}",
     ))
-    checks += _check_quiescent(world)
-    return world.verdict("data-loss", checks)
+    checks, counters = _serve(world, requests=3)
+    drops = counters["faults.injected.drop"]
+    return world.verdict("data-loss", checks + [
+        _count(counters, "frames_dropped", "faults.injected.drop", ge, 2,
+               "injected"),
+        _count(counters, "tcp_retransmitted", "tcp.segments.retransmitted",
+               ge, drops, "retransmits", f" >= drops={drops}"),
+    ])
 
 
 def scenario_duplicate(seed: int) -> dict:
     """Deliver every third TCP segment twice; dedup must hold."""
     world = build_world(seed)
-    duplicate = inj.DuplicateFrames(
-        inj.match_every(3, inj.is_tcp, limit=8), obs=world.obs
-    )
-    inj.install(world.lan, duplicate)
-    processes = [_spawn_secure_client(world, i)[0] for i in range(2)]
-    done = _finish(world, processes)
-    checks = [_check("completed", done)]
-    checks += _check_clients_ok(world)
-    checks.append(_check("frames_duplicated", duplicate.injected >= 4,
-                         f"injected={duplicate.injected}"))
-    checks.append(_check(
-        "all_requests_redirected",
-        world.stats.get("redirected", 0) == 4,
-        f"redirected={world.stats.get('redirected', 0)}",
-    ))
-    checks += _check_quiescent(world)
-    return world.verdict("duplicate", checks)
+    inj.install(world.lan, inj.DuplicateFrames(
+        inj.match_every(3, inj.is_tcp, limit=8), obs=world.obs))
+    checks, counters = _serve(world)
+    return world.verdict("duplicate", checks + [
+        _count(counters, "frames_duplicated", "faults.injected.duplicate",
+               ge, 4, "injected"),
+        _count(world.stats, "all_requests_redirected", "redirected", eq, 4,
+               "redirected"),
+    ])
 
 
 def scenario_reorder(seed: int) -> dict:
     """Hold one data segment back past the RTO: reordering plus a
     spurious retransmit the receiver must deduplicate."""
     world = build_world(seed)
-    delay = inj.DelayFrames(
-        inj.match_nth(4, inj.has_tcp_payload), extra_s=0.3, obs=world.obs
-    )
-    inj.install(world.lan, delay)
-    processes = [_spawn_secure_client(world, i)[0] for i in range(2)]
-    done = _finish(world, processes)
-    counters = world.counters()
-    checks = [_check("completed", done)]
-    checks += _check_clients_ok(world)
-    checks.append(_check("frame_delayed", delay.injected == 1,
-                         f"injected={delay.injected}"))
-    checks.append(_check(
-        "tcp_retransmitted",
-        counters.get("tcp.segments.retransmitted", 0) >= 1,
-        f"retransmits={counters.get('tcp.segments.retransmitted', 0)}",
-    ))
-    checks += _check_quiescent(world)
-    return world.verdict("reorder", checks)
+    inj.install(world.lan, inj.DelayFrames(
+        inj.match_nth(4, inj.has_tcp_payload), extra_s=0.3, obs=world.obs))
+    checks, counters = _serve(world)
+    return world.verdict("reorder", checks + [
+        _count(counters, "frame_delayed", "faults.injected.delay", eq, 1,
+               "injected"),
+        _count(counters, "tcp_retransmitted", "tcp.segments.retransmitted",
+               ge, 1, "retransmits"),
+    ])
 
 
 def scenario_corrupt_app_record(seed: int) -> dict:
     """Flip a ciphertext bit on the wire: the server's MAC check must
     fail closed (teardown + alert), and the next client must be served."""
     world = build_world(seed)
-    corrupt = inj.CorruptFrames(
+    inj.install(world.lan, inj.CorruptFrames(
         inj.match_nth(
             0, inj.tcp_payload_prefix(bytes([CT_APPLICATION_DATA]))
         ),
         byte_offset=8, obs=world.obs,
-    )
-    inj.install(world.lan, corrupt)
-    first, first_report = _spawn_secure_client(world, 0)
-    second, _ = _spawn_secure_client(world, 1, start_s=1.0)
-    done = _finish(world, [first, second])
-    counters = world.counters()
-    checks = [_check("completed", done)]
-    checks.append(_check("record_corrupted", corrupt.injected == 1,
-                         f"injected={corrupt.injected}"))
-    checks.append(_check(
-        "mac_failure_detected",
-        counters.get("issl.records.mac_failures", 0) >= 1,
-        f"mac_failures={counters.get('issl.records.mac_failures', 0)}",
     ))
-    checks.append(_check(
-        "corrupted_client_failed", first_report.error is not None,
-        f"error={first_report.error!r}",
-    ))
-    checks += _check_clients_ok(world, expected_ok=1)
-    checks += _check_quiescent(world)
-    return world.verdict("corrupt-app-record", checks)
+    checks, counters = _rude_peer(world, _secure_client, 1.0)
+    first = world.reports[0]
+    return world.verdict("corrupt-app-record", checks + [
+        _count(counters, "record_corrupted", "faults.injected.corrupt", eq,
+               1, "injected"),
+        _count(counters, "mac_failure_detected", "issl.records.mac_failures",
+               ge, 1, "mac_failures"),
+        _check("corrupted_client_failed", first.error is not None,
+               f"error={first.error!r}"),
+        _check_clients_ok(world, expected_ok=1),
+    ])
 
 
 def scenario_record_bitflip(seed: int) -> dict:
@@ -422,62 +447,31 @@ def scenario_record_bitflip(seed: int) -> dict:
     protected response): the client MAC-fails, sends a fatal alert, and
     both ends tear down cleanly."""
     world = build_world(seed)
-    host = world.hosts["c0"]
-    report = ClientReport("client0")
-    world.reports.append(report)
-    flaky = host.spawn(bitflip_client(
-        host, _client_context(world, 0),
-        str(world.hosts["rmc"].ip_address), TLS_PORT,
-        record_index=3, report=report,
-    ), name="faults:bitflip")
-    healthy, _ = _spawn_secure_client(world, 1, start_s=1.0)
-    done = _finish(world, [flaky, healthy])
-    counters = world.counters()
-    checks = [_check("completed", done)]
-    checks.append(_check(
-        "record_corrupted",
-        counters.get("faults.injected.record", 0) == 1,
-        f"injected={counters.get('faults.injected.record', 0)}",
-    ))
-    checks.append(_check(
-        "mac_failure_detected",
-        counters.get("issl.records.mac_failures", 0) >= 1,
-        f"mac_failures={counters.get('issl.records.mac_failures', 0)}",
-    ))
-    checks.append(_check("bitflip_client_failed", report.error is not None,
-                         f"error={report.error!r}"))
-    checks += _check_clients_ok(world, expected_ok=1)
-    checks += _check_quiescent(world)
-    return world.verdict("record-bitflip", checks)
+    checks, counters = _rude_peer(world, bitflip_client, 1.0,
+                                  name="bitflip", record_index=3)
+    flaky = world.reports[0]
+    return world.verdict("record-bitflip", checks + [
+        _count(counters, "record_corrupted", "faults.injected.record", eq, 1,
+               "injected"),
+        _count(counters, "mac_failure_detected", "issl.records.mac_failures",
+               ge, 1, "mac_failures"),
+        _check("bitflip_client_failed", flaky.error is not None,
+               f"error={flaky.error!r}"),
+        _check_clients_ok(world, expected_ok=1),
+    ])
 
 
 def _midhandshake_scenario(name: str, teardown: str, seed: int) -> dict:
     world = build_world(seed)
-    host = world.hosts["c0"]
-    report = ClientReport("client0")
-    world.reports.append(report)
-    rude = host.spawn(half_handshake_client(
-        host, _client_context(world, 0),
-        str(world.hosts["rmc"].ip_address), TLS_PORT, report,
-        teardown=teardown,
-    ), name=f"faults:{teardown}")
-    healthy, _ = _spawn_secure_client(world, 1, start_s=1.5)
-    done = _finish(world, [rude, healthy])
-    counters = world.counters()
-    checks = [_check("completed", done)]
-    checks.append(_check(
-        "handshake_failed_cleanly",
-        counters.get("redirector.errors.handshake", 0) >= 1,
-        f"errors.handshake={counters.get('redirector.errors.handshake', 0)}",
-    ))
-    checks.append(_check(
-        "handler_recovered",
-        counters.get("redirector.recovered", 0) >= 1,
-        f"recovered={counters.get('redirector.recovered', 0)}",
-    ))
-    checks += _check_clients_ok(world, expected_ok=1)
-    checks += _check_quiescent(world)
-    return world.verdict(name, checks)
+    checks, counters = _rude_peer(world, half_handshake_client, 1.5,
+                                  name=teardown, teardown=teardown)
+    return world.verdict(name, checks + [
+        _count(counters, "handshake_failed_cleanly",
+               "redirector.errors.handshake", ge, 1, "errors.handshake"),
+        _count(counters, "handler_recovered", "redirector.recovered", ge, 1,
+               "recovered"),
+        _check_clients_ok(world, expected_ok=1),
+    ])
 
 
 def scenario_rst_midhandshake(seed: int) -> dict:
@@ -494,66 +488,33 @@ def scenario_silent_peer(seed: int) -> dict:
     """A peer that connects and never speaks: the handshake timeout
     (with one retry) must free the handler."""
     world = build_world(seed)
-    host = world.hosts["c0"]
-    report = ClientReport("client0")
-    world.reports.append(report)
-    mute = host.spawn(silent_client(
-        host, str(world.hosts["rmc"].ip_address), TLS_PORT,
-        hold_s=6.0, report=report,
-    ), name="faults:silent")
-    healthy, _ = _spawn_secure_client(world, 1, start_s=4.0)
-    done = _finish(world, [mute, healthy])
-    counters = world.counters()
-    checks = [_check("completed", done)]
-    checks.append(_check(
-        "handshake_timed_out",
-        counters.get("issl.handshakes.timeouts", 0) >= 2,
-        f"timeouts={counters.get('issl.handshakes.timeouts', 0)} "
-        f"(first attempt + 1 retry)",
-    ))
-    checks.append(_check(
-        "handshake_retried",
-        counters.get("issl.handshakes.retries", 0) == 1,
-        f"retries={counters.get('issl.handshakes.retries', 0)}",
-    ))
-    checks.append(_check(
-        "handler_recovered",
-        counters.get("redirector.errors.handshake", 0) >= 1,
-        f"errors.handshake={counters.get('redirector.errors.handshake', 0)}",
-    ))
-    checks += _check_clients_ok(world, expected_ok=1)
-    checks += _check_quiescent(world)
-    return world.verdict("silent-peer", checks)
+    checks, counters = _rude_peer(world, silent_client, 4.0, name="silent",
+                                  hold_s=6.0)
+    return world.verdict("silent-peer", checks + [
+        _count(counters, "handshake_timed_out", "issl.handshakes.timeouts",
+               ge, 2, "timeouts", " (first attempt + 1 retry)"),
+        _count(counters, "handshake_retried", "issl.handshakes.retries", eq,
+               1, "retries"),
+        _count(counters, "handler_recovered", "redirector.errors.handshake",
+               ge, 1, "errors.handshake"),
+        _check_clients_ok(world, expected_ok=1),
+    ])
 
 
 def scenario_stalled_peer(seed: int) -> dict:
     """An established session that sends half a line and stalls: the
     per-connection deadline must abort it, not pin the handler."""
     world = build_world(seed)
-    host = world.hosts["c0"]
-    report = ClientReport("client0")
-    world.reports.append(report)
-    staller = host.spawn(stalling_client(
-        host, _client_context(world, 0),
-        str(world.hosts["rmc"].ip_address), TLS_PORT, report,
-        stall_s=8.0,
-    ), name="faults:staller")
-    healthy, _ = _spawn_secure_client(world, 1, start_s=4.0)
-    done = _finish(world, [staller, healthy])
-    counters = world.counters()
-    checks = [_check("completed", done)]
-    checks.append(_check(
-        "deadline_expired",
-        counters.get("redirector.deadline.expired", 0) >= 1,
-        f"expired={counters.get('redirector.deadline.expired', 0)}",
-    ))
-    checks.append(_check(
-        "staller_served_before_stall", len(report.request_times) == 1,
-        f"requests={len(report.request_times)}",
-    ))
-    checks += _check_clients_ok(world, expected_ok=1)
-    checks += _check_quiescent(world)
-    return world.verdict("stalled-peer", checks)
+    checks, counters = _rude_peer(world, stalling_client, 4.0,
+                                  name="staller", stall_s=8.0)
+    served = len(world.reports[0].request_times)
+    return world.verdict("stalled-peer", checks + [
+        _count(counters, "deadline_expired", "redirector.deadline.expired",
+               ge, 1, "expired"),
+        _check("staller_served_before_stall", served == 1,
+               f"requests={served}"),
+        _check_clients_ok(world, expected_ok=1),
+    ])
 
 
 def scenario_slot_exhaustion(seed: int) -> dict:
@@ -561,33 +522,15 @@ def scenario_slot_exhaustion(seed: int) -> dict:
     refused (counted), the others served, and a late-comer served after
     a slot frees -- Figure 3's ceiling as graceful degradation."""
     world = build_world(seed, max_sessions=2, client_hosts=4)
-    processes = [_spawn_secure_client(world, i)[0] for i in range(3)]
-    late, late_report = _spawn_secure_client(world, 3, start_s=2.0)
-    done = _finish(world, processes + [late])
-    counters = world.counters()
-    ok_first_wave = sum(
-        1 for r in world.reports[:3] if r.error is None
-    )
-    checks = [_check("completed", done)]
-    checks.append(_check(
-        "session_refused",
-        counters.get("redirector.refused.sessions", 0) >= 1,
-        f"refused={counters.get('redirector.refused.sessions', 0)}",
-    ))
-    checks.append(_check(
-        "ceiling_respected", world.context.sessions_peak <= 2,
-        f"peak={world.context.sessions_peak}",
-    ))
-    checks.append(_check(
-        "others_served", ok_first_wave >= 2,
-        f"{ok_first_wave}/3 first-wave clients ok",
-    ))
-    checks.append(_check(
-        "slot_recycled", late_report.error is None,
-        f"late client error={late_report.error!r}",
-    ))
-    checks += _check_quiescent(world)
-    return world.verdict("slot-exhaustion", checks)
+    checks, counters = _late_comer(world, 3, 2.0)
+    return world.verdict("slot-exhaustion", checks + [
+        _count(counters, "session_refused", "redirector.refused.sessions",
+               ge, 1, "refused"),
+        _check("ceiling_respected", world.context.sessions_peak <= 2,
+               f"peak={world.context.sessions_peak}"),
+        _others_served(world),
+        _late_served(world, "slot_recycled"),
+    ])
 
 
 def scenario_xalloc_exhaustion(seed: int) -> dict:
@@ -596,33 +539,15 @@ def scenario_xalloc_exhaustion(seed: int) -> dict:
     xmem = inj.ExhaustingXmemAllocator(capacity=64 * 1024, fail_at=3)
     world = build_world(seed, buffer_pool=True, xmem=xmem, client_hosts=4)
     xmem._fault_counter = world.obs.metrics.counter("faults.injected.xalloc")
-    processes = [_spawn_secure_client(world, i)[0] for i in range(3)]
-    late, late_report = _spawn_secure_client(world, 3, start_s=2.0)
-    done = _finish(world, processes + [late])
-    counters = world.counters()
-    ok_first_wave = sum(
-        1 for r in world.reports[:3] if r.error is None
-    )
-    checks = [_check("completed", done)]
-    checks.append(_check(
-        "exhaustion_injected", xmem.allocations == 2,
-        f"allocations={xmem.allocations} (third carve refused)",
-    ))
-    checks.append(_check(
-        "memory_refused",
-        counters.get("redirector.refused.memory", 0) >= 1,
-        f"refused={counters.get('redirector.refused.memory', 0)}",
-    ))
-    checks.append(_check(
-        "others_served", ok_first_wave >= 2,
-        f"{ok_first_wave}/3 first-wave clients ok",
-    ))
-    checks.append(_check(
-        "buffer_recycled", late_report.error is None,
-        f"late client error={late_report.error!r}",
-    ))
-    checks += _check_quiescent(world)
-    return world.verdict("xalloc-exhaustion", checks)
+    checks, counters = _late_comer(world, 3, 2.0)
+    return world.verdict("xalloc-exhaustion", checks + [
+        _check("exhaustion_injected", xmem.allocations == 2,
+               f"allocations={xmem.allocations} (third carve refused)"),
+        _count(counters, "memory_refused", "redirector.refused.memory", ge,
+               1, "refused"),
+        _others_served(world),
+        _late_served(world, "buffer_recycled"),
+    ])
 
 
 def scenario_starved_loop(seed: int) -> dict:
@@ -633,39 +558,27 @@ def scenario_starved_loop(seed: int) -> dict:
         inj.starving_costate(passes=1500, busy_s=1e-3, obs=world.obs),
         name="starver",
     )
-    processes = [_spawn_secure_client(world, i)[0] for i in range(2)]
-    done = _finish(world, processes)
-    counters = world.counters()
-    checks = [_check("completed", done)]
-    checks += _check_clients_ok(world)
-    checks.append(_check(
-        "starvation_injected",
-        counters.get("faults.injected.starve", 0) >= 100,
-        f"starve passes={counters.get('faults.injected.starve', 0)}",
-    ))
-    checks += _check_quiescent(world)
-    return world.verdict("starved-loop", checks)
+    checks, counters = _serve(world)
+    return world.verdict("starved-loop", checks + [
+        _count(counters, "starvation_injected", "faults.injected.starve",
+               ge, 100, "starve passes"),
+    ])
 
 
 def scenario_backend_outage(seed: int) -> dict:
     """Handshake succeeds but the backend never answers: the bounded
     backend connect must fail the connection without wedging."""
     world = build_world(seed, with_backend=False, backend_timeout_s=1.0)
-    process, report = _spawn_secure_client(world, 0)
-    done = _finish(world, [process])
+    report = _spawn(world, 0)
+    done = _finish(world)
     counters = world.counters()
-    checks = [_check("completed", done)]
-    checks.append(_check(
-        "backend_error_counted",
-        counters.get("redirector.errors.backend", 0) >= 1,
-        f"errors.backend={counters.get('redirector.errors.backend', 0)}",
-    ))
-    checks.append(_check(
-        "client_saw_clean_eof", len(report.request_times) == 0,
-        f"error={report.error!r}",
-    ))
-    checks += _check_quiescent(world)
-    return world.verdict("backend-outage", checks)
+    return world.verdict("backend-outage", [
+        _check("completed", done),
+        _count(counters, "backend_error_counted", "redirector.errors.backend",
+               ge, 1, "errors.backend"),
+        _check("client_saw_clean_eof", len(report.request_times) == 0,
+               f"error={report.error!r}"),
+    ])
 
 
 def scenario_echo_loss(seed: int) -> dict:
@@ -675,10 +588,8 @@ def scenario_echo_loss(seed: int) -> dict:
     sim = Simulator(obs=obs)
     lan, hosts = build_lan(sim, ["rmc", "c0"])
     stack = DyncTcpStack(hosts["rmc"])
-    drop = inj.DropFrames(
-        inj.match_every(3, inj.has_tcp_payload, limit=2), obs=obs
-    )
-    inj.install(lan, drop)
+    inj.install(lan, inj.DropFrames(
+        inj.match_every(3, inj.has_tcp_payload, limit=2), obs=obs))
     from repro.dync.runtime.costate import CostateScheduler
 
     scheduler = CostateScheduler(sim, name="echo")
@@ -692,24 +603,20 @@ def scenario_echo_loss(seed: int) -> dict:
     ))
     wedged = False
     try:
-        sim.run_until_complete(client, timeout=600)
+        sim.run_until_complete(client, timeout=_CLIENT_TIMEOUT_S)
     except SimulationError:
         wedged = True
     scheduler.stop()
     counters = dict(obs.metrics.snapshot()["counters"])
+    echo = results.get("echo")
     checks = [
         _check("completed", not wedged),
-        _check("frames_dropped", drop.injected >= 1,
-               f"injected={drop.injected}"),
-        _check("echo_intact", results.get("echo") == b"ping\n",
-               f"echo={results.get('echo')!r}"),
-        _check(
-            "tcp_retransmitted",
-            counters.get("tcp.segments.retransmitted", 0) >= 1,
-            f"retransmits={counters.get('tcp.segments.retransmitted', 0)}",
-        ),
+        _count(counters, "frames_dropped", "faults.injected.drop", ge, 1,
+               "injected"),
+        _check("echo_intact", echo == b"ping\n", f"echo={echo!r}"),
+        _count(counters, "tcp_retransmitted", "tcp.segments.retransmitted",
+               ge, 1, "retransmits"),
     ]
-    echo = results.get("echo")
     return _verdict("echo-loss", checks, obs, sim.now, [{
         "name": "echo-client",
         "ok": echo == b"ping\n",
@@ -726,25 +633,15 @@ def scenario_drop_filter_compat(seed: int) -> dict:
     world.lan.set_drop_filter(
         lambda frame, index: inj.is_tcp_syn(frame) and index < 5
     )
-    duplicate = inj.DuplicateFrames(
-        inj.match_every(5, inj.is_tcp, limit=4), obs=world.obs
-    )
-    inj.install(world.lan, duplicate)
-    process, _report = _spawn_secure_client(world, 0)
-    done = _finish(world, [process])
-    counters = world.counters()
-    checks = [_check("completed", done)]
-    checks += _check_clients_ok(world)
-    checks.append(_check(
-        "drop_filter_fired", world.lan.frames_dropped >= 1,
-        f"frames_dropped={world.lan.frames_dropped}",
-    ))
-    checks.append(_check(
-        "chain_composed", duplicate.injected >= 1,
-        f"duplicated={duplicate.injected}",
-    ))
-    checks += _check_quiescent(world)
-    return world.verdict("drop-filter-compat", checks)
+    inj.install(world.lan, inj.DuplicateFrames(
+        inj.match_every(5, inj.is_tcp, limit=4), obs=world.obs))
+    checks, counters = _serve(world, clients=1)
+    return world.verdict("drop-filter-compat", checks + [
+        _check("drop_filter_fired", world.lan.frames_dropped >= 1,
+               f"frames_dropped={world.lan.frames_dropped}"),
+        _count(counters, "chain_composed", "faults.injected.duplicate", ge,
+               1, "duplicated"),
+    ])
 
 
 def _scenario_pool_burst(seed: int, slots: int) -> dict:
@@ -762,15 +659,7 @@ def _scenario_pool_burst(seed: int, slots: int) -> dict:
                         max_sessions=slots,
                         client_hosts=first_wave + 1,
                         recorder_capacity=max(256, 32 * slots))
-    processes = [
-        _spawn_secure_client(world, i, requests=1)[0]
-        for i in range(first_wave)
-    ]
-    late, late_report = _spawn_secure_client(
-        world, first_wave, requests=1, start_s=5.0
-    )
-    done = _finish(world, processes + [late])
-    counters = world.counters()
+    checks, counters = _late_comer(world, first_wave, 5.0, requests=1)
     refused = counters.get("redirector.refused.slots", 0)
     failed_first_wave = sum(
         1 for r in world.reports[:first_wave] if r.error is not None
@@ -781,34 +670,21 @@ def _scenario_pool_burst(seed: int, slots: int) -> dict:
     )
     gauges = world.obs.metrics.snapshot()["gauges"]
     occupied = gauges.get("redirector.slots.occupied", {})
-    checks = [_check("completed", done)]
-    checks.append(_check(
-        "slots_refused", refused >= 1,
-        f"refused.slots={refused}",
-    ))
-    checks.append(_check(
-        "refusals_account_for_failures", failed_first_wave == refused,
-        f"failed={failed_first_wave} refused={refused}",
-    ))
-    checks.append(_check(
-        "refusal_events_recorded", refusal_events == refused,
-        f"recorder events={refusal_events} refused={refused}",
-    ))
-    checks.append(_check(
-        "pool_ceiling_respected",
-        occupied.get("high_water", 0.0) <= slots,
-        f"peak occupancy={occupied.get('high_water', 0.0)} slots={slots}",
-    ))
-    checks.append(_check(
-        "pool_drained", occupied.get("value", 0.0) == 0,
-        f"occupancy={occupied.get('value', 0.0)} after settle",
-    ))
-    checks.append(_check(
-        "recovered_after_burst", late_report.error is None,
-        f"late client error={late_report.error!r}",
-    ))
-    checks += _check_quiescent(world)
-    return world.verdict(f"pool-burst-{slots}", checks)
+    peak = occupied.get("high_water", 0.0)
+    occupancy = occupied.get("value", 0.0)
+    return world.verdict(f"pool-burst-{slots}", checks + [
+        _count(counters, "slots_refused", "redirector.refused.slots", ge, 1,
+               "refused.slots"),
+        _check("refusals_account_for_failures", failed_first_wave == refused,
+               f"failed={failed_first_wave} refused={refused}"),
+        _check("refusal_events_recorded", refusal_events == refused,
+               f"recorder events={refusal_events} refused={refused}"),
+        _check("pool_ceiling_respected", peak <= slots,
+               f"peak occupancy={peak} slots={slots}"),
+        _check("pool_drained", occupancy == 0,
+               f"occupancy={occupancy} after settle"),
+        _late_served(world, "recovered_after_burst"),
+    ])
 
 
 def scenario_pool_burst_3(seed: int) -> dict:

@@ -12,7 +12,7 @@ sorted, wall-clock-free text that golden tests can pin.
 
 * :func:`forensics_text` -- the section ``repro.bench compare``/``gate``
   attach to a changed snapshot: routine cycle deltas, telemetry first
-  divergence, the flight-recorder tail.
+  divergence, and the flight-recorder tail of a changed redirector run.
 * :func:`diff_documents` -- ``python -m repro.obs diff A B``: two
   Chrome ``trace_event`` exports render through
   :func:`render_trace_diff` (span trees matched by name/hierarchy path
@@ -262,13 +262,22 @@ def diff_documents(base_doc: dict, current_doc: dict,
     )
 
 
+def forensics_tail(base_doc: dict, current_doc: dict) -> list:
+    """The flight-recorder tail :func:`forensics_text` prints: the
+    current run's, only when its ``obs.redirector`` section differs
+    from the baseline's (an unchanged run's tail explains nothing)."""
+    base = base_doc.get("obs", {}).get("redirector", {})
+    current = current_doc.get("obs", {}).get("redirector", {})
+    return current.get("recorder_tail", []) if current != base else []
+
+
 def forensics_text(base_doc: dict, current_doc: dict,
                    top: int = FORENSICS_TOP) -> str:
     """The forensics section ``repro.bench compare``/``gate`` attach
     when any metric changed: top-N per-routine cycle deltas, the
     first simulated-time telemetry divergence, and the current run's
-    flight-recorder tail.  Deterministic: derived purely from the two
-    snapshot documents.
+    flight-recorder tail when the redirector run changed.
+    Deterministic: derived purely from the two snapshot documents.
     """
     lines = ["forensics:"]
     base_obs = base_doc.get("obs", {}).get("aes_profile", {})
@@ -295,9 +304,7 @@ def forensics_text(base_doc: dict, current_doc: dict,
         )
     else:
         lines.append("  first telemetry divergence: none (series identical)")
-    tail = current_doc.get("obs", {}).get("redirector", {}).get(
-        "recorder_tail", []
-    )
+    tail = forensics_tail(base_doc, current_doc)
     if tail:
         lines.append(
             f"  flight recorder tail (current run, last {len(tail)}):"

@@ -225,6 +225,8 @@ class TestGateCli:
                    if l.startswith(f"E1.{metric}")]
         assert line.split()[-1] == "FAIL"
         assert "rules: 26 checked, 0 violated" in out
+        # The redirector run is unchanged and no rule failed: no tail.
+        assert "flight recorder tail" not in out
         assert "verdict: FAIL" in out.splitlines()[-1]
 
     def test_recorder_tail_printed_once(self, tmp_path, capsys):
@@ -325,7 +327,9 @@ class TestForensicsAcceptance:
             assert "mix_columns" in out
             assert ("first telemetry divergence: aes:c/cpu.cycles "
                     "at t=") in out
-            assert "flight recorder tail" in out
+            # Only the AES profile moved; the redirector's tail is the
+            # baseline's own.
+            assert "flight recorder tail" not in out
         assert runs[0].stdout == runs[1].stdout
 
     def test_gate_carries_the_forensics_section(self, perturbed_path):
@@ -345,6 +349,21 @@ class TestEntryPoint:
         assert completed.returncode == 0
         for subcommand in ("run", "compare", "gate", "show"):
             assert subcommand in completed.stdout
+
+    def test_closed_stdout_exits_without_a_traceback(self):
+        """A reader that closes the pipe early (``| head``) ends the
+        command quietly: nothing on stderr."""
+        baseline = str(REPO / "BENCH_baseline.json")
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.bench", "compare", "--verbose",
+             baseline, baseline],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=REPO,
+            env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
+        )
+        process.stdout.close()  # before the command has printed a line
+        stderr = process.stderr.read()
+        assert process.wait(timeout=300) == 1
+        assert stderr == b""
 
 
 class TestScalingSection:

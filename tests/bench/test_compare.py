@@ -184,6 +184,15 @@ class TestForensicsAttachment:
         assert "+45000 cycles" in report.forensics
         assert ("first telemetry divergence: aes:asm/cpu.cycles "
                 "at t=0.002000000s") in report.forensics
+        # The redirector run is the baseline's: its tail says nothing.
+        assert "flight recorder tail" not in report.forensics
+
+    def test_changed_redirector_run_attaches_its_tail(self, snapshot):
+        current = make_snapshot()
+        current["obs"]["redirector"]["counters"][
+            "issl.records.mac_failures"] = 1
+        report = compare_snapshots(snapshot, current)
+        assert not report.ok
         # The synthetic snapshot embeds a one-event recorder tail.
         assert "flight recorder tail" in report.forensics
         assert "ESTABLISHED->CLOSE_WAIT" in report.forensics

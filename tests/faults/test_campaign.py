@@ -138,6 +138,46 @@ class TestRecorderEmbedding:
         assert "events" not in verdict
 
 
+class TestClosingChecks:
+    """World.verdict appends the quiescence checks itself, so a scenario
+    that lists only its own checks still fails on a leaked resource."""
+
+    @staticmethod
+    def _leaky(buffer_pool, monkeypatch):
+        def leaky(seed):
+            world = scenario_mod.build_world(seed, client_hosts=1,
+                                             buffer_pool=buffer_pool)
+            world.context.acquire_session_slot()
+            if buffer_pool:
+                world.buffer_pool.acquire()
+            world.scheduler.stop()
+            return world.verdict("leaky",
+                                 [scenario_mod._check("own", True)])
+
+        monkeypatch.setitem(scenario_mod.SCENARIOS, "leaky",
+                            (leaky, "holds a session and a buffer"))
+        verdict = run_scenario("leaky")
+        assert verdict["ok"] is False
+        return {check["name"]: check for check in verdict["checks"]}
+
+    def test_held_session_and_buffer_fail_the_verdict(self, monkeypatch):
+        checks = self._leaky(True, monkeypatch)
+        assert checks["own"]["ok"]
+        assert checks["sessions_released"] == {
+            "name": "sessions_released", "ok": False,
+            "detail": "sessions_active=1",
+        }
+        assert checks["buffers_released"] == {
+            "name": "buffers_released", "ok": False,
+            "detail": "pool in_use=1",
+        }
+
+    def test_world_without_a_pool_checks_sessions_only(self, monkeypatch):
+        checks = self._leaky(False, monkeypatch)
+        assert not checks["sessions_released"]["ok"]
+        assert "buffers_released" not in checks
+
+
 @pytest.fixture
 def no_automatic_gc():
     """Only run_scenario's own collection may free a world."""

@@ -170,13 +170,23 @@ class TestForensicsText:
         }
 
     def test_names_routine_divergence_and_tail(self):
-        text = forensics_text(self._doc(100), self._doc(150))
+        current = self._doc(150)
+        current["obs"]["redirector"]["recorder_tail"][0]["seq"] = 4
+        text = forensics_text(self._doc(100), current)
         assert "mix_columns" in text
         assert "+50 cycles (+50.0%)" in text
         assert "first telemetry divergence: aes:c/cpu.cycles" in text
         assert "at t=0.250000000s" in text
         assert "flight recorder tail" in text
         assert "ESTABLISHED->CLOSE_WAIT" in text
+
+    def test_unchanged_redirector_run_prints_no_tail(self):
+        """Only the AES profile moved: the redirector's tail is the
+        baseline's own and explains nothing."""
+        text = forensics_text(self._doc(100), self._doc(150))
+        assert "mix_columns" in text
+        assert "flight recorder tail" not in text
+        assert "ESTABLISHED->CLOSE_WAIT" not in text
 
     def test_top_caps_the_routine_table(self):
         base = {"obs": {"aes_profile": {"c": {
