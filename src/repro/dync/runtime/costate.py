@@ -26,7 +26,8 @@ their "callable costatement" semantics.  An indexed cofunction
 :func:`indexed_cofunctions`: one generator that advances each generator
 in a list once per pass, skipping the ``None`` entries of idle
 instances, registered with :meth:`CostateScheduler.add` like any other
-costatement.
+costatement.  A costatement (or an instance) whose last token names
+wait objects is not resumed while that token still holds.
 """
 
 from __future__ import annotations
@@ -67,14 +68,48 @@ class _IdleToken:
     byte-identical to the resume-every-pass execution.  A costatement
     that cannot make the promise keeps yielding bare/numeric values and
     simply forfeits the fast-forward -- slower, never wrong.
+
+    A token from :func:`idle_on` also names its *wait objects*: anything
+    with an integer ``changes`` counter that only grows.  It records the
+    counters' sum when it is made (the sum stands still exactly when
+    every counter does), so it must be made at the yield, after every
+    read of the wait.  It promises more: *resuming me is a no-op
+    that yields an equal token (same deadline, same wait objects) as
+    long as no named counter has moved and the clock is before my
+    deadline* -- whatever else happened.  The big loop and
+    :func:`indexed_cofunctions` then skip the resume itself and reuse
+    the token (:meth:`holds`); the pass's accounting still runs.  The
+    promise holds only if whoever changes what the wait reads bumps the
+    counter: the wait must read nothing else but the clock.  A plain
+    ``IDLE`` names nothing and keeps the weaker promise.
     """
 
-    __slots__ = ("deadline",)
+    __slots__ = ("deadline", "waits", "mark", "clock")
 
-    def __init__(self, deadline: float | None = None):
+    def __init__(self, deadline: float | None = None, waits: tuple = (),
+                 clock=None):
         self.deadline = deadline
+        self.waits = waits
+        mark = 0
+        for wait in waits:
+            mark += wait.changes
+        self.mark = mark
+        self.clock = clock
+
+    def holds(self) -> bool:
+        """True while resuming the waiter would be a no-op: no named
+        counter has moved and the clock is before the deadline."""
+        deadline = self.deadline
+        if deadline is not None and self.clock.now >= deadline:
+            return False
+        mark = 0
+        for wait in self.waits:
+            mark += wait.changes
+        return mark == self.mark
 
     def __repr__(self) -> str:
+        if self.waits:
+            return f"idle_on({self.waits!r}, deadline={self.deadline!r})"
         if self.deadline is None:
             return "IDLE"
         return f"idle_until({self.deadline!r})"
@@ -90,6 +125,14 @@ def idle_until(deadline: float) -> _IdleToken:
     no events in between) is a no-op; at or past it, the costatement
     must run (its timeout path fires)."""
     return _IdleToken(deadline)
+
+
+def idle_on(waits: tuple, clock, deadline: float | None = None) -> _IdleToken:
+    """An idle declaration that names what it waits on: resuming this
+    costatement is a no-op until one of ``waits``' ``changes`` counters
+    moves or ``clock.now`` reaches ``deadline`` (see :class:`_IdleToken`).
+    Make it at the yield: it reads the counters now."""
+    return _IdleToken(deadline, waits, clock)
 
 
 class CostateError(RuntimeError):
@@ -108,6 +151,8 @@ class Costate:
         # can say *which* costatement starved when a run times out.
         self.last_ran_at: float | None = None
         self.total_busy_s = 0.0
+        #: The last token yielded, while it names wait objects.
+        self.waiting: _IdleToken | None = None
 
     def abort(self) -> None:
         """Dynamic C ``abort``: kill the costatement."""
@@ -143,7 +188,13 @@ def indexed_cofunctions(gens: list[Generator | None]) -> Generator:
     generator yielded an idle token, in which case it yields one token
     carrying the earliest deadline (:data:`IDLE` when none has a
     deadline, or when every entry is ``None``).
+
+    An instance whose last token names wait objects and still
+    :meth:`~_IdleToken.holds` is not resumed: the token stands in for
+    its yield.  ``waiting`` keeps that token by index, with the
+    generator that yielded it, so a refilled entry is always resumed.
     """
+    waiting = {}
     while True:
         busy = 0.0
         idle = True
@@ -151,11 +202,19 @@ def indexed_cofunctions(gens: list[Generator | None]) -> Generator:
         for index, gen in enumerate(gens):
             if gen is None:
                 continue
-            try:
-                yielded = next(gen)
-            except StopIteration:
-                gens[index] = None
-                continue
+            parked = waiting.get(index)
+            if parked is not None and parked[0] is gen and parked[1].holds():
+                yielded = parked[1]
+            else:
+                try:
+                    yielded = next(gen)
+                except StopIteration:
+                    gens[index] = None
+                    continue
+                if type(yielded) is _IdleToken and yielded.waits:
+                    waiting[index] = (gen, yielded)
+                elif parked is not None:
+                    del waiting[index]
             if type(yielded) is _IdleToken:
                 d = yielded.deadline
                 if d is not None and (deadline is None or d < deadline):
@@ -255,14 +314,23 @@ class CostateScheduler:
                     observe_gap(slice_start - costate.last_ran_at)
                 costate.last_ran_at = slice_start
                 # Advance to the next yield, one pass (the done case is
-                # handled above).
+                # handled above) -- or, while the token it last yielded
+                # names wait objects and still holds, reuse that token:
+                # the resume would yield an equal one and change nothing.
                 costate.passes += 1
                 ran += 1
-                try:
-                    yielded = next(costate.gen)
-                except StopIteration:
-                    costate.done = True
-                    continue
+                waiting = costate.waiting
+                if waiting is not None and waiting.holds():
+                    yielded = waiting
+                else:
+                    try:
+                        yielded = next(costate.gen)
+                    except StopIteration:
+                        costate.done = True
+                        continue
+                    costate.waiting = (
+                        yielded if type(yielded) is _IdleToken
+                        and yielded.waits else None)
                 if type(yielded) is _IdleToken:
                     # A declared event-wait: resuming this costatement
                     # is a no-op until the next simulator event (or its

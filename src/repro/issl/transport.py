@@ -9,16 +9,16 @@ socket APIs, so the session code talks to this 3-method interface:
                         raises :class:`TransportError` on EOF,
 * ``close()``        -- begin teardown.
 
-``DyncTransport`` yields bare ``None`` while polling so it composes with
-costatements (each poll is one pass of the big loop); ``BsdTransport``
-parks on TCP events like any Unix process.
+``DyncTransport`` waits through :func:`repro.net.dynctcp.sock_wait`, so
+it composes with costatements (each poll is one pass of the big loop, and
+a poll whose socket has not changed is skipped); ``BsdTransport`` parks
+on TCP events like any Unix process.
 """
 
 from __future__ import annotations
 
-from repro.dync.runtime.costate import IDLE, idle_until
 from repro.net.bsd import BsdSocket, SocketError
-from repro.net.dynctcp import DyncSocket, DyncTcpStack
+from repro.net.dynctcp import DyncSocket, DyncTcpStack, sock_wait
 
 
 class TransportError(ConnectionError):
@@ -108,30 +108,27 @@ class DyncTransport:
         return None if conn is None else conn.rx_trace_ctx
 
     def recv_exactly(self, nbytes: int, timeout: float | None = None):
-        sim = self._stack.host.sim
-        deadline = None if timeout is None else sim.now + timeout
-        # A poll pass that found no bytes is a declared event-wait: new
-        # bytes only arrive through simulator events (frames delivered,
-        # then drained by a tcp_tick), EOF/CLOSED only flip on the same
-        # events, and the timeout path is pinned by the token's
-        # deadline -- so the big loop may skip these passes
-        # without resuming this generator.
-        token = IDLE if deadline is None else idle_until(deadline)
-        while len(self._buffer) < nbytes:
-            chunk = self._stack.sock_read(self._sock, nbytes - len(self._buffer))
-            if chunk:
+        deadline = (None if timeout is None
+                    else self._stack.host.sim.now + timeout)
+
+        def filled():
+            while len(self._buffer) < nbytes:
+                chunk = self._stack.sock_read(self._sock,
+                                              nbytes - len(self._buffer))
+                if not chunk:
+                    return False
                 self._buffer += chunk
-                continue
-            conn = self._sock.conn
-            if conn is not None and conn.at_eof:
-                raise TransportError(
-                    f"EOF after {len(self._buffer)} of {nbytes} bytes"
-                )
-            if conn is not None and conn.state.value == "CLOSED":
-                raise TransportError("connection closed")
-            if deadline is not None and sim.now >= deadline:
-                raise TransportTimeout("recv timed out")
-            yield token  # one pass of the big loop
+            return True
+
+        why = yield from sock_wait(self._sock, filled, deadline)
+        if why == "eof":
+            raise TransportError(
+                f"EOF after {len(self._buffer)} of {nbytes} bytes"
+            )
+        if why == "closed":
+            raise TransportError("connection closed")
+        if why == "timeout":
+            raise TransportTimeout("recv timed out")
         data, self._buffer = self._buffer[:nbytes], self._buffer[nbytes:]
         return data
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 
+from repro.dync.runtime.costate import idle_on
 from repro.net.addresses import Ipv4Address
 from repro.net.host import Host
 from repro.net.packet import IpPacket, IPPROTO_TCP, TCP_ACK, TCP_SYN
@@ -36,9 +37,15 @@ _LISTEN_BACKLOG = 64
 
 
 class DyncSocket:
-    """The ``tcp_Socket`` structure: one socket, one connection at a time."""
+    """The ``tcp_Socket`` structure: one socket, one connection at a time.
 
-    __slots__ = ("stack", "port", "conn", "mode", "line_buffer", "waiting")
+    A socket is a wait object (see :func:`sock_idle`): ``changes`` moves
+    whenever it gets or drops a connection -- ``tcp_listen``,
+    ``tcp_open`` and an attach from the listener's accept queue.
+    """
+
+    __slots__ = ("stack", "port", "conn", "mode", "line_buffer", "waiting",
+                 "changes")
 
     def __init__(self, stack: "DyncTcpStack"):
         self.stack = stack
@@ -47,6 +54,7 @@ class DyncSocket:
         self.mode = TCP_MODE_BINARY
         self.line_buffer = b""
         self.waiting = False
+        self.changes = 0
 
     def __repr__(self) -> str:
         state = self.conn.state.value if self.conn else "IDLE"
@@ -121,6 +129,7 @@ class DyncTcpStack:
         sock.conn = None
         sock.line_buffer = b""
         sock.waiting = True
+        sock.changes += 1
         if port not in self._listeners:
             self._listeners[port] = self.tcp.listen(port, backlog=_LISTEN_BACKLOG)
         self._waiting_sockets.setdefault(port, deque()).append(sock)
@@ -136,6 +145,7 @@ class DyncTcpStack:
         sock.port = sock.conn.local_port
         sock.line_buffer = b""
         sock.waiting = False
+        sock.changes += 1
         return 1
 
     def tcp_tick(self, sock: DyncSocket | None = None) -> int:
@@ -186,6 +196,7 @@ class DyncTcpStack:
                     socket_ = waiting.popleft()
                     socket_.conn = listener.pop()
                     socket_.waiting = False
+                    socket_.changes += 1
         if sock is None:
             return 1
         if sock.waiting:
@@ -317,3 +328,51 @@ class DyncTcpStack:
 def make_socket(stack: DyncTcpStack) -> DyncSocket:
     """Allocate a ``tcp_Socket`` (in C: a static struct)."""
     return DyncSocket(stack)
+
+
+# -- costatement waits on one socket -------------------------------------------
+
+def sock_dead(sock: DyncSocket) -> str | None:
+    """Why ``sock``'s connection can never deliver another byte: "eof"
+    (the peer's FIN with every byte read) or "closed"; None while it
+    can, or while no connection is attached."""
+    conn = sock.conn
+    if conn is None:
+        return None
+    if conn.at_eof:
+        return "eof"
+    if conn.state is TcpState.CLOSED:
+        return "closed"
+    return None
+
+
+def sock_idle(sock: DyncSocket, deadline: float | None = None):
+    """The idle token of a pass that waits on ``sock``: it names the
+    socket and its connection, so the big loop resumes the wait only
+    once either has changed or ``deadline`` has come.  Everything such
+    a wait reads -- the attached connection, its state, its receive
+    buffer and FIN, the socket's line buffer (filled only from that
+    receive buffer) -- bumps one of the two counters when it changes."""
+    conn = sock.conn
+    waits = (sock,) if conn is None else (sock, conn)
+    return idle_on(waits, sock.stack.host.sim, deadline)
+
+
+def sock_wait(sock: DyncSocket, ready, deadline: float | None = None):
+    """Generator: ``waitfor(ready())`` on one socket, as a costatement.
+
+    Returns None as soon as ``ready()`` is true (it may consume bytes
+    as it tests), or why it never will be: :func:`sock_dead`'s "eof" or
+    "closed", or "timeout" once ``sim.now`` reaches ``deadline``.  In
+    between, each pass yields :func:`sock_idle`, so ``ready`` must read
+    nothing but ``sock`` and the caller's own state.
+    """
+    sim = sock.stack.host.sim
+    while not ready():
+        why = sock_dead(sock)
+        if why is not None:
+            return why
+        if deadline is not None and sim.now >= deadline:
+            return "timeout"
+        yield sock_idle(sock, deadline)
+    return None

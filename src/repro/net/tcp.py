@@ -119,6 +119,10 @@ class TcpConnection:
         self.update_event = self._host.sim.event(
             f"tcp:{self._host.name}:{local_port}"
         )
+        #: Wait-object change counter (see repro.dync.runtime.costate.
+        #: idle_on): bumped with every notify and every receive-buffer
+        #: drain, the only ways what a reader sees can change.
+        self.changes = 0
         self.error: str | None = None
         self.bytes_sent = 0
         self.bytes_received = 0
@@ -156,6 +160,7 @@ class TcpConnection:
 
     # -- helpers ---------------------------------------------------------
     def _notify(self) -> None:
+        self.changes += 1
         self.update_event.trigger()
 
     def _advertised_window(self) -> int:
@@ -368,14 +373,15 @@ class TcpConnection:
         Returns ``b""`` both for "nothing available" and EOF; use
         :attr:`at_eof` to distinguish.
         """
-        if max_bytes <= 0:
+        if max_bytes <= 0 or not self._recv_buffer:
             return b""
         window_was_zero = self._advertised_window() == 0
         data, self._recv_buffer = (
             self._recv_buffer[:max_bytes],
             self._recv_buffer[max_bytes:],
         )
-        if data and window_was_zero and self.state != TcpState.CLOSED:
+        self.changes += 1
+        if window_was_zero and self.state != TcpState.CLOSED:
             # Reopen the window so a blocked sender can resume.
             self._emit(TCP_ACK)
         return data

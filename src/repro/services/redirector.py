@@ -35,7 +35,6 @@ from typing import Callable
 from repro.dync.runtime.costate import (
     CostateScheduler,
     IDLE,
-    idle_until,
     indexed_cofunctions,
 )
 from repro.dync.runtime.xalloc import XallocError
@@ -49,7 +48,13 @@ from repro.issl.session import (
 from repro.issl.transport import TransportError, TransportTimeout
 from repro.net.addresses import Ipv4Address
 from repro.net.bsd import LISTENQ, SocketError, socket
-from repro.net.dynctcp import DyncTcpStack, make_socket
+from repro.net.dynctcp import (
+    DyncTcpStack,
+    make_socket,
+    sock_dead,
+    sock_idle,
+    sock_wait,
+)
 from repro.net.host import Host
 from repro.obs.trace import CAT_SERVICE, context_of
 from repro.services.client import _read_plain_line
@@ -253,14 +258,6 @@ def _tick_driver(stack: DyncTcpStack):
             yield
 
 
-def _sock_dead(sock) -> bool:
-    """True once an attached connection can never serve a request."""
-    conn = sock.conn
-    return conn is not None and (
-        conn.at_eof or conn.state.value == "CLOSED"
-    )
-
-
 class _ConnectionHandles:
     """The serving path's observability handles, looked up once per
     static handler (when its body starts) or once per slot pool (the
@@ -337,15 +334,9 @@ def _serve_connection(stack, context, handles, sock, backend_ip,
         stack.tcp_open(backend, 0, backend_ip, backend_port)
         backend_deadline = (None if backend_timeout_s is None
                             else sim.now + backend_timeout_s)
-        # Event-wait: the SYN/ACK arrives as a simulator event and the
-        # timeout arm is pinned by the token's deadline.
-        backend_token = (IDLE if backend_deadline is None
-                         else idle_until(backend_deadline))
-        while not (stack.sock_established(backend) or _sock_dead(backend)
-                   or (backend_deadline is not None
-                       and sim.now >= backend_deadline)):
-            yield backend_token
-        if stack.sock_established(backend):
+        if (yield from sock_wait(
+                backend, lambda: stack.sock_established(backend),
+                backend_deadline)) is None:
             # The shared gauge counts the connections mid-service; the
             # series records when that level changed in simulated time.
             gauge_active = handles.active
@@ -402,12 +393,11 @@ def _rmc_handler(stack: DyncTcpStack, context: IsslContext,
     sock = make_socket(stack)
     while True:
         # tcp_listen refuses while the previous connection is still
-        # tearing down; keep trying, one big-loop pass at a time.  The
-        # failure path is a pure state check and teardown only advances
-        # through simulator events, so the retry is a declared
-        # event-wait the big loop may skip past.
+        # tearing down (build_rmc_redirector ran sock_init), and only
+        # that connection's state changes the answer: keep trying, one
+        # big-loop pass at a time, on a token that names the socket.
         while not stack.tcp_listen(sock, listen_port):
-            yield IDLE
+            yield sock_idle(sock)
         if (yield from _await_connection(stack, sock, context.logger.log,
                                          handles.recorder, handles.recovered,
                                          label)):
@@ -429,16 +419,12 @@ def _await_connection(stack, sock, log, recorder, recovered, label):
     handshake lost or reset in SYN_RCVD never reaches this socket,
     because TcpService._forget drops it from the listener first.
     Without the second arm the caller would wedge forever on a
-    connection that will never establish.  The poll is written out, not
-    ``waitfor(lambda: ...)``: it runs every big-loop pass for every idle
-    listener, and the predicate indirection dominated fault-campaign
-    profiles.  Both arms read connection state that only the tick
-    driver's drain (itself a non-idle pass) or a timer event can change,
-    so the poll yields IDLE.
+    connection that will never establish.  The wait names the socket
+    (:func:`~repro.net.dynctcp.sock_wait`), so an idle listener is not
+    resumed until it gets a connection or that connection changes.
     """
-    while not (stack.sock_established(sock) or _sock_dead(sock)):
-        yield IDLE
-    if stack.sock_established(sock):
+    if (yield from sock_wait(
+            sock, lambda: stack.sock_established(sock))) is None:
         return True
     _drop_embryonic(stack, sock, log, recorder, recovered, label)
     return False
@@ -534,23 +520,22 @@ def _rmc_serve(stack, sock, backend, session, stats, tid, deadline_s,
 
 
 def _dync_read_line(stack, sock, deadline=None):
-    sim = stack.host.sim
     buffer = b""
-    # Declared event-wait: an empty poll only turns non-empty after a
-    # frame event plus a tick-driver drain (a non-idle pass), EOF/CLOSED
-    # flip on the same events, and the deadline arm is pinned by the
-    # token -- so the big loop may skip these passes.
-    token = IDLE if deadline is None else idle_until(deadline)
-    while b"\n" not in buffer:
-        chunk = stack.sock_read(sock, _LINE_MAX)
-        if chunk:
+
+    def line_ready():
+        nonlocal buffer
+        while b"\n" not in buffer:
+            chunk = stack.sock_read(sock, _LINE_MAX)
+            if not chunk:
+                return False
             buffer += chunk
-            continue
-        if sock.conn is None or _sock_dead(sock):
-            return None
-        if deadline is not None and sim.now >= deadline:
-            raise TransportTimeout("line read deadline expired")
-        yield token
+        return True
+
+    why = yield from sock_wait(sock, line_ready, deadline)
+    if why == "timeout":
+        raise TransportTimeout("line read deadline expired")
+    if why is not None:
+        return None
     # Tail dropped, as in _read_secure_line: one line in flight at a time.
     return buffer.split(b"\n", 1)[0]
 
@@ -650,8 +635,8 @@ def _add_slot_pool(scheduler, stack, context, backend_ip, backend_port,
     :func:`_serve_connection` plus the release tail, and is served in
     that same pass; or it is refused (``redirector.refused.slots`` + a
     flight-recorder event) when all slots are busy.  It yields only
-    ``IDLE`` or bare, so the pool's pass is idle exactly when the
-    acceptor and every serving slot wait.  A socket the acceptor takes
+    a socket wait's token or bare, so the pool's pass is idle exactly
+    when the acceptor and every serving slot wait.  A socket the acceptor takes
     off the free list may still be closing the connection it served: it
     is reclaimed (aborted) once the peer has hung up and rotated to the
     back of the list otherwise, never counted as a connection that died
@@ -699,7 +684,7 @@ def _add_slot_pool(scheduler, stack, context, backend_ip, backend_port,
             # (the abort lands it in CLOSED); otherwise rotate it to the
             # back so one lingering close never stalls admission.
             while not stack.tcp_listen(sock, listen_port):
-                if _sock_dead(sock):
+                if sock_dead(sock):
                     stack.sock_abort(sock)
                 else:
                     free_socks.append(sock)

@@ -12,7 +12,12 @@ Two layers of evidence:
   every resumed costatement yielded ``IDLE`` must leave every metric,
   flight-recorder entry, telemetry sample and socket untouched, apart
   from the scheduler's own pass accounting -- the promise that makes
-  skipping such passes sound.
+  skipping such passes sound -- and a resume whose last token names
+  wait objects that have not changed must yield an equal token and
+  touch nothing, the promise that lets the big loop skip that resume;
+- targeted worlds where a wait object changes without a new segment
+  (a timer, another costatement, an attach from the accept queue), in
+  which the waiter must resume on the very next pass.
 """
 
 from __future__ import annotations
@@ -24,16 +29,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.services.redirector as redirector
 from repro.dync.runtime.costate import (
     GAP_BUCKETS,
     IDLE,
     CostateScheduler,
     _IdleToken,
+    idle_on,
     idle_until,
     indexed_cofunctions,
 )
 from repro.floatsum import add_repeated, first_at, runs
+from repro.net.bsd import LISTENQ, socket
+from repro.net.dynctcp import (
+    DyncTcpStack,
+    make_socket,
+    sock_idle,
+    sock_wait,
+)
+from repro.net.host import build_lan
 from repro.net.sim import SimulationError, Simulator
+from repro.net.tcp import TcpState
 from repro.obs import Obs
 
 # -- the float helpers ----------------------------------------------------
@@ -179,6 +195,13 @@ def _unidle(gen):
         gen.close()
 
 
+def _unnamed(token):
+    """``token`` without its wait objects: still idle, never held."""
+    if type(token) is _IdleToken and token.waits:
+        return IDLE if token.deadline is None else idle_until(token.deadline)
+    return token
+
+
 def _obs_state(obs, scheduler_name: str) -> tuple:
     """Every metric value, the flight recorder's next sequence number and
     every telemetry series' length and last value, less the scheduler's
@@ -200,8 +223,8 @@ def _obs_state(obs, scheduler_name: str) -> tuple:
 
 
 class _IdlePassVerifier:
-    """Wraps costatements like :func:`_unidle` and checks the ``IDLE``
-    promise on every pass of the resume-every-pass twin.
+    """Wraps costatements like :func:`_unidle` and checks both idle
+    promises on the resume-every-pass twin.
 
     A pass runs from its first resume to its last yield; simulator
     events only run between passes.  After a pass in which every
@@ -210,6 +233,17 @@ class _IdlePassVerifier:
     earliest idle deadline -- is one the big loop skips.  Such a pass
     must yield ``IDLE`` everywhere again and leave ``state()`` as it
     found it.
+
+    Per costatement: a resume whose last token names wait objects and
+    still holds (no named counter moved, the clock is before its
+    deadline) is one the big loop or the pool skips.  It must yield an
+    equal token -- same deadline, same wait objects, same counters --
+    and leave ``state()`` as it found it.
+
+    :meth:`wrap` is for what the big loop resumes (idle tokens become
+    bare), :meth:`wrap_slot` for an indexed cofunction's instances
+    (tokens lose their wait objects, so the pool resumes them every
+    pass and its own yield stays idle).
     """
 
     def __init__(self):
@@ -219,18 +253,38 @@ class _IdlePassVerifier:
         self.all_idle = False
         self.skippable = False
         self.checked = 0
+        self.resumes_checked = 0
         self.violations = []
 
     def wrap(self, gen):
+        return self._verified(gen, lambda token: None)
+
+    def wrap_slot(self, gen):
+        return self._verified(gen, _unnamed)
+
+    def _verified(self, gen, convert):
+        last = None
         try:
             while True:
                 self._resuming()
+                held = last is not None and last.holds()
+                if held:
+                    before = self.state()
                 try:
                     yielded = next(gen)
                 except StopIteration:
                     self.all_idle = False
                     return
                 idle = type(yielded) is _IdleToken
+                if held:
+                    self.resumes_checked += 1
+                    same = idle and (
+                        (yielded.deadline, yielded.waits, yielded.mark)
+                        == (last.deadline, last.waits, last.mark))
+                    if not same or self.state() != before:
+                        self.violations.append(
+                            ("resume", self.pass_no, last, yielded))
+                last = yielded if idle and yielded.waits else None
                 if idle:
                     d = yielded.deadline
                     if d is not None and (self.deadline is None
@@ -242,7 +296,7 @@ class _IdlePassVerifier:
                     self.after = self.state()
                 queue = self.scheduler.sim._queue
                 self.head = queue[0] if queue else None
-                yield None if idle else yielded
+                yield convert(yielded) if idle else yielded
         finally:
             gen.close()
 
@@ -276,8 +330,13 @@ class _IdlePassVerifier:
             self.violations.append((self.pass_no, self.all_idle, changed))
 
 
+#: ``wait`` names its flag; ``poll`` waits on it with a plain IDLE;
+#: ``timed`` names its flag and gives up at a deadline.
 ops = st.one_of(
     st.tuples(st.just("wait"), st.integers(0, NFLAGS - 1)),
+    st.tuples(st.just("poll"), st.integers(0, NFLAGS - 1)),
+    st.tuples(st.just("timed"), st.tuples(st.integers(0, NFLAGS - 1),
+                                          st.floats(0.0, HORIZON / 4))),
     st.tuples(st.just("signal"), st.integers(0, NFLAGS - 1)),
     st.tuples(st.just("sleep"), st.floats(0.0, HORIZON / 4)),
     st.tuples(st.just("bare"), st.integers(1, 3)),
@@ -302,36 +361,59 @@ def worlds(draw):
     }
 
 
+class _Flag:
+    """A generated world's wait object: a count, and the change counter
+    every change of it bumps."""
+
+    __slots__ = ("count", "changes")
+
+    def __init__(self):
+        self.count = 0
+        self.changes = 0
+
+    def add(self, delta: int) -> None:
+        self.count += delta
+        self.changes += 1
+
+
 def _run_world(world, unidle: bool, verifier=None) -> dict:
     obs = Obs()
     sim = Simulator(obs=obs)
     scheduler = CostateScheduler(sim, pass_overhead_s=world["overhead"],
                                  name="w")
-    flags = [0] * NFLAGS
+    flags = [_Flag() for _ in range(NFLAGS)]
     log = []
     if verifier is not None:
         verifier.scheduler = scheduler
-        verifier.state = lambda: (tuple(flags), len(log),
-                                  _obs_state(obs, "w"))
-
-    def bump(flag):
-        flags[flag] += 1
+        verifier.state = lambda: (
+            tuple((f.count, f.changes) for f in flags), len(log),
+            _obs_state(obs, "w"))
 
     for when, flag in world["events"]:
-        sim.call_at(when, bump, flag)
+        sim.call_at(when, flags[flag].add, 1)
 
     def body(tag, script):
         # Every op that changes state ends its pass with a non-idle
         # yield: an IDLE pass must be a pure event-wait.
         for op, arg in script:
-            if op == "wait":
-                while not flags[arg]:
-                    yield IDLE
-                flags[arg] -= 1
+            if op in ("wait", "poll"):
+                flag = flags[arg]
+                while not flag.count:
+                    yield idle_on((flag,), sim) if op == "wait" else IDLE
+                flag.add(-1)
                 log.append((tag, "woke", arg, sim.now))
                 yield
+            elif op == "timed":
+                flag = flags[arg[0]]
+                deadline = sim.now + arg[1]
+                while not flag.count and sim.now < deadline:
+                    yield idle_on((flag,), sim, deadline)
+                if flag.count:
+                    flag.add(-1)
+                log.append((tag, "timed", arg[0], sim.now))
+                yield
             elif op == "signal":
-                flags[arg] += 1
+                flags[arg].add(1)
                 log.append((tag, "signal", arg, sim.now))
                 yield
             elif op == "sleep":
@@ -347,9 +429,11 @@ def _run_world(world, unidle: bool, verifier=None) -> dict:
         log.append((tag, "done", sim.now))
 
     if verifier is not None:
-        wrap = verifier.wrap
+        wrap, wrap_slot = verifier.wrap, verifier.wrap_slot
+    elif unidle:
+        wrap = wrap_slot = _unidle
     else:
-        wrap = _unidle if unidle else (lambda gen: gen)
+        wrap = wrap_slot = lambda gen: gen
     costates = []
     for index, script in enumerate(world["costates"]):
         tag = f"c{index}"
@@ -366,7 +450,8 @@ def _run_world(world, unidle: bool, verifier=None) -> dict:
                 yield value
 
         pool = indexed_cofunctions(
-            [slot(index, script) for index, script in enumerate(world["pool"])])
+            [wrap_slot(slot(index, script))
+             for index, script in enumerate(world["pool"])])
         costates.append(scheduler.add(wrap(pool), "pool"))
 
     scheduler.start()
@@ -385,7 +470,7 @@ def _run_world(world, unidle: bool, verifier=None) -> dict:
         "gap": (gap.count, list(gap.counts), gap.overflow, gap.total.hex()),
         "telemetry": [(t.hex(), v) for t, v in series.samples()],
         "log": log,
-        "flags": flags,
+        "flags": [(f.count, f.changes) for f in flags],
     }
 
 
@@ -425,6 +510,57 @@ class TestIdleDifferential:
         # The pool's slots only step when the pool is resumed.
         assert skipped.pop("slot_passes")[0] < resumed.pop("slot_passes")[0]
         assert skipped == resumed
+
+    def test_world_that_skips_named_waits_in_live_passes(self):
+        # One costatement keeps every pass live, so no pass is all-idle:
+        # only the named waits' own skip can save resumes.
+        world = {
+            "overhead": 10e-6,
+            "events": [(0.004, 0), (0.006, 1)],
+            "costates": [[("bare", 1500)],
+                         [("wait", 0), ("signal", 2)],
+                         [("timed", (1, 0.003)), ("wait", 1)]],
+            "pool": [[("wait", 2)], [("timed", (0, 0.002))]],
+            "chunks": [0.005],
+            "tail": 0.01,
+        }
+        skipped = _run_world(world, unidle=False)
+        verifier = _IdlePassVerifier()
+        resumed = _run_world(world, unidle=True, verifier=verifier)
+        verifier.close_pass()
+        assert not verifier.violations
+        assert verifier.resumes_checked > 1000
+        skipped_slots = skipped.pop("slot_passes")
+        resumed_slots = resumed.pop("slot_passes")
+        assert skipped_slots[0] * 10 < resumed_slots[0]
+        assert skipped_slots[1] * 10 < resumed_slots[1]
+        assert skipped == resumed
+
+
+class TestParkedInstances:
+    def test_a_refilled_entry_is_resumed(self):
+        # The pool keeps an instance's token with the generator that
+        # yielded it: a new generator in that entry runs at once.
+        sim = Simulator()
+        flag = _Flag()
+        ran = []
+
+        def waiter():
+            while True:
+                ran.append("waiter")
+                yield idle_on((flag,), sim)
+
+        def newcomer():
+            ran.append("newcomer")
+            yield
+
+        gens = [waiter()]
+        pool = indexed_cofunctions(gens)
+        next(pool)
+        next(pool)
+        gens[0] = newcomer()
+        next(pool)
+        assert ran == ["waiter", "newcomer"]
 
 
 class TestEmptyQueue:
@@ -483,14 +619,46 @@ def _socket_state(world) -> tuple:
     return tuple(rows)
 
 
-def _wrap_every_costatement(monkeypatch, wrap):
-    """Route every generator a scheduler registers through ``wrap``."""
+class _WrappedSlots:
+    """A live view of an indexed cofunction's generator list whose
+    entries read through ``wrap``, one wrapper per generator; writes go
+    to the list itself."""
+
+    def __init__(self, gens, wrap):
+        self._gens = gens
+        self._wrap = wrap
+        self._wrapped = {}
+
+    def __iter__(self):
+        index = 0
+        while index < len(self._gens):
+            gen = self._gens[index]
+            if gen is not None:
+                wrapped = self._wrapped.get(index)
+                if wrapped is None or wrapped[0] is not gen:
+                    wrapped = self._wrapped[index] = (gen, self._wrap(gen))
+                gen = wrapped[1]
+            yield gen
+            index += 1
+
+    def __setitem__(self, index, value):
+        self._gens[index] = value
+
+
+def _wrap_every_costatement(monkeypatch, wrap, wrap_slot=None):
+    """Route every generator a scheduler registers through ``wrap``, and
+    every instance the redirector's slot pool steps through
+    ``wrap_slot`` (``wrap`` when not given)."""
     original_add = CostateScheduler.add
+    wrap_slot = wrap_slot or wrap
 
     def add(self, gen, name=""):
         return original_add(self, wrap(gen), name)
 
     monkeypatch.setattr(CostateScheduler, "add", add)
+    monkeypatch.setattr(
+        redirector, "indexed_cofunctions",
+        lambda gens: indexed_cofunctions(_WrappedSlots(gens, wrap_slot)))
 
 
 class TestIdlePassesTouchNothing:
@@ -511,7 +679,8 @@ class TestIdlePassesTouchNothing:
         )
 
         verifier = _IdlePassVerifier()
-        _wrap_every_costatement(monkeypatch, verifier.wrap)
+        _wrap_every_costatement(monkeypatch, verifier.wrap,
+                                verifier.wrap_slot)
         world = build_redirector_world(
             b"idle-verifier", clients=2, obs=Obs(), cost_model=FREE,
             logger_capacity=16, pooled=pooled)
@@ -539,12 +708,203 @@ class TestIdlePassesTouchNothing:
         assert world.stats["redirected"] == 4
         assert not verifier.violations
         assert verifier.checked > 100
+        assert verifier.resumes_checked > 1000
+
+
+class _Board:
+    """A Dynamic C stack on ``board``, a BSD peer on the same LAN and a
+    big loop.  ``watch`` adds a costatement that yields a plain ``IDLE``
+    (so it is resumed in every pass after an event) and records the
+    first pass in which its predicate holds; ``seen`` maps each
+    recorder to what it recorded."""
+
+    PEER_PORT = 9000
+    BOARD_PORT = 4433
+
+    def __init__(self):
+        self.sim = Simulator()
+        self.lan, hosts = build_lan(self.sim, ["board", "peer"])
+        self.peer = hosts["peer"]
+        self.stack = DyncTcpStack(hosts["board"])
+        self.stack.sock_init()
+        self.sock = make_socket(self.stack)
+        self.scheduler = CostateScheduler(self.sim, name="w")
+        self.seen = {}
+
+    def add(self, name, gen):
+        self.scheduler.add(gen, name)
+
+    def watch(self, name, predicate):
+        def watcher():
+            while not predicate():
+                yield IDLE
+            self.seen[name] = self.scheduler.passes
+        self.add(name, watcher())
+
+    def established(self):
+        return self.stack.sock_established(self.sock)
+
+    def state(self):
+        conn = self.sock.conn
+        return None if conn is None else conn.state
+
+    def open_to_peer(self, serve_peer):
+        """Peer listens and runs ``serve_peer(conn)``; the board opens."""
+        lsock = socket(self.peer)
+        lsock.bind(("", self.PEER_PORT))
+        lsock.listen(LISTENQ)
+
+        def peer():
+            conn = yield from lsock.accept()
+            yield from serve_peer(conn)
+        self.peer.spawn(peer())
+        self.stack.tcp_open(self.sock, 0, self.peer.ip_address,
+                            self.PEER_PORT)
+
+    def run(self, until):
+        self.scheduler.add(redirector._tick_driver(self.stack), "tick-driver")
+        self.scheduler.start()
+        self.sim.run(until=until)
+
+
+def _silent(conn):
+    """A peer that reads until EOF and never closes."""
+    while (yield from conn.recv(512)):
+        pass
+
+
+class TestWaitsWakeOnTheNextPass:
+    """A change to a named wait object that arrives without a new
+    segment -- a timer, another costatement's call, an attach from the
+    accept queue, another reader's drain -- resumes the waiter on the
+    very next pass: the first pass in which a costatement that polls
+    every pass after an event sees the change."""
+
+    def test_retransmission_timeout_closes_the_connection(self):
+        board = _Board()
+        board.lan.set_drop_filter(lambda frame, index: True)
+        board.stack.tcp_open(board.sock, 0, board.peer.ip_address,
+                             board.PEER_PORT)
+
+        def waiter():
+            why = yield from sock_wait(board.sock, board.established)
+            board.seen["waiter"] = (board.scheduler.passes, why)
+
+        board.watch("closed", lambda: board.state() is TcpState.CLOSED)
+        board.add("waiter", waiter())
+        board.run(until=30.0)
+        assert board.sock.conn.error == "too many retransmissions"
+        assert board.seen["waiter"] == (board.seen["closed"], "closed")
+
+    def test_time_wait_expiry(self):
+        # tcp_listen already accepts a socket in TIME_WAIT, so the
+        # expiry timer is checked through a wait for CLOSED.
+        board = _Board()
+
+        def hang_up(conn):
+            while (yield from conn.recv(512)):
+                pass
+            conn.close()
+
+        board.open_to_peer(hang_up)
+
+        def waiter():
+            yield from sock_wait(board.sock, board.established)
+            board.stack.sock_close(board.sock)
+            while board.state() is not TcpState.CLOSED:
+                yield sock_idle(board.sock)
+            board.seen["waiter"] = board.scheduler.passes
+
+        board.watch("time-wait", lambda: board.state() is TcpState.TIME_WAIT)
+        board.watch("closed", lambda: board.state() is TcpState.CLOSED)
+        board.add("waiter", waiter())
+        board.run(until=3.0)
+        assert "time-wait" in board.seen
+        assert board.seen["waiter"] == board.seen["closed"]
+
+    @pytest.mark.parametrize("call", ["sock_abort", "sock_close"])
+    @pytest.mark.parametrize("waiter_first", [True, False],
+                             ids=["waiter-first", "caller-first"])
+    def test_call_by_another_costatement(self, call, waiter_first):
+        board = _Board()
+        board.open_to_peer(_silent)
+        act_at = 0.05
+
+        def waiter():
+            yield from sock_wait(board.sock, board.established)
+            why = yield from sock_wait(
+                board.sock, lambda: not board.established())
+            board.seen["waiter"] = (board.scheduler.passes, why)
+
+        def caller():
+            while board.sim.now < act_at:
+                yield idle_until(act_at)
+            board.seen["call"] = board.scheduler.passes
+            getattr(board.stack, call)(board.sock)
+            yield
+
+        costates = [("waiter", waiter()), ("caller", caller())]
+        for name, gen in costates if waiter_first else costates[::-1]:
+            board.add(name, gen)
+        board.run(until=0.2)
+        woke, why = board.seen["waiter"]
+        assert why is None
+        assert woke == board.seen["call"] + (1 if waiter_first else 0)
+
+    def test_attach_from_the_accept_queue(self):
+        board = _Board()
+        assert board.stack.tcp_listen(board.sock, board.BOARD_PORT)
+
+        def client():
+            csock = socket(board.peer)
+            yield from csock.connect(
+                (board.stack.host.ip_address, board.BOARD_PORT))
+            yield from _silent(csock)
+
+        def waiter():
+            why = yield from sock_wait(board.sock, board.established)
+            board.seen["waiter"] = (board.scheduler.passes, why)
+
+        board.peer.spawn(client())
+        board.watch("attached", lambda: board.sock.conn is not None)
+        board.add("waiter", waiter())
+        board.run(until=0.2)
+        assert board.seen["waiter"] == (board.seen["attached"], None)
+
+    def test_drain_by_another_reader(self):
+        # The peer's FIN is in, but at_eof waits for the receive buffer
+        # to drain, and another costatement drains it.
+        board = _Board()
+
+        def send_and_close(conn):
+            yield from conn.sendall(b"last words")
+            conn.close()
+
+        board.open_to_peer(send_and_close)
+
+        def waiter():
+            why = yield from sock_wait(board.sock, lambda: False)
+            board.seen["waiter"] = (board.scheduler.passes, why)
+
+        def reader():
+            while board.sock.conn is None or not board.sock.conn.fin_received:
+                yield IDLE
+            board.seen["drain"] = board.scheduler.passes
+            board.seen["data"] = board.stack.sock_read(board.sock, 512)
+            yield
+
+        board.add("waiter", waiter())
+        board.add("reader", reader())
+        board.run(until=0.2)
+        assert board.seen["data"] == b"last words"
+        assert board.seen["waiter"] == (board.seen["drain"] + 1, "eof")
 
 
 @pytest.mark.slow
 class TestFullRunsUnskipped:
-    """The fault matrix and a scaling point, with every idle yield made
-    bare, produce byte-identical JSON."""
+    """The fault matrix and the scaling points of both wirings, with
+    every idle yield made bare (the slot pool's instances' too), produce
+    byte-identical JSON."""
 
     @pytest.fixture
     def unskipped(self, monkeypatch):
@@ -561,10 +921,14 @@ class TestFullRunsUnskipped:
         request.getfixturevalue("unskipped")
         assert self._dump(run_matrix(seed=2000)) == skipped
 
-    def test_scaling_point(self, request):
-        from repro.services.scaling import run_scaling_curve
+    @pytest.mark.parametrize("variant, slots",
+                             [("static", 3), ("pool", 8)],
+                             ids=["static3", "pool8"])
+    def test_scaling_point(self, request, variant, slots):
+        from repro.services.scaling import run_scaling_point
 
-        skipped = self._dump(run_scaling_curve(pool_sizes=(8,), seed=2000))
+        skipped = self._dump(
+            run_scaling_point(variant=variant, slots=slots, seed=2000))
         request.getfixturevalue("unskipped")
-        assert self._dump(
-            run_scaling_curve(pool_sizes=(8,), seed=2000)) == skipped
+        assert self._dump(run_scaling_point(
+            variant=variant, slots=slots, seed=2000)) == skipped

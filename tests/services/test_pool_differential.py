@@ -155,17 +155,26 @@ class TestSingleTeardown:
         assert len(sites) == 1, sites
 
     def test_connection_state_read_only_in_sock_dead(self):
-        # One classifier of a dead connection, not a copy per wiring.
-        for func in ast.walk(self._tree()):
-            if not isinstance(func, ast.FunctionDef) \
-                    or func.name == "_sock_dead":
-                continue
-            for node in ast.walk(func):
-                assert not (
-                    isinstance(node, ast.Attribute) and node.attr == "value"
-                    and isinstance(node.value, ast.Attribute)
-                    and node.value.attr == "state"
-                ), (func.name, node.lineno)
+        # One classifier of a dead connection, not a copy per wiring:
+        # the redirector asks repro.net.dynctcp.sock_dead, directly or
+        # through sock_wait, and reads no connection state itself.
+        for node in ast.walk(self._tree()):
+            assert not (
+                isinstance(node, ast.Attribute)
+                and node.attr in ("state", "at_eof")
+            ), node.lineno
+
+    def test_one_socket_wait(self):
+        # Every socket wait yields repro.net.dynctcp.sock_idle's token,
+        # which names the socket, mostly through sock_wait; only the tick
+        # driver, which waits on the stack, yields a plain IDLE.
+        users = {
+            func.name for func in ast.walk(self._tree())
+            if isinstance(func, ast.FunctionDef)
+            and any(isinstance(node, ast.Name) and node.id == "IDLE"
+                    for node in ast.walk(func))
+        }
+        assert users == {"_tick_driver"}
 
     def test_no_separate_admission_step(self):
         names = {node.name for node in ast.walk(self._tree())
