@@ -141,8 +141,7 @@ def check_python_source(tree: ast.Module, sink: DiagnosticSink) -> None:
                 "PY104",
                 f"private scheduler field '.{node.attr}' accessed from "
                 "outside the scheduler",
-                hint="use CostateScheduler.costate_names / costate_count "
-                     "instead",
+                hint="use CostateScheduler.costate_names instead",
                 line=node.lineno, col=node.col_offset + 1,
             )
 

@@ -226,7 +226,7 @@ def indexed_cofunctions(gens: list[Generator | None]) -> Generator:
         if not idle:
             yield busy
         else:
-            yield IDLE if deadline is None else _IdleToken(deadline)
+            yield IDLE if deadline is None else idle_until(deadline)
 
 
 class CostateScheduler:
@@ -445,11 +445,6 @@ class CostateScheduler:
     def costate_names(self) -> list[str]:
         """Names of the registered costatements, in big-loop order."""
         return [costate.name for costate in self._costates]
-
-    @property
-    def costate_count(self) -> int:
-        """Figure 3's static concurrency number: costatements in the loop."""
-        return len(self._costates)
 
     @property
     def all_done(self) -> bool:

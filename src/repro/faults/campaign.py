@@ -182,24 +182,6 @@ def _spawn_mischief(world, wave: int):
     return host.spawn(gen, name=f"soak:{kind}:{wave}"), report, kind
 
 
-def _soak_worker(task: tuple[float, int]) -> dict:
-    """Module-level so multiprocessing can pickle it."""
-    sim_minutes, seed = task
-    return run_soak(sim_minutes, seed)
-
-
-def run_soak_jobs(sim_minutes: float = 1.0, seed: int = DEFAULT_SEED,
-                  jobs: int = 1) -> dict:
-    """:func:`run_soak`, optionally isolated in a worker process.
-
-    A soak is one world evolving sequentially -- unlike the matrix
-    there is nothing independent to shard without changing the report
-    bytes -- so ``jobs > 1`` buys process isolation, not speed.  The
-    report is byte-identical either way.
-    """
-    return ordered_map(_soak_worker, [(sim_minutes, seed)], jobs)[0]
-
-
 def run_soak(sim_minutes: float = 1.0, seed: int = DEFAULT_SEED) -> dict:
     """Sustained mixed-fault campaign against one redirector deployment.
 

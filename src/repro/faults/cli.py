@@ -21,7 +21,7 @@ from repro.faults.campaign import (
     DEFAULT_SEED,
     render_report,
     run_matrix,
-    run_soak_jobs,
+    run_soak,
     scenario_descriptions,
     scenario_names,
 )
@@ -43,10 +43,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="also write the JSON report here")
         p.add_argument("--summary", action="store_true",
                        help="print one line per scenario instead of JSON")
-        p.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="fan scenarios out over N worker processes; "
-                            "the merged report is byte-identical to "
-                            "--jobs 1 (default: 1)")
 
     sub.add_parser("list", help="named scenarios and descriptions")
 
@@ -59,6 +55,12 @@ def _build_parser() -> argparse.ArgumentParser:
     matrix.add_argument("--only", metavar="N1,N2,...", default=None,
                         help="run a subset of the matrix")
     add_report_options(matrix)
+    # A soak is one world evolving in sequence: only scenarios fan out.
+    for p in (run, matrix):
+        p.add_argument("--jobs", type=int, default=1, metavar="N",
+                       help="fan scenarios out over N worker processes; "
+                            "the merged report is byte-identical to "
+                            "--jobs 1 (default: 1)")
 
     soak = sub.add_parser("soak", help="sustained mixed-fault campaign")
     soak.add_argument("--sim-minutes", type=float, default=1.0,
@@ -113,9 +115,7 @@ def _cmd_matrix(args) -> int:
 
 
 def _cmd_soak(args) -> int:
-    return _emit(
-        run_soak_jobs(args.sim_minutes, seed=args.seed, jobs=args.jobs), args
-    )
+    return _emit(run_soak(args.sim_minutes, seed=args.seed), args)
 
 
 _COMMANDS = {

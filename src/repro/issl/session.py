@@ -138,7 +138,6 @@ class IsslSession:
         self._transcript = b""
         self.established = False
         self.closed = False
-        self._slot_released = False
         #: Absolute sim-time deadline bounding the current blocking read
         #: (handshake attempts and ``read(timeout=...)`` set it).
         self._deadline: float | None = None
@@ -208,22 +207,31 @@ class IsslSession:
         self.context._ctr_records_received.inc()
         return content_type, body
 
-    def _fatal(self, description: int):
-        """Generator: best-effort fatal alert, then tear the session down."""
+    def _end(self) -> None:
+        """Mark the session over and release its slot (once)."""
         if not self.closed:
             self.closed = True
-            if self._send_state is not None:
-                try:
-                    yield from self._send_record(
-                        CT_ALERT, encode_alert(2, description)
-                    )
-                except (TransportError, RecordError):
-                    pass
-        self._release_slot_once()
-        try:
-            self.transport.close()
-        except Exception:
-            pass
+            self.context.release_session_slot()
+
+    def _shut(self, alert: bytes | None = None):
+        """Generator: end the session from this side.
+
+        ``alert`` goes out best effort, and only while the session is
+        open with protected records; then the session ends and the
+        transport closes, so a peer mid-exchange is not left waiting.
+        """
+        if (alert is not None and not self.closed
+                and self._send_state is not None):
+            try:
+                yield from self._send_record(CT_ALERT, alert)
+            except (TransportError, RecordError, IsslError):
+                pass
+        self._end()
+        self.transport.close()
+
+    def _fatal(self, description: int):
+        """Generator: fatal alert, then tear the session down."""
+        return self._shut(encode_alert(2, description))
 
     def _read_handshake(self, expected_type: int):
         content_type, body = yield from self._read_record()
@@ -258,19 +266,23 @@ class IsslSession:
             "issl.handshake", cat=CAT_ISSL, tid=self._span_tid, role=self.role
         )
         attempts = max(0, int(retries)) + 1
-        for attempt in range(attempts):
-            self._deadline = (
-                None if timeout is None else self._now() + timeout
-            )
-            try:
-                if self.role == "client":
-                    yield from self._client_handshake(suites)
-                else:
-                    yield from self._server_handshake()
-            except TransportTimeout as exc:
-                self.context._ctr_hs_timeouts.inc()
-                alive = not getattr(self.transport, "at_eof", True)
-                if attempt + 1 < attempts and alive and not self._transcript:
+        try:
+            for attempt in range(attempts):
+                self._deadline = (
+                    None if timeout is None else self._now() + timeout
+                )
+                try:
+                    if self.role == "client":
+                        yield from self._client_handshake(suites)
+                    else:
+                        yield from self._server_handshake()
+                    break
+                except TransportTimeout:
+                    self.context._ctr_hs_timeouts.inc()
+                    alive = not getattr(self.transport, "at_eof", True)
+                    if (attempt + 1 == attempts or not alive
+                            or self._transcript):
+                        raise
                     self.context._ctr_hs_retries.inc()
                     self._recorder.warn(
                         CAT_ISSL, self._span_tid,
@@ -282,41 +294,29 @@ class IsslSession:
                         f"(attempt {attempt + 1}/{attempts}); retrying"
                     )
                     yield HANDSHAKE_RETRY_BACKOFF_S * (2 ** attempt)
-                    continue
-                self._deadline = None
-                self._abandon()
-                self.context._ctr_hs_failed.inc()
-                self._recorder.error(
-                    CAT_ISSL, self._span_tid,
-                    f"handshake gave up after {attempt + 1} attempt(s)",
-                )
-                self._tracer.end(span, error=type(exc).__name__)
+        except (TransportError, HandshakeError, IsslError) as exc:
+            # The peer is mid-handshake: closing the transport stops it
+            # waiting forever for a message that will never come.
+            yield from self._shut()
+            self.context._ctr_hs_failed.inc()
+            timed_out = isinstance(exc, TransportTimeout)
+            self._recorder.error(
+                CAT_ISSL, self._span_tid,
+                f"handshake gave up after {attempt + 1} attempt(s)"
+                if timed_out else
+                f"handshake failed: {type(exc).__name__}: {exc}",
+            )
+            self._tracer.end(span, error=type(exc).__name__)
+            if timed_out:
                 raise IsslTimeout(
                     f"handshake timed out after {attempt + 1} attempt(s): "
                     f"{exc}"
                 ) from exc
-            except (TransportError, HandshakeError) as exc:
-                self._deadline = None
-                self._abandon()
-                self.context._ctr_hs_failed.inc()
-                self._recorder.error(
-                    CAT_ISSL, self._span_tid,
-                    f"handshake failed: {type(exc).__name__}: {exc}",
-                )
-                self._tracer.end(span, error=type(exc).__name__)
-                raise IsslError(f"handshake failed: {exc}") from exc
-            except IsslError as exc:
-                self._deadline = None
-                self._abandon()
-                self.context._ctr_hs_failed.inc()
-                self._recorder.error(
-                    CAT_ISSL, self._span_tid,
-                    f"handshake failed: {type(exc).__name__}: {exc}",
-                )
-                self._tracer.end(span, error=type(exc).__name__)
+            if isinstance(exc, IsslError):
                 raise
-            break
-        self._deadline = None
+            raise IsslError(f"handshake failed: {exc}") from exc
+        finally:
+            self._deadline = None
         self.established = True
         self.handshake_seconds = self._now() - start
         self.context._ctr_hs_completed.inc()
@@ -326,24 +326,6 @@ class IsslSession:
             f"issl: {self.role} handshake complete suite={self.suite.name}"
         )
         return self
-
-    def _release_slot_once(self) -> None:
-        if not self._slot_released:
-            self._slot_released = True
-            self.context.release_session_slot()
-
-    def _abandon(self) -> None:
-        """Release resources after a failed handshake.
-
-        Closing the transport matters: the peer is mid-handshake and
-        would otherwise wait forever for a message that will never come.
-        """
-        self.closed = True
-        self._release_slot_once()
-        try:
-            self.transport.close()
-        except Exception:
-            pass
 
     def _now(self) -> float:
         # The transport knows its host's simulator; fall back to 0 so the
@@ -519,8 +501,7 @@ class IsslSession:
                 yield from self._send_record(CT_APPLICATION_DATA, chunk)
                 self.app_bytes_sent += len(chunk)
         except TransportError as exc:
-            self.closed = True
-            self._release_slot_once()
+            self._end()
             raise IsslError(f"write failed: {exc}") from exc
         return len(data)
 
@@ -545,8 +526,7 @@ class IsslSession:
                 except TransportTimeout as exc:
                     raise IsslTimeout(f"read timed out: {exc}") from exc
                 except TransportError:
-                    self.closed = True
-                    self._release_slot_once()
+                    self._end()
                     return b""
                 if content_type == CT_APPLICATION_DATA:
                     self.app_bytes_received += len(body)
@@ -558,17 +538,11 @@ class IsslSession:
                         yield from self._fatal(ALERT_UNEXPECTED_MESSAGE)
                         raise IsslError(f"malformed alert: {exc}") from exc
                     if description == ALERT_CLOSE_NOTIFY:
-                        self.closed = True
-                        self._release_slot_once()
+                        self._end()
                         return b""
                     # Any other alert is fatal: release resources before
                     # surfacing it, instead of leaving a zombie slot.
-                    self.closed = True
-                    self._release_slot_once()
-                    try:
-                        self.transport.close()
-                    except Exception:
-                        pass
+                    yield from self._shut()
                     raise IsslError(
                         f"alert received: level={level} desc={description}"
                     )
@@ -583,15 +557,5 @@ class IsslSession:
         Idempotent: safe to call after the peer already closed (the
         usual server-side sequence is read() -> b"" -> close()).
         """
-        if not self.closed:
-            self.closed = True
-            if self.established:
-                try:
-                    yield from self._send_record(
-                        CT_ALERT, encode_alert(1, ALERT_CLOSE_NOTIFY)
-                    )
-                except (TransportError, IsslError):
-                    pass
-        self._release_slot_once()
-        self.transport.close()
+        yield from self._shut(encode_alert(1, ALERT_CLOSE_NOTIFY))
         self.context.logger.log(f"issl: {self.role} session closed")

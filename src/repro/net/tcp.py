@@ -674,7 +674,3 @@ class TcpService:
             window=0,
         )
         self._host.ip.send(dst, IPPROTO_TCP, rst)
-
-    @property
-    def open_connections(self) -> int:
-        return len(self._connections)

@@ -443,10 +443,6 @@ class MetricsRegistry:
             self.sketch(name, value["max_centroids"]).merge_state(value)
         return self
 
-    def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
-        """Fold another registry in (via its serialized state)."""
-        return self.merge_state(other.to_state())
-
     @classmethod
     def from_state(cls, state: dict) -> "MetricsRegistry":
         return cls().merge_state(state)

@@ -233,9 +233,6 @@ class TelemetryStore:
             self.series(name).merge_state(series_state)
         return self
 
-    def merge(self, other: "TelemetryStore") -> "TelemetryStore":
-        return self.merge_state(other.to_state())
-
     @classmethod
     def from_state(cls, state: dict) -> "TelemetryStore":
         return cls().merge_state(state)

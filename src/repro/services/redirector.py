@@ -180,35 +180,36 @@ def unix_secure_redirector(host: UnixHost, context: IsslContext,
 
 def _unix_child(host, context, conn, backend_ip, backend_port, stats,
                 tid="svc:unix-child"):
+    """One forked child: serve ``conn``, tear down from what the
+    connection reached (as :func:`_serve_connection` does), and exit
+    once: 1 on any error."""
     obs = host.sim.obs
     tracer = obs.tracer
     ctr_redirected = obs.metrics.counter("redirector.redirected")
     span = tracer.begin("service.connection", cat=CAT_SERVICE, tid=tid)
+    backend = error = None
+    requests = 0
     try:
         session = issl_bind(context, conn, role="server")
     except IsslSessionLimitError as exc:
         # The static session budget is a refusal, not a crash.
+        error = "sessions"
         obs.metrics.counter("redirector.refused.sessions").inc()
         context.logger.log(f"redirector: {tid}: refused: {exc}")
-        conn.close()
-        tracer.end(span, error="sessions")
-        exit_process(1)
-    try:
-        yield from session.handshake()
-    except IsslError as exc:
-        context.logger.log(f"redirector: {tid}: handshake failed: {exc}")
-        conn.close()
-        tracer.end(span, error="handshake")
-        exit_process(1)
-    backend = socket(host)
-    try:
-        yield from backend.connect((backend_ip, backend_port))
-    except SocketError:
-        yield from session.close()
-        tracer.end(span, error="backend-connect")
-        exit_process(1)
-    requests = 0
-    while True:
+    else:
+        try:
+            yield from session.handshake()
+        except IsslError as exc:
+            error = "handshake"
+            context.logger.log(f"redirector: {tid}: handshake failed: {exc}")
+    if error is None:
+        backend = socket(host)
+        try:
+            yield from backend.connect((backend_ip, backend_port))
+        except SocketError:
+            error = "backend-connect"
+    # Relay request lines until the client or the backend is done.
+    while error is None:
         line = yield from _read_secure_line(session)
         if line is None:
             break
@@ -231,10 +232,19 @@ def _unix_child(host, context, conn, backend_ip, backend_port, stats,
         tracer.end(req_span)
         if stats is not None:
             stats["redirected"] = stats.get("redirected", 0) + 1
-    backend.close()
-    yield from session.close()
-    tracer.end(span, requests=requests)
-    exit_process(0)
+    # The one teardown, from what the connection reached.
+    if backend is None:
+        # Refused or handshake failed: nothing worth a close_notify.
+        conn.close()
+    else:
+        if error is None:
+            backend.close()
+        yield from session.close()
+    if error is None:
+        tracer.end(span, requests=requests)
+    else:
+        tracer.end(span, error=error)
+    exit_process(0 if error is None else 1)
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,13 @@ class TestMatrixCli:
         assert completed.returncode == 2
         assert "unknown scenario" in completed.stderr
 
+    def test_soak_takes_no_jobs(self):
+        """A soak is one world evolving in sequence; there is nothing
+        to fan out, so ``--jobs`` is not one of its options."""
+        completed = _run_module("soak", "--jobs", "2")
+        assert completed.returncode == 2
+        assert "--jobs" in completed.stderr
+
 
 class TestGateOnTheFaultRecord:
     """The matrix verdict reaches the regression gate through a bench

@@ -250,11 +250,11 @@ class TestTeardown:
     def test_time_wait_releases_port(self, pair):
         sim, segment, server, client = pair
         _listener, conn, accepted = _establish(sim, server, client)
-        before = client.tcp.open_connections
+        before = len(client.tcp._connections)
         conn.close()
         accepted.close()
         sim.run(until=sim.now + 3.0)
-        assert client.tcp.open_connections == before - 1
+        assert len(client.tcp._connections) == before - 1
 
 
 class TestRobustness:

@@ -269,7 +269,7 @@ class TestRegistryMerge:
         assert rebuilt.to_state() == original.to_state()
 
     def test_merge_registry_objects(self):
-        merged = self._shard(1).merge(self._shard(1))
+        merged = self._shard(1).merge_state(self._shard(1).to_state())
         assert merged.snapshot()["counters"]["reqs"] == 20
 
     def test_gauge_merge_is_last_writer_with_max_high_water(self):
@@ -289,7 +289,7 @@ class TestRegistryMerge:
         right = MetricsRegistry()
         right.histogram("gap", (0.5,)).observe(0.25)
         with pytest.raises(ValueError):
-            left.merge(right)
+            left.merge_state(right.to_state())
 
     def test_snapshot_key_order_is_sorted_not_insertion(self):
         backwards = MetricsRegistry()

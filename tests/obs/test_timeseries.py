@@ -100,8 +100,8 @@ class TestTelemetryStore:
             shard = shard_a if i < 5 else shard_b
             shard.series("s").record_at(float(i), float(i * i))
         merged = TelemetryStore()
-        merged.merge(shard_a)
-        merged.merge(shard_b)
+        merged.merge_state(shard_a.to_state())
+        merged.merge_state(shard_b.to_state())
         assert merged.snapshot() == sequential.snapshot()
 
     def test_state_round_trip(self):

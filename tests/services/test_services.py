@@ -1,17 +1,21 @@
 """Service tests: echo servers, backend, both redirectors, clients."""
 
+import dataclasses
+
 import pytest
 
 from repro.crypto.demokeys import DEMO_PSK, demo_rsa_key
 from repro.crypto.prng import CipherRng
 from repro.dync.runtime import CostateScheduler
 from repro.issl import FREE, IsslContext, RMC2000_PORT, UNIX_FULL, WORKSTATION
+from repro.issl.log import FileLogger
 from repro.net.addresses import Ipv4Address
 from repro.net.bsd import socket
 from repro.net.dynctcp import DyncTcpStack
 from repro.net.host import build_lan, Host
 from repro.net.link import EthernetSegment
 from repro.net.sim import Simulator
+from repro.obs import Obs
 from repro.services import (
     BACKEND_PORT,
     backend_line_server,
@@ -113,8 +117,8 @@ class TestBackend:
         assert out["reply"] == b"cba\n"
 
 
-def _unix_world():
-    sim = Simulator()
+def _unix_world(obs=None):
+    sim = Simulator(obs)
     segment = EthernetSegment(sim)
     server = UnixHost(sim, "server", Ipv4Address.parse("10.0.0.1"))
     server.attach(segment)
@@ -169,6 +173,103 @@ class TestUnixRedirector:
             sim.run_until_complete(process, timeout=600)
         assert server.kernel.forks == 2
         assert all(r.error is None for r in reports)
+
+
+def _mute_backend(host):
+    """A backend that reads one request and hangs up without a reply."""
+    lsock = socket(host)
+    lsock.bind(("", BACKEND_PORT))
+    lsock.listen(4)
+    conn = yield from lsock.accept()
+    yield from conn.recv(4096)
+    conn.close()
+
+
+def _unix_child_exit(profile=UNIX_FULL, client_profile=UNIX_FULL,
+                     backend=backend_line_server):
+    """Serve one client through one forked child; return the child's
+    spans by name, its exit status, the server context, the server's
+    log lines and the client's report."""
+    obs = Obs()
+    sim, server, backend_host, clients = _unix_world(obs)
+    context = IsslContext(profile.with_cost_model(WORKSTATION),
+                          CipherRng(b"srv"), logger=FileLogger(server.fs),
+                          rsa_key=demo_rsa_key(), obs=obs)
+    if backend is not None:
+        backend_host.spawn(backend(backend_host))
+    children = []
+    fork = server.kernel.fork
+
+    def recording_fork(*args, **kwargs):
+        children.append(fork(*args, **kwargs))
+        return children[-1]
+
+    server.kernel.fork = recording_fork
+    server.spawn_process(unix_secure_redirector(server, context, "10.0.0.2"),
+                         name="redirector")
+    report = ClientReport("c0")
+    client_ctx = IsslContext(client_profile, CipherRng(b"cli"), psk=DEMO_PSK)
+    process = clients[0].spawn(secure_request_client(
+        clients[0], client_ctx, "10.0.0.1", TLS_PORT, 1, 20, report))
+    sim.run_until_complete(process, timeout=600)
+    sim.run(until=sim.now + 5)
+    [child] = children
+    spans = {s.name: s for s in obs.tracer.spans
+             if s.tid == "svc:unix-child:1"}
+    return spans, child.exit_status, context, context.logger.tail(100), report
+
+
+class TestUnixChildExits:
+    """Each way a forked child ends: its span, status and log lines."""
+
+    def test_refused_session(self):
+        spans, status, context, log, report = _unix_child_exit(
+            profile=dataclasses.replace(UNIX_FULL, max_sessions=0))
+        assert spans["service.connection"].args.get("error") == "sessions"
+        assert status == 1
+        assert context.sessions_active == 0
+        assert log == [
+            "redirector: svc:unix-child:1: refused: session limit reached "
+            "(0); UNIX_FULL allocates session state statically",
+        ]
+        assert report.error is not None
+
+    def test_failed_handshake(self):
+        spans, status, context, log, report = _unix_child_exit(
+            client_profile=RMC2000_PORT)
+        assert spans["service.connection"].args.get("error") == "handshake"
+        assert status == 1
+        assert context.sessions_active == 0
+        assert log == [
+            "redirector: svc:unix-child:1: handshake failed: no common "
+            "cipher suite: client offered ['PSK_AES128'], profile UNIX_FULL",
+        ]
+        assert report.error is not None
+
+    def test_unreachable_backend(self):
+        spans, status, context, log, report = _unix_child_exit(backend=None)
+        assert (spans["service.connection"].args.get("error")
+                == "backend-connect")
+        assert status == 1
+        assert context.sessions_active == 0
+        assert log == [
+            "issl: server handshake complete suite=RSA_AES128",
+            "issl: server session closed",
+        ]
+        assert report.error == "EOF at request 0"
+
+    def test_backend_eof_mid_request(self):
+        spans, status, context, log, report = _unix_child_exit(
+            backend=_mute_backend)
+        assert spans["service.connection"].args == {"requests": 0}
+        assert spans["service.request"].args["error"] == "backend-eof"
+        assert status == 0
+        assert context.sessions_active == 0
+        assert log == [
+            "issl: server handshake complete suite=RSA_AES128",
+            "issl: server session closed",
+        ]
+        assert report.error == "EOF at request 0"
 
 
 class TestRmcRedirector:

@@ -6,13 +6,15 @@ walks ``src/repro`` and fails on any def whose name no code in
 ``src``, ``examples`` or ``benchmarks`` mentions.
 
 The census is by name, as ``grep`` would do it: a name counts as used
-where it appears as an identifier, an attribute or a word of a string
-literal (name dispatch goes through strings: ``getattr``, tag tables),
-anywhere outside the def's own body, so recursion is not a caller.
-Docstrings do not count: prose that names a def does not call it.  A
-package ``__init__``'s imports and ``__all__`` do not count, since they
-only name the def again.  Tests never count: a def that only a test
-calls goes with that test.
+where it appears as an identifier, an attribute or a string literal
+that is one identifier or dotted name (name dispatch goes through
+strings: ``getattr``, tag tables), anywhere outside the def's own body,
+so recursion is not a caller.  Prose does not count, whether in a
+docstring, a message or the text of an f-string: a string that names
+a def among other words does not call it.  A package ``__init__``'s
+imports and ``__all__`` do not count, since they only name the def
+again.  Tests never count: a def that only a test calls goes with that
+test.
 """
 
 from __future__ import annotations
@@ -41,8 +43,12 @@ ALLOWED = frozenset({
     "disassemble",
     # Figure 3 at any handler count: the DC003/DC004 tests lint it.
     "main_source",
-    # The client half of the paper's issl API, issl_accept's twin.
+    # The paper's issl API: bind a socket, then secure reads/writes.
+    "issl_accept",
     "issl_connect",
+    "issl_read",
+    "issl_write",
+    "issl_close",
     # The ICMP echo requester the echo-responder tests ping through.
     "ping",
     # The inverse of to_state: the round-trip tests rebuild through it.
@@ -54,7 +60,7 @@ ALLOWED = frozenset({
 DISPATCHED = ("_op_", "_build_", "visit_")
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-_WORD = re.compile(r"[A-Za-z_]\w*")
+_NAME = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
 
 
 def _is_reexport(node: ast.AST) -> bool:
@@ -93,8 +99,9 @@ def _references(tree: ast.AST, names: set[str], in_init: bool,
             found = [node.attr]
         elif isinstance(node, ast.ImportFrom):
             found = [alias.name for alias in node.names]
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            found = _WORD.findall(node.value)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and _NAME.fullmatch(node.value.strip())):
+            found = node.value.strip().split(".")
         names.update(name for name in found if name not in enclosing)
         _references(node, names, in_init, inner)
 
