@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from repro.net.bsd import BsdSocket, SocketError
 from repro.net.dynctcp import DyncSocket, DyncTcpStack, sock_wait
+from repro.net.tcp import TcpError
 
 
 class TransportError(ConnectionError):
@@ -41,8 +42,11 @@ class BsdTransport:
         self._buffer = b""
 
     def send(self, data: bytes) -> None:
-        conn = self._sock._require_conn()
-        conn.send(data)
+        try:
+            self._sock._require_conn().send(data)
+        except (SocketError, TcpError) as exc:
+            # A reset peer leaves the connection CLOSED: a dead one.
+            raise TransportError(str(exc)) from exc
 
     def set_trace_context(self, ctx) -> None:
         self._sock._require_conn().set_trace_context(ctx)

@@ -16,13 +16,28 @@ pushes the caller on a shadow stack; a taken return pops it.  The
 shadow stack yields collapsed flame stacks (``main;aes_encrypt 1234``)
 on top of the flat self-cycle table.
 
+What a unit costs is per-block work, not per-execution work.  The facts
+a whole block needs -- the routine holding its entry PC and whether
+(and on which flag) its last instruction transfers -- are read once,
+the first time the block runs whole, and looked up after that by one
+int, ``pc | last << 16`` (plus ``xpc << 32`` for a block in the bank
+window).  Cycles add into one dict per shadow-stack prefix, swapped on
+call and return, so no stack string is built per unit;
+:attr:`~CycleProfiler.self_cycles`, :attr:`~CycleProfiler.collapsed`
+and :attr:`~CycleProfiler.total_cycles` are summed when read, in the
+order routines and stacks were first charged.
+
 Notes and limits:
 
-* The last instruction is read back with the counter-free
-  :meth:`RabbitMemory.peek8` after the unit ran, so inspection does not
-  perturb cycle accounting.  Code that rewrites its own final
-  instruction, or remaps the XPC window it runs from, is outside the
-  model.
+* Instructions are read with the counter-free
+  :meth:`RabbitMemory.peek8`, after the unit ran, so inspection does
+  not perturb cycle accounting.  A single step still reads its
+  instruction every time, and a block an SMC bail cut short reads
+  nothing (its last instruction did not run); whole blocks read theirs
+  once.  Code that rewrites a block's final instruction after that
+  block first ran whole, keeping its entry and last address (and XPC),
+  is outside the model, as is code whose bank-window bytes change under
+  an unchanged XPC.
 * Interrupt acknowledge pushes PC without a CALL opcode.  It opens a
   frame for the ISR like a CALL does: its cycles go to the interrupted
   routine, it counts one call to the ISR and no instruction, and the
@@ -124,20 +139,29 @@ class CycleProfiler:
             by_address.setdefault(addr, name)
         self._names = [by_address[a] for a in self._addresses]
         self.tracer = tracer
-        self.self_cycles: dict[str, int] = {}
         self.instruction_counts: dict[str, int] = {}
         self.call_counts: dict[str, int] = {}
-        self.collapsed: dict[str, int] = {}
-        self.total_cycles = 0
         #: ``";".join(callers) + ";"`` for the current shadow stack; the
         #: executing routine is always derived from PC, not the stack.
         self._prefix = ""
-        #: Shadow frames: the caller's prefix and the cycle count at the
-        #: call, restored and closed by the matching return.
-        self._frames: list[tuple[str, int]] = []
+        #: Cycles by routine, one dict per shadow-stack prefix; the
+        #: current prefix's dict is :attr:`_cycles`.
+        self._by_prefix: dict[str, dict[str, int]] = {"": {}}
+        self._cycles = self._by_prefix[""]
+        #: Every ``(prefix, routine)`` in the order first charged: the
+        #: order of :attr:`collapsed` and :attr:`self_cycles`.
+        self._seen: list[tuple[str, str]] = []
+        #: Shadow frames: the caller's prefix, its cycle dict and the
+        #: cycle count at the call, restored and closed by the matching
+        #: return.
+        self._frames: list[tuple[str, dict, int]] = []
         #: PC -> routine memo (symbols are fixed for the profiler's
         #: lifetime, and PCs repeat heavily in loops).
         self._routine_memo: dict[int, str] = {}
+        #: Per-block facts, ``(routine, transfer)``, keyed by
+        #: ``pc | last << 16``, plus ``xpc << 32`` when the block runs
+        #: in the bank window.
+        self._facts: dict[int, tuple] = {}
 
     # -- attachment -----------------------------------------------------
     def install(self) -> "CycleProfiler":
@@ -163,35 +187,52 @@ class CycleProfiler:
         index = bisect_right(self._addresses, pc) - 1
         return self._names[index] if index >= 0 else self.root
 
-    def _on_unit(self, pc: int, block, start: int, ran: int) -> None:
-        cpu = self.cpu
-        cycles = cpu.cycles - start
+    def _routine(self, pc: int) -> str:
         routine = self._routine_memo.get(pc)
         if routine is None:
             routine = self._routine_memo[pc] = self.routine_at(pc)
-        self.self_cycles[routine] = self.self_cycles.get(routine, 0) + cycles
-        stack_key = self._prefix + routine
-        self.collapsed[stack_key] = self.collapsed.get(stack_key, 0) + cycles
-        self.total_cycles += cycles
-        if not ran:             # interrupt acknowledge: a CALL to the ISR
-            self._call(routine)
-            return
-        self.instruction_counts[routine] = (
-            self.instruction_counts.get(routine, 0) + ran
-        )
-        if block is None:
-            last = pc
-        elif ran == len(block[0]):
-            last = block[1]
-        else:                   # cut short by an SMC bail
-            return
-        memory = cpu.memory
+        return routine
+
+    def _transfer_at(self, last: int):
+        """``(is_call, flag mask, wanted)`` for the instruction at
+        ``last`` when it can transfer, else None."""
+        memory = self.cpu.memory
         opcode = memory.peek8(last)
         if opcode == 0xED:
             if (memory.peek8((last + 1) & 0xFFFF) or 0) & 0xC7 == 0x45:
-                self._return(routine)           # RETI / RETN
+                return _TRANSFERS[0xC9]         # RETI / RETN: a return
+            return None
+        return _TRANSFERS.get(opcode)
+
+    def _on_unit(self, pc: int, block, start: int, ran: int) -> None:
+        cpu = self.cpu
+        if block is not None and ran == len(block[0]):
+            last = block[1]
+            key = pc | last << 16
+            if last >= 0xE000:
+                key |= cpu.memory.xpc << 32
+            facts = self._facts.get(key)
+            if facts is None:
+                facts = self._facts[key] = (self._routine(pc),
+                                            self._transfer_at(last))
+            routine, transfer = facts
+        else:       # one step, or a block cut short by an SMC bail
+            routine = self._routine(pc)
+            transfer = None
+        cycles = cpu.cycles - start
+        charged = self._cycles
+        if routine in charged:
+            charged[routine] += cycles
+        else:
+            charged[routine] = cycles
+            self._seen.append((self._prefix, routine))
+        if not ran:             # interrupt acknowledge: a CALL to the ISR
+            self._call(routine)
             return
-        transfer = _TRANSFERS.get(opcode)
+        counts = self.instruction_counts
+        counts[routine] = counts.get(routine, 0) + ran
+        if block is None:
+            transfer = self._transfer_at(pc)
         if transfer is None:
             return
         is_call, mask, wanted = transfer
@@ -204,15 +245,16 @@ class CycleProfiler:
 
     def _call(self, caller: str) -> None:
         cpu = self.cpu
-        callee = self.routine_at(cpu.pc)
+        callee = self._routine(cpu.pc)
         self.call_counts[callee] = self.call_counts.get(callee, 0) + 1
-        self._frames.append((self._prefix, cpu.cycles))
+        self._frames.append((self._prefix, self._cycles, cpu.cycles))
         self._prefix += caller + ";"
+        self._cycles = self._by_prefix.setdefault(self._prefix, {})
 
     def _return(self, routine: str) -> None:
         if not self._frames:
             return
-        self._prefix, started = self._frames.pop()
+        self._prefix, self._cycles, started = self._frames.pop()
         if self.tracer is not None and self.tracer.enabled:
             cycles = self.cpu.cycles
             self.tracer.add_complete(
@@ -220,17 +262,43 @@ class CycleProfiler:
                 cat=CAT_CPU, tid="rabbit-cpu", cycles=cycles - started,
             )
 
+    # -- derived tallies ------------------------------------------------
+    @property
+    def collapsed(self) -> dict[str, int]:
+        """Cycles by collapsed stack (``main;aes_encrypt``)."""
+        by_prefix = self._by_prefix
+        return {prefix + routine: by_prefix[prefix][routine]
+                for prefix, routine in self._seen}
+
+    @property
+    def self_cycles(self) -> dict[str, int]:
+        """Cycles by routine, whatever its callers."""
+        totals: dict[str, int] = {}
+        by_prefix = self._by_prefix
+        for prefix, routine in self._seen:
+            totals[routine] = (totals.get(routine, 0)
+                               + by_prefix[prefix][routine])
+        return totals
+
+    @property
+    def total_cycles(self) -> int:
+        """Cycles of every unit the profiler saw."""
+        return sum(sum(charged.values())
+                   for charged in self._by_prefix.values())
+
     # -- reports --------------------------------------------------------
     def report_rows(self, top: int = 0) -> list[dict]:
         """Flat per-routine table, heaviest first."""
+        self_cycles = self.self_cycles
+        total = sum(self_cycles.values())
         rows = []
-        for routine, cycles in sorted(self.self_cycles.items(),
+        for routine, cycles in sorted(self_cycles.items(),
                                       key=lambda kv: -kv[1]):
             rows.append({
                 "routine": routine,
                 "self cycles": cycles,
-                "% of total": round(100.0 * cycles / self.total_cycles, 1)
-                if self.total_cycles else 0.0,
+                "% of total": round(100.0 * cycles / total, 1)
+                if total else 0.0,
                 "instructions": self.instruction_counts.get(routine, 0),
                 "calls": self.call_counts.get(routine, 0),
             })

@@ -226,7 +226,14 @@ def _unix_child(host, context, conn, backend_ip, backend_port, stats,
         if response is None:
             tracer.end(req_span, error="backend-eof")
             break
-        yield from session.write(response + b"\n")
+        try:
+            yield from session.write(response + b"\n")
+        except IsslError as exc:
+            error = "client-write"
+            tracer.end(req_span, error=error)
+            context.logger.log(f"redirector: {tid}: client write failed: "
+                               f"{exc}")
+            break
         requests += 1
         ctr_redirected.inc()
         tracer.end(req_span)
@@ -237,7 +244,7 @@ def _unix_child(host, context, conn, backend_ip, backend_port, stats,
         # Refused or handshake failed: nothing worth a close_notify.
         conn.close()
     else:
-        if error is None:
+        if error != "backend-connect":
             backend.close()
         yield from session.close()
     if error is None:

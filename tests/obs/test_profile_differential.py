@@ -12,7 +12,8 @@ The inputs cover what can go wrong at block granularity: routines that
 fall through into the next one, conditional calls and returns whose
 transfer is decided by F, a taken CALL cc whose target is the next
 instruction (so PC alone cannot tell it transferred), RST, interrupt
-acknowledge, and a self-modifying store that cuts a block short.
+acknowledge, a self-modifying store that cuts a block short, and one
+bank-window address whose last instruction differs by XPC.
 """
 
 from __future__ import annotations
@@ -139,6 +140,39 @@ def _smc(board):
     return symbols, run
 
 
+# One bank-window address, two XPC mappings: under XPC 0x80 the block
+# at 0xE000 ends in RET, under 0x81 the same addresses end in a JP, so
+# what its last instruction does depends on XPC, not just on PC.
+WINDOW_ROOT = """
+        org  0
+main:   ld   a, 0x80
+        ld   xpc, a
+        call 0xE000
+        ld   a, 0x81
+        ld   xpc, a
+        call 0xE000
+        ret
+"""
+WINDOW_BANKS = {
+    0x0000: "bank:   nop\n        nop\n        nop\n        ret",
+    0x1000: "bank:   nop\n        nop\n        nop\n        jp   0xE100\n"
+            "        org  0xE100\nbankret: ret",
+}
+
+
+def _window(board):
+    assembly = assemble(WINDOW_ROOT)
+    board.program(assembly.code)
+    symbols = {"main": assembly.symbols["main"], "bank": 0xE000}
+    for offset, source in WINDOW_BANKS.items():
+        bank = assemble("        org  0xE000\n" + source, origin=0xE000)
+        board.memory.load_sram(bank.code, offset)
+
+    def run():
+        board.cpu.call_subroutine(symbols["main"])
+    return symbols, run
+
+
 INPUTS = {
     "aes_c": _aes("c"),
     "aes_asm": _aes("asm"),
@@ -146,6 +180,7 @@ INPUTS = {
     "transfers": _flash_stub(TRANSFERS),
     "interrupt": _flash_stub(INTERRUPTED, drive=_interrupt_work),
     "smc": _smc,
+    "window": _window,
 }
 
 
@@ -195,3 +230,6 @@ def test_inputs_reach_every_transfer_kind():
     assert board.cpu._cache.invalidated_smc > 0
     profile, _board = _profile(INPUTS["interrupt"], fast=False)
     assert profile["call_counts"] == {"work": 1, "isr": 1}
+    profile, _board = _profile(INPUTS["window"], fast=False)
+    assert profile["call_counts"] == {"bank": 2}
+    assert profile["collapsed"].keys() == {"main", "main;bank"}

@@ -203,23 +203,26 @@ COMMIT_AROUND = """
 """
 
 #: Endings, with the XPC they run at and the calls the translated
-#: functions make: the cold pops' closures (``op``), then the bailing
-#: store's ``code_written`` and the next block's HALT, or the faulting
-#: closure.
+#: functions make: each cold arm is one ``_around`` call (it commits the
+#: run, calls the closure and takes the run back), so the cold pops show
+#: as ``_around``; then the bailing store's ``code_written``, the bail
+#: arm's ``_commit`` and the next block's HALT, or the faulting closure.
 ENDINGS = {
     # LD (nn),HL onto the block's own page: inline, then bail.
     "store-bail": ("ld (0xC1F0), hl", 0x80,
-                   ["op", "op", "code_written", "_step_op"]),
+                   ["_around", "_around", "code_written", "_commit",
+                    "_step_op"]),
     # PUSH with SP in the window onto the block's own page: cold, bail.
     "push-bail": ("ld sp, 0xE1F2\n        push hl", 0x80,
-                  ["op", "op", "op", "_step_op"]),
+                  ["_around", "_around", "_around", "_commit", "_step_op"]),
     # LD (nn),HL into flash: the closure raises.
-    "store-fault": ("ld (0x0300), hl", 0x80, ["op", "op", "op"]),
+    "store-fault": ("ld (0x0300), hl", 0x80, ["_around", "_around", "op"]),
     # PUSH straddling into root flash: the cold arm's closure raises.
     "push-fault": ("ld sp, 0xC001\n        push hl", 0x80,
-                   ["op", "op", "op"]),
+                   ["_around", "_around", "_around"]),
     # POP whose high byte is unpopulated: no register moves.
-    "pop-fault": ("ld sp, 0xDFFF\n        pop bc", 0xA0, ["op", "op", "op"]),
+    "pop-fault": ("ld sp, 0xDFFF\n        pop bc", 0xA0,
+                  ["_around", "_around", "_around"]),
 }
 
 

@@ -8,6 +8,7 @@ from repro.crypto.demokeys import DEMO_PSK, demo_rsa_key
 from repro.crypto.prng import CipherRng
 from repro.dync.runtime import CostateScheduler
 from repro.issl import FREE, IsslContext, RMC2000_PORT, UNIX_FULL, WORKSTATION
+from repro.issl.api import issl_bind
 from repro.issl.log import FileLogger
 from repro.net.addresses import Ipv4Address
 from repro.net.bsd import socket
@@ -185,8 +186,34 @@ def _mute_backend(host):
     conn.close()
 
 
+def _slow_backend(host):
+    """A backend that answers one request a second after it arrives."""
+    lsock = socket(host)
+    lsock.bind(("", BACKEND_PORT))
+    lsock.listen(4)
+    conn = yield from lsock.accept()
+    request = yield from conn.recv(4096)
+    yield 1.0
+    yield from conn.send(request.upper())
+    conn.close()
+
+
+def _resetting_client(host, context, server_ip, port, requests, size,
+                      report):
+    """Handshake, send one request, and reset the connection 0.1 s later,
+    before the response arrives."""
+    sock = socket(host)
+    yield from sock.connect((server_ip, port))
+    session = issl_bind(context, sock, role="client")
+    yield from session.handshake()
+    yield from session.write(b"x" * size + b"\n")
+    yield 0.1
+    sock._conn.abort()
+
+
 def _unix_child_exit(profile=UNIX_FULL, client_profile=UNIX_FULL,
-                     backend=backend_line_server):
+                     backend=backend_line_server,
+                     client=secure_request_client):
     """Serve one client through one forked child; return the child's
     spans by name, its exit status, the server context, the server's
     log lines and the client's report."""
@@ -209,7 +236,7 @@ def _unix_child_exit(profile=UNIX_FULL, client_profile=UNIX_FULL,
                          name="redirector")
     report = ClientReport("c0")
     client_ctx = IsslContext(client_profile, CipherRng(b"cli"), psk=DEMO_PSK)
-    process = clients[0].spawn(secure_request_client(
+    process = clients[0].spawn(client(
         clients[0], client_ctx, "10.0.0.1", TLS_PORT, 1, 20, report))
     sim.run_until_complete(process, timeout=600)
     sim.run(until=sim.now + 5)
@@ -270,6 +297,21 @@ class TestUnixChildExits:
             "issl: server session closed",
         ]
         assert report.error == "EOF at request 0"
+
+    def test_client_reset_before_the_response(self):
+        spans, status, context, log, _report = _unix_child_exit(
+            backend=_slow_backend, client=_resetting_client)
+        assert (spans["service.connection"].args.get("error")
+                == "client-write")
+        assert spans["service.request"].args["error"] == "client-write"
+        assert status == 1
+        assert context.sessions_active == 0
+        assert log == [
+            "issl: server handshake complete suite=RSA_AES128",
+            "redirector: svc:unix-child:1: client write failed: write "
+            "failed: send in state CLOSED",
+            "issl: server session closed",
+        ]
 
 
 class TestRmcRedirector:
