@@ -493,67 +493,108 @@ class Cpu:
         The fast core runs each predecoded block whole, and takes a
         single :meth:`step` instead when the block could cross a stop.
         An installed :attr:`block_listener` sees every block and step.
+
+        The budget is kept as the instruction count ``end`` at which it
+        runs out (a step that runs no instruction -- an interrupt
+        acknowledge, a halted cycle -- still spends one, so it moves
+        ``end`` down).  Two guards, set once per call and moved with
+        ``end``, spare the loop both limits while they are far:
+        ``instructions < end - MAX_BLOCK_INSTRUCTIONS`` and
+        ``cycles < cycle_target - MAX_BLOCK_INSTRUCTIONS * ceiling``.
+        Below both, any block fits the budget and ends below the cycle
+        target (each instruction but a block's last charges at most
+        ``ceiling``), so no limit is tested for it.  Past either guard,
+        the tail is exact: the loop stops when the budget is spent or
+        the target reached, and runs a block whole only when its size
+        fits what is left of the budget and ``cycles + size * ceiling``
+        stays below the target, else single-steps.
+
+        A translated register-only self-loop (``block[4]``) iterates
+        inside its function while the next iteration would pass the
+        same tests, given what is left of the budget and
+        ``cycle_target - size * ceiling``; it returns its iteration
+        count, each iteration one executed block.  With a listener it
+        gets no budget, so the listener sees every iteration.  Block
+        counts run in locals, added to the cache's counters on the way
+        out, also when a block raises.
         """
+        from repro.rabbit.fastcore import (
+            MAX_BLOCK_INSTRUCTIONS, BlockCache, cycle_ceiling,
+        )
         fast = self.use_fast_core
+        memory = self.memory
+        ceiling = cycle_ceiling(memory)
         if fast:
-            from repro.rabbit.fastcore import BlockCache, cycle_ceiling
             cache = self._cache
             if cache is None:
                 cache = self._cache = BlockCache(self)
             cache.check_wait_states()
-            memory = self.memory
             blocks = cache.blocks
             threshold = cache.translate_threshold
-            ceiling = cycle_ceiling(memory)
         listener = self.block_listener
-        while remaining > 0:
-            start = self.cycles
-            if start >= cycle_target:
-                break
-            pc = self.pc
-            if pc == stop_pc:
-                break
-            if self.halted:
-                if stop_pc >= 0 or not (self._int_pending and self.iff1):
+        end = self.instructions + remaining
+        fits = end - MAX_BLOCK_INSTRUCTIONS
+        cool = cycle_target - MAX_BLOCK_INSTRUCTIONS * ceiling
+        executed = translated = 0
+        try:
+            while True:
+                done = self.instructions
+                start = self.cycles
+                roomy = done < fits and start < cool
+                if not roomy and (done >= end or start >= cycle_target):
                     break
-            elif fast and not (self._int_pending and self.iff1):
-                key = pc if pc < 0xE000 else pc | (memory.xpc << 16)
-                block = blocks.get(key)
-                if block is None:
-                    block = cache.build_block(pc, key)
-                ops = block[0]
-                size = len(ops)
-                if (size <= remaining and not pc < stop_pc <= block[1]
-                        and start + size * ceiling < cycle_target):
-                    cache.executed_blocks += 1
-                    cache.bail = False
-                    before = self.instructions
-                    fn = block[3]
-                    if fn is None:
-                        block[2] += 1
-                        if block[2] >= threshold:
-                            fn = cache.translate(key, block)
-                    if fn is not None:
-                        cache.translated_execs += 1
-                        fn(self, memory)
-                    else:
-                        for op in ops:
-                            op(self, memory)
-                            if cache.bail:
-                                break
-                    ran = self.instructions - before
-                    remaining -= ran
-                    if listener is not None:
-                        listener(pc, block, start, ran)
-                    continue
-            if listener is None:
+                pc = self.pc
+                if pc == stop_pc:
+                    break
+                if self.halted:
+                    if stop_pc >= 0 or not (self._int_pending and self.iff1):
+                        break
+                elif fast and not (self._int_pending and self.iff1):
+                    key = pc if pc < 0xE000 else pc | (memory.xpc << 16)
+                    block = blocks.get(key)
+                    if block is None:
+                        block = cache.build_block(pc, key)
+                    if not pc < stop_pc <= block[1] and (roomy or (
+                            len(block[0]) <= end - done
+                            and start + len(block[0]) * ceiling
+                            < cycle_target)):
+                        executed += 1
+                        fn = block[3]
+                        if fn is None:
+                            block[2] += 1
+                            if block[2] >= threshold:
+                                fn = cache.translate(key, block)
+                        if fn is None:
+                            cache.bail = False
+                            for op in block[0]:
+                                op(self, memory)
+                                if cache.bail:
+                                    break
+                        elif block[4] and listener is None:
+                            laps = fn(self, memory, end - done,
+                                      cycle_target
+                                      - len(block[0]) * ceiling)
+                            executed += laps - 1
+                            translated += laps
+                        else:
+                            translated += 1
+                            fn(self, memory)
+                        if listener is not None:
+                            listener(pc, block, start,
+                                     self.instructions - done)
+                        continue
                 self.step()
-            else:
-                before = self.instructions
-                self.step()
-                listener(pc, None, start, self.instructions - before)
-            remaining -= 1
-        return remaining
+                ran = self.instructions - done
+                if listener is not None:
+                    listener(pc, None, start, ran)
+                if not ran:
+                    end -= 1
+                    fits -= 1
+        finally:
+            if fast:
+                cache.executed_blocks += executed
+                cache.translated_execs += translated
+        return end - self.instructions
 
     def run(self, max_instructions: int = 100_000_000) -> int:
         """Run until a HALT no pending interrupt can wake (or the

@@ -38,7 +38,10 @@ byte-identical to the single-step core):
   and raise :attr:`BlockCache.bail`, which the dispatch loop checks
   after every closure and translated code after every write, so
   self-modifying code re-decodes mid-block exactly where the slow path
-  would observe the new bytes;
+  would observe the new bytes.  Whoever tests ``bail`` clears it first:
+  the dispatch loop before a closure list, and a translated block in
+  its first line when its text tests it (a block that never tests it
+  leaves it alone);
 * ``load_flash``/``load_sram`` (reprogramming) and wait-state changes
   drop the whole cache.
 
@@ -74,15 +77,37 @@ commits out inline; the cold arms (a ``bail`` exit, a stack op's
 off-segment arm, a stack tail's fall-back) commit through one call to
 :func:`_commit` or :func:`_around` with the run bound as a namespace
 constant, so most of a block's text is the code that runs.  And
-``compile()`` runs once per distinct ``(block key, source)`` in the
+``compile()`` runs once per distinct block key and source text in the
 process: a block translated again -- another board loading the same
 firmware, or the same block after a flush -- reuses the code and binds
 only a namespace of its own.
+
+A *register-only self-loop* -- a block of register and flag templates
+alone (no closure, memory, stack, I/O or EI/DI) whose ``DJNZ`` or
+``JP``/``JR`` (cc) tail branches back to its own first instruction --
+translates to a function that iterates in place
+(:meth:`_Translation.self_loop`).  Its contract with the dispatch loop:
+``fn(cpu, memory, budget, bound)`` runs the block at least once, and
+again while the branch is taken, the next iteration's instructions fit
+``budget`` (what was left of the instruction budget at entry) and the
+cycle count before it stays below ``bound`` (``cycle_target - size *
+ceiling``); it keeps the registers it names in locals, commits once in
+closed form, and returns how many iterations ran.  Those are exactly
+the iterations the dispatch loop would have run as whole blocks, one
+by one: nothing the loop does can raise an interrupt, halt, write
+memory or remap the bank window, and the loop visits only addresses at
+which the dispatch loop has already found no stop (the stop is neither
+the block's first instruction nor inside it, or the block would not
+have been entered), so there is no stop for the function to test.
+Called as ``fn(cpu, memory)`` -- as under a block listener -- it runs
+once.
 """
 
 from __future__ import annotations
 
+import hashlib
 import operator
+import re
 
 from repro.rabbit.cpu import (
     FLAG_C, FLAG_H, FLAG_N, FLAG_PV, FLAG_S, FLAG_Z, Cpu,
@@ -124,6 +149,18 @@ _LOGIC_OPS = {4: operator.and_, 5: operator.xor, 6: operator.or_}
 #: XOR/OR, of AND less its H, and of a CB rotate/shift less its carry.
 _SZP = bytes((v & FLAG_S) | (0 if v else FLAG_Z)
              | (0 if bin(v).count("1") & 1 else FLAG_PV) for v in range(256))
+
+
+#: The flags INC r and DEC r set from the operand's old value, by value
+#: (DEC's include N), and the F bits each leaves alone.
+_INC8 = bytes(((v + 1) & FLAG_S) | (0 if (v + 1) & 0xFF else FLAG_Z)
+              | (FLAG_H if v & 0xF == 0xF else 0)
+              | (FLAG_PV if v == 0x7F else 0) for v in range(256))
+_DEC8 = bytes(FLAG_N | ((v - 1) & FLAG_S) | (0 if v != 1 else FLAG_Z)
+              | (FLAG_H if v & 0xF == 0 else 0)
+              | (FLAG_PV if v == 0x80 else 0) for v in range(256))
+_INC8_KEEP = ~(FLAG_N | FLAG_S | FLAG_Z | FLAG_H | FLAG_PV) & 0xFF
+_DEC8_KEEP = ~(FLAG_S | FLAG_Z | FLAG_H | FLAG_PV) & 0xFF
 
 
 def _cc(index):
@@ -1034,6 +1071,8 @@ _IN_DATA = f"{DATA_BASE:#x} <= _s < {DATA_TOP - 1:#x}"
 _HL = "(cpu.h << 8) | cpu.l"
 #: 16-bit pairs by index as (high, low) attributes, with AF for PUSH/POP.
 _STACK_RP = (("b", "c"), ("d", "e"), ("h", "l"), ("a", "f"))
+#: A register in template source; a self-loop keeps it in ``_r<name>``.
+_REGISTER = re.compile(r"\bcpu\.(a|f|b|c|d|e|h|l|sp)\b")
 
 
 class _Run:
@@ -1131,9 +1170,12 @@ def _register_source(kind, p1, p2):
         return [f"cpu.{p1} = cpu.{p2}"]
     if kind == "rn":
         return [f"cpu.{p1} = {p2}"]
-    if kind == "incdec":
-        helper = "_inc8" if p2 else "_dec8"
-        return [f"cpu.{p1} = cpu.{helper}(cpu.{p1})"]
+    if kind == "incdec":        # cpu._inc8/_dec8, inline
+        sign, table, keep = (("+", "_INC8", _INC8_KEEP) if p2
+                             else ("-", "_DEC8", _DEC8_KEEP))
+        return [f"_v = cpu.{p1}",
+                f"cpu.{p1} = (_v {sign} 1) & 0xFF",
+                f"cpu.f = (cpu.f & {keep:#x}) | {table}[_v]"]
     if kind == "arith_r":
         return [f"cpu._alu({p1}, cpu.{p2})"]
     if kind == "arith_n":
@@ -1204,9 +1246,12 @@ class _Translation:
         self.sram_ws = memory.sram_wait_states
         self.ns = {"_c": cache, "_S": memory.sram, "_F": memory.flash,
                    "_P": memory._code_pages, "_SZP": _SZP,
+                   "_INC8": _INC8, "_DEC8": _DEC8,
                    "_commit": _commit, "_around": _around}
         self.lines = []
         self.run = _Run()
+        #: Whether the text tests ``_c.bail`` (and so clears it first).
+        self.tests_bail = False
 
     def emit(self, line, depth=1):
         self.lines.append("    " * depth + line)
@@ -1240,6 +1285,7 @@ class _Translation:
         """Return at once, the pending run committed, if op ``i`` (which
         can write) set bail."""
         if i != self.last:
+            self.tests_bail = True
             self.emit("if _c.bail:")
             if self.run.count:
                 self.emit(f"return _commit(cpu, memory, "
@@ -1477,19 +1523,97 @@ class _Translation:
 
     def source(self):
         self.flush()
+        if self.tests_bail:
+            self.lines.insert(0, "    _c.bail = False")
         return "def _tr(cpu, memory):\n" + "\n".join(self.lines) + "\n"
+
+    def self_loop(self, start):
+        """The source of this block as a register-only self-loop, or
+        None when it is not one: every op but the last a template of
+        registers and flags alone (no method call left once its
+        registers are locals), the last a DJNZ or JP/JR (cc) back to
+        ``start``.
+
+        ``_tr(cpu, memory, _n=0, _t=0)`` loads the registers it names
+        into locals (``_r<name>``), runs the body and the branch, and
+        iterates while the branch is taken and the next iteration fits:
+        its ``size`` instructions within ``_n`` (the budget left at
+        entry) and the cycles before it below ``_t``, the dispatch's
+        test for running a block whole.  ``_m``, the iterations both
+        allow, is worked out on entry.  Then one commit: the registers
+        stored back, and the counters of ``_i`` iterations in closed
+        form.  It returns ``_i``.  The defaults allow one iteration.
+        """
+        kind, target, cc, length, costs, np, fw = getattr(
+            self.ops[-1], "_tmpl", (None,) * 7)
+        if kind not in ("djnz", "jump") or target != start:
+            return None
+        body = []
+        run = _Run()
+        for op in self.ops[:-1]:
+            t = getattr(op, "_tmpl", None)
+            source = t and _register_source(*t[:3])
+            if source is None:
+                return None
+            body += source
+            run = run.plus(t[3], t[4], t[6], None)
+        run = run.plus(length, 0, fw, None)
+        condition = None
+        if kind == "djnz":
+            body.append("cpu.b = _v = (cpu.b - 1) & 0xFF")
+            condition = "_v"
+        elif cc is not None:
+            condition = self.condition(cc)
+        text = "\n".join(body + [condition or ""])
+        if "cpu." in _REGISTER.sub("", text):
+            return None
+        registers = sorted(set(_REGISTER.findall(text)))
+        body = [_REGISTER.sub(r"_r\1", line) for line in body]
+        condition = condition and _REGISTER.sub(r"_r\1", condition)
+        taken = run.cycles + costs[0]
+        lines = [f"_r{name} = cpu.{name}" for name in registers]
+        lines += [f"_m = _n // {len(self.ops)}",
+                  f"_h = (_t - cpu.cycles - 1) // {taken} + 1",
+                  "if _h < _m:",
+                  "    _m = _h",
+                  "_i = 0",
+                  "while True:",
+                  "    _i += 1"]
+        lines += ["    " + line for line in body]
+        if condition:
+            skipped = "" if costs[0] == costs[1] else \
+                f" - {costs[0] - costs[1]}"
+            lines += [f"    if not ({condition}):",
+                      f"        cpu.pc = {np}",
+                      f"        cpu.cycles += _i * {taken}{skipped}",
+                      "        break"]
+        lines += ["    if _i >= _m:",
+                  f"        cpu.pc = {start}",
+                  f"        cpu.cycles += _i * {taken}",
+                  "        break"]
+        lines += [f"cpu.{name} = _r{name}" for name in registers]
+        lines.append(f"memory.reads += _i * {run.reads}")
+        if run.waits:
+            lines.append(f"memory.wait_cycles += _i * {run.waits}")
+        lines += [f"cpu.r = (cpu.r + _i * {run.count}) & 0x7F",
+                  f"cpu.instructions += _i * {run.count}",
+                  "return _i"]
+        return ("def _tr(cpu, memory, _n=0, _t=0):\n"
+                + "".join(f"    {line}\n" for line in lines))
 
 
 # ---------------------------------------------------------------------------
 # The cache.
 # ---------------------------------------------------------------------------
 
-#: Translated text compiled in this process: ``(block key, source)`` ->
-#: code.  The same text compiles to the same code, so a block translated
-#: again (by another board loading the same firmware, or after a flush)
-#: reuses it; each translation still binds its own namespace.  The key
-#: carries the block key so the code keeps that block's filename.
-_COMPILED: dict[tuple[int, str], object] = {}
+#: Translated text compiled in this process: ``(block key, len(source),
+#: sha256(source))`` -> code.  The same text compiles to the same code,
+#: so a block translated again (by another board loading the same
+#: firmware, or after a flush) reuses it; each translation still binds
+#: its own namespace.  The key carries the block key so the code keeps
+#: that block's filename, and the text's length and digest rather than
+#: the text, so the memo holds no source once its blocks are gone.
+_COMPILED: dict[tuple[int, int, bytes], object] = {}
 #: Entries kept before the memo starts over, bounding what a long run
 #: through many distinct programs holds.
 _COMPILED_LIMIT = 4096
@@ -1498,17 +1622,20 @@ _COMPILED_LIMIT = 4096
 class BlockCache:
     """Decoded basic blocks plus the invalidation machinery.
 
-    Blocks are mutable ``[ops, last, exec_count, translated]`` records:
-    the closures; the logical address of the last instruction (the
-    dispatch loop single-steps instead of running a block with the stop
-    address on one of its instructions after the first; a block
+    Blocks are mutable ``[ops, last, exec_count, translated, loop]``
+    records: the closures; the logical address of the last instruction
+    (the dispatch loop single-steps instead of running a block with the
+    stop address on one of its instructions after the first; a block
     listener reads the instruction there); how many times the block has
-    dispatched through the closure-list tier; and -- once ``exec_count``
-    crosses :attr:`translate_threshold` -- one ``compile()``d function
+    dispatched through the closure-list tier; once ``exec_count``
+    crosses :attr:`translate_threshold`, one ``compile()``d function
     that runs the whole block with the per-opcode dispatch loop
     eliminated and the bookkeeping of template-able instruction runs
-    batched (the *translated tier*).  A block ends before any address
-    in the CPU's :attr:`~repro.rabbit.cpu.Cpu.block_ends`.
+    batched (the *translated tier*); and whether that function is a
+    register-only self-loop, which takes a budget and a cycle bound and
+    returns its iteration count (see the module docstring), set with
+    the function.  A block ends before any address in the CPU's
+    :attr:`~repro.rabbit.cpu.Cpu.block_ends`.
     """
 
     #: Closure-list executions before a block is template-translated.
@@ -1586,11 +1713,11 @@ class BlockCache:
             # Undecodable in place (crosses a mapping boundary, or an
             # unpopulated fetch): one generic step, re-fetched at run
             # time -- content-independent, so no pages to watch.
-            block = [(_step_op,), pc, 0, None]
+            block = [(_step_op,), pc, 0, None, False]
             self.blocks[key] = block
             self.decoded_blocks += 1
             return block
-        block = [tuple(ops), last, 0, None]
+        block = [tuple(ops), last, 0, None, False]
         page_map = memory._code_pages
         page_blocks = self._page_blocks
         for page in pages:
@@ -1673,21 +1800,30 @@ class BlockCache:
           the runs ``_run*``, the helpers, the memory views) is a local
           any template assigns.
 
-        The source is compiled once per ``(key, source)`` in the process
-        (:data:`_COMPILED`): the same text compiles to the same code,
-        which this block's namespace then binds, so the function reads
-        this block's closures, cache and memory, and its code keeps the
+        A register-only self-loop is translated whole instead, by
+        :meth:`_Translation.self_loop`, and flagged in ``block[4]``.
+
+        The source is compiled once per block key and text in the
+        process (:data:`_COMPILED`, which holds a digest of the text,
+        not the text): the same text compiles to the same code, which
+        this block's namespace then binds, so the function reads this
+        block's closures, cache and memory, and its code keeps the
         ``<translated:key>`` filename of this block's key.
         """
         translation = _Translation(self, block[0])
-        for i, op in enumerate(block[0]):
-            translation.add(i, op)
-        source = translation.source()
-        code = _COMPILED.get((key, source))
+        source = translation.self_loop(key & 0xFFFF)
+        block[4] = source is not None
+        if source is None:
+            for i, op in enumerate(block[0]):
+                translation.add(i, op)
+            source = translation.source()
+        memo = (key, len(source),
+                hashlib.sha256(source.encode()).digest())
+        code = _COMPILED.get(memo)
         if code is None:
             if len(_COMPILED) >= _COMPILED_LIMIT:
                 _COMPILED.clear()
-            code = _COMPILED[key, source] = compile(
+            code = _COMPILED[memo] = compile(
                 source, f"<translated:{key:#x}>", "exec")
         ns = translation.ns
         exec(code, ns)

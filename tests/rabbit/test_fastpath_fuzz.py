@@ -13,13 +13,29 @@ pending interrupt, interrupts raised between the slices of a
 ``run_cycles`` run, and stops (``stop_pc``, cycle targets, instruction
 budgets) that land inside blocks.
 
+Streams also hold register-only self-loops, which the translated tier
+iterates inside one function: ``djnz`` back to the loop's own head with
+B drawn from {0, 1, 2, 255}, and ``dec c``/``dec e`` closing a
+``jr nz``/``jp nz`` back to the head, around up to three register-only
+instructions.  Instruction budgets up to 4,000, cycle targets on either
+side of 128 instructions' worth of ``cycle_ceiling`` and stop addresses
+at a loop's head or inside it cut them mid-loop, and run on either side
+of the dispatch loop's two guards.  Half the streams start with a loop,
+so the run reaches it, and a ``call_subroutine`` stream makes up to
+three calls, each with its own stop: a later call's stop can sit inside
+a loop an earlier call translated.
+
 Every stream runs on the step core and on the fast core with the
 translated tier entered after 1 and after 64 closure-list executions,
 and the complete ``_machine_state`` is compared along with each run's
 result or exception (type and message) -- after a fault too, where PC
 must sit past the faulting instruction and R must be bumped, as the step
 core leaves them.  Flash and SRAM around the stream hold a fixed random
-pattern, so a read from the wrong address shows.
+pattern, so a read from the wrong address shows.  The same streams run
+once more under a ``CycleProfiler`` on both cores: the profiles must
+match (when no run raised: a fault reaches no listener), and no block
+the listener sees may have run more instructions than it holds (a
+self-loop must not iterate in place under a listener).
 """
 
 from __future__ import annotations
@@ -29,6 +45,7 @@ import random
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.obs.profile import CycleProfiler
 from repro.rabbit.board import Board
 from repro.rabbit.cpu import CpuError
 from repro.rabbit.fastcore import BlockCache
@@ -58,6 +75,48 @@ SRAM_FILL = random.Random(2).randbytes(SRAM_SIZE)
 _BYTE = st.integers(0, 0xFF)
 _REG = st.sampled_from((0, 1, 2, 3, 4, 5, 7))   # B C D E H L A
 _PAIR = st.integers(0, 3)
+
+#: One register-only template: what a self-loop's body is made of.
+_LOOP_BODY = st.one_of(
+    st.tuples(st.integers(0, 7), _REG).map(
+        lambda t: [0xCB, (t[0] << 3) | t[1]]),                # CB rot
+    st.tuples(_REG, _REG).map(lambda t: [0x40 | t[0] << 3 | t[1]]),
+    st.tuples(st.integers(4, 6), _REG).map(
+        lambda t: [0x80 | t[0] << 3 | t[1]]),                 # AND/XOR/OR
+    _REG.map(lambda r: [0x04 | r << 3]),                      # INC r
+    _REG.map(lambda r: [0x05 | r << 3]),                      # DEC r
+    _PAIR.map(lambda p: [0x03 | p << 4]),                     # INC rp
+    _PAIR.map(lambda p: [0x09 | p << 4]),                     # ADD HL,rp
+    _PAIR.map(lambda p: [0xED, 0x42 | p << 4]),               # SBC HL,rp
+    st.just([0xEB]),                                          # EX DE,HL
+)
+
+#: A self-loop: its tail, the counter's first value, the counter (C or
+#: E) a ``jr nz``/``jp nz`` tail decrements, and its body.
+_LOOP = st.tuples(st.just("loop"), st.sampled_from(["djnz", "jr", "jp"]),
+                  st.sampled_from([0, 1, 2, 255]), st.sampled_from([1, 3]),
+                  st.lists(_LOOP_BODY, max_size=3))
+
+
+def _loop_code(item, address: int) -> tuple[list[int], list[int]]:
+    """The bytes of the self-loop ``item`` at ``address`` -- the counter
+    set, then the loop from its head -- and the addresses of the
+    instructions from its head to its tail."""
+    _, tail, count, counter, body = item
+    code = [0x06 | (0 if tail == "djnz" else counter) << 3, count]
+    inner = []
+    for instruction in body + ([] if tail == "djnz" else
+                               [[0x05 | counter << 3]]):
+        inner.append(address + len(code))
+        code += instruction
+    head = address + 2
+    inner.append(address + len(code))
+    if tail == "jp":
+        code += [0xC2, head & 0xFF, head >> 8]
+    else:
+        code += [0x10 if tail == "djnz" else 0x20,
+                 (head - (address + len(code) + 2)) & 0xFF]
+    return code, [head] + inner
 
 
 def _fixed(*parts):
@@ -141,7 +200,7 @@ def _instructions(words):
     # LD (nn),HL onto a later instruction of the stream (self-modifying).
     patch = st.tuples(st.just("patch"), st.integers(1, 3), st.integers(-1, 2))
     return st.one_of(templated, templated, templated, register, prefixed,
-                     control, patch)
+                     control, patch, _LOOP)
 
 
 def _layout(base: int, items: list) -> tuple[bytes, list[int]]:
@@ -152,6 +211,8 @@ def _layout(base: int, items: list) -> tuple[bytes, list[int]]:
         kind = item[0]
         if kind == "bytes":
             sizes.append(len(item[1]))
+        elif kind == "loop":
+            sizes.append(len(_loop_code(item, 0)[0]))
         elif kind in ("djnz", "jr", "jr_nz", "jr_z", "jr_nc", "jr_c"):
             sizes.append(2)
         else:
@@ -164,6 +225,9 @@ def _layout(base: int, items: list) -> tuple[bytes, list[int]]:
         kind = item[0]
         if kind == "bytes":
             code += item[1]
+            continue
+        if kind == "loop":
+            code += _loop_code(item, addresses[index])[0]
             continue
         if kind == "patch":
             target = addresses[min(len(items), index + item[1])] + item[2]
@@ -196,6 +260,8 @@ def programs(draw):
     words = st.one_of(data, data, near_code, st.sampled_from(EDGE_ADDRESSES),
                       st.integers(0, 0xFFFF))
     items = draw(st.lists(_instructions(words), min_size=4, max_size=32))
+    if draw(st.booleans()):     # a self-loop the run reaches
+        items.insert(0, draw(_LOOP))
     code, addresses = _layout(base, items)
     # A F B C D E H L, the pair high bytes mostly in the data segment.
     high = st.one_of(st.integers(0xC0, 0xDF), _BYTE)
@@ -207,30 +273,50 @@ def programs(draw):
                         st.sampled_from(EDGE_ADDRESSES)))
     ix, iy = draw(st.tuples(words, words))
     mode = draw(st.sampled_from(["run", "call", "cycles"]))
+    # Budgets on either side of the dispatch loop's guards: 128
+    # instructions, and 128 instructions' worth of cycle_ceiling (3,712
+    # cycles at the board's wait states).
     if mode == "cycles":
         budgets = draw(st.lists(st.one_of(st.integers(200, 8000),
-                                          st.integers(1, 200)),
+                                          st.integers(1, 200),
+                                          st.integers(3000, 20000)),
                                 min_size=1, max_size=4))
+    elif mode == "call":
+        budgets = draw(st.lists(st.one_of(st.integers(100, 4000),
+                                          st.integers(1, 40)),
+                                min_size=1, max_size=3))
     else:
-        budgets = [draw(st.one_of(st.integers(100, 2000),
+        budgets = [draw(st.one_of(st.integers(100, 4000),
                                   st.integers(1, 40)))]
-    # Interrupts raised between run_cycles slices, into the stream.
+    # Interrupts raised between run_cycles slices or calls, into the
+    # stream.
     requests = [None] + draw(st.lists(
         st.one_of(st.none(), st.sampled_from(addresses)),
         min_size=len(budgets) - 1, max_size=len(budgets) - 1))
-    stop = draw(st.sampled_from(addresses))
+    # One per call, inside a self-loop too: at its head, on its body or
+    # on its tail, where an earlier call may have translated it.
+    loops = [_loop_code(item, start)[1]
+             for item, start in zip(items, addresses) if item[0] == "loop"]
+    inner = [address for loop in loops for address in loop]
+    stop = st.sampled_from(addresses)
+    if inner:
+        stop = st.one_of(stop, st.sampled_from(inner))
+    stops = draw(st.lists(stop, min_size=len(budgets),
+                          max_size=len(budgets)))
     interrupt = draw(st.booleans())
     enabled = draw(st.booleans())
-    return {"base": base, "code": code, "regs": regs, "sp": sp,
+    return {"base": base, "code": code,
+            "heads": [loop[0] for loop in loops], "regs": regs, "sp": sp,
             "ix": ix, "iy": iy, "mode": mode, "budgets": budgets,
-            "requests": requests, "stop": stop, "interrupt": interrupt,
+            "requests": requests, "stops": stops, "interrupt": interrupt,
             "enabled": enabled}
 
 
-def _run(program: dict, threshold: int | None):
+def _run(program: dict, threshold: int | None, profile: bool = False):
     """Run ``program`` on the step core (``threshold`` None) or on the
     fast core entering the translated tier after ``threshold``
-    closure-list executions; returns (outcomes, machine state)."""
+    closure-list executions; returns (outcomes, machine state), and
+    with ``profile`` a ``CycleProfiler``'s tallies after them."""
     board = Board()
     cpu, memory = board.cpu, board.memory
     if threshold is None:
@@ -254,8 +340,11 @@ def _run(program: dict, threshold: int | None):
     cpu.iff1 = cpu.iff2 = program["enabled"]
     if program["interrupt"]:
         cpu.request_interrupt(base)     # taken at once, or at an EI
+    if profile:
+        profiler = _profile(cpu, program)
     outcomes = []
-    for budget, vector in zip(program["budgets"], program["requests"]):
+    for budget, vector, stop in zip(program["budgets"], program["requests"],
+                                    program["stops"]):
         if vector is not None:
             cpu.request_interrupt(vector)
         try:
@@ -263,14 +352,36 @@ def _run(program: dict, threshold: int | None):
                 outcomes.append(cpu.run(max_instructions=budget))
             elif program["mode"] == "call":
                 outcomes.append(cpu.call_subroutine(
-                    base, stop_address=program["stop"],
-                    max_instructions=budget))
+                    base, stop_address=stop, max_instructions=budget))
             else:
                 outcomes.append(cpu.run_cycles(budget))
         except (CpuError, MemoryError_) as exc:    # type and message
             outcomes.append((type(exc).__name__, str(exc)))
             break
+    if profile and not any(isinstance(o, tuple) for o in outcomes):
+        # A raise reaches no listener, so the step core has charged the
+        # steps before it in the faulting block and the fast core not.
+        outcomes.append((profiler.collapsed, profiler.instruction_counts,
+                         profiler.call_counts))
     return outcomes, _machine_state(board)
+
+
+def _profile(cpu, program: dict) -> CycleProfiler:
+    """Install a profiler with a routine at the stream's start and at
+    every loop head, behind a listener that checks each block ran at
+    most its own instructions."""
+    profiler = CycleProfiler(cpu, {
+        f"r{address:x}": address
+        for address in [program["base"]] + program["heads"]})
+    profiler.install()
+    profiled = cpu.block_listener
+
+    def listener(pc, block, start, ran):
+        assert block is None or ran <= len(block[0])
+        profiled(pc, block, start, ran)
+
+    cpu.set_block_listener(listener, cpu.block_ends)
+    return profiler
 
 
 @given(program=programs())
@@ -282,3 +393,11 @@ def test_fast_core_matches_step_core_on_generated_streams(program):
     at_64 = _run(program, 64)
     assert at_1 == at_64
     assert at_64 == step
+
+
+@given(program=programs())
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_profiled_fast_core_matches_step_core_on_generated_streams(program):
+    assert _run(program, 1, profile=True) == _run(program, None,
+                                                  profile=True)

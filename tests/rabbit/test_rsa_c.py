@@ -2,7 +2,11 @@
 
 import pytest
 
+from repro.experiments.e10_rsa import _CASES
+from repro.rabbit.asm import assemble
 from repro.rabbit.board import Board
+from repro.rabbit.fastcore import BlockCache
+from repro.rabbit.memory import MemoryError_
 from repro.rabbit.programs.rsa_c import generate_source, RsaC
 
 
@@ -42,3 +46,50 @@ class TestModexp:
         _, c16 = rsa16.modexp(0x1234, 0xFFF1, 0xFFF1 + 0x0A)
         _, c24 = rsa24.modexp(0x1234, 0xFFFFF1, 0xFFFFFB)
         assert c24 > 2 * c16
+
+
+def _counters(cache):
+    return (cache.executed_blocks, cache.translated_execs,
+            cache.decoded_blocks, cache.translated_blocks)
+
+
+class TestBlockCounters:
+    """How the dispatch loop finds and runs blocks may change; what it
+    runs may not.  Each iteration of a self-loop run inside its
+    translated function is still one executed, translated block."""
+
+    def test_one_modexp(self):
+        base, exponent, modulus = _CASES[2]
+        rsa = RsaC(Board(), n_bytes=2)
+        rsa.modexp(base % modulus, exponent, modulus)
+        assert _counters(rsa.board.cpu._cache) == (58420, 54374, 83, 55)
+
+    # A 100-pass self-loop, then a block that stores to the data
+    # segment and raises at its store into flash.
+    RAISES = """
+        org 0
+        ld   b, 100
+loop:   inc  hl
+        djnz loop
+        ld   b, 80
+again:  ld   a, b
+        ld   (0xC000), a
+        ld   (0x0300), hl
+        djnz again
+        halt
+"""
+
+    @pytest.mark.parametrize("threshold,counters", [
+        (1, (101, 101, 3, 3)),
+        (64, (101, 36, 3, 1)),
+    ])
+    def test_a_block_that_raises_is_counted(self, threshold, counters):
+        board = Board()
+        cpu = board.cpu
+        cpu._cache = BlockCache(cpu)
+        cpu._cache.translate_threshold = threshold
+        board.program(assemble(self.RAISES).code)
+        with pytest.raises(MemoryError_, match="without unlock"):
+            cpu.run(max_instructions=10_000)
+        assert (cpu.instructions, cpu.pc) == (204, 14)
+        assert _counters(cpu._cache) == counters

@@ -16,7 +16,8 @@ it with the step core and with the closure-list tier, and every
 closure class that can fault is pinned to stop where the step core
 does: PC past the instruction, R bumped.  ``adc``/``sbc
 hl,rp`` and ED ``ld rp,(nn)`` are pinned on edge operands and
-addresses.
+addresses.  A register-only self-loop, translated by one call, is run
+again by a call whose stop sits on it: the loop must stop there.
 """
 
 from __future__ import annotations
@@ -381,3 +382,35 @@ def test_ld_rp_nn_indirect_template_matches_the_step_core(where):
     else:
         assert calls.count("op") == len(_PAIRS)
     assert _machine_state(fast) == _machine_state(step)
+
+
+# A register-only self-loop: the translated tier iterates it in place.
+SELF_LOOP = """
+        org 0x100
+        ld   b, 5
+head:   srl  h
+inner:  rr   l
+tail:   djnz head
+after:  halt
+"""
+
+
+@pytest.mark.parametrize("stop", ["head", "inner", "tail"])
+def test_a_later_stop_inside_a_translated_self_loop(stop):
+    """A first call runs the loop to ``after`` and translates it; a
+    second call, stopping on the loop, stops where the step core does,
+    on the loop's first pass -- the loop never runs past a stop."""
+    def calls(threshold):
+        board = _board(threshold)
+        cpu = board.cpu
+        assembly = assemble(SELF_LOOP)
+        board.program(assembly.code)
+        cpu.h, cpu.l, cpu.sp = 0x8F, 0x35, 0xD000
+        outcomes = [cpu.call_subroutine(0x100, assembly.symbol("after"))]
+        translated = cpu._cache and cpu._cache.blocks[0x102][4]
+        outcomes.append(cpu.call_subroutine(0x100, assembly.symbol(stop)))
+        return outcomes, translated, _machine_state(board)
+
+    fast, step = calls(1), calls(None)
+    assert fast[1] is True
+    assert fast[0] == step[0] and fast[2] == step[2]

@@ -1,7 +1,8 @@
 """The translated tier compiles each distinct text once per process.
 
-``BlockCache.translate`` looks its source up by ``(block key, source)``
-before compiling.  Two boards that load the same firmware translate the
+``BlockCache.translate`` looks its source up by the block key, the
+text's length and its SHA-256 digest before compiling (the memo holds
+no text).  Two boards that load the same firmware translate the
 same block into functions that share one code object but nothing else:
 each binds its own board's cache, memory and closures.  A block whose
 text differs at the same key gets code of its own, and every function's
