@@ -19,7 +19,6 @@ the way a runaway costatement would.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from typing import Callable
 
 from repro.issl.record import decode_header
@@ -213,11 +212,9 @@ class CorruptFrames(FrameInjector):
             else min(self.byte_offset, len(payload) - 1)
         )
         payload[offset] ^= 1 << (self.bit & 7)
-        corrupted = replace(
-            frame,
-            payload=replace(
-                frame.payload,
-                payload=replace(segment, payload=bytes(payload)),
+        corrupted = frame._replace(
+            payload=frame.payload._replace(
+                payload=segment._replace(payload=bytes(payload)),
             ),
         )
         return [(corrupted, extra_delay)]

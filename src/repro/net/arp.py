@@ -27,12 +27,15 @@ class ArpService:
 
     def __init__(self, host):
         self._host = host
-        self._cache: dict[Ipv4Address, MacAddress] = {}
-        self._pending: dict[Ipv4Address, Event] = {}
+        #: Keyed by ``Ipv4Address.value``: an int hashes and compares
+        #: without the address dataclass's generated methods, and
+        #: ``IpStack`` looks up every outbound packet here.
+        self._cache: dict[int, MacAddress] = {}
+        self._pending: dict[int, Event] = {}
 
     @property
     def cache(self) -> dict[Ipv4Address, MacAddress]:
-        return dict(self._cache)
+        return {Ipv4Address(value): mac for value, mac in self._cache.items()}
 
     def _send(self, opcode: int, target_ip: Ipv4Address,
               target_mac: MacAddress, dst_mac: MacAddress) -> None:
@@ -53,13 +56,14 @@ class ArpService:
         Raises :class:`ArpError` after :data:`MAX_ATTEMPTS` unanswered
         requests.
         """
-        cached = self._cache.get(ip)
+        key = ip.value
+        cached = self._cache.get(key)
         if cached is not None:
             return cached
-        event = self._pending.get(ip)
+        event = self._pending.get(key)
         if event is None:
             event = self._host.sim.event(f"arp:{ip}")
-            self._pending[ip] = event
+            self._pending[key] = event
         for _attempt in range(MAX_ATTEMPTS):
             self._send(ARP_REQUEST, ip, MacAddress(0), BROADCAST_MAC)
             deadline = self._host.sim.now + RETRY_INTERVAL_S
@@ -67,11 +71,11 @@ class ArpService:
             # retry deadline, then park on the reply event.
             self._host.sim.call_at(deadline, event.trigger, None)
             while self._host.sim.now < deadline:
-                if ip in self._cache:
-                    self._pending.pop(ip, None)
-                    return self._cache[ip]
+                if key in self._cache:
+                    self._pending.pop(key, None)
+                    return self._cache[key]
                 yield event
-        self._pending.pop(ip, None)
+        self._pending.pop(key, None)
         raise ArpError(f"no ARP reply for {ip}")
 
     def handle_frame(self, frame: EthernetFrame) -> None:
@@ -79,13 +83,13 @@ class ArpService:
         if not isinstance(packet, ArpPacket):
             return
         # Opportunistic learning from any ARP we see addressed to us.
-        self._cache[packet.sender_ip] = packet.sender_mac
-        pending = self._pending.get(packet.sender_ip)
+        self._cache[packet.sender_ip.value] = packet.sender_mac
+        pending = self._pending.get(packet.sender_ip.value)
         if pending is not None:
             pending.trigger(packet.sender_mac)
         if (
             packet.opcode == ARP_REQUEST
-            and packet.target_ip == self._host.ip_address
+            and packet.target_ip.value == self._host.ip_address.value
         ):
             self._send(
                 ARP_REPLY, packet.sender_ip, packet.sender_mac, packet.sender_mac

@@ -44,10 +44,11 @@ class Host:
         return self.sim.spawn(gen, name=name or f"{self.name}:proc")
 
     def _on_frame(self, frame: EthernetFrame) -> None:
-        if frame.ethertype == ETHERTYPE_ARP:
-            self.arp.handle_frame(frame)
-        elif frame.ethertype == ETHERTYPE_IP:
+        ethertype = frame.ethertype
+        if ethertype == ETHERTYPE_IP:
             self.ip.handle_frame(frame)
+        elif ethertype == ETHERTYPE_ARP:
+            self.arp.handle_frame(frame)
 
     def __repr__(self) -> str:
         return f"Host({self.name!r}, {self.ip_address})"

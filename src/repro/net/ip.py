@@ -38,46 +38,51 @@ class IpStack:
 
     def send(self, dst: Ipv4Address, protocol: int, payload) -> None:
         """Queue one packet for transmission (never blocks)."""
-        packet = IpPacket(self._host.ip_address, dst, protocol, payload)
-        ctx = self._host.sim.wire_trace_ctx
-        if dst == self._host.ip_address:
+        host = self._host
+        packet = IpPacket(host.ip_address, dst, protocol, payload)
+        ctx = host.sim.wire_trace_ctx
+        if dst.value == host.ip_address.value:
             # Loopback: deliver in the next simulator slot, not inline,
             # to keep send() non-reentrant.
             if ctx is None:
-                self._host.sim.call_soon(self._deliver, packet)
+                host.sim.call_soon(self._deliver, packet)
             else:
-                self._host.sim.call_soon(
-                    self._deliver_with_ctx, packet, ctx
-                )
+                host.sim.call_soon(self._deliver_with_ctx, packet, ctx)
             self.packets_sent += 1
             return
         self._queue.append((packet, ctx))
         self._wake.trigger()
 
     def _output_loop(self):
-        sim = self._host.sim
+        host = self._host
+        sim = host.sim
+        interface = host.interface
+        arp_cache = host.arp._cache
+        queue = self._queue
         while True:
-            if not self._queue:
+            if not queue:
                 yield self._wake
                 continue
-            packet, ctx = self._queue.popleft()
-            try:
-                mac = yield from self._host.arp.resolve(packet.dst)
-            except ArpError:
-                self.packets_dropped += 1
-                continue
-            frame = EthernetFrame(
-                self._host.interface.mac, mac, ETHERTYPE_IP, packet
-            )
+            packet, ctx = queue.popleft()
+            # A cache hit needs no resolve() generator: it would return
+            # the same MAC without yielding.
+            mac = arp_cache.get(packet.dst.value)
+            if mac is None:
+                try:
+                    mac = yield from host.arp.resolve(packet.dst)
+                except ArpError:
+                    self.packets_dropped += 1
+                    continue
+            frame = EthernetFrame(interface.mac, mac, ETHERTYPE_IP, packet)
             # Re-raise the sender's context for the synchronous hop into
             # ``EthernetSegment.broadcast``; scheduling is unchanged.
             if ctx is None:
-                self._host.interface.transmit(frame)
+                interface.transmit(frame)
             else:
                 previous = sim.wire_trace_ctx
                 sim.wire_trace_ctx = ctx
                 try:
-                    self._host.interface.transmit(frame)
+                    interface.transmit(frame)
                 finally:
                     sim.wire_trace_ctx = previous
             self.packets_sent += 1
@@ -86,7 +91,7 @@ class IpStack:
         packet = frame.payload
         if not isinstance(packet, IpPacket):
             return
-        if packet.dst != self._host.ip_address:
+        if packet.dst.value != self._host.ip_address.value:
             self.packets_dropped += 1
             return
         self._deliver(packet)

@@ -19,15 +19,18 @@ chain instead of replacing delivery.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Callable
 
 from repro.net.addresses import BROADCAST_MAC, MacAddress
 from repro.net.packet import EthernetFrame
-from repro.net.sim import Simulator
+from repro.net.sim import SimulationError, Simulator
 
 #: 10Base-T, as on the RMC2000 development kit.
 DEFAULT_BANDWIDTH_BPS = 10_000_000
 DEFAULT_LATENCY_S = 50e-6
+
+_BROADCAST = BROADCAST_MAC.value
 
 #: A frame hook maps one candidate delivery to zero or more deliveries:
 #: ``hook(frame, index, extra_delay) -> [(frame, extra_delay), ...]``.
@@ -44,6 +47,8 @@ class NetworkInterface:
     The segment applies the MAC filter when a frame is sent (see
     :meth:`EthernetSegment.broadcast`), so ``promiscuous`` applies to
     frames sent after it is set, not to frames already on the wire.
+    ``mac`` is fixed once the interface is attached: the segment
+    indexes its NICs by MAC.
     """
 
     def __init__(self, mac: MacAddress, name: str = ""):
@@ -55,7 +60,17 @@ class NetworkInterface:
         self.frames_received = 0
         self.bytes_sent = 0
         self.bytes_received = 0
-        self.promiscuous = False
+        self._promiscuous = False
+
+    @property
+    def promiscuous(self) -> bool:
+        return self._promiscuous
+
+    @promiscuous.setter
+    def promiscuous(self, value: bool) -> None:
+        self._promiscuous = value
+        if self.segment is not None:
+            self.segment._reindex()
 
     def on_receive(self, callback: Callable[[EthernetFrame], None]) -> None:
         self._receiver = callback
@@ -64,13 +79,13 @@ class NetworkInterface:
         if self.segment is None:
             raise RuntimeError(f"interface {self.name} not attached to a segment")
         self.frames_sent += 1
-        self.bytes_sent += frame.wire_size()
+        self.bytes_sent += frame.size
         self.segment.broadcast(frame, sender=self)
 
     def deliver(self, frame: EthernetFrame) -> None:
         """Count a frame the segment's MAC filter accepted and hand it up."""
         self.frames_received += 1
-        self.bytes_received += frame.wire_size()
+        self.bytes_received += frame.size
         if self._receiver is not None:
             self._receiver(frame)
 
@@ -103,12 +118,37 @@ class EthernetSegment:
         self._medium_free_at = 0.0
         self._frame_hooks: list[FrameHook] = []
         self._drop_filter_hook: FrameHook | None = None
+        # The MAC filter's index: attached NICs by MAC value, each list
+        # in attach order, and whether any NIC is promiscuous.
+        self._by_mac: dict[int, list[NetworkInterface]] = {}
+        self._any_promiscuous = False
 
     def attach(self, interface: NetworkInterface) -> None:
         if interface.segment is not None:
             raise RuntimeError(f"{interface!r} already attached")
         interface.segment = self
         self.interfaces.append(interface)
+        self._reindex()
+
+    def _reindex(self) -> None:
+        self._by_mac = {}
+        self._any_promiscuous = False
+        for interface in self.interfaces:
+            self._by_mac.setdefault(interface.mac.value, []).append(interface)
+            if interface.promiscuous:
+                self._any_promiscuous = True
+
+    def _receivers(self, dst: int) -> list[NetworkInterface]:
+        """The NICs whose MAC filter accepts a frame to ``dst`` (a MAC
+        value): their own MAC, the broadcast MAC, or any frame while
+        promiscuous -- in attach order, which keeps equal-time
+        deliveries in their (when, seq) order."""
+        if dst == _BROADCAST:
+            return self.interfaces
+        if self._any_promiscuous:
+            return [i for i in self.interfaces
+                    if i.promiscuous or i.mac.value == dst]
+        return self._by_mac.get(dst, [])
 
     # -- fault-injection chain ------------------------------------------------
     def add_frame_hook(self, hook: FrameHook) -> FrameHook:
@@ -148,8 +188,53 @@ class EthernetSegment:
     def broadcast(self, frame: EthernetFrame, sender: NetworkInterface) -> None:
         index = self.frames_carried
         self.frames_carried += 1
-        wire_size = frame.wire_size()
+        wire_size = frame.size
         self.bytes_carried += wire_size
+        if self._frame_hooks:
+            deliveries = self._run_hooks(frame, index)
+            if not deliveries:
+                # Fully dropped frames never seize the medium: collisions
+                # on a real hub destroy the frame without a successful
+                # carry.
+                self.frames_dropped += 1
+                return
+        else:
+            deliveries = ((frame, 0.0),)
+        sim = self.sim
+        serialization = wire_size * 8 / self.bandwidth_bps
+        start = max(sim.now, self._medium_free_at)
+        self._medium_free_at = start + serialization
+        arrival = self._medium_free_at + self.latency_s
+        # The trace context riding this frame (if the sender raised one)
+        # travels as a side-channel annotation: the delivery callback
+        # re-raises it on the receiving end for the instant of delivery,
+        # so causality crosses the wire without widening the frame
+        # format.  Scheduling order (when, seq) is identical either way.
+        ctx = sim.wire_trace_ctx
+        queue = sim._queue
+        for delivered_frame, extra_delay in deliveries:
+            when = arrival + extra_delay
+            if when < sim.now:
+                raise SimulationError(
+                    f"cannot schedule in the past: {when} < {sim.now}")
+            # The NICs' MAC filter, applied to each frame the hook chain
+            # emits (a corruptor may have rewritten dst).  Deliveries go
+            # onto the heap as the (when, seq, fn, args) entries call_at
+            # makes.
+            for interface in self._receivers(delivered_frame.dst.value):
+                if interface is sender:
+                    continue
+                sim._seq += 1
+                if ctx is None:
+                    heappush(queue, (when, sim._seq, interface.deliver,
+                                     (delivered_frame,)))
+                else:
+                    heappush(queue, (when, sim._seq, self._deliver_with_ctx,
+                                     (interface, delivered_frame, ctx)))
+
+    def _run_hooks(self, frame: EthernetFrame,
+                   index: int) -> list[tuple[EthernetFrame, float]]:
+        """Pass one frame through the hook chain; returns its deliveries."""
         deliveries: list[tuple[EthernetFrame, float]] = [(frame, 0.0)]
         for hook in list(self._frame_hooks):
             staged: list[tuple[EthernetFrame, float]] = []
@@ -158,40 +243,7 @@ class EthernetSegment:
             deliveries = staged
             if not deliveries:
                 break
-        if not deliveries:
-            # Fully dropped frames never seize the medium: collisions on
-            # a real hub destroy the frame without a successful carry.
-            self.frames_dropped += 1
-            return
-        serialization = wire_size * 8 / self.bandwidth_bps
-        start = max(self.sim.now, self._medium_free_at)
-        self._medium_free_at = start + serialization
-        arrival = self._medium_free_at + self.latency_s
-        # The trace context riding this frame (if the sender raised one)
-        # travels as a side-channel annotation: the delivery callback
-        # re-raises it on the receiving end for the instant of delivery,
-        # so causality crosses the wire without widening the frame
-        # format.  Scheduling order (when, seq) is identical either way.
-        ctx = self.sim.wire_trace_ctx
-        call_at = self.sim.call_at
-        for delivered_frame, extra_delay in deliveries:
-            # The NICs' MAC filter, tested on each frame the hook chain
-            # emits (a corruptor may have rewritten dst).  Attach order
-            # keeps equal-time deliveries in their (when, seq) order.
-            # Plain ints compare without the dataclass's generated __eq__.
-            dst = delivered_frame.dst.value
-            everyone = dst == BROADCAST_MAC.value
-            when = arrival + extra_delay
-            for interface in self.interfaces:
-                if interface is sender or not (
-                        everyone or interface.promiscuous
-                        or dst == interface.mac.value):
-                    continue
-                if ctx is None:
-                    call_at(when, interface.deliver, delivered_frame)
-                else:
-                    call_at(when, self._deliver_with_ctx,
-                            interface, delivered_frame, ctx)
+        return deliveries
 
     def _deliver_with_ctx(self, interface: NetworkInterface,
                           frame: EthernetFrame, ctx) -> None:

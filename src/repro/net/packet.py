@@ -1,16 +1,27 @@
 """Packet formats: Ethernet, ARP, IPv4, ICMP, TCP.
 
-Packets travel through the simulator as dataclasses (cheap), but every
-format also serializes to real wire bytes (``to_bytes``/``from_bytes``)
-with real header layouts and the real Internet checksum; the link layer
-uses :meth:`wire_size` for its bandwidth model, and the test suite
-round-trips the byte forms.
+Packets travel through the simulator as immutable value objects, never
+as bytes, but every format also serializes to real wire bytes
+(``to_bytes``/``from_bytes``) with real header layouts and the real
+Internet checksum; the link layer uses :meth:`wire_size` for its
+bandwidth model, and the test suite round-trips the byte forms.
+
+Every TCP segment is built three times over (``TcpSegment``, then the
+``IpPacket`` and ``EthernetFrame`` wrapping it), so those three are
+tuples: ``TcpSegment`` and ``IpPacket`` are ``NamedTuple`` types, and
+``EthernetFrame`` a tuple with the same ``_fields``/``_replace`` API.
+Each is one tuple allocation, with value equality and hashing from
+``tuple`` and fields that cannot be assigned.  Copy one with a changed
+field through ``_replace``.  ``ArpPacket`` and ``IcmpMessage`` are rare
+and stay frozen dataclasses.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from operator import itemgetter
+from typing import NamedTuple
 
 from repro.net.addresses import Ipv4Address, MacAddress
 
@@ -130,8 +141,7 @@ class IcmpMessage:
         return cls(icmp_type, code, identifier, sequence, data[8:])
 
 
-@dataclass(frozen=True)
-class TcpSegment:
+class TcpSegment(NamedTuple):
     """TCP header + payload (options not modelled)."""
 
     src_port: int
@@ -190,9 +200,8 @@ class TcpSegment:
         )
 
 
-@dataclass(frozen=True)
-class IpPacket:
-    """IPv4 packet; ``payload`` is one of the L4 dataclasses above."""
+class IpPacket(NamedTuple):
+    """IPv4 packet; ``payload`` is a ``TcpSegment`` or ``IcmpMessage``."""
 
     src: Ipv4Address
     dst: Ipv4Address
@@ -247,17 +256,49 @@ class IpPacket:
         return cls(src, dst, protocol, parser.from_bytes(body), ttl)
 
 
-@dataclass(frozen=True)
-class EthernetFrame:
-    """Ethernet II frame; ``payload`` is an IpPacket or ArpPacket."""
+class EthernetFrame(tuple):
+    """Ethernet II frame; ``payload`` is an IpPacket or ArpPacket.
 
-    src: MacAddress
-    dst: MacAddress
-    ethertype: int
-    payload: object
+    An immutable value like the ``NamedTuple`` packets, built from its
+    four ``_fields``.  The tuple holds a fifth element, ``size``: the
+    wire size (padded to the 64-byte minimum), computed once here
+    because the sending NIC, the hub and every receiving NIC all read
+    it.  It follows from ``payload``, so it never changes which frames
+    compare equal, and ``_replace`` computes it afresh.
+    """
+
+    __slots__ = ()
+    _fields = ("src", "dst", "ethertype", "payload")
+
+    def __new__(cls, src: MacAddress, dst: MacAddress, ethertype: int,
+                payload) -> "EthernetFrame":
+        size = ETHERNET_HEADER + payload.wire_size() + ETHERNET_CRC
+        return tuple.__new__(
+            cls, (src, dst, ethertype, payload, size if size > 64 else 64))
+
+    src = property(itemgetter(0))
+    dst = property(itemgetter(1))
+    ethertype = property(itemgetter(2))
+    payload = property(itemgetter(3))
+    size = property(itemgetter(4))
+
+    def _replace(self, **changes) -> "EthernetFrame":
+        """A copy with the named fields changed (``NamedTuple``'s API)."""
+        src, dst, ethertype, payload, _size = self
+        return type(self)(
+            changes.pop("src", src), changes.pop("dst", dst),
+            changes.pop("ethertype", ethertype),
+            changes.pop("payload", payload), **changes)
+
+    def __getnewargs__(self) -> tuple:
+        return self[:4]
+
+    def __repr__(self) -> str:
+        return (f"EthernetFrame(src={self.src!r}, dst={self.dst!r}, "
+                f"ethertype={self.ethertype!r}, payload={self.payload!r})")
 
     def wire_size(self) -> int:
-        return max(ETHERNET_HEADER + self.payload.wire_size() + ETHERNET_CRC, 64)
+        return self.size
 
     def to_bytes(self) -> bytes:
         return (

@@ -42,9 +42,18 @@ class Event:
 
     def trigger(self, value: Any = None) -> int:
         """Wake all waiters; returns how many were woken."""
-        waiters, self._waiters = self._waiters, []
+        waiters = self._waiters
+        if not waiters:
+            return 0
+        self._waiters = []
+        # Pushes the (now, seq, fn, args) entry call_soon would, without
+        # its past check: ``now`` is never in the past.
+        sim = self._sim
         for process in waiters:
-            self._sim.call_soon(process.step, value)
+            sim._seq += 1
+            heapq.heappush(
+                sim._queue, (sim.now, sim._seq, process.step, (value,))
+            )
         return len(waiters)
 
     def _add_waiter(self, process: "Process") -> None:
@@ -207,18 +216,19 @@ class Simulator:
         telemetry = self.obs.telemetry
         sample_depth = (telemetry.series("sim.pending_events").record_at
                         if telemetry.enabled else None)
+        queue = self._queue
         try:
-            while self._queue:
-                when, _seq, fn, args = self._queue[0]
+            while queue:
+                when, _seq, fn, args = queue[0]
                 if until is not None and when > until:
                     self.now = until
                     break
-                heapq.heappop(self._queue)
+                heapq.heappop(queue)
                 self.now = when
                 fn(*args)
                 executed += 1
                 if sample_depth is not None and not (executed & 63):
-                    sample_depth(self.now, float(len(self._queue)))
+                    sample_depth(self.now, float(len(queue)))
                 if executed >= max_events:
                     raise SimulationError(f"exceeded {max_events} events")
             else:
@@ -242,21 +252,21 @@ class Simulator:
         sample_depth = (telemetry.series("sim.pending_events").record_at
                         if telemetry.enabled else None)
         executed = 0
+        queue = self._queue
         try:
             while process.alive:
-                if not self._queue:
+                if not queue:
                     raise SimulationError(
                         f"deadlock: {process!r} alive but no pending events"
                     )
-                when = self._queue[0][0]
-                if deadline is not None and when > deadline:
+                if deadline is not None and queue[0][0] > deadline:
                     raise SimulationError(f"timeout waiting for {process!r}")
-                when, _seq, fn, args = heapq.heappop(self._queue)
+                when, _seq, fn, args = heapq.heappop(queue)
                 self.now = when
                 fn(*args)
                 executed += 1
                 if sample_depth is not None and not (executed & 63):
-                    sample_depth(self.now, float(len(self._queue)))
+                    sample_depth(self.now, float(len(queue)))
         finally:
             self._run_until = previous_bound
         return process.result

@@ -31,6 +31,7 @@ from repro.net.packet import (
 )
 
 _SEQ_MOD = 1 << 32
+_SEQ_HALF = _SEQ_MOD // 2
 
 #: Default maximum segment size (RFC 879 default path MTU assumption).
 DEFAULT_MSS = 536
@@ -54,15 +55,24 @@ def seq_add(a: int, b: int) -> int:
 def seq_diff(a: int, b: int) -> int:
     """Signed distance a - b in sequence space."""
     diff = (a - b) % _SEQ_MOD
-    return diff - _SEQ_MOD if diff >= _SEQ_MOD // 2 else diff
+    return diff - _SEQ_MOD if diff >= _SEQ_HALF else diff
 
 
+# seq_diff(a, b) < 0 and <= 0, tested on the unsigned distance directly:
+# every ACK arrival makes two of these comparisons.
 def seq_lt(a: int, b: int) -> bool:
-    return seq_diff(a, b) < 0
+    return (a - b) % _SEQ_MOD >= _SEQ_HALF
 
 
 def seq_le(a: int, b: int) -> bool:
-    return seq_diff(a, b) <= 0
+    diff = (a - b) % _SEQ_MOD
+    return diff == 0 or diff >= _SEQ_HALF
+
+
+def _conn_key(local_port: int, remote_ip: int, remote_port: int) -> int:
+    """One int per connection 4-tuple (the local address is the host's):
+    it hashes and compares without the address dataclass's methods."""
+    return (local_port << 48) | (remote_ip << 16) | remote_port
 
 
 class TcpState(enum.Enum):
@@ -169,13 +179,9 @@ class TcpConnection:
     def _emit(self, flags: int, payload: bytes = b"",
               seq: int | None = None) -> None:
         segment = TcpSegment(
-            src_port=self.local_port,
-            dst_port=self.remote_port,
-            seq=self.snd_nxt if seq is None else seq,
-            ack=self.rcv_nxt,
-            flags=flags,
-            window=min(self._advertised_window(), 0xFFFF),
-            payload=payload,
+            self.local_port, self.remote_port,
+            self.snd_nxt if seq is None else seq, self.rcv_nxt, flags,
+            min(self._advertised_window(), 0xFFFF), payload,
         )
         self._host.ip.send(self.remote_ip, IPPROTO_TCP, segment)
 
@@ -198,15 +204,13 @@ class TcpConnection:
             sim.wire_trace_ctx = previous
 
     def _enter(self, state: TcpState) -> None:
-        previous = self.state
+        transition = f"{self.state.value}->{state.value}"
         self.state = state
         self._tracer.instant(
             "tcp.state", cat=CAT_TCP, tid=self._span_tid,
-            transition=f"{previous.value}->{state.value}",
+            transition=transition,
         )
-        self._recorder.debug(
-            CAT_TCP, self._span_tid, f"{previous.value}->{state.value}"
-        )
+        self._recorder.debug(CAT_TCP, self._span_tid, transition)
         if state in (TcpState.CLOSED, TcpState.TIME_WAIT) \
                 and self._span is not None:
             attrs = {"state": state.value,
@@ -401,18 +405,20 @@ class TcpConnection:
 
     # -- segment arrival ----------------------------------------------------
     def handle_segment(self, segment: TcpSegment) -> None:
-        if segment.flag(TCP_RST):
-            if self.state != TcpState.CLOSED:
+        state = self.state
+        if segment.flags & TCP_RST:
+            if state is not TcpState.CLOSED:
                 self._fail("connection reset by peer")
             return
-        handler = {
-            TcpState.SYN_SENT: self._handle_syn_sent,
-            TcpState.SYN_RCVD: self._handle_syn_rcvd,
-        }.get(self.state, self._handle_synchronized)
-        handler(segment)
+        if state is TcpState.SYN_SENT:
+            self._handle_syn_sent(segment)
+        elif state is TcpState.SYN_RCVD:
+            self._handle_syn_rcvd(segment)
+        else:
+            self._handle_synchronized(segment)
 
     def _handle_syn_sent(self, segment: TcpSegment) -> None:
-        if not (segment.flag(TCP_SYN) and segment.flag(TCP_ACK)):
+        if segment.flags & (TCP_SYN | TCP_ACK) != TCP_SYN | TCP_ACK:
             return
         if segment.ack != self.snd_nxt:
             self._emit(TCP_RST, seq=segment.ack)
@@ -427,11 +433,12 @@ class TcpConnection:
         self._pump()
 
     def _handle_syn_rcvd(self, segment: TcpSegment) -> None:
-        if segment.flag(TCP_SYN) and not segment.flag(TCP_ACK):
+        flags = segment.flags
+        if flags & (TCP_SYN | TCP_ACK) == TCP_SYN:
             # Duplicate SYN: repeat the SYN/ACK.
             self._emit(TCP_SYN | TCP_ACK, seq=self._iss)
             return
-        if segment.flag(TCP_ACK) and segment.ack == self.snd_nxt:
+        if flags & TCP_ACK and segment.ack == self.snd_nxt:
             self.snd_una = segment.ack
             self.peer_window = segment.window
             self._cancel_timer()
@@ -439,13 +446,14 @@ class TcpConnection:
             self._enter(TcpState.ESTABLISHED)
             self._service._connection_established(self)
             # The handshake ACK may already carry data.
-            if segment.payload or segment.flag(TCP_FIN):
+            if segment.payload or flags & TCP_FIN:
                 self._handle_synchronized(segment)
 
     def _handle_synchronized(self, segment: TcpSegment) -> None:
         notify = False
+        flags = segment.flags
         # --- ACK processing ---
-        if segment.flag(TCP_ACK):
+        if flags & TCP_ACK:
             self.peer_window = segment.window
             if seq_lt(self.snd_una, segment.ack) and seq_le(segment.ack, self.snd_nxt):
                 advanced = seq_diff(segment.ack, self.snd_una)
@@ -481,7 +489,7 @@ class TcpConnection:
             # ACK whatever we have (also handles duplicates and old data).
             self._emit(TCP_ACK)
         # --- FIN processing ---
-        if segment.flag(TCP_FIN) and segment.seq == self.rcv_nxt:
+        if flags & TCP_FIN and segment.seq == self.rcv_nxt:
             self.rcv_nxt = seq_add(self.rcv_nxt, 1)
             self.fin_received = True
             self._emit(TCP_ACK)
@@ -569,7 +577,9 @@ class TcpService:
     def __init__(self, host):
         self._host = host
         self._listeners: dict[int, TcpListener] = {}
-        self._connections: dict[tuple[int, Ipv4Address, int], TcpConnection] = {}
+        #: Keyed by :func:`_conn_key` of (local port, remote IP value,
+        #: remote port).
+        self._connections: dict[int, TcpConnection] = {}
         self._next_ephemeral = EPHEMERAL_BASE
         self._iss_counter = 1000
         self.segments_received = 0
@@ -593,7 +603,8 @@ class TcpService:
         local_port = self._allocate_port()
         conn = TcpConnection(self, local_port, remote_ip, remote_port,
                              window=window, mss=mss)
-        self._connections[(local_port, remote_ip, remote_port)] = conn
+        self._connections[
+            _conn_key(local_port, remote_ip.value, remote_port)] = conn
         self._ts_open.record(float(len(self._connections)))
         conn.connect()
         return conn
@@ -610,14 +621,15 @@ class TcpService:
             if self._next_ephemeral > 0xFFFF:
                 self._next_ephemeral = EPHEMERAL_BASE
             if port not in self._listeners and not any(
-                key[0] == port for key in self._connections
+                key >> 48 == port for key in self._connections
             ):
                 return port
         raise TcpError("no free ephemeral ports")
 
     def _forget(self, conn: TcpConnection) -> None:
         self._connections.pop(
-            (conn.local_port, conn.remote_ip, conn.remote_port), None
+            _conn_key(conn.local_port, conn.remote_ip.value, conn.remote_port),
+            None,
         )
         self._ts_open.record(float(len(self._connections)))
         for listener in self._listeners.values():
@@ -639,14 +651,14 @@ class TcpService:
         if not isinstance(segment, TcpSegment):
             return
         self.segments_received += 1
-        key = (segment.dst_port, packet.src, segment.src_port)
+        key = _conn_key(segment.dst_port, packet.src.value, segment.src_port)
         conn = self._connections.get(key)
         if conn is not None:
             conn.handle_segment(segment)
             return
         listener = self._listeners.get(segment.dst_port)
-        if listener is not None and not listener.closed and segment.flag(TCP_SYN) \
-                and not segment.flag(TCP_ACK):
+        if listener is not None and not listener.closed \
+                and segment.flags & (TCP_SYN | TCP_ACK) == TCP_SYN:
             if len(listener.accept_queue) + len(listener._embryonic) >= listener.backlog:
                 listener.connections_refused += 1
                 self._send_rst(packet.src, segment)
@@ -660,17 +672,14 @@ class TcpService:
             listener._embryonic[(packet.src, segment.src_port)] = conn
             conn._passive_open(segment)
             return
-        if not segment.flag(TCP_RST):
+        if not segment.flags & TCP_RST:
             self.resets_sent += 1
             self._send_rst(packet.src, segment)
 
     def _send_rst(self, dst: Ipv4Address, offending: TcpSegment) -> None:
         rst = TcpSegment(
-            src_port=offending.dst_port,
-            dst_port=offending.src_port,
-            seq=offending.ack,
-            ack=seq_add(offending.seq, len(offending.payload) + 1),
-            flags=TCP_RST | TCP_ACK,
-            window=0,
+            offending.dst_port, offending.src_port, offending.ack,
+            seq_add(offending.seq, len(offending.payload) + 1),
+            TCP_RST | TCP_ACK, 0,
         )
         self._host.ip.send(dst, IPPROTO_TCP, rst)

@@ -137,7 +137,7 @@ class TestFrameInjectors:
         frame = tcp_frame(b"\x00\x00\x00")
         [(mutated, _)] = corrupt(frame, 0, 0.0)
         assert mutated.payload.payload.payload == b"\x00\x08\x00"
-        # The original frozen dataclass is untouched.
+        # The original frame is untouched.
         assert frame.payload.payload.payload == b"\x00\x00\x00"
 
     def test_corrupt_passes_payloadless_frames_through(self):

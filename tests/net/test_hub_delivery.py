@@ -19,7 +19,7 @@ not addressed to it.  The evidence that nothing else moved:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -150,7 +150,7 @@ def _make_hook(spec, n: int):
             return [(frame, extra_delay), (frame, extra_delay + delay)]
         if kind == "delay":
             return [(frame, extra_delay + delay)]
-        return [(replace(frame, dst=_resolve(dst, n)), extra_delay)]
+        return [(frame._replace(dst=_resolve(dst, n)), extra_delay)]
 
     return hook
 
@@ -261,6 +261,29 @@ class TestFilteredScheduling:
         sim.run()
         assert c.frames_received == 1
 
+    def test_promiscuous_off_again_stops_foreign_frames(self):
+        sim, _, (a, b, c) = _segment()
+        c.promiscuous = True
+        c.promiscuous = False
+        a.transmit(_frame(a, b.mac))
+        sim.run()
+        assert (b.frames_received, c.frames_received) == (1, 0)
+
+    def test_nics_sharing_a_mac_receive_in_attach_order(self):
+        sim = Simulator()
+        segment = EthernetSegment(sim)
+        a, b, twin = (NetworkInterface(_member(0), name="a"),
+                      NetworkInterface(_member(1), name="b"),
+                      NetworkInterface(_member(1), name="twin"))
+        log = []
+        for interface in (a, b, twin):
+            segment.attach(interface)
+            interface.on_receive(
+                lambda frame, name=interface.name: log.append(name))
+        a.transmit(_frame(a, b.mac))
+        sim.run()
+        assert log == ["b", "twin"]
+
 
 # -- a real deployment -------------------------------------------------------
 
@@ -275,16 +298,21 @@ class TestNoDeliveryIsDiscarded:
                                        cost_model=FREE, secure=False)
         sim = world.sim
         scheduled = 0
-        call_at = sim.call_at
+        broadcast = world.lan.broadcast
 
-        def counting_call_at(when, fn, *args):
+        def counting_broadcast(frame, sender):
+            # The hub pushes deliveries onto the heap itself, so count
+            # the delivery entries that carry a seq taken by this call.
             nonlocal scheduled
-            if getattr(fn, "__func__", None) in (
-                    NetworkInterface.deliver, EthernetSegment._deliver_with_ctx):
-                scheduled += 1
-            call_at(when, fn, *args)
+            first_seq = sim._seq
+            broadcast(frame, sender)
+            scheduled += sum(
+                1 for _when, seq, fn, _args in sim._queue
+                if seq > first_seq and getattr(fn, "__func__", None) in (
+                    NetworkInterface.deliver,
+                    EthernetSegment._deliver_with_ctx))
 
-        sim.call_at = counting_call_at
+        world.lan.broadcast = counting_broadcast
         server_ip = str(world.hosts["rmc"].ip_address)
         processes = [
             world.hosts[name].spawn(plain_request_client(

@@ -39,6 +39,11 @@ class TestSeqArithmetic:
         assert seq_lt(base, later)
         assert not seq_lt(later, base)
 
+    @given(U32, U32)
+    def test_comparisons_agree_with_diff(self, a, b):
+        assert seq_lt(a, b) == (seq_diff(a, b) < 0)
+        assert seq_le(a, b) == (seq_diff(a, b) <= 0)
+
     def test_wrap_example(self):
         assert seq_lt(0xFFFFFFF0, 0x10)
         assert seq_diff(0x10, 0xFFFFFFF0) == 0x20
