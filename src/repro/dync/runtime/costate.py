@@ -27,7 +27,13 @@ their "callable costatement" semantics.  An indexed cofunction
 in a list once per pass, skipping the ``None`` entries of idle
 instances, registered with :meth:`CostateScheduler.add` like any other
 costatement.  A costatement (or an instance) whose last token names
-wait objects is not resumed while that token still holds.
+wait objects is not resumed while that token still holds; a pool whose
+live instances all wait on named objects yields one token naming them
+all, so the big loop does not resume it either.
+
+Passes in which every costatement waits are not run at all: the big
+loop computes their accounting in closed form (``_skip_idle``, built on
+:mod:`repro.floatsum`).
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Generator
 
-from repro.floatsum import FOREVER, first_at, runs
+from repro.floatsum import FOREVER, first_at, stretch
 from repro.net.sim import Simulator
 from repro.obs.trace import CAT_COSTATE
 
@@ -81,18 +87,21 @@ class _IdleToken:
     the token (:meth:`holds`); the pass's accounting still runs.  The
     promise holds only if whoever changes what the wait reads bumps the
     counter: the wait must read nothing else but the clock.  A plain
-    ``IDLE`` names nothing and keeps the weaker promise.
+    ``IDLE``/:func:`idle_until` token names nothing and keeps the weaker
+    promise.  :func:`indexed_cofunctions` joins its instances' named
+    tokens into one (``mark`` given, not read: see there).
     """
 
     __slots__ = ("deadline", "waits", "mark", "clock")
 
     def __init__(self, deadline: float | None = None, waits: tuple = (),
-                 clock=None):
+                 clock=None, mark: int | None = None):
         self.deadline = deadline
         self.waits = waits
-        mark = 0
-        for wait in waits:
-            mark += wait.changes
+        if mark is None:
+            mark = 0
+            for wait in waits:
+                mark += wait.changes
         self.mark = mark
         self.clock = clock
 
@@ -186,19 +195,35 @@ def indexed_cofunctions(gens: list[Generator | None]) -> Generator:
     numeric yields (starting from 0.0, in index order), so the big loop
     charges exactly what the generators ground through -- unless every
     generator yielded an idle token, in which case it yields one token
-    carrying the earliest deadline (:data:`IDLE` when none has a
-    deadline, or when every entry is ``None``).
+    carrying the earliest deadline.
 
     An instance whose last token names wait objects and still
     :meth:`~_IdleToken.holds` is not resumed: the token stands in for
     its yield.  ``waiting`` keeps that token by index, with the
     generator that yielded it, so a refilled entry is always resumed.
+
+    When every live instance's token names wait objects, the pool's
+    token names them too: its ``waits`` joins the instances' ``waits``
+    in index order (a wait two instances name is named twice), and its
+    ``mark`` is the sum of the marks they recorded -- not a fresh read,
+    so a counter that moved after its waiter yielded, later in the same
+    pass, already fails it.  It holds exactly while every instance's
+    token does, so the big loop may skip resuming the pool, which would
+    only reuse those tokens.  That needs one rule of the caller:
+    entries of ``gens`` are filled only during the pool's own resume
+    (by an instance), never from outside it.  Otherwise -- an instance
+    yielded a plain :data:`IDLE`/:func:`idle_until`, or every entry is
+    ``None`` -- the token names nothing (:data:`IDLE` when no instance
+    has a deadline).
     """
     waiting = {}
     while True:
         busy = 0.0
         idle = True
         deadline = None
+        # The joined waits and recorded marks of this pass's tokens,
+        # while every one of them names its waits (None once one does not).
+        waits, mark, clock = (), 0, None
         for index, gen in enumerate(gens):
             if gen is None:
                 continue
@@ -219,12 +244,21 @@ def indexed_cofunctions(gens: list[Generator | None]) -> Generator:
                 d = yielded.deadline
                 if d is not None and (deadline is None or d < deadline):
                     deadline = d
+                if waits is not None:
+                    if yielded.waits:
+                        waits += yielded.waits
+                        mark += yielded.mark
+                        clock = yielded.clock
+                    else:
+                        waits = None
                 continue
             idle = False
             if isinstance(yielded, (int, float)):
                 busy += yielded
         if not idle:
             yield busy
+        elif waits:
+            yield _IdleToken(deadline, waits, clock, mark)
         else:
             yield IDLE if deadline is None else idle_until(deadline)
 
@@ -271,11 +305,11 @@ class CostateScheduler:
         self.running = False
 
     def _big_loop(self):
-        # The hottest loop in the network experiments (every idle
-        # costatement is polled every pass), so the costate step is
-        # written inline and the per-pass invariants (sim.now, the
-        # overhead, the gap histogram's bound method) are hoisted out of
-        # the costate loop.
+        # The hottest loop in the network experiments: every pass walks
+        # every live costatement, resuming it unless its named-wait token
+        # still holds, so the costate step is written inline and the
+        # per-pass invariants (sim.now, the overhead, the gap
+        # histogram's bound method) are hoisted out of the costate loop.
         tracer = self.obs.tracer
         sim = self.sim
         queue = sim._queue
@@ -388,20 +422,23 @@ class CostateScheduler:
         neither can happen while this process does not yield.  Those
         passes are not run; their accounting is computed instead, bit
         for bit as the pass-by-pass loop would leave it.  The clock
-        ``T = T + overhead`` advances through :func:`runs` stretches of
-        constant step ``d``, so every gap in a stretch is ``d`` (each
-        live costatement's slice started at ``base == sim.now`` in the
-        pass that qualified).  Returns True when the last skipped pass
-        is the one that really yields: its wake-up reaches the next
-        event or leaves the run bound.  Otherwise the next pass starts
-        at or past the idle deadline and must run live.
+        ``T = T + overhead`` advances through stretches of constant step
+        ``d`` (:func:`~repro.floatsum.stretch`), so every gap in a
+        stretch is ``d`` (each live costatement's slice started at
+        ``base == sim.now`` in the pass that qualified).  Returns True
+        when the last skipped pass is the one that really yields: its
+        wake-up reaches the next event or leaves the run bound.
+        Otherwise the next pass starts at or past the idle deadline and
+        must run live.
         """
         sim = self.sim
         overhead = self.pass_overhead_s
         live = [c for c in snapshot if not c.done]
         observe_gap = self._gap_histogram.observe
         passes = self.passes
-        for start, d, m in runs(sim.now, overhead):
+        start = sim.now
+        while True:
+            d, m = stretch(start, overhead)
             # Pass j of this stretch starts at start + (j-1)*d and
             # would wake at start + j*d.  It does not run if it starts
             # at or past the idle deadline; it runs and then yields for
@@ -428,6 +465,7 @@ class CostateScheduler:
                 passes += n
             if n == wakes or n == stop:
                 break
+            start += m * d
         skipped = passes - self.passes
         self.passes = passes
         self._ctr_passes.inc(skipped)

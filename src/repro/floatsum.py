@@ -9,18 +9,21 @@ by the same step ``d = k*u``.  The one exception is a tie, when
 neighbour has an even significand.  After one such add the significand
 is even, and from then on the step is constant too.
 
-:func:`runs` walks the sum one stretch of constant steps at a time,
-with integer arithmetic in ulp units, and :func:`first_at` finds where
-a stretch first reaches a bound; :func:`add_repeated` is built on
-them.  Every result is bit-identical to the naive loop, in time
-proportional to the number of binades crossed rather than to ``n``.
-The costatement scheduler uses them to skip all-idle big-loop passes:
-its clock ``T = T + overhead`` and its gap histogram's ``total +=
-gap``.
+:func:`stretch` finds one stretch of constant steps, where the next
+one starts: the rounding of ``c/u`` is exact integer arithmetic, done
+once per binade and addend and kept (:func:`_step`), and only the
+tie's parity is read from ``x``.  :func:`first_at` finds where a
+stretch first reaches a bound, in float arithmetic that is exact
+inside a stretch; :func:`add_repeated` is built on them.  Every result
+is bit-identical to the naive loop, in time proportional to the number
+of binades crossed rather than to ``n``.  The costatement scheduler
+uses them to skip all-idle big-loop passes: its clock
+``T = T + overhead`` and its gap histogram's ``total += gap``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 
@@ -28,52 +31,54 @@ import sys
 FOREVER = sys.maxsize
 
 
-def runs(x: float, c: float):
-    """Yield ``(start, d, m)`` forever, one stretch of constant steps at
-    a time: from ``start``, each of the next ``m >= 1`` adds of ``c``
+@functools.lru_cache(maxsize=1024)
+def _step(exp: int, c: float) -> tuple[int, int, int, bool]:
+    """``(ulp_exp, top, k, tie)`` for adding ``c`` in the binade
+    ``[2**(exp-1), 2**exp)``: its ulp is ``2**ulp_exp``, its floats are
+    the multiples ``units < top`` of that ulp, and ``c/ulp`` rounds to
+    ``k`` -- or, when ``tie``, to ``k`` or ``k + 1``, whichever gives
+    the sum an even significand."""
+    # The subnormal grid 2**-1074 reaches up into the first binade.
+    ulp_exp = max(exp - 53, -1074)
+    num, den = c.as_integer_ratio()
+    if ulp_exp >= 0:
+        den <<= ulp_exp
+    else:
+        num <<= -ulp_exp
+    # c/u == num/den, rounded to nearest.
+    k, rem = divmod(num, den)
+    if 2 * rem > den:
+        k += 1
+    return ulp_exp, 1 << (exp - ulp_exp), k, 2 * rem == den
+
+
+def stretch(x: float, c: float) -> tuple[float, int]:
+    """``(d, m)``: from ``x``, each of the next ``m >= 1`` adds of ``c``
     advances the sum by exactly ``d``, so after ``t <= m`` of them it
-    equals ``start + t*d`` (a float, exactly).  The next stretch starts
-    at ``start + m*d``.
+    equals ``x + t*d`` (a float, exactly).  The next stretch starts at
+    ``x + m*d``.
 
     Requires ``0 < c <= x``, both finite: then every step is exact
     (Sterbenz), including the single add that crosses into the next
     binade.  Once ``c`` is below half an ulp of the sum, the stretch is
-    ``(x, 0.0, FOREVER)``.
+    ``(0.0, FOREVER)``.
     """
-    while True:
-        _, exp = math.frexp(x)
-        # x lies in [2**(exp-1), 2**exp); its ulp is 2**ulp_exp (the
-        # subnormal grid 2**-1074 reaches up into the first binade).
-        ulp_exp = max(exp - 53, -1074)
-        units = int(math.ldexp(x, -ulp_exp))
-        top = 1 << (exp - ulp_exp)
-        num, den = c.as_integer_ratio()
-        if ulp_exp >= 0:
-            den <<= ulp_exp
-        else:
-            num <<= -ulp_exp
-        # c/u == num/den; round it to the step k, ties to an even sum.
-        k, rem = divmod(num, den)
-        tie = 2 * rem == den
-        if 2 * rem > den or (tie and (units + k) & 1):
-            k += 1
-        if k == 0:
-            yield x, 0.0, FOREVER
-            continue
-        # Steps that stay strictly inside the binade; after a tie only
-        # an even step keeps the significand even, so an odd one holds
-        # for the first add alone.
-        m = (top - 1 - units) // k
-        if tie and k & 1:
-            m = min(m, 1)
-        if m:
-            d = math.ldexp(float(k), ulp_exp)
-            yield x, d, m
-            x += m * d
-        # One ordinary add, which may cross into the next binade.
-        nxt = x + c
-        yield x, nxt - x, 1
-        x = nxt
+    ulp_exp, top, k, tie = _step(math.frexp(x)[1], c)
+    units = int(math.ldexp(x, -ulp_exp))
+    if tie and (units + k) & 1:
+        k += 1
+    if k == 0:
+        return 0.0, FOREVER
+    # Steps that stay strictly inside the binade; after a tie only an
+    # even step keeps the significand even, so an odd one holds for the
+    # first add alone.
+    m = (top - 1 - units) // k
+    if tie and k & 1:
+        m = min(m, 1)
+    if m:
+        return math.ldexp(float(k), ulp_exp), m
+    # One ordinary add, which may cross into the next binade.
+    return (x + c) - x, 1
 
 
 def first_at(start: float, d: float, bound: float, inclusive: bool,
@@ -82,26 +87,29 @@ def first_at(start: float, d: float, bound: float, inclusive: bool,
     (``> bound`` when ``inclusive``: the first ``t`` that leaves
     ``x <= bound``), or ``cap + 1`` if there is none.
 
-    ``start + t*d`` must be exact for ``t <= cap`` (a :func:`runs`
-    stretch) and ``d >= 0``; the comparison is made in exact integer
-    arithmetic.
+    ``start + t*d`` must be exact for ``t <= cap`` (a :func:`stretch`)
+    and ``d >= 0``.  The quotient ``(bound - start) / d`` estimates
+    ``t``, and its integer part never passes the answer: for a bound
+    inside the stretch the difference is exact (Sterbenz: a stretch
+    ends by ``2*start``), and the quotient, rounded once, is off by less
+    than one.  Exact comparisons of the sums then step it up.
     """
     if bound == math.inf:
         return cap + 1
     if d == 0.0:
         reached = start > bound if inclusive else start >= bound
         return 0 if reached else cap + 1
-    sp, sq = start.as_integer_ratio()
-    bp, bq = bound.as_integer_ratio()
-    dp, dq = d.as_integer_ratio()
-    # (bound - start) / d == num / den, with den > 0.
-    num = (bp * sq - sp * bq) * dq
-    den = bq * sq * dp
+    q = (bound - start) / d
+    if q >= cap + 1:
+        return cap + 1
+    t = int(q) if q > 0 else 0
     if inclusive:
-        t = num // den + 1 if num >= 0 else 0
+        while t <= cap and start + t * d <= bound:
+            t += 1
     else:
-        t = -(-num // den) if num > 0 else 0
-    return min(t, cap + 1)
+        while t <= cap and start + t * d < bound:
+            t += 1
+    return t
 
 
 def add_repeated(x: float, c: float, n: int) -> float:
@@ -112,13 +120,13 @@ def add_repeated(x: float, c: float, n: int) -> float:
             x += c
         return x
     if n and x < c:
-        # One add lifts x to at least c, where runs() applies.
+        # One add lifts x to at least c, where stretch() applies.
         x += c
         n -= 1
-    if n:
-        for start, d, m in runs(x, c):
-            if n <= m:
-                return start + n * d
-            n -= m
+    while n:
+        d, m = stretch(x, c)
+        if n <= m:
+            return x + n * d
+        n -= m
+        x += m * d
     return x
-

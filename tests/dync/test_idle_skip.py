@@ -1,9 +1,10 @@
 """The big loop's closed-form idle skip is exact.
 
-Two layers of evidence:
+The evidence:
 
 - the float helpers in :mod:`repro.floatsum` against the naive loops
-  they replace, compared with ``float.hex``;
+  they replace, compared with ``float.hex``, and ``first_at`` against
+  the exact-rational form it replaced;
 - a differential oracle: random worlds run once as written and once
   with every ``IDLE``/``idle_until`` yield turned into a bare ``yield``
   (so every generator is resumed on every pass and nothing is skipped),
@@ -17,7 +18,9 @@ Two layers of evidence:
   touch nothing, the promise that lets the big loop skip that resume;
 - targeted worlds where a wait object changes without a new segment
   (a timer, another costatement, an attach from the accept queue), in
-  which the waiter must resume on the very next pass.
+  which the waiter must resume on the very next pass;
+- the slot pool's own token: what it names, and that the pool is
+  resumed on the very next pass after any instance's counter moves.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.services.redirector as redirector
@@ -39,7 +42,7 @@ from repro.dync.runtime.costate import (
     idle_until,
     indexed_cofunctions,
 )
-from repro.floatsum import add_repeated, first_at, runs
+from repro.floatsum import add_repeated, first_at, stretch
 from repro.net.bsd import LISTENQ, socket
 from repro.net.dynctcp import (
     DyncTcpStack,
@@ -67,7 +70,8 @@ near_powers_of_two = st.builds(
     st.booleans(),
 )
 sim_times = st.floats(0.0, 100.0, allow_nan=False, allow_infinity=False)
-starts = st.one_of(st.just(0.0), near_powers_of_two, sim_times)
+subnormals = st.builds(math.ldexp, st.integers(1, 2**20), st.just(-1074))
+starts = st.one_of(st.just(0.0), near_powers_of_two, sim_times, subnormals)
 
 overheads = st.one_of(
     st.just(10e-6),
@@ -84,6 +88,27 @@ def _tie_addend(x: float, halves: int) -> float:
     return (halves + 0.5) * math.ulp(x)
 
 
+def rational_first_at(start: float, d: float, bound: float,
+                      inclusive: bool, cap: int) -> int:
+    """:func:`first_at` in exact rational arithmetic: a second oracle."""
+    if bound == math.inf:
+        return cap + 1
+    if d == 0.0:
+        reached = start > bound if inclusive else start >= bound
+        return 0 if reached else cap + 1
+    sp, sq = start.as_integer_ratio()
+    bp, bq = bound.as_integer_ratio()
+    dp, dq = d.as_integer_ratio()
+    # (bound - start) / d == num / den, with den > 0.
+    num = (bp * sq - sp * bq) * dq
+    den = bq * sq * dp
+    if inclusive:
+        t = num // den + 1 if num >= 0 else 0
+    else:
+        t = -(-num // den) if num > 0 else 0
+    return min(t, cap + 1)
+
+
 def naive_sum(x: float, c: float, n: int) -> float:
     for _ in range(n):
         x = x + c
@@ -97,18 +122,21 @@ def adds_until(x: float, c: float, bound: float,
     ``inclusive``) still true.  ``x >= 0``, ``c > 0``."""
     n = 0
     if x < c:
-        # runs() needs c <= x; one add gets there.
+        # stretch() needs c <= x; one add gets there.
         if first_at(x, 0.0, bound, inclusive, 0) == 0:
             return 0
         x += c
         n = 1
-    for start, d, m in runs(x, c):
-        t = first_at(start, d, bound, inclusive, m)
+    while True:
+        d, m = stretch(x, c)
+        t = first_at(x, d, bound, inclusive, m)
+        assert t == rational_first_at(x, d, bound, inclusive, m)
         if t <= m:
             return n + t
         if d == 0.0:
-            raise ArithmeticError(f"{start!r} + {c!r} never reaches {bound!r}")
+            raise ArithmeticError(f"{x!r} + {c!r} never reaches {bound!r}")
         n += m
+        x += m * d
 
 
 def naive_scan(x: float, c: float, bound: float, inclusive: bool) -> int:
@@ -144,10 +172,31 @@ class TestAddRepeated:
         assert math.isnan(add_repeated(0.0, math.nan, 2))
 
 
+#: From 1.0, adding 2**-12 (k = 2**40 ulps) is one stretch of
+#: m = 4095 ~ 2**52/k steps up to the top of the binade.
+LONG_START, LONG_STEP, LONG_M = 1.0, 2.0 ** -12, 4095
+TINY = math.ldexp(1.0, -1074)
+
+
 class TestAddsUntil:
     @settings(max_examples=150, deadline=None)
     @given(starts, addends, st.integers(0, 10**5),
            st.sampled_from([-1, 0, 1]), st.booleans())
+    # Just above the stretch's last point: the quotient passes its cap.
+    @example(LONG_START, LONG_STEP, LONG_M, 1, False)
+    @example(LONG_START, LONG_STEP, LONG_M, 1, True)
+    # Exactly on a stretch point, the last one and an inner one.
+    @example(LONG_START, LONG_STEP, LONG_M, 0, False)
+    @example(LONG_START, LONG_STEP, LONG_M, 0, True)
+    @example(LONG_START, LONG_STEP, 2000, 0, False)
+    @example(LONG_START, LONG_STEP, 2000, 0, True)
+    # A far bound in that long stretch.
+    @example(LONG_START, LONG_STEP, LONG_M - 1, -1, False)
+    @example(LONG_START, LONG_STEP, LONG_M - 1, 1, True)
+    # A start and step on the subnormal grid, through several binades.
+    @example(7 * TINY, 3 * TINY, 1000, 0, False)
+    @example(7 * TINY, 3 * TINY, 1000, 0, True)
+    @example(7 * TINY, 3 * TINY, 999, 1, False)
     def test_matches_a_linear_scan(self, x, c, steps, nudge, inclusive):
         bound = naive_sum(x, c, steps)
         if nudge:
@@ -158,11 +207,44 @@ class TestAddsUntil:
     @settings(max_examples=60, deadline=None)
     @given(near_powers_of_two, st.integers(1, 6), st.integers(0, 5000),
            st.booleans())
+    # From an odd significand a tie takes one odd step (a stretch of
+    # m = 1), then even ones: bounds on both stretches' points.
+    @example(1.0 + 2.0 ** -52, 1, 1, False)
+    @example(1.0 + 2.0 ** -52, 1, 1, True)
+    @example(1.0 + 2.0 ** -52, 1, 2, False)
+    @example(1.0 + 2.0 ** -52, 1, 2, True)
+    @example(1.0, 3, 5000, True)
     def test_ties(self, x, halves, steps, inclusive):
         c = _tie_addend(x, halves)
         bound = naive_sum(x, c, steps)
         assert adds_until(x, c, bound, inclusive) == naive_scan(
             x, c, bound, inclusive)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(-20, 12), st.integers(1, 2**12),
+           st.floats(0.0, 1.0), st.sampled_from([-1, 0, 1]), st.booleans())
+    @example(0, 1, 1.0, 0, False)
+    @example(0, 1, 1.0, -1, True)
+    @example(0, 3, 1.0, 1, False)
+    @example(0, 7, 0.5, 0, True)
+    def test_far_bounds_in_long_stretches(self, e, k, frac, nudge,
+                                          inclusive):
+        # From the bottom of a binade a step of k ulps is one stretch
+        # of m = (2**52 - 1) // k steps: too long to scan, and bounds
+        # near its far end make the quotient that estimates t itself
+        # about 2**52/k.  The rational form is the oracle.
+        start = math.ldexp(1.0, e)
+        d, m = stretch(start, k * math.ulp(start))
+        assert (d, m) == (k * math.ulp(start), (2**52 - 1) // k)
+        t = round(frac * m)
+        bound = start + t * d
+        if nudge:
+            bound = math.nextafter(bound, nudge * math.inf)
+        else:
+            assert first_at(start, d, bound, inclusive, m) == t + inclusive
+        assert first_at(start, d, bound, inclusive, m) == (
+            rational_first_at(start, d, bound, inclusive, m))
+        assert first_at(start, d, 2 * start, inclusive, m) == m + 1
 
     def test_bound_already_reached(self):
         assert adds_until(2.0, 1.0, 2.0) == 0
@@ -561,6 +643,158 @@ class TestParkedInstances:
         gens[0] = newcomer()
         next(pool)
         assert ran == ["waiter", "newcomer"]
+
+
+class TestSlotPoolToken:
+    """The token a slot pool yields when all its instances wait: named
+    only when every instance's token is, and never held past a counter
+    that moved after its waiter yielded."""
+
+    @staticmethod
+    def _waiter(flag, clock, deadline=None):
+        while True:
+            yield idle_on((flag,), clock, deadline)
+
+    @staticmethod
+    def _plain(token):
+        while True:
+            yield token
+
+    @staticmethod
+    def _counted(gen, resumes):
+        """``gen``, counting its resumes in ``resumes[0]``."""
+        for value in gen:
+            resumes[0] += 1
+            yield value
+
+    def test_names_every_instances_waits(self):
+        sim = Simulator()
+        first, second = _Flag(), _Flag()
+        first.add(1)
+        first.add(-1)
+        pool = indexed_cofunctions([self._waiter(first, sim), None,
+                                    self._waiter(second, sim, 0.5)])
+        token = next(pool)
+        assert token.waits == (first, second)
+        assert (token.deadline, token.mark) == (0.5, 2)
+        assert token.holds()
+        second.add(1)
+        assert not token.holds()
+
+    @pytest.mark.parametrize("plain", [IDLE, idle_until(0.25)],
+                             ids=["IDLE", "idle_until"])
+    def test_one_unnamed_instance_gives_a_plain_token(self, plain):
+        sim = Simulator()
+        pool = indexed_cofunctions([self._waiter(_Flag(), sim, 0.5),
+                                    self._plain(plain)])
+        token = next(pool)
+        assert token.waits == ()
+        assert token.deadline == min(0.5, plain.deadline or math.inf)
+
+    def test_no_live_instance_gives_idle(self):
+        assert next(indexed_cofunctions([None, None])) is IDLE
+
+    @pytest.mark.parametrize("mover", [
+        "later-instance", "costate-after", "costate-before"])
+    def test_resumed_on_the_next_pass_after_a_counter_moves(self, mover):
+        # The waiter parks on ``flag``; at ``act_at`` something else
+        # bumps it.  A later instance of the same pool does so after the
+        # waiter yielded in that same pass, and then parks too: the
+        # pool's token must already fail, so its mark is what the
+        # instances recorded, not what the counters read as it yields.
+        sim = Simulator()
+        scheduler = CostateScheduler(sim, pass_overhead_s=1e-5, name="w")
+        flag, other = _Flag(), _Flag()
+        act_at = 0.002
+        seen = {}
+        resumes = [0]
+
+        def waiter():
+            while not flag.count:
+                yield idle_on((flag,), sim)
+            seen["woke"] = scheduler.passes
+            yield
+
+        def instance_mover():
+            while sim.now < act_at:
+                yield idle_on((other,), sim, act_at)
+            flag.add(1)
+            seen["moved"] = scheduler.passes
+            while True:
+                yield idle_on((other,), sim)
+
+        def costate_mover():
+            # Bare yields keep every pass live, so only the pool's own
+            # token decides whether it is resumed.
+            while sim.now < act_at:
+                yield
+            flag.add(1)
+            seen["moved"] = scheduler.passes
+            while True:
+                yield
+
+        def ticker():
+            while True:
+                yield
+
+        if mover == "later-instance":
+            pool = indexed_cofunctions([waiter(), instance_mover()])
+            costates = [("pool", pool), ("ticker", ticker())]
+        else:
+            pool = indexed_cofunctions([waiter(),
+                                        self._waiter(other, sim)])
+            costates = [("pool", pool), ("mover", costate_mover())]
+            if mover == "costate-before":
+                costates.reverse()
+        for name, gen in costates:
+            if name == "pool":
+                gen = self._counted(gen, resumes)
+            scheduler.add(gen, name)
+        scheduler.start()
+        sim.run(until=0.01)
+        assert scheduler.passes > 900
+        assert resumes[0] < 10  # parked, not resumed every pass
+        expected = seen["moved"] + (mover != "costate-before")
+        assert seen["woke"] == expected
+
+    def test_a_socket_two_instances_name_counts_twice(self):
+        board = _Board()
+        assert board.stack.tcp_listen(board.sock, board.BOARD_PORT)
+
+        def client():
+            csock = socket(board.peer)
+            yield from csock.connect(
+                (board.stack.host.ip_address, board.BOARD_PORT))
+            yield from _silent(csock)
+
+        resumes, polls = [0], [0]
+
+        def waiter(index):
+            why = yield from sock_wait(board.sock, board.established)
+            board.seen[f"waiter{index}"] = (board.scheduler.passes, why)
+
+        def attached():
+            polls[0] += 1
+            return board.sock.conn is not None
+
+        # The client connects at 5 ms; until then, events that touch
+        # no socket resume the plain-IDLE watcher, not the pool.
+        board.sim.call_at(0.005, lambda: board.peer.spawn(client()))
+        for tick in range(50):
+            board.sim.call_at(tick * 1e-4, lambda: None)
+        board.watch("attached", attached)
+        pool = indexed_cofunctions([waiter(0), waiter(1)])
+        token = next(pool)
+        assert token.waits == (board.sock, board.sock)
+        assert token.mark == 2 * board.sock.changes
+        assert token.holds()
+        board.add("pool", self._counted(pool, resumes))
+        board.run(until=0.2)
+        woke = (board.seen["attached"], None)
+        assert board.seen["waiter0"] == board.seen["waiter1"] == woke
+        # Resumed on a change of the socket or of its connection, not
+        # on every pass after an event, as the plain-IDLE watcher is.
+        assert resumes[0] * 10 < polls[0]
 
 
 class TestEmptyQueue:
