@@ -20,7 +20,6 @@ The four optimization knobs (see ``options.py``) act here:
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 from repro.dync.compiler.ast_nodes import (
@@ -679,7 +678,7 @@ class CodeGenerator:
         if expr.op != "=":
             expr = Assign(
                 expr.target,
-                Binary(expr.op[:-1], copy.deepcopy(expr.target), expr.value,
+                Binary(expr.op[:-1], expr.target, expr.value,
                        expr.line),
                 "=",
                 expr.line,
@@ -865,7 +864,7 @@ def _try_unroll(loop: For, limit: int) -> list | None:
     out = []
     for k in range(start, stop):
         out.append(ExprStmt(Assign(Var(variable), Num(k))))
-        out.extend(copy.deepcopy(loop.body))
+        out.extend(loop.body)
     out.append(ExprStmt(Assign(Var(variable), Num(stop))))
     return out
 
@@ -885,6 +884,19 @@ def _contains_loop_control(statements) -> bool:
     return False
 
 
+#: Programs parsed in this process, keyed on the text :func:`parse` saw,
+#: so compiling one source under several options parses it once.  The
+#: sharing rests on one rule: code generation never mutates a
+#: :class:`Program` or any node under it.  It reads the tree and builds
+#: new nodes where it rewrites one (an unrolled loop's copies share the
+#: body's nodes, and ``x op= e`` shares ``x`` with ``x = x op e``); what
+#: it fills in as it goes lives on its own :class:`Symbol` records.
+_PARSED: dict[str, Program] = {}
+#: Entries kept before the memo starts over, bounding what a run
+#: through many distinct sources holds.
+_PARSED_LIMIT = 64
+
+
 def compile_source(source: str,
                    options: CompilerOptions | None = None) -> Compilation:
     """Compile Dynamic C subset source into an executable image.
@@ -898,7 +910,11 @@ def compile_source(source: str,
     options = options or CompilerOptions()
     source = expand_uses(source)
     source, asm_blocks = extract_asm_blocks(source)
-    program = parse(source)
+    program = _PARSED.get(source)
+    if program is None:
+        if len(_PARSED) >= _PARSED_LIMIT:
+            _PARSED.clear()
+        program = _PARSED[source] = parse(source)
     generator = CodeGenerator(options)
     generator.asm_blocks = asm_blocks
     generator.top_level_asm = [generator.asm_block(i)

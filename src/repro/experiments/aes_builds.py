@@ -10,8 +10,12 @@ The table also keeps each variant's measured runs, so a later
 experiment can read a run instead of repeating it.  Cycles per block
 depend on the data (a block's cycles are not the run's mean), so a run
 answers only for a workload that is a prefix of its own; see
-:meth:`repro.experiments.e1_aes.AesMeasurement.prefix`.  The table
-holds builds and measurements, never a board.
+:meth:`repro.experiments.e1_aes.AesMeasurement.prefix`.  A run made
+under a :class:`~repro.obs.profile.CycleProfiler` also keeps the
+profiler's rows at each key boundary, so it answers for a profiled
+workload of whole keys too (E1's baseline run holds E2's).  The table
+holds builds, measurements and plain rows, never a board or a
+profiler.
 """
 
 from __future__ import annotations
@@ -52,19 +56,39 @@ class AesBuilds:
             return AesAsm(Board(), self.build(variant))
         return AesC(Board(), self.build(variant))
 
-    def keep(self, variant, measurement) -> None:
-        """Remember a run of ``variant`` for :meth:`measured`."""
+    def keep(self, variant, measurement, profiles=()) -> None:
+        """Remember a run of ``variant`` for :meth:`measured`, and for
+        :meth:`profiled` its ``profiles``: one list of
+        :meth:`~repro.obs.profile.CycleProfiler.report_rows` per key,
+        those of the run's first ``k`` keys at index ``k - 1``."""
         workload = (measurement.keys, measurement.blocks_per_key)
-        self._runs.setdefault(variant, {})[workload] = measurement
+        self._runs.setdefault(variant, {})[workload] = (
+            measurement, tuple(_copy(rows) for rows in profiles))
 
     def measured(self, variant, keys: int, blocks_per_key: int):
         """A kept run of ``variant`` cut to the workload, or ``None``
         when no kept run has that workload as a prefix."""
-        for run in self._runs.get(variant, {}).values():
+        for run, _profiles in self._runs.get(variant, {}).values():
             prefix = run.prefix(keys, blocks_per_key)
             if prefix is not None:
                 return prefix
         return None
+
+    def profiled(self, variant, keys: int, blocks_per_key: int):
+        """``(run, rows)``: a kept run of ``variant`` cut to the
+        workload, and the profile rows it recorded there; ``None`` when
+        no kept run recorded rows for exactly that workload."""
+        for run, profiles in self._runs.get(variant, {}).values():
+            if (run.blocks_per_key == blocks_per_key
+                    and 0 < keys <= len(profiles)):
+                return (run.prefix(keys, blocks_per_key),
+                        _copy(profiles[keys - 1]))
+        return None
+
+
+def _copy(rows: list[dict]) -> list[dict]:
+    """Rows no caller shares with the table (rows are plain dicts)."""
+    return [dict(row) for row in rows]
 
 
 #: The process's one table; E1-E3 read it.

@@ -99,8 +99,10 @@ def _workload(keys: int, blocks_per_key: int):
 
 
 def measure_implementation(implementation, keys: int,
-                           blocks_per_key: int, name: str) -> AesMeasurement:
-    """Pump the workload through one implementation, verifying output."""
+                           blocks_per_key: int, name: str,
+                           after_key=None) -> AesMeasurement:
+    """Pump the workload through one implementation, verifying output;
+    ``after_key()``, when given, runs after each key's blocks."""
     key_cycles = []
     block_cycles = []
     for key, blocks in _workload(keys, blocks_per_key):
@@ -113,6 +115,8 @@ def measure_implementation(implementation, keys: int,
                     f"{name}: wrong ciphertext for key={key.hex()}"
                 )
             block_cycles.append(cycles)
+        if after_key is not None:
+            after_key()
     return AesMeasurement(
         name=name,
         key_cycles=tuple(key_cycles),
@@ -120,6 +124,23 @@ def measure_implementation(implementation, keys: int,
         blocks_per_key=blocks_per_key,
         code_size=implementation.code_size,
     )
+
+
+def measure_profiled(implementation, keys: int, blocks_per_key: int,
+                     name: str, symbols: dict[str, int]):
+    """:func:`measure_implementation` under a
+    :class:`~repro.obs.profile.CycleProfiler` over ``symbols``; returns
+    the run and the profiler's
+    :meth:`~repro.obs.profile.CycleProfiler.report_rows` after each key
+    (the last are the whole run's)."""
+    profiler = CycleProfiler(implementation.board.cpu, symbols)
+    profiles = []
+    with profiler:
+        measurement = measure_implementation(
+            implementation, keys, blocks_per_key, name,
+            after_key=lambda: profiles.append(profiler.report_rows()),
+        )
+    return measurement, profiles
 
 
 def run_e1(keys: int = 2, blocks_per_key: int = 2) -> ExperimentResult:
@@ -130,31 +151,24 @@ def run_e1(keys: int = 2, blocks_per_key: int = 2) -> ExperimentResult:
     per-routine cycle attribution in ``extra_tables`` -- the answer to
     *where* the order of magnitude goes, not just that it does.  Both
     builds come from :data:`~repro.experiments.aes_builds.BUILDS`, and
-    both runs are kept there for E3.
+    both runs are kept there, with their profile rows at each key, for
+    E2 and E3.
     """
     c_impl = BUILDS.load(CompilerOptions())
     asm_impl = BUILDS.load(ASSEMBLY)
-    c_profiler = CycleProfiler(
-        c_impl.board.cpu,
+    c_measurement, c_profiles = measure_profiled(
+        c_impl, keys, blocks_per_key, "C port (Dynamic C defaults)",
         compiled_function_symbols(c_impl.program.compilation),
     )
-    asm_profiler = CycleProfiler(
-        asm_impl.board.cpu,
+    asm_measurement, asm_profiles = measure_profiled(
+        asm_impl, keys, blocks_per_key, "hand assembly",
         assembly_function_symbols(asm_impl.assembly, prefix="aes_"),
     )
-    with c_profiler:
-        c_measurement = measure_implementation(
-            c_impl, keys, blocks_per_key, "C port (Dynamic C defaults)"
-        )
-    with asm_profiler:
-        asm_measurement = measure_implementation(
-            asm_impl, keys, blocks_per_key, "hand assembly"
-        )
-    BUILDS.keep(CompilerOptions(), c_measurement)
-    BUILDS.keep(ASSEMBLY, asm_measurement)
+    BUILDS.keep(CompilerOptions(), c_measurement, c_profiles)
+    BUILDS.keep(ASSEMBLY, asm_measurement, asm_profiles)
     extra_tables = {
-        "C port: cycles by routine": c_profiler.report_rows(top=8),
-        "hand assembly: cycles by routine": asm_profiler.report_rows(),
+        "C port: cycles by routine": c_profiles[-1][:8],
+        "hand assembly: cycles by routine": asm_profiles[-1],
     }
     ratio = c_measurement.cycles_per_block / asm_measurement.cycles_per_block
     rows = [

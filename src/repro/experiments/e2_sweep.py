@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from repro.dync.compiler import CompilerOptions
 from repro.experiments.aes_builds import BUILDS
-from repro.experiments.e1_aes import measure_implementation
+from repro.experiments.e1_aes import measure_implementation, measure_profiled
 from repro.experiments.harness import ExperimentResult
-from repro.obs.profile import CycleProfiler, compiled_function_symbols
+from repro.obs.profile import compiled_function_symbols
 
 #: The sweep: label -> options.  The baseline is Dynamic C out of the
 #: box (debug on, tables in wait-stated flash).
@@ -33,33 +33,46 @@ SWEEP: tuple[tuple[str, CompilerOptions], ...] = (
 )
 
 
+def _profiled(options: CompilerOptions, keys: int, blocks_per_key: int,
+              label: str):
+    """``(run, profile rows)`` for a profiled sweep point: a kept run
+    with rows for exactly this workload, or a new run, kept."""
+    kept = BUILDS.profiled(options, keys, blocks_per_key)
+    if kept is not None:
+        return kept
+    implementation = BUILDS.load(options)
+    measurement, profiles = measure_profiled(
+        implementation, keys, blocks_per_key, label,
+        compiled_function_symbols(implementation.program.compilation),
+    )
+    BUILDS.keep(options, measurement, profiles)
+    return measurement, profiles[-1]
+
+
 def run_e2(keys: int = 1, blocks_per_key: int = 2) -> ExperimentResult:
     """Run the sweep, with per-routine cycle attribution for the two
     interesting endpoints (baseline and all-knobs-on) so the 20% can be
     traced to specific routines.  Every run is kept in
-    :data:`~repro.experiments.aes_builds.BUILDS` for E3."""
+    :data:`~repro.experiments.aes_builds.BUILDS` for E3, a profiled one
+    with its rows at each key.
+
+    A profiled endpoint is read from a kept run that recorded rows for
+    exactly this workload (with the defaults, E1's baseline run holds
+    the baseline's: its first key is this whole workload), and runs
+    otherwise."""
     measurements = []
     extra_tables: dict = {}
     profiled = {SWEEP[0][0], SWEEP[-1][0]}
     for label, options in SWEEP:
-        implementation = BUILDS.load(options)
         if label in profiled:
-            profiler = CycleProfiler(
-                implementation.board.cpu,
-                compiled_function_symbols(implementation.program.compilation),
-            )
-            with profiler:
-                measurement = measure_implementation(
-                    implementation, keys, blocks_per_key, label
-                )
-            extra_tables[f"{label}: cycles by routine"] = (
-                profiler.report_rows(top=6)
-            )
+            measurement, rows = _profiled(options, keys, blocks_per_key,
+                                          label)
+            extra_tables[f"{label}: cycles by routine"] = rows[:6]
         else:
             measurement = measure_implementation(
-                implementation, keys, blocks_per_key, label
+                BUILDS.load(options), keys, blocks_per_key, label
             )
-        BUILDS.keep(options, measurement)
+            BUILDS.keep(options, measurement)
         measurements.append((label, options, measurement))
     baseline = measurements[0][2].cycles_per_block
     rows = []

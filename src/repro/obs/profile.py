@@ -216,7 +216,7 @@ class CycleProfiler:
                 facts = self._facts[key] = (self._routine(pc),
                                             self._transfer_at(last))
             routine, transfer = facts
-        else:       # one step, or a block cut short by an SMC bail
+        else:       # one step, or a block cut short (SMC bail, fault)
             routine = self._routine(pc)
             transfer = None
         cycles = cpu.cycles - start

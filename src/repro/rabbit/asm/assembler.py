@@ -117,30 +117,53 @@ _CODE_RE = re.compile(r"""(?:[^;'"]+|'[^']*'?|"[^"]*"?)*""")
 _PIECE_RE = re.compile(r"""'[^']*'?|"[^"]*"?|[(),]|[^'"(),]+""")
 
 
+#: Each distinct raw line parsed in this process, as ``(label,
+#: mnemonic, operands tuple, text)``: generated code repeats a few
+#: hundred lines thousands of times.  A line that raised is not kept.
+_PARSED_LINES: dict[str, tuple] = {}
+#: Entries kept before the memo starts over.
+_PARSED_LINES_LIMIT = 4096
+
+
 def parse_asm(source: str) -> list[AsmLine]:
-    """Parse ``source`` into one :class:`AsmLine` per source line."""
+    """Parse ``source`` into one :class:`AsmLine` per source line, each
+    with its own ``operands`` list."""
     lines = []
+    memo = _PARSED_LINES
     for line_no, raw_line in enumerate(source.splitlines(), start=1):
-        text = _CODE_RE.match(raw_line).group().rstrip()
-        body = text.strip()
-        label = None
-        match = _LABEL_RE.match(body)
-        if match:
-            label = match.group(1).lower()
-            body = body[match.end():].strip()
-        parts = body.split(None, 1)
-        mnemonic = parts[0].lower() if parts else ""
-        operand_text = parts[1] if len(parts) > 1 else ""
-        sub = operand_text.split(None, 1)
-        if sub and sub[0].lower() == "equ":
-            operands = [mnemonic, sub[1] if len(sub) > 1 else ""]
-            mnemonic = "equ"
-        elif mnemonic == "equ":
-            raise AsmError("equ needs a name", line_no, text)
-        else:
-            operands = _split_operands(operand_text)
-        lines.append(AsmLine(label, mnemonic, operands, line_no, text))
+        parsed = memo.get(raw_line)
+        if parsed is None:
+            parsed = _parse_line(raw_line, line_no)
+            if len(memo) >= _PARSED_LINES_LIMIT:
+                memo.clear()
+            memo[raw_line] = parsed
+        label, mnemonic, operands, text = parsed
+        lines.append(AsmLine(label, mnemonic, list(operands), line_no, text))
     return lines
+
+
+def _parse_line(raw_line: str, line_no: int) -> tuple:
+    """``(label, mnemonic, operands tuple, text)`` for one raw line;
+    ``line_no`` is what an error reports."""
+    text = _CODE_RE.match(raw_line).group().rstrip()
+    body = text.strip()
+    label = None
+    match = _LABEL_RE.match(body)
+    if match:
+        label = match.group(1).lower()
+        body = body[match.end():].strip()
+    parts = body.split(None, 1)
+    mnemonic = parts[0].lower() if parts else ""
+    operand_text = parts[1] if len(parts) > 1 else ""
+    sub = operand_text.split(None, 1)
+    if sub and sub[0].lower() == "equ":
+        operands = (mnemonic, sub[1] if len(sub) > 1 else "")
+        mnemonic = "equ"
+    elif mnemonic == "equ":
+        raise AsmError("equ needs a name", line_no, text)
+    else:
+        operands = tuple(_split_operands(operand_text))
+    return label, mnemonic, operands, text
 
 
 def _split_operands(text: str) -> list[str]:

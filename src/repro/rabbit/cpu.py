@@ -56,8 +56,10 @@ class Cpu:
     #: :meth:`set_block_listener`.  ``listener(pc, block, start, ran)``
     #: runs after every unit the dispatch loop runs: a predecoded block
     #: (``block`` is its cache record; ``ran`` falls short of
-    #: ``len(block[0])`` when an SMC bail cut it) or one :meth:`step`
-    #: (``block`` is None; ``ran`` is 0 for an interrupt acknowledge).
+    #: ``len(block[0])`` when an SMC bail or a fault cut it, and the
+    #: fault is raised after the call) or one :meth:`step` (``block``
+    #: is None; ``ran`` is 0 for an interrupt acknowledge; a step that
+    #: faults is no unit).
     #: ``pc`` is the unit's entry point and ``start`` the cycle count
     #: before it.  The loop hoists the attribute once on entry, so
     #: install it between runs, not during.
@@ -492,7 +494,8 @@ class Cpu:
 
         The fast core runs each predecoded block whole, and takes a
         single :meth:`step` instead when the block could cross a stop.
-        An installed :attr:`block_listener` sees every block and step.
+        An installed :attr:`block_listener` sees every block and step,
+        and a block that raises part-way as the unit it ran.
 
         The budget is kept as the instruction count ``end`` at which it
         runs out (a step that runs no instruction -- an interrupt
@@ -580,16 +583,28 @@ class Cpu:
                             translated += 1
                             fn(self, memory)
                         if listener is not None:
-                            listener(pc, block, start,
-                                     self.instructions - done)
+                            # Moving ``done`` marks the unit reported: a
+                            # raise from the listener reports nothing more.
+                            ran = self.instructions - done
+                            done += ran
+                            listener(pc, block, start, ran)
                         continue
                 self.step()
                 ran = self.instructions - done
                 if listener is not None:
+                    done += ran
                     listener(pc, None, start, ran)
                 if not ran:
                     end -= 1
                     fits -= 1
+        except BaseException:
+            # A block that raised part-way reports what it ran as a
+            # cut-short unit, as the step core reported each of those
+            # instructions.  A step that raised ran nothing, and a unit
+            # whose listener raised was reported.
+            if listener is not None and self.instructions > done:
+                listener(pc, block, start, self.instructions - done)
+            raise
         finally:
             if fast:
                 cache.executed_blocks += executed

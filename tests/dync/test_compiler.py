@@ -19,8 +19,12 @@ from repro.dync.compiler import (
 )
 from repro.dync.compiler import codegen, peephole
 from repro.dync.compiler.lexer import LexError, tokenize
-from repro.rabbit.asm import parse_asm
+from repro.dync.compiler.libraries import expand_uses, extract_asm_blocks
+from repro.dync.compiler.options import PLACEMENTS
+from repro.rabbit.asm import AsmError, assemble, assembler, parse_asm
 from repro.rabbit.board import Board
+from repro.rabbit.programs.aes_c import AES_C_ENCRYPT_SOURCE, AES_C_SOURCE
+from repro.rabbit.programs.rsa_c import generate_source as rsa_source
 
 
 def run(source: str, options: CompilerOptions | None = None) -> CompiledProgram:
@@ -508,3 +512,148 @@ class TestOneAssemblyParser:
         compile_source("int x; void main() { x = 1; }",
                        CompilerOptions(optimize=True))
         assert len(calls) == 1
+
+
+def _parsed_text(source: str) -> str:
+    """The text :func:`parse` sees for ``source`` in a compile."""
+    return extract_asm_blocks(expand_uses(source))[0]
+
+
+def _every_option():
+    return [CompilerOptions(debug=debug, optimize=optimize, unroll=unroll,
+                            data_placement=placement)
+            for debug in (True, False) for optimize in (False, True)
+            for unroll in (False, True) for placement in PLACEMENTS]
+
+
+def _matrix_sources() -> dict[str, str]:
+    sources = {"aes-encrypt": AES_C_ENCRYPT_SOURCE, "aes": AES_C_SOURCE}
+    for width in (2, 3, 4, 8, 16, 32):
+        sources[f"rsa{width}"] = rsa_source(width)
+    return sources
+
+
+def _clear_memos():
+    codegen._PARSED.clear()
+    assembler._PARSED_LINES.clear()
+
+
+def _build(compilation: Compilation):
+    return (compilation.assembly.code, compilation.assembly.symbols,
+            compilation.code_size, compilation.statements_instrumented,
+            {name: (symbol.address, symbol.xmem_phys, symbol.placement)
+             for name, symbol in compilation.globals_map.items()})
+
+
+#: ``x op= e`` on a scalar and on an element, inside a loop that unrolls
+#: around a nested loop and an ``if``.
+SHARED_NODES = """
+    int tally;
+    int cells[4];
+    void main() {
+        int i;
+        int j;
+        for (i = 0; i < 4; i = i + 1) {
+            cells[i] += i;
+            tally += cells[i];
+            for (j = 0; j < 2; j = j + 1) { tally <<= 1; }
+            if (tally > 100) { tally -= 50; }
+        }
+    }
+"""
+
+
+class TestParseMemos:
+    """One parse per distinct source text and per distinct assembly
+    line, shared by every later compile: codegen never mutates a
+    Program, and every AsmLine is the caller's own."""
+
+    @pytest.mark.parametrize("source", [SHARED_NODES, AES_C_SOURCE,
+                                        rsa_source(4)],
+                             ids=["shared-nodes", "aes", "rsa4"])
+    def test_codegen_leaves_the_program_as_parsed(self, source):
+        _clear_memos()
+        builds = [_build(compile_source(source, options))
+                  for options in _every_option()]
+        text = _parsed_text(source)
+        assert list(codegen._PARSED) == [text]
+        assert codegen._PARSED[text] == parse(text)
+        assert len({code for code, *_ in builds}) > 1   # options took effect
+
+    def test_unrolled_copies_run_like_the_loop(self):
+        rolled = run(SHARED_NODES, CompilerOptions(unroll=False))
+        unrolled = run(SHARED_NODES, CompilerOptions(unroll=True))
+        rolled.call("main")
+        unrolled.call("main")
+        assert rolled.peek_int("tally") == unrolled.peek_int("tally") != 0
+        assert rolled.peek_bytes("cells", 8) == unrolled.peek_bytes(
+            "cells", 8) == bytes([0, 0, 1, 0, 2, 0, 3, 0])
+
+    @pytest.mark.parametrize("source", list(_matrix_sources().values()),
+                             ids=list(_matrix_sources()))
+    def test_primed_builds_equal_cold_builds(self, source):
+        cold = []
+        for options in _every_option():
+            _clear_memos()
+            cold.append(_build(compile_source(source, options)))
+        primed = [_build(compile_source(source, options))
+                  for options in _every_option()]
+        assert primed == cold
+
+    ASM = ("start:  ld   a, ';'      ; a quoted semicolon\n"
+           "COUNT   equ  3 + 1\n"
+           "big::   db   \"a;b\", 'x', COUNT\n"
+           "        ld   (ix + 2), a ; comment\n"
+           "\n"
+           "; a comment line\n"
+           "        djnz start\n")
+
+    def test_parse_asm_primed_equals_cold(self):
+        _clear_memos()
+        cold = parse_asm(self.ASM)
+        primed = parse_asm(self.ASM)
+        assert primed == cold
+        assert [line.operands for line in cold] == [
+            ["a", "';'"], ["count", "3 + 1"], ['"a;b"', "'x'", "COUNT"],
+            ["(ix + 2)", "a"], [], [], ["start"]]
+        assert [line.label for line in cold][:3] == ["start", None, "big"]
+        assert cold[1].mnemonic == "equ"
+        assert cold[3].text == "        ld   (ix + 2), a"
+        # Every line owns its operands: a rewrite reaches no other.
+        assert all(a.operands is not b.operands
+                   for a, b in zip(cold, primed))
+        primed[0].operands[0] = "b"
+        assert parse_asm(self.ASM) == cold
+
+    def test_repeated_lines_keep_their_own_line_numbers(self):
+        _clear_memos()
+        lines = parse_asm("        nop\nX equ 1\n        nop\nX equ 1\n")
+        assert [line.line_no for line in lines] == [1, 2, 3, 4]
+        with pytest.raises(AsmError, match="^line 4: duplicate label"):
+            assemble("a:      nop\n        nop\n        nop\na:      nop\n")
+
+    def test_an_equ_error_reports_its_own_line(self):
+        _clear_memos()
+        for source, line_no in (("        equ  5\n", 1),
+                                ("        nop\n        nop\n"
+                                 "        equ  5\n", 3),
+                                ("        equ  5\n", 1)):
+            with pytest.raises(AsmError,
+                               match=f"^line {line_no}: equ needs a name"):
+                parse_asm(source)
+        assert "        equ  5" not in assembler._PARSED_LINES
+
+    def test_memos_stay_within_their_bounds(self, monkeypatch):
+        monkeypatch.setattr(codegen, "_PARSED_LIMIT", 2)
+        monkeypatch.setattr(assembler, "_PARSED_LINES_LIMIT", 40)
+        _clear_memos()
+        for value in range(5):
+            source = f"int x; void main() {{ x = {value}; }}"
+            assert len(codegen._PARSED) <= 2
+            assert len(assembler._PARSED_LINES) <= 40
+            program = run(source)
+            program.call("main")
+            assert program.peek_int("x") == value
+        assert 0 < len(codegen._PARSED) <= 2
+        assert 0 < len(assembler._PARSED_LINES) <= 40
+        _clear_memos()

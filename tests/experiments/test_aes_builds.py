@@ -63,11 +63,30 @@ def chain():
     with pytest.MonkeyPatch.context() as monkeypatch:
         counted = _Counted(monkeypatch)
         e1_aes.run_e1(keys=1, blocks_per_key=1)
+        loads_before_e2 = counted.loads
         e2 = e2_sweep.run_e2(keys=1, blocks_per_key=2)
         loads_before_e3 = counted.loads
         e3 = e3_size.run_e3(keys=1, blocks_per_key=1)
     return {"counted": counted, "e2": e2, "e3": e3,
+            "e2_loads": loads_before_e3 - loads_before_e2,
             "e3_loads": counted.loads - loads_before_e3}
+
+
+@pytest.fixture(scope="module")
+def defaults():
+    """E2 at its defaults after E1 at its defaults, and E2 alone, each
+    on a fresh table."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        after = _Counted(monkeypatch)
+        e1_aes.run_e1()
+        loads_before_e2 = after.loads
+        e2_after_e1 = e2_sweep.run_e2()
+        after_loads = after.loads - loads_before_e2
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        alone = _Counted(monkeypatch)
+        e2_alone = e2_sweep.run_e2()
+    return {"after": e2_after_e1, "after_loads": after_loads,
+            "alone": e2_alone, "alone_loads": alone.loads}
 
 
 class TestOneBuildPerVariant:
@@ -96,14 +115,57 @@ class TestOneBuildPerVariant:
         assert result.reproduced
 
     def test_table_holds_no_board(self, monkeypatch):
+        """Nor a profiler: a kept run keeps plain rows."""
         counted = _Counted(monkeypatch)
+        profilers = []
+
+        class Watched(e1_aes.CycleProfiler):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                profilers.append(weakref.ref(self))
+
+        monkeypatch.setattr(e1_aes, "CycleProfiler", Watched)
         e1_aes.run_e1(keys=1, blocks_per_key=1)
-        assert len(counted.boards) == 2
+        e2_sweep.run_e2(keys=1, blocks_per_key=1)
+        assert len(counted.boards) == 2 + len(SWEEP) - 1
+        assert len(profilers) == 3      # E1's two, E2's all-on
         assert counted.table.measured(ASSEMBLY, 1, 1) is not None
+        assert counted.table.profiled(BASELINE, 1, 1) is not None
         # A dead Board sits in reference cycles (CPU <-> block cache),
         # so only the cyclic collector frees it.
         gc.collect()
         assert all(board() is None for board in counted.boards)
+        assert all(profiler() is None for profiler in profilers)
+
+
+class TestE2ReadsE1sProfiledRun:
+    def test_e2_after_e1_runs_six_variants(self, defaults):
+        assert defaults["after_loads"] == len(SWEEP) - 1 == 6
+        assert defaults["alone_loads"] == len(SWEEP) == 7
+
+    def test_e2_after_e1_equals_e2_alone(self, defaults):
+        assert defaults["after"].extra_tables
+        assert _canonical(defaults["after"]) == _canonical(defaults["alone"])
+
+    def test_a_run_of_other_blocks_per_key_does_not_answer(self, chain):
+        # E1 ran one block per key; E2's two blocks are not its rows.
+        assert chain["e2_loads"] == len(SWEEP)
+
+    def test_rows_answer_only_at_a_key_boundary(self):
+        table = AesBuilds()
+        rows = [[{"routine": "a", "self cycles": k}] for k in (1, 2)]
+        table.keep(BASELINE, TestPrefix.RUN, rows)
+        run, kept = table.profiled(BASELINE, 1, 2)
+        assert run.block_cycles == (10, 11) and kept == rows[0]
+        assert table.profiled(BASELINE, 2, 2)[1] == rows[1]
+        for keys, blocks_per_key in ((1, 1), (2, 1), (3, 2)):
+            assert table.profiled(BASELINE, keys, blocks_per_key) is None
+        assert table.measured(BASELINE, 1, 1) is not None
+        # The table's rows are its own.
+        kept[0]["self cycles"] = -1
+        rows[1][0]["self cycles"] = -1
+        assert table.profiled(BASELINE, 1, 2)[1][0]["self cycles"] == 1
+        assert table.profiled(BASELINE, 2, 2)[1][0]["self cycles"] == 2
 
 
 class TestDataDependence:

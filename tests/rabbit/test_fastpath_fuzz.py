@@ -33,19 +33,22 @@ must sit past the faulting instruction and R must be bumped, as the step
 core leaves them.  Flash and SRAM around the stream hold a fixed random
 pattern, so a read from the wrong address shows.  The same streams run
 once more under a ``CycleProfiler`` on both cores: the profiles must
-match (when no run raised: a fault reaches no listener), and no block
-the listener sees may have run more instructions than it holds (a
-self-loop must not iterate in place under a listener).
+match, after a fault too (a block that raises part-way reports the
+instructions it ran as a cut-short unit), and no block the listener
+sees may have run more instructions than it holds (a self-loop must not
+iterate in place under a listener).
 """
 
 from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.obs.profile import CycleProfiler
+from repro.rabbit.asm import assemble
 from repro.rabbit.board import Board
 from repro.rabbit.cpu import CpuError
 from repro.rabbit.fastcore import BlockCache
@@ -358,9 +361,7 @@ def _run(program: dict, threshold: int | None, profile: bool = False):
         except (CpuError, MemoryError_) as exc:    # type and message
             outcomes.append((type(exc).__name__, str(exc)))
             break
-    if profile and not any(isinstance(o, tuple) for o in outcomes):
-        # A raise reaches no listener, so the step core has charged the
-        # steps before it in the faulting block and the fast core not.
+    if profile:
         outcomes.append((profiler.collapsed, profiler.instruction_counts,
                          profiler.call_counts))
     return outcomes, _machine_state(board)
@@ -401,3 +402,53 @@ def test_fast_core_matches_step_core_on_generated_streams(program):
 def test_profiled_fast_core_matches_step_core_on_generated_streams(program):
     assert _run(program, 1, profile=True) == _run(program, None,
                                                   profile=True)
+
+
+def test_a_block_that_faults_part_way_charges_what_it_ran():
+    """``inc bc; ret; rlc b; rlc b`` with SP on the ``ret`` returns into
+    the SRAM pattern, where a block stores into flash after some of its
+    instructions ran: the step core charged each of them, so the fast
+    core must report them as a cut-short unit before the raise."""
+    program = {"base": 0xC200, "code": bytes([0x03, 0xC9, 0xCB, 0x00,
+                                              0xCB, 0x00]),
+               "heads": [], "regs": (0,) * 8, "sp": 0xC201, "ix": 0,
+               "iy": 0, "mode": "run", "budgets": [100],
+               "requests": [None], "stops": [0xC200], "interrupt": False,
+               "enabled": False}
+    step = _run(program, None, profile=True)
+    assert step[0][0][0] == "MemoryError_"
+    assert step[0][1][0]["rc200;<root>;<root>;<root>;rc200"] == 23
+    assert _run(program, 1, profile=True) == step
+    assert _run(program, 64, profile=True) == step
+
+
+@pytest.mark.parametrize("threshold", [None, 1, 64],
+                         ids=["step", "translated", "closures"])
+def test_a_listener_that_raises_sees_its_unit_once(threshold):
+    """A raise from the listener itself is not a block cut short: the
+    unit it was told of is not reported again on the way out."""
+    board = Board()
+    cpu = board.cpu
+    if threshold is None:
+        cpu.use_fast_core = False
+    else:
+        cpu._cache = BlockCache(cpu)
+        cpu._cache.translate_threshold = threshold
+    board.program(assemble("""
+            ld   b, 20
+    loop:   inc  a
+            inc  a
+            djnz loop
+            halt
+    """).code)
+    seen = []
+
+    def listener(pc, block, start, ran):
+        seen.append((pc, ran))
+        if len(seen) == 6:
+            raise RuntimeError("listener")
+
+    cpu.set_block_listener(listener)
+    with pytest.raises(RuntimeError, match="listener"):
+        cpu.run(max_instructions=1000)
+    assert len(seen) == 6

@@ -22,6 +22,7 @@ again by a call whose stop sits on it: the loop must stop there.
 
 from __future__ import annotations
 
+import gc
 import sys
 
 import pytest
@@ -71,7 +72,13 @@ def _board(threshold: int | None) -> Board:
 def _watched(run):
     """Call ``run()``; returns the names of the Python functions the
     translated functions called, and its result or exception (type and
-    message)."""
+    message).
+
+    The cyclic collector runs before the window and is off inside it:
+    a collection triggered while a translated function runs (by an
+    allocation the interpreter makes for it, such as a fault's
+    traceback) runs pending finalizers with ``_tr`` as their caller,
+    and the hook would record them."""
     calls = []
 
     def watch(frame, event, _arg):
@@ -80,6 +87,9 @@ def _watched(run):
                 and caller.f_code.co_name == "_tr":
             calls.append(frame.f_code.co_name)
 
+    collecting = gc.isenabled()
+    gc.collect()
+    gc.disable()
     sys.setprofile(watch)
     try:
         outcome = run()
@@ -87,6 +97,8 @@ def _watched(run):
         outcome = (type(exc).__name__, str(exc))
     finally:
         sys.setprofile(None)
+        if collecting:
+            gc.enable()
     return calls, outcome
 
 
